@@ -266,7 +266,9 @@ def load_config(source) -> RunConfig:
     _reject_unknown(tol_raw, {"rel_tol", "abs_tol", "max_step"}, "tolerances")
     rel_tol = _number(tol_raw.get("rel_tol", 1e-9), "tolerances.rel_tol")
     abs_tol = _number(tol_raw.get("abs_tol", 1e-12), "tolerances.abs_tol")
-    max_step = float(tol_raw.get("max_step", math.inf))
+    max_step = (
+        _number(tol_raw["max_step"], "tolerances.max_step") if "max_step" in tol_raw else math.inf
+    )
     if rel_tol <= 0.0 or abs_tol <= 0.0 or max_step <= 0.0:
         raise ConfigError("tolerances", "tolerances must be positive")
 

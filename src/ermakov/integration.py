@@ -490,8 +490,10 @@ def monitor_invariant(traj: Trajectory, V, attach: bool = True) -> DriftStats:
 def detect_events(traj: Trajectory, events: Sequence[EventSpec], time_tol: float = 1e-10) -> list[Event]:
     """Scan a finished trajectory for sign changes of the event functions.
 
-    Crossings are located by bisection on the dense output to ``time_tol``.
+    Crossings are located by bisection on the dense output to ``time_tol``
+    and listed in the order the run reaches them.
     """
+    direction = 1.0 if traj.t_end >= traj.t0 else -1.0
     found: list[Event] = []
     for ev in events:
         g_prev = ev.fn(traj.ts[0], traj.ys[0])
@@ -508,5 +510,5 @@ def detect_events(traj: Trajectory, events: Sequence[EventSpec], time_tol: float
                 )
                 found.append(Event(ev.name, t_star, traj.at(t_star)))
             g_prev = g_new
-    found.sort(key=lambda e: e.t)
+    found.sort(key=lambda e: direction * e.t)
     return found

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +31,7 @@ from .expressions import (
     is_literal_zero,
     simplify,
 )
-from .integration import IntegratorConfig, Trajectory, integrate
+from .integration import EventSpec, IntegratorConfig, Trajectory, integrate
 from .invariant import (
     ForbiddenRegionError,
     InvariantValue,
@@ -39,7 +39,7 @@ from .invariant import (
     lewis_ray_reid_polar,
     turning_tolerance,
 )
-from .numerics import CumulativeIntegral, QuadratureError, quad_adaptive, solve_bracketed
+from .numerics import QuadratureError, quad_adaptive, solve_bracketed
 from .systems import (
     KeplerErmakovSpec,
     LinearizableSpec,
@@ -114,46 +114,46 @@ class LinearODE:
     def gap(self, theta: float) -> float:
         return self.invariant - evaluate(self.spec.V, {"theta": theta})
 
-    def h(self, theta: float) -> float:
-        g = self.gap(theta)
+    def _momentum(self, theta: float, gap: float) -> float:
         tol = turning_tolerance(self.invariant)
-        if g < -tol:
-            raise ForbiddenRegionError(theta, self.invariant, self.invariant - g)
-        if g <= tol:
+        if gap < -tol:
+            raise ForbiddenRegionError(theta, self.invariant, self.invariant - gap)
+        if gap <= tol:
             raise TurningPointError(theta, self.invariant)
-        return math.sqrt(2.0 * g)
+        return math.sqrt(2.0 * gap)
 
-    def _abc(self, theta: float) -> tuple[float, float, float]:
-        ell = self.branch_sign * self.h(theta)
-        env = {"theta": theta, "L": ell}
-        a = -ell * evaluate(self.spec.A, env)
-        b = evaluate(self.spec.B, env)
-        c = evaluate(self.spec.C, env)
-        return a, b, c
+    def h(self, theta: float) -> float:
+        return self._momentum(theta, self.gap(theta))
 
     def p2(self, theta: float) -> float:
         return 2.0 * self.gap(theta)
 
     def p1(self, theta: float) -> float:
-        # h dh/dtheta = -dV/dtheta exactly
-        a, _, _ = self._abc(theta)
-        return -evaluate(self._dV, {"theta": theta}) - a
+        return self.terms(theta)[2]
 
     def p0(self, theta: float) -> float:
-        _, b, _ = self._abc(theta)
-        f = evaluate(self.spec.F, {"theta": theta})
-        return self.p2(theta) + f - b
+        return self.terms(theta)[3]
 
     def rhs(self, theta: float) -> float:
-        _, _, c = self._abc(theta)
-        return c
+        return self.terms(theta)[4]
+
+    def terms(self, theta: float) -> tuple[float, float, float, float, float]:
+        """(h, p2, p1, p0, rhs) at theta from one evaluation of the potential."""
+        gap = self.gap(theta)
+        h = self._momentum(theta, gap)
+        ell = self.branch_sign * h
+        env = {"theta": theta, "L": ell}
+        a = -ell * evaluate(self.spec.A, env)
+        b = evaluate(self.spec.B, env)
+        c = evaluate(self.spec.C, env)
+        p2 = 2.0 * gap
+        f = evaluate(self.spec.F, {"theta": theta})
+        # h dh/dtheta = -dV/dtheta exactly
+        dv = evaluate(self._dV, {"theta": theta})
+        return h, p2, -dv - a, p2 + f - b, c
 
     def coefficients(self, theta: float) -> tuple[float, float, float, float]:
-        a, b, c = self._abc(theta)
-        p2 = self.p2(theta)
-        f = evaluate(self.spec.F, {"theta": theta})
-        dv = evaluate(self._dV, {"theta": theta})
-        return p2, -dv - a, p2 + f - b, c
+        return self.terms(theta)[1:]
 
 
 def build_linear_ode(
@@ -258,84 +258,197 @@ def auto_theta_domain(
 # Numeric solution of the linear ODE
 # ---------------------------------------------------------------------------
 
-class _ThetaFn:
-    """Piecewise dense solution (psi, psi') assembled from two half integrations."""
+_PSI_FLOOR_REL = 1e-4  # the angle map stops where psi falls to this share of psi0
 
-    def __init__(self, theta0: float, y0: np.ndarray, forward: Trajectory | None, backward: Trajectory | None):
+
+class MonotoneMap:
+    """Increasing scalar map read off the dense output of runs that start at x0.
+
+    Column ``column`` of each run is 0 at ``x0`` and must increase with x.
+    Values come from each step's quartic interpolant; the inverse finds the
+    step by its node values and solves that quartic by Newton's method with
+    its exact derivative, falling back to bisection.  Results depend only
+    on the stored runs, never on the order of queries.
+    """
+
+    def __init__(self, var: str, x0: float, runs: Sequence[Trajectory], column: int):
+        self.var = var
+        xs = np.concatenate([[x0], *(traj.ts for traj in runs)])
+        vs = np.concatenate([[0.0], *(traj.ys[:, column] for traj in runs)])
+        self.xs, first = np.unique(xs, return_index=True)
+        self.vs = vs[first]
+        steps = [
+            np.column_stack([traj.ts[:-1], traj.hs, traj.ys[:-1, column], traj.qs[:, column]])
+            for traj in runs
+        ]
+        steps = np.concatenate(steps) if steps else np.zeros((0, 7))
+        # order steps by the midpoints of their full widths, which a step cut
+        # short by an event still keeps between its neighbours
+        self._steps = steps[np.argsort(steps[:, 0] + 0.5 * steps[:, 1])].tolist()
+
+    @property
+    def window(self) -> tuple[float, float]:
+        return float(self.xs[0]), float(self.xs[-1])
+
+    def _eval(self, i: int, x: float) -> tuple[float, float]:
+        """Value and slope of step i's interpolant at x."""
+        x0, w, y0, c1, c2, c3, c4 = self._steps[i]
+        s = (x - x0) / w
+        value = y0 + w * (s * (c1 + s * (c2 + s * (c3 + s * c4))))
+        slope = c1 + s * (2.0 * c2 + s * (3.0 * c3 + s * 4.0 * c4))
+        return value, slope
+
+    def __call__(self, x: float) -> float:
+        x = float(x)
+        lo, hi = self.window
+        if not (lo - 1e-12 <= x <= hi + 1e-12):
+            raise OutsideWindowError(f"{self.var}={x!r} outside the window [{lo}, {hi}]")
+        if not self._steps:
+            return 0.0
+        i = int(np.searchsorted(self.xs, x, side="right")) - 1
+        return self._eval(min(max(i, 0), len(self._steps) - 1), x)[0]
+
+    def inverse(self, v: float) -> float:
+        """The x with map(x) = v."""
+        v = float(v)
+        xs, vs = self.xs, self.vs
+        if not vs[0] <= v <= vs[-1]:
+            edge = xs[-1] if v > vs[-1] else xs[0]
+            raise OutsideWindowError(
+                f"requested time maps beyond {self.var}={float(edge)!r}"
+                " (window edge or turning point)"
+            )
+        i = int(np.searchsorted(vs, v))
+        if vs[i] == v:
+            return float(xs[i])
+        a, b = float(xs[i - 1]), float(xs[i])
+        x = a + (b - a) * (v - vs[i - 1]) / (vs[i] - vs[i - 1])
+        for _ in range(100):
+            f, slope = self._eval(i - 1, x)
+            f -= v
+            if f == 0.0:
+                return x
+            if f < 0.0:
+                a = x
+            else:
+                b = x
+            # Newton step, or bisection where it fails or leaves the bracket
+            x_new = x - f / slope if slope > 0.0 else math.nan
+            if not a <= x_new <= b:
+                x_new = 0.5 * (a + b)
+            if abs(x_new - x) <= 1e-15 * max(1.0, abs(x)):
+                return x_new
+            x = x_new
+        return x
+
+
+class _ThetaFn:
+    """Dense solution assembled from consecutive runs forward and backward of theta0.
+
+    Rows are the runs' state vectors: (psi, psi') first, the Abel factor W last.
+    """
+
+    def __init__(self, theta0: float, y0: np.ndarray, forward: list, backward: list):
         self._theta0 = theta0
         self._y0 = y0
         self._fwd = forward
         self._bwd = backward
 
-    def pair(self, theta: float) -> np.ndarray:
+    def row(self, theta: float) -> np.ndarray:
         if theta == self._theta0:
             return self._y0
-        if theta > self._theta0:
-            if self._fwd is None:
-                raise OutsideWindowError(f"theta={theta!r} beyond the solved interval")
-            return self._fwd.at(theta)
-        if self._bwd is None:
+        runs = self._fwd if theta > self._theta0 else self._bwd
+        if not runs:
             raise OutsideWindowError(f"theta={theta!r} beyond the solved interval")
-        return self._bwd.at(theta)
+        reach = abs(theta - self._theta0)
+        for traj in runs[:-1]:
+            if reach <= abs(traj.t_end - self._theta0):
+                return traj.at(theta)
+        return runs[-1].at(theta)
 
     def value(self, theta: float) -> float:
-        return float(self.pair(theta)[0])
+        return float(self.row(theta)[0])
 
     def slope(self, theta: float) -> float:
-        return float(self.pair(theta)[1])
+        return float(self.row(theta)[1])
+
+
+def _solve_runs(ode: LinearODE, theta0, y0, theta1, forced, floor, rel_tol, abs_tol) -> list:
+    """Integrate from theta0 towards theta1: [psi, psi', W], plus Theta when a psi floor is given.
+
+    Theta' = 1/(h psi^2) rides along until psi falls to the floor; a second
+    run then carries [psi, psi', W] on to theta1.
+    """
+    if theta1 == theta0:
+        return []
+    with_theta = floor is not None
+
+    def rhs(th, y):
+        h, p2, p1, p0, c = ode.terms(th)
+        psi, dpsi, w = float(y[0]), float(y[1]), float(y[-1])
+        d2 = ((c if forced else 0.0) - p1 * dpsi - p0 * psi) / p2
+        if with_theta:
+            return np.array([dpsi, d2, 1.0 / (h * psi * psi), -p1 / p2 * w])
+        return np.array([dpsi, d2, -p1 / p2 * w])
+
+    events = []
+    if with_theta:
+        events.append(EventSpec("psi_floor", lambda th, y: y[0] - floor, terminal=True))
+    cfg = IntegratorConfig(t_span=(theta0, theta1), rel_tol=rel_tol, abs_tol=abs_tol)
+    traj = integrate(rhs, y0, cfg, events)
+    if traj.termination == "completed":
+        return [traj]
+    if traj.termination != "event:psi_floor":
+        raise LinearizationError(
+            f"linear solve stopped at theta={traj.t_end!r} ({traj.termination})"
+        )
+    y_end = traj.ys[-1][[0, 1, 3]]  # Theta stops here
+    return [traj, *_solve_runs(ode, traj.t_end, y_end, theta1, forced, None, rel_tol, abs_tol)]
 
 
 @dataclass
 class LinearSolution:
-    """General solution psi = c1 psi1 + c2 psi2 + psi_p of the linear ODE."""
+    """Solution psi of the linear ODE with given data (psi0, psi'0) at theta0.
+
+    One run per direction carries psi, psi', Abel's Wronskian factor W of
+    the identity basis (W' = -(p1/p2) W, W(theta0) = 1) and, when psi0 > 0,
+    the angle map Theta(theta) = integral of 1/(h psi^2) from theta0 up to
+    where psi falls to 1e-4 psi0.  The homogeneous basis psi1, psi2 is
+    integrated only on request.
+    """
 
     ode: LinearODE
-    psi1: _ThetaFn
-    psi2: _ThetaFn
-    psi_p: _ThetaFn
-    c1: float
-    c2: float
     theta0: float
     domain: tuple[float, float]
+    path: _ThetaFn
+    Theta: MonotoneMap | None
+    rel_tol: float
+    abs_tol: float
 
     def psi(self, theta: float) -> float:
-        return (
-            self.c1 * self.psi1.value(theta)
-            + self.c2 * self.psi2.value(theta)
-            + self.psi_p.value(theta)
-        )
+        return self.path.value(theta)
 
     def dpsi(self, theta: float) -> float:
-        return (
-            self.c1 * self.psi1.slope(theta)
-            + self.c2 * self.psi2.slope(theta)
-            + self.psi_p.slope(theta)
-        )
+        return self.path.slope(theta)
 
     def wronskian(self, theta: float) -> float:
-        a = self.psi1.pair(theta)
-        b = self.psi2.pair(theta)
-        return float(a[0] * b[1] - b[0] * a[1])
+        return float(self.path.row(theta)[-1])
 
+    @cached_property
+    def psi1(self) -> _ThetaFn:
+        return self._homogeneous([1.0, 0.0, 1.0])
 
-def _integrate_theta(ode: LinearODE, theta0, y0, theta1, forced, rel_tol, abs_tol):
-    if theta1 == theta0:
-        return None
+    @cached_property
+    def psi2(self) -> _ThetaFn:
+        return self._homogeneous([0.0, 1.0, 1.0])
 
-    def rhs(th, y):
-        p2, p1, p0, c = ode.coefficients(th)
-        if p2 <= 0.0:
-            raise EvaluationError(f"linear ODE degenerate at theta={th!r}")
-        drive = c if forced else 0.0
-        return np.array([y[1], (drive - p1 * y[1] - p0 * y[0]) / p2])
-
-    cfg = IntegratorConfig(t_span=(theta0, theta1), rel_tol=rel_tol, abs_tol=abs_tol)
-    traj = integrate(rhs, y0, cfg)
-    if traj.termination != "completed":
-        raise LinearizationError(
-            f"linear solve stopped at theta={traj.t_end!r} ({traj.termination})"
-        )
-    return traj
+    def _homogeneous(self, y0) -> _ThetaFn:
+        y0 = np.asarray(y0, dtype=float)
+        runs = [
+            _solve_runs(self.ode, self.theta0, y0, end, False, None, self.rel_tol, self.abs_tol)
+            for end in (self.domain[1], self.domain[0])
+        ]
+        return _ThetaFn(self.theta0, y0, *runs)
 
 
 def solve_linear(
@@ -350,42 +463,33 @@ def solve_linear(
 ) -> LinearSolution:
     """Solve the linear ODE matching (psi0, dpsi0) at theta0.
 
-    Two homogeneous solutions start from unit initial data, the particular
-    solution from rest; the combination coefficients are then fixed by the
-    requested initial values.  The span of ``grid`` (clipped to the ODE
-    domain) sets the solved interval.
+    The span of ``grid`` (clipped to the ODE domain) sets the solved
+    interval.  Raises LinearizationError if Abel's factor W stops being
+    positive, i.e. the homogeneous solutions become linearly dependent.
     """
     lo = max(min(grid), ode.domain[0])
     hi = min(max(grid), ode.domain[1])
     if not (lo <= theta0 <= hi):
         raise ValueError(f"theta0={theta0!r} outside the requested grid span [{lo}, {hi}]")
-
-    def make(y0, forced):
-        y0 = np.asarray(y0, dtype=float)
-        fwd = _integrate_theta(ode, theta0, y0, hi, forced, rel_tol, abs_tol)
-        bwd = _integrate_theta(ode, theta0, y0, lo, forced, rel_tol, abs_tol)
-        return _ThetaFn(theta0, y0, fwd, bwd)
-
-    psi1 = make([1.0, 0.0], forced=False)
-    psi2 = make([0.0, 1.0], forced=False)
-    psi_p = make([0.0, 0.0], forced=not ode.rhs_is_zero)
-
-    # match the requested initial data (the basis is the identity at theta0,
-    # so this reduces to c1 = psi0, c2 = dpsi0 minus the particular part)
-    c1 = psi0 - psi_p.value(theta0)
-    c2 = dpsi0 - psi_p.slope(theta0)
-    sol = LinearSolution(
-        ode=ode, psi1=psi1, psi2=psi2, psi_p=psi_p, c1=c1, c2=c2, theta0=theta0, domain=(lo, hi)
-    )
-    _check_wronskian(sol)
-    return sol
-
-
-def _check_wronskian(sol: LinearSolution) -> None:
-    lo, hi = sol.domain
-    ws = [sol.wronskian(th) for th in np.linspace(lo, hi, 9)]
-    if min(abs(w) for w in ws) == 0.0 or (min(ws) < 0.0 < max(ws)):
+    floor = _PSI_FLOOR_REL * psi0 if psi0 > 0.0 else None
+    y0 = np.array([psi0, dpsi0, 0.0, 1.0] if floor is not None else [psi0, dpsi0, 1.0])
+    fwd = _solve_runs(ode, theta0, y0, hi, True, floor, rel_tol, abs_tol)
+    bwd = _solve_runs(ode, theta0, y0, lo, True, floor, rel_tol, abs_tol)
+    w = np.concatenate([traj.ys[:, -1] for traj in fwd + bwd] + [y0[-1:]])
+    if not np.all(np.isfinite(w) & (w > 0.0)):
         raise LinearizationError("homogeneous solutions became linearly dependent")
+    Theta = None
+    if floor is not None:
+        Theta = MonotoneMap("theta", theta0, [runs[0] for runs in (bwd, fwd) if runs], 2)
+    return LinearSolution(
+        ode=ode,
+        theta0=theta0,
+        domain=(lo, hi),
+        path=_ThetaFn(theta0, y0, fwd, bwd),
+        Theta=Theta,
+        rel_tol=rel_tol,
+        abs_tol=abs_tol,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -503,105 +607,73 @@ def free_motion_solution(c1: float, c2: float, theta: float) -> float:
     return c1 + c2 * theta
 
 
+@dataclass(frozen=True)
+class _ConstantRhoTime:
+    """Tau(t) = (t - t0)/rho^2 for a constant rho, with its inverse."""
+
+    t0: float
+    rho_sq: float
+
+    def __call__(self, t: float) -> float:
+        return (float(t) - self.t0) / self.rho_sq
+
+    def inverse(self, tau: float) -> float:
+        return self.t0 + self.rho_sq * tau
+
+
+def _time_map(rho: Expression, t0: float, t_window: tuple[float, float]) -> MonotoneMap:
+    """Tau(t) = integral of 1/rho^2 from t0, integrated once over the time window."""
+
+    def rhs(t, y):
+        rv = evaluate(rho, {"t": t})
+        if rv == 0.0:
+            raise EvaluationError(f"rho vanished at t={t!r}")
+        return np.array([1.0 / (rv * rv)])
+
+    runs = []
+    for t1 in (min(t0, *t_window), max(t0, *t_window)):
+        if t1 == t0:
+            continue
+        cfg = IntegratorConfig(t_span=(t0, t1), rel_tol=_SOLVE_REL_TOL, abs_tol=_SOLVE_ABS_TOL)
+        traj = integrate(rhs, [0.0], cfg)
+        if traj.termination != "completed":
+            raise LinearizationError(
+                f"time quadrature stopped at t={traj.t_end!r} ({traj.termination})"
+            )
+        runs.append(traj)
+    return MonotoneMap("t", t0, runs, 0)
+
+
 @dataclass
 class QuadratureSolution:
-    """Cumulative angle and time maps with their inversion handles.
+    """Angle and time maps with their inversion handles.
 
     The maps satisfy Theta(theta(t)) = branch_sign * Tau(t) + J, where
     Theta integrates 1/(h psi^2) from theta0 and Tau integrates 1/rho^2
-    from t0.  Both are strictly monotone on their windows.
+    from t0.  Both are strictly increasing on their windows.
     """
 
-    Theta: CumulativeIntegral
-    Tau: CumulativeIntegral
+    Theta: MonotoneMap
+    Tau: MonotoneMap | _ConstantRhoTime
     J: float
     branch_sign: int
     theta0: float
     t0: float
-    theta_window: tuple[float, float]
     solution: LinearSolution
     rho: Expression
     rho_const: float | None
 
+    @property
+    def theta_window(self) -> tuple[float, float]:
+        return self.Theta.window
+
     def theta_at(self, t: float) -> float:
         """The unique angle with Theta(theta) = branch_sign*Tau(t) + J."""
-        target = self.branch_sign * self.Tau(float(t)) + self.J
-        lo, hi = self._bracket_theta(target)
-        if lo == hi:
-            return lo
-        return solve_bracketed(lambda th: self.Theta(th) - target, lo, hi, f_tol=1e-12)
+        return self.Theta.inverse(self.branch_sign * self.Tau(float(t)) + self.J)
 
     def t_at(self, theta: float) -> float:
         """The time with Tau(t) = (Theta(theta) - J)/branch_sign."""
-        lo, hi = self.theta_window
-        if not (lo - 1e-12 <= theta <= hi + 1e-12):
-            raise OutsideWindowError(f"theta={theta!r} outside the window [{lo}, {hi}]")
-        target = (self.Theta(float(theta)) - self.J) / self.branch_sign
-        t_lo, t_hi = self._bracket_time(target)
-        if t_lo == t_hi:
-            return t_lo
-        return solve_bracketed(lambda tt: self.Tau(tt) - target, t_lo, t_hi, f_tol=1e-12)
-
-    def _bracket_theta(self, target: float) -> tuple[float, float]:
-        br = self.Theta.bracket_value(target)
-        if br is not None:
-            return br
-        lo, hi = self.theta_window
-        xs, vals = self.Theta.knots
-        if target > vals[-1]:
-            step = max((hi - lo) / 64.0, 1e-12)
-            x = xs[-1]
-            while x < hi:
-                x = min(x + step, hi)
-                step *= 2.0
-                if self.Theta(x) >= target:
-                    br = self.Theta.bracket_value(target)
-                    if br is not None:
-                        return br
-            raise OutsideWindowError(
-                f"requested time maps beyond theta={hi!r} (window edge or turning point)"
-            )
-        if target < vals[0]:
-            step = max((hi - lo) / 64.0, 1e-12)
-            x = xs[0]
-            while x > lo:
-                x = max(x - step, lo)
-                step *= 2.0
-                if self.Theta(x) <= target:
-                    br = self.Theta.bracket_value(target)
-                    if br is not None:
-                        return br
-            raise OutsideWindowError(
-                f"requested time maps beyond theta={lo!r} (window edge or turning point)"
-            )
-        return self.theta0, self.theta0
-
-    def _bracket_time(self, target: float) -> tuple[float, float]:
-        rho_scale = self.rho_const**2 if self.rho_const is not None else None
-        xs, vals = self.Tau.knots
-        i = int(np.searchsorted(vals, target))
-        if 0 < i < len(vals):
-            return xs[i - 1], xs[i]
-        if target == 0.0:
-            return self.t0, self.t0
-        step = rho_scale if rho_scale is not None else 1.0
-        if target > vals[-1]:
-            x = xs[-1]
-            for _ in range(80):
-                x_next = x + step
-                step *= 2.0
-                if self.Tau(x_next) >= target:
-                    return x, x_next
-                x = x_next
-        else:
-            x = xs[0]
-            for _ in range(80):
-                x_next = x - step
-                step *= 2.0
-                if self.Tau(x_next) <= target:
-                    return x_next, x
-                x = x_next
-        raise OutsideWindowError(f"could not bracket the time for Tau={target!r}")
+        return self.Tau.inverse((self.Theta(float(theta)) - self.J) / self.branch_sign)
 
 
 def time_quadrature(
@@ -615,72 +687,45 @@ def time_quadrature(
     branch_sign: int = 1,
     t_window: tuple[float, float] | None = None,
 ) -> QuadratureSolution:
-    """Build the cumulative angle and time integrals anchored at (theta0, t0).
+    """Pair the solve's angle map with the time map anchored at (theta0, t0).
 
-    The angle map integrates 1/(h psi^2) over the subinterval of the solved
-    domain where psi stays positive; the time map integrates 1/rho^2.  With
-    anchored base points the integration constant is J (zero by default).
+    Theta integrates 1/(h psi^2) inside ``sol``, from its initial angle
+    (which must be theta0) at its own level and potential; ``invariant``
+    and ``V`` are kept for the call signature.  Tau integrates 1/rho^2, in
+    closed form for a constant rho and otherwise once over ``t_window``.
+    With anchored base points the integration constant is J.
     """
-    V = as_expression(V)
     rho = as_expression(rho)
-    level = float(invariant)
     if branch_sign not in (-1, 1):
         raise ValueError(f"branch_sign must be +1 or -1, got {branch_sign!r}")
-
+    if theta0 != sol.theta0:
+        raise ValueError(f"theta0={theta0!r} differs from the solve's initial angle {sol.theta0!r}")
     psi0 = sol.psi(theta0)
     if not psi0 > 0.0:
         raise LinearizationError(f"psi({theta0!r}) = {psi0!r} is not positive")
-
-    lo, hi = sol.domain
-    floor = 1e-4 * abs(psi0)
-    grid = np.linspace(lo, hi, 801)
-    i0 = int(np.searchsorted(grid, theta0))
-    hi_w = hi
-    for th in grid[i0:]:
-        if sol.psi(float(th)) <= floor:
-            hi_w = float(th)
-            break
-    lo_w = lo
-    for th in grid[:i0][::-1]:
-        if sol.psi(float(th)) <= floor:
-            lo_w = float(th)
-            break
-
-    def theta_integrand(lam: float) -> float:
-        gap = level - evaluate(V, {"theta": lam})
-        if gap <= 0.0:
-            raise ForbiddenRegionError(lam, level, level - gap)
-        psi = sol.psi(lam)
-        if psi <= 0.0:
-            raise LinearizationError(f"psi({lam!r}) vanished inside the quadrature")
-        return 1.0 / (math.sqrt(2.0 * gap) * psi * psi)
 
     rho_const = None
     if not free_variables(rho):
         rho_const = evaluate(rho, {})
         if rho_const == 0.0:
             raise EvaluationError("rho is identically zero")
-
-    if t_window is not None and rho_const is None:
+        Tau = _ConstantRhoTime(t0, rho_const * rho_const)
+    else:
+        if t_window is None:
+            raise LinearizationError("a time-dependent rho needs a time window")
         samples = np.linspace(t_window[0], t_window[1], 257)
         vals = np.array([evaluate(rho, {"t": float(s)}) for s in samples])
         if np.min(np.abs(vals)) < 1e-12 or (np.min(vals) < 0.0 < np.max(vals)):
             raise EvaluationError(f"rho vanishes inside the time window {t_window!r}")
-
-    def time_integrand(lam: float) -> float:
-        rv = rho_const if rho_const is not None else evaluate(rho, {"t": lam})
-        if rv == 0.0:
-            raise EvaluationError(f"rho vanished at t={lam!r}")
-        return 1.0 / (rv * rv)
+        Tau = _time_map(rho, t0, t_window)
 
     return QuadratureSolution(
-        Theta=CumulativeIntegral(theta_integrand, theta0),
-        Tau=CumulativeIntegral(time_integrand, t0),
+        Theta=sol.Theta,
+        Tau=Tau,
         J=float(J),
         branch_sign=branch_sign,
         theta0=theta0,
         t0=t0,
-        theta_window=(lo_w, hi_w),
         solution=sol,
         rho=rho,
         rho_const=rho_const,

@@ -1,17 +1,13 @@
-"""Shared numerical primitives: adaptive quadrature, bracketed root finding,
-and cached cumulative integrals for monotone inversion."""
+"""Shared numerical primitives: adaptive quadrature and bracketed root finding."""
 
 from __future__ import annotations
 
-import bisect
-import threading
 from typing import Callable
 
 from scipy.integrate import quad as _scipy_quad
 
 __all__ = [
     "BracketError",
-    "CumulativeIntegral",
     "QuadratureError",
     "quad_adaptive",
     "solve_bracketed",
@@ -100,53 +96,3 @@ def solve_bracketed(
     if abs(f_best) <= 100.0 * f_tol:
         return x_best
     raise BracketError(f"root solve stalled near {x_best!r} with residual {f_best!r}")
-
-
-class CumulativeIntegral:
-    """Cached cumulative integral x -> integral of fn from anchor to x.
-
-    Each queried point becomes a knot, so later evaluations only integrate
-    over the short gap to the nearest cached knot.  With a positive
-    integrand the cached values are a strictly increasing function of the
-    knot, which supports bracketing a target value.
-    """
-
-    def __init__(self, fn: Callable[[float], float], anchor: float):
-        self._fn = fn
-        self.anchor = float(anchor)
-        self._xs: list[float] = [self.anchor]
-        self._vals: list[float] = [0.0]
-        self._lock = threading.Lock()  # knot cache may grow under concurrent queries
-
-    def __call__(self, x: float) -> float:
-        x = float(x)
-        with self._lock:
-            i = bisect.bisect_left(self._xs, x)
-            if i < len(self._xs) and self._xs[i] == x:
-                return self._vals[i]
-            candidates = [j for j in (i - 1, i) if 0 <= j < len(self._xs)]
-            j = min(candidates, key=lambda k: abs(x - self._xs[k]))
-            x_near, v_near = self._xs[j], self._vals[j]
-        v = v_near + quad_adaptive(self._fn, x_near, x)
-        with self._lock:
-            i = bisect.bisect_left(self._xs, x)
-            if not (i < len(self._xs) and self._xs[i] == x):
-                self._xs.insert(i, x)
-                self._vals.insert(i, v)
-        return v
-
-    @property
-    def knots(self) -> tuple[list[float], list[float]]:
-        with self._lock:
-            return list(self._xs), list(self._vals)
-
-    def bracket_value(self, target: float) -> tuple[float, float] | None:
-        """Adjacent cached knots whose values straddle ``target``, if any.
-
-        Valid only for a positive integrand (cached values increasing in x).
-        """
-        vals = self._vals
-        i = bisect.bisect_left(vals, target)
-        if 0 < i < len(vals):
-            return self._xs[i - 1], self._xs[i]
-        return None

@@ -113,6 +113,16 @@ class TestConfigValidation:
         for name in ("winternitz-default", "uniform-rotation", "free-motion-demo"):
             assert preset_config(name).t_span[1] > 0
 
+    @pytest.mark.parametrize("max_step", ["fast", [1], math.nan])
+    def test_max_step_must_be_a_finite_number(self, tmp_path, capsys, max_step):
+        cfg = _winternitz_config(tolerances={"max_step": max_step})
+        with pytest.raises(ConfigError, match=r"tolerances\.max_step"):
+            load_config(cfg)
+        path = _write(tmp_path, "c.json", cfg)  # NaN goes out as the JSON literal NaN
+        assert main(["reconstruct", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "tolerances.max_step" in err and "Traceback" not in err
+
 
 class TestSimulate:
     def test_winternitz_drift_and_exit_code(self, tmp_path, capsys):

@@ -160,6 +160,11 @@ class TestEvents:
         assert hits[0].t == pytest.approx(math.pi / 2, abs=1e-9)
         assert hits[1].t == pytest.approx(3.0 * math.pi / 2, abs=1e-9)
 
+    def test_detect_events_backward_run_in_run_order(self):
+        traj = integrate(lambda t, y: np.array([1.0]), [0.0], IntegratorConfig(t_span=(0.0, -3.0)))
+        hits = detect_events(traj, [EventSpec("y_band", lambda t, y: (y[0] + 0.5) * (y[0] + 2.5))])
+        assert [h.t for h in hits] == pytest.approx([-0.5, -2.5], abs=1e-9)
+
     def test_event_time_tolerance(self):
         cfg = IntegratorConfig(t_span=(0.0, 2.0), event_time_tol=1e-10)
         traj = integrate(

@@ -391,3 +391,48 @@ class TestPipelineGuards:
     def test_invert_function_alias(self, winternitz_spec, winternitz_state):
         pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 1.0))
         assert invert_theta_of_t(pipe.quadrature, 0.5) == pipe.theta_of_t(0.5)
+
+
+class TestAugmentedSolve:
+    def test_theta_of_t_independent_of_query_order(self, winternitz_spec, winternitz_state):
+        times = [float(t) for t in np.linspace(0.0, 2.0, 25)]
+        first = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 2.0))
+        second = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 2.0))
+        ascending = [first.theta_of_t(t) for t in times]
+        descending = [second.theta_of_t(t) for t in reversed(times)]
+        assert ascending == descending[::-1]
+
+    def test_theta_window_is_psi_floor_event(self):
+        # psi'' + psi = 0 from (1, 0): psi = cos(theta) falls to 1e-4 psi0 at
+        # +-acos(1e-4), and Theta = integral of 1/cos^2 = tan
+        spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="0", F="0", V="0")
+        ode = build_linear_ode(spec, 0.5, (-2.0, 2.0))
+        sol = solve_linear(ode, 0.0, 1.0, 0.0, [-2.0, 2.0])
+        quad = time_quadrature(sol, 0.5, "0", "1", 0.0, 0.0)
+        lo, hi = quad.theta_window
+        edge = math.acos(1e-4)
+        assert abs(hi - edge) <= 1e-9
+        assert abs(lo + edge) <= 1e-9
+        assert quad.Theta(1.0) == pytest.approx(math.tan(1.0), rel=1e-10)
+        # psi is still solved beyond the window, up to the end of the grid
+        assert sol.psi(1.9) == pytest.approx(math.cos(1.9), abs=1e-9)
+        assert sol.psi(-1.9) == pytest.approx(math.cos(1.9), abs=1e-9)
+
+    def test_basis_integrated_only_on_request(self, monkeypatch):
+        import ermakov.linearize as lz
+
+        spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="1", F="0", V="0")
+        state = ek.PolarState(1.0, 0.0, 0.0, 1.0)
+        calls = []
+        real = lz.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lz, "integrate", counting)
+        pipe = build_pipeline(spec, state, t_window=(0.0, 2.0))
+        assert len(calls) == 2  # one augmented run per direction; psi = 1 never nears the floor
+        pipe.solution.psi1.value(1.7)
+        pipe.solution.psi2.value(1.7)
+        assert len(calls) == 6
