@@ -178,6 +178,14 @@ class Trajectory:
         p = np.array([x, x * x, x**3, x**4])
         return self.ys[i] + self.hs[i] * (self.qs[i] @ p)
 
+    def at_with_slope(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Dense-output state and its derivative in t, from the same step's interpolant."""
+        i = self._segment(float(t))
+        x = (float(t) - self.ts[i]) / self.hs[i]
+        q = self.qs[i]
+        value = self.ys[i] + self.hs[i] * (q @ np.array([x, x * x, x**3, x**4]))
+        return value, q @ np.array([1.0, 2.0 * x, 3.0 * x * x, 4.0 * x**3])
+
     def sample(self, times: Sequence[float]) -> np.ndarray:
         return np.array([self.at(t) for t in times])
 

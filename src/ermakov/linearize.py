@@ -264,67 +264,59 @@ _PSI_FLOOR_REL = 1e-4  # the angle map stops where psi falls to this share of ps
 class MonotoneMap:
     """Increasing scalar map read off the dense output of runs that start at x0.
 
-    Column ``column`` of each run is 0 at ``x0`` and must increase with x.
-    Values come from each step's quartic interpolant; the inverse finds the
-    step by its node values and solves that quartic by Newton's method with
-    its exact derivative, falling back to bisection.  Results depend only
+    Column ``column`` of each run is 0 at ``x0`` and must increase with x;
+    at most one run goes each way from x0.  The inverse finds the step by
+    its node values and solves that step's interpolant by Newton's method
+    with its exact slope, falling back to bisection.  Results depend only
     on the stored runs, never on the order of queries.
     """
 
     def __init__(self, var: str, x0: float, runs: Sequence[Trajectory], column: int):
         self.var = var
-        xs = np.concatenate([[x0], *(traj.ts for traj in runs)])
-        vs = np.concatenate([[0.0], *(traj.ys[:, column] for traj in runs)])
-        self.xs, first = np.unique(xs, return_index=True)
-        self.vs = vs[first]
-        steps = [
-            np.column_stack([traj.ts[:-1], traj.hs, traj.ys[:-1, column], traj.qs[:, column]])
-            for traj in runs
-        ]
-        steps = np.concatenate(steps) if steps else np.zeros((0, 7))
-        # order steps by the midpoints of their full widths, which a step cut
-        # short by an event still keeps between its neighbours
-        self._steps = steps[np.argsort(steps[:, 0] + 0.5 * steps[:, 1])].tolist()
+        self.x0 = x0
+        self.column = column
+        self._up = next((traj for traj in runs if traj.t_end > x0), None)
+        self._down = next((traj for traj in runs if traj.t_end < x0), None)
 
     @property
     def window(self) -> tuple[float, float]:
-        return float(self.xs[0]), float(self.xs[-1])
+        lo = self._down.t_end if self._down is not None else self.x0
+        hi = self._up.t_end if self._up is not None else self.x0
+        return lo, hi
 
-    def _eval(self, i: int, x: float) -> tuple[float, float]:
-        """Value and slope of step i's interpolant at x."""
-        x0, w, y0, c1, c2, c3, c4 = self._steps[i]
-        s = (x - x0) / w
-        value = y0 + w * (s * (c1 + s * (c2 + s * (c3 + s * c4))))
-        slope = c1 + s * (2.0 * c2 + s * (3.0 * c3 + s * 4.0 * c4))
-        return value, slope
+    def _at(self, run: Trajectory, x: float) -> tuple[float, float]:
+        value, slope = run.at_with_slope(x)
+        return float(value[self.column]), float(slope[self.column])
 
     def __call__(self, x: float) -> float:
         x = float(x)
         lo, hi = self.window
         if not (lo - 1e-12 <= x <= hi + 1e-12):
             raise OutsideWindowError(f"{self.var}={x!r} outside the window [{lo}, {hi}]")
-        if not self._steps:
-            return 0.0
-        i = int(np.searchsorted(self.xs, x, side="right")) - 1
-        return self._eval(min(max(i, 0), len(self._steps) - 1), x)[0]
+        run = self._up if x > self.x0 else self._down
+        return 0.0 if run is None else self._at(run, x)[0]
 
     def inverse(self, v: float) -> float:
         """The x with map(x) = v."""
         v = float(v)
-        xs, vs = self.xs, self.vs
-        if not vs[0] <= v <= vs[-1]:
-            edge = xs[-1] if v > vs[-1] else xs[0]
+        if v == 0.0:
+            return self.x0
+        run = self._up if v > 0.0 else self._down
+        if run is None or abs(v) > abs(run.ys[-1, self.column]):
+            edge = self.window[1 if v > 0.0 else 0]
             raise OutsideWindowError(
                 f"requested time maps beyond {self.var}={float(edge)!r}"
                 " (window edge or turning point)"
             )
-        i = int(np.searchsorted(vs, v))
-        if vs[i] == v:
-            return float(xs[i])
-        a, b = float(xs[i - 1]), float(xs[i])
-        x = a + (b - a) * (v - vs[i - 1]) / (vs[i] - vs[i - 1])
+        # node values in the run's own direction, increasing from 0
+        sign = 1.0 if v > 0.0 else -1.0
+        vs = sign * run.ys[:, self.column]
+        i = int(np.searchsorted(vs, sign * v))
+        x_prev, x_next = float(run.ts[i - 1]), float(run.ts[i])
+        x = x_prev + (x_next - x_prev) * (sign * v - vs[i - 1]) / (vs[i] - vs[i - 1])
+        a, b = min(x_prev, x_next), max(x_prev, x_next)
         for _ in range(100):
-            f, slope = self._eval(i - 1, x)
+            f, slope = self._at(run, x)
             f -= v
             if f == 0.0:
                 return x
@@ -432,7 +424,10 @@ class LinearSolution:
         return self.path.slope(theta)
 
     def wronskian(self, theta: float) -> float:
-        return float(self.path.row(theta)[-1])
+        """psi1 psi2' - psi2 psi1' from the homogeneous basis."""
+        a = self.psi1.row(theta)
+        b = self.psi2.row(theta)
+        return float(a[0] * b[1] - b[0] * a[1])
 
     @cached_property
     def psi1(self) -> _ThetaFn:
@@ -689,17 +684,18 @@ def time_quadrature(
 ) -> QuadratureSolution:
     """Pair the solve's angle map with the time map anchored at (theta0, t0).
 
-    Theta integrates 1/(h psi^2) inside ``sol``, from its initial angle
-    (which must be theta0) at its own level and potential; ``invariant``
-    and ``V`` are kept for the call signature.  Tau integrates 1/rho^2, in
-    closed form for a constant rho and otherwise once over ``t_window``.
-    With anchored base points the integration constant is J.
+    Theta integrates 1/(h psi^2) inside ``sol``, so theta0, ``invariant``
+    and ``V`` must be the solve's initial angle, level and potential.  Tau
+    integrates 1/rho^2, in closed form for a constant rho and otherwise
+    once over ``t_window``, which a time-dependent rho requires.  With
+    anchored base points the integration constant is J.
     """
     rho = as_expression(rho)
     if branch_sign not in (-1, 1):
         raise ValueError(f"branch_sign must be +1 or -1, got {branch_sign!r}")
-    if theta0 != sol.theta0:
-        raise ValueError(f"theta0={theta0!r} differs from the solve's initial angle {sol.theta0!r}")
+    given = (theta0, float(invariant), as_expression(V))
+    if given != (sol.theta0, sol.ode.invariant, sol.ode.spec.V):
+        raise ValueError("theta0, invariant, V must be the solve's initial angle, level, potential")
     psi0 = sol.psi(theta0)
     if not psi0 > 0.0:
         raise LinearizationError(f"psi({theta0!r}) = {psi0!r} is not positive")

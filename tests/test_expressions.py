@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -192,17 +193,17 @@ def _expr_strategy(depth=3, funcs=("sin", "cos", "tan", "asin", "acos", "atan", 
 _smooth_exprs = _expr_strategy(funcs=("sin", "cos", "atan", "exp"))
 
 
-def _mp_eval(e, env, mpmath):
+def _mp_eval(e, env):
     """Value of a tree of the smooth strategy in mpmath arithmetic."""
     if isinstance(e, Num):
         return mpmath.mpf(e.value)
     if isinstance(e, Var):
         return env[e.name]
     if isinstance(e, Neg):
-        return -_mp_eval(e.operand, env, mpmath)
+        return -_mp_eval(e.operand, env)
     if isinstance(e, Call):
-        return getattr(mpmath, e.func)(_mp_eval(e.arg, env, mpmath))
-    a, b = _mp_eval(e.lhs, env, mpmath), _mp_eval(e.rhs, env, mpmath)
+        return getattr(mpmath, e.func)(_mp_eval(e.arg, env))
+    a, b = _mp_eval(e.lhs, env), _mp_eval(e.rhs, env)
     if e.op == "+":
         return a + b
     if e.op == "-":
@@ -231,7 +232,6 @@ def _mp_eval(e, env, mpmath):
     e=Neg(BinOp("^", Var("u"), Call("cos", Num(1e-12)))), env_vals=[0.0, 0.0, 0.0, 0.0, 5.7e-201]
 )
 def test_property_derivative_matches_central_difference(e, env_vals):
-    mpmath = pytest.importorskip("mpmath")
     env = dict(zip(["x", "y", "theta", "t", "u"], env_vals))
     names = free_variables(e)
     assume(names)
@@ -253,7 +253,7 @@ def test_property_derivative_matches_central_difference(e, env_vals):
         env_mp = {k: mpmath.mpf(v) for k, v in env.items()}
 
         def f(s):
-            return _mp_eval(e, {**env_mp, var: env_mp[var] + s}, mpmath)
+            return _mp_eval(e, {**env_mp, var: env_mp[var] + s})
 
         def central(s):
             return (f(s) - f(-s)) / (2 * s)

@@ -436,3 +436,20 @@ class TestAugmentedSolve:
         pipe.solution.psi1.value(1.7)
         pipe.solution.psi2.value(1.7)
         assert len(calls) == 6
+
+    def test_time_dependent_rho_needs_time_window(self):
+        spec = ek.LinearizableSpec(rho="1 + 0.1*t", A="0", B="0", C="0", F="0", V="0")
+        state = ek.PolarState(1.0, 0.0, 0.0, 1.0)
+        with pytest.raises(LinearizationError, match="time window"):
+            build_pipeline(spec, state)
+        pipe = build_pipeline(spec, state, t_window=(0.0, 1.0))
+        pipe.theta_of_t(0.5)
+        with pytest.raises(OutsideWindowError):
+            pipe.theta_of_t(1.5)  # Tau is integrated over the time window only
+
+    def test_time_quadrature_rejects_other_level_or_potential(self):
+        _, _, sol, _ = _uniform_rotation_pieces()
+        with pytest.raises(ValueError, match="invariant"):
+            time_quadrature(sol, 0.7, "0", "1", 0.0, 0.0)
+        with pytest.raises(ValueError, match="potential"):
+            time_quadrature(sol, 0.5, "0.1*sin(theta)", "1", 0.0, 0.0)
