@@ -52,6 +52,7 @@ from .linearize import (
     invert_theta_of_t,
     reconstruct_orbit,
     reconstruct_radial,
+    solve_from_state,
     solve_linear,
     time_quadrature,
     verify_compatibility,

@@ -33,21 +33,11 @@ from .config import (
     polar_view,
     preset_config,
 )
-from .expressions import EvaluationError, evaluate
+from .expressions import evaluate
 from .integration import IntegratorConfig, integrate_polar
-from .invariant import (
-    ForbiddenRegionError,
-    TurningPointError,
-    lewis_ray_reid_polar,
-)
-from .linearize import (
-    LinearizationError,
-    OutsideWindowError,
-    auto_theta_domain,
-    build_pipeline,
-    verify_compatibility,
-)
-from .numerics import BracketError, QuadratureError
+from .invariant import lewis_ray_reid_polar
+from .linearize import auto_theta_domain, build_pipeline, solve_from_state, verify_compatibility
+from .systems import PolarState
 
 __all__ = ["main"]
 
@@ -60,17 +50,6 @@ EXIT_ERROR = 2
 DRIFT_THRESHOLD = 1e-6
 ROUND_TRIP_THRESHOLD = 1e-5
 COMPATIBILITY_THRESHOLD = 1e-9
-
-_RUNTIME_ERRORS = (
-    EvaluationError,
-    ForbiddenRegionError,
-    TurningPointError,
-    LinearizationError,
-    OutsideWindowError,
-    QuadratureError,
-    BracketError,
-    ValueError,
-)
 
 
 def _fmt(x: float) -> str:
@@ -151,35 +130,13 @@ def _pipeline(cfg: RunConfig, theta_domain=None):
     )
 
 
-def _theta_grid(cfg: RunConfig, invariant, V) -> np.ndarray:
-    if cfg.theta_span is not None:
-        lo, hi = min(cfg.theta_span), max(cfg.theta_span)
-    else:
-        lo, hi = auto_theta_domain(V, invariant, cfg.polar_state.theta)
-    return np.linspace(lo, hi, cfg.samples)
-
-
 def cmd_linearize(cfg: RunConfig, out_dir: Path) -> int:
-    from .linearize import build_linear_ode, solve_linear
-    from .expressions import differentiate, simplify
-
-    lin = linearizable_view(cfg)
-    state = cfg.polar_state
-    if state.thetadot == 0.0:
-        raise LinearizationError("initial state sits at a turning point (thetadot = 0)")
-    inv = lewis_ray_reid_polar(state, lin.V)
-    grid = _theta_grid(cfg, inv, lin.V)
-    branch = 1 if state.thetadot > 0.0 else -1
-    ode = build_linear_ode(lin, inv, (float(grid[0]), float(grid[-1])), branch)
-    tenv = {"t": state.t}
-    rho_v = evaluate(lin.rho, tenv)
-    rho_dv = evaluate(simplify(differentiate(lin.rho, "t")), tenv)
-    psi0 = rho_v / state.r
-    dpsi0 = -(rho_v * state.rdot - rho_dv * state.r) / (state.r**2 * state.thetadot)
-    sol = solve_linear(ode, state.theta, psi0, dpsi0, [float(grid[0]), float(grid[-1])])
+    span = None if cfg.theta_span is None else (min(cfg.theta_span), max(cfg.theta_span))
+    sol = solve_from_state(linearizable_view(cfg), cfg.polar_state, span)
+    grid = np.linspace(*sol.domain, cfg.samples)
     rows = []
     for th in grid:
-        p2, p1, p0, rhs = ode.coefficients(float(th))
+        p2, p1, p0, rhs = sol.ode.coefficients(float(th))
         rows.append((th, p2, p1, p0, rhs, sol.psi(float(th))))
     _write_csv(out_dir / "linear_ode.csv", ["theta", "p2", "p1", "p0", "rhs", "psi"], rows)
     print(f"linearize: ok, {len(grid)} samples on [{grid[0]:.6g}, {grid[-1]:.6g}]")
@@ -213,8 +170,9 @@ def cmd_validate(cfg: RunConfig, out_dir: Path) -> int:
 
     lin = linearizable_view(cfg)
     times = _sample_times(cfg, traj.t_end)
+    sampled = traj.sample(times)
     try:
-        visited = traj.sample(times)[:, 1]
+        visited = sampled[:, 1]
         pad = 0.05 * (np.max(visited) - np.min(visited)) + 0.05
         lo_cap = cfg.polar_state.theta - (float(np.min(visited)) - pad)
         hi_cap = (float(np.max(visited)) + pad) - cfg.polar_state.theta
@@ -227,7 +185,7 @@ def cmd_validate(cfg: RunConfig, out_dir: Path) -> int:
         pipe = build_pipeline(lin, cfg.polar_state, theta_domain=domain, t_window=cfg.t_span)
         r_err = 0.0
         th_err = 0.0
-        for t, row in zip(times, traj.sample(times)):
+        for t, row in zip(times, sampled):
             theta = pipe.theta_of_t(float(t))
             r = pipe.r_of_t(float(t))
             th_err = max(th_err, abs(theta - row[1]))
@@ -239,16 +197,14 @@ def cmd_validate(cfg: RunConfig, out_dir: Path) -> int:
             "threshold": ROUND_TRIP_THRESHOLD,
             "pass": bool(max(r_err, th_err) <= ROUND_TRIP_THRESHOLD),
         }
-    except _RUNTIME_ERRORS as exc:
+    except ValueError as exc:
         checks["round_trip"] = {"error": str(exc), "pass": False}
 
     try:
         residuals = []
-        for t, row in zip(times, traj.sample(times)):
+        for t, row in zip(times, sampled):
             if abs(row[3]) < 1e-6 or row[0] <= 0.0:
                 continue
-            from .systems import PolarState
-
             state = PolarState(r=row[0], theta=row[1], rdot=row[2], thetadot=row[3], t=float(t))
             residuals.append(verify_compatibility(lin, state))
             if len(residuals) >= 100:
@@ -260,7 +216,7 @@ def cmd_validate(cfg: RunConfig, out_dir: Path) -> int:
             "threshold": COMPATIBILITY_THRESHOLD,
             "pass": bool(residuals and max_res <= COMPATIBILITY_THRESHOLD),
         }
-    except _RUNTIME_ERRORS as exc:
+    except ValueError as exc:
         checks["compatibility"] = {"error": str(exc), "pass": False}
 
     ok = all(c.get("pass", False) for c in checks.values())
@@ -315,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except _RUNTIME_ERRORS as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

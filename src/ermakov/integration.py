@@ -73,6 +73,7 @@ _P = np.array(
     ]
 )
 
+_MAX_STEPS = 500_000
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -91,7 +92,6 @@ class IntegratorConfig:
     max_step: float = math.inf
     first_step: float | None = None
     event_time_tol: float = 1e-10
-    max_steps: int = 500_000
 
     def __post_init__(self):
         t0, tf = self.t_span
@@ -169,18 +169,25 @@ class Trajectory:
             idx = int(np.searchsorted(ts, t, side="right")) - 1
         else:
             idx = int(np.searchsorted(-ts, -t, side="right")) - 1
-        return min(max(idx, 0), len(self.hs) - 1)
+        return min(max(idx, 0), len(self.hs) - 1)  # -1: no accepted step
 
     def at(self, t: float) -> np.ndarray:
         """Dense-output state at an arbitrary time inside the covered window."""
         i = self._segment(float(t))
+        if i < 0:
+            return self.ys[0].copy()
         x = (float(t) - self.ts[i]) / self.hs[i]
         p = np.array([x, x * x, x**3, x**4])
         return self.ys[i] + self.hs[i] * (self.qs[i] @ p)
 
     def at_with_slope(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Dense-output state and its derivative in t, from the same step's interpolant."""
+        """Dense-output state and its derivative in t, from the same step's interpolant.
+
+        A run with no accepted step has no interpolant: its slope is NaN.
+        """
         i = self._segment(float(t))
+        if i < 0:
+            return self.ys[0].copy(), np.full(self.dim, math.nan)
         x = (float(t) - self.ts[i]) / self.hs[i]
         q = self.qs[i]
         value = self.ys[i] + self.hs[i] * (q @ np.array([x, x * x, x**3, x**4]))
@@ -226,6 +233,12 @@ def _initial_step(rhs, t0, y0, f0, direction, rel_tol, abs_tol):
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     return min(100.0 * h0, h1)
+
+
+def _crossed(ev: EventSpec, g_old: float, g_new: float) -> bool:
+    """Whether the event function changed sign between two values, in ev's direction."""
+    crossed = (g_old < 0.0 < g_new) or (g_new < 0.0 < g_old) or (g_new == 0.0 and g_old != 0.0)
+    return crossed and not (ev.direction and math.copysign(1.0, g_new - g_old) != ev.direction)
 
 
 def _locate_crossing(traj_dense, ev, t_lo, t_hi, g_lo, tol):
@@ -287,7 +300,7 @@ def integrate(
 
     t = t0
     K = np.empty((7, dim))
-    for _ in range(cfg.max_steps):
+    for _ in range(_MAX_STEPS):
         if direction * (tf - t) <= 0.0:
             termination = "completed"
             break
@@ -352,12 +365,7 @@ def integrate(
                 g_old = g_vals[ei]
                 g_new = ev.fn(t_new, y_new)
                 g_vals[ei] = g_new
-                crossed = (g_old < 0.0 < g_new) or (g_new < 0.0 < g_old) or (
-                    g_new == 0.0 and g_old != 0.0
-                )
-                if not crossed:
-                    continue
-                if ev.direction and math.copysign(1.0, g_new - g_old) != ev.direction:
+                if not _crossed(ev, g_old, g_new):
                     continue
                 t_star = _locate_crossing(dense, ev, t, t_new, g_old, cfg.event_time_tol)
                 step_hits.append((direction * t_star, ev, t_star))
@@ -442,7 +450,6 @@ def integrate_polar(
     spec,
     state0: PolarState,
     cfg: IntegratorConfig,
-    extra_events: Sequence[EventSpec] = (),
     monitor: bool = True,
 ) -> Trajectory:
     """Integrate a polar-family spec from ``state0`` over ``cfg.t_span``."""
@@ -452,7 +459,7 @@ def integrate_polar(
         raise ValueError("initial state time must match the start of t_span")
     rhs = polar_rhs_function(spec)
     y0 = [state0.r, state0.theta, state0.rdot, state0.thetadot]
-    traj = integrate(rhs, y0, cfg, events=[*_polar_events(spec), *extra_events])
+    traj = integrate(rhs, y0, cfg, events=_polar_events(spec))
     traj.coords = "polar"
     if monitor:
         monitor_invariant(traj, spec.V)
@@ -460,16 +467,13 @@ def integrate_polar(
 
 
 def integrate_cartesian(
-    spec: CartesianSpec,
-    state0: CartesianState,
-    cfg: IntegratorConfig,
-    extra_events: Sequence[EventSpec] = (),
+    spec: CartesianSpec, state0: CartesianState, cfg: IntegratorConfig
 ) -> Trajectory:
     if abs(state0.t - cfg.t_span[0]) > 1e-12 * (1.0 + abs(state0.t)):
         raise ValueError("initial state time must match the start of t_span")
     rhs = cartesian_rhs_function(spec)
     y0 = [state0.x, state0.y, state0.xdot, state0.ydot]
-    traj = integrate(rhs, y0, cfg, events=[*_cartesian_events(spec), *extra_events])
+    traj = integrate(rhs, y0, cfg, events=_cartesian_events(spec))
     traj.coords = "cartesian"
     return traj
 
@@ -507,12 +511,7 @@ def detect_events(traj: Trajectory, events: Sequence[EventSpec], time_tol: float
         g_prev = ev.fn(traj.ts[0], traj.ys[0])
         for i in range(1, len(traj.ts)):
             g_new = ev.fn(traj.ts[i], traj.ys[i])
-            crossed = (g_prev < 0.0 < g_new) or (g_new < 0.0 < g_prev) or (
-                g_new == 0.0 and g_prev != 0.0
-            )
-            if crossed and not (
-                ev.direction and math.copysign(1.0, g_new - g_prev) != ev.direction
-            ):
+            if _crossed(ev, g_prev, g_new):
                 t_star = _locate_crossing(
                     traj.at, ev, float(traj.ts[i - 1]), float(traj.ts[i]), g_prev, time_tol
                 )

@@ -20,6 +20,7 @@ __all__ = [
     "TurningPointError",
     "lewis_ray_reid_cartesian",
     "lewis_ray_reid_polar",
+    "momentum_from_gap",
     "on_shell_momentum",
     "theta_dot_from_invariant",
     "turning_tolerance",
@@ -90,6 +91,20 @@ def turning_tolerance(invariant) -> float:
     return 1e-12 * (1.0 + abs(_as_level(invariant)))
 
 
+def momentum_from_gap(theta: float, level: float, gap: float) -> float:
+    """h = sqrt(2*gap) for the gap I - V(theta) the caller has computed.
+
+    Raises TurningPointError when the gap is zero within tolerance and
+    ForbiddenRegionError when it is negative.
+    """
+    tol = turning_tolerance(level)
+    if gap < -tol:
+        raise ForbiddenRegionError(theta, level, level - gap)
+    if abs(gap) <= tol:
+        raise TurningPointError(theta, level)
+    return math.sqrt(2.0 * gap)
+
+
 def on_shell_momentum(theta: float, invariant, V) -> float:
     """h(theta) = sqrt(2*(I - V(theta))): the angular momentum on the invariant shell.
 
@@ -97,15 +112,7 @@ def on_shell_momentum(theta: float, invariant, V) -> float:
     ForbiddenRegionError when I lies below V.
     """
     level = _as_level(invariant)
-    V = as_expression(V)
-    potential = evaluate(V, {"theta": theta})
-    gap = level - potential
-    tol = turning_tolerance(level)
-    if gap < -tol:
-        raise ForbiddenRegionError(theta, level, potential)
-    if abs(gap) <= tol:
-        raise TurningPointError(theta, level)
-    return math.sqrt(2.0 * gap)
+    return momentum_from_gap(theta, level, level - evaluate(as_expression(V), {"theta": theta}))
 
 
 def theta_dot_from_invariant(r: float, theta: float, invariant, V, branch_sign: int) -> float:

@@ -20,6 +20,7 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .expressions import (
     EvaluationError,
@@ -35,16 +36,18 @@ from .integration import EventSpec, IntegratorConfig, Trajectory, integrate
 from .invariant import (
     ForbiddenRegionError,
     InvariantValue,
-    TurningPointError,
     lewis_ray_reid_polar,
+    momentum_from_gap,
     turning_tolerance,
 )
-from .numerics import QuadratureError, quad_adaptive, solve_bracketed
+from .numerics import QuadratureError, quad_adaptive
 from .systems import (
     KeplerErmakovSpec,
     LinearizableSpec,
     PolarState,
     WinternitzParams,
+    _rho_derivatives,
+    check_rho_nonzero,
     frequency_from_linearizable,
     kepler_as_linearizable,
 )
@@ -64,6 +67,7 @@ __all__ = [
     "invert_theta_of_t",
     "reconstruct_orbit",
     "reconstruct_radial",
+    "solve_from_state",
     "solve_linear",
     "time_quadrature",
     "verify_compatibility",
@@ -114,16 +118,8 @@ class LinearODE:
     def gap(self, theta: float) -> float:
         return self.invariant - evaluate(self.spec.V, {"theta": theta})
 
-    def _momentum(self, theta: float, gap: float) -> float:
-        tol = turning_tolerance(self.invariant)
-        if gap < -tol:
-            raise ForbiddenRegionError(theta, self.invariant, self.invariant - gap)
-        if gap <= tol:
-            raise TurningPointError(theta, self.invariant)
-        return math.sqrt(2.0 * gap)
-
     def h(self, theta: float) -> float:
-        return self._momentum(theta, self.gap(theta))
+        return momentum_from_gap(theta, self.invariant, self.gap(theta))
 
     def p2(self, theta: float) -> float:
         return 2.0 * self.gap(theta)
@@ -140,7 +136,7 @@ class LinearODE:
     def terms(self, theta: float) -> tuple[float, float, float, float, float]:
         """(h, p2, p1, p0, rhs) at theta from one evaluation of the potential."""
         gap = self.gap(theta)
-        h = self._momentum(theta, gap)
+        h = momentum_from_gap(theta, self.invariant, gap)
         ell = self.branch_sign * h
         env = {"theta": theta, "L": ell}
         a = -ell * evaluate(self.spec.A, env)
@@ -210,21 +206,19 @@ def _locate_turning(V, level, grid, gaps, tol) -> float:
     for i in range(len(grid) - 1):
         if bad[i] != bad[i + 1]:
             try:
-                return solve_bracketed(fn, float(grid[i]), float(grid[i + 1]), f_tol=1e-12)
+                return brentq(fn, float(grid[i]), float(grid[i + 1]), xtol=1e-15, disp=False)
             except ValueError:
                 return float(grid[i + 1] if bad[i + 1] else grid[i])
     # no transition inside the interval: report the worst point
     return float(grid[int(np.argmin(gaps))])
 
 
+_DOMAIN_MARGIN_REL = 1e-3
+_DOMAIN_STEP = math.pi / 720.0
+
+
 def auto_theta_domain(
-    V,
-    invariant,
-    theta0: float,
-    *,
-    margin_rel: float = 1e-3,
-    span_cap: float = 2.0 * math.pi,
-    step: float = math.pi / 720.0,
+    V, invariant, theta0: float, *, span_cap: float = 2.0 * math.pi
 ) -> tuple[float, float]:
     """Maximal scanned interval around theta0 where the level clears the potential.
 
@@ -233,7 +227,7 @@ def auto_theta_domain(
     """
     V = as_expression(V)
     level = float(invariant)
-    margin = margin_rel * (1.0 + abs(level))
+    margin = _DOMAIN_MARGIN_REL * (1.0 + abs(level))
 
     def clears(th: float) -> bool:
         try:
@@ -246,11 +240,11 @@ def auto_theta_domain(
             theta0, level, float("nan"), detail="initial angle too close to a turning point"
         )
     hi = theta0
-    while hi - theta0 < span_cap and clears(hi + step):
-        hi += step
+    while hi - theta0 < span_cap and clears(hi + _DOMAIN_STEP):
+        hi += _DOMAIN_STEP
     lo = theta0
-    while theta0 - lo < span_cap and clears(lo - step):
-        lo -= step
+    while theta0 - lo < span_cap and clears(lo - _DOMAIN_STEP):
+        lo -= _DOMAIN_STEP
     return lo, hi
 
 
@@ -673,29 +667,23 @@ class QuadratureSolution:
 
 def time_quadrature(
     sol: LinearSolution,
-    invariant,
-    V,
     rho,
-    theta0: float,
     t0: float,
     J: float = 0.0,
     branch_sign: int = 1,
     t_window: tuple[float, float] | None = None,
 ) -> QuadratureSolution:
-    """Pair the solve's angle map with the time map anchored at (theta0, t0).
+    """Pair the solve's angle map with the time map anchored at (sol.theta0, t0).
 
-    Theta integrates 1/(h psi^2) inside ``sol``, so theta0, ``invariant``
-    and ``V`` must be the solve's initial angle, level and potential.  Tau
-    integrates 1/rho^2, in closed form for a constant rho and otherwise
-    once over ``t_window``, which a time-dependent rho requires.  With
-    anchored base points the integration constant is J.
+    Theta integrates 1/(h psi^2) inside ``sol``.  Tau integrates 1/rho^2,
+    in closed form for a constant rho and otherwise once over ``t_window``,
+    which a time-dependent rho requires.  With anchored base points the
+    integration constant is J.
     """
     rho = as_expression(rho)
     if branch_sign not in (-1, 1):
         raise ValueError(f"branch_sign must be +1 or -1, got {branch_sign!r}")
-    given = (theta0, float(invariant), as_expression(V))
-    if given != (sol.theta0, sol.ode.invariant, sol.ode.spec.V):
-        raise ValueError("theta0, invariant, V must be the solve's initial angle, level, potential")
+    theta0 = sol.theta0
     psi0 = sol.psi(theta0)
     if not psi0 > 0.0:
         raise LinearizationError(f"psi({theta0!r}) = {psi0!r} is not positive")
@@ -709,10 +697,7 @@ def time_quadrature(
     else:
         if t_window is None:
             raise LinearizationError("a time-dependent rho needs a time window")
-        samples = np.linspace(t_window[0], t_window[1], 257)
-        vals = np.array([evaluate(rho, {"t": float(s)}) for s in samples])
-        if np.min(np.abs(vals)) < 1e-12 or (np.min(vals) < 0.0 < np.max(vals)):
-            raise EvaluationError(f"rho vanishes inside the time window {t_window!r}")
+        check_rho_nonzero(rho, t_window[0], t_window[1], 257, f"the time window {t_window!r}")
         Tau = _time_map(rho, t0, t_window)
 
     return QuadratureSolution(
@@ -733,39 +718,42 @@ def invert_theta_of_t(q: QuadratureSolution, t: float) -> float:
     return q.theta_at(t)
 
 
-def reconstruct_orbit(sol: LinearSolution, q: QuadratureSolution, rho, theta: float) -> float:
+def reconstruct_orbit(q: QuadratureSolution, theta: float) -> float:
     """Orbit radius r(theta) = rho(t(theta)) / psi(theta).
 
     With a constant rho no time inversion is needed.
     """
-    rho = as_expression(rho)
-    psi = sol.psi(theta)
+    psi = q.solution.psi(theta)
     if not psi > 0.0:
         raise LinearizationError(f"psi({theta!r}) = {psi!r} is not positive")
     if q.rho_const is not None:
         return q.rho_const / psi
     t = q.t_at(theta)
-    return evaluate(rho, {"t": t}) / psi
+    return evaluate(q.rho, {"t": t}) / psi
 
 
-def reconstruct_radial(sol: LinearSolution, q: QuadratureSolution, rho, t: float) -> float:
+def reconstruct_radial(q: QuadratureSolution, t: float) -> float:
     """Radius as a function of time: rho(t) / psi(theta(t))."""
-    rho = as_expression(rho)
     theta = q.theta_at(t)
-    psi = sol.psi(theta)
+    psi = q.solution.psi(theta)
     if not psi > 0.0:
         raise LinearizationError(f"psi({theta!r}) = {psi!r} is not positive")
-    rv = q.rho_const if q.rho_const is not None else evaluate(rho, {"t": t})
+    rv = q.rho_const if q.rho_const is not None else evaluate(q.rho, {"t": t})
     return rv / psi
 
 
 # ---------------------------------------------------------------------------
-# Compatibility check and end-to-end pipeline
+# Initial data, compatibility check and end-to-end pipeline
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _cached_frequency(spec: LinearizableSpec) -> Expression:
-    return frequency_from_linearizable(spec)
+def _initial_data(spec: LinearizableSpec, state: PolarState) -> tuple[float, float, float]:
+    """(rho, psi, psi') at a state: psi = rho/r, psi' = -(rho rdot - rho' r)/(r^2 thetadot)."""
+    tenv = {"t": state.t}
+    rho_v = evaluate(spec.rho, tenv)
+    rho_dv = evaluate(_rho_derivatives(spec.rho)[0], tenv)
+    psi = rho_v / state.r
+    dpsi = -(rho_v * state.rdot - rho_dv * state.r) / (state.r**2 * state.thetadot)
+    return rho_v, psi, dpsi
 
 
 def verify_compatibility(spec: LinearizableSpec, state: PolarState) -> float:
@@ -778,23 +766,17 @@ def verify_compatibility(spec: LinearizableSpec, state: PolarState) -> float:
     spec = _coerce_linearizable(spec)
     if state.thetadot == 0.0:
         raise ValueError("compatibility residual needs a state with nonzero thetadot")
-    tenv = {"t": state.t}
-    rho_v = evaluate(spec.rho, tenv)
-    rho_d = simplify(differentiate(spec.rho, "t"))
-    rho_dd = simplify(differentiate(rho_d, "t"))
-    rho_dv = evaluate(rho_d, tenv)
-    rho_ddv = evaluate(rho_dd, tenv)
+    rho_v, psi, dpsi = _initial_data(spec, state)
+    rho_ddv = evaluate(_rho_derivatives(spec.rho)[1], {"t": state.t})
     if rho_v == 0.0:
         raise EvaluationError(f"rho vanished at t={state.t!r}")
-    psi = rho_v / state.r
-    dpsi = -(rho_v * state.rdot - rho_dv * state.r) / (state.r**2 * state.thetadot)
     ell = state.angular_momentum
     env = {"theta": state.theta, "L": ell}
     a = -ell * evaluate(spec.A, env)
     b = evaluate(spec.B, env)
     c = evaluate(spec.C, env)
     w2 = evaluate(
-        _cached_frequency(spec),
+        frequency_from_linearizable(spec),
         {
             "t": state.t,
             "r": state.r,
@@ -806,6 +788,27 @@ def verify_compatibility(spec: LinearizableSpec, state: PolarState) -> float:
     lhs = rho_v**3 * (rho_ddv + w2 * rho_v) / psi**3
     rhs = a * dpsi + b * psi + c
     return abs(lhs - rhs)
+
+
+def solve_from_state(
+    spec, state0: PolarState, theta_domain: tuple[float, float] | None = None
+) -> LinearSolution:
+    """Linear ODE and its solution for the trajectory through ``state0``.
+
+    The invariant level and branch come from the state, and so do the
+    initial data (psi0, psi'0); the angle domain is scanned automatically
+    unless supplied.
+    """
+    lin = _coerce_linearizable(spec)
+    if state0.thetadot == 0.0:
+        raise LinearizationError("initial state sits at a turning point (thetadot = 0)")
+    branch = 1 if state0.thetadot > 0.0 else -1
+    inv = lewis_ray_reid_polar(state0, lin.V)
+    if theta_domain is None:
+        theta_domain = auto_theta_domain(lin.V, inv, state0.theta)
+    ode = build_linear_ode(lin, inv, theta_domain, branch)
+    _, psi0, dpsi0 = _initial_data(lin, state0)
+    return solve_linear(ode, state0.theta, psi0, dpsi0, grid=list(theta_domain))
 
 
 @dataclass
@@ -823,10 +826,10 @@ class ReconstructionPipeline:
         return self.quadrature.theta_at(t)
 
     def r_of_t(self, t: float) -> float:
-        return reconstruct_radial(self.solution, self.quadrature, self.spec.rho, t)
+        return reconstruct_radial(self.quadrature, t)
 
     def r_of_theta(self, theta: float) -> float:
-        return reconstruct_orbit(self.solution, self.quadrature, self.spec.rho, theta)
+        return reconstruct_orbit(self.quadrature, theta)
 
 
 def build_pipeline(
@@ -836,36 +839,23 @@ def build_pipeline(
     theta_domain: tuple[float, float] | None = None,
     t_window: tuple[float, float] | None = None,
     J: float = 0.0,
-    domain_margin_rel: float = 1e-3,
-    domain_span_cap: float = 2.0 * math.pi,
 ) -> ReconstructionPipeline:
     """Assemble the linearized route for one trajectory.
 
-    The invariant level and branch come from the initial state; the angle
-    domain is scanned automatically unless supplied.  Pipelines refuse to
-    cross turning points: queries outside the covered window raise instead
-    of switching branches.
+    ``solve_from_state`` followed by the time quadrature.  Pipelines refuse
+    to cross turning points: queries outside the covered window raise
+    instead of switching branches.
     """
-    lin = _coerce_linearizable(spec)
-    if state0.thetadot == 0.0:
-        raise LinearizationError("initial state sits at a turning point (thetadot = 0)")
-    branch = 1 if state0.thetadot > 0.0 else -1
-    inv = lewis_ray_reid_polar(state0, lin.V)
-    if theta_domain is None:
-        theta_domain = auto_theta_domain(
-            lin.V, inv, state0.theta, margin_rel=domain_margin_rel, span_cap=domain_span_cap
-        )
-    ode = build_linear_ode(lin, inv, theta_domain, branch)
-    tenv = {"t": state0.t}
-    rho_v = evaluate(lin.rho, tenv)
-    rho_dv = evaluate(simplify(differentiate(lin.rho, "t")), tenv)
-    psi0 = rho_v / state0.r
-    dpsi0 = -(rho_v * state0.rdot - rho_dv * state0.r) / (state0.r**2 * state0.thetadot)
-    sol = solve_linear(ode, state0.theta, psi0, dpsi0, grid=list(theta_domain))
+    sol = solve_from_state(spec, state0, theta_domain)
+    ode = sol.ode
     quad = time_quadrature(
-        sol, inv, lin.V, lin.rho, state0.theta, state0.t, J=J,
-        branch_sign=branch, t_window=t_window,
+        sol, ode.spec.rho, state0.t, J=J, branch_sign=ode.branch_sign, t_window=t_window
     )
     return ReconstructionPipeline(
-        spec=lin, state0=state0, invariant=inv, ode=ode, solution=sol, quadrature=quad
+        spec=ode.spec,
+        state0=state0,
+        invariant=InvariantValue(ode.invariant),
+        ode=ode,
+        solution=sol,
+        quadrature=quad,
     )

@@ -55,6 +55,7 @@ __all__ = [
     "cartesian_rhs",
     "cartesian_rhs_function",
     "cartesian_state_from_polar",
+    "check_rho_nonzero",
     "frequency_from_linearizable",
     "free_motion_system",
     "kepler_as_linearizable",
@@ -288,24 +289,33 @@ def radial_coupling_from_fg(f, g) -> Expression:
     return BinOp("/", numerator, BinOp("*", sin_t, cos_t))
 
 
+def _potential_fn(f: Expression, g: Expression) -> Callable[[float], float]:
+    """U for one coupling pair, with zero-ness and argument names decided once."""
+    fvar = _single_var(f, "coupling f")
+    gvar = _single_var(g, "coupling g")
+    f_live = not is_literal_zero(f)
+    g_live = not is_literal_zero(g)
+
+    def u(w: float) -> float:
+        if not w > 0.0:
+            raise EvaluationError(f"potential argument must be positive, got {w!r}")
+        total = 0.0
+        if f_live:
+            total += quad_adaptive(lambda lam: evaluate(f, {fvar: lam}), 1.0, w)
+        if g_live:
+            total += quad_adaptive(lambda lam: evaluate(g, {gvar: lam}), 1.0, 1.0 / w)
+        return total
+
+    return u
+
+
 def potential_value_from_fg(f, g, w: float) -> float:
     """U(w): the two coupling integrals accumulated from the base point 1.
 
     U(w) = int_1^w f + int_1^{1/w} g, so U(1) = 0 by convention.  Requires
     w > 0 (single-sector evaluation).
     """
-    f = as_expression(f)
-    g = as_expression(g)
-    if not w > 0.0:
-        raise EvaluationError(f"potential argument must be positive, got {w!r}")
-    fvar = _single_var(f, "coupling f")
-    gvar = _single_var(g, "coupling g")
-    total = 0.0
-    if not is_literal_zero(f):
-        total += quad_adaptive(lambda lam: evaluate(f, {fvar: lam}), 1.0, w)
-    if not is_literal_zero(g):
-        total += quad_adaptive(lambda lam: evaluate(g, {gvar: lam}), 1.0, 1.0 / w)
-    return total
+    return _potential_fn(as_expression(f), as_expression(g))(w)
 
 
 def potential_expression(f, g) -> Expression:
@@ -330,11 +340,12 @@ def potential_expression(f, g) -> Expression:
         )
     )
     cache: dict[float, float] = {}
+    u = _potential_fn(f, g)
 
     def u_of(wv: float) -> float:
         v = cache.get(wv)
         if v is None:
-            v = potential_value_from_fg(f, g, wv)
+            v = u(wv)
             cache[wv] = v
         return v
 
@@ -383,12 +394,21 @@ def absorb_coupling(spec: PolarSpec) -> PolarSpec:
 # Frequencies of the linearizable family
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _rho_derivatives(rho: Expression) -> tuple[Expression, Expression]:
     d1 = simplify(differentiate(rho, "t"))
     d2 = simplify(differentiate(d1, "t"))
     return d1, d2
 
 
+def check_rho_nonzero(rho: Expression, a: float, b: float, samples: int, where: str) -> None:
+    """Raise EvaluationError if rho comes near zero or changes sign on a grid over [a, b]."""
+    vals = np.array([evaluate(rho, {"t": float(s)}) for s in np.linspace(a, b, samples)])
+    if np.min(np.abs(vals)) < 1e-12 or (np.min(vals) < 0.0 < np.max(vals)):
+        raise EvaluationError(f"rho vanishes inside {where}")
+
+
+@lru_cache(maxsize=None)
 def frequency_from_linearizable(spec: LinearizableSpec) -> Expression:
     """Frequency w2(t, r, theta, rdot, thetadot) induced by the six functions.
 
@@ -434,13 +454,6 @@ def kepler_as_linearizable(spec: KeplerErmakovSpec) -> LinearizableSpec:
 # ---------------------------------------------------------------------------
 # Equations of motion
 # ---------------------------------------------------------------------------
-
-def _compiled_eval(expr: Expression) -> Callable[[dict], float]:
-    def run(env: dict) -> float:
-        return evaluate(expr, env)
-
-    return run
-
 
 @lru_cache(maxsize=None)
 def _polar_pieces(spec):
@@ -693,13 +706,10 @@ def quasi_invariance_map(rho, state: PolarState, t0: float) -> PolarState:
     """
     rho = as_expression(rho)
     _check_vars(rho, _TIME_VARS, "rho")
-    rho_d = simplify(differentiate(rho, "t"))
+    rho_d = _rho_derivatives(rho)[0]
     t = state.t
     lo, hi = (t0, t) if t0 <= t else (t, t0)
-    samples = np.linspace(lo, hi, 129)
-    vals = np.array([evaluate(rho, {"t": float(s)}) for s in samples])
-    if np.min(np.abs(vals)) < 1e-12 or (np.min(vals) < 0.0 < np.max(vals)):
-        raise EvaluationError(f"rho vanishes inside [{lo}, {hi}]")
+    check_rho_nonzero(rho, lo, hi, 129, f"[{lo}, {hi}]")
     tbar = quad_adaptive(lambda lam: 1.0 / evaluate(rho, {"t": lam}) ** 2, t0, t)
     rho_v = evaluate(rho, {"t": t})
     rho_dv = evaluate(rho_d, {"t": t})

@@ -1,11 +1,16 @@
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import ermakov
 from ermakov.cli import main
-from ermakov.config import ConfigError, load_config, preset_config
+from ermakov.config import PRESETS, ConfigError, linearizable_view, load_config, preset_config
+from ermakov.linearize import build_pipeline
 
 
 def _write(tmp_path, name, payload):
@@ -167,6 +172,23 @@ class TestSimulate:
         _, data = _read_csv(out / "trajectory.csv")
         assert len(data) == 40
 
+    def test_no_accepted_step_writes_partial_output(self, tmp_path, capsys):
+        # omega2 is undefined for t > 0: every trial step fails until the step underflows
+        cfg = {
+            "system": {"kind": "polar", "functions": {"F": "0", "V": "0", "omega2": "sqrt(-t)"}},
+            "initial_state": {"coords": "polar", "r": 1.0, "theta": 0.5, "rdot": 0.0, "thetadot": 1.0},
+            "t_span": [0.0, 1.0],
+            "samples": 5,
+        }
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(_write(tmp_path, "c.json", cfg)), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["termination"] == "step_size_underflow"
+        assert summary["steps"]["accepted"] == 0
+        _, data = _read_csv(out / "trajectory.csv")
+        assert data.tolist() == [[0.0, 1.0, 0.5, 0.0, 1.0, 0.5]] * 5
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = _write(tmp_path, "run.json", _winternitz_config())
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -211,6 +233,20 @@ class TestLinearize:
         _, data = _read_csv(out / "linear_ode.csv")
         expected = 1.0 + 0.1 * np.cos(data[:, 0])
         assert np.max(np.abs(data[:, 4] - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_psi_column_is_the_pipeline_solution(self, tmp_path, preset):
+        out = tmp_path / "out"
+        assert main(["linearize", "--preset", preset, "--out", str(out)]) == 0
+        _, data = _read_csv(out / "linear_ode.csv")
+        cfg = preset_config(preset)
+        pipe = build_pipeline(
+            linearizable_view(cfg),
+            cfg.polar_state,
+            theta_domain=(data[0, 0], data[-1, 0]),
+            t_window=cfg.t_span,
+        )
+        assert [pipe.solution.psi(th) for th in data[:, 0]] == data[:, 5].tolist()
 
     def test_theta_beyond_turning_names_angle(self, tmp_path, capsys):
         cfg = _winternitz_config(theta_span=[0.1, 3.0])
@@ -307,3 +343,21 @@ class TestValidate:
         report = json.loads((out / "report.json").read_text())
         assert report["pass"] is False
         assert report["checks"]["round_trip"]["pass"] is False
+
+
+def test_every_error_class_is_a_value_error():
+    # the CLI maps runtime failures to exit 2 with a single `except ValueError`
+    found = []
+    for info in pkgutil.iter_modules(ermakov.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"ermakov.{info.name}")
+        found += [
+            obj
+            for obj in vars(module).values()
+            if inspect.isclass(obj)
+            and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__
+        ]
+    assert {"ConfigError", "EvaluationError", "LinearizationError"} <= {c.__name__ for c in found}
+    assert [c.__name__ for c in found if not issubclass(c, ValueError)] == []

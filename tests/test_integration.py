@@ -191,6 +191,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             traj.at(2.0)
 
+    def test_run_without_accepted_step_is_its_initial_node(self):
+        def undefined_after_start(t, y):
+            if t > 0.0:
+                raise ek.EvaluationError("undefined")
+            return np.array([1.0])
+
+        traj = integrate(undefined_after_start, [2.0], IntegratorConfig(t_span=(0.0, 1.0)))
+        assert traj.termination == "step_size_underflow" and traj.n_accepted == 0
+        assert traj.at(0.0).tolist() == [2.0]
+        assert traj.sample([0.0, 0.0]).tolist() == [[2.0], [2.0]]
+        value, slope = traj.at_with_slope(0.0)
+        assert value.tolist() == [2.0] and math.isnan(slope[0])
+        with pytest.raises(ValueError):
+            traj.at(0.5)
+
     def test_metadata_counts(self):
         cfg = IntegratorConfig(t_span=(0.0, 1.0))
         traj = ek.integrate_cartesian(OSCILLATOR, OSC_STATE, cfg)

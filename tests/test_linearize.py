@@ -36,7 +36,7 @@ def _uniform_rotation_pieces():
     spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="1", F="0", V="0")
     ode = build_linear_ode(spec, 0.5, (-6.0, 6.0))
     sol = solve_linear(ode, 0.0, 1.0, 0.0, [-6.0, 6.0])
-    quad = time_quadrature(sol, 0.5, "0", "1", 0.0, 0.0)
+    quad = time_quadrature(sol, "1", 0.0)
     return spec, ode, sol, quad
 
 
@@ -257,14 +257,14 @@ class TestTimeQuadrature:
         ode = build_linear_ode(spec, 0.5, (-1.0, 1.0))
         sol = solve_linear(ode, 0.0, -1.0, 0.0, [-1.0, 1.0])
         with pytest.raises(LinearizationError):
-            time_quadrature(sol, 0.5, "0", "1", 0.0, 0.0)
+            time_quadrature(sol, "1", 0.0)
 
 
 class TestReconstruction:
     def test_uniform_rotation_radius(self):
         _, _, sol, quad = _uniform_rotation_pieces()
-        assert reconstruct_orbit(sol, quad, "1", 1.2) == pytest.approx(1.0, abs=1e-12)
-        assert reconstruct_radial(sol, quad, "1", 2.5) == pytest.approx(1.0, abs=1e-12)
+        assert reconstruct_orbit(quad, 1.2) == pytest.approx(1.0, abs=1e-12)
+        assert reconstruct_radial(quad, 2.5) == pytest.approx(1.0, abs=1e-12)
 
     def test_radial_equals_orbit_composition(self, winternitz_spec, winternitz_state):
         pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 2.0))
@@ -362,11 +362,9 @@ class TestCompatibility:
             rho="1 + t^2/10", A="sin(theta) + 1", B="L", C="1", F="0", V="0.3*sin(theta)^2"
         )
         state = ek.PolarState(1.2, 0.9, 0.3, 1.1, t=0.4)
-        from ermakov.linearize import _cached_frequency
-
         env = {"t": 0.4, "r": 1.2, "theta": 0.9, "rdot": 0.3, "thetadot": 1.1}
-        w2_good = evaluate(_cached_frequency(spec), env)
-        w2_bad = evaluate(_cached_frequency(tampered), env)
+        w2_good = evaluate(ek.frequency_from_linearizable(spec), env)
+        w2_bad = evaluate(ek.frequency_from_linearizable(tampered), env)
         rho_v = evaluate(spec.rho, {"t": 0.4})
         psi = rho_v / state.r
         injected = abs((w2_bad - w2_good) * rho_v**4 / psi**3)
@@ -408,7 +406,7 @@ class TestAugmentedSolve:
         spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="0", F="0", V="0")
         ode = build_linear_ode(spec, 0.5, (-2.0, 2.0))
         sol = solve_linear(ode, 0.0, 1.0, 0.0, [-2.0, 2.0])
-        quad = time_quadrature(sol, 0.5, "0", "1", 0.0, 0.0)
+        quad = time_quadrature(sol, "1", 0.0)
         lo, hi = quad.theta_window
         edge = math.acos(1e-4)
         assert abs(hi - edge) <= 1e-9
@@ -446,10 +444,3 @@ class TestAugmentedSolve:
         pipe.theta_of_t(0.5)
         with pytest.raises(OutsideWindowError):
             pipe.theta_of_t(1.5)  # Tau is integrated over the time window only
-
-    def test_time_quadrature_rejects_other_level_or_potential(self):
-        _, _, sol, _ = _uniform_rotation_pieces()
-        with pytest.raises(ValueError, match="invariant"):
-            time_quadrature(sol, 0.7, "0", "1", 0.0, 0.0)
-        with pytest.raises(ValueError, match="potential"):
-            time_quadrature(sol, 0.5, "0.1*sin(theta)", "1", 0.0, 0.0)

@@ -65,6 +65,20 @@ class TestPotential:
         with pytest.raises(ek.EvaluationError):
             ek.potential_value_from_fg("u", "0", -1.0)
 
+    def test_potential_node_decides_setup_once(self, monkeypatch):
+        import ermakov.systems as systems
+
+        fm = ek.free_motion_system("u", "1")
+        angles = (0.3141, 0.4271, 0.5393)  # angles the node has not seen: each integrates
+        expected = [
+            ek.potential_value_from_fg(fm.cartesian.f, fm.cartesian.g, math.tan(th)) for th in angles
+        ]
+        calls = []
+        real = systems.is_literal_zero
+        monkeypatch.setattr(systems, "is_literal_zero", lambda e: calls.append(e) or real(e))
+        assert [evaluate(fm.linearizable.V, {"theta": th}) for th in angles] == expected
+        assert calls == []
+
     def test_potential_expression_derivative(self):
         # dV/dtheta = f(tan)/cos^2 - g(cot)/sin^2, by the chain rule
         from ermakov.systems import potential_expression
