@@ -63,7 +63,6 @@ from .systems import (
     CartesianSpec,
     CartesianState,
     FreeMotionSystem,
-    KeplerErmakovSpec,
     LinearizableSpec,
     PolarSpec,
     PolarState,
@@ -73,7 +72,7 @@ from .systems import (
     cartesian_state_from_polar,
     frequency_from_linearizable,
     free_motion_system,
-    kepler_as_linearizable,
+    kepler_ermakov_system,
     polar_from_cartesian,
     polar_rhs,
     polar_state_from_cartesian,

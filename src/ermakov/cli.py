@@ -28,9 +28,9 @@ from .config import (
     ConfigError,
     PRESETS,
     RunConfig,
+    build_spec,
     linearizable_view,
     load_config,
-    polar_view,
     preset_config,
 )
 from .expressions import evaluate
@@ -79,7 +79,7 @@ def _integrator_config(cfg: RunConfig) -> IntegratorConfig:
 
 
 def _simulate(cfg: RunConfig):
-    spec = polar_view(cfg)
+    spec = build_spec(cfg)
     traj = integrate_polar(spec, cfg.polar_state, _integrator_config(cfg))
     return spec, traj
 
@@ -120,19 +120,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _pipeline(cfg: RunConfig, theta_domain=None):
-    lin = linearizable_view(cfg)
-    return build_pipeline(
-        lin,
-        cfg.polar_state,
-        theta_domain=theta_domain,
-        t_window=cfg.t_span,
-    )
-
-
 def cmd_linearize(cfg: RunConfig, out_dir: Path) -> int:
     span = None if cfg.theta_span is None else (min(cfg.theta_span), max(cfg.theta_span))
-    sol = solve_from_state(linearizable_view(cfg), cfg.polar_state, span)
+    sol = solve_from_state(linearizable_view(cfg, build_spec(cfg)), cfg.polar_state, span)
     grid = np.linspace(*sol.domain, cfg.samples)
     rows = []
     for th in grid:
@@ -144,7 +134,8 @@ def cmd_linearize(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_reconstruct(cfg: RunConfig, out_dir: Path) -> int:
-    pipe = _pipeline(cfg)
+    lin = linearizable_view(cfg, build_spec(cfg))
+    pipe = build_pipeline(lin, cfg.polar_state, t_window=cfg.t_span)
     times = _sample_times(cfg, cfg.t_span[1])
     rows = []
     for t in times:
@@ -168,7 +159,7 @@ def cmd_validate(cfg: RunConfig, out_dir: Path) -> int:
         "pass": bool(drift_ok),
     }
 
-    lin = linearizable_view(cfg)
+    lin = linearizable_view(cfg, spec)
     times = _sample_times(cfg, traj.t_end)
     sampled = traj.sample(times)
     try:
@@ -271,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -26,12 +26,12 @@ from .expressions import (
 from .systems import (
     CartesianSpec,
     CartesianState,
-    KeplerErmakovSpec,
     LinearizableSpec,
     PolarSpec,
     PolarState,
     WinternitzParams,
     free_motion_system,
+    kepler_ermakov_system,
     polar_from_cartesian,
     polar_state_from_cartesian,
     winternitz_system,
@@ -98,7 +98,10 @@ def _reject_unknown(mapping: Mapping, allowed: set[str], path: str) -> None:
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        raise ConfigError(path, "must be finite") from None
     if not math.isfinite(v):
         raise ConfigError(path, "must be finite")
     return v
@@ -223,10 +226,9 @@ def _parse_state(raw, path: str) -> PolarState | CartesianState:
 def load_config(source) -> RunConfig:
     """Build a validated RunConfig from a dict, JSON text, or file path."""
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text()
         try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+            raw = json.loads(Path(source).read_text())
+        except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to convert
             raise ConfigError("<root>", f"invalid JSON: {exc}") from exc
     elif isinstance(source, Mapping):
         raw = source
@@ -291,12 +293,12 @@ def load_config(source) -> RunConfig:
     )
 
 
-def build_spec(cfg: RunConfig):
-    """Instantiate the system object a config describes."""
+def build_spec(cfg: RunConfig) -> PolarSpec | LinearizableSpec:
+    """The polar-family spec a config describes, built once per run."""
     fns = cfg.system.functions
     kind = cfg.system.kind
     if kind == "cartesian":
-        return CartesianSpec(f=fns["f"], g=fns["g"], omega_sq=fns["omega2"])
+        return polar_from_cartesian(CartesianSpec(f=fns["f"], g=fns["g"], omega_sq=fns["omega2"]))
     if kind == "polar":
         return PolarSpec(F=fns["F"], V=fns["V"], omega_sq=fns["omega2"])
     if kind == "linearizable":
@@ -304,38 +306,21 @@ def build_spec(cfg: RunConfig):
             rho=fns["rho"], A=fns["A"], B=fns["B"], C=fns["C"], F=fns["F"], V=fns["V"]
         )
     if kind == "kepler":
-        return KeplerErmakovSpec(F=fns["F"], G=fns["G"], V=fns["V"])
+        return kepler_ermakov_system(F=fns["F"], G=fns["G"], V=fns["V"])
     if kind == "winternitz":
         p = cfg.system.params
         return winternitz_system(
             WinternitzParams(mu0=p["mu0"], g1=p["g1"], g2=p["g2"], g3=p["g3"])
         )
     if kind == "free_motion":
-        return free_motion_system(fns["f"], fns["rho"])
+        return free_motion_system(fns["f"], fns["rho"]).linearizable
     raise ConfigError("system.kind", f"unhandled kind {kind!r}")
 
 
-def polar_view(cfg: RunConfig):
-    """The polar-family spec to integrate, for any kind."""
-    spec = build_spec(cfg)
-    if isinstance(spec, CartesianSpec):
-        return polar_from_cartesian(spec)
-    if hasattr(spec, "linearizable"):
-        return spec.linearizable
-    return spec
-
-
-def linearizable_view(cfg: RunConfig):
-    """The linearizable spec backing the pipeline commands, if the kind has one."""
-    from .systems import kepler_as_linearizable
-
-    spec = build_spec(cfg)
+def linearizable_view(cfg: RunConfig, spec) -> LinearizableSpec:
+    """``build_spec(cfg)`` as the linearizable spec the pipeline commands need."""
     if isinstance(spec, LinearizableSpec):
         return spec
-    if isinstance(spec, KeplerErmakovSpec):
-        return kepler_as_linearizable(spec)
-    if hasattr(spec, "linearizable"):
-        return spec.linearizable
     raise ConfigError(
         "system.kind",
         f"kind {cfg.system.kind!r} has no linearizable form; "

@@ -153,7 +153,7 @@ def _tokenize(src: str) -> list[_Token]:
             tokens.append(_Token("num", m.group(), i))
             i = m.end()
             continue
-        if ch.isalpha():
+        if ch.isascii() and ch.isalpha():
             m = _NAME_RE.match(src, i)
             tokens.append(_Token("name", m.group(), i))
             i = m.end()

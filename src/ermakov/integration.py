@@ -22,7 +22,6 @@ from .invariant import ForbiddenRegionError, TurningPointError
 from .systems import (
     CartesianSpec,
     CartesianState,
-    KeplerErmakovSpec,
     LinearizableSpec,
     PolarSpec,
     PolarState,
@@ -306,7 +305,7 @@ def integrate(
             break
         h_abs = min(h_abs, cfg.max_step)
         floor = 16.0 * np.finfo(float).eps * max(abs(t), 1.0)
-        if h_abs < floor:
+        if not h_abs >= floor:  # NaN too, from a non-finite initial slope
             termination = "step_size_underflow"
             log.info("step size underflow at t=%g", t)
             break
@@ -453,7 +452,7 @@ def integrate_polar(
     monitor: bool = True,
 ) -> Trajectory:
     """Integrate a polar-family spec from ``state0`` over ``cfg.t_span``."""
-    if not isinstance(spec, (PolarSpec, LinearizableSpec, KeplerErmakovSpec)):
+    if not isinstance(spec, (PolarSpec, LinearizableSpec)):
         raise TypeError(f"not a polar-family spec: {type(spec).__name__}")
     if abs(state0.t - cfg.t_span[0]) > 1e-12 * (1.0 + abs(state0.t)):
         raise ValueError("initial state time must match the start of t_span")

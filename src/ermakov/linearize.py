@@ -26,11 +26,9 @@ from .expressions import (
     EvaluationError,
     Expression,
     as_expression,
-    differentiate,
     evaluate,
     free_variables,
     is_literal_zero,
-    simplify,
 )
 from .integration import EventSpec, IntegratorConfig, Trajectory, integrate
 from .invariant import (
@@ -42,14 +40,13 @@ from .invariant import (
 )
 from .numerics import QuadratureError, quad_adaptive
 from .systems import (
-    KeplerErmakovSpec,
     LinearizableSpec,
     PolarState,
     WinternitzParams,
+    _potential_derivative,
     _rho_derivatives,
     check_rho_nonzero,
     frequency_from_linearizable,
-    kepler_as_linearizable,
 )
 
 __all__ = [
@@ -92,9 +89,7 @@ class OutsideWindowError(ValueError):
 # Linear ODE construction
 # ---------------------------------------------------------------------------
 
-def _coerce_linearizable(spec) -> LinearizableSpec:
-    if isinstance(spec, KeplerErmakovSpec):
-        return kepler_as_linearizable(spec)
+def _check_linearizable(spec) -> LinearizableSpec:
     if isinstance(spec, LinearizableSpec):
         return spec
     raise TypeError(f"cannot linearize a {type(spec).__name__}")
@@ -164,7 +159,7 @@ def build_linear_ode(
     potential anywhere on the interval; the message names the boundary
     angle where the level is first reached.
     """
-    lin = _coerce_linearizable(spec)
+    lin = _check_linearizable(spec)
     level = float(invariant)
     lo, hi = float(theta_domain[0]), float(theta_domain[1])
     if not lo < hi:
@@ -188,13 +183,12 @@ def build_linear_ode(
             float(evaluate(lin.V, {"theta": theta_star})),
             detail=f"turning point near theta={theta_star:.12g}",
         )
-    dV = simplify(differentiate(lin.V, "theta"))
     return LinearODE(
         spec=lin,
         invariant=level,
         domain=(lo, hi),
         branch_sign=branch_sign,
-        _dV=dV,
+        _dV=_potential_derivative(lin.V),
         rhs_is_zero=is_literal_zero(lin.C),
     )
 
@@ -763,7 +757,7 @@ def verify_compatibility(spec: LinearizableSpec, state: PolarState) -> float:
     one side and a psi' + b psi + c on the other; the two agree identically
     for any member of the family, up to rounding.
     """
-    spec = _coerce_linearizable(spec)
+    spec = _check_linearizable(spec)
     if state.thetadot == 0.0:
         raise ValueError("compatibility residual needs a state with nonzero thetadot")
     rho_v, psi, dpsi = _initial_data(spec, state)
@@ -799,7 +793,7 @@ def solve_from_state(
     initial data (psi0, psi'0); the angle domain is scanned automatically
     unless supplied.
     """
-    lin = _coerce_linearizable(spec)
+    lin = _check_linearizable(spec)
     if state0.thetadot == 0.0:
         raise LinearizationError("initial state sits at a turning point (thetadot = 0)")
     branch = 1 if state0.thetadot > 0.0 else -1

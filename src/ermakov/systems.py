@@ -2,10 +2,10 @@
 
 A planar Ermakov-type system couples a radial and an angular degree of
 freedom through a shared frequency function.  This module houses the
-concrete families (cartesian, polar, six-function linearizable,
-Kepler-Ermakov, the Winternitz example, and the free-motion class), the
-coordinate maps between them, and the frequency/coupling constructions
-each family needs.
+concrete families (cartesian, polar, six-function linearizable, with the
+Kepler-Ermakov systems, the Winternitz example and the free-motion class
+built as linearizable members), the coordinate maps between them, and the
+frequency/coupling constructions each family needs.
 
 All quantities are dimensionless.  Expression variables follow fixed
 conventions: ``theta`` and ``L`` (angular momentum r^2*thetadot) in the
@@ -46,7 +46,6 @@ __all__ = [
     "CartesianSpec",
     "CartesianState",
     "FreeMotionSystem",
-    "KeplerErmakovSpec",
     "LinearizableSpec",
     "PolarSpec",
     "PolarState",
@@ -58,7 +57,7 @@ __all__ = [
     "check_rho_nonzero",
     "frequency_from_linearizable",
     "free_motion_system",
-    "kepler_as_linearizable",
+    "kepler_ermakov_system",
     "polar_as_spec",
     "polar_from_cartesian",
     "polar_rhs",
@@ -212,22 +211,6 @@ class LinearizableSpec:
         _check_vars(self.B, _STRUCTURE_VARS, "B")
         _check_vars(self.C, _STRUCTURE_VARS, "C")
         _check_vars(self.F, _ANGLE_VARS, "coupling F")
-        _check_vars(self.V, _ANGLE_VARS, "potential V")
-
-
-@dataclass(frozen=True)
-class KeplerErmakovSpec:
-    """Radial equation rddot - r*thetadot^2 = F/r^3 - G/r^2 plus the angular one."""
-
-    F: Expression
-    G: Expression
-    V: Expression
-
-    def __post_init__(self):
-        for name in ("F", "G", "V"):
-            object.__setattr__(self, name, as_expression(getattr(self, name)))
-        _check_vars(self.F, _ANGLE_VARS, "coupling F")
-        _check_vars(self.G, _ANGLE_VARS, "coupling G")
         _check_vars(self.V, _ANGLE_VARS, "potential V")
 
 
@@ -444,52 +427,47 @@ def polar_as_spec(spec: LinearizableSpec) -> PolarSpec:
     return PolarSpec(F=spec.F, V=spec.V, omega_sq=frequency_from_linearizable(spec))
 
 
-def kepler_as_linearizable(spec: KeplerErmakovSpec) -> LinearizableSpec:
-    """Kepler-Ermakov systems sit at A = B = 0, C = G, rho = 1."""
-    return LinearizableSpec(
-        rho=Num(1.0), A=Num(0.0), B=Num(0.0), C=spec.G, F=spec.F, V=spec.V
-    )
+def kepler_ermakov_system(F, G, V) -> LinearizableSpec:
+    """Radial equation rddot - r*thetadot^2 = F/r^3 - G/r^2 plus the angular one.
+
+    Kepler-Ermakov systems are the linearizable members with rho = 1,
+    A = B = 0 and C = G; F, G and V depend on theta only.
+    """
+    G = as_expression(G)
+    _check_vars(G, _ANGLE_VARS, "coupling G")
+    return LinearizableSpec(rho=Num(1.0), A=Num(0.0), B=Num(0.0), C=G, F=F, V=V)
 
 
 # ---------------------------------------------------------------------------
 # Equations of motion
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _polar_pieces(spec):
-    """Pre-derive everything a polar right-hand side needs."""
-    dV = simplify(differentiate(spec.V, "theta"))
-    pieces = {"dV": dV, "dV_zero": is_literal_zero(dV)}
-    if isinstance(spec, PolarSpec):
-        pieces["F_zero"] = is_literal_zero(spec.F)
-    elif isinstance(spec, KeplerErmakovSpec):
-        pieces["F_zero"] = is_literal_zero(spec.F)
-        pieces["G_zero"] = is_literal_zero(spec.G)
-    elif isinstance(spec, LinearizableSpec):
-        rho_d, rho_dd = _rho_derivatives(spec.rho)
-        pieces["rho_d"] = rho_d
-        pieces["rho_dd"] = rho_dd
-        pieces["F_zero"] = is_literal_zero(spec.F)
-        for nm in ("A", "B", "C"):
-            pieces[f"{nm}_zero"] = is_literal_zero(getattr(spec, nm))
-    return pieces
+@lru_cache(maxsize=1)
+def _potential_derivative(V: Expression) -> Expression:
+    """dV/dtheta, derived once per run.
+
+    One entry serves a run, which has one potential; more would keep the
+    quadrature memo of every earlier free-motion potential alive.
+    """
+    return simplify(differentiate(V, "theta"))
 
 
 def polar_rhs_function(spec) -> Callable[[float, np.ndarray], np.ndarray]:
     """Vector field (t, [r, theta, rdot, thetadot]) -> time derivative.
 
-    Accepts PolarSpec, LinearizableSpec, or KeplerErmakovSpec.
+    Accepts PolarSpec or LinearizableSpec.
     """
-    pieces = _polar_pieces(spec)
-    dV = pieces["dV"]
-    dV_zero = pieces["dV_zero"]
+    if not isinstance(spec, (PolarSpec, LinearizableSpec)):
+        raise TypeError(f"no polar equations of motion for {type(spec).__name__}")
+    dV = _potential_derivative(spec.V)
+    dV_zero = is_literal_zero(dV)
+    F_zero = is_literal_zero(spec.F)
 
     def angular(r, theta, rd, thd):
         dv = 0.0 if dV_zero else evaluate(dV, {"theta": theta})
         return (-dv / (r * r * r) - 2.0 * rd * thd) / r
 
     if isinstance(spec, PolarSpec):
-        F_zero = pieces["F_zero"]
 
         def rhs(t, y):
             r, theta, rd, thd = y
@@ -503,54 +481,47 @@ def polar_rhs_function(spec) -> Callable[[float, np.ndarray], np.ndarray]:
 
         return rhs
 
-    if isinstance(spec, KeplerErmakovSpec):
-        F_zero, G_zero = pieces["F_zero"], pieces["G_zero"]
+    rho_d, rho_dd = _rho_derivatives(spec.rho)
+    A_zero, B_zero, C_zero, rho_dd_zero = map(is_literal_zero, (spec.A, spec.B, spec.C, rho_dd))
 
-        def rhs(t, y):
-            r, theta, rd, thd = y
-            if r <= 0.0:
-                raise EvaluationError("radius reached zero")
-            fv = 0.0 if F_zero else evaluate(spec.F, {"theta": theta})
-            gv = 0.0 if G_zero else evaluate(spec.G, {"theta": theta})
-            rdd = r * thd * thd + fv / (r * r * r) - gv / (r * r)
-            return np.array([rd, thd, rdd, angular(r, theta, rd, thd)])
+    def rho_at(t):
+        tenv = {"t": t}
+        rho_v = evaluate(spec.rho, tenv)
+        if rho_v == 0.0:
+            raise EvaluationError(f"rho vanished at t={t!r}")
+        return rho_v, evaluate(rho_d, tenv), evaluate(rho_dd, tenv)
 
-        return rhs
+    fixed = None
+    if not free_variables(spec.rho):
+        try:
+            fixed = rho_at(0.0)
+        except EvaluationError:
+            pass  # the first call raises it again, with its time
 
-    if isinstance(spec, LinearizableSpec):
-        rho_d, rho_dd = pieces["rho_d"], pieces["rho_dd"]
-        F_zero = pieces["F_zero"]
-        zero = {nm: pieces[f"{nm}_zero"] for nm in ("A", "B", "C")}
+    def rhs(t, y):
+        r, theta, rd, thd = y
+        if r <= 0.0:
+            raise EvaluationError("radius reached zero")
+        rho_v, rho_dv, rho_ddv = fixed or rho_at(t)
+        senv = {"theta": theta, "L": r * r * thd}
+        av = 0.0 if A_zero else evaluate(spec.A, senv)
+        bv = 0.0 if B_zero else evaluate(spec.B, senv)
+        cv = 0.0 if C_zero else evaluate(spec.C, senv)
+        fv = 0.0 if F_zero else evaluate(spec.F, {"theta": theta})
+        r2, r3 = r * r, r * r * r
+        # the rho'', A and B terms are left out where they vanish identically, as
+        # the Kepler-Ermakov equation has none: 0*inf would turn an overflow into NaN
+        rdd = r * thd * thd + fv / r3
+        if not rho_dd_zero:
+            rdd += (rho_ddv / rho_v) * r
+        if not A_zero:
+            rdd -= ((rho_v * rd - rho_dv * r) / (rho_v * r2)) * av
+        if not B_zero:
+            rdd -= bv / r3
+        rdd -= cv / (rho_v * r2)
+        return np.array([rd, thd, rdd, angular(r, theta, rd, thd)])
 
-        def rhs(t, y):
-            r, theta, rd, thd = y
-            if r <= 0.0:
-                raise EvaluationError("radius reached zero")
-            tenv = {"t": t}
-            rho_v = evaluate(spec.rho, tenv)
-            if rho_v == 0.0:
-                raise EvaluationError(f"rho vanished at t={t!r}")
-            rho_dv = evaluate(rho_d, tenv)
-            rho_ddv = evaluate(rho_dd, tenv)
-            senv = {"theta": theta, "L": r * r * thd}
-            av = 0.0 if zero["A"] else evaluate(spec.A, senv)
-            bv = 0.0 if zero["B"] else evaluate(spec.B, senv)
-            cv = 0.0 if zero["C"] else evaluate(spec.C, senv)
-            fv = 0.0 if F_zero else evaluate(spec.F, {"theta": theta})
-            r2, r3 = r * r, r * r * r
-            rdd = (
-                r * thd * thd
-                + (rho_ddv / rho_v) * r
-                - ((rho_v * rd - rho_dv * r) / (rho_v * r2)) * av
-                - bv / r3
-                - cv / (rho_v * r2)
-                + fv / r3
-            )
-            return np.array([rd, thd, rdd, angular(r, theta, rd, thd)])
-
-        return rhs
-
-    raise TypeError(f"no polar equations of motion for {type(spec).__name__}")
+    return rhs
 
 
 def polar_rhs(spec, state: PolarState) -> tuple[float, float, float, float]:
@@ -560,21 +531,10 @@ def polar_rhs(spec, state: PolarState) -> tuple[float, float, float, float]:
     return float(out[0]), float(out[1]), float(out[2]), float(out[3])
 
 
-@lru_cache(maxsize=None)
-def _cartesian_pieces(spec: CartesianSpec):
-    return {
-        "f_zero": is_literal_zero(spec.f),
-        "g_zero": is_literal_zero(spec.g),
-        "f_var": _single_var(spec.f, "coupling f"),
-        "g_var": _single_var(spec.g, "coupling g"),
-    }
-
-
 def cartesian_rhs_function(spec: CartesianSpec) -> Callable[[float, np.ndarray], np.ndarray]:
     """Vector field (t, [x, y, xdot, ydot]) -> time derivative."""
-    pieces = _cartesian_pieces(spec)
-    f_zero, g_zero = pieces["f_zero"], pieces["g_zero"]
-    f_var, g_var = pieces["f_var"], pieces["g_var"]
+    f_zero, g_zero = is_literal_zero(spec.f), is_literal_zero(spec.g)
+    f_var, g_var = _single_var(spec.f, "coupling f"), _single_var(spec.g, "coupling g")
 
     def rhs(t, y):
         xv, yv, xd, yd = y
@@ -607,7 +567,7 @@ def cartesian_rhs(spec: CartesianSpec, state: CartesianState) -> tuple[float, fl
 # Named constructions
 # ---------------------------------------------------------------------------
 
-def winternitz_system(params: WinternitzParams) -> KeplerErmakovSpec:
+def winternitz_system(params: WinternitzParams) -> LinearizableSpec:
     """Kepler-Ermakov form of the Winternitz non-central force problem.
 
     V(theta) = (g1 + g2 cos theta)/sin^2 theta, F = 2 (V + g3), G = mu0.
@@ -619,7 +579,7 @@ def winternitz_system(params: WinternitzParams) -> KeplerErmakovSpec:
         BinOp("^", Call("sin", theta), Num(2.0)),
     )
     f = BinOp("*", Num(2.0), BinOp("+", v, Num(params.g3)))
-    return KeplerErmakovSpec(F=simplify(f), G=Num(params.mu0), V=simplify(v))
+    return kepler_ermakov_system(F=simplify(f), G=Num(params.mu0), V=simplify(v))
 
 
 def winternitz_hamiltonian(params: WinternitzParams, state: PolarState) -> float:
@@ -651,8 +611,7 @@ def free_motion_system(f, rho) -> FreeMotionSystem:
     else:
         g = Neg(substitute(f, {fvar: BinOp("/", Num(1.0), Var(fvar))}))
         v_expr = potential_expression(f, g)
-        dv = simplify(differentiate(v_expr, "theta"))
-        a_expr = BinOp("/", dv, ell)
+        a_expr = BinOp("/", _potential_derivative(v_expr), ell)
 
     lin = LinearizableSpec(
         rho=rho,

@@ -134,17 +134,15 @@ def _round_trip_error(spec, state0, t_hi):
     pad = 0.05 * (theta_seen.max() - theta_seen.min()) + 0.05
     from ermakov.linearize import auto_theta_domain
     from ermakov.invariant import lewis_ray_reid_polar
-    from ermakov.systems import kepler_as_linearizable, LinearizableSpec
 
-    lin = spec if isinstance(spec, LinearizableSpec) else kepler_as_linearizable(spec)
-    level = lewis_ray_reid_polar(state0, lin.V)
+    level = lewis_ray_reid_polar(state0, spec.V)
     cap = max(
         state0.theta - (theta_seen.min() - pad),
         (theta_seen.max() + pad) - state0.theta,
         0.2,
     )
-    domain = auto_theta_domain(lin.V, level, state0.theta, span_cap=cap)
-    pipe = build_pipeline(lin, state0, theta_domain=domain, t_window=(0.0, t_hi))
+    domain = auto_theta_domain(spec.V, level, state0.theta, span_cap=cap)
+    pipe = build_pipeline(spec, state0, theta_domain=domain, t_window=(0.0, t_hi))
     err_r = err_th = 0.0
     for t in np.linspace(0.0, t_hi, 41):
         y = direct.at(t)

@@ -1,15 +1,19 @@
+import copy
 import importlib
 import inspect
 import json
 import math
 import pkgutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ermakov
 from ermakov.cli import main
-from ermakov.config import PRESETS, ConfigError, linearizable_view, load_config, preset_config
+from ermakov.config import PRESETS, ConfigError, build_spec, load_config, preset_config
 from ermakov.linearize import build_pipeline
 
 
@@ -36,6 +40,14 @@ def _winternitz_config(**overrides):
         "samples": 60,
     }
     cfg.update(overrides)
+    return cfg
+
+
+def _cheap_preset(name):
+    """A preset config shortened to at most one time unit and 12 samples."""
+    cfg = copy.deepcopy(PRESETS[name])
+    cfg["t_span"] = [0.0, min(cfg["t_span"][1], 1.0)]
+    cfg["samples"] = 12
     return cfg
 
 
@@ -129,6 +141,34 @@ class TestConfigValidation:
         assert "tolerances.max_step" in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("field", ["t_span", "params"])
+    def test_integer_too_large_for_a_float(self, tmp_path, capsys, field):
+        cfg = _winternitz_config()
+        if field == "t_span":
+            cfg["t_span"] = [0.0, 10**400]
+            path = "t_span[1]"
+        else:
+            cfg["system"]["params"]["g3"] = 10**400
+            path = "system.params.g3"
+        cfg_path = _write(tmp_path, "c.json", cfg)
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: {path}: must be finite\n"
+
+    @pytest.mark.parametrize("problem", ["integer too long", "not UTF-8"])
+    def test_unreadable_config_text(self, tmp_path, capsys, problem):
+        text = json.dumps(_winternitz_config())
+        if problem == "integer too long":
+            # past the interpreter's digit limit for int conversion, parsing itself fails
+            data = text.replace('"samples": 60', '"samples": ' + "9" * 5000).encode()
+        else:
+            data = text.encode("utf-16")
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_bytes(data)
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 class TestSimulate:
     def test_winternitz_drift_and_exit_code(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, "run.json", _winternitz_config(t_span=[0.0, 10.0]))
@@ -198,6 +238,15 @@ class TestSimulate:
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
 
+    @pytest.mark.parametrize("command", ["simulate", "linearize", "reconstruct", "validate"])
+    def test_sample_count_beyond_memory(self, tmp_path, capsys, command):
+        # 10**17 samples is 711 PiB: numpy refuses the array before allocating any of it
+        cfg_path = _write(tmp_path, "c.json", _winternitz_config(samples=10**17))
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestLinearize:
     def test_usual_ermakov_rhs_column_exactly_zero(self, tmp_path):
         cfg = {
@@ -241,7 +290,7 @@ class TestLinearize:
         _, data = _read_csv(out / "linear_ode.csv")
         cfg = preset_config(preset)
         pipe = build_pipeline(
-            linearizable_view(cfg),
+            build_spec(cfg),
             cfg.polar_state,
             theta_domain=(data[0, 0], data[-1, 0]),
             t_window=cfg.t_span,
@@ -332,6 +381,19 @@ class TestValidate:
         assert report["checks"]["compatibility"]["pass"] is True
         assert code == 0
 
+    def test_builds_its_system_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = ermakov.config.free_motion_system
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(ermakov.config, "free_motion_system", counted)
+        out = tmp_path / "out"
+        assert main(["validate", "--preset", "free-motion-demo", "--out", str(out)]) == 0
+        assert len(calls) == 1
+
     def test_report_shape_on_pipeline_failure(self, tmp_path):
         # start exactly at a turning point: the pipeline cannot be built
         cfg = _winternitz_config()
@@ -361,3 +423,68 @@ def test_every_error_class_is_a_value_error():
         ]
     assert {"ConfigError", "EvaluationError", "LinearizationError"} <= {c.__name__ for c in found}
     assert [c.__name__ for c in found if not issubclass(c, ValueError)] == []
+
+
+def _fields(node, path=()):
+    """Every field path of a config, containers included."""
+    if path:
+        yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _fields(child, path + (key,))
+
+
+_CHEAP_PRESETS = {name: _cheap_preset(name) for name in sorted(PRESETS)}
+_FIELDS = [(name, path) for name, cfg in _CHEAP_PRESETS.items() for path in _fields(cfg)]
+_FINITE = st.floats(-1.0, 1.0, allow_subnormal=False)
+_JUNK = st.one_of(
+    st.integers(10**309, 10**400),  # too large for a float
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.booleans(),
+    st.none(),
+    st.text(alphabet="0123456789.+-*/^() tuvLpisncoexqrghÀ²", max_size=10),
+    st.lists(_FINITE, max_size=3),
+    st.sampled_from([[0.0, 0.0], [1.0, 1.0]]),  # degenerate spans
+)
+
+
+def _at(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+def _new_value(field):
+    """Half numbers where the preset holds a number, within the cheap ranges."""
+    name, path = field
+    if type(_at(_CHEAP_PRESETS[name], path)) not in (int, float):
+        return _JUNK
+    numbers = st.integers(2, 20) if path == ("samples",) else _FINITE | st.integers(-1, 1)
+    # one_of would flatten both into one list of branches and weight each branch alike
+    return st.sampled_from([numbers, _JUNK]).flatmap(lambda values: values)
+
+
+_CHANGES = st.sampled_from(_FIELDS).flatmap(lambda f: st.tuples(st.just(f), _new_value(f)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    change=_CHANGES,
+    command=st.sampled_from(["simulate", "linearize", "reconstruct", "validate"]),
+)
+@example(change=(("winternitz-default", ("t_span", 1)), 10**400), command="simulate")
+@example(change=(("uniform-rotation", ("samples",)), 10**17), command="linearize")
+@example(change=(("free-motion-demo", ("system", "functions", "f")), "À"), command="simulate")
+def test_one_changed_field_keeps_the_exit_code_contract(change, command):
+    (name, path), value = change
+    cfg = copy.deepcopy(_CHEAP_PRESETS[name])
+    _at(cfg, path[:-1])[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "c.json"
+        cfg_path.write_text(json.dumps(cfg))  # NaN and infinities go out as JSON literals
+        assert main([command, "--config", str(cfg_path), "--out", str(Path(tmp) / "out")]) in (0, 1, 2)

@@ -71,6 +71,11 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("2 theta")
 
+    def test_non_ascii_letter_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="unexpected character 'À'") as err:
+            parse("1 + À")
+        assert err.value.position == 4
+
 
 class TestEvaluate:
     def test_pi_over_two(self):

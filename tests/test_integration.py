@@ -43,7 +43,7 @@ class TestAccuracy:
             assert y[1] == pytest.approx(1.0 - 0.2 * t, abs=1e-12)
 
     def test_kepler_circular_orbit(self):
-        spec = ek.KeplerErmakovSpec(F="0", G="1", V="0")
+        spec = ek.kepler_ermakov_system(F="0", G="1", V="0")
         cfg = IntegratorConfig(t_span=(0.0, 2.0 * math.pi))
         traj = ek.integrate_polar(spec, ek.PolarState(1.0, 0.0, 0.0, 1.0), cfg)
         rs = traj.ys[:, 0]
@@ -136,7 +136,7 @@ class TestEvents:
 
     def test_radial_plunge_terminates(self):
         # purely radial fall toward the center ends the run near r = 0
-        spec = ek.KeplerErmakovSpec(F="0", G="1", V="0")
+        spec = ek.kepler_ermakov_system(F="0", G="1", V="0")
         traj = ek.integrate_polar(
             spec, ek.PolarState(1.0, 0.3, -0.5, 0.0), IntegratorConfig(t_span=(0.0, 10.0))
         )
@@ -205,6 +205,13 @@ class TestConfigValidation:
         assert value.tolist() == [2.0] and math.isnan(slope[0])
         with pytest.raises(ValueError):
             traj.at(0.5)
+
+    def test_nan_initial_slope_ends_the_run(self):
+        # a NaN first step compares false with every floor: the run must stop, not spin
+        with np.errstate(invalid="ignore"):
+            traj = integrate(lambda t, y: y * math.nan, [1.0], IntegratorConfig(t_span=(0.0, 1.0)))
+        assert traj.termination == "step_size_underflow"
+        assert traj.n_rejected == 0
 
     def test_metadata_counts(self):
         cfg = IntegratorConfig(t_span=(0.0, 1.0))

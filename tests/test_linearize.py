@@ -54,7 +54,7 @@ class TestBuildLinearODE:
         ode = build_linear_ode(winternitz_spec, 3.0, (1.0, 2.2))
         for th in np.linspace(1.0, 2.2, 7):
             assert ode.rhs(float(th)) == pytest.approx(
-                evaluate(winternitz_spec.G, {}), rel=1e-14
+                evaluate(winternitz_spec.C, {}), rel=1e-14
             )
 
     def test_constant_momentum_reduces_to_oscillator(self):

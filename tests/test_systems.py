@@ -177,9 +177,8 @@ class TestFrequency:
             ) == pytest.approx(1.0, rel=1e-14)
 
     def test_kepler_rhs_reproduced(self, winternitz_spec):
-        # the induced-frequency polar view and the Kepler form agree pointwise
-        lin = ek.kepler_as_linearizable(winternitz_spec)
-        view = polar_as_spec(lin)
+        # the induced-frequency polar view and the linearizable form agree pointwise
+        view = polar_as_spec(winternitz_spec)
         rng = np.random.default_rng(7)
         for _ in range(100):
             s = ek.PolarState(
@@ -194,6 +193,33 @@ class TestFrequency:
             assert a == pytest.approx(b, rel=1e-10, abs=1e-12)
 
 
+class TestKeplerErmakov:
+    def test_is_the_linearizable_member_with_unit_scale(self):
+        spec = ek.kepler_ermakov_system(F="0.5", G="1 + cos(theta)", V="sin(theta)^2")
+        assert isinstance(spec, ek.LinearizableSpec)
+        assert (spec.rho, spec.A, spec.B) == (Num(1.0), Num(0.0), Num(0.0))
+        assert spec.C == parse("1 + cos(theta)")
+
+    @pytest.mark.parametrize("name", ["F", "G", "V"])
+    def test_functions_of_theta_only(self, name):
+        functions = {"F": "0", "G": "1", "V": "0", name: "L*theta"}
+        with pytest.raises(ValueError, match="may only use"):
+            ek.kepler_ermakov_system(**functions)
+
+    def test_vanishing_terms_do_not_turn_an_overflow_into_nan(self, winternitz_spec):
+        # rdot/r^2 overflows here; an A = 0 term multiplied out would give 0*inf = NaN
+        with np.errstate(over="ignore"):
+            _, _, rdd, _ = ek.polar_rhs(winternitz_spec, ek.PolarState(1e-20, 1.4, 1e300, 2.0))
+        assert not math.isnan(rdd)
+
+    def test_specs_outside_the_polar_family_rejected(self):
+        spec = ek.CartesianSpec(f="u", g="0", omega_sq="1")
+        with pytest.raises(TypeError):
+            ek.integrate_polar(spec, ek.PolarState(1.0, 0.5, 0.0, 1.0), ek.IntegratorConfig((0.0, 1.0)))
+        with pytest.raises(TypeError):
+            ek.build_linear_ode(ek.polar_from_cartesian(spec), 1.0, (0.3, 0.6))
+
+
 class TestPolarRhs:
     def test_circular_orbit_balance(self):
         spec = ek.PolarSpec(F="0", V="0", omega_sq="1")
@@ -201,7 +227,7 @@ class TestPolarRhs:
         assert out == pytest.approx((0.0, 1.0, 0.0, 0.0), abs=1e-15)
 
     def test_kepler_radial_equation(self):
-        spec = ek.KeplerErmakovSpec(F="0", G="1", V="0")
+        spec = ek.kepler_ermakov_system(F="0", G="1", V="0")
         s = ek.PolarState(2.0, 0.3, 0.1, 0.4)
         rd, thd, rdd, thdd = ek.polar_rhs(spec, s)
         assert rdd == pytest.approx(2.0 * 0.4**2 - 1.0 / 4.0, rel=1e-14)
@@ -241,7 +267,7 @@ class TestWinternitz:
         th = math.pi / 2
         assert evaluate(spec.V, {"theta": th}) == pytest.approx(1.0, abs=1e-12)
         assert evaluate(spec.F, {"theta": th}) == pytest.approx(4.0, abs=1e-12)
-        assert evaluate(spec.G, {}) == 1.0
+        assert evaluate(spec.C, {}) == 1.0
 
     def test_barrier_at_zero(self):
         spec = ek.winternitz_system(ek.WinternitzParams(1.0, 1.0, 0.0, 1.0))
