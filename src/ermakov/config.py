@@ -230,6 +230,8 @@ def load_config(source) -> RunConfig:
             raw = json.loads(Path(source).read_text())
         except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to convert
             raise ConfigError("<root>", f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:  # the decoder's own bound on nesting
+            raise ConfigError("<root>", "invalid JSON: nested too deeply") from exc
     elif isinstance(source, Mapping):
         raw = source
     else:

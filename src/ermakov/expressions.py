@@ -54,8 +54,16 @@ class EvaluationError(ValueError):
     """An expression could not be reduced to a finite real number."""
 
 
+class _Node:
+    """Base of the tree nodes; evaluate keeps a compiled function on a root."""
+
+    def __getstate__(self):
+        # the compiled function cannot be pickled; a copy compiles its own
+        return {k: v for k, v in self.__dict__.items() if k != "_lowered"}
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: float
 
     def __post_init__(self):
@@ -63,24 +71,24 @@ class Num:
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     operand: "Expression"
 
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Node):
     op: str  # one of + - * / ^
     lhs: "Expression"
     rhs: "Expression"
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     func: str
     arg: "Expression"
 
@@ -91,7 +99,7 @@ DERIV_VAR = "_w"
 
 
 @dataclass(frozen=True)
-class Ufunc:
+class Ufunc(_Node):
     """Opaque numeric function of one argument with a known derivative.
 
     ``fn`` computes the value (typically by quadrature); ``deriv`` is an
@@ -126,6 +134,10 @@ FUNCTIONS: dict[str, Callable[[float], float]] = {
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
+
+# Deepest nesting parse accepts: the recursive tree walks below stay far
+# inside the interpreter's recursion limit, derivatives of such trees too.
+_MAX_DEPTH = 100
 
 _NUM_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -171,6 +183,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self._tokens = tokens
         self._i = 0
+        self._nesting = 0
 
     def _peek(self) -> _Token:
         return self._tokens[self._i]
@@ -179,6 +192,12 @@ class _Parser:
         tok = self._tokens[self._i]
         self._i += 1
         return tok
+
+    def _descend(self, tok: _Token) -> None:
+        """Enter one more level of parser recursion, which tree depth may not show."""
+        self._nesting += 1
+        if self._nesting > _MAX_DEPTH:
+            raise ParseError("nested too deeply", tok.pos)
 
     def _expect_op(self, text: str) -> None:
         tok = self._next()
@@ -217,7 +236,10 @@ class _Parser:
         tok = self._peek()
         if tok.kind == "op" and tok.text == "^":
             self._next()
-            return BinOp("^", base, self._power())
+            self._descend(tok)
+            exponent = self._power()
+            self._nesting -= 1
+            return BinOp("^", base, exponent)
         return base
 
     def _signed(self) -> Expression:
@@ -229,7 +251,10 @@ class _Parser:
             if nxt.kind == "num":
                 self._next()
                 return Num(-float(nxt.text))
-            return Neg(self._signed())
+            self._descend(tok)
+            operand = self._signed()
+            self._nesting -= 1
+            return Neg(operand)
         return self._atom()
 
     def _atom(self) -> Expression:
@@ -242,15 +267,19 @@ class _Parser:
                 if tok.text not in FUNCTIONS:
                     raise ParseError(f"unknown function {tok.text!r}", tok.pos)
                 self._next()
+                self._descend(nxt)
                 arg = self._expr()
                 self._expect_op(")")
+                self._nesting -= 1
                 return Call(tok.text, arg)
             if tok.text == "pi":
                 return Num(math.pi)
             return Var(tok.text)
         if tok.kind == "op" and tok.text == "(":
+            self._descend(tok)
             node = self._expr()
             self._expect_op(")")
+            self._nesting -= 1
             return node
         raise ParseError(
             f"expected a value, found {tok.text!r}" if tok.text else "unexpected end of input",
@@ -258,15 +287,35 @@ class _Parser:
         )
 
 
+def _depth(expr: Expression) -> int:
+    """Nodes on the longest root-to-leaf path, counted without recursion."""
+    deepest = 0
+    pending = [(expr, 1)]
+    while pending:
+        node, depth = pending.pop()
+        deepest = max(deepest, depth)
+        tp = type(node)
+        if tp is BinOp:
+            pending += [(node.lhs, depth + 1), (node.rhs, depth + 1)]
+        elif tp is Neg:
+            pending.append((node.operand, depth + 1))
+        elif tp is Call:
+            pending.append((node.arg, depth + 1))
+    return deepest
+
+
 def parse(src: str) -> Expression:
     """Parse source text into an expression tree.
 
-    Raises ParseError (with position) on malformed input or an unknown
-    function name.
+    Raises ParseError (with position) on malformed input, an unknown
+    function name, or nesting deeper than ``_MAX_DEPTH`` levels.
     """
     if not isinstance(src, str) or src.strip() == "":
         raise ParseError("empty expression", 0)
-    return _Parser(_tokenize(src)).parse()
+    tree = _Parser(_tokenize(src)).parse()
+    if _depth(tree) > _MAX_DEPTH:
+        raise ParseError("nested too deeply", 0)
+    return tree
 
 
 def as_expression(obj) -> Expression:
@@ -284,48 +333,126 @@ def as_expression(obj) -> Expression:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _eval(node: Expression, env: Bindings) -> float:
-    tp = type(node)
-    if tp is Num:
-        return node.value
-    if tp is Var:
-        try:
-            return env[node.name]
-        except KeyError:
-            raise EvaluationError(f"unbound variable {node.name!r}") from None
-    if tp is BinOp:
-        a = _eval(node.lhs, env)
-        b = _eval(node.rhs, env)
-        op = node.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if b == 0.0:
-                raise EvaluationError("division by zero")
-            return a / b
-        try:
-            return math.pow(a, b)
-        except (ValueError, OverflowError) as exc:
-            raise EvaluationError(f"power domain error: {a!r}^{b!r}") from exc
-    if tp is Call:
-        u = _eval(node.arg, env)
-        try:
-            return FUNCTIONS[node.func](u)
-        except (ValueError, OverflowError) as exc:
-            raise EvaluationError(f"{node.func} domain error at {u!r}") from exc
-    if tp is Neg:
-        return -_eval(node.operand, env)
-    if tp is Ufunc:
-        u = _eval(node.arg, env)
-        try:
-            return float(node.fn(u))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise EvaluationError(f"{node.name} domain error at {u!r}") from exc
-    raise TypeError(f"not an expression node: {node!r}")
+def _domain_error(name: str, u: float) -> EvaluationError:
+    return EvaluationError(f"{name} domain error at {u!r}")
+
+
+def _power_error(a: float, b: float) -> EvaluationError:
+    return EvaluationError(f"power domain error: {a!r}^{b!r}")
+
+
+def _unbound(name: str) -> EvaluationError:
+    return EvaluationError(f"unbound variable {name!r}")
+
+
+# What lowered code refers to besides its own constants and Ufunc callables.
+_NAMESPACE = {
+    "_EvaluationError": EvaluationError,
+    "_domain_error": _domain_error,
+    "_power_error": _power_error,
+    "_unbound": _unbound,
+    "_pow": math.pow,
+    **{f"_{name}": fn for name, fn in FUNCTIONS.items()},
+}
+
+
+def _lower(expr: Expression) -> Callable[[Bindings], float]:
+    """Compile a tree to one straight-line Python function and keep it on the root.
+
+    The function computes one temporary per operator node in the order of
+    a depth-first, left-to-right walk, reads each variable at its first
+    use, and raises the EvaluationError a walk would raise at the same
+    node.  The traversal keeps its own stack, so tree depth is not bounded
+    by the interpreter's recursion limit.
+    """
+    namespace = dict(_NAMESPACE)
+    body: list[str] = []
+    local_of: dict[str, str] = {}
+    operands: list[str] = []  # the value of each finished subtree, as source text
+    temps = 0
+    pending = [(expr, False)]
+    while pending:
+        node, children_done = pending.pop()
+        tp = type(node)
+        if tp is Num:
+            value = node.value
+            if math.isfinite(value):
+                operands.append(repr(value))
+            else:
+                const = f"_k{len(namespace)}"
+                namespace[const] = value
+                operands.append(const)
+            continue
+        if tp is Var:
+            local = local_of.get(node.name)
+            if local is None:
+                local = local_of[node.name] = f"v{len(local_of)}"
+                body += [
+                    "try:",
+                    f"    {local} = env[{node.name!r}]",
+                    "except KeyError:",
+                    f"    raise _unbound({node.name!r}) from None",
+                ]
+            operands.append(local)
+            continue
+        if tp not in (BinOp, Neg, Call, Ufunc):
+            raise TypeError(f"not an expression node: {node!r}")
+        if not children_done:
+            pending.append((node, True))
+            if tp is BinOp:
+                pending += [(node.rhs, False), (node.lhs, False)]
+            else:
+                pending.append((node.operand if tp is Neg else node.arg, False))
+            continue
+        out = f"t{temps}"
+        temps += 1
+        if tp is Neg:
+            body.append(f"{out} = -{operands.pop()}")
+        elif tp is BinOp:
+            b = operands.pop()
+            a = operands.pop()
+            if node.op in "+-*":
+                body.append(f"{out} = {a} {node.op} {b}")
+            elif node.op == "/":
+                body += [
+                    f"if {b} == 0.0:",
+                    "    raise _EvaluationError('division by zero')",
+                    f"{out} = {a} / {b}",
+                ]
+            else:
+                body += [
+                    "try:",
+                    f"    {out} = _pow({a}, {b})",
+                    "except (ValueError, OverflowError) as exc:",
+                    f"    raise _power_error({a}, {b}) from exc",
+                ]
+        else:
+            u = operands.pop()
+            if tp is Call:
+                call, caught, name = f"_{node.func}({u})", "ValueError, OverflowError", node.func
+            else:
+                fn = f"_u{len(namespace)}"
+                namespace[fn] = node.fn
+                call, caught = f"float({fn}({u}))", "ValueError, ZeroDivisionError, OverflowError"
+                name = node.name
+            body += [
+                "try:",
+                f"    {out} = {call}",
+                f"except ({caught}) as exc:",
+                f"    raise _domain_error({name!r}, {u}) from exc",
+            ]
+        operands.append(out)
+    result = operands.pop()
+    body += [
+        f"if {result} != {result}:",
+        "    raise _EvaluationError('expression evaluated to NaN')",
+        f"return {result}",
+    ]
+    source = "def evaluate(env):\n" + "".join(f"    {line}\n" for line in body)
+    exec(compile(source, "<expression>", "exec"), namespace)
+    fn = namespace["evaluate"]
+    object.__setattr__(expr, "_lowered", fn)
+    return fn
 
 
 def evaluate(expr: Expression, env: Bindings | None = None) -> float:
@@ -333,12 +460,14 @@ def evaluate(expr: Expression, env: Bindings | None = None) -> float:
 
     Domain failures (square root of a negative, log of a non-positive,
     division by zero, unbound variables) raise EvaluationError rather than
-    returning NaN.
+    returning NaN.  The tree is compiled on its first evaluation; later
+    calls run the compiled function.
     """
-    value = _eval(expr, env if env is not None else {})
-    if math.isnan(value):
-        raise EvaluationError("expression evaluated to NaN")
-    return value
+    try:
+        fn = expr._lowered
+    except AttributeError:
+        fn = _lower(expr)
+    return fn(env if env is not None else {})
 
 
 # ---------------------------------------------------------------------------

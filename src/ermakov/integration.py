@@ -216,6 +216,7 @@ def _rms(v: np.ndarray) -> float:
     return float(np.sqrt(np.mean(v * v))) if v.size else 0.0
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the step logic below handles inf and NaN norms
 def _initial_step(rhs, t0, y0, f0, direction, rel_tol, abs_tol):
     """Curvature-based first-step heuristic."""
     scale = abs_tol + rel_tol * np.abs(y0)
@@ -274,7 +275,10 @@ def integrate(
     direction = 1.0 if tf > t0 else -1.0
     y = np.asarray(y0, dtype=float).copy()
     dim = y.size
-    f = rhs(t0, y)  # errors at the initial state propagate
+    try:
+        f = rhs(t0, y)  # other errors at the initial state propagate
+    except ZeroDivisionError:  # an infinite slope: the run ends before its first step
+        f = np.full(dim, math.nan)
     n_rhs = 1
 
     if cfg.first_step is not None:
@@ -330,8 +334,10 @@ def integrate(
             just_rejected = True
             continue
 
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _rms((h * (K.T @ _E)) / scale)
+        # a step into overflow gives a non-finite norm, which rejects the step
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            err = _rms((h * (K.T @ _E)) / scale)
 
         if err > 1.0 or not math.isfinite(err):
             n_rejected += 1

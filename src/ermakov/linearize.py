@@ -364,8 +364,8 @@ def _solve_runs(ode: LinearODE, theta0, y0, theta1, forced, floor, rel_tol, abs_
     with_theta = floor is not None
 
     def rhs(th, y):
-        h, p2, p1, p0, c = ode.terms(th)
-        psi, dpsi, w = float(y[0]), float(y[1]), float(y[-1])
+        h, p2, p1, p0, c = ode.terms(float(th))
+        psi, dpsi, *_, w = y.tolist()
         d2 = ((c if forced else 0.0) - p1 * dpsi - p0 * psi) / p2
         if with_theta:
             return np.array([dpsi, d2, 1.0 / (h * psi * psi), -p1 / p2 * w])
@@ -538,7 +538,7 @@ def _winternitz_time(params, invariant, theta, J):
         return angular_time(theta, invariant, v, J)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _winternitz_potential(params: WinternitzParams):
     from .systems import winternitz_system
 
@@ -608,6 +608,7 @@ def _time_map(rho: Expression, t0: float, t_window: tuple[float, float]) -> Mono
     """Tau(t) = integral of 1/rho^2 from t0, integrated once over the time window."""
 
     def rhs(t, y):
+        t = float(t)
         rv = evaluate(rho, {"t": t})
         if rv == 0.0:
             raise EvaluationError(f"rho vanished at t={t!r}")

@@ -377,8 +377,9 @@ def absorb_coupling(spec: PolarSpec) -> PolarSpec:
 # Frequencies of the linearizable family
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _rho_derivatives(rho: Expression) -> tuple[Expression, Expression]:
+    """rho' and rho'', derived once per run (a run has one scale factor)."""
     d1 = simplify(differentiate(rho, "t"))
     d2 = simplify(differentiate(d1, "t"))
     return d1, d2
@@ -391,12 +392,14 @@ def check_rho_nonzero(rho: Expression, a: float, b: float, samples: int, where: 
         raise EvaluationError(f"rho vanishes inside {where}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def frequency_from_linearizable(spec: LinearizableSpec) -> Expression:
     """Frequency w2(t, r, theta, rdot, thetadot) induced by the six functions.
 
     w2 = -rhoddot/rho + (rho*rdot - rhodot*r)/(rho r^3) * A
          + B/r^4 + C/(rho r^3), with A, B, C evaluated at L = r^2*thetadot.
+    One entry serves a run, which has one system; more would keep every
+    earlier system alive, with its compiled trees and quadrature memo.
     """
     rho = spec.rho
     rho_d, rho_dd = _rho_derivatives(rho)
@@ -470,10 +473,10 @@ def polar_rhs_function(spec) -> Callable[[float, np.ndarray], np.ndarray]:
     if isinstance(spec, PolarSpec):
 
         def rhs(t, y):
-            r, theta, rd, thd = y
+            r, theta, rd, thd = y.tolist()
             if r <= 0.0:
                 raise EvaluationError("radius reached zero")
-            env = {"t": t, "r": r, "theta": theta, "rdot": rd, "thetadot": thd}
+            env = {"t": float(t), "r": r, "theta": theta, "rdot": rd, "thetadot": thd}
             w2 = evaluate(spec.omega_sq, env)
             fv = 0.0 if F_zero else evaluate(spec.F, {"theta": theta})
             rdd = r * thd * thd - w2 * r + fv / (r * r * r)
@@ -499,10 +502,10 @@ def polar_rhs_function(spec) -> Callable[[float, np.ndarray], np.ndarray]:
             pass  # the first call raises it again, with its time
 
     def rhs(t, y):
-        r, theta, rd, thd = y
+        r, theta, rd, thd = y.tolist()
         if r <= 0.0:
             raise EvaluationError("radius reached zero")
-        rho_v, rho_dv, rho_ddv = fixed or rho_at(t)
+        rho_v, rho_dv, rho_ddv = fixed or rho_at(float(t))
         senv = {"theta": theta, "L": r * r * thd}
         av = 0.0 if A_zero else evaluate(spec.A, senv)
         bv = 0.0 if B_zero else evaluate(spec.B, senv)
@@ -537,8 +540,8 @@ def cartesian_rhs_function(spec: CartesianSpec) -> Callable[[float, np.ndarray],
     f_var, g_var = _single_var(spec.f, "coupling f"), _single_var(spec.g, "coupling g")
 
     def rhs(t, y):
-        xv, yv, xd, yd = y
-        env = {"t": t, "x": xv, "y": yv, "xdot": xd, "ydot": yd}
+        xv, yv, xd, yd = y.tolist()
+        env = {"t": float(t), "x": xv, "y": yv, "xdot": xd, "ydot": yd}
         w2 = evaluate(spec.omega_sq, env)
         if f_zero:
             f_term = 0.0

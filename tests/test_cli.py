@@ -5,6 +5,7 @@ import json
 import math
 import pkgutil
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ermakov
+from ermakov import linearize, systems
 from ermakov.cli import main
 from ermakov.config import PRESETS, ConfigError, build_spec, load_config, preset_config
 from ermakov.linearize import build_pipeline
@@ -154,14 +156,16 @@ class TestConfigValidation:
         assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"config error: {path}: must be finite\n"
 
-    @pytest.mark.parametrize("problem", ["integer too long", "not UTF-8"])
+    @pytest.mark.parametrize("problem", ["integer too long", "not UTF-8", "nested too deeply"])
     def test_unreadable_config_text(self, tmp_path, capsys, problem):
         text = json.dumps(_winternitz_config())
         if problem == "integer too long":
             # past the interpreter's digit limit for int conversion, parsing itself fails
             data = text.replace('"samples": 60', '"samples": ' + "9" * 5000).encode()
-        else:
+        elif problem == "not UTF-8":
             data = text.encode("utf-16")
+        else:
+            data = ("[" * 100_000 + "]" * 100_000).encode()
         cfg_path = tmp_path / "c.json"
         cfg_path.write_bytes(data)
         assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
@@ -228,6 +232,19 @@ class TestSimulate:
         assert summary["steps"]["accepted"] == 0
         _, data = _read_csv(out / "trajectory.csv")
         assert data.tolist() == [[0.0, 1.0, 0.5, 0.0, 1.0, 0.5]] * 5
+
+    # 1e-60 overflows the error norm; at 1e-200, r^3 underflows to a zero divisor
+    @pytest.mark.parametrize("r", [1e-60, 1e-200])
+    def test_extreme_radius_exits_2_without_runtime_warning(self, tmp_path, r):
+        cfg = copy.deepcopy(PRESETS["winternitz-default"])
+        cfg["initial_state"]["r"] = r
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate", "--config", str(_write(tmp_path, "c.json", cfg)), "--out", str(out)])
+        assert code == 2
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert json.loads((out / "summary.json").read_text())["termination"] == "step_size_underflow"
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = _write(tmp_path, "run.json", _winternitz_config())
@@ -336,6 +353,19 @@ class TestReconstruct:
 
 
 class TestValidate:
+    def test_caches_hold_one_system(self, tmp_path):
+        # the spec-keyed caches keep compiled trees and quadrature memos alive
+        for name in ("uniform-rotation", "free-motion-demo"):
+            cfg_path = _write(tmp_path, f"{name}.json", _cheap_preset(name))
+            assert main(["validate", "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 0
+        caches = [
+            systems.frequency_from_linearizable,
+            systems._rho_derivatives,
+            systems._potential_derivative,
+            linearize._winternitz_potential,
+        ]
+        assert [c.cache_info().currsize <= 1 for c in caches] == [True] * len(caches)
+
     def test_winternitz_passes(self, tmp_path):
         cfg_path = _write(tmp_path, "run.json", _winternitz_config(samples=50))
         out = tmp_path / "out"
@@ -480,6 +510,10 @@ _CHANGES = st.sampled_from(_FIELDS).flatmap(lambda f: st.tuples(st.just(f), _new
 @example(change=(("winternitz-default", ("t_span", 1)), 10**400), command="simulate")
 @example(change=(("uniform-rotation", ("samples",)), 10**17), command="linearize")
 @example(change=(("free-motion-demo", ("system", "functions", "f")), "À"), command="simulate")
+@example(
+    change=(("uniform-rotation", ("system", "functions", "V")), "(" * 3000 + "0" + ")" * 3000),
+    command="simulate",
+)
 def test_one_changed_field_keeps_the_exit_code_contract(change, command):
     (name, path), value = change
     cfg = copy.deepcopy(_CHEAP_PRESETS[name])

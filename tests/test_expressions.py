@@ -1,9 +1,11 @@
 import math
+import pickle
 
 import mpmath
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from ermakov import expressions
 from ermakov.expressions import (
     BinOp,
     Call,
@@ -11,6 +13,7 @@ from ermakov.expressions import (
     Neg,
     Num,
     ParseError,
+    Ufunc,
     Var,
     differentiate,
     evaluate,
@@ -76,6 +79,23 @@ class TestParse:
             parse("1 + À")
         assert err.value.position == 4
 
+    @pytest.mark.parametrize(
+        "nest",
+        [
+            lambda n: "(" * n + "0" + ")" * n,
+            lambda n: "sin(" * n + "x" + ")" * n,
+            lambda n: "-" * n + "x",
+            lambda n: "x^" * n + "x",
+            lambda n: "+".join(["x"] * n),
+        ],
+        ids=["parentheses", "calls", "negations", "powers", "sum"],
+    )
+    def test_nesting_too_deep_is_a_parse_error(self, nest):
+        # the recursive tree walks (simplify, differentiate, ...) rely on this bound
+        parse(nest(90))
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse(nest(3000))
+
 
 class TestEvaluate:
     def test_pi_over_two(self):
@@ -106,6 +126,33 @@ class TestEvaluate:
         e = parse("sin(x)*exp(x/3) + x^3")
         env = {"x": 0.8375}
         assert evaluate(e, env) == evaluate(e, env)
+
+    def test_tree_is_lowered_once(self, monkeypatch):
+        lowered = []
+        lower = expressions._lower
+        monkeypatch.setattr(expressions, "_lower", lambda e: lowered.append(e) or lower(e))
+        e = parse("sin(x)*exp(x/3) + x^3")
+        values = [evaluate(e, {"x": x / 7.0}) for x in range(5)]
+        assert lowered == [e]
+        assert values == [_reference(e, {"x": x / 7.0}) for x in range(5)]
+
+    def test_evaluated_tree_pickles(self):
+        e = parse("sin(x)*exp(x/3) + x^3")
+        value = evaluate(e, {"x": 0.8375})
+        copy = pickle.loads(pickle.dumps(e))
+        assert copy == e and evaluate(copy, {"x": 0.8375}) == value
+
+    def test_earlier_error_wins_over_later_unbound_variable(self):
+        with pytest.raises(EvaluationError, match="sqrt domain error at -1.0"):
+            evaluate(parse("sqrt(-1) + q"))
+        with pytest.raises(EvaluationError, match="unbound variable 'q'"):
+            evaluate(parse("q + sqrt(-1)"))
+
+    def test_tree_deeper_than_the_recursion_limit_evaluates(self):
+        e = Var("x")
+        for _ in range(20_000):
+            e = BinOp("+", e, Num(1.0))
+        assert evaluate(e, {"x": 0.5}) == 20_000.5
 
 
 def _central_difference(e, var, env, h=1e-6):
@@ -287,6 +334,109 @@ def test_property_simplify_preserves_evaluation(e, env_vals):
         assume(False)
     after = evaluate(s, env)
     assert before == after or abs(before - after) <= 1e-15 * max(abs(before), abs(after))
+
+
+def _walk(node, env):
+    """Recursive tree walk: the reference for the compiled evaluator."""
+    tp = type(node)
+    if tp is Num:
+        return node.value
+    if tp is Var:
+        try:
+            return env[node.name]
+        except KeyError:
+            raise EvaluationError(f"unbound variable {node.name!r}") from None
+    if tp is Neg:
+        return -_walk(node.operand, env)
+    if tp is BinOp:
+        a = _walk(node.lhs, env)
+        b = _walk(node.rhs, env)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        if node.op == "/":
+            if b == 0.0:
+                raise EvaluationError("division by zero")
+            return a / b
+        try:
+            return math.pow(a, b)
+        except (ValueError, OverflowError) as exc:
+            raise EvaluationError(f"power domain error: {a!r}^{b!r}") from exc
+    u = _walk(node.arg, env)
+    if tp is Call:
+        try:
+            return getattr(math, node.func)(u)
+        except (ValueError, OverflowError) as exc:
+            raise EvaluationError(f"{node.func} domain error at {u!r}") from exc
+    try:
+        return float(node.fn(u))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise EvaluationError(f"{node.name} domain error at {u!r}") from exc
+
+
+def _reference(e, env):
+    value = _walk(e, env)
+    if math.isnan(value):
+        raise EvaluationError("expression evaluated to NaN")
+    return value
+
+
+def _outcome(evaluator, e, env):
+    """The value's bits, or the exception's class and message."""
+    try:
+        return float.hex(evaluator(e, env))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# raise ZeroDivisionError, ValueError and OverflowError at some arguments
+_UFUNCS = [("R", lambda w: 1.0 / w), ("S", math.sqrt), ("E", math.exp)]
+_edge_numbers = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e200, -1e200, math.inf, -math.inf])
+
+
+def _evaluator_trees():
+    leaves = st.one_of(
+        st.one_of(_numbers, _edge_numbers, st.just(math.nan)).map(Num),
+        st.sampled_from(["x", "y", "theta", "q"]).map(Var),  # q is never bound
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from("+-*/^"), children, children).map(
+                lambda t: BinOp(t[0], t[1], t[2])
+            ),
+            children.map(Neg),
+            st.tuples(st.sampled_from(sorted(expressions.FUNCTIONS)), children).map(
+                lambda t: Call(t[0], t[1])
+            ),
+            st.tuples(st.sampled_from(_UFUNCS), children).map(
+                lambda t: Ufunc(t[0][0], t[1], t[0][1])
+            ),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    e=_evaluator_trees(),
+    env_vals=st.lists(st.one_of(_numbers, _edge_numbers), min_size=3, max_size=3),
+)
+@example(e=parse("1/x"), env_vals=[0.0, 0.0, 0.0])
+@example(e=parse("sqrt(x) + log(y) + asin(theta)"), env_vals=[-1.0, 1.0, 0.0])
+@example(e=parse("log(y)"), env_vals=[0.0, 0.0, 0.0])
+@example(e=parse("asin(theta)"), env_vals=[0.0, 0.0, 2.0])
+@example(e=parse("x^y"), env_vals=[1e200, 2.0, 0.0])
+@example(e=parse("x^y"), env_vals=[-1.0, 0.5, 0.0])
+@example(e=parse("x - x"), env_vals=[math.inf, 0.0, 0.0])
+@example(e=parse("exp(x)"), env_vals=[1e200, 0.0, 0.0])
+@example(e=Ufunc("E", Var("x"), math.exp), env_vals=[1e200, 0.0, 0.0])
+def test_property_compiled_evaluator_matches_tree_walk(e, env_vals):
+    env = dict(zip(["x", "y", "theta"], env_vals))
+    assert _outcome(evaluate, e, env) == _outcome(_reference, e, env)
 
 
 @settings(max_examples=150, deadline=None)
