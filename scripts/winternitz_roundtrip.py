@@ -34,7 +34,7 @@ def main():
     sup_r = sup_th = 0.0
     for t in times:
         y = traj.at(t)
-        th = pipe.theta_of_t(float(t))
+        th = pipe.theta_at(float(t))
         r = pipe.r_of_t(float(t))
         sup_th = max(sup_th, abs(th - y[1]))
         sup_r = max(sup_r, abs(r - y[0]))

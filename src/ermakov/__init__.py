@@ -44,14 +44,10 @@ from .linearize import (
     LinearizationError,
     OutsideWindowError,
     QuadratureSolution,
-    ReconstructionPipeline,
     angular_time,
     build_linear_ode,
     build_pipeline,
     free_motion_solution,
-    invert_theta_of_t,
-    reconstruct_orbit,
-    reconstruct_radial,
     solve_from_state,
     solve_linear,
     time_quadrature,

@@ -139,7 +139,7 @@ def cmd_reconstruct(cfg: RunConfig, out_dir: Path) -> int:
     times = _sample_times(cfg, cfg.t_span[1])
     rows = []
     for t in times:
-        theta = pipe.theta_of_t(float(t))
+        theta = pipe.theta_at(float(t))
         rows.append((t, theta, pipe.r_of_theta(theta)))
     _write_csv(out_dir / "reconstructed.csv", ["t", "theta", "r"], rows)
     print(f"reconstruct: ok, {len(rows)} samples over t in {list(cfg.t_span)}")
@@ -177,7 +177,7 @@ def cmd_validate(cfg: RunConfig, out_dir: Path) -> int:
         r_err = 0.0
         th_err = 0.0
         for t, row in zip(times, sampled):
-            theta = pipe.theta_of_t(float(t))
+            theta = pipe.theta_at(float(t))
             r = pipe.r_of_t(float(t))
             th_err = max(th_err, abs(theta - row[1]))
             r_err = max(r_err, abs(r - row[0]))

@@ -49,8 +49,9 @@ class ForbiddenRegionError(ValueError):
 class TurningPointError(ValueError):
     """The invariant level meets the potential: the angular speed vanishes."""
 
-    def __init__(self, theta: float, invariant: float):
-        super().__init__(f"turning point at theta={theta!r} (invariant {invariant!r})")
+    def __init__(self, theta: float, invariant: float, detail: str = ""):
+        suffix = f", {detail}" if detail else ""
+        super().__init__(f"turning point at theta={theta!r} (invariant {invariant!r}{suffix})")
         self.theta = theta
         self.invariant = invariant
 

@@ -30,10 +30,10 @@ from .expressions import (
     free_variables,
     is_literal_zero,
 )
-from .integration import EventSpec, IntegratorConfig, Trajectory, integrate
+from .integration import EventSpec, IntegratorConfig, integrate
 from .invariant import (
     ForbiddenRegionError,
-    InvariantValue,
+    TurningPointError,
     lewis_ray_reid_polar,
     momentum_from_gap,
     turning_tolerance,
@@ -55,15 +55,11 @@ __all__ = [
     "LinearizationError",
     "OutsideWindowError",
     "QuadratureSolution",
-    "ReconstructionPipeline",
     "angular_time",
     "auto_theta_domain",
     "build_linear_ode",
     "build_pipeline",
     "free_motion_solution",
-    "invert_theta_of_t",
-    "reconstruct_orbit",
-    "reconstruct_radial",
     "solve_from_state",
     "solve_linear",
     "time_quadrature",
@@ -229,10 +225,12 @@ def auto_theta_domain(
         except (EvaluationError, QuadratureError):
             return False
 
-    if not clears(theta0):
-        raise ForbiddenRegionError(
-            theta0, level, float("nan"), detail="initial angle too close to a turning point"
-        )
+    v0 = evaluate(V, {"theta": theta0})
+    if not level - v0 > margin:
+        detail = "initial angle too close to a turning point"
+        if level < v0:
+            raise ForbiddenRegionError(theta0, level, v0, detail=detail)
+        raise TurningPointError(theta0, level, detail=f"potential {v0!r}; {detail}")
     hi = theta0
     while hi - theta0 < span_cap and clears(hi + _DOMAIN_STEP):
         hi += _DOMAIN_STEP
@@ -249,63 +247,68 @@ def auto_theta_domain(
 _PSI_FLOOR_REL = 1e-4  # the angle map stops where psi falls to this share of psi0
 
 
-class MonotoneMap:
-    """Increasing scalar map read off the dense output of runs that start at x0.
+@dataclass
+class _SidedRuns:
+    """Dense output of the runs that leave x0 on each side.
 
-    Column ``column`` of each run is 0 at ``x0`` and must increase with x;
-    at most one run goes each way from x0.  The inverse finds the step by
-    its node values and solves that step's interpolant by Newton's method
-    with its exact slope, falling back to bisection.  Results depend only
-    on the stored runs, never on the order of queries.
+    ``up`` and ``down`` hold consecutive runs in one direction, each
+    continuing the one before; a row is the runs' state vector at x, ``y0``
+    at x0 itself.  ``inverse`` reads the first run of a side, in a column
+    that is 0 at x0 and increases with x: it finds the step by its node
+    values and solves that step's interpolant by Newton's method with its
+    exact slope, falling back to bisection.  Results depend only on the
+    stored runs, never on the order of queries.
     """
 
-    def __init__(self, var: str, x0: float, runs: Sequence[Trajectory], column: int):
-        self.var = var
-        self.x0 = x0
-        self.column = column
-        self._up = next((traj for traj in runs if traj.t_end > x0), None)
-        self._down = next((traj for traj in runs if traj.t_end < x0), None)
+    var: str
+    x0: float
+    y0: np.ndarray
+    up: list
+    down: list
 
     @property
     def window(self) -> tuple[float, float]:
-        lo = self._down.t_end if self._down is not None else self.x0
-        hi = self._up.t_end if self._up is not None else self.x0
+        lo = self.down[-1].t_end if self.down else self.x0
+        hi = self.up[-1].t_end if self.up else self.x0
         return lo, hi
 
-    def _at(self, run: Trajectory, x: float) -> tuple[float, float]:
-        value, slope = run.at_with_slope(x)
-        return float(value[self.column]), float(slope[self.column])
-
-    def __call__(self, x: float) -> float:
+    def row(self, x: float) -> np.ndarray:
         x = float(x)
+        if x == self.x0:
+            return self.y0
+        runs = self.up if x > self.x0 else self.down
         lo, hi = self.window
-        if not (lo - 1e-12 <= x <= hi + 1e-12):
+        if not (runs and lo - 1e-12 <= x <= hi + 1e-12):
             raise OutsideWindowError(f"{self.var}={x!r} outside the window [{lo}, {hi}]")
-        run = self._up if x > self.x0 else self._down
-        return 0.0 if run is None else self._at(run, x)[0]
+        reach = abs(x - self.x0)
+        for traj in runs[:-1]:
+            if reach <= abs(traj.t_end - self.x0):
+                return traj.at(x)
+        return runs[-1].at(x)
 
-    def inverse(self, v: float) -> float:
-        """The x with map(x) = v."""
+    def inverse(self, v: float, column: int) -> float:
+        """The x whose row holds v in ``column``."""
         v = float(v)
         if v == 0.0:
             return self.x0
-        run = self._up if v > 0.0 else self._down
-        if run is None or abs(v) > abs(run.ys[-1, self.column]):
+        runs = self.up if v > 0.0 else self.down
+        if not runs or abs(v) > abs(runs[0].ys[-1, column]):
             edge = self.window[1 if v > 0.0 else 0]
             raise OutsideWindowError(
                 f"requested time maps beyond {self.var}={float(edge)!r}"
                 " (window edge or turning point)"
             )
+        run = runs[0]
         # node values in the run's own direction, increasing from 0
         sign = 1.0 if v > 0.0 else -1.0
-        vs = sign * run.ys[:, self.column]
+        vs = sign * run.ys[:, column]
         i = int(np.searchsorted(vs, sign * v))
         x_prev, x_next = float(run.ts[i - 1]), float(run.ts[i])
         x = x_prev + (x_next - x_prev) * (sign * v - vs[i - 1]) / (vs[i] - vs[i - 1])
         a, b = min(x_prev, x_next), max(x_prev, x_next)
         for _ in range(100):
-            f, slope = self._at(run, x)
-            f -= v
+            value, slope = run.at_with_slope(x)
+            f, slope = float(value[column]) - v, float(slope[column])
             if f == 0.0:
                 return x
             if f < 0.0:
@@ -322,38 +325,7 @@ class MonotoneMap:
         return x
 
 
-class _ThetaFn:
-    """Dense solution assembled from consecutive runs forward and backward of theta0.
-
-    Rows are the runs' state vectors: (psi, psi') first, the Abel factor W last.
-    """
-
-    def __init__(self, theta0: float, y0: np.ndarray, forward: list, backward: list):
-        self._theta0 = theta0
-        self._y0 = y0
-        self._fwd = forward
-        self._bwd = backward
-
-    def row(self, theta: float) -> np.ndarray:
-        if theta == self._theta0:
-            return self._y0
-        runs = self._fwd if theta > self._theta0 else self._bwd
-        if not runs:
-            raise OutsideWindowError(f"theta={theta!r} beyond the solved interval")
-        reach = abs(theta - self._theta0)
-        for traj in runs[:-1]:
-            if reach <= abs(traj.t_end - self._theta0):
-                return traj.at(theta)
-        return runs[-1].at(theta)
-
-    def value(self, theta: float) -> float:
-        return float(self.row(theta)[0])
-
-    def slope(self, theta: float) -> float:
-        return float(self.row(theta)[1])
-
-
-def _solve_runs(ode: LinearODE, theta0, y0, theta1, forced, floor, rel_tol, abs_tol) -> list:
+def _solve_runs(ode: LinearODE, theta0, y0, theta1, forced, floor) -> list:
     """Integrate from theta0 towards theta1: [psi, psi', W], plus Theta when a psi floor is given.
 
     Theta' = 1/(h psi^2) rides along until psi falls to the floor; a second
@@ -374,7 +346,7 @@ def _solve_runs(ode: LinearODE, theta0, y0, theta1, forced, floor, rel_tol, abs_
     events = []
     if with_theta:
         events.append(EventSpec("psi_floor", lambda th, y: y[0] - floor, terminal=True))
-    cfg = IntegratorConfig(t_span=(theta0, theta1), rel_tol=rel_tol, abs_tol=abs_tol)
+    cfg = IntegratorConfig(t_span=(theta0, theta1), rel_tol=_SOLVE_REL_TOL, abs_tol=_SOLVE_ABS_TOL)
     traj = integrate(rhs, y0, cfg, events)
     if traj.termination == "completed":
         return [traj]
@@ -383,7 +355,7 @@ def _solve_runs(ode: LinearODE, theta0, y0, theta1, forced, floor, rel_tol, abs_
             f"linear solve stopped at theta={traj.t_end!r} ({traj.termination})"
         )
     y_end = traj.ys[-1][[0, 1, 3]]  # Theta stops here
-    return [traj, *_solve_runs(ode, traj.t_end, y_end, theta1, forced, None, rel_tol, abs_tol)]
+    return [traj, *_solve_runs(ode, traj.t_end, y_end, theta1, forced, None)]
 
 
 @dataclass
@@ -393,23 +365,23 @@ class LinearSolution:
     One run per direction carries psi, psi', Abel's Wronskian factor W of
     the identity basis (W' = -(p1/p2) W, W(theta0) = 1) and, when psi0 > 0,
     the angle map Theta(theta) = integral of 1/(h psi^2) from theta0 up to
-    where psi falls to 1e-4 psi0.  The homogeneous basis psi1, psi2 is
-    integrated only on request.
+    where psi falls to 1e-4 psi0; a second run carries psi on to the end of
+    the domain.  ``path`` rows are (psi, psi', ..., W) and ``Theta`` rows
+    hold Theta in column 2.  The homogeneous basis psi1, psi2 is integrated
+    only on request.
     """
 
     ode: LinearODE
     theta0: float
     domain: tuple[float, float]
-    path: _ThetaFn
-    Theta: MonotoneMap | None
-    rel_tol: float
-    abs_tol: float
+    path: _SidedRuns
+    Theta: _SidedRuns | None
 
     def psi(self, theta: float) -> float:
-        return self.path.value(theta)
+        return float(self.path.row(theta)[0])
 
     def dpsi(self, theta: float) -> float:
-        return self.path.slope(theta)
+        return float(self.path.row(theta)[1])
 
     def wronskian(self, theta: float) -> float:
         """psi1 psi2' - psi2 psi1' from the homogeneous basis."""
@@ -418,20 +390,20 @@ class LinearSolution:
         return float(a[0] * b[1] - b[0] * a[1])
 
     @cached_property
-    def psi1(self) -> _ThetaFn:
+    def psi1(self) -> _SidedRuns:
         return self._homogeneous([1.0, 0.0, 1.0])
 
     @cached_property
-    def psi2(self) -> _ThetaFn:
+    def psi2(self) -> _SidedRuns:
         return self._homogeneous([0.0, 1.0, 1.0])
 
-    def _homogeneous(self, y0) -> _ThetaFn:
+    def _homogeneous(self, y0) -> _SidedRuns:
         y0 = np.asarray(y0, dtype=float)
         runs = [
-            _solve_runs(self.ode, self.theta0, y0, end, False, None, self.rel_tol, self.abs_tol)
+            _solve_runs(self.ode, self.theta0, y0, end, False, None)
             for end in (self.domain[1], self.domain[0])
         ]
-        return _ThetaFn(self.theta0, y0, *runs)
+        return _SidedRuns("theta", self.theta0, y0, *runs)
 
 
 def solve_linear(
@@ -440,9 +412,6 @@ def solve_linear(
     psi0: float,
     dpsi0: float,
     grid: Sequence[float],
-    *,
-    rel_tol: float = _SOLVE_REL_TOL,
-    abs_tol: float = _SOLVE_ABS_TOL,
 ) -> LinearSolution:
     """Solve the linear ODE matching (psi0, dpsi0) at theta0.
 
@@ -456,22 +425,20 @@ def solve_linear(
         raise ValueError(f"theta0={theta0!r} outside the requested grid span [{lo}, {hi}]")
     floor = _PSI_FLOOR_REL * psi0 if psi0 > 0.0 else None
     y0 = np.array([psi0, dpsi0, 0.0, 1.0] if floor is not None else [psi0, dpsi0, 1.0])
-    fwd = _solve_runs(ode, theta0, y0, hi, True, floor, rel_tol, abs_tol)
-    bwd = _solve_runs(ode, theta0, y0, lo, True, floor, rel_tol, abs_tol)
+    fwd = _solve_runs(ode, theta0, y0, hi, True, floor)
+    bwd = _solve_runs(ode, theta0, y0, lo, True, floor)
     w = np.concatenate([traj.ys[:, -1] for traj in fwd + bwd] + [y0[-1:]])
     if not np.all(np.isfinite(w) & (w > 0.0)):
         raise LinearizationError("homogeneous solutions became linearly dependent")
     Theta = None
     if floor is not None:
-        Theta = MonotoneMap("theta", theta0, [runs[0] for runs in (bwd, fwd) if runs], 2)
+        Theta = _SidedRuns("theta", theta0, y0, fwd[:1], bwd[:1])
     return LinearSolution(
         ode=ode,
         theta0=theta0,
         domain=(lo, hi),
-        path=_ThetaFn(theta0, y0, fwd, bwd),
+        path=_SidedRuns("theta", theta0, y0, fwd, bwd),
         Theta=Theta,
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
     )
 
 
@@ -590,21 +557,7 @@ def free_motion_solution(c1: float, c2: float, theta: float) -> float:
     return c1 + c2 * theta
 
 
-@dataclass(frozen=True)
-class _ConstantRhoTime:
-    """Tau(t) = (t - t0)/rho^2 for a constant rho, with its inverse."""
-
-    t0: float
-    rho_sq: float
-
-    def __call__(self, t: float) -> float:
-        return (float(t) - self.t0) / self.rho_sq
-
-    def inverse(self, tau: float) -> float:
-        return self.t0 + self.rho_sq * tau
-
-
-def _time_map(rho: Expression, t0: float, t_window: tuple[float, float]) -> MonotoneMap:
+def _time_map(rho: Expression, t0: float, t_window: tuple[float, float]) -> _SidedRuns:
     """Tau(t) = integral of 1/rho^2 from t0, integrated once over the time window."""
 
     def rhs(t, y):
@@ -614,127 +567,105 @@ def _time_map(rho: Expression, t0: float, t_window: tuple[float, float]) -> Mono
             raise EvaluationError(f"rho vanished at t={t!r}")
         return np.array([1.0 / (rv * rv)])
 
-    runs = []
-    for t1 in (min(t0, *t_window), max(t0, *t_window)):
+    def side(t1: float) -> list:
         if t1 == t0:
-            continue
+            return []
         cfg = IntegratorConfig(t_span=(t0, t1), rel_tol=_SOLVE_REL_TOL, abs_tol=_SOLVE_ABS_TOL)
         traj = integrate(rhs, [0.0], cfg)
         if traj.termination != "completed":
             raise LinearizationError(
                 f"time quadrature stopped at t={traj.t_end!r} ({traj.termination})"
             )
-        runs.append(traj)
-    return MonotoneMap("t", t0, runs, 0)
+        return [traj]
+
+    down = side(min(t0, *t_window))
+    return _SidedRuns("t", t0, np.zeros(1), side(max(t0, *t_window)), down)
 
 
 @dataclass
 class QuadratureSolution:
-    """Angle and time maps with their inversion handles.
+    """The linearized route for one trajectory: angle and time maps, and the radius.
 
-    The maps satisfy Theta(theta(t)) = branch_sign * Tau(t) + J, where
-    Theta integrates 1/(h psi^2) from theta0 and Tau integrates 1/rho^2
-    from t0.  Both are strictly increasing on their windows.
+    The maps satisfy Theta(theta(t)) = branch_sign * Tau(t), where Theta
+    integrates 1/(h psi^2) from theta0 inside the solve and Tau integrates
+    1/rho^2 from t0.  Both are strictly increasing on their windows.  Tau
+    is (t - t0)/rho^2 for a constant rho, and otherwise read off ``Tau``.
+    The radius is r = rho/psi.
     """
 
-    Theta: MonotoneMap
-    Tau: MonotoneMap | _ConstantRhoTime
-    J: float
-    branch_sign: int
-    theta0: float
-    t0: float
     solution: LinearSolution
-    rho: Expression
+    t0: float
+    Tau: _SidedRuns | None
     rho_const: float | None
 
     @property
     def theta_window(self) -> tuple[float, float]:
-        return self.Theta.window
+        return self.solution.Theta.window
 
     def theta_at(self, t: float) -> float:
-        """The unique angle with Theta(theta) = branch_sign*Tau(t) + J."""
-        return self.Theta.inverse(self.branch_sign * self.Tau(float(t)) + self.J)
+        """The unique angle with Theta(theta) = branch_sign*Tau(t)."""
+        t = float(t)
+        if self.Tau is None:
+            tau = (t - self.t0) / (self.rho_const * self.rho_const)
+        else:
+            tau = float(self.Tau.row(t)[0])
+        return self.solution.Theta.inverse(self.solution.ode.branch_sign * tau, 2)
 
     def t_at(self, theta: float) -> float:
-        """The time with Tau(t) = (Theta(theta) - J)/branch_sign."""
-        return self.Tau.inverse((self.Theta(float(theta)) - self.J) / self.branch_sign)
+        """The time with Tau(t) = Theta(theta)/branch_sign."""
+        tau = float(self.solution.Theta.row(theta)[2]) / self.solution.ode.branch_sign
+        if self.Tau is None:
+            return self.t0 + self.rho_const * self.rho_const * tau
+        return self.Tau.inverse(tau, 0)
+
+    def _psi(self, theta: float) -> float:
+        psi = self.solution.psi(theta)
+        if not psi > 0.0:
+            raise LinearizationError(f"psi({theta!r}) = {psi!r} is not positive")
+        return psi
+
+    def r_of_theta(self, theta: float) -> float:
+        """Orbit radius r(theta) = rho(t(theta)) / psi(theta).
+
+        With a constant rho no time inversion is needed.
+        """
+        psi = self._psi(theta)
+        if self.rho_const is not None:
+            return self.rho_const / psi
+        return evaluate(self.solution.ode.spec.rho, {"t": self.t_at(theta)}) / psi
+
+    def r_of_t(self, t: float) -> float:
+        """Radius as a function of time: rho(t) / psi(theta(t))."""
+        psi = self._psi(self.theta_at(t))
+        if self.rho_const is not None:
+            return self.rho_const / psi
+        return evaluate(self.solution.ode.spec.rho, {"t": t}) / psi
 
 
 def time_quadrature(
-    sol: LinearSolution,
-    rho,
-    t0: float,
-    J: float = 0.0,
-    branch_sign: int = 1,
-    t_window: tuple[float, float] | None = None,
+    sol: LinearSolution, t0: float, t_window: tuple[float, float] | None = None
 ) -> QuadratureSolution:
     """Pair the solve's angle map with the time map anchored at (sol.theta0, t0).
 
-    Theta integrates 1/(h psi^2) inside ``sol``.  Tau integrates 1/rho^2,
-    in closed form for a constant rho and otherwise once over ``t_window``,
-    which a time-dependent rho requires.  With anchored base points the
-    integration constant is J.
+    The scale factor rho and the branch come from the solved ODE.  Tau
+    integrates 1/rho^2, in closed form for a constant rho and otherwise
+    once over ``t_window``, which a time-dependent rho requires.
     """
-    rho = as_expression(rho)
-    if branch_sign not in (-1, 1):
-        raise ValueError(f"branch_sign must be +1 or -1, got {branch_sign!r}")
-    theta0 = sol.theta0
-    psi0 = sol.psi(theta0)
+    psi0 = sol.psi(sol.theta0)
     if not psi0 > 0.0:
-        raise LinearizationError(f"psi({theta0!r}) = {psi0!r} is not positive")
-
-    rho_const = None
+        raise LinearizationError(f"psi({sol.theta0!r}) = {psi0!r} is not positive")
+    rho = sol.ode.spec.rho
+    rho_const = Tau = None
     if not free_variables(rho):
         rho_const = evaluate(rho, {})
         if rho_const == 0.0:
             raise EvaluationError("rho is identically zero")
-        Tau = _ConstantRhoTime(t0, rho_const * rho_const)
     else:
         if t_window is None:
             raise LinearizationError("a time-dependent rho needs a time window")
         check_rho_nonzero(rho, t_window[0], t_window[1], 257, f"the time window {t_window!r}")
         Tau = _time_map(rho, t0, t_window)
-
-    return QuadratureSolution(
-        Theta=sol.Theta,
-        Tau=Tau,
-        J=float(J),
-        branch_sign=branch_sign,
-        theta0=theta0,
-        t0=t0,
-        solution=sol,
-        rho=rho,
-        rho_const=rho_const,
-    )
-
-
-def invert_theta_of_t(q: QuadratureSolution, t: float) -> float:
-    """Angle reached at time t along the reconstructed trajectory."""
-    return q.theta_at(t)
-
-
-def reconstruct_orbit(q: QuadratureSolution, theta: float) -> float:
-    """Orbit radius r(theta) = rho(t(theta)) / psi(theta).
-
-    With a constant rho no time inversion is needed.
-    """
-    psi = q.solution.psi(theta)
-    if not psi > 0.0:
-        raise LinearizationError(f"psi({theta!r}) = {psi!r} is not positive")
-    if q.rho_const is not None:
-        return q.rho_const / psi
-    t = q.t_at(theta)
-    return evaluate(q.rho, {"t": t}) / psi
-
-
-def reconstruct_radial(q: QuadratureSolution, t: float) -> float:
-    """Radius as a function of time: rho(t) / psi(theta(t))."""
-    theta = q.theta_at(t)
-    psi = q.solution.psi(theta)
-    if not psi > 0.0:
-        raise LinearizationError(f"psi({theta!r}) = {psi!r} is not positive")
-    rv = q.rho_const if q.rho_const is not None else evaluate(q.rho, {"t": t})
-    return rv / psi
+    return QuadratureSolution(solution=sol, t0=t0, Tau=Tau, rho_const=rho_const)
 
 
 # ---------------------------------------------------------------------------
@@ -806,51 +737,17 @@ def solve_from_state(
     return solve_linear(ode, state0.theta, psi0, dpsi0, grid=list(theta_domain))
 
 
-@dataclass
-class ReconstructionPipeline:
-    """Linearize, solve, and invert: the full route from a spec and initial state."""
-
-    spec: LinearizableSpec
-    state0: PolarState
-    invariant: InvariantValue
-    ode: LinearODE
-    solution: LinearSolution
-    quadrature: QuadratureSolution
-
-    def theta_of_t(self, t: float) -> float:
-        return self.quadrature.theta_at(t)
-
-    def r_of_t(self, t: float) -> float:
-        return reconstruct_radial(self.quadrature, t)
-
-    def r_of_theta(self, theta: float) -> float:
-        return reconstruct_orbit(self.quadrature, theta)
-
-
 def build_pipeline(
     spec,
     state0: PolarState,
     *,
     theta_domain: tuple[float, float] | None = None,
     t_window: tuple[float, float] | None = None,
-    J: float = 0.0,
-) -> ReconstructionPipeline:
+) -> QuadratureSolution:
     """Assemble the linearized route for one trajectory.
 
-    ``solve_from_state`` followed by the time quadrature.  Pipelines refuse
-    to cross turning points: queries outside the covered window raise
-    instead of switching branches.
+    ``solve_from_state`` followed by the time quadrature.  The result
+    refuses to cross turning points: queries outside the covered window
+    raise instead of switching branches.
     """
-    sol = solve_from_state(spec, state0, theta_domain)
-    ode = sol.ode
-    quad = time_quadrature(
-        sol, ode.spec.rho, state0.t, J=J, branch_sign=ode.branch_sign, t_window=t_window
-    )
-    return ReconstructionPipeline(
-        spec=ode.spec,
-        state0=state0,
-        invariant=InvariantValue(ode.invariant),
-        ode=ode,
-        solution=sol,
-        quadrature=quad,
-    )
+    return time_quadrature(solve_from_state(spec, state0, theta_domain), state0.t, t_window)

@@ -463,7 +463,7 @@ def polar_rhs_function(spec) -> Callable[[float, np.ndarray], np.ndarray]:
     if not isinstance(spec, (PolarSpec, LinearizableSpec)):
         raise TypeError(f"no polar equations of motion for {type(spec).__name__}")
     dV = _potential_derivative(spec.V)
-    dV_zero = is_literal_zero(dV)
+    dV_zero = dV == Num(0.0)  # cached trees come simplified: no second pass
     F_zero = is_literal_zero(spec.F)
 
     def angular(r, theta, rd, thd):
@@ -485,7 +485,8 @@ def polar_rhs_function(spec) -> Callable[[float, np.ndarray], np.ndarray]:
         return rhs
 
     rho_d, rho_dd = _rho_derivatives(spec.rho)
-    A_zero, B_zero, C_zero, rho_dd_zero = map(is_literal_zero, (spec.A, spec.B, spec.C, rho_dd))
+    A_zero, B_zero, C_zero = map(is_literal_zero, (spec.A, spec.B, spec.C))
+    rho_dd_zero = rho_dd == Num(0.0)
 
     def rho_at(t):
         tenv = {"t": t}

@@ -146,7 +146,7 @@ def _round_trip_error(spec, state0, t_hi):
     err_r = err_th = 0.0
     for t in np.linspace(0.0, t_hi, 41):
         y = direct.at(t)
-        err_th = max(err_th, abs(pipe.theta_of_t(float(t)) - y[1]))
+        err_th = max(err_th, abs(pipe.theta_at(float(t)) - y[1]))
         err_r = max(err_r, abs(pipe.r_of_t(float(t)) - y[0]))
     return err_r, err_th
 

@@ -1,6 +1,8 @@
+import contextlib
 import copy
 import importlib
 import inspect
+import io
 import json
 import math
 import pkgutil
@@ -322,6 +324,23 @@ class TestLinearize:
         err = capsys.readouterr().err
         assert "0.741" in err  # names the turning angle
 
+    @pytest.mark.parametrize("command", ["linearize", "reconstruct", "validate"])
+    def test_initial_angle_at_turning_point_names_potential(self, tmp_path, capsys, command):
+        # r = 1e-60 leaves no angular momentum: the level equals V(theta0) = 1
+        cfg = copy.deepcopy(PRESETS["winternitz-default"])
+        cfg["initial_state"]["r"] = 1e-60
+        out = tmp_path / "out"
+        code = main([command, "--config", str(_write(tmp_path, "c.json", cfg)), "--out", str(out)])
+        if command == "validate":
+            assert code == 1
+            message = json.loads((out / "report.json").read_text())["checks"]["round_trip"]["error"]
+        else:
+            assert code == 2
+            message = capsys.readouterr().err
+        assert "turning point at theta=1.5707963267948966" in message
+        assert "potential 1.0" in message
+        assert "nan" not in message and "forbidden" not in message
+
 
 class TestReconstruct:
     def test_uniform_rotation_linear_theta(self, tmp_path):
@@ -514,6 +533,7 @@ _CHANGES = st.sampled_from(_FIELDS).flatmap(lambda f: st.tuples(st.just(f), _new
     change=(("uniform-rotation", ("system", "functions", "V")), "(" * 3000 + "0" + ")" * 3000),
     command="simulate",
 )
+@example(change=(("winternitz-default", ("initial_state", "r")), 1e-60), command="simulate")
 def test_one_changed_field_keeps_the_exit_code_contract(change, command):
     (name, path), value = change
     cfg = copy.deepcopy(_CHEAP_PRESETS[name])
@@ -521,4 +541,10 @@ def test_one_changed_field_keeps_the_exit_code_contract(change, command):
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = Path(tmp) / "c.json"
         cfg_path.write_text(json.dumps(cfg))  # NaN and infinities go out as JSON literals
-        assert main([command, "--config", str(cfg_path), "--out", str(Path(tmp) / "out")]) in (0, 1, 2)
+        out = Path(tmp) / "out"
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main([command, "--config", str(cfg_path), "--out", str(out)])
+        assert code in (0, 1, 2)
+        if code == 2 and "stopped early" in stdout.getvalue():  # partial output is written
+            assert (out / "trajectory.csv").is_file() and (out / "summary.json").is_file()

@@ -5,7 +5,7 @@ import pytest
 
 import ermakov as ek
 from ermakov.expressions import evaluate
-from ermakov.invariant import ForbiddenRegionError
+from ermakov.invariant import ForbiddenRegionError, TurningPointError
 from ermakov.linearize import (
     LinearizationError,
     OutsideWindowError,
@@ -14,9 +14,6 @@ from ermakov.linearize import (
     build_linear_ode,
     build_pipeline,
     free_motion_solution,
-    invert_theta_of_t,
-    reconstruct_orbit,
-    reconstruct_radial,
     solve_linear,
     time_quadrature,
     verify_compatibility,
@@ -36,7 +33,7 @@ def _uniform_rotation_pieces():
     spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="1", F="0", V="0")
     ode = build_linear_ode(spec, 0.5, (-6.0, 6.0))
     sol = solve_linear(ode, 0.0, 1.0, 0.0, [-6.0, 6.0])
-    quad = time_quadrature(sol, "1", 0.0)
+    quad = time_quadrature(sol, 0.0)
     return spec, ode, sol, quad
 
 
@@ -98,8 +95,8 @@ class TestSolveLinear:
         for th in np.linspace(1.05, 2.15, 9):
             direct = sol.psi(float(th))
             assembled = (
-                alpha * sol.psi1.value(float(th))
-                + beta * sol.psi2.value(float(th))
+                alpha * sol.psi1.row(float(th))[0]
+                + beta * sol.psi2.row(float(th))[0]
                 + combo.psi(float(th))
             )
             assert abs(direct - assembled) <= 1e-9 * (1.0 + abs(direct))
@@ -234,10 +231,10 @@ class TestTimeQuadrature:
 
     def test_monotone_maps(self, winternitz_spec, winternitz_state):
         pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 2.0))
-        thetas = [pipe.theta_of_t(t) for t in np.linspace(0.0, 2.0, 15)]
+        thetas = [pipe.theta_at(t) for t in np.linspace(0.0, 2.0, 15)]
         assert all(b > a for a, b in zip(thetas, thetas[1:]))
-        quad = pipe.quadrature
-        values = [quad.Theta(th) for th in np.linspace(*quad.theta_window, 9)[1:-1]]
+        inner = np.linspace(*pipe.theta_window, 9)[1:-1]
+        values = [pipe.solution.Theta.row(th)[2] for th in inner]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_negative_branch(self):
@@ -245,38 +242,38 @@ class TestTimeQuadrature:
         s0 = ek.PolarState(1.0, 0.0, 0.0, -1.0)
         pipe = build_pipeline(spec, s0, t_window=(0.0, 3.0))
         for t in (0.5, 2.0):
-            assert pipe.theta_of_t(t) == pytest.approx(-t, abs=1e-10)
+            assert pipe.theta_at(t) == pytest.approx(-t, abs=1e-10)
 
     def test_outside_window_raises(self, winternitz_spec, winternitz_state):
         pipe = build_pipeline(winternitz_spec, winternitz_state)
         with pytest.raises(OutsideWindowError):
-            pipe.quadrature.t_at(10.0)  # outside the psi-positive angle window
+            pipe.t_at(10.0)  # outside the psi-positive angle window
 
     def test_nonpositive_psi_rejected(self):
         spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="0", F="0", V="0")
         ode = build_linear_ode(spec, 0.5, (-1.0, 1.0))
         sol = solve_linear(ode, 0.0, -1.0, 0.0, [-1.0, 1.0])
         with pytest.raises(LinearizationError):
-            time_quadrature(sol, "1", 0.0)
+            time_quadrature(sol, 0.0)
 
 
 class TestReconstruction:
     def test_uniform_rotation_radius(self):
         _, _, sol, quad = _uniform_rotation_pieces()
-        assert reconstruct_orbit(quad, 1.2) == pytest.approx(1.0, abs=1e-12)
-        assert reconstruct_radial(quad, 2.5) == pytest.approx(1.0, abs=1e-12)
+        assert quad.r_of_theta(1.2) == pytest.approx(1.0, abs=1e-12)
+        assert quad.r_of_t(2.5) == pytest.approx(1.0, abs=1e-12)
 
     def test_radial_equals_orbit_composition(self, winternitz_spec, winternitz_state):
         pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 2.0))
         for t in (0.2, 0.9, 1.7):
-            theta = pipe.theta_of_t(t)
+            theta = pipe.theta_at(t)
             assert pipe.r_of_t(t) == pytest.approx(pipe.r_of_theta(theta), rel=1e-12)
 
     def test_winternitz_round_trip(self, winternitz_spec, winternitz_state, winternitz_trajectory):
         pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 2.0))
         for t in np.linspace(0.0, 2.0, 21):
             y = winternitz_trajectory.at(t)
-            assert abs(pipe.theta_of_t(float(t)) - y[1]) <= 1e-5
+            assert abs(pipe.theta_at(float(t)) - y[1]) <= 1e-5
             assert abs(pipe.r_of_t(float(t)) - y[0]) <= 1e-5
 
     def test_kepler_orbit_is_inverse_psi(self, winternitz_spec, winternitz_state):
@@ -386,9 +383,13 @@ class TestPipelineGuards:
         assert 0.70 <= lo <= 0.80
         assert 2.65 <= hi <= 2.75
 
-    def test_invert_function_alias(self, winternitz_spec, winternitz_state):
-        pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 1.0))
-        assert invert_theta_of_t(pipe.quadrature, 0.5) == pipe.theta_of_t(0.5)
+    def test_auto_domain_names_the_potential_at_the_initial_angle(self, winternitz_spec):
+        # V(pi/2) = 1: a level below it is forbidden, a level at it a turning point
+        with pytest.raises(ForbiddenRegionError, match="invariant 0.5 < potential 1.0") as err:
+            auto_theta_domain(winternitz_spec.V, 0.5, math.pi / 2)
+        assert err.value.potential == 1.0
+        with pytest.raises(TurningPointError, match="invariant 1.0, potential 1.0"):
+            auto_theta_domain(winternitz_spec.V, 1.0, math.pi / 2)
 
 
 class TestAugmentedSolve:
@@ -396,8 +397,8 @@ class TestAugmentedSolve:
         times = [float(t) for t in np.linspace(0.0, 2.0, 25)]
         first = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 2.0))
         second = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 2.0))
-        ascending = [first.theta_of_t(t) for t in times]
-        descending = [second.theta_of_t(t) for t in reversed(times)]
+        ascending = [first.theta_at(t) for t in times]
+        descending = [second.theta_at(t) for t in reversed(times)]
         assert ascending == descending[::-1]
 
     def test_theta_window_is_psi_floor_event(self):
@@ -406,12 +407,12 @@ class TestAugmentedSolve:
         spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="0", F="0", V="0")
         ode = build_linear_ode(spec, 0.5, (-2.0, 2.0))
         sol = solve_linear(ode, 0.0, 1.0, 0.0, [-2.0, 2.0])
-        quad = time_quadrature(sol, "1", 0.0)
+        quad = time_quadrature(sol, 0.0)
         lo, hi = quad.theta_window
         edge = math.acos(1e-4)
         assert abs(hi - edge) <= 1e-9
         assert abs(lo + edge) <= 1e-9
-        assert quad.Theta(1.0) == pytest.approx(math.tan(1.0), rel=1e-10)
+        assert sol.Theta.row(1.0)[2] == pytest.approx(math.tan(1.0), rel=1e-10)
         # psi is still solved beyond the window, up to the end of the grid
         assert sol.psi(1.9) == pytest.approx(math.cos(1.9), abs=1e-9)
         assert sol.psi(-1.9) == pytest.approx(math.cos(1.9), abs=1e-9)
@@ -431,8 +432,8 @@ class TestAugmentedSolve:
         monkeypatch.setattr(lz, "integrate", counting)
         pipe = build_pipeline(spec, state, t_window=(0.0, 2.0))
         assert len(calls) == 2  # one augmented run per direction; psi = 1 never nears the floor
-        pipe.solution.psi1.value(1.7)
-        pipe.solution.psi2.value(1.7)
+        pipe.solution.psi1.row(1.7)
+        pipe.solution.psi2.row(1.7)
         assert len(calls) == 6
 
     def test_time_dependent_rho_needs_time_window(self):
@@ -441,6 +442,6 @@ class TestAugmentedSolve:
         with pytest.raises(LinearizationError, match="time window"):
             build_pipeline(spec, state)
         pipe = build_pipeline(spec, state, t_window=(0.0, 1.0))
-        pipe.theta_of_t(0.5)
+        pipe.theta_at(0.5)
         with pytest.raises(OutsideWindowError):
-            pipe.theta_of_t(1.5)  # Tau is integrated over the time window only
+            pipe.theta_at(1.5)  # Tau is integrated over the time window only

@@ -255,6 +255,27 @@ class TestPolarRhs:
             assert rdd == pytest.approx(rdd_c, rel=1e-9, abs=1e-11)
             assert thdd == pytest.approx(thdd_c, rel=1e-9, abs=1e-11)
 
+    def test_cached_derivatives_are_not_simplified_again(self, monkeypatch):
+        import ermakov.expressions as expressions
+        import ermakov.systems as systems
+
+        spec = ek.LinearizableSpec(rho="1 + t^2", A="0", B="0", C="1", F="0", V="sin(theta)^2")
+        dV = systems._potential_derivative(spec.V)
+        _, rho_dd = systems._rho_derivatives(spec.rho)
+        seen = []
+        real = expressions.simplify
+
+        def recording(expr):
+            seen.append(expr)
+            return real(expr)
+
+        monkeypatch.setattr(expressions, "simplify", recording)
+        monkeypatch.setattr(systems, "simplify", recording)
+        systems.polar_rhs_function(spec)
+        systems.polar_rhs_function(ek.PolarSpec(F="0", V=spec.V, omega_sq="1"))
+        assert seen  # F, A, B and C are still checked
+        assert not any(e is dV or e is rho_dd for e in seen)
+
     def test_axis_crossing_domain_error(self):
         spec = ek.CartesianSpec(f="u", g="0", omega_sq="0")
         with pytest.raises(ek.EvaluationError):
