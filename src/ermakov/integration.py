@@ -140,7 +140,7 @@ class Trajectory:
     n_accepted: int
     n_rejected: int
     n_rhs: int
-    termination: str  # "completed" | "event:<name>" | "step_size_underflow" | "max_steps"
+    termination: str  # completed | stopped | event:<name> | step_size_underflow | max_steps
     events: list[Event] = field(default_factory=list)
     coords: str = "generic"
     drift: DriftStats | None = None
@@ -262,6 +262,7 @@ def integrate(
     y0: Sequence[float],
     cfg: IntegratorConfig,
     events: Sequence[EventSpec] = (),
+    until: Callable[[float, np.ndarray], bool] | None = None,
 ) -> Trajectory:
     """Integrate y' = rhs(t, y) over cfg.t_span.
 
@@ -269,7 +270,8 @@ def integrate(
     the embedded pair; dense output between accepted nodes comes from the
     pair's interpolant.  Terminal events truncate the run; a step size
     collapsing near a singularity ends it with termination
-    ``step_size_underflow``.
+    ``step_size_underflow``.  The first accepted node where ``until(t, y)``
+    holds ends the run whole, with termination ``stopped``.
     """
     t0, tf = cfg.t_span
     direction = 1.0 if tf > t0 else -1.0
@@ -386,6 +388,9 @@ def integrate(
             ts[-1] = t_star
             ys[-1] = y_star
             termination = f"event:{ev.name}"
+            break
+        if until is not None and until(t_new, y_new):
+            termination = "stopped"
             break
 
         if err == 0.0:

@@ -325,13 +325,14 @@ class _SidedRuns:
         return x
 
 
-def _solve_runs(ode: LinearODE, theta0, y0, theta1, forced, floor) -> list:
+def _solve_runs(ode: LinearODE, theta0, y0, theta1, forced, floor, reach=None) -> list:
     """Integrate from theta0 towards theta1: [psi, psi', W], plus Theta when a psi floor is given.
 
     Theta' = 1/(h psi^2) rides along until psi falls to the floor; a second
-    run then carries [psi, psi', W] on to theta1.
+    run then carries [psi, psi', W] on to theta1, unless a ``reach`` ends the
+    run whole after the step where |Theta| first reaches it (0: no run).
     """
-    if theta1 == theta0:
+    if theta1 == theta0 or reach == 0.0:
         return []
     with_theta = floor is not None
 
@@ -346,14 +347,15 @@ def _solve_runs(ode: LinearODE, theta0, y0, theta1, forced, floor) -> list:
     events = []
     if with_theta:
         events.append(EventSpec("psi_floor", lambda th, y: y[0] - floor, terminal=True))
+    until = None if reach is None else (lambda th, y: abs(y[2]) >= reach)
     cfg = IntegratorConfig(t_span=(theta0, theta1), rel_tol=_SOLVE_REL_TOL, abs_tol=_SOLVE_ABS_TOL)
-    traj = integrate(rhs, y0, cfg, events)
-    if traj.termination == "completed":
-        return [traj]
-    if traj.termination != "event:psi_floor":
+    traj = integrate(rhs, y0, cfg, events, until)
+    if traj.termination not in ("completed", "stopped", "event:psi_floor"):
         raise LinearizationError(
             f"linear solve stopped at theta={traj.t_end!r} ({traj.termination})"
         )
+    if traj.termination != "event:psi_floor" or reach is not None:
+        return [traj]
     y_end = traj.ys[-1][[0, 1, 3]]  # Theta stops here
     return [traj, *_solve_runs(ode, traj.t_end, y_end, theta1, forced, None)]
 
@@ -366,9 +368,9 @@ class LinearSolution:
     the identity basis (W' = -(p1/p2) W, W(theta0) = 1) and, when psi0 > 0,
     the angle map Theta(theta) = integral of 1/(h psi^2) from theta0 up to
     where psi falls to 1e-4 psi0; a second run carries psi on to the end of
-    the domain.  ``path`` rows are (psi, psi', ..., W) and ``Theta`` rows
-    hold Theta in column 2.  The homogeneous basis psi1, psi2 is integrated
-    only on request.
+    the domain, unless the solve is cut to a time window's reach.  ``path``
+    rows are (psi, psi', ..., W) and ``Theta`` rows hold Theta in column 2.
+    The homogeneous basis psi1, psi2 is integrated only on request.
     """
 
     ode: LinearODE
@@ -412,12 +414,16 @@ def solve_linear(
     psi0: float,
     dpsi0: float,
     grid: Sequence[float],
+    tau_reach: tuple[float, float] | None = None,
 ) -> LinearSolution:
     """Solve the linear ODE matching (psi0, dpsi0) at theta0.
 
     The span of ``grid`` (clipped to the ODE domain) sets the solved
-    interval.  Raises LinearizationError if Abel's factor W stops being
-    positive, i.e. the homogeneous solutions become linearly dependent.
+    interval.  ``tau_reach`` = (before, after), how far |Tau| must reach
+    before and after t0, cuts each side of theta0 to where |Theta| reaches
+    its share (Theta = branch_sign * Tau).  Raises LinearizationError if
+    Abel's factor W stops being positive, i.e. the homogeneous solutions
+    become linearly dependent.
     """
     lo = max(min(grid), ode.domain[0])
     hi = min(max(grid), ode.domain[1])
@@ -425,8 +431,10 @@ def solve_linear(
         raise ValueError(f"theta0={theta0!r} outside the requested grid span [{lo}, {hi}]")
     floor = _PSI_FLOOR_REL * psi0 if psi0 > 0.0 else None
     y0 = np.array([psi0, dpsi0, 0.0, 1.0] if floor is not None else [psi0, dpsi0, 1.0])
-    fwd = _solve_runs(ode, theta0, y0, hi, True, floor)
-    bwd = _solve_runs(ode, theta0, y0, lo, True, floor)
+    # reach below and above theta0; without an angle map there is nothing to cut
+    down, up = (None, None) if tau_reach is None or floor is None else tau_reach[:: ode.branch_sign]
+    fwd = _solve_runs(ode, theta0, y0, hi, True, floor, up)
+    bwd = _solve_runs(ode, theta0, y0, lo, True, floor, down)
     w = np.concatenate([traj.ys[:, -1] for traj in fwd + bwd] + [y0[-1:]])
     if not np.all(np.isfinite(w) & (w > 0.0)):
         raise LinearizationError("homogeneous solutions became linearly dependent")
@@ -589,26 +597,33 @@ class QuadratureSolution:
     The maps satisfy Theta(theta(t)) = branch_sign * Tau(t), where Theta
     integrates 1/(h psi^2) from theta0 inside the solve and Tau integrates
     1/rho^2 from t0.  Both are strictly increasing on their windows.  Tau
-    is (t - t0)/rho^2 for a constant rho, and otherwise read off ``Tau``.
-    The radius is r = rho/psi.
+    is (t - t0)/rho^2 for a constant rho, and otherwise read off ``Tau``,
+    over the time span ``t_window`` (t0 included) if one is given.  The
+    radius is r = rho/psi.
     """
 
     solution: LinearSolution
     t0: float
     Tau: _SidedRuns | None
     rho_const: float | None
+    t_window: tuple[float, float] | None
 
     @property
     def theta_window(self) -> tuple[float, float]:
         return self.solution.Theta.window
 
+    def tau(self, t: float) -> float:
+        """Tau(t) = integral of 1/rho^2 from t0."""
+        if self.Tau is not None:
+            return float(self.Tau.row(t)[0])
+        if self.t_window is not None and not self.t_window[0] <= t <= self.t_window[1]:
+            lo, hi = self.t_window
+            raise OutsideWindowError(f"t={t!r} outside the time window [{lo}, {hi}]")
+        return (t - self.t0) / (self.rho_const * self.rho_const)
+
     def theta_at(self, t: float) -> float:
         """The unique angle with Theta(theta) = branch_sign*Tau(t)."""
-        t = float(t)
-        if self.Tau is None:
-            tau = (t - self.t0) / (self.rho_const * self.rho_const)
-        else:
-            tau = float(self.Tau.row(t)[0])
+        tau = self.tau(float(t))
         return self.solution.Theta.inverse(self.solution.ode.branch_sign * tau, 2)
 
     def t_at(self, theta: float) -> float:
@@ -642,6 +657,20 @@ class QuadratureSolution:
         return evaluate(self.solution.ode.spec.rho, {"t": t}) / psi
 
 
+def _time_side(rho: Expression, t0: float, t_window) -> tuple:
+    """(Tau, rho_const, t_window) for a QuadratureSolution anchored at t0."""
+    span = None if t_window is None else (min(t0, *t_window), max(t0, *t_window))
+    if not free_variables(rho):
+        rho_const = evaluate(rho, {})
+        if rho_const == 0.0:
+            raise EvaluationError("rho is identically zero")
+        return None, rho_const, span
+    if t_window is None:
+        raise LinearizationError("a time-dependent rho needs a time window")
+    check_rho_nonzero(rho, t_window[0], t_window[1], 257, f"the time window {t_window!r}")
+    return _time_map(rho, t0, t_window), None, span
+
+
 def time_quadrature(
     sol: LinearSolution, t0: float, t_window: tuple[float, float] | None = None
 ) -> QuadratureSolution:
@@ -649,23 +678,13 @@ def time_quadrature(
 
     The scale factor rho and the branch come from the solved ODE.  Tau
     integrates 1/rho^2, in closed form for a constant rho and otherwise
-    once over ``t_window``, which a time-dependent rho requires.
+    once over ``t_window``, which a time-dependent rho requires.  Times
+    outside ``t_window``, when given, raise OutsideWindowError.
     """
     psi0 = sol.psi(sol.theta0)
     if not psi0 > 0.0:
         raise LinearizationError(f"psi({sol.theta0!r}) = {psi0!r} is not positive")
-    rho = sol.ode.spec.rho
-    rho_const = Tau = None
-    if not free_variables(rho):
-        rho_const = evaluate(rho, {})
-        if rho_const == 0.0:
-            raise EvaluationError("rho is identically zero")
-    else:
-        if t_window is None:
-            raise LinearizationError("a time-dependent rho needs a time window")
-        check_rho_nonzero(rho, t_window[0], t_window[1], 257, f"the time window {t_window!r}")
-        Tau = _time_map(rho, t0, t_window)
-    return QuadratureSolution(solution=sol, t0=t0, Tau=Tau, rho_const=rho_const)
+    return QuadratureSolution(sol, t0, *_time_side(sol.ode.spec.rho, t0, t_window))
 
 
 # ---------------------------------------------------------------------------
@@ -716,15 +735,8 @@ def verify_compatibility(spec: LinearizableSpec, state: PolarState) -> float:
     return abs(lhs - rhs)
 
 
-def solve_from_state(
-    spec, state0: PolarState, theta_domain: tuple[float, float] | None = None
-) -> LinearSolution:
-    """Linear ODE and its solution for the trajectory through ``state0``.
-
-    The invariant level and branch come from the state, and so do the
-    initial data (psi0, psi'0); the angle domain is scanned automatically
-    unless supplied.
-    """
+def _linear_problem(spec, state0: PolarState, theta_domain) -> tuple[LinearODE, float, float]:
+    """The linear ODE through ``state0`` and its initial data (psi0, psi'0)."""
     lin = _check_linearizable(spec)
     if state0.thetadot == 0.0:
         raise LinearizationError("initial state sits at a turning point (thetadot = 0)")
@@ -734,7 +746,20 @@ def solve_from_state(
         theta_domain = auto_theta_domain(lin.V, inv, state0.theta)
     ode = build_linear_ode(lin, inv, theta_domain, branch)
     _, psi0, dpsi0 = _initial_data(lin, state0)
-    return solve_linear(ode, state0.theta, psi0, dpsi0, grid=list(theta_domain))
+    return ode, psi0, dpsi0
+
+
+def solve_from_state(
+    spec, state0: PolarState, theta_domain: tuple[float, float] | None = None
+) -> LinearSolution:
+    """Linear ODE and its solution for the trajectory through ``state0``.
+
+    The invariant level and branch come from the state, and so do the
+    initial data (psi0, psi'0); the angle domain is scanned automatically
+    unless supplied.  psi is solved on the whole domain.
+    """
+    ode, psi0, dpsi0 = _linear_problem(spec, state0, theta_domain)
+    return solve_linear(ode, state0.theta, psi0, dpsi0, grid=list(ode.domain))
 
 
 def build_pipeline(
@@ -746,8 +771,17 @@ def build_pipeline(
 ) -> QuadratureSolution:
     """Assemble the linearized route for one trajectory.
 
-    ``solve_from_state`` followed by the time quadrature.  The result
-    refuses to cross turning points: queries outside the covered window
-    raise instead of switching branches.
+    ``solve_from_state`` followed by the time quadrature; with a
+    ``t_window``, the time map first and the angle map cut to its reach.
+    The result refuses to cross turning points: queries outside the
+    covered window raise instead of switching branches.
     """
-    return time_quadrature(solve_from_state(spec, state0, theta_domain), state0.t, t_window)
+    ode, psi0, dpsi0 = _linear_problem(spec, state0, theta_domain)
+    if t_window is None or not psi0 > 0.0:  # no reach, or no angle map to cut
+        sol = solve_linear(ode, state0.theta, psi0, dpsi0, grid=list(ode.domain))
+        return time_quadrature(sol, state0.t, t_window)
+    quad = QuadratureSolution(None, state0.t, *_time_side(ode.spec.rho, state0.t, t_window))
+    lo, hi = quad.t_window
+    tau_reach = (-quad.tau(lo), quad.tau(hi))
+    quad.solution = solve_linear(ode, state0.theta, psi0, dpsi0, list(ode.domain), tau_reach)
+    return quad

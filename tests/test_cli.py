@@ -18,7 +18,7 @@ import ermakov
 from ermakov import linearize, systems
 from ermakov.cli import main
 from ermakov.config import PRESETS, ConfigError, build_spec, load_config, preset_config
-from ermakov.linearize import build_pipeline
+from ermakov.linearize import solve_from_state
 
 
 def _write(tmp_path, name, payload):
@@ -308,13 +308,8 @@ class TestLinearize:
         assert main(["linearize", "--preset", preset, "--out", str(out)]) == 0
         _, data = _read_csv(out / "linear_ode.csv")
         cfg = preset_config(preset)
-        pipe = build_pipeline(
-            build_spec(cfg),
-            cfg.polar_state,
-            theta_domain=(data[0, 0], data[-1, 0]),
-            t_window=cfg.t_span,
-        )
-        assert [pipe.solution.psi(th) for th in data[:, 0]] == data[:, 5].tolist()
+        sol = solve_from_state(build_spec(cfg), cfg.polar_state, (data[0, 0], data[-1, 0]))
+        assert [sol.psi(th) for th in data[:, 0]] == data[:, 5].tolist()
 
     def test_theta_beyond_turning_names_angle(self, tmp_path, capsys):
         cfg = _winternitz_config(theta_span=[0.1, 3.0])

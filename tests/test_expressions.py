@@ -453,3 +453,116 @@ def test_property_compiled_evaluator_matches_tree_walk(e, env_vals):
 def test_property_unparse_round_trip(e):
     s = simplify(e)
     assert parse(unparse(s)) == s
+
+
+# --- differential tests against sympy ---------------------------------------
+
+_NAMES = ["x", "y", "theta", "t", "u"]
+
+
+def _to_sympy(e, sympy):
+    """The same tree in sympy, every constant exact (40 digits hold a double)."""
+    if isinstance(e, Num):
+        return sympy.Integer(int(e.value)) if e.value.is_integer() else sympy.Float(e.value, 40)
+    if isinstance(e, Var):
+        return sympy.Symbol(e.name, real=True)
+    if isinstance(e, Neg):
+        return -_to_sympy(e.operand, sympy)
+    if isinstance(e, Call):
+        return getattr(sympy, e.func)(_to_sympy(e.arg, sympy))
+    a, b = _to_sympy(e.lhs, sympy), _to_sympy(e.rhs, sympy)
+    if e.op == "+":
+        return a + b
+    if e.op == "-":
+        return a - b
+    if e.op == "*":
+        return a * b
+    if e.op == "/":
+        return a / b
+    return a**b
+
+
+def _sympy_value(expr, env, sympy):
+    """Value of a sympy expression at 40 digits, or None off the finite reals."""
+    if expr.has(sympy.zoo, sympy.nan, sympy.oo, -sympy.oo):
+        return None
+    fn = sympy.lambdify([sympy.Symbol(n, real=True) for n in _NAMES], expr, "mpmath")
+    with mpmath.workdps(40):
+        try:
+            value = mpmath.mpmathify(fn(*(mpmath.mpf(env[n]) for n in _NAMES)))
+        except (ZeroDivisionError, ValueError, OverflowError):
+            return None
+        if isinstance(value, mpmath.mpc) or not mpmath.isfinite(value):
+            return None
+        return value
+
+
+def _float_value(e, env):
+    try:
+        return evaluate(e, env)
+    except EvaluationError:
+        return None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    e=_smooth_exprs,
+    env_vals=st.lists(
+        st.floats(min_value=-1.5, max_value=1.5, allow_nan=False), min_size=5, max_size=5
+    ),
+)
+# u^v at u = 0, and a folded 1/3 that 1/x^2 amplifies near 0 (the
+# derivative is compared before simplify for that reason)
+@example(
+    e=Neg(BinOp("^", Num(0.0), BinOp("-", Var("x"), Var("x")))), env_vals=[0.0] * 5
+)
+@example(e=BinOp("+", Var("x"), BinOp("^", Num(0.0), Num(0.0))), env_vals=[0.0] * 5)
+@example(e=BinOp("/", Var("x"), BinOp("/", Var("x"), Num(3.0))), env_vals=[1.2e-38] + [0.0] * 4)
+def test_differentiate_agrees_with_sympy(e, env_vals):
+    # Both derivatives are evaluated at 40 digits, so only the rules are
+    # compared; the one rounding on our side is the exponent v - 1 of the
+    # power rule, a relative 1e-16 in the exponent.
+    sympy = pytest.importorskip("sympy")
+    env = dict(zip(_NAMES, env_vals))
+    names = free_variables(e)
+    assume(names and _float_value(e, env) is not None)  # a derivative needs a value
+    var = sorted(names)[0]
+    exact = sympy.diff(_to_sympy(e, sympy), sympy.Symbol(var, real=True))
+    expected = _sympy_value(exact, env, sympy)
+    assume(expected is not None and abs(expected) < 1e6)
+    derivative = differentiate(e, var)
+    got = _sympy_value(_to_sympy(derivative, sympy), env, sympy)
+    if got is None:
+        # off a rule's domain, as u^v at u = 0 where sympy folds 0^(x - x)
+        # to a constant: the program must refuse, not answer
+        with pytest.raises(EvaluationError):
+            evaluate(derivative, env)
+        return
+    assert abs(got - expected) <= 1e-9 * (1 + abs(expected))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    e=_expr_strategy(),
+    env_vals=st.lists(
+        st.floats(min_value=-2.0, max_value=2.0, allow_nan=False), min_size=5, max_size=5
+    ),
+)
+# the mirror images of the identity rules, which must not be eliminated
+@example(e=BinOp("-", Num(0.0), Var("x")), env_vals=[0.5, 0.0, 0.0, 0.0, 0.0])
+@example(e=BinOp("/", Num(1.0), Var("x")), env_vals=[0.5, 0.0, 0.0, 0.0, 0.0])
+@example(e=BinOp("^", Num(1.0), Var("x")), env_vals=[0.5, 0.0, 0.0, 0.0, 0.0])
+@example(e=BinOp("^", Num(0.0), Var("x")), env_vals=[0.5, 0.0, 0.0, 0.0, 0.0])
+def test_simplify_agrees_with_sympy(e, env_vals):
+    # simplify folds constants in floats.  Where the tree's own float value
+    # is accurate, that rounding is not amplified either, and the simplified
+    # tree must keep the exact value of the original.
+    sympy = pytest.importorskip("sympy")
+    env = dict(zip(_NAMES, env_vals))
+    expected = _sympy_value(_to_sympy(e, sympy), env, sympy)
+    value = _float_value(e, env)
+    assume(expected is not None and value is not None)
+    assume(abs(value - expected) <= 1e-12 * (1 + abs(expected)))
+    got = _sympy_value(_to_sympy(simplify(e), sympy), env, sympy)
+    assert got is not None
+    assert abs(got - expected) <= 1e-9 * (1 + abs(expected))

@@ -175,6 +175,20 @@ class TestEvents:
         )
         assert traj.events[0].t == pytest.approx(1.0, abs=1e-10)
 
+    def test_until_ends_the_run_after_a_whole_step(self):
+        # y' = y from 1: the run stops after the first node with y >= 2,
+        # and every node and interpolant up to there is the full run's
+        rhs = lambda t, y: y.copy()
+        cfg = IntegratorConfig(t_span=(0.0, 3.0))
+        full = integrate(rhs, [1.0], cfg)
+        cut = integrate(rhs, [1.0], cfg, until=lambda t, y: y[0] >= 2.0)
+        assert cut.termination == "stopped" and full.termination == "completed"
+        n = len(cut.ts)
+        assert cut.ys[-1, 0] >= 2.0 > cut.ys[-2, 0]
+        assert np.array_equal(cut.ts, full.ts[:n]) and np.array_equal(cut.ys, full.ys[:n])
+        assert np.array_equal(cut.qs, full.qs[: n - 1])
+        assert cut.n_accepted == n - 1 and cut.n_rhs < full.n_rhs
+
 
 class TestConfigValidation:
     def test_degenerate_span(self):

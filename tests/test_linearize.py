@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,6 +15,7 @@ from ermakov.linearize import (
     build_linear_ode,
     build_pipeline,
     free_motion_solution,
+    solve_from_state,
     solve_linear,
     time_quadrature,
     verify_compatibility,
@@ -431,10 +433,12 @@ class TestAugmentedSolve:
 
         monkeypatch.setattr(lz, "integrate", counting)
         pipe = build_pipeline(spec, state, t_window=(0.0, 2.0))
-        assert len(calls) == 2  # one augmented run per direction; psi = 1 never nears the floor
+        # one augmented run, forward only: the window starts at t0 and the
+        # branch is +1; psi = 1 never nears the floor
+        assert len(calls) == 1
         pipe.solution.psi1.row(1.7)
         pipe.solution.psi2.row(1.7)
-        assert len(calls) == 6
+        assert len(calls) == 5
 
     def test_time_dependent_rho_needs_time_window(self):
         spec = ek.LinearizableSpec(rho="1 + 0.1*t", A="0", B="0", C="0", F="0", V="0")
@@ -445,3 +449,179 @@ class TestAugmentedSolve:
         pipe.theta_at(0.5)
         with pytest.raises(OutsideWindowError):
             pipe.theta_at(1.5)  # Tau is integrated over the time window only
+
+
+def _kepler_case():
+    spec = ek.kepler_ermakov_system("0.4 + 0.1*cos(theta)^2", "1", "0.2*cos(theta)^2")
+    return spec, ek.PolarState(1.0, 1.0, 0.05, 1.3), (0.0, 1.5)
+
+
+def _rho_quadratic_case():
+    spec = ek.LinearizableSpec(
+        rho="1 + 0.1*t^2", A="sin(theta)", B="L", C="0.8", F="0", V="0.3*sin(theta)^2"
+    )
+    return spec, ek.PolarState(1.05, 1.0, 0.1, 1.3), (0.0, 1.2)
+
+
+def _free_motion_case():
+    spec = ek.free_motion_system("0.5*u", "1 + 0.1*t").linearizable
+    return spec, ek.PolarState(1.0, 0.77, -0.2, 1.0), (0.0, 0.12)
+
+
+class TestWindowedSolve:
+    """build_pipeline with a t_window solves the angle map only as far as the window reaches."""
+
+    @pytest.fixture(
+        params=["winternitz", "kepler", "rho = 1 + a t^2", "free motion, rho = 1 + b t"]
+    )
+    def case(self, request, winternitz_spec, winternitz_state):
+        return {
+            "winternitz": lambda: (winternitz_spec, winternitz_state, (0.0, 2.0)),
+            "kepler": _kepler_case,
+            "rho = 1 + a t^2": _rho_quadratic_case,
+            "free motion, rho = 1 + b t": _free_motion_case,
+        }[request.param]()
+
+    def test_matches_the_whole_domain_solve_bit_for_bit(self, case):
+        spec, state, window = case
+        windowed = build_pipeline(spec, state, t_window=window)
+        whole = time_quadrature(solve_from_state(spec, state), state.t, window)
+        times = [float(t) for t in np.linspace(*window, 17)]
+        thetas = [windowed.theta_at(t) for t in times]
+        assert thetas == [whole.theta_at(t) for t in times]
+        assert [windowed.r_of_t(t) for t in times] == [whole.r_of_t(t) for t in times]
+        radii = [whole.r_of_theta(th) for th in thetas]
+        assert [windowed.r_of_theta(th) for th in thetas] == radii
+        # the cut run is the first part of the whole one: same nodes, same steps
+        cut, full = windowed.solution.path.up[0], whole.solution.path.up[0]
+        assert len(cut.ts) < len(full.ts)
+        assert np.array_equal(cut.ts, full.ts[: len(cut.ts)])
+        assert np.array_equal(cut.qs, full.qs[: len(cut.qs)])
+
+    def test_backward_side_not_integrated_when_window_starts_at_t0(self, case, monkeypatch):
+        import ermakov.linearize as lz
+
+        spec, state, window = case
+        spans = []
+        real = lz.integrate
+
+        def recording(rhs, y0, cfg, *args, **kwargs):
+            spans.append(cfg.t_span)
+            return real(rhs, y0, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(lz, "integrate", recording)
+        pipe = build_pipeline(spec, state, t_window=window)
+        assert pipe.solution.path.down == [] and pipe.solution.Theta.down == []
+        # one angle run, forward (a time-dependent rho adds its Tau run)
+        angle_runs = [span for span in spans if span[0] == state.theta]
+        assert len(angle_runs) == 1 and angle_runs[0][1] > state.theta
+        assert pipe.theta_window[0] == state.theta
+
+    @pytest.mark.parametrize(
+        "thetadot, window, solved",
+        [
+            (2.0, (0.0, 2.0), "up"),  # branch +1
+            (-2.0, (0.0, 2.0), "down"),  # branch -1
+            (2.0, (0.0, -2.0), "down"),  # reversed t_span
+            (-2.0, (0.0, -2.0), "up"),
+            (2.0, (-1.0, 1.5), "both"),  # a library window straddling t0
+        ],
+    )
+    def test_window_edges(self, winternitz_spec, thetadot, window, solved):
+        state = ek.PolarState(r=1.0, theta=math.pi / 2, rdot=0.0, thetadot=thetadot)
+        pipe = build_pipeline(winternitz_spec, state, t_window=window)
+        whole = build_pipeline(winternitz_spec, state)
+        for t in window:
+            assert pipe.theta_at(t) == whole.theta_at(t)
+            assert pipe.r_of_t(t) == whole.r_of_t(t)
+        path = pipe.solution.path
+        assert (len(path.up), len(path.down)) == {
+            "up": (1, 0), "down": (0, 1), "both": (1, 1)
+        }[solved]
+
+    def test_constant_rho_query_past_the_window_names_it(self, winternitz_spec, winternitz_state):
+        pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 2.0))
+        for t in (2.0 + 1e-9, -1e-9, 5.0):
+            with pytest.raises(OutsideWindowError, match=r"outside the time window \[0.0, 2.0\]"):
+                pipe.theta_at(t)
+        with pytest.raises(OutsideWindowError, match="time window"):
+            pipe.r_of_t(2.5)
+        # without a window a constant rho needs none
+        assert build_pipeline(winternitz_spec, winternitz_state).theta_at(2.5) > math.pi / 2
+
+
+class TestWinternitzQuadraturesAgainstMpmath:
+    """T(theta) = integral of 1/sqrt(2 (I - V)) from pi/2, by mpmath.quad at 40 digits.
+
+    The tolerances come from each function's own accuracy target, not from
+    the observed errors: ``angular_time`` asks ``quad_adaptive`` for 1e-11
+    relative (1e-13 absolute); the closed forms are a few roundings of at
+    most one ulp each, fed through asin, whose slope 1/sqrt(1 - arg^2)
+    amplifies them.
+    """
+
+    EPS = 2.0**-52
+    CASES = [
+        # (mu0, g1, g2, g3), invariant level, angles inside the allowed band
+        ((1.0, 1.0, 0.5, 1.0), 3.0, (0.9, 1.3, 2.0, 2.5)),
+        ((1.0, 0.2, 0.1, 1.0), 2.0, (0.6, 1.0, 1.7, 2.3)),
+        ((1.1, 0.9, 0.4, 0.9), 2.5, (1.0, 1.45, 2.2)),
+    ]
+
+    @staticmethod
+    def _reference(params, level, theta):
+        with mpmath.workdps(40):
+            g1, g2, lv = mpmath.mpf(params.g1), mpmath.mpf(params.g2), mpmath.mpf(level)
+
+            def inverse_momentum(lam):
+                v = (g1 + g2 * mpmath.cos(lam)) / mpmath.sin(lam) ** 2
+                return 1 / mpmath.sqrt(2 * (lv - v))
+
+            return mpmath.quad(inverse_momentum, [mpmath.pi / 2, mpmath.mpf(theta)])
+
+    def _closed_tolerance(self, params, level, theta):
+        """Rounding of the arcsine antiderivative at theta and at the base."""
+        d = math.sqrt(params.g2**2 + 4.0 * level * (level - params.g1))
+        slopes = [
+            1.0 + 1.0 / math.sqrt(1.0 - ((2.0 * level * math.cos(th) + params.g2) / d) ** 2)
+            for th in (theta, math.pi / 2)
+        ]
+        return 16.0 * self.EPS * sum(slopes) / math.sqrt(2.0 * level)
+
+    @pytest.mark.parametrize("raw, level, thetas", CASES)
+    def test_angular_time(self, raw, level, thetas):
+        params = ek.WinternitzParams(*raw)
+        V = ek.winternitz_system(params).V
+        for th in thetas:
+            ref = float(self._reference(params, level, th))
+            assert abs(angular_time(th, level, V) - ref) <= max(1e-13, 1e-11 * abs(ref))
+
+    @pytest.mark.parametrize("raw, level, thetas", CASES)
+    def test_closed_angular_time(self, raw, level, thetas):
+        params = ek.WinternitzParams(*raw)
+        for th in thetas:
+            ref = float(self._reference(params, level, th))
+            tol = self._closed_tolerance(params, level, th)
+            assert abs(winternitz_angular_time_closed(params, level, th) - ref) <= tol
+            shifted = winternitz_angular_time_closed(params, level, th, J=0.25)
+            assert abs(shifted - (ref + 0.25)) <= tol + self.EPS * abs(ref + 0.25)
+
+    @pytest.mark.parametrize("raw, level, thetas", CASES)
+    def test_closed_psi(self, raw, level, thetas):
+        params = ek.WinternitzParams(*raw)
+        c1, c2, J = 0.4, -0.3, 0.05
+        k = math.sqrt(2.0 * (level + params.g3))
+        for th in thetas:
+            with mpmath.workdps(40):
+                kk = mpmath.sqrt(2 * (mpmath.mpf(level) + mpmath.mpf(params.g3)))
+                t_par = self._reference(params, level, th) + mpmath.mpf(J)
+                ref = float(
+                    c1 * mpmath.cos(kk * t_par) + c2 * mpmath.sin(kk * t_par) + params.mu0 / kk**2
+                )
+            # the time's error moves psi by at most k (|c1| + |c2|) per unit of T,
+            # and assembling psi adds a few roundings
+            tol = (
+                k * (abs(c1) + abs(c2)) * (self._closed_tolerance(params, level, th) + self.EPS)
+                + 8.0 * self.EPS * (abs(c1) + abs(c2) + params.mu0 / k**2)
+            )
+            assert abs(winternitz_psi_closed(params, level, c1, c2, J, th) - ref) <= tol
