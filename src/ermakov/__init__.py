@@ -50,7 +50,6 @@ from .linearize import (
     free_motion_solution,
     solve_from_state,
     solve_linear,
-    time_quadrature,
     verify_compatibility,
     winternitz_angular_time_closed,
     winternitz_psi_closed,

@@ -33,10 +33,9 @@ from .config import (
     load_config,
     preset_config,
 )
-from .expressions import evaluate
 from .integration import IntegratorConfig, integrate_polar
-from .invariant import lewis_ray_reid_polar
-from .linearize import auto_theta_domain, build_pipeline, solve_from_state, verify_compatibility
+from .invariant import invariant_level
+from .linearize import build_pipeline, solve_from_state, verify_compatibility
 from .systems import PolarState
 
 __all__ = ["main"]
@@ -95,8 +94,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     rows = []
     for t in times:
         r, theta, rdot, thetadot = traj.at(t)
-        inv = 0.5 * (r * r * thetadot) ** 2 + evaluate(spec.V, {"theta": theta})
-        rows.append((t, r, theta, rdot, thetadot, inv))
+        rows.append((t, r, theta, rdot, thetadot, invariant_level(r, theta, thetadot, spec.V)))
     _write_csv(out_dir / "trajectory.csv", ["t", "r", "theta", "rdot", "thetadot", "I"], rows)
     summary = {
         "termination": traj.termination,
@@ -122,8 +120,11 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_linearize(cfg: RunConfig, out_dir: Path) -> int:
     span = None if cfg.theta_span is None else (min(cfg.theta_span), max(cfg.theta_span))
+    theta0 = cfg.polar_state.theta
+    if span is not None and not span[0] <= theta0 <= span[1]:
+        raise ConfigError("theta_span", f"{list(span)} excludes the initial angle {theta0!r}")
     sol = solve_from_state(linearizable_view(cfg, build_spec(cfg)), cfg.polar_state, span)
-    grid = np.linspace(*sol.domain, cfg.samples)
+    grid = np.linspace(*sol.ode.domain, cfg.samples)
     rows = []
     for th in grid:
         p2, p1, p0, rhs = sol.ode.coefficients(float(th))
@@ -163,17 +164,7 @@ def cmd_validate(cfg: RunConfig, out_dir: Path) -> int:
     times = _sample_times(cfg, traj.t_end)
     sampled = traj.sample(times)
     try:
-        visited = sampled[:, 1]
-        pad = 0.05 * (np.max(visited) - np.min(visited)) + 0.05
-        lo_cap = cfg.polar_state.theta - (float(np.min(visited)) - pad)
-        hi_cap = (float(np.max(visited)) + pad) - cfg.polar_state.theta
-        domain = auto_theta_domain(
-            lin.V,
-            lewis_ray_reid_polar(cfg.polar_state, lin.V),
-            cfg.polar_state.theta,
-            span_cap=max(lo_cap, hi_cap, 0.2),
-        )
-        pipe = build_pipeline(lin, cfg.polar_state, theta_domain=domain, t_window=cfg.t_span)
+        pipe = build_pipeline(lin, cfg.polar_state, t_window=cfg.t_span)
         r_err = 0.0
         th_err = 0.0
         for t, row in zip(times, sampled):

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .expressions import EvaluationError, evaluate, free_variables, is_literal_zero
-from .invariant import ForbiddenRegionError, TurningPointError
+from .invariant import ForbiddenRegionError, TurningPointError, invariant_level
 from .systems import (
     CartesianSpec,
     CartesianState,
@@ -490,20 +490,12 @@ def integrate_cartesian(
 
 def monitor_invariant(traj: Trajectory, V, attach: bool = True) -> DriftStats:
     """Relative drift of the conserved level along a polar trajectory."""
-    series = np.array(
-        [
-            0.5 * (row[0] * row[0] * row[3]) ** 2 + evaluate(V, {"theta": row[1]})
-            for row in traj.ys
-        ]
-    )
+    series = np.array([invariant_level(r, th, thd, V) for r, th, _, thd in traj.ys.tolist()])
     ref = series[0]
-    rel = np.abs(series - ref) / (1.0 + abs(ref))
-    stats = DriftStats(
-        max_rel=float(np.max(rel)),
-        rms_rel=float(np.sqrt(np.mean(rel * rel))),
-        reference=float(ref),
-        series=series,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed level is inf, its drift NaN
+        rel = np.abs(series - ref) / (1.0 + abs(ref))
+        rms = float(np.sqrt(np.mean(rel * rel)))
+    stats = DriftStats(max_rel=float(np.max(rel)), rms_rel=rms, reference=float(ref), series=series)
     if attach:
         traj.drift = stats
     return stats

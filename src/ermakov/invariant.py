@@ -11,13 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .expressions import as_expression, evaluate
+from .expressions import Expression, as_expression, evaluate
 from .systems import CartesianState, PolarState, potential_value_from_fg
 
 __all__ = [
     "ForbiddenRegionError",
     "InvariantValue",
     "TurningPointError",
+    "invariant_level",
     "lewis_ray_reid_cartesian",
     "lewis_ray_reid_polar",
     "momentum_from_gap",
@@ -67,15 +68,19 @@ class InvariantValue:
         return self.value
 
 
-def _as_level(invariant) -> float:
-    return float(invariant)
+def invariant_level(r: float, theta: float, thetadot: float, V: Expression) -> float:
+    """I = 0.5*(r^2 thetadot)^2 + V(theta), in Python floats: overflow gives inf, not a warning."""
+    ell = float(r) * float(r) * float(thetadot)
+    try:
+        square = ell**2
+    except OverflowError:
+        square = math.inf
+    return 0.5 * square + evaluate(V, {"theta": float(theta)})
 
 
 def lewis_ray_reid_polar(state: PolarState, V) -> InvariantValue:
     """I = 0.5*(r^2 thetadot)^2 + V(theta)."""
-    V = as_expression(V)
-    ell = state.angular_momentum
-    return InvariantValue(0.5 * ell * ell + evaluate(V, {"theta": state.theta}))
+    return InvariantValue(invariant_level(state.r, state.theta, state.thetadot, as_expression(V)))
 
 
 def lewis_ray_reid_cartesian(state: CartesianState, f, g) -> InvariantValue:
@@ -89,7 +94,7 @@ def lewis_ray_reid_cartesian(state: CartesianState, f, g) -> InvariantValue:
 
 def turning_tolerance(invariant) -> float:
     """Gap below which h is numerically indistinguishable from zero."""
-    return 1e-12 * (1.0 + abs(_as_level(invariant)))
+    return 1e-12 * (1.0 + abs(float(invariant)))
 
 
 def momentum_from_gap(theta: float, level: float, gap: float) -> float:
@@ -112,7 +117,7 @@ def on_shell_momentum(theta: float, invariant, V) -> float:
     Raises TurningPointError when I meets V within tolerance and
     ForbiddenRegionError when I lies below V.
     """
-    level = _as_level(invariant)
+    level = float(invariant)
     return momentum_from_gap(theta, level, level - evaluate(as_expression(V), {"theta": theta}))
 
 

@@ -15,9 +15,8 @@ recovers theta(t), t(theta), and the orbit r(theta) = rho/psi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -62,7 +61,6 @@ __all__ = [
     "free_motion_solution",
     "solve_from_state",
     "solve_linear",
-    "time_quadrature",
     "verify_compatibility",
     "winternitz_angular_time_closed",
     "winternitz_dpsi_closed",
@@ -103,8 +101,12 @@ class LinearODE:
     invariant: float
     domain: tuple[float, float]
     branch_sign: int
-    _dV: Expression
-    rhs_is_zero: bool
+    _dV: Expression = field(init=False, repr=False)
+    rhs_is_zero: bool = field(init=False)
+
+    def __post_init__(self):
+        self._dV = _potential_derivative(self.spec.V)
+        self.rhs_is_zero = is_literal_zero(self.spec.C)
 
     def gap(self, theta: float) -> float:
         return self.invariant - evaluate(self.spec.V, {"theta": theta})
@@ -149,11 +151,11 @@ def build_linear_ode(
     theta_domain: tuple[float, float],
     branch_sign: int = 1,
 ) -> LinearODE:
-    """Validate the angle interval and assemble the linear ODE coefficients.
+    """Validate a handed-in angle interval and assemble the linear ODE coefficients.
 
-    Raises ForbiddenRegionError if the invariant level fails to exceed the
-    potential anywhere on the interval; the message names the boundary
-    angle where the level is first reached.
+    The level is checked on a 401-point grid.  Raises ForbiddenRegionError
+    if it fails to exceed the potential anywhere on the interval; the
+    message names the boundary angle where the level is first reached.
     """
     lin = _check_linearizable(spec)
     level = float(invariant)
@@ -179,14 +181,7 @@ def build_linear_ode(
             float(evaluate(lin.V, {"theta": theta_star})),
             detail=f"turning point near theta={theta_star:.12g}",
         )
-    return LinearODE(
-        spec=lin,
-        invariant=level,
-        domain=(lo, hi),
-        branch_sign=branch_sign,
-        _dV=_potential_derivative(lin.V),
-        rhs_is_zero=is_literal_zero(lin.C),
-    )
+    return LinearODE(lin, level, (lo, hi), branch_sign)
 
 
 def _locate_turning(V, level, grid, gaps, tol) -> float:
@@ -205,15 +200,16 @@ def _locate_turning(V, level, grid, gaps, tol) -> float:
 
 _DOMAIN_MARGIN_REL = 1e-3
 _DOMAIN_STEP = math.pi / 720.0
+_DOMAIN_SPAN = 2.0 * math.pi
 
 
-def auto_theta_domain(
-    V, invariant, theta0: float, *, span_cap: float = 2.0 * math.pi
-) -> tuple[float, float]:
+def auto_theta_domain(V, invariant, theta0: float) -> tuple[float, float]:
     """Maximal scanned interval around theta0 where the level clears the potential.
 
-    The scan stops a safety margin short of any turning point and at angles
-    where the potential stops being evaluable.
+    The scan steps pi/720 at a time, up to 2 pi each way, and stops a safety
+    margin of 1e-3 (1 + |I|) short of any turning point and at angles where
+    the potential stops being evaluable.  Raises LinearizationError if it
+    cannot take a step to either side.
     """
     V = as_expression(V)
     level = float(invariant)
@@ -232,11 +228,16 @@ def auto_theta_domain(
             raise ForbiddenRegionError(theta0, level, v0, detail=detail)
         raise TurningPointError(theta0, level, detail=f"potential {v0!r}; {detail}")
     hi = theta0
-    while hi - theta0 < span_cap and clears(hi + _DOMAIN_STEP):
+    while hi - theta0 < _DOMAIN_SPAN and clears(hi + _DOMAIN_STEP):
         hi += _DOMAIN_STEP
     lo = theta0
-    while theta0 - lo < span_cap and clears(lo - _DOMAIN_STEP):
+    while theta0 - lo < _DOMAIN_SPAN and clears(lo - _DOMAIN_STEP):
         lo -= _DOMAIN_STEP
+    if lo == hi:
+        raise LinearizationError(
+            f"empty angle domain at theta={theta0!r}: one step of pi/720 either way, the"
+            f" potential is undefined or within {margin!r} of the level {level!r}"
+        )
     return lo, hi
 
 
@@ -286,19 +287,23 @@ class _SidedRuns:
                 return traj.at(x)
         return runs[-1].at(x)
 
+    def ends(self, column: int) -> tuple[float, float]:
+        """``column`` at the last node of the first run on each side: what ``inverse`` covers."""
+        return tuple(float(r[0].ys[-1, column]) if r else 0.0 for r in (self.down, self.up))
+
     def inverse(self, v: float, column: int) -> float:
         """The x whose row holds v in ``column``."""
         v = float(v)
         if v == 0.0:
             return self.x0
-        runs = self.up if v > 0.0 else self.down
-        if not runs or abs(v) > abs(runs[0].ys[-1, column]):
+        lo, hi = self.ends(column)
+        if not lo <= v <= hi:
             edge = self.window[1 if v > 0.0 else 0]
             raise OutsideWindowError(
                 f"requested time maps beyond {self.var}={float(edge)!r}"
                 " (window edge or turning point)"
             )
-        run = runs[0]
+        run = (self.up if v > 0.0 else self.down)[0]
         # node values in the run's own direction, increasing from 0
         sign = 1.0 if v > 0.0 else -1.0
         vs = sign * run.ys[:, column]
@@ -375,7 +380,6 @@ class LinearSolution:
 
     ode: LinearODE
     theta0: float
-    domain: tuple[float, float]
     path: _SidedRuns
     Theta: _SidedRuns | None
 
@@ -403,7 +407,7 @@ class LinearSolution:
         y0 = np.asarray(y0, dtype=float)
         runs = [
             _solve_runs(self.ode, self.theta0, y0, end, False, None)
-            for end in (self.domain[1], self.domain[0])
+            for end in (self.ode.domain[1], self.ode.domain[0])
         ]
         return _SidedRuns("theta", self.theta0, y0, *runs)
 
@@ -413,22 +417,19 @@ def solve_linear(
     theta0: float,
     psi0: float,
     dpsi0: float,
-    grid: Sequence[float],
     tau_reach: tuple[float, float] | None = None,
 ) -> LinearSolution:
-    """Solve the linear ODE matching (psi0, dpsi0) at theta0.
+    """Solve the linear ODE matching (psi0, dpsi0) at theta0 on the ODE domain.
 
-    The span of ``grid`` (clipped to the ODE domain) sets the solved
-    interval.  ``tau_reach`` = (before, after), how far |Tau| must reach
-    before and after t0, cuts each side of theta0 to where |Theta| reaches
-    its share (Theta = branch_sign * Tau).  Raises LinearizationError if
-    Abel's factor W stops being positive, i.e. the homogeneous solutions
-    become linearly dependent.
+    ``tau_reach`` = (before, after), how far |Tau| must reach before and
+    after t0, cuts each side of theta0 to where |Theta| reaches its share
+    (Theta = branch_sign * Tau).  Raises LinearizationError if Abel's
+    factor W stops being positive, i.e. the homogeneous solutions become
+    linearly dependent.
     """
-    lo = max(min(grid), ode.domain[0])
-    hi = min(max(grid), ode.domain[1])
+    lo, hi = ode.domain
     if not (lo <= theta0 <= hi):
-        raise ValueError(f"theta0={theta0!r} outside the requested grid span [{lo}, {hi}]")
+        raise ValueError(f"theta0={theta0!r} outside the ODE domain [{lo}, {hi}]")
     floor = _PSI_FLOOR_REL * psi0 if psi0 > 0.0 else None
     y0 = np.array([psi0, dpsi0, 0.0, 1.0] if floor is not None else [psi0, dpsi0, 1.0])
     # reach below and above theta0; without an angle map there is nothing to cut
@@ -444,7 +445,6 @@ def solve_linear(
     return LinearSolution(
         ode=ode,
         theta0=theta0,
-        domain=(lo, hi),
         path=_SidedRuns("theta", theta0, y0, fwd, bwd),
         Theta=Theta,
     )
@@ -590,6 +590,15 @@ def _time_map(rho: Expression, t0: float, t_window: tuple[float, float]) -> _Sid
     return _SidedRuns("t", t0, np.zeros(1), side(max(t0, *t_window)), down)
 
 
+def _tau(Tau: _SidedRuns | None, rho_const: float | None, t0: float, window, t: float) -> float:
+    """Tau(t) off the Tau run, or (t - t0)/rho^2 for a constant rho, at a t inside ``window``."""
+    if Tau is not None:
+        return float(Tau.row(t)[0])
+    if window is not None and not window[0] <= t <= window[1]:
+        raise OutsideWindowError(f"t={t!r} outside the time window [{window[0]}, {window[1]}]")
+    return (t - t0) / (rho_const * rho_const)
+
+
 @dataclass
 class QuadratureSolution:
     """The linearized route for one trajectory: angle and time maps, and the radius.
@@ -614,12 +623,7 @@ class QuadratureSolution:
 
     def tau(self, t: float) -> float:
         """Tau(t) = integral of 1/rho^2 from t0."""
-        if self.Tau is not None:
-            return float(self.Tau.row(t)[0])
-        if self.t_window is not None and not self.t_window[0] <= t <= self.t_window[1]:
-            lo, hi = self.t_window
-            raise OutsideWindowError(f"t={t!r} outside the time window [{lo}, {hi}]")
-        return (t - self.t0) / (self.rho_const * self.rho_const)
+        return _tau(self.Tau, self.rho_const, self.t0, self.t_window, t)
 
     def theta_at(self, t: float) -> float:
         """The unique angle with Theta(theta) = branch_sign*Tau(t)."""
@@ -627,10 +631,28 @@ class QuadratureSolution:
         return self.solution.Theta.inverse(self.solution.ode.branch_sign * tau, 2)
 
     def t_at(self, theta: float) -> float:
-        """The time with Tau(t) = Theta(theta)/branch_sign."""
+        """The time with Tau(t) = Theta(theta)/branch_sign.
+
+        With a time window, a time within rounding of one of its ends is
+        that end, and one beyond it raises OutsideWindowError.
+        """
         tau = float(self.solution.Theta.row(theta)[2]) / self.solution.ode.branch_sign
-        if self.Tau is None:
+        if self.t_window is None:
             return self.t0 + self.rho_const * self.rho_const * tau
+        lo, hi = self.t_window
+        # Tau at the window ends; for a Tau run, the range its inverse covers
+        ends = (self.tau(lo), self.tau(hi)) if self.Tau is None else self.Tau.ends(0)
+        slack = 1e-12 * max(abs(ends[0]), abs(ends[1]))  # relative rounding
+        if not ends[0] - slack <= tau <= ends[1] + slack:
+            raise OutsideWindowError(
+                f"theta={float(theta)!r} maps to a time outside the time window [{lo}, {hi}]"
+            )
+        if tau <= ends[0]:
+            return lo
+        if tau >= ends[1]:
+            return hi
+        if self.Tau is None:
+            return min(max(self.t0 + self.rho_const * self.rho_const * tau, lo), hi)
         return self.Tau.inverse(tau, 0)
 
     def _psi(self, theta: float) -> float:
@@ -669,22 +691,6 @@ def _time_side(rho: Expression, t0: float, t_window) -> tuple:
         raise LinearizationError("a time-dependent rho needs a time window")
     check_rho_nonzero(rho, t_window[0], t_window[1], 257, f"the time window {t_window!r}")
     return _time_map(rho, t0, t_window), None, span
-
-
-def time_quadrature(
-    sol: LinearSolution, t0: float, t_window: tuple[float, float] | None = None
-) -> QuadratureSolution:
-    """Pair the solve's angle map with the time map anchored at (sol.theta0, t0).
-
-    The scale factor rho and the branch come from the solved ODE.  Tau
-    integrates 1/rho^2, in closed form for a constant rho and otherwise
-    once over ``t_window``, which a time-dependent rho requires.  Times
-    outside ``t_window``, when given, raise OutsideWindowError.
-    """
-    psi0 = sol.psi(sol.theta0)
-    if not psi0 > 0.0:
-        raise LinearizationError(f"psi({sol.theta0!r}) = {psi0!r} is not positive")
-    return QuadratureSolution(sol, t0, *_time_side(sol.ode.spec.rho, t0, t_window))
 
 
 # ---------------------------------------------------------------------------
@@ -736,15 +742,19 @@ def verify_compatibility(spec: LinearizableSpec, state: PolarState) -> float:
 
 
 def _linear_problem(spec, state0: PolarState, theta_domain) -> tuple[LinearODE, float, float]:
-    """The linear ODE through ``state0`` and its initial data (psi0, psi'0)."""
+    """The linear ODE through ``state0`` and its initial data (psi0, psi'0).
+
+    A scanned domain is used as found; ``build_linear_ode`` checks one handed in.
+    """
     lin = _check_linearizable(spec)
     if state0.thetadot == 0.0:
         raise LinearizationError("initial state sits at a turning point (thetadot = 0)")
     branch = 1 if state0.thetadot > 0.0 else -1
     inv = lewis_ray_reid_polar(state0, lin.V)
     if theta_domain is None:
-        theta_domain = auto_theta_domain(lin.V, inv, state0.theta)
-    ode = build_linear_ode(lin, inv, theta_domain, branch)
+        ode = LinearODE(lin, float(inv), auto_theta_domain(lin.V, inv, state0.theta), branch)
+    else:
+        ode = build_linear_ode(lin, inv, theta_domain, branch)
     _, psi0, dpsi0 = _initial_data(lin, state0)
     return ode, psi0, dpsi0
 
@@ -759,29 +769,27 @@ def solve_from_state(
     unless supplied.  psi is solved on the whole domain.
     """
     ode, psi0, dpsi0 = _linear_problem(spec, state0, theta_domain)
-    return solve_linear(ode, state0.theta, psi0, dpsi0, grid=list(ode.domain))
+    return solve_linear(ode, state0.theta, psi0, dpsi0)
 
 
 def build_pipeline(
-    spec,
-    state0: PolarState,
-    *,
-    theta_domain: tuple[float, float] | None = None,
-    t_window: tuple[float, float] | None = None,
+    spec, state0: PolarState, *, t_window: tuple[float, float] | None = None
 ) -> QuadratureSolution:
-    """Assemble the linearized route for one trajectory.
+    """The linearized route for the trajectory through ``state0``.
 
-    ``solve_from_state`` followed by the time quadrature; with a
-    ``t_window``, the time map first and the angle map cut to its reach.
-    The result refuses to cross turning points: queries outside the
-    covered window raise instead of switching branches.
+    Tau integrates 1/rho^2 from state0.t, in closed form for a constant rho
+    and otherwise over ``t_window``, which a time-dependent rho requires.
+    With a window, the angle map is solved only as far as Tau reaches over
+    it and times outside it raise OutsideWindowError.  Queries outside the
+    covered window raise instead of crossing turning points.
     """
-    ode, psi0, dpsi0 = _linear_problem(spec, state0, theta_domain)
-    if t_window is None or not psi0 > 0.0:  # no reach, or no angle map to cut
-        sol = solve_linear(ode, state0.theta, psi0, dpsi0, grid=list(ode.domain))
-        return time_quadrature(sol, state0.t, t_window)
-    quad = QuadratureSolution(None, state0.t, *_time_side(ode.spec.rho, state0.t, t_window))
-    lo, hi = quad.t_window
-    tau_reach = (-quad.tau(lo), quad.tau(hi))
-    quad.solution = solve_linear(ode, state0.theta, psi0, dpsi0, list(ode.domain), tau_reach)
-    return quad
+    ode, psi0, dpsi0 = _linear_problem(spec, state0, None)
+    if not psi0 > 0.0:
+        raise LinearizationError(f"psi({state0.theta!r}) = {psi0!r} is not positive")
+    Tau, rho_const, span = _time_side(ode.spec.rho, state0.t, t_window)
+    tau_reach = None
+    if span is not None:
+        lo, hi = (_tau(Tau, rho_const, state0.t, span, t) for t in span)
+        tau_reach = (-lo, hi)
+    sol = solve_linear(ode, state0.theta, psi0, dpsi0, tau_reach)
+    return QuadratureSolution(sol, state0.t, Tau, rho_const, span)

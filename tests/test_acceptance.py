@@ -107,7 +107,6 @@ def test_criterion_3_kepler_closed_form_cross_check():
             th0,
             winternitz_psi_closed(params, level, c1, c2, J, th0),
             winternitz_dpsi_closed(params, level, c1, c2, J, th0),
-            [lo, hi],
         )
         psi_diff = max(
             abs(sol.psi(float(th)) - winternitz_psi_closed(params, level, c1, c2, J, float(th)))
@@ -130,19 +129,7 @@ def _round_trip_error(spec, state0, t_hi):
     direct = ek.integrate_polar(spec, state0, cfg)
     assert direct.termination == "completed"
     assert not any(e.name == "turning_point" for e in direct.events)
-    theta_seen = direct.ys[:, 1]
-    pad = 0.05 * (theta_seen.max() - theta_seen.min()) + 0.05
-    from ermakov.linearize import auto_theta_domain
-    from ermakov.invariant import lewis_ray_reid_polar
-
-    level = lewis_ray_reid_polar(state0, spec.V)
-    cap = max(
-        state0.theta - (theta_seen.min() - pad),
-        (theta_seen.max() + pad) - state0.theta,
-        0.2,
-    )
-    domain = auto_theta_domain(spec.V, level, state0.theta, span_cap=cap)
-    pipe = build_pipeline(spec, state0, theta_domain=domain, t_window=(0.0, t_hi))
+    pipe = build_pipeline(spec, state0, t_window=(0.0, t_hi))
     err_r = err_th = 0.0
     for t in np.linspace(0.0, t_hi, 41):
         y = direct.at(t)
@@ -188,7 +175,7 @@ def test_criterion_5_free_motion_class():
     level = ek.lewis_ray_reid_polar(s0, fm.linearizable.V)
     ode = build_linear_ode(fm.linearizable, level, (0.3, 0.85))
     assert ode.rhs_is_zero
-    sol = solve_linear(ode, 0.5, 1.5, 1.0, [0.3, 0.85])
+    sol = solve_linear(ode, 0.5, 1.5, 1.0)
     line_err = max(
         abs(sol.psi(float(th)) - (1.0 + float(th))) for th in np.linspace(0.3, 0.85, 45)
     )

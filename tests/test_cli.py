@@ -248,6 +248,22 @@ class TestSimulate:
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert json.loads((out / "summary.json").read_text())["termination"] == "step_size_underflow"
 
+    # (r^2 thetadot)^2 overflows: the level is inf and its drift NaN, with no warning
+    @pytest.mark.parametrize(
+        "preset, r", [("winternitz-default", 1e150), ("uniform-rotation", 1e100)]
+    )
+    @pytest.mark.parametrize("command, code", [("simulate", 2), ("validate", 1)])
+    def test_overflowing_invariant_raises_no_runtime_warning(
+        self, tmp_path, capsys, preset, r, command, code
+    ):
+        cfg = copy.deepcopy(PRESETS[preset])
+        cfg["initial_state"]["r"] = r
+        path = _write(tmp_path, "c.json", cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == code
+        assert capsys.readouterr().err == ""
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = _write(tmp_path, "run.json", _winternitz_config())
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -319,6 +335,38 @@ class TestLinearize:
         err = capsys.readouterr().err
         assert "0.741" in err  # names the turning angle
 
+    def test_theta_span_must_contain_the_initial_angle(self, tmp_path, capsys):
+        path = _write(tmp_path, "c.json", _winternitz_config(theta_span=[2.0, 2.5], samples=8))
+        assert main(["linearize", "--config", str(path), "--out", str(tmp_path / "lin")]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "config error: theta_span: [2.0, 2.5] excludes the initial angle 1.5707963267948966\n"
+        )
+        for command in ("simulate", "reconstruct", "validate"):  # they ignore theta_span
+            assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+
+    @pytest.mark.parametrize("command", ["linearize", "reconstruct", "validate"])
+    def test_empty_scanned_domain_is_a_domain_error(self, tmp_path, capsys, command):
+        # free motion f = u at theta = 1e-9: one scan step down leaves the
+        # domain of U(tan theta), one step up the level is below the potential
+        cfg = {
+            "system": {"kind": "free_motion", "functions": {"f": "u", "rho": "1"}},
+            "initial_state": {
+                "coords": "polar", "r": 1.0, "theta": 1e-9, "rdot": -0.2, "thetadot": 1.0
+            },
+            "t_span": [0.0, 0.1],
+            "samples": 5,
+        }
+        out = tmp_path / "out"
+        code = main([command, "--config", str(_write(tmp_path, "c.json", cfg)), "--out", str(out)])
+        if command == "validate":
+            assert code == 1
+            message = json.loads((out / "report.json").read_text())["checks"]["round_trip"]["error"]
+        else:
+            assert code == 2
+            message = capsys.readouterr().err
+        assert "empty angle domain at theta=1e-09" in message
+
     @pytest.mark.parametrize("command", ["linearize", "reconstruct", "validate"])
     def test_initial_angle_at_turning_point_names_potential(self, tmp_path, capsys, command):
         # r = 1e-60 leaves no angular momentum: the level equals V(theta0) = 1
@@ -338,6 +386,32 @@ class TestLinearize:
 
 
 class TestReconstruct:
+    def test_last_sample_within_rounding_of_the_window_end(self, tmp_path):
+        # rho = 1 + a t^2: Theta at theta(t_end) lands a few ulp past the end
+        # of the Tau run, which is t_end itself
+        cfg = {
+            "system": {
+                "kind": "linearizable",
+                "functions": {
+                    "rho": "1 + a*t^2", "A": "sin(theta)", "B": "L", "C": "c0",
+                    "F": "0", "V": "v0*sin(theta)^2",
+                },
+                "params": {
+                    "a": 0.10669050478658262, "c0": 0.6598405691121524, "v0": 0.31798295783235514
+                },
+            },
+            "initial_state": {
+                "coords": "polar", "r": 1.011794615283574, "theta": 1.0419044409251672,
+                "rdot": 0.10991662987041691, "thetadot": 1.2429473105451267,
+            },
+            "t_span": [0.0, 1.0008013447464166],
+            "samples": 2,
+        }
+        path, out = _write(tmp_path, "c.json", cfg), tmp_path / "out"
+        assert main(["reconstruct", "--config", str(path), "--out", str(out)]) == 0
+        _, data = _read_csv(out / "reconstructed.csv")
+        assert data[-1, 0] == 1.0008013447464166
+
     def test_uniform_rotation_linear_theta(self, tmp_path):
         out = tmp_path / "out"
         assert main(["reconstruct", "--preset", "uniform-rotation", "--out", str(out)]) == 0
@@ -379,6 +453,20 @@ class TestValidate:
             linearize._winternitz_potential,
         ]
         assert [c.cache_info().currsize <= 1 for c in caches] == [True] * len(caches)
+
+    def test_builds_the_pipeline_reconstruct_builds(self, tmp_path, monkeypatch):
+        calls = []
+        real = ermakov.cli.build_pipeline
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ermakov.cli, "build_pipeline", recording)
+        path = _write(tmp_path, "c.json", _cheap_preset("winternitz-default"))
+        for command in ("reconstruct", "validate"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+        assert len(calls) == 2 and calls[0] == calls[1]
 
     def test_winternitz_passes(self, tmp_path):
         cfg_path = _write(tmp_path, "run.json", _winternitz_config(samples=50))

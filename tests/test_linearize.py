@@ -10,6 +10,7 @@ from ermakov.invariant import ForbiddenRegionError, TurningPointError
 from ermakov.linearize import (
     LinearizationError,
     OutsideWindowError,
+    QuadratureSolution,
     angular_time,
     auto_theta_domain,
     build_linear_ode,
@@ -17,7 +18,6 @@ from ermakov.linearize import (
     free_motion_solution,
     solve_from_state,
     solve_linear,
-    time_quadrature,
     verify_compatibility,
     winternitz_angular_time_closed,
     winternitz_dpsi_closed,
@@ -34,8 +34,8 @@ def _uniform_rotation_pieces():
     """
     spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="1", F="0", V="0")
     ode = build_linear_ode(spec, 0.5, (-6.0, 6.0))
-    sol = solve_linear(ode, 0.0, 1.0, 0.0, [-6.0, 6.0])
-    quad = time_quadrature(sol, 0.0)
+    sol = solve_linear(ode, 0.0, 1.0, 0.0)
+    quad = QuadratureSolution(sol, 0.0, None, 1.0, None)
     return spec, ode, sol, quad
 
 
@@ -85,15 +85,15 @@ class TestSolveLinear:
     def test_cosine_solution(self):
         spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="0", F="0", V="0")
         ode = build_linear_ode(spec, 0.5, (-0.2, math.pi - 0.1))
-        sol = solve_linear(ode, 0.0, 1.0, 0.0, [0.0, math.pi - 0.1])
+        sol = solve_linear(ode, 0.0, 1.0, 0.0)
         errs = [abs(sol.psi(th) - math.cos(th)) for th in np.linspace(0.0, math.pi - 0.1, 40)]
         assert max(errs) <= 1e-9
 
     def test_superposition(self, winternitz_spec):
         ode = build_linear_ode(winternitz_spec, 3.0, (1.0, 2.2))
         alpha, beta = 0.7, -0.4
-        sol = solve_linear(ode, 1.5, alpha, beta, [1.0, 2.2])
-        combo = solve_linear(ode, 1.5, 0.0, 0.0, [1.0, 2.2])
+        sol = solve_linear(ode, 1.5, alpha, beta)
+        combo = solve_linear(ode, 1.5, 0.0, 0.0)
         for th in np.linspace(1.05, 2.15, 9):
             direct = sol.psi(float(th))
             assembled = (
@@ -105,7 +105,7 @@ class TestSolveLinear:
 
     def test_wronskian_consistent_with_abel(self, winternitz_spec):
         ode = build_linear_ode(winternitz_spec, 3.0, (1.0, 2.2))
-        sol = solve_linear(ode, 1.5, 1.0, 0.0, [1.0, 2.2])
+        sol = solve_linear(ode, 1.5, 1.0, 0.0)
         w0 = sol.wronskian(1.5)
         for th in np.linspace(1.1, 2.1, 7):
             factor = quad_adaptive(lambda lam: ode.p1(lam) / ode.p2(lam), 1.5, float(th))
@@ -180,7 +180,6 @@ class TestWinternitzClosedForm:
             th0,
             winternitz_psi_closed(params, level, c1, c2, J, th0),
             winternitz_dpsi_closed(params, level, c1, c2, J, th0),
-            [math.pi / 6, 5 * math.pi / 6],
         )
         diff = max(
             abs(sol.psi(float(th)) - winternitz_psi_closed(params, level, c1, c2, J, float(th)))
@@ -251,12 +250,26 @@ class TestTimeQuadrature:
         with pytest.raises(OutsideWindowError):
             pipe.t_at(10.0)  # outside the psi-positive angle window
 
-    def test_nonpositive_psi_rejected(self):
-        spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="0", F="0", V="0")
-        ode = build_linear_ode(spec, 0.5, (-1.0, 1.0))
-        sol = solve_linear(ode, 0.0, -1.0, 0.0, [-1.0, 1.0])
-        with pytest.raises(LinearizationError):
-            time_quadrature(sol, 0.0)
+    def test_nonpositive_psi_rejected(self, monkeypatch):
+        import ermakov.linearize as lz
+
+        # rho = -1 at r = 1 gives psi0 = -1: no angle map
+        spec = ek.LinearizableSpec(rho="-1", A="0", B="0", C="0", F="0", V="0")
+        monkeypatch.setattr(lz, "integrate", None)  # a solve would fail with TypeError
+        for window in (None, (0.0, 1.0)):
+            with pytest.raises(LinearizationError, match="not positive"):
+                build_pipeline(spec, ek.PolarState(1.0, 0.0, 0.0, 1.0), t_window=window)
+
+    def test_t_at_stays_inside_the_time_window(self, winternitz_spec, winternitz_state):
+        pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 1.0))
+        lo, hi = pipe.theta_window
+        with pytest.raises(OutsideWindowError, match=r"outside the time window \[0.0, 1.0\]"):
+            pipe.t_at(hi)  # the cut solve reaches a little past Tau(1)
+        t = pipe.t_at(pipe.theta_at(1.0))
+        assert 0.0 <= t <= 1.0 and t == pytest.approx(1.0, abs=1e-12)
+        assert pipe.t_at(lo) == 0.0
+        # without a window a constant rho maps every solved angle
+        assert build_pipeline(winternitz_spec, winternitz_state).t_at(hi) > 1.0
 
 
 class TestReconstruction:
@@ -318,7 +331,7 @@ class TestFreeMotionSolution:
         fm = ek.free_motion_system("u", "1")
         ode = build_linear_ode(fm.linearizable, 0.5, (0.3, 0.85))
         assert ode.rhs_is_zero
-        sol = solve_linear(ode, 0.5, 1.5, 1.0, [0.3, 0.85])
+        sol = solve_linear(ode, 0.5, 1.5, 1.0)
         for th in np.linspace(0.3, 0.85, 23):
             assert abs(sol.psi(float(th)) - (1.0 + float(th))) <= 1e-9
 
@@ -393,6 +406,34 @@ class TestPipelineGuards:
         with pytest.raises(TurningPointError, match="invariant 1.0, potential 1.0"):
             auto_theta_domain(winternitz_spec.V, 1.0, math.pi / 2)
 
+    def test_auto_domain_of_zero_width_is_named(self):
+        # free motion f = u: one scan step below 1e-9 leaves the domain of
+        # U(tan theta), one step above it the potential exceeds the level
+        fm = ek.free_motion_system("u", "1")
+        state = ek.PolarState(1.0, 1e-9, -0.2, 1.0)
+        level = ek.lewis_ray_reid_polar(state, fm.linearizable.V)
+        with pytest.raises(LinearizationError, match=r"empty angle domain at theta=1e-09"):
+            auto_theta_domain(fm.linearizable.V, level, 1e-9)
+
+    def test_only_a_handed_in_domain_is_checked_on_the_grid(
+        self, winternitz_spec, winternitz_state, monkeypatch
+    ):
+        import ermakov.linearize as lz
+
+        checked = []
+        real = lz.build_linear_ode
+        monkeypatch.setattr(lz, "build_linear_ode", lambda *a: checked.append(a) or real(*a))
+        build_pipeline(winternitz_spec, winternitz_state)
+        build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 2.0))
+        solve_from_state(winternitz_spec, winternitz_state)
+        assert checked == []
+        solve_from_state(winternitz_spec, winternitz_state, theta_domain=(1.0, 2.2))
+        assert len(checked) == 1
+        # the handed-in domain reaches past the turning angle near 0.7416
+        with pytest.raises(ForbiddenRegionError) as err:
+            solve_from_state(winternitz_spec, winternitz_state, theta_domain=(0.1, 2.2))
+        assert err.value.theta == pytest.approx(0.7416, abs=2e-3)
+
 
 class TestAugmentedSolve:
     def test_theta_of_t_independent_of_query_order(self, winternitz_spec, winternitz_state):
@@ -408,9 +449,8 @@ class TestAugmentedSolve:
         # +-acos(1e-4), and Theta = integral of 1/cos^2 = tan
         spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="0", F="0", V="0")
         ode = build_linear_ode(spec, 0.5, (-2.0, 2.0))
-        sol = solve_linear(ode, 0.0, 1.0, 0.0, [-2.0, 2.0])
-        quad = time_quadrature(sol, 0.0)
-        lo, hi = quad.theta_window
+        sol = solve_linear(ode, 0.0, 1.0, 0.0)
+        lo, hi = sol.Theta.window
         edge = math.acos(1e-4)
         assert abs(hi - edge) <= 1e-9
         assert abs(lo + edge) <= 1e-9
@@ -485,7 +525,13 @@ class TestWindowedSolve:
     def test_matches_the_whole_domain_solve_bit_for_bit(self, case):
         spec, state, window = case
         windowed = build_pipeline(spec, state, t_window=window)
-        whole = time_quadrature(solve_from_state(spec, state), state.t, window)
+        whole = QuadratureSolution(
+            solve_from_state(spec, state),
+            state.t,
+            windowed.Tau,
+            windowed.rho_const,
+            windowed.t_window,
+        )
         times = [float(t) for t in np.linspace(*window, 17)]
         thetas = [windowed.theta_at(t) for t in times]
         assert thetas == [whole.theta_at(t) for t in times]
