@@ -31,7 +31,6 @@ from .integration import (
 )
 from .invariant import (
     ForbiddenRegionError,
-    InvariantValue,
     TurningPointError,
     lewis_ray_reid_cartesian,
     lewis_ray_reid_polar,

@@ -162,7 +162,7 @@ def cmd_validate(cfg: RunConfig, out_dir: Path) -> int:
 
     lin = linearizable_view(cfg, spec)
     times = _sample_times(cfg, traj.t_end)
-    sampled = traj.sample(times)
+    sampled = traj.sample(times).tolist()
     try:
         pipe = build_pipeline(lin, cfg.polar_state, t_window=cfg.t_span)
         r_err = 0.0

@@ -9,14 +9,12 @@ quadratures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .expressions import Expression, as_expression, evaluate
 from .systems import CartesianState, PolarState, potential_value_from_fg
 
 __all__ = [
     "ForbiddenRegionError",
-    "InvariantValue",
     "TurningPointError",
     "invariant_level",
     "lewis_ray_reid_cartesian",
@@ -26,9 +24,6 @@ __all__ = [
     "theta_dot_from_invariant",
     "turning_tolerance",
 ]
-
-U_CONVENTION = "potential anchored at argument 1 (V(pi/4) = 0)"
-V_CONVENTION = "potential as supplied"
 
 
 class ForbiddenRegionError(ValueError):
@@ -57,17 +52,6 @@ class TurningPointError(ValueError):
         self.invariant = invariant
 
 
-@dataclass(frozen=True)
-class InvariantValue:
-    """A conserved-level value together with the potential convention in force."""
-
-    value: float
-    convention_note: str = V_CONVENTION
-
-    def __float__(self) -> float:
-        return self.value
-
-
 def invariant_level(r: float, theta: float, thetadot: float, V: Expression) -> float:
     """I = 0.5*(r^2 thetadot)^2 + V(theta), in Python floats: overflow gives inf, not a warning."""
     ell = float(r) * float(r) * float(thetadot)
@@ -78,18 +62,17 @@ def invariant_level(r: float, theta: float, thetadot: float, V: Expression) -> f
     return 0.5 * square + evaluate(V, {"theta": float(theta)})
 
 
-def lewis_ray_reid_polar(state: PolarState, V) -> InvariantValue:
+def lewis_ray_reid_polar(state: PolarState, V) -> float:
     """I = 0.5*(r^2 thetadot)^2 + V(theta)."""
-    return InvariantValue(invariant_level(state.r, state.theta, state.thetadot, as_expression(V)))
+    return invariant_level(state.r, state.theta, state.thetadot, as_expression(V))
 
 
-def lewis_ray_reid_cartesian(state: CartesianState, f, g) -> InvariantValue:
+def lewis_ray_reid_cartesian(state: CartesianState, f, g) -> float:
     """I = 0.5*(x ydot - y xdot)^2 + U(y/x), with U anchored at argument 1."""
     if state.x == 0.0 or state.y == 0.0:
         raise ValueError("invariant evaluation requires a state off both axes")
     cross = state.x * state.ydot - state.y * state.xdot
-    u = potential_value_from_fg(f, g, state.y / state.x)
-    return InvariantValue(0.5 * cross * cross + u, convention_note=U_CONVENTION)
+    return 0.5 * cross * cross + potential_value_from_fg(f, g, state.y / state.x)
 
 
 def turning_tolerance(invariant) -> float:

@@ -751,8 +751,10 @@ def _linear_problem(spec, state0: PolarState, theta_domain) -> tuple[LinearODE, 
         raise LinearizationError("initial state sits at a turning point (thetadot = 0)")
     branch = 1 if state0.thetadot > 0.0 else -1
     inv = lewis_ray_reid_polar(state0, lin.V)
+    if not math.isfinite(inv):
+        raise LinearizationError(f"invariant level {inv!r} at the initial state is not finite")
     if theta_domain is None:
-        ode = LinearODE(lin, float(inv), auto_theta_domain(lin.V, inv, state0.theta), branch)
+        ode = LinearODE(lin, inv, auto_theta_domain(lin.V, inv, state0.theta), branch)
     else:
         ode = build_linear_ode(lin, inv, theta_domain, branch)
     _, psi0, dpsi0 = _initial_data(lin, state0)

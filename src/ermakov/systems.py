@@ -272,24 +272,40 @@ def radial_coupling_from_fg(f, g) -> Expression:
     return BinOp("/", numerator, BinOp("*", sin_t, cos_t))
 
 
-def _potential_fn(f: Expression, g: Expression) -> Callable[[float], float]:
-    """U for one coupling pair, with zero-ness and argument names decided once."""
+@lru_cache(maxsize=1)
+def _coupling_potential(
+    f: Expression, g: Expression
+) -> tuple[Expression, Callable[[float], float]]:
+    """U for one coupling pair, with its slope U'(w) = f(w) - g(1/w)/w^2.
+
+    U(w) = int_1^w f + int_1^{1/w} g; substituting lam -> 1/lam in the g
+    integral turns this into int_1^w U', one quadrature of the slope.  The
+    slope tree is built once per pair and values are memoized per w (DP5's
+    last two stages share an angle).  One entry serves a run, which has one
+    pair; equal pairs share the memo.
+    """
     fvar = _single_var(f, "coupling f")
     gvar = _single_var(g, "coupling g")
-    f_live = not is_literal_zero(f)
-    g_live = not is_literal_zero(g)
+    w = Var(DERIV_VAR)
+    slope = simplify(
+        BinOp(
+            "-",
+            substitute(f, {fvar: w}),
+            BinOp("/", substitute(g, {gvar: BinOp("/", Num(1.0), w)}), BinOp("^", w, Num(2.0))),
+        )
+    )
+    cache: dict[float, float] = {}
 
-    def u(w: float) -> float:
-        if not w > 0.0:
-            raise EvaluationError(f"potential argument must be positive, got {w!r}")
-        total = 0.0
-        if f_live:
-            total += quad_adaptive(lambda lam: evaluate(f, {fvar: lam}), 1.0, w)
-        if g_live:
-            total += quad_adaptive(lambda lam: evaluate(g, {gvar: lam}), 1.0, 1.0 / w)
-        return total
+    def u(wv: float) -> float:
+        v = cache.get(wv)
+        if v is None:
+            if not wv > 0.0:
+                raise EvaluationError(f"potential argument must be positive, got {wv!r}")
+            v = quad_adaptive(lambda lam: evaluate(slope, {DERIV_VAR: lam}), 1.0, wv)
+            cache[wv] = v
+        return v
 
-    return u
+    return slope, u
 
 
 def potential_value_from_fg(f, g, w: float) -> float:
@@ -298,41 +314,22 @@ def potential_value_from_fg(f, g, w: float) -> float:
     U(w) = int_1^w f + int_1^{1/w} g, so U(1) = 0 by convention.  Requires
     w > 0 (single-sector evaluation).
     """
-    return _potential_fn(as_expression(f), as_expression(g))(w)
+    return _coupling_potential(as_expression(f), as_expression(g))[1](w)
 
 
 def potential_expression(f, g) -> Expression:
     """Angular potential V(theta) = U(tan theta) as a quadrature-backed node.
 
     Evaluation integrates numerically (with memoization); the symbolic
-    derivative is elementary, so dV/dtheta works like any other tree.
+    derivative is the slope U' by the chain rule, so dV/dtheta works like
+    any other tree.
     """
     f = as_expression(f)
     g = as_expression(g)
     if is_literal_zero(f) and is_literal_zero(g):
         return Num(0.0)
-    fvar = _single_var(f, "coupling f")
-    gvar = _single_var(g, "coupling g")
-    w = Var(DERIV_VAR)
-    # U'(w) = f(w) - g(1/w)/w^2
-    deriv = simplify(
-        BinOp(
-            "-",
-            substitute(f, {fvar: w}),
-            BinOp("/", substitute(g, {gvar: BinOp("/", Num(1.0), w)}), BinOp("^", w, Num(2.0))),
-        )
-    )
-    cache: dict[float, float] = {}
-    u = _potential_fn(f, g)
-
-    def u_of(wv: float) -> float:
-        v = cache.get(wv)
-        if v is None:
-            v = u(wv)
-            cache[wv] = v
-        return v
-
-    return Ufunc("U", Call("tan", Var("theta")), u_of, deriv)
+    slope, u = _coupling_potential(f, g)
+    return Ufunc("U", Call("tan", Var("theta")), u, slope)
 
 
 def polar_from_cartesian(spec: CartesianSpec) -> PolarSpec:

@@ -384,6 +384,33 @@ class TestLinearize:
         assert "potential 1.0" in message
         assert "nan" not in message and "forbidden" not in message
 
+    # (r^2 thetadot)^2 overflows: an infinite level is not a turning point;
+    # the free-motion frequency overflows in simulate, so validate exits 2 there
+    @pytest.mark.parametrize(
+        "preset, r, command",
+        [
+            (preset, r, command)
+            for preset, r in [
+                ("winternitz-default", 1e150), ("uniform-rotation", 1e100), ("free-motion-demo", 1e150)
+            ]
+            for command in ("linearize", "reconstruct", "validate")
+            if (preset, command) != ("free-motion-demo", "validate")
+        ],
+    )
+    def test_overflowing_invariant_names_a_non_finite_level(self, tmp_path, capsys, preset, r, command):
+        cfg = copy.deepcopy(PRESETS[preset])
+        cfg["initial_state"]["r"] = r
+        out = tmp_path / "out"
+        code = main([command, "--config", str(_write(tmp_path, "c.json", cfg)), "--out", str(out)])
+        if command == "validate":
+            assert code == 1
+            message = json.loads((out / "report.json").read_text())["checks"]["round_trip"]["error"]
+        else:
+            assert code == 2
+            message = capsys.readouterr().err
+        assert "invariant level inf at the initial state is not finite" in message
+        assert "turning point" not in message
+
 
 class TestReconstruct:
     def test_last_sample_within_rounding_of_the_window_end(self, tmp_path):
@@ -450,6 +477,7 @@ class TestValidate:
             systems.frequency_from_linearizable,
             systems._rho_derivatives,
             systems._potential_derivative,
+            systems._coupling_potential,
             linearize._winternitz_potential,
         ]
         assert [c.cache_info().currsize <= 1 for c in caches] == [True] * len(caches)
@@ -537,6 +565,15 @@ class TestValidate:
         report = json.loads((out / "report.json").read_text())
         assert report["pass"] is False
         assert report["checks"]["round_trip"]["pass"] is False
+
+    def test_compatibility_error_prints_plain_floats(self, tmp_path):
+        # r^4 overflows in the frequency: the message shows the radius as a float
+        cfg = copy.deepcopy(PRESETS["winternitz-default"])
+        cfg["initial_state"]["r"] = 1e150
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(_write(tmp_path, "c.json", cfg)), "--out", str(out)]) == 1
+        check = json.loads((out / "report.json").read_text())["checks"]["compatibility"]
+        assert check == {"error": "power domain error: 1e+150^4.0", "pass": False}
 
 
 def test_every_error_class_is_a_value_error():

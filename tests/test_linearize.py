@@ -406,6 +406,13 @@ class TestPipelineGuards:
         with pytest.raises(TurningPointError, match="invariant 1.0, potential 1.0"):
             auto_theta_domain(winternitz_spec.V, 1.0, math.pi / 2)
 
+    def test_overflowing_level_is_not_a_turning_point(self, winternitz_spec):
+        # (r^2 thetadot)^2 overflows to inf: no margin can tell it from V
+        state = ek.PolarState(1e150, math.pi / 2, 0.0, 2.0)
+        for build in (build_pipeline, solve_from_state):
+            with pytest.raises(LinearizationError, match="invariant level inf .* is not finite"):
+                build(winternitz_spec, state)
+
     def test_auto_domain_of_zero_width_is_named(self):
         # free motion f = u: one scan step below 1e-9 leaves the domain of
         # U(tan theta), one step above it the potential exceeds the level

@@ -92,6 +92,43 @@ class TestPotential:
         ) ** 2 / math.sin(th) ** 2
         assert evaluate(dV, {"theta": th}) == pytest.approx(expected, rel=1e-12)
 
+    W_BOTH_SIDES = (0.01, 0.1, 0.37, 0.8, 1.3, 2.0, 7.5, 20.0)
+
+    @pytest.mark.parametrize("w", W_BOTH_SIDES)
+    def test_free_motion_pair_closed_form(self, w):
+        # f = c u, g = -c/v: U' = c (w + 1/w)
+        c = 0.6
+        expected = c * (0.5 * (w * w - 1.0) + math.log(w))
+        assert ek.potential_value_from_fg(f"{c}*u", f"-{c}/v", w) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("w", W_BOTH_SIDES)
+    def test_polynomial_g_closed_form(self, w):
+        # f = u, g = v^2/2: U' = w - w^-4/2
+        expected = (w * w - 1.0) / 2.0 + (w**-3 - 1.0) / 6.0
+        assert ek.potential_value_from_fg("u", "0.5*v^2", w) == pytest.approx(expected, rel=1e-12)
+
+    def test_one_quadrature_of_the_slope_per_new_argument(self, monkeypatch):
+        import ermakov.systems as systems
+        from ermakov.expressions import DERIV_VAR
+
+        V = ek.free_motion_system("0.45*u", "1").linearizable.V
+        calls = []
+        real = systems.quad_adaptive
+
+        def counting(fn, a, b, **kw):
+            calls.append((fn, a, b))
+            return real(fn, a, b, **kw)
+
+        monkeypatch.setattr(systems, "quad_adaptive", counting)
+        angles = (0.2718, 0.6931, 1.1412)
+        values = [evaluate(V, {"theta": th}) for th in angles]
+        assert [(a, b) for _, a, b in calls] == [(1.0, math.tan(th)) for th in angles]
+        # the integrand is the node's own derivative tree, U' = f(w) - g(1/w)/w^2
+        for fn, _, _ in calls:
+            assert fn(1.7) == evaluate(V.deriv, {DERIV_VAR: 1.7})
+        assert [evaluate(V, {"theta": th}) for th in angles] == values
+        assert len(calls) == len(angles)
+
 
 class TestPolarFromCartesian:
     def test_trivial_system(self):
