@@ -1,13 +1,18 @@
 #!/usr/bin/env python3
 """Tolerance sweep on the isotropic oscillator: endpoint error against a
-tight-tolerance reference versus mean step size, with the fitted slope."""
+tight-tolerance reference versus mean step size, with the fitted slope.
+
+Exits 1 unless the slope lies in [4.5, 6.0], where a fifth-order pair puts it."""
 
 import argparse
 import math
+import sys
 
 import numpy as np
 
 import ermakov as ek
+
+SLOPE_RANGE = (4.5, 6.0)
 
 
 def main():
@@ -37,6 +42,9 @@ def main():
             logs_e.append(math.log(err))
     slope = float(np.polyfit(logs_h, logs_e, 1)[0])
     print(f"fitted slope: {slope:.2f}")
+    if not SLOPE_RANGE[0] <= slope <= SLOPE_RANGE[1]:
+        print(f"slope outside {list(SLOPE_RANGE)}: the pair is not fifth order", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -48,18 +49,19 @@ log = logging.getLogger(__name__)
 # defined"; the controller backs off rather than giving up.
 _RECOVERABLE = (EvaluationError, ForbiddenRegionError, TurningPointError, ZeroDivisionError)
 
-# Dormand-Prince 5(4) tableau with the quartic dense-output map.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+# Dormand-Prince 5(4) tableau: nodes C, stage weights A, the fifth-order
+# weights B, the error weights E = B - B* (the zero weights of stage 2 are
+# left out) and the quartic dense-output map P, one row per stage.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
+)
 _P = np.array(
     [
         [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
@@ -73,6 +75,7 @@ _P = np.array(
 )
 
 _MAX_STEPS = 500_000
+_EPS16 = 16.0 * sys.float_info.epsilon  # smallest step, relative to max(|t|, 1)
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -107,7 +110,7 @@ class EventSpec:
     """Scalar function of (t, y) whose sign changes are located and reported."""
 
     name: str
-    fn: Callable[[float, np.ndarray], float]
+    fn: Callable[[float, Sequence[float]], float]
     terminal: bool = False
     direction: int = 0  # +1 upward crossings, -1 downward, 0 both
 
@@ -212,20 +215,24 @@ class Trajectory:
         ]
 
 
-def _rms(v: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(v * v))) if v.size else 0.0
+def _scaled_rms(v: Sequence[float], scale: Sequence[float]) -> float:
+    """sqrt(mean((v/scale)**2)); an overflow gives inf or NaN, never an error."""
+    total = 0.0
+    for vi, si in zip(v, scale):
+        q = vi / si
+        total += q * q
+    return math.sqrt(total / len(scale))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the step logic below handles inf and NaN norms
 def _initial_step(rhs, t0, y0, f0, direction, rel_tol, abs_tol):
     """Curvature-based first-step heuristic."""
-    scale = abs_tol + rel_tol * np.abs(y0)
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
+    scale = [abs_tol + rel_tol * abs(v) for v in y0]
+    d0 = _scaled_rms(y0, scale)
+    d1 = _scaled_rms(f0, scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     try:
-        f1 = rhs(t0 + h0 * direction, y0 + h0 * direction * f0)
-        d2 = _rms((f1 - f0) / scale) / h0
+        f1 = rhs(t0 + h0 * direction, [v + h0 * direction * fv for v, fv in zip(y0, f0)])
+        d2 = _scaled_rms([b - a for a, b in zip(f0, f1)], scale) / h0
     except _RECOVERABLE:
         return h0 * 1e-3
     if max(d1, d2) <= 1e-15:
@@ -233,6 +240,18 @@ def _initial_step(rhs, t0, y0, f0, direction, rel_tol, abs_tol):
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     return min(100.0 * h0, h1)
+
+
+def _step_interpolant(t: float, y: Sequence[float], h: float, slopes) -> Callable[[float], list]:
+    """Dense output of one step from its seven stage slopes, as a list of floats."""
+    y = np.array(y)
+    q = np.array(slopes).T @ _P
+
+    def dense(tt: float) -> list:
+        x = (tt - t) / h
+        return (y + h * (q @ np.array([x, x * x, x**3, x**4]))).tolist()
+
+    return dense
 
 
 def _crossed(ev: EventSpec, g_old: float, g_new: float) -> bool:
@@ -258,42 +277,50 @@ def _locate_crossing(traj_dense, ev, t_lo, t_hi, g_lo, tol):
 
 
 def integrate(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
+    rhs: Callable[[float, list], Sequence[float]],
     y0: Sequence[float],
     cfg: IntegratorConfig,
     events: Sequence[EventSpec] = (),
-    until: Callable[[float, np.ndarray], bool] | None = None,
+    until: Callable[[float, list], bool] | None = None,
 ) -> Trajectory:
     """Integrate y' = rhs(t, y) over cfg.t_span.
 
-    Local error per step is held to abs_tol + rel_tol*|y| componentwise by
-    the embedded pair; dense output between accepted nodes comes from the
-    pair's interpolant.  Terminal events truncate the run; a step size
-    collapsing near a singularity ends it with termination
-    ``step_size_underflow``.  The first accepted node where ``until(t, y)``
-    holds ends the run whole, with termination ``stopped``.
+    The stepper works on Python floats: ``rhs(t, y)`` receives the state as
+    a list of floats, which it must not modify, and returns a sequence of
+    floats of the same length; event functions and ``until`` receive the
+    same list.  Local error per step is held to abs_tol + rel_tol*|y|
+    componentwise by the embedded pair; dense output between accepted nodes
+    comes from the pair's interpolant, formed for the whole run at its end.
+    Terminal events truncate the run; a step size collapsing near a
+    singularity, or an initial state where the slope is undefined, ends it
+    with termination ``step_size_underflow``.  The first accepted node
+    where ``until(t, y)`` holds ends the run whole, with termination
+    ``stopped``.
     """
-    t0, tf = cfg.t_span
+    t0, tf = map(float, cfg.t_span)
     direction = 1.0 if tf > t0 else -1.0
-    y = np.asarray(y0, dtype=float).copy()
-    dim = y.size
+    rel_tol, abs_tol, max_step = float(cfg.rel_tol), float(cfg.abs_tol), float(cfg.max_step)
+    y = [float(v) for v in y0]
+    dim = len(y)
+    if not dim:
+        raise ValueError("the initial state is empty")
     try:
-        f = rhs(t0, y)  # other errors at the initial state propagate
-    except ZeroDivisionError:  # an infinite slope: the run ends before its first step
-        f = np.full(dim, math.nan)
+        f = rhs(t0, y)
+    except _RECOVERABLE:  # no slope at the initial state: the run ends before its first step
+        f = [math.nan] * dim
     n_rhs = 1
 
     if cfg.first_step is not None:
-        h_abs = abs(cfg.first_step)
+        h_abs = abs(float(cfg.first_step))
     else:
-        h_abs = _initial_step(rhs, t0, y, f, direction, cfg.rel_tol, cfg.abs_tol)
+        h_abs = _initial_step(rhs, t0, y, f, direction, rel_tol, abs_tol)
         n_rhs += 1
-    h_abs = min(h_abs, cfg.max_step, abs(tf - t0))
+    h_abs = min(h_abs, max_step, abs(tf - t0))
 
     ts = [t0]
-    ys = [y.copy()]
+    ys = [y]
     hs: list[float] = []
-    qs: list[np.ndarray] = []
+    slopes: list[tuple] = []  # the seven stage slopes of each accepted step
     found_events: list[Event] = []
     n_accepted = 0
     n_rejected = 0
@@ -304,14 +331,12 @@ def integrate(
     g_vals = [ev.fn(t0, y) for ev in events]
 
     t = t0
-    K = np.empty((7, dim))
     for _ in range(_MAX_STEPS):
         if direction * (tf - t) <= 0.0:
             termination = "completed"
             break
-        h_abs = min(h_abs, cfg.max_step)
-        floor = 16.0 * np.finfo(float).eps * max(abs(t), 1.0)
-        if not h_abs >= floor:  # NaN too, from a non-finite initial slope
+        h_abs = min(h_abs, max_step)
+        if not h_abs >= _EPS16 * max(abs(t), 1.0):  # NaN too, from a non-finite initial slope
             termination = "step_size_underflow"
             log.info("step size underflow at t=%g", t)
             break
@@ -321,13 +346,26 @@ def integrate(
         h = h_abs * direction
 
         try:
-            K[0] = f
-            for i in range(1, 6):
-                yi = y + h * (K[:i].T @ _A[i])
-                K[i] = rhs(t + _C[i] * h, yi)
-            y_new = y + h * (K[:6].T @ _B)
-            f_new = rhs(t + h, y_new)
-            K[6] = f_new
+            k1 = f
+            k2 = rhs(t + _C2 * h, [v + h * (_A21 * a) for v, a in zip(y, k1)])
+            k3 = rhs(t + _C3 * h, [v + h * (_A31 * a + _A32 * b) for v, a, b in zip(y, k1, k2)])
+            y4 = [v + h * (_A41 * a + _A42 * b + _A43 * c) for v, a, b, c in zip(y, k1, k2, k3)]
+            k4 = rhs(t + _C4 * h, y4)
+            y5 = [
+                v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                for v, a, b, c, d in zip(y, k1, k2, k3, k4)
+            ]
+            k5 = rhs(t + _C5 * h, y5)
+            y6 = [
+                v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+                for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
+            ]
+            k6 = rhs(t + h, y6)
+            y_new = [
+                v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
+                for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)
+            ]
+            k7 = rhs(t + h, y_new)
             n_rhs += 6
         except _RECOVERABLE:
             n_rejected += 1
@@ -336,10 +374,15 @@ def integrate(
             just_rejected = True
             continue
 
-        # a step into overflow gives a non-finite norm, which rejects the step
-        with np.errstate(over="ignore", invalid="ignore"):
-            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            err = _rms((h * (K.T @ _E)) / scale)
+        # a step into overflow gives an inf or NaN norm, which rejects the step;
+        # the scale keeps a NaN of y_new, as max() would not
+        total = 0.0
+        for v, w, a, c, d, e, g, k in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+            v, w = abs(v), abs(w)
+            q = h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k)
+            q /= abs_tol + rel_tol * (v if v > w else w)
+            total += q * q
+        err = math.sqrt(total / dim)
 
         if err > 1.0 or not math.isfinite(err):
             n_rejected += 1
@@ -353,20 +396,16 @@ def integrate(
 
         # accepted
         t_new = tf if is_last else t + h
-        q = K.T @ _P  # (dim, 4)
         ts.append(t_new)
-        ys.append(y_new.copy())
+        ys.append(y_new)
         hs.append(h)
-        qs.append(q)
+        slopes.append((k1, k2, k3, k4, k5, k6, k7))
         n_accepted += 1
 
         # events on this step
         terminal_hit = None
         if events:
-            def dense(tt, _y=y, _h=h, _q=q, _t=t):
-                x = (tt - _t) / _h
-                return _y + _h * (_q @ np.array([x, x * x, x**3, x**4]))
-
+            dense = None
             step_hits = []
             for ei, ev in enumerate(events):
                 g_old = g_vals[ei]
@@ -374,11 +413,13 @@ def integrate(
                 g_vals[ei] = g_new
                 if not _crossed(ev, g_old, g_new):
                     continue
+                if dense is None:
+                    dense = _step_interpolant(t, y, h, slopes[-1])
                 t_star = _locate_crossing(dense, ev, t, t_new, g_old, cfg.event_time_tol)
                 step_hits.append((direction * t_star, ev, t_star))
             for _, ev, t_star in sorted(step_hits, key=lambda item: item[0]):
                 y_star = dense(t_star)
-                found_events.append(Event(ev.name, t_star, y_star))
+                found_events.append(Event(ev.name, t_star, np.array(y_star)))
                 if ev.terminal:
                     terminal_hit = (ev, t_star, y_star)
                     break
@@ -403,13 +444,14 @@ def integrate(
             just_rejected = False
         h_abs = h_abs * factor
         err_old = max(err, 1e-4)
-        t, y, f = t_new, y_new, f_new
+        t, y, f = t_new, y_new, k7
 
     return Trajectory(
         ts=np.array(ts),
         ys=np.array(ys),
         hs=np.array(hs) if hs else np.zeros(0),
-        qs=np.array(qs) if qs else np.zeros((0, dim, 4)),
+        # (steps, dim, 7) slopes times the (7, 4) map: every step's coefficients at once
+        qs=np.swapaxes(np.array(slopes), 1, 2) @ _P if slopes else np.zeros((0, dim, 4)),
         n_accepted=n_accepted,
         n_rejected=n_rejected,
         n_rhs=n_rhs,

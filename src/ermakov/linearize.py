@@ -342,12 +342,12 @@ def _solve_runs(ode: LinearODE, theta0, y0, theta1, forced, floor, reach=None) -
     with_theta = floor is not None
 
     def rhs(th, y):
-        h, p2, p1, p0, c = ode.terms(float(th))
-        psi, dpsi, *_, w = y.tolist()
+        h, p2, p1, p0, c = ode.terms(th)
+        psi, dpsi, *_, w = y
         d2 = ((c if forced else 0.0) - p1 * dpsi - p0 * psi) / p2
         if with_theta:
-            return np.array([dpsi, d2, 1.0 / (h * psi * psi), -p1 / p2 * w])
-        return np.array([dpsi, d2, -p1 / p2 * w])
+            return dpsi, d2, 1.0 / (h * psi * psi), -p1 / p2 * w
+        return dpsi, d2, -p1 / p2 * w
 
     events = []
     if with_theta:
@@ -569,11 +569,10 @@ def _time_map(rho: Expression, t0: float, t_window: tuple[float, float]) -> _Sid
     """Tau(t) = integral of 1/rho^2 from t0, integrated once over the time window."""
 
     def rhs(t, y):
-        t = float(t)
         rv = evaluate(rho, {"t": t})
         if rv == 0.0:
             raise EvaluationError(f"rho vanished at t={t!r}")
-        return np.array([1.0 / (rv * rv)])
+        return (1.0 / (rv * rv),)
 
     def side(t1: float) -> list:
         if t1 == t0:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -452,8 +452,8 @@ def _potential_derivative(V: Expression) -> Expression:
     return simplify(differentiate(V, "theta"))
 
 
-def polar_rhs_function(spec) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Vector field (t, [r, theta, rdot, thetadot]) -> time derivative.
+def polar_rhs_function(spec) -> Callable[[float, Sequence[float]], tuple]:
+    """Vector field (t, [r, theta, rdot, thetadot]) -> time derivative, as a tuple.
 
     Accepts PolarSpec or LinearizableSpec.
     """
@@ -470,14 +470,14 @@ def polar_rhs_function(spec) -> Callable[[float, np.ndarray], np.ndarray]:
     if isinstance(spec, PolarSpec):
 
         def rhs(t, y):
-            r, theta, rd, thd = y.tolist()
+            r, theta, rd, thd = y
             if r <= 0.0:
                 raise EvaluationError("radius reached zero")
-            env = {"t": float(t), "r": r, "theta": theta, "rdot": rd, "thetadot": thd}
+            env = {"t": t, "r": r, "theta": theta, "rdot": rd, "thetadot": thd}
             w2 = evaluate(spec.omega_sq, env)
             fv = 0.0 if F_zero else evaluate(spec.F, {"theta": theta})
             rdd = r * thd * thd - w2 * r + fv / (r * r * r)
-            return np.array([rd, thd, rdd, angular(r, theta, rd, thd)])
+            return rd, thd, rdd, angular(r, theta, rd, thd)
 
         return rhs
 
@@ -500,10 +500,10 @@ def polar_rhs_function(spec) -> Callable[[float, np.ndarray], np.ndarray]:
             pass  # the first call raises it again, with its time
 
     def rhs(t, y):
-        r, theta, rd, thd = y.tolist()
+        r, theta, rd, thd = y
         if r <= 0.0:
             raise EvaluationError("radius reached zero")
-        rho_v, rho_dv, rho_ddv = fixed or rho_at(float(t))
+        rho_v, rho_dv, rho_ddv = fixed or rho_at(t)
         senv = {"theta": theta, "L": r * r * thd}
         av = 0.0 if A_zero else evaluate(spec.A, senv)
         bv = 0.0 if B_zero else evaluate(spec.B, senv)
@@ -520,26 +520,25 @@ def polar_rhs_function(spec) -> Callable[[float, np.ndarray], np.ndarray]:
         if not B_zero:
             rdd -= bv / r3
         rdd -= cv / (rho_v * r2)
-        return np.array([rd, thd, rdd, angular(r, theta, rd, thd)])
+        return rd, thd, rdd, angular(r, theta, rd, thd)
 
     return rhs
 
 
 def polar_rhs(spec, state: PolarState) -> tuple[float, float, float, float]:
     """State derivative (rdot, thetadot, rddot, thetaddot) at one instant."""
-    y = np.array([state.r, state.theta, state.rdot, state.thetadot])
-    out = polar_rhs_function(spec)(state.t, y)
-    return float(out[0]), float(out[1]), float(out[2]), float(out[3])
+    y = (float(state.r), float(state.theta), float(state.rdot), float(state.thetadot))
+    return polar_rhs_function(spec)(float(state.t), y)
 
 
-def cartesian_rhs_function(spec: CartesianSpec) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Vector field (t, [x, y, xdot, ydot]) -> time derivative."""
+def cartesian_rhs_function(spec: CartesianSpec) -> Callable[[float, Sequence[float]], tuple]:
+    """Vector field (t, [x, y, xdot, ydot]) -> time derivative, as a tuple."""
     f_zero, g_zero = is_literal_zero(spec.f), is_literal_zero(spec.g)
     f_var, g_var = _single_var(spec.f, "coupling f"), _single_var(spec.g, "coupling g")
 
     def rhs(t, y):
-        xv, yv, xd, yd = y.tolist()
-        env = {"t": float(t), "x": xv, "y": yv, "xdot": xd, "ydot": yd}
+        xv, yv, xd, yd = y
+        env = {"t": t, "x": xv, "y": yv, "xdot": xd, "ydot": yd}
         w2 = evaluate(spec.omega_sq, env)
         if f_zero:
             f_term = 0.0
@@ -553,15 +552,14 @@ def cartesian_rhs_function(spec: CartesianSpec) -> Callable[[float, np.ndarray],
             if xv == 0.0 or yv == 0.0:
                 raise EvaluationError("coupling g is singular on the axes")
             g_term = evaluate(spec.g, {g_var: xv / yv}) / (xv * yv * yv)
-        return np.array([xd, yd, -w2 * xv + f_term, -w2 * yv + g_term])
+        return xd, yd, -w2 * xv + f_term, -w2 * yv + g_term
 
     return rhs
 
 
 def cartesian_rhs(spec: CartesianSpec, state: CartesianState) -> tuple[float, float, float, float]:
-    y = np.array([state.x, state.y, state.xdot, state.ydot])
-    out = cartesian_rhs_function(spec)(state.t, y)
-    return float(out[0]), float(out[1]), float(out[2]), float(out[3])
+    y = (float(state.x), float(state.y), float(state.xdot), float(state.ydot))
+    return cartesian_rhs_function(spec)(float(state.t), y)
 
 
 # ---------------------------------------------------------------------------

@@ -250,7 +250,8 @@ class TestSimulate:
 
     # (r^2 thetadot)^2 overflows: the level is inf and its drift NaN, with no warning
     @pytest.mark.parametrize(
-        "preset, r", [("winternitz-default", 1e150), ("uniform-rotation", 1e100)]
+        "preset, r",
+        [("winternitz-default", 1e150), ("uniform-rotation", 1e100), ("free-motion-demo", 1e150)],
     )
     @pytest.mark.parametrize("command, code", [("simulate", 2), ("validate", 1)])
     def test_overflowing_invariant_raises_no_runtime_warning(
@@ -384,8 +385,7 @@ class TestLinearize:
         assert "potential 1.0" in message
         assert "nan" not in message and "forbidden" not in message
 
-    # (r^2 thetadot)^2 overflows: an infinite level is not a turning point;
-    # the free-motion frequency overflows in simulate, so validate exits 2 there
+    # (r^2 thetadot)^2 overflows: an infinite level is not a turning point
     @pytest.mark.parametrize(
         "preset, r, command",
         [
@@ -394,7 +394,6 @@ class TestLinearize:
                 ("winternitz-default", 1e150), ("uniform-rotation", 1e100), ("free-motion-demo", 1e150)
             ]
             for command in ("linearize", "reconstruct", "validate")
-            if (preset, command) != ("free-motion-demo", "validate")
         ],
     )
     def test_overflowing_invariant_names_a_non_finite_level(self, tmp_path, capsys, preset, r, command):

@@ -5,13 +5,21 @@ import numpy as np
 import pytest
 
 import ermakov as ek
+from ermakov import linearize
 from ermakov.integration import (
+    _RECOVERABLE,
+    Event,
     EventSpec,
     IntegratorConfig,
+    Trajectory,
+    _crossed,
+    _locate_crossing,
+    _polar_events,
     detect_events,
     integrate,
     monitor_invariant,
 )
+from ermakov.systems import cartesian_rhs_function, polar_rhs_function
 
 
 OSCILLATOR = ek.CartesianSpec(f="0", g="0", omega_sq="1")
@@ -223,7 +231,9 @@ class TestConfigValidation:
     def test_nan_initial_slope_ends_the_run(self):
         # a NaN first step compares false with every floor: the run must stop, not spin
         with np.errstate(invalid="ignore"):
-            traj = integrate(lambda t, y: y * math.nan, [1.0], IntegratorConfig(t_span=(0.0, 1.0)))
+            traj = integrate(
+                lambda t, y: [v * math.nan for v in y], [1.0], IntegratorConfig(t_span=(0.0, 1.0))
+            )
         assert traj.termination == "step_size_underflow"
         assert traj.n_rejected == 0
 
@@ -233,3 +243,325 @@ class TestConfigValidation:
         assert traj.n_accepted == len(traj.ts) - 1
         assert traj.n_rejected >= 0
         assert traj.n_rhs > 6 * traj.n_accepted
+
+
+# ---------------------------------------------------------------------------
+# Reference: the numpy Dormand-Prince stepper the float kernel replaced, kept
+# as it was apart from the adapter that hands its right-hand side a list.
+# ---------------------------------------------------------------------------
+
+_REF_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_REF_A = [
+    np.array([]),
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+]
+_REF_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_REF_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+_REF_P = np.array(
+    [
+        [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+        [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+        [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+        [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+        [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+    ]
+)
+_REF_MAX_STEPS = 500_000
+_REF_SAFETY, _REF_MIN_FACTOR, _REF_MAX_FACTOR = 0.9, 0.2, 10.0
+_REF_BETA = 0.04
+_REF_EXPO = 0.2 - 0.75 * _REF_BETA
+
+
+def _ref_rms(v):
+    return float(np.sqrt(np.mean(v * v))) if v.size else 0.0
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _ref_initial_step(rhs, t0, y0, f0, direction, rel_tol, abs_tol):
+    scale = abs_tol + rel_tol * np.abs(y0)
+    d0 = _ref_rms(y0 / scale)
+    d1 = _ref_rms(f0 / scale)
+    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+    try:
+        f1 = rhs(t0 + h0 * direction, y0 + h0 * direction * f0)
+        d2 = _ref_rms((f1 - f0) / scale) / h0
+    except _RECOVERABLE:
+        return h0 * 1e-3
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100.0 * h0, h1)
+
+
+def _reference_integrate(rhs_of_list, y0, cfg, events=(), until=None):
+    def rhs(t, y):
+        return np.asarray(rhs_of_list(float(t), y.tolist()), dtype=float)
+
+    t0, tf = cfg.t_span
+    direction = 1.0 if tf > t0 else -1.0
+    y = np.asarray(y0, dtype=float).copy()
+    dim = y.size
+    try:
+        f = rhs(t0, y)
+    except ZeroDivisionError:
+        f = np.full(dim, math.nan)
+    n_rhs = 1
+
+    if cfg.first_step is not None:
+        h_abs = abs(cfg.first_step)
+    else:
+        h_abs = _ref_initial_step(rhs, t0, y, f, direction, cfg.rel_tol, cfg.abs_tol)
+        n_rhs += 1
+    h_abs = min(h_abs, cfg.max_step, abs(tf - t0))
+
+    ts = [t0]
+    ys = [y.copy()]
+    hs = []
+    qs = []
+    found_events = []
+    n_accepted = 0
+    n_rejected = 0
+    err_old = 1e-4
+    just_rejected = False
+    termination = "max_steps"
+
+    g_vals = [ev.fn(t0, y) for ev in events]
+
+    t = t0
+    K = np.empty((7, dim))
+    for _ in range(_REF_MAX_STEPS):
+        if direction * (tf - t) <= 0.0:
+            termination = "completed"
+            break
+        h_abs = min(h_abs, cfg.max_step)
+        floor = 16.0 * np.finfo(float).eps * max(abs(t), 1.0)
+        if not h_abs >= floor:
+            termination = "step_size_underflow"
+            break
+        is_last = h_abs >= abs(tf - t)
+        if is_last:
+            h_abs = abs(tf - t)
+        h = h_abs * direction
+
+        try:
+            K[0] = f
+            for i in range(1, 6):
+                yi = y + h * (K[:i].T @ _REF_A[i])
+                K[i] = rhs(t + _REF_C[i] * h, yi)
+            y_new = y + h * (K[:6].T @ _REF_B)
+            f_new = rhs(t + h, y_new)
+            K[6] = f_new
+            n_rhs += 6
+        except _RECOVERABLE:
+            n_rejected += 1
+            n_rhs += 6
+            h_abs *= 0.25
+            just_rejected = True
+            continue
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            err = _ref_rms((h * (K.T @ _REF_E)) / scale)
+
+        if err > 1.0 or not math.isfinite(err):
+            n_rejected += 1
+            if not math.isfinite(err):
+                factor = _REF_MIN_FACTOR
+            else:
+                factor = max(_REF_MIN_FACTOR, _REF_SAFETY * err**-_REF_EXPO)
+            h_abs *= factor
+            just_rejected = True
+            continue
+
+        t_new = tf if is_last else t + h
+        q = K.T @ _REF_P
+        ts.append(t_new)
+        ys.append(y_new.copy())
+        hs.append(h)
+        qs.append(q)
+        n_accepted += 1
+
+        terminal_hit = None
+        if events:
+            def dense(tt, _y=y, _h=h, _q=q, _t=t):
+                x = (tt - _t) / _h
+                return _y + _h * (_q @ np.array([x, x * x, x**3, x**4]))
+
+            step_hits = []
+            for ei, ev in enumerate(events):
+                g_old = g_vals[ei]
+                g_new = ev.fn(t_new, y_new)
+                g_vals[ei] = g_new
+                if not _crossed(ev, g_old, g_new):
+                    continue
+                t_star = _locate_crossing(dense, ev, t, t_new, g_old, cfg.event_time_tol)
+                step_hits.append((direction * t_star, ev, t_star))
+            for _, ev, t_star in sorted(step_hits, key=lambda item: item[0]):
+                y_star = dense(t_star)
+                found_events.append(Event(ev.name, t_star, y_star))
+                if ev.terminal:
+                    terminal_hit = (ev, t_star, y_star)
+                    break
+
+        if terminal_hit is not None:
+            ev, t_star, y_star = terminal_hit
+            ts[-1] = t_star
+            ys[-1] = y_star
+            termination = f"event:{ev.name}"
+            break
+        if until is not None and until(t_new, y_new):
+            termination = "stopped"
+            break
+
+        if err == 0.0:
+            factor = _REF_MAX_FACTOR
+        else:
+            factor = _REF_SAFETY * err**-_REF_EXPO * err_old**_REF_BETA
+            factor = min(_REF_MAX_FACTOR, max(_REF_MIN_FACTOR, factor))
+        if just_rejected:
+            factor = min(1.0, factor)
+            just_rejected = False
+        h_abs = h_abs * factor
+        err_old = max(err, 1e-4)
+        t, y, f = t_new, y_new, f_new
+
+    return Trajectory(
+        ts=np.array(ts),
+        ys=np.array(ys),
+        hs=np.array(hs) if hs else np.zeros(0),
+        qs=np.array(qs) if qs else np.zeros((0, dim, 4)),
+        n_accepted=n_accepted,
+        n_rejected=n_rejected,
+        n_rhs=n_rhs,
+        termination=termination,
+        events=found_events,
+    )
+
+
+def _linear_solve_runs(monkeypatch, solve):
+    """The (rhs, y0, cfg, events, until) of every integrate call a linearize solve makes."""
+    calls = []
+
+    def record(rhs, y0, cfg, events=(), until=None):
+        calls.append((rhs, y0, cfg, events, until))
+        return integrate(rhs, y0, cfg, events, until)
+
+    monkeypatch.setattr(linearize, "integrate", record)
+    solve()
+    return calls
+
+
+_WINTERNITZ = ek.winternitz_system(ek.WinternitzParams(mu0=1.0, g1=1.0, g2=0.5, g3=1.0))
+_WINTERNITZ_STATE = ek.PolarState(r=1.0, theta=math.pi / 2, rdot=0.0, thetadot=2.0, t=0.0)
+
+
+def _case(name, monkeypatch):
+    """One integrate call as (rhs, y0, cfg, events, until), named for what it exercises."""
+    osc = cartesian_rhs_function(OSCILLATOR)
+    if name == "oscillator":
+        return osc, [1.0, 0.0, 0.0, 1.0], IntegratorConfig(t_span=(0.0, 2.0 * math.pi)), (), None
+    if name == "oscillator-backward":
+        return osc, [1.0, 0.0, 0.0, 1.0], IntegratorConfig(t_span=(0.0, -2.0 * math.pi)), (), None
+    if name == "oscillator-rejected-steps":
+        cfg = IntegratorConfig(t_span=(0.0, 2.0 * math.pi), first_step=3.0)
+        return osc, [1.0, 0.0, 0.0, 1.0], cfg, (), None
+    if name == "winternitz-polar":
+        y0 = [1.0, math.pi / 2, 0.0, 2.0]
+        cfg = IntegratorConfig(t_span=(0.0, 10.0))
+        return polar_rhs_function(_WINTERNITZ), y0, cfg, _polar_events(_WINTERNITZ), None
+    # the 4-component [psi, psi', Theta, W] solve of the linearized route
+    if name == "linear-psi-floor":
+        runs = _linear_solve_runs(
+            monkeypatch, lambda: linearize.solve_from_state(_WINTERNITZ, _WINTERNITZ_STATE)
+        )
+        return runs[0]
+    if name == "linear-backward":
+        runs = _linear_solve_runs(
+            monkeypatch, lambda: linearize.solve_from_state(_WINTERNITZ, _WINTERNITZ_STATE)
+        )
+        return runs[-1]
+    if name == "linear-until":
+        runs = _linear_solve_runs(
+            monkeypatch,
+            lambda: linearize.build_pipeline(_WINTERNITZ, _WINTERNITZ_STATE, t_window=(0.0, 2.0)),
+        )
+        return runs[0]
+    raise KeyError(name)
+
+
+# case -> how its adaptive run ends
+_CASES = {
+    "oscillator": "completed",
+    "oscillator-backward": "completed",
+    "oscillator-rejected-steps": "completed",
+    "winternitz-polar": "completed",
+    "linear-psi-floor": "event:psi_floor",
+    "linear-backward": "completed",
+    "linear-until": "stopped",
+}
+
+
+class TestAgainstReferenceStepper:
+    """The float kernel against the numpy stepper it replaced.
+
+    The two sum the same products in different orders (numpy's dot may fuse
+    multiply-adds), so a stage differs by a few ulp.  Differences are
+    measured against each component's largest magnitude over the run: near
+    the psi floor, where Theta' = 1/(h psi^2), the rounding of psi is
+    magnified many times over.  With the step sizes fixed, the nodes are
+    equal and states and dense-output coefficients agree to 1e-10 of that
+    scale (2e-12 seen).  Adaptive runs take the same steps, but the
+    controller reads an error estimate that cancels about eight digits, so
+    their nodes drift apart in the low digits; there the dense output is
+    compared at common times to 1e-9 of the scale (2e-10 seen, 6e-14 away
+    from the psi floor), which is how far two interpolants on slightly
+    different nodes may differ.
+    """
+
+    @staticmethod
+    def _same_run(new, ref):
+        assert (new.n_accepted, new.n_rejected, new.n_rhs, new.termination) == (
+            ref.n_accepted, ref.n_rejected, ref.n_rhs, ref.termination
+        )
+        assert [e.name for e in new.events] == [e.name for e in ref.events]
+        for a, b in zip(new.events, ref.events):
+            assert abs(a.t - b.t) <= 2e-10
+
+    @pytest.mark.parametrize("name", _CASES)
+    def test_adaptive_run_matches(self, monkeypatch, name):
+        rhs, y0, cfg, events, until = _case(name, monkeypatch)
+        new = integrate(rhs, y0, cfg, events, until)
+        ref = _reference_integrate(rhs, y0, cfg, events, until)
+        self._same_run(new, ref)
+        assert new.n_accepted > 50 and ref.termination == _CASES[name]
+        if name.endswith("backward"):
+            assert ref.t_end < ref.t0
+        if name == "oscillator-rejected-steps":
+            assert new.n_rejected > 0
+        scale = 1.0 + np.max(np.abs(ref.ys), axis=0)
+        end = min(new.t_end, ref.t_end, key=lambda v: abs(v - new.t0))
+        for t in np.linspace(new.t0, end, 201):
+            assert np.all(np.abs(new.at(t) - ref.at(t)) <= 1e-9 * scale), t
+
+    @pytest.mark.parametrize("name", ["oscillator", "winternitz-polar", "linear-psi-floor", "linear-until"])
+    def test_fixed_step_run_matches(self, monkeypatch, name):
+        rhs, y0, cfg, events, until = _case(name, monkeypatch)
+        # tolerances no step can miss, and the first and largest step equal: every step is h
+        h = 1e-3 * abs(cfg.t_span[1] - cfg.t_span[0])
+        cfg = dataclasses.replace(cfg, rel_tol=1e3, abs_tol=1e3, first_step=h, max_step=h)
+        new = integrate(rhs, y0, cfg, events, until)
+        ref = _reference_integrate(rhs, y0, cfg, events, until)
+        self._same_run(new, ref)
+        assert new.n_accepted > 50
+        assert np.array_equal(new.ts, ref.ts) and np.array_equal(new.hs, ref.hs)
+        scale = 1.0 + np.max(np.abs(ref.ys), axis=0)
+        assert np.all(np.abs(new.ys - ref.ys) <= 1e-10 * scale)
+        q_scale = 1.0 + np.max(np.abs(ref.qs), axis=(0, 2))
+        assert np.all(np.abs(new.qs - ref.qs) <= 1e-10 * q_scale[:, None])
