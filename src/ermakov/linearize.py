@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .expressions import (
     EvaluationError,
@@ -185,15 +184,28 @@ def build_linear_ode(
 
 
 def _locate_turning(V, level, grid, gaps, tol) -> float:
-    """Refine where the invariant level meets the potential, for messages."""
+    """Refine where the invariant level meets the potential, for messages.
+
+    Bisects the first grid cell where the gap crosses the tolerance, down to
+    adjacent floats, if the gap changes sign across it.
+    """
     bad = gaps <= tol
-    fn = lambda th: level - evaluate(V, {"theta": th})
     for i in range(len(grid) - 1):
         if bad[i] != bad[i + 1]:
+            lo, hi = float(grid[i]), float(grid[i + 1])
+            edge = hi if bad[i + 1] else lo
+            lo_positive = gaps[i] > 0.0
+            if lo_positive == (gaps[i + 1] > 0.0):
+                return edge
             try:
-                return brentq(fn, float(grid[i]), float(grid[i + 1]), xtol=1e-15, disp=False)
+                while lo < (mid := 0.5 * (lo + hi)) < hi:
+                    if (level - evaluate(V, {"theta": mid}) > 0.0) == lo_positive:
+                        lo = mid
+                    else:
+                        hi = mid
             except ValueError:
-                return float(grid[i + 1] if bad[i + 1] else grid[i])
+                return edge
+            return lo
     # no transition inside the interval: report the worst point
     return float(grid[int(np.argmin(gaps))])
 

@@ -279,10 +279,12 @@ def _coupling_potential(
     """U for one coupling pair, with its slope U'(w) = f(w) - g(1/w)/w^2.
 
     U(w) = int_1^w f + int_1^{1/w} g; substituting lam -> 1/lam in the g
-    integral turns this into int_1^w U', one quadrature of the slope.  The
-    slope tree is built once per pair and values are memoized per w (DP5's
-    last two stages share an angle).  One entry serves a run, which has one
-    pair; equal pairs share the memo.
+    integral turns this into int_1^w U', one quadrature of the slope, taken
+    in s = ln lam as int_0^{ln w} U'(e^s) e^s ds: the factor e^s tames the
+    w^-2 of the g term, and w on either side of 1 spans a like range of s.
+    The slope tree is built once per pair and values are memoized per w
+    (DP5's last two stages share an angle).  One entry serves a run, which
+    has one pair; equal pairs share the memo.
     """
     fvar = _single_var(f, "coupling f")
     gvar = _single_var(g, "coupling g")
@@ -296,12 +298,16 @@ def _coupling_potential(
     )
     cache: dict[float, float] = {}
 
+    def integrand(s: float) -> float:
+        lam = math.exp(s)
+        return evaluate(slope, {DERIV_VAR: lam}) * lam
+
     def u(wv: float) -> float:
         v = cache.get(wv)
         if v is None:
             if not wv > 0.0:
                 raise EvaluationError(f"potential argument must be positive, got {wv!r}")
-            v = quad_adaptive(lambda lam: evaluate(slope, {DERIV_VAR: lam}), 1.0, wv)
+            v = quad_adaptive(integrand, 0.0, math.log(wv))
             cache[wv] = v
         return v
 

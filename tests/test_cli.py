@@ -5,7 +5,10 @@ import inspect
 import io
 import json
 import math
+import os
 import pkgutil
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -591,6 +594,36 @@ def test_every_error_class_is_a_value_error():
         ]
     assert {"ConfigError", "EvaluationError", "LinearizationError"} <= {c.__name__ for c in found}
     assert [c.__name__ for c in found if not issubclass(c, ValueError)] == []
+
+
+_SCIPY_BLOCKED = """
+import json, sys
+sys.modules["scipy"] = None  # any `import scipy...` now raises ImportError
+from ermakov.cli import main
+from ermakov.config import PRESETS
+codes = {
+    f"{command} {preset}": main([command, "--preset", preset, "--out", f"{sys.argv[1]}/{command}-{preset}"])
+    for command in ("simulate", "linearize", "reconstruct", "validate")
+    for preset in PRESETS
+}
+print(json.dumps(codes))
+"""
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    # the runtime needs numpy only; a lazy scipy import would fail here
+    path = [str(Path(ermakov.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", _SCIPY_BLOCKED, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    codes = json.loads(done.stdout.splitlines()[-1])
+    assert len(codes) == 4 * len(PRESETS) == 12
+    assert codes == {run: 0 for run in codes}
 
 
 def _fields(node, path=()):

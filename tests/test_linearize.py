@@ -69,6 +69,17 @@ class TestBuildLinearODE:
             build_linear_ode(winternitz_spec, 3.0, (0.1, 2.2))
         assert err.value.theta == pytest.approx(0.7416, abs=2e-3)
 
+    @pytest.mark.parametrize("theta_domain", [(0.1, 2.2), (0.7, 2.0), (0.05, 0.75)])
+    def test_turning_angle_is_the_closed_form_root(
+        self, winternitz_params, winternitz_spec, winternitz_state, theta_domain
+    ):
+        # V = (g1 + g2 cos)/sin^2 meets the level I where I c^2 + g2 c + g1 - I = 0, c = cos theta
+        with pytest.raises(ForbiddenRegionError) as err:
+            solve_from_state(winternitz_spec, winternitz_state, theta_domain=theta_domain)
+        level, g1, g2 = err.value.invariant, winternitz_params.g1, winternitz_params.g2
+        root = math.acos((-g2 + math.sqrt(g2 * g2 + 4.0 * level * (level - g1))) / (2.0 * level))
+        assert abs(err.value.theta - root) <= 1e-12
+
     def test_h_dh_identity(self, winternitz_spec):
         # h dh/dtheta = -dV/dtheta, checked by Richardson-extrapolated differences
         ode = build_linear_ode(winternitz_spec, 3.0, (1.0, 2.2))

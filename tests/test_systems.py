@@ -122,10 +122,13 @@ class TestPotential:
         monkeypatch.setattr(systems, "quad_adaptive", counting)
         angles = (0.2718, 0.6931, 1.1412)
         values = [evaluate(V, {"theta": th}) for th in angles]
-        assert [(a, b) for _, a, b in calls] == [(1.0, math.tan(th)) for th in angles]
-        # the integrand is the node's own derivative tree, U' = f(w) - g(1/w)/w^2
+        # U(w) is integrated in s = ln lam, from 0 to ln w
+        assert [(a, b) for _, a, b in calls] == [(0.0, math.log(math.tan(th))) for th in angles]
+        # the integrand is the node's own derivative tree, U' = f(w) - g(1/w)/w^2,
+        # times the Jacobian e^s
         for fn, _, _ in calls:
-            assert fn(1.7) == evaluate(V.deriv, {DERIV_VAR: 1.7})
+            for s in (-1.3, 0.4):
+                assert fn(s) == evaluate(V.deriv, {DERIV_VAR: math.exp(s)}) * math.exp(s)
         assert [evaluate(V, {"theta": th}) for th in angles] == values
         assert len(calls) == len(angles)
 
