@@ -25,7 +25,7 @@ def main():
           + (f" (turning at t={turnings[0]:.3f})" if turnings else ""))
 
     ts = np.linspace(0.0, t_hi, 120)
-    ys = traj.sample(ts)
+    ys = np.asarray(traj.sample(ts))
     psi = 1.0 / ys[:, 0]
     slope, intercept = np.polyfit(ys[:, 1], psi, 1)
     resid = float(np.max(np.abs(np.polyval([slope, intercept], ys[:, 1]) - psi)))

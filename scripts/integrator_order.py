@@ -23,9 +23,9 @@ def main():
     spec = ek.CartesianSpec(f="0", g="0", omega_sq="1")
     s0 = ek.CartesianState(1.0, 0.0, 0.0, 1.0)
     T = 2.0 * math.pi
-    ref = ek.integrate_cartesian(
+    ref = np.asarray(ek.integrate_cartesian(
         spec, s0, ek.IntegratorConfig(t_span=(0.0, T), rel_tol=1e-12, abs_tol=1e-14)
-    ).ys[-1]
+    ).ys[-1])
 
     print(f"{'rel_tol':>10} {'steps':>6} {'h_mean':>9} {'endpoint err':>13}")
     logs_h, logs_e = [], []
@@ -34,7 +34,7 @@ def main():
         traj = ek.integrate_cartesian(
             spec, s0, ek.IntegratorConfig(t_span=(0.0, T), rel_tol=rtol, abs_tol=rtol * 1e-3)
         )
-        err = float(np.max(np.abs(traj.ys[-1] - ref)))
+        err = float(np.max(np.abs(np.asarray(traj.ys[-1]) - ref)))
         h_mean = T / traj.n_accepted
         print(f"{rtol:10.2e} {traj.n_accepted:6d} {h_mean:9.4f} {err:13.3e}")
         if err > 1e-12:

@@ -22,8 +22,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import (
     ConfigError,
     PRESETS,
@@ -36,6 +34,7 @@ from .config import (
 from .integration import IntegratorConfig, integrate_polar
 from .invariant import invariant_level
 from .linearize import build_pipeline, solve_from_state, verify_compatibility
+from .numerics import linspace
 from .systems import PolarState
 
 __all__ = ["main"]
@@ -83,9 +82,8 @@ def _simulate(cfg: RunConfig):
     return spec, traj
 
 
-def _sample_times(cfg: RunConfig, t_end: float) -> np.ndarray:
-    t0 = cfg.t_span[0]
-    return np.linspace(t0, t_end, cfg.samples)
+def _sample_times(cfg: RunConfig, t_end: float) -> list[float]:
+    return linspace(cfg.t_span[0], t_end, cfg.samples)
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
@@ -124,11 +122,11 @@ def cmd_linearize(cfg: RunConfig, out_dir: Path) -> int:
     if span is not None and not span[0] <= theta0 <= span[1]:
         raise ConfigError("theta_span", f"{list(span)} excludes the initial angle {theta0!r}")
     sol = solve_from_state(linearizable_view(cfg, build_spec(cfg)), cfg.polar_state, span)
-    grid = np.linspace(*sol.ode.domain, cfg.samples)
+    grid = linspace(*sol.ode.domain, cfg.samples)
     rows = []
     for th in grid:
-        p2, p1, p0, rhs = sol.ode.coefficients(float(th))
-        rows.append((th, p2, p1, p0, rhs, sol.psi(float(th))))
+        p2, p1, p0, rhs = sol.ode.coefficients(th)
+        rows.append((th, p2, p1, p0, rhs, sol.psi(th)))
     _write_csv(out_dir / "linear_ode.csv", ["theta", "p2", "p1", "p0", "rhs", "psi"], rows)
     print(f"linearize: ok, {len(grid)} samples on [{grid[0]:.6g}, {grid[-1]:.6g}]")
     return EXIT_OK
@@ -140,7 +138,7 @@ def cmd_reconstruct(cfg: RunConfig, out_dir: Path) -> int:
     times = _sample_times(cfg, cfg.t_span[1])
     rows = []
     for t in times:
-        theta = pipe.theta_at(float(t))
+        theta = pipe.theta_at(t)
         rows.append((t, theta, pipe.r_of_theta(theta)))
     _write_csv(out_dir / "reconstructed.csv", ["t", "theta", "r"], rows)
     print(f"reconstruct: ok, {len(rows)} samples over t in {list(cfg.t_span)}")
@@ -162,20 +160,20 @@ def cmd_validate(cfg: RunConfig, out_dir: Path) -> int:
 
     lin = linearizable_view(cfg, spec)
     times = _sample_times(cfg, traj.t_end)
-    sampled = traj.sample(times).tolist()
+    sampled = traj.sample(times)
     try:
         pipe = build_pipeline(lin, cfg.polar_state, t_window=cfg.t_span)
         r_err = 0.0
         th_err = 0.0
         for t, row in zip(times, sampled):
-            theta = pipe.theta_at(float(t))
-            r = pipe.r_of_t(float(t))
+            theta = pipe.theta_at(t)
+            r = pipe.r_of_t(t)
             th_err = max(th_err, abs(theta - row[1]))
             r_err = max(r_err, abs(r - row[0]))
         checks["round_trip"] = {
             "r_sup": r_err,
             "theta_sup": th_err,
-            "window": list(map(float, (times[0], times[-1]))),
+            "window": [times[0], times[-1]],
             "threshold": ROUND_TRIP_THRESHOLD,
             "pass": bool(max(r_err, th_err) <= ROUND_TRIP_THRESHOLD),
         }
@@ -187,7 +185,7 @@ def cmd_validate(cfg: RunConfig, out_dir: Path) -> int:
         for t, row in zip(times, sampled):
             if abs(row[3]) < 1e-6 or row[0] <= 0.0:
                 continue
-            state = PolarState(r=row[0], theta=row[1], rdot=row[2], thetadot=row[3], t=float(t))
+            state = PolarState(r=row[0], theta=row[1], rdot=row[2], thetadot=row[3], t=t)
             residuals.append(verify_compatibility(lin, state))
             if len(residuals) >= 100:
                 break

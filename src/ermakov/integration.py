@@ -13,10 +13,10 @@ from __future__ import annotations
 import logging
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .expressions import EvaluationError, evaluate, free_variables, is_literal_zero
 from .invariant import ForbiddenRegionError, TurningPointError, invariant_level
@@ -50,8 +50,9 @@ log = logging.getLogger(__name__)
 _RECOVERABLE = (EvaluationError, ForbiddenRegionError, TurningPointError, ZeroDivisionError)
 
 # Dormand-Prince 5(4) tableau: nodes C, stage weights A, the fifth-order
-# weights B, the error weights E = B - B* (the zero weights of stage 2 are
-# left out) and the quartic dense-output map P, one row per stage.
+# weights B, the error weights E = B - B* and the quartic dense-output map P
+# (stage 2's weights are all zero and left out).  Row k of P holds stage k's
+# interpolant weight b_k(x) = x (p1 + p2 x + p3 x^2 + p4 x^3); _DP, b_k'(x).
 _C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 _A21 = 1 / 5
 _A31, _A32 = 3 / 40, 9 / 40
@@ -62,17 +63,15 @@ _B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 _E1, _E3, _E4, _E5, _E6, _E7 = (
     71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
 )
-_P = np.array(
-    [
-        [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-        [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-        [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-        [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-        [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-    ]
+_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
+_DP = tuple((p1, 2.0 * p2, 3.0 * p3, 4.0 * p4) for p1, p2, p3, p4 in _P)
 
 _MAX_STEPS = 500_000
 _EPS16 = 16.0 * sys.float_info.epsilon  # smallest step, relative to max(|t|, 1)
@@ -119,7 +118,7 @@ class EventSpec:
 class Event:
     name: str
     t: float
-    y: np.ndarray
+    y: list[float]
 
 
 @dataclass(frozen=True)
@@ -129,17 +128,17 @@ class DriftStats:
     max_rel: float
     rms_rel: float
     reference: float
-    series: np.ndarray
+    series: list[float]
 
 
 @dataclass
 class Trajectory:
     """Accepted samples plus the per-step interpolant between them."""
 
-    ts: np.ndarray  # (m,) node times, strictly monotone
-    ys: np.ndarray  # (m, dim)
-    hs: np.ndarray  # (m-1,) interpolation step widths (signed)
-    qs: np.ndarray  # (m-1, dim, 4) dense-output coefficients
+    ts: list[float]  # m node times, strictly monotone
+    ys: list[list[float]]  # m states of dim floats
+    hs: list[float]  # m-1 signed step widths
+    slopes: list[tuple]  # m-1 steps' seven stage slopes, each dim floats
     n_accepted: int
     n_rejected: int
     n_rhs: int
@@ -150,15 +149,15 @@ class Trajectory:
 
     @property
     def t0(self) -> float:
-        return float(self.ts[0])
+        return self.ts[0]
 
     @property
     def t_end(self) -> float:
-        return float(self.ts[-1])
+        return self.ts[-1]
 
     @property
     def dim(self) -> int:
-        return self.ys.shape[1]
+        return len(self.ys[0])
 
     def _segment(self, t: float) -> int:
         ts = self.ts
@@ -167,36 +166,30 @@ class Trajectory:
         lo, hi = (ts[0], ts[-1]) if increasing else (ts[-1], ts[0])
         if t < lo - 1e-9 * (1.0 + span) or t > hi + 1e-9 * (1.0 + span):
             raise ValueError(f"time {t!r} outside the covered window [{lo!r}, {hi!r}]")
-        if increasing:
-            idx = int(np.searchsorted(ts, t, side="right")) - 1
-        else:
-            idx = int(np.searchsorted(-ts, -t, side="right")) - 1
-        return min(max(idx, 0), len(self.hs) - 1)  # -1: no accepted step
+        idx = bisect_right(ts, t) if increasing else bisect_right(ts, -t, key=lambda s: -s)
+        return min(max(idx - 1, 0), len(self.hs) - 1)  # -1: no accepted step
 
-    def at(self, t: float) -> np.ndarray:
+    def at(self, t: float) -> list[float]:
         """Dense-output state at an arbitrary time inside the covered window."""
-        i = self._segment(float(t))
+        i = self._segment(t)
         if i < 0:
-            return self.ys[0].copy()
-        x = (float(t) - self.ts[i]) / self.hs[i]
-        p = np.array([x, x * x, x**3, x**4])
-        return self.ys[i] + self.hs[i] * (self.qs[i] @ p)
+            return list(self.ys[0])
+        return _dense(self.ts[i], self.ys[i], self.hs[i], self.slopes[i], float(t))
 
-    def at_with_slope(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+    def at_with_slope(self, t: float) -> tuple[list[float], list[float]]:
         """Dense-output state and its derivative in t, from the same step's interpolant.
 
         A run with no accepted step has no interpolant: its slope is NaN.
         """
-        i = self._segment(float(t))
+        t = float(t)
+        i = self._segment(t)
         if i < 0:
-            return self.ys[0].copy(), np.full(self.dim, math.nan)
-        x = (float(t) - self.ts[i]) / self.hs[i]
-        q = self.qs[i]
-        value = self.ys[i] + self.hs[i] * (q @ np.array([x, x * x, x**3, x**4]))
-        return value, q @ np.array([1.0, 2.0 * x, 3.0 * x * x, 4.0 * x**3])
+            return list(self.ys[0]), [math.nan] * self.dim
+        t_i, h, slopes = self.ts[i], self.hs[i], self.slopes[i]
+        return _dense(t_i, self.ys[i], h, slopes, t), _stage_sum(slopes, (t - t_i) / h, _DP)
 
-    def sample(self, times: Sequence[float]) -> np.ndarray:
-        return np.array([self.at(t) for t in times])
+    def sample(self, times: Sequence[float]) -> list[list[float]]:
+        return [self.at(t) for t in times]
 
     def polar_states(self) -> list[PolarState]:
         if self.coords != "polar":
@@ -242,16 +235,20 @@ def _initial_step(rhs, t0, y0, f0, direction, rel_tol, abs_tol):
     return min(100.0 * h0, h1)
 
 
-def _step_interpolant(t: float, y: Sequence[float], h: float, slopes) -> Callable[[float], list]:
-    """Dense output of one step from its seven stage slopes, as a list of floats."""
-    y = np.array(y)
-    q = np.array(slopes).T @ _P
+def _stage_sum(slopes, x: float, table) -> list[float]:
+    """sum_k c_k(x) k_k per component; table row k: c_k's coefficients, lowest power first."""
+    c1, c3, c4, c5, c6, c7 = [p1 + x * (p2 + x * (p3 + x * p4)) for p1, p2, p3, p4 in table]
+    k1, _, k3, k4, k5, k6, k7 = slopes
+    return [
+        c1 * a + c3 * c + c4 * d + c5 * e + c6 * f + c7 * g
+        for a, c, d, e, f, g in zip(k1, k3, k4, k5, k6, k7)
+    ]
 
-    def dense(tt: float) -> list:
-        x = (tt - t) / h
-        return (y + h * (q @ np.array([x, x * x, x**3, x**4]))).tolist()
 
-    return dense
+def _dense(t_step: float, y: Sequence[float], h: float, slopes, t: float) -> list[float]:
+    """One step's interpolant at t: y + (t - t_step) sum_k c_k(x) k_k, x = (t - t_step)/h."""
+    dt = t - t_step
+    return [v + dt * s for v, s in zip(y, _stage_sum(slopes, dt / h, _P))]
 
 
 def _crossed(ev: EventSpec, g_old: float, g_new: float) -> bool:
@@ -290,7 +287,7 @@ def integrate(
     floats of the same length; event functions and ``until`` receive the
     same list.  Local error per step is held to abs_tol + rel_tol*|y|
     componentwise by the embedded pair; dense output between accepted nodes
-    comes from the pair's interpolant, formed for the whole run at its end.
+    comes from the pair's interpolant over the step's stage slopes.
     Terminal events truncate the run; a step size collapsing near a
     singularity, or an initial state where the slope is undefined, ends it
     with termination ``step_size_underflow``.  The first accepted node
@@ -414,12 +411,12 @@ def integrate(
                 if not _crossed(ev, g_old, g_new):
                     continue
                 if dense is None:
-                    dense = _step_interpolant(t, y, h, slopes[-1])
+                    dense = partial(_dense, t, y, h, slopes[-1])
                 t_star = _locate_crossing(dense, ev, t, t_new, g_old, cfg.event_time_tol)
                 step_hits.append((direction * t_star, ev, t_star))
             for _, ev, t_star in sorted(step_hits, key=lambda item: item[0]):
                 y_star = dense(t_star)
-                found_events.append(Event(ev.name, t_star, np.array(y_star)))
+                found_events.append(Event(ev.name, t_star, y_star))
                 if ev.terminal:
                     terminal_hit = (ev, t_star, y_star)
                     break
@@ -447,11 +444,7 @@ def integrate(
         t, y, f = t_new, y_new, k7
 
     return Trajectory(
-        ts=np.array(ts),
-        ys=np.array(ys),
-        hs=np.array(hs) if hs else np.zeros(0),
-        # (steps, dim, 7) slopes times the (7, 4) map: every step's coefficients at once
-        qs=np.swapaxes(np.array(slopes), 1, 2) @ _P if slopes else np.zeros((0, dim, 4)),
+        ts=ts, ys=ys, hs=hs, slopes=slopes,
         n_accepted=n_accepted,
         n_rejected=n_rejected,
         n_rhs=n_rhs,
@@ -532,12 +525,12 @@ def integrate_cartesian(
 
 def monitor_invariant(traj: Trajectory, V, attach: bool = True) -> DriftStats:
     """Relative drift of the conserved level along a polar trajectory."""
-    series = np.array([invariant_level(r, th, thd, V) for r, th, _, thd in traj.ys.tolist()])
+    series = [invariant_level(r, th, thd, V) for r, th, _, thd in traj.ys]
     ref = series[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed level is inf, its drift NaN
-        rel = np.abs(series - ref) / (1.0 + abs(ref))
-        rms = float(np.sqrt(np.mean(rel * rel)))
-    stats = DriftStats(max_rel=float(np.max(rel)), rms_rel=rms, reference=float(ref), series=series)
+    rel = [abs(v - ref) / (1.0 + abs(ref)) for v in series]
+    rms = math.sqrt(sum(q * q for q in rel) / len(rel))  # NaN if any is: max() would skip it
+    max_rel = math.nan if math.isnan(rms) else max(rel)
+    stats = DriftStats(max_rel=max_rel, rms_rel=rms, reference=ref, series=series)
     if attach:
         traj.drift = stats
     return stats
@@ -556,9 +549,7 @@ def detect_events(traj: Trajectory, events: Sequence[EventSpec], time_tol: float
         for i in range(1, len(traj.ts)):
             g_new = ev.fn(traj.ts[i], traj.ys[i])
             if _crossed(ev, g_prev, g_new):
-                t_star = _locate_crossing(
-                    traj.at, ev, float(traj.ts[i - 1]), float(traj.ts[i]), g_prev, time_tol
-                )
+                t_star = _locate_crossing(traj.at, ev, traj.ts[i - 1], traj.ts[i], g_prev, time_tol)
                 found.append(Event(ev.name, t_star, traj.at(t_star)))
             g_prev = g_new
     found.sort(key=lambda e: direction * e.t)

@@ -15,10 +15,9 @@ recovers theta(t), t(theta), and the orbit r(theta) = rho/psi.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-
-import numpy as np
 
 from .expressions import (
     EvaluationError,
@@ -36,7 +35,7 @@ from .invariant import (
     momentum_from_gap,
     turning_tolerance,
 )
-from .numerics import QuadratureError, quad_adaptive
+from .numerics import QuadratureError, linspace, quad_adaptive
 from .systems import (
     LinearizableSpec,
     PolarState,
@@ -164,15 +163,14 @@ def build_linear_ode(
     if branch_sign not in (-1, 1):
         raise ValueError(f"branch_sign must be +1 or -1, got {branch_sign!r}")
     tol = turning_tolerance(level)
-    grid = np.linspace(lo, hi, 401)
+    grid = linspace(lo, hi, 401)
     gaps = []
     for th in grid:
         try:
-            gaps.append(level - evaluate(lin.V, {"theta": float(th)}))
+            gaps.append(level - evaluate(lin.V, {"theta": th}))
         except EvaluationError as exc:
-            raise ForbiddenRegionError(float(th), level, math.inf, detail=str(exc)) from exc
-    gaps = np.array(gaps)
-    if np.min(gaps) <= tol:
+            raise ForbiddenRegionError(th, level, math.inf, detail=str(exc)) from exc
+    if min(gaps) <= tol:
         theta_star = _locate_turning(lin.V, level, grid, gaps, tol)
         raise ForbiddenRegionError(
             theta_star,
@@ -189,11 +187,10 @@ def _locate_turning(V, level, grid, gaps, tol) -> float:
     Bisects the first grid cell where the gap crosses the tolerance, down to
     adjacent floats, if the gap changes sign across it.
     """
-    bad = gaps <= tol
     for i in range(len(grid) - 1):
-        if bad[i] != bad[i + 1]:
-            lo, hi = float(grid[i]), float(grid[i + 1])
-            edge = hi if bad[i + 1] else lo
+        if (gaps[i] <= tol) != (gaps[i + 1] <= tol):
+            lo, hi = grid[i], grid[i + 1]
+            edge = hi if gaps[i + 1] <= tol else lo
             lo_positive = gaps[i] > 0.0
             if lo_positive == (gaps[i + 1] > 0.0):
                 return edge
@@ -207,7 +204,7 @@ def _locate_turning(V, level, grid, gaps, tol) -> float:
                 return edge
             return lo
     # no transition inside the interval: report the worst point
-    return float(grid[int(np.argmin(gaps))])
+    return grid[gaps.index(min(gaps))]
 
 
 _DOMAIN_MARGIN_REL = 1e-3
@@ -275,7 +272,7 @@ class _SidedRuns:
 
     var: str
     x0: float
-    y0: np.ndarray
+    y0: list[float]
     up: list
     down: list
 
@@ -285,7 +282,7 @@ class _SidedRuns:
         hi = self.up[-1].t_end if self.up else self.x0
         return lo, hi
 
-    def row(self, x: float) -> np.ndarray:
+    def row(self, x: float) -> list[float]:
         x = float(x)
         if x == self.x0:
             return self.y0
@@ -301,7 +298,7 @@ class _SidedRuns:
 
     def ends(self, column: int) -> tuple[float, float]:
         """``column`` at the last node of the first run on each side: what ``inverse`` covers."""
-        return tuple(float(r[0].ys[-1, column]) if r else 0.0 for r in (self.down, self.up))
+        return tuple(r[0].ys[-1][column] if r else 0.0 for r in (self.down, self.up))
 
     def inverse(self, v: float, column: int) -> float:
         """The x whose row holds v in ``column``."""
@@ -312,20 +309,20 @@ class _SidedRuns:
         if not lo <= v <= hi:
             edge = self.window[1 if v > 0.0 else 0]
             raise OutsideWindowError(
-                f"requested time maps beyond {self.var}={float(edge)!r}"
+                f"requested time maps beyond {self.var}={edge!r}"
                 " (window edge or turning point)"
             )
         run = (self.up if v > 0.0 else self.down)[0]
         # node values in the run's own direction, increasing from 0
         sign = 1.0 if v > 0.0 else -1.0
-        vs = sign * run.ys[:, column]
-        i = int(np.searchsorted(vs, sign * v))
-        x_prev, x_next = float(run.ts[i - 1]), float(run.ts[i])
-        x = x_prev + (x_next - x_prev) * (sign * v - vs[i - 1]) / (vs[i] - vs[i - 1])
+        i = bisect_left(run.ys, sign * v, key=lambda y: sign * y[column])
+        v_prev, v_next = sign * run.ys[i - 1][column], sign * run.ys[i][column]
+        x_prev, x_next = run.ts[i - 1], run.ts[i]
+        x = x_prev + (x_next - x_prev) * (sign * v - v_prev) / (v_next - v_prev)
         a, b = min(x_prev, x_next), max(x_prev, x_next)
         for _ in range(100):
             value, slope = run.at_with_slope(x)
-            f, slope = float(value[column]) - v, float(slope[column])
+            f, slope = value[column] - v, slope[column]
             if f == 0.0:
                 return x
             if f < 0.0:
@@ -373,7 +370,7 @@ def _solve_runs(ode: LinearODE, theta0, y0, theta1, forced, floor, reach=None) -
         )
     if traj.termination != "event:psi_floor" or reach is not None:
         return [traj]
-    y_end = traj.ys[-1][[0, 1, 3]]  # Theta stops here
+    y_end = [traj.ys[-1][i] for i in (0, 1, 3)]  # Theta stops here
     return [traj, *_solve_runs(ode, traj.t_end, y_end, theta1, forced, None)]
 
 
@@ -396,16 +393,16 @@ class LinearSolution:
     Theta: _SidedRuns | None
 
     def psi(self, theta: float) -> float:
-        return float(self.path.row(theta)[0])
+        return self.path.row(theta)[0]
 
     def dpsi(self, theta: float) -> float:
-        return float(self.path.row(theta)[1])
+        return self.path.row(theta)[1]
 
     def wronskian(self, theta: float) -> float:
         """psi1 psi2' - psi2 psi1' from the homogeneous basis."""
         a = self.psi1.row(theta)
         b = self.psi2.row(theta)
-        return float(a[0] * b[1] - b[0] * a[1])
+        return a[0] * b[1] - b[0] * a[1]
 
     @cached_property
     def psi1(self) -> _SidedRuns:
@@ -416,7 +413,6 @@ class LinearSolution:
         return self._homogeneous([0.0, 1.0, 1.0])
 
     def _homogeneous(self, y0) -> _SidedRuns:
-        y0 = np.asarray(y0, dtype=float)
         runs = [
             _solve_runs(self.ode, self.theta0, y0, end, False, None)
             for end in (self.ode.domain[1], self.ode.domain[0])
@@ -443,13 +439,12 @@ def solve_linear(
     if not (lo <= theta0 <= hi):
         raise ValueError(f"theta0={theta0!r} outside the ODE domain [{lo}, {hi}]")
     floor = _PSI_FLOOR_REL * psi0 if psi0 > 0.0 else None
-    y0 = np.array([psi0, dpsi0, 0.0, 1.0] if floor is not None else [psi0, dpsi0, 1.0])
+    y0 = [psi0, dpsi0, 0.0, 1.0] if floor is not None else [psi0, dpsi0, 1.0]
     # reach below and above theta0; without an angle map there is nothing to cut
     down, up = (None, None) if tau_reach is None or floor is None else tau_reach[:: ode.branch_sign]
     fwd = _solve_runs(ode, theta0, y0, hi, True, floor, up)
     bwd = _solve_runs(ode, theta0, y0, lo, True, floor, down)
-    w = np.concatenate([traj.ys[:, -1] for traj in fwd + bwd] + [y0[-1:]])
-    if not np.all(np.isfinite(w) & (w > 0.0)):
+    if not all(0.0 < y[-1] < math.inf for traj in fwd + bwd for y in traj.ys):  # Abel factor W
         raise LinearizationError("homogeneous solutions became linearly dependent")
     Theta = None
     if floor is not None:
@@ -473,10 +468,10 @@ def angular_time(theta: float, invariant, V, J: float = 0.0, base: float = math.
     lo, hi = (base, theta) if base <= theta else (theta, base)
     tol = turning_tolerance(level)
     if lo < hi:
-        for th in np.linspace(lo, hi, 201):
-            gap = level - evaluate(V, {"theta": float(th)})
+        for th in linspace(lo, hi, 201):
+            gap = level - evaluate(V, {"theta": th})
             if gap <= tol:
-                raise ForbiddenRegionError(float(th), level, level - gap)
+                raise ForbiddenRegionError(th, level, level - gap)
 
     def integrand(lam: float) -> float:
         gap = level - evaluate(V, {"theta": lam})
@@ -598,13 +593,13 @@ def _time_map(rho: Expression, t0: float, t_window: tuple[float, float]) -> _Sid
         return [traj]
 
     down = side(min(t0, *t_window))
-    return _SidedRuns("t", t0, np.zeros(1), side(max(t0, *t_window)), down)
+    return _SidedRuns("t", t0, [0.0], side(max(t0, *t_window)), down)
 
 
 def _tau(Tau: _SidedRuns | None, rho_const: float | None, t0: float, window, t: float) -> float:
     """Tau(t) off the Tau run, or (t - t0)/rho^2 for a constant rho, at a t inside ``window``."""
     if Tau is not None:
-        return float(Tau.row(t)[0])
+        return Tau.row(t)[0]
     if window is not None and not window[0] <= t <= window[1]:
         raise OutsideWindowError(f"t={t!r} outside the time window [{window[0]}, {window[1]}]")
     return (t - t0) / (rho_const * rho_const)
@@ -647,7 +642,7 @@ class QuadratureSolution:
         With a time window, a time within rounding of one of its ends is
         that end, and one beyond it raises OutsideWindowError.
         """
-        tau = float(self.solution.Theta.row(theta)[2]) / self.solution.ode.branch_sign
+        tau = self.solution.Theta.row(theta)[2] / self.solution.ode.branch_sign
         if self.t_window is None:
             return self.t0 + self.rho_const * self.rho_const * tau
         lo, hi = self.t_window

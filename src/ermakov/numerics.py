@@ -1,4 +1,4 @@
-"""Shared numerical primitive: adaptive quadrature.
+"""Shared numerical primitives: adaptive quadrature and evenly spaced grids.
 
 A globally adaptive Gauss-Kronrod rule on Python floats: QUADPACK's
 G10K21 pair (Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner,
@@ -14,7 +14,7 @@ import math
 import sys
 from typing import Callable
 
-__all__ = ["QuadratureError", "quad_adaptive"]
+__all__ = ["QuadratureError", "linspace", "quad_adaptive"]
 
 # 21-point Kronrod abscissae on [-1, 1], outermost first; every second one
 # (0.9739..., 0.8650..., ...) is a 10-point Gauss abscissa.  The centre is a
@@ -170,3 +170,21 @@ def _checked(value, abserr, a, b, abs_tol, rel_tol, trouble) -> float:
     elif trouble is None or abserr <= 100.0 * max(abs_tol, rel_tol * abs(value)):
         return value
     raise QuadratureError(f"quadrature on [{a!r}, {b!r}] unreliable: {trouble} (abserr={abserr:.3e})")
+
+
+def linspace(start: float, stop: float, n: int) -> list[float]:
+    """n >= 2 evenly spaced floats from start to stop, bit for bit as numpy.linspace.
+
+    Value i is i*step + start, or (i/(n - 1))*(stop - start) + start where
+    step = (stop - start)/(n - 1) underflows to zero; the last is stop.
+    """
+    try:
+        grid = [start] * n  # one request: a count beyond memory fails at once
+    except (MemoryError, OverflowError):  # OverflowError: beyond the address space
+        raise MemoryError(f"{n} grid values do not fit in memory") from None
+    div = n - 1
+    step = (stop - start) / div
+    for i in range(div):
+        grid[i] = i * step + start if step != 0.0 else i / div * (stop - start) + start
+    grid[div] = stop
+    return grid

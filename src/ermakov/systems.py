@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .expressions import (
     BinOp,
     Call,
@@ -40,7 +38,7 @@ from .expressions import (
     simplify,
     substitute,
 )
-from .numerics import quad_adaptive
+from .numerics import linspace, quad_adaptive
 
 __all__ = [
     "CartesianSpec",
@@ -390,8 +388,8 @@ def _rho_derivatives(rho: Expression) -> tuple[Expression, Expression]:
 
 def check_rho_nonzero(rho: Expression, a: float, b: float, samples: int, where: str) -> None:
     """Raise EvaluationError if rho comes near zero or changes sign on a grid over [a, b]."""
-    vals = np.array([evaluate(rho, {"t": float(s)}) for s in np.linspace(a, b, samples)])
-    if np.min(np.abs(vals)) < 1e-12 or (np.min(vals) < 0.0 < np.max(vals)):
+    vals = [evaluate(rho, {"t": s}) for s in linspace(a, b, samples)]
+    if min(map(abs, vals)) < 1e-12 or min(vals) < 0.0 < max(vals):
         raise EvaluationError(f"rho vanishes inside {where}")
 
 

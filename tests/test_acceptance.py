@@ -166,7 +166,7 @@ def test_criterion_5_free_motion_class():
     turnings = [e.t for e in traj.events if e.name == "turning_point"]
     t_hi = 0.95 * turnings[0] if turnings else traj.t_end
     ts = np.linspace(0.0, t_hi, 80)
-    ys = traj.sample(ts)
+    ys = np.asarray(traj.sample(ts))
     psi = 1.0 / ys[:, 0]
     coeffs = np.polyfit(ys[:, 1], psi, 1)
     resid = float(np.max(np.abs(np.polyval(coeffs, ys[:, 1]) - psi)))
@@ -278,6 +278,7 @@ def test_criterion_8_integrator_order():
     ref = ek.integrate_cartesian(
         spec, s0, ek.IntegratorConfig(t_span=(0.0, T), rel_tol=1e-12, abs_tol=1e-14)
     ).ys[-1]
+    ref = np.asarray(ref)
     logs_h, logs_e = [], []
     for k in range(11):
         rtol = 1e-5 * 2.0**-k

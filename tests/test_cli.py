@@ -279,7 +279,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("command", ["simulate", "linearize", "reconstruct", "validate"])
     def test_sample_count_beyond_memory(self, tmp_path, capsys, command):
-        # 10**17 samples is 711 PiB: numpy refuses the array before allocating any of it
+        # 10**17 samples is 711 PiB: the sample grid is one allocation, which fails at once
         cfg_path = _write(tmp_path, "c.json", _winternitz_config(samples=10**17))
         assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
@@ -556,6 +556,24 @@ class TestValidate:
         assert main(["validate", "--preset", "free-motion-demo", "--out", str(out)]) == 0
         assert len(calls) == 1
 
+    def test_nan_level_mid_run_fails_the_drift_check(self, tmp_path, monkeypatch):
+        # one NaN level in the middle of the series: a max() that skipped it would pass
+        levels = []
+        real = ermakov.integration.invariant_level
+
+        def nan_at_fifth_node(*args):
+            levels.append(real(*args))
+            return math.nan if len(levels) == 5 else levels[-1]
+
+        monkeypatch.setattr(ermakov.integration, "invariant_level", nan_at_fifth_node)
+        path = _write(tmp_path, "c.json", _winternitz_config(samples=50))
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(path), "--out", str(out)]) == 1
+        assert len(levels) > 10
+        check = json.loads((out / "report.json").read_text())["checks"]["invariant_drift"]
+        assert math.isnan(check["max_rel"]) and math.isnan(check["rms_rel"])
+        assert check["pass"] is False
+
     def test_report_shape_on_pipeline_failure(self, tmp_path):
         # start exactly at a turning point: the pipeline cannot be built
         cfg = _winternitz_config()
@@ -596,9 +614,8 @@ def test_every_error_class_is_a_value_error():
     assert [c.__name__ for c in found if not issubclass(c, ValueError)] == []
 
 
-_SCIPY_BLOCKED = """
+_PRESET_RUNS = """
 import json, sys
-sys.modules["scipy"] = None  # any `import scipy...` now raises ImportError
 from ermakov.cli import main
 from ermakov.config import PRESETS
 codes = {
@@ -610,20 +627,40 @@ print(json.dumps(codes))
 """
 
 
-def test_every_command_runs_with_scipy_blocked(tmp_path):
-    # the runtime needs numpy only; a lazy scipy import would fail here
-    path = [str(Path(ermakov.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+def _fresh_interpreter(*args):
+    """Run a fresh interpreter that finds this package and nothing else on PYTHONPATH."""
+    src = str(Path(ermakov.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-c", _SCIPY_BLOCKED, str(tmp_path)],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        env={**os.environ, "PYTHONPATH": src},
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    codes = json.loads(done.stdout.splitlines()[-1])
+    return done.stdout.splitlines()[-1]
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_every_command_runs_on_the_standard_library(tmp_path):
+    # -S leaves site-packages off sys.path, so no numpy or scipy can be imported
+    stdlib, site = tmp_path / "stdlib", tmp_path / "site"
+    flags = ("-W", "error::RuntimeWarning", "-c", _PRESET_RUNS)
+    codes = json.loads(_fresh_interpreter("-S", *flags, str(stdlib)))
     assert len(codes) == 4 * len(PRESETS) == 12
     assert codes == {run: 0 for run in codes}
+    # the same runs in an interpreter with site-packages write the same bytes
+    assert json.loads(_fresh_interpreter(*flags, str(site))) == codes
+    files = _files(stdlib)
+    assert len(files) >= 12 and files == _files(site)
+
+
+def test_cli_import_loads_no_numpy():
+    loaded = _fresh_interpreter("-c", "import sys, ermakov.cli; print('numpy' in sys.modules)")
+    assert loaded == "False"
 
 
 def _fields(node, path=()):

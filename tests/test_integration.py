@@ -54,7 +54,7 @@ class TestAccuracy:
         spec = ek.kepler_ermakov_system(F="0", G="1", V="0")
         cfg = IntegratorConfig(t_span=(0.0, 2.0 * math.pi))
         traj = ek.integrate_polar(spec, ek.PolarState(1.0, 0.0, 0.0, 1.0), cfg)
-        rs = traj.ys[:, 0]
+        rs = np.asarray(traj.ys)[:, 0]
         assert float(np.max(np.abs(rs - 1.0))) <= 1e-8
 
     def test_backward_integration(self):
@@ -85,6 +85,7 @@ class TestAccuracy:
         ref = ek.integrate_cartesian(
             OSCILLATOR, OSC_STATE, IntegratorConfig(t_span=(0.0, T), rel_tol=1e-12, abs_tol=1e-14)
         ).ys[-1]
+        ref = np.asarray(ref)
         logs_h, logs_e = [], []
         for k in range(11):
             rtol = 1e-5 * 2.0**-k
@@ -114,11 +115,20 @@ class TestDriftMonitor:
         assert traj.drift.max_rel <= 1e-12
 
     def test_detects_corrupted_sample(self, winternitz_spec, winternitz_trajectory):
-        ys = winternitz_trajectory.ys.copy()
-        ys[len(ys) // 2, 0] += 1e-3
+        ys = [list(y) for y in winternitz_trajectory.ys]
+        ys[len(ys) // 2][0] += 1e-3
         corrupted = dataclasses.replace(winternitz_trajectory, ys=ys)
         stats = monitor_invariant(corrupted, winternitz_spec.V, attach=False)
         assert stats.max_rel >= 1e-4
+
+    def test_nan_level_mid_series_makes_the_drift_nan(self, winternitz_spec, winternitz_trajectory):
+        # a NaN radius gives a NaN level; max() alone would skip it past the first node
+        ys = [list(y) for y in winternitz_trajectory.ys]
+        ys[len(ys) // 2][0] = math.nan
+        corrupted = dataclasses.replace(winternitz_trajectory, ys=ys)
+        stats = monitor_invariant(corrupted, winternitz_spec.V, attach=False)
+        assert math.isnan(stats.series[len(ys) // 2])
+        assert math.isnan(stats.max_rel) and math.isnan(stats.rms_rel)
 
 
 class TestEvents:
@@ -192,9 +202,9 @@ class TestEvents:
         cut = integrate(rhs, [1.0], cfg, until=lambda t, y: y[0] >= 2.0)
         assert cut.termination == "stopped" and full.termination == "completed"
         n = len(cut.ts)
-        assert cut.ys[-1, 0] >= 2.0 > cut.ys[-2, 0]
-        assert np.array_equal(cut.ts, full.ts[:n]) and np.array_equal(cut.ys, full.ys[:n])
-        assert np.array_equal(cut.qs, full.qs[: n - 1])
+        assert cut.ys[-1][0] >= 2.0 > cut.ys[-2][0]
+        assert cut.ts == full.ts[:n] and cut.ys == full.ys[:n]
+        assert cut.slopes == full.slopes[: n - 1]
         assert cut.n_accepted == n - 1 and cut.n_rhs < full.n_rhs
 
 
@@ -221,10 +231,10 @@ class TestConfigValidation:
 
         traj = integrate(undefined_after_start, [2.0], IntegratorConfig(t_span=(0.0, 1.0)))
         assert traj.termination == "step_size_underflow" and traj.n_accepted == 0
-        assert traj.at(0.0).tolist() == [2.0]
-        assert traj.sample([0.0, 0.0]).tolist() == [[2.0], [2.0]]
+        assert traj.at(0.0) == [2.0]
+        assert traj.sample([0.0, 0.0]) == [[2.0], [2.0]]
         value, slope = traj.at_with_slope(0.0)
-        assert value.tolist() == [2.0] and math.isnan(slope[0])
+        assert value == [2.0] and math.isnan(slope[0])
         with pytest.raises(ValueError):
             traj.at(0.5)
 
@@ -322,9 +332,9 @@ def _reference_integrate(rhs_of_list, y0, cfg, events=(), until=None):
     h_abs = min(h_abs, cfg.max_step, abs(tf - t0))
 
     ts = [t0]
-    ys = [y.copy()]
+    ys = [y.tolist()]
     hs = []
-    qs = []
+    slopes = []
     found_events = []
     n_accepted = 0
     n_rejected = 0
@@ -383,9 +393,9 @@ def _reference_integrate(rhs_of_list, y0, cfg, events=(), until=None):
         t_new = tf if is_last else t + h
         q = K.T @ _REF_P
         ts.append(t_new)
-        ys.append(y_new.copy())
+        ys.append(y_new.tolist())
         hs.append(h)
-        qs.append(q)
+        slopes.append(tuple(K.tolist()))
         n_accepted += 1
 
         terminal_hit = None
@@ -413,7 +423,7 @@ def _reference_integrate(rhs_of_list, y0, cfg, events=(), until=None):
         if terminal_hit is not None:
             ev, t_star, y_star = terminal_hit
             ts[-1] = t_star
-            ys[-1] = y_star
+            ys[-1] = y_star.tolist()
             termination = f"event:{ev.name}"
             break
         if until is not None and until(t_new, y_new):
@@ -433,16 +443,32 @@ def _reference_integrate(rhs_of_list, y0, cfg, events=(), until=None):
         t, y, f = t_new, y_new, f_new
 
     return Trajectory(
-        ts=np.array(ts),
-        ys=np.array(ys),
-        hs=np.array(hs) if hs else np.zeros(0),
-        qs=np.array(qs) if qs else np.zeros((0, dim, 4)),
+        ts=ts,
+        ys=ys,
+        hs=hs,
+        slopes=slopes,
         n_accepted=n_accepted,
         n_rejected=n_rejected,
         n_rhs=n_rhs,
         termination=termination,
         events=found_events,
     )
+
+
+def _reference_dense(traj, t):
+    """Value and slope at t of the numpy interpolant the float one replaced.
+
+    Each step's coefficients are q = K^T P, from its stage slopes K; the
+    value is y + h q [x, x^2, x^3, x^4] and the slope q [1, 2x, 3x^2, 4x^3].
+    """
+    sign = 1.0 if traj.ts[-1] >= traj.ts[0] else -1.0
+    i = int(np.searchsorted(sign * np.asarray(traj.ts), sign * t, side="right")) - 1
+    i = min(max(i, 0), len(traj.hs) - 1)
+    h = traj.hs[i]
+    x = (t - traj.ts[i]) / h
+    q = np.asarray(traj.slopes[i]).T @ _REF_P
+    value = np.asarray(traj.ys[i]) + h * (q @ np.array([x, x * x, x**3, x**4]))
+    return value, q @ np.array([1.0, 2.0 * x, 3.0 * x * x, 4.0 * x**3])
 
 
 def _linear_solve_runs(monkeypatch, solve):
@@ -516,8 +542,9 @@ class TestAgainstReferenceStepper:
     measured against each component's largest magnitude over the run: near
     the psi floor, where Theta' = 1/(h psi^2), the rounding of psi is
     magnified many times over.  With the step sizes fixed, the nodes are
-    equal and states and dense-output coefficients agree to 1e-10 of that
-    scale (2e-12 seen).  Adaptive runs take the same steps, but the
+    equal, and states, stage slopes and the dense output inside each step
+    (the float interpolant against the reference's numpy one) agree to
+    1e-10 of that scale (2e-12 seen).  Adaptive runs take the same steps, but the
     controller reads an error estimate that cancels about eight digits, so
     their nodes drift apart in the low digits; there the dense output is
     compared at common times to 1e-9 of the scale (2e-10 seen, 6e-14 away
@@ -548,7 +575,7 @@ class TestAgainstReferenceStepper:
         scale = 1.0 + np.max(np.abs(ref.ys), axis=0)
         end = min(new.t_end, ref.t_end, key=lambda v: abs(v - new.t0))
         for t in np.linspace(new.t0, end, 201):
-            assert np.all(np.abs(new.at(t) - ref.at(t)) <= 1e-9 * scale), t
+            assert np.all(np.abs(new.at(t) - _reference_dense(ref, t)[0]) <= 1e-9 * scale), t
 
     @pytest.mark.parametrize("name", ["oscillator", "winternitz-polar", "linear-psi-floor", "linear-until"])
     def test_fixed_step_run_matches(self, monkeypatch, name):
@@ -560,8 +587,14 @@ class TestAgainstReferenceStepper:
         ref = _reference_integrate(rhs, y0, cfg, events, until)
         self._same_run(new, ref)
         assert new.n_accepted > 50
-        assert np.array_equal(new.ts, ref.ts) and np.array_equal(new.hs, ref.hs)
+        assert new.ts == ref.ts and new.hs == ref.hs
         scale = 1.0 + np.max(np.abs(ref.ys), axis=0)
-        assert np.all(np.abs(new.ys - ref.ys) <= 1e-10 * scale)
-        q_scale = 1.0 + np.max(np.abs(ref.qs), axis=(0, 2))
-        assert np.all(np.abs(new.qs - ref.qs) <= 1e-10 * q_scale[:, None])
+        assert np.all(np.abs(np.subtract(new.ys, ref.ys)) <= 1e-10 * scale)
+        k_scale = 1.0 + np.max(np.abs(ref.slopes), axis=(0, 1))
+        assert np.all(np.abs(np.subtract(new.slopes, ref.slopes)) <= 1e-10 * k_scale)
+        # the float interpolant against the numpy one, inside every step
+        for t_i, h in zip(ref.ts, ref.hs):
+            value, slope = new.at_with_slope(t_i + 0.37 * h)
+            ref_value, ref_slope = _reference_dense(ref, t_i + 0.37 * h)
+            assert np.all(np.abs(value - ref_value) <= 1e-10 * scale)
+            assert np.all(np.abs(slope - ref_slope) <= 1e-10 * k_scale)

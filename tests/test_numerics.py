@@ -1,4 +1,5 @@
-"""quad_adaptive: differential tests against mpmath at 30 digits, and its contract.
+"""quad_adaptive: differential tests against mpmath at 30 digits, and its contract;
+linspace: bit-for-bit parity with numpy.linspace.
 
 Each generated integral must agree with mpmath.quad within ten times the
 accuracy target max(abs_tol, rel_tol*|I|) that quad_adaptive is asked for.
@@ -10,11 +11,12 @@ the angular-time integrand 1/sqrt(2 (I - V(theta))).
 import math
 
 import mpmath
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ermakov.expressions import EvaluationError
-from ermakov.numerics import QuadratureError, quad_adaptive
+from ermakov.numerics import QuadratureError, linspace, quad_adaptive
 
 ABS_TOL = 1e-13
 REL_TOL = 1e-11
@@ -141,3 +143,42 @@ class TestContract:
     def test_endpoint_singularity_within_target(self):
         # int_0^1 x^-1/2 = 2 needs many bisections toward 0 but converges
         assert quad_adaptive(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0) == pytest.approx(2.0, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# linspace: the CLI's sample times and the angle grids of linearize
+# ---------------------------------------------------------------------------
+
+def _bits(values):
+    """Each float's exact bits, so that -0.0 and 0.0 differ."""
+    return [float(v).hex() for v in values]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(
+    start=st.floats(-1e3, 1e3),
+    width=st.floats(-300.0, 3.0).map(lambda e: 10.0**e),  # spans from 1e-300 to 1e3
+    reversed_span=st.booleans(),
+    n=st.integers(2, 500),
+)
+@example(start=0.0, width=1.0, reversed_span=False, n=2)
+@example(start=0.5, width=1.0, reversed_span=True, n=2)
+def test_linspace_matches_numpy_bit_for_bit(start, width, reversed_span, n):
+    stop = start - width if reversed_span else start + width
+    assert _bits(linspace(start, stop, n)) == _bits(np.linspace(start, stop, n).tolist())
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(
+    start=st.sampled_from([0.0, -0.0, 1e-310, -3e-320]),
+    ulps=st.integers(1, 4),
+    reversed_span=st.booleans(),
+    extra=st.integers(0, 60),
+)
+@example(start=0.0, ulps=1, reversed_span=False, extra=0)
+def test_linspace_matches_numpy_where_the_step_underflows(start, ulps, reversed_span, extra):
+    # a span of a few subnormals over n - 1 > 2 ulps intervals: the step rounds to zero
+    stop = start + (-ulps if reversed_span else ulps) * 5e-324
+    n = 2 * ulps + 2 + extra
+    assert stop != start and (stop - start) / (n - 1) == 0.0
+    assert _bits(linspace(start, stop, n)) == _bits(np.linspace(start, stop, n).tolist())

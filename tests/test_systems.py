@@ -188,7 +188,7 @@ class TestAbsorbCoupling:
         t1 = ek.integrate_polar(spec, s0, cfg, monitor=False)
         t2 = ek.integrate_polar(absorbed, s0, cfg, monitor=False)
         diff = max(
-            float(np.max(np.abs(t1.at(t) - t2.at(t)))) for t in np.linspace(0.0, 1.0, 21)
+            float(np.max(np.abs(np.subtract(t1.at(t), t2.at(t))))) for t in np.linspace(0.0, 1.0, 21)
         )
         assert diff <= 1e-8
 
