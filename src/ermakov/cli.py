@@ -123,10 +123,7 @@ def cmd_linearize(cfg: RunConfig, out_dir: Path) -> int:
         raise ConfigError("theta_span", f"{list(span)} excludes the initial angle {theta0!r}")
     sol = solve_from_state(linearizable_view(cfg, build_spec(cfg)), cfg.polar_state, span)
     grid = linspace(*sol.ode.domain, cfg.samples)
-    rows = []
-    for th in grid:
-        p2, p1, p0, rhs = sol.ode.coefficients(th)
-        rows.append((th, p2, p1, p0, rhs, sol.psi(th)))
+    rows = [(th, *sol.coefficients(th)) for th in grid]
     _write_csv(out_dir / "linear_ode.csv", ["theta", "p2", "p1", "p0", "rhs", "psi"], rows)
     print(f"linearize: ok, {len(grid)} samples on [{grid[0]:.6g}, {grid[-1]:.6g}]")
     return EXIT_OK

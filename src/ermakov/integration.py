@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 
 from .expressions import EvaluationError, evaluate, free_variables, is_literal_zero
 from .invariant import ForbiddenRegionError, TurningPointError, invariant_level
+from .numerics import exact_sum
 from .systems import (
     CartesianSpec,
     CartesianState,
@@ -528,7 +529,7 @@ def monitor_invariant(traj: Trajectory, V, attach: bool = True) -> DriftStats:
     series = [invariant_level(r, th, thd, V) for r, th, _, thd in traj.ys]
     ref = series[0]
     rel = [abs(v - ref) / (1.0 + abs(ref)) for v in series]
-    rms = math.sqrt(sum(q * q for q in rel) / len(rel))  # NaN if any is: max() would skip it
+    rms = math.sqrt(exact_sum(q * q for q in rel) / len(rel))  # NaN if any is: max() would skip it
     max_rel = math.nan if math.isnan(rms) else max(rel)
     stats = DriftStats(max_rel=max_rel, rms_rel=rms, reference=ref, series=series)
     if attach:

@@ -116,17 +116,16 @@ class LinearODE:
         return 2.0 * self.gap(theta)
 
     def p1(self, theta: float) -> float:
-        return self.terms(theta)[2]
+        return self.coefficients(theta)[1]
 
     def p0(self, theta: float) -> float:
-        return self.terms(theta)[3]
+        return self.coefficients(theta)[2]
 
     def rhs(self, theta: float) -> float:
-        return self.terms(theta)[4]
+        return self.coefficients(theta)[3]
 
-    def terms(self, theta: float) -> tuple[float, float, float, float, float]:
-        """(h, p2, p1, p0, rhs) at theta from one evaluation of the potential."""
-        gap = self.gap(theta)
+    def terms(self, theta: float, gap: float) -> tuple[float, float, float, float, float, float]:
+        """(h, p2, p1, p0, rhs, dV/dtheta) at theta, given the gap I - V(theta) there."""
         h = momentum_from_gap(theta, self.invariant, gap)
         ell = self.branch_sign * h
         env = {"theta": theta, "L": ell}
@@ -137,10 +136,11 @@ class LinearODE:
         f = evaluate(self.spec.F, {"theta": theta})
         # h dh/dtheta = -dV/dtheta exactly
         dv = evaluate(self._dV, {"theta": theta})
-        return h, p2, -dv - a, p2 + f - b, c
+        return h, p2, -dv - a, p2 + f - b, c, dv
 
     def coefficients(self, theta: float) -> tuple[float, float, float, float]:
-        return self.terms(theta)[1:]
+        """(p2, p1, p0, rhs) at theta, from the potential evaluated there."""
+        return self.terms(theta, self.gap(theta))[1:5]
 
 
 def build_linear_ode(
@@ -154,6 +154,8 @@ def build_linear_ode(
     The level is checked on a 401-point grid.  Raises ForbiddenRegionError
     if it fails to exceed the potential anywhere on the interval; the
     message names the boundary angle where the level is first reached.
+    Raises LinearizationError, naming the angle and the cause, where the
+    potential is undefined.
     """
     lin = _check_linearizable(spec)
     level = float(invariant)
@@ -168,8 +170,8 @@ def build_linear_ode(
     for th in grid:
         try:
             gaps.append(level - evaluate(lin.V, {"theta": th}))
-        except EvaluationError as exc:
-            raise ForbiddenRegionError(th, level, math.inf, detail=str(exc)) from exc
+        except (EvaluationError, QuadratureError) as exc:
+            raise LinearizationError(f"potential undefined at theta={th!r}: {exc}") from exc
     if min(gaps) <= tol:
         theta_star = _locate_turning(lin.V, level, grid, gaps, tol)
         raise ForbiddenRegionError(
@@ -215,20 +217,28 @@ _DOMAIN_SPAN = 2.0 * math.pi
 def auto_theta_domain(V, invariant, theta0: float) -> tuple[float, float]:
     """Maximal scanned interval around theta0 where the level clears the potential.
 
-    The scan steps pi/720 at a time, up to 2 pi each way, and stops a safety
-    margin of 1e-3 (1 + |I|) short of any turning point and at angles where
-    the potential stops being evaluable.  Raises LinearizationError if it
-    cannot take a step to either side.
+    The scan steps pi/720 at a time, up to 2 pi each way.  It stops a safety
+    margin of 1e-3 (1 + |I|) short of any turning point, and one step short
+    of an angle where the potential is undefined: the solve carries I - V
+    along the run, and must not meet the singularity that often bounds the
+    potential's domain (the log of U(tan theta) at a sector edge).  Raises
+    LinearizationError if it cannot take a step to either side.
     """
     V = as_expression(V)
     level = float(invariant)
     margin = _DOMAIN_MARGIN_REL * (1.0 + abs(level))
 
-    def clears(th: float) -> bool:
-        try:
-            return level - evaluate(V, {"theta": th}) > margin
-        except (EvaluationError, QuadratureError):
-            return False
+    def edge(step: float) -> float:
+        back, end = theta0, theta0
+        while abs(end - theta0) < _DOMAIN_SPAN:
+            th = end + step
+            try:
+                if not level - evaluate(V, {"theta": th}) > margin:
+                    return end
+            except (EvaluationError, QuadratureError):
+                return back
+            back, end = end, th
+        return end
 
     v0 = evaluate(V, {"theta": theta0})
     if not level - v0 > margin:
@@ -236,16 +246,12 @@ def auto_theta_domain(V, invariant, theta0: float) -> tuple[float, float]:
         if level < v0:
             raise ForbiddenRegionError(theta0, level, v0, detail=detail)
         raise TurningPointError(theta0, level, detail=f"potential {v0!r}; {detail}")
-    hi = theta0
-    while hi - theta0 < _DOMAIN_SPAN and clears(hi + _DOMAIN_STEP):
-        hi += _DOMAIN_STEP
-    lo = theta0
-    while theta0 - lo < _DOMAIN_SPAN and clears(lo - _DOMAIN_STEP):
-        lo -= _DOMAIN_STEP
+    hi = edge(_DOMAIN_STEP)
+    lo = edge(-_DOMAIN_STEP)
     if lo == hi:
         raise LinearizationError(
-            f"empty angle domain at theta={theta0!r}: one step of pi/720 either way, the"
-            f" potential is undefined or within {margin!r} of the level {level!r}"
+            f"empty angle domain at theta={theta0!r}: one step of pi/720 either way, the potential"
+            f" is within {margin!r} of the level {level!r}, or undefined within two steps"
         )
     return lo, hi
 
@@ -340,23 +346,25 @@ class _SidedRuns:
 
 
 def _solve_runs(ode: LinearODE, theta0, y0, theta1, forced, floor, reach=None) -> list:
-    """Integrate from theta0 towards theta1: [psi, psi', W], plus Theta when a psi floor is given.
+    """Integrate from theta0 towards theta1: [psi, psi', W, g], and Theta before W given a floor.
 
-    Theta' = 1/(h psi^2) rides along until psi falls to the floor; a second
-    run then carries [psi, psi', W] on to theta1, unless a ``reach`` ends the
-    run whole after the step where |Theta| first reaches it (0: no run).
+    The gap g = I - V(theta) rides along with g' = -dV/dtheta, so no step
+    evaluates the potential itself.  Theta' = 1/(h psi^2) rides along until
+    psi falls to the floor; a second run then carries [psi, psi', W, g] on
+    to theta1, unless a ``reach`` ends the run whole after the step where
+    |Theta| first reaches it (0: no run).
     """
     if theta1 == theta0 or reach == 0.0:
         return []
     with_theta = floor is not None
 
     def rhs(th, y):
-        h, p2, p1, p0, c = ode.terms(th)
-        psi, dpsi, *_, w = y
+        psi, dpsi, *_, w, gap = y
+        h, p2, p1, p0, c, dv = ode.terms(th, gap)
         d2 = ((c if forced else 0.0) - p1 * dpsi - p0 * psi) / p2
         if with_theta:
-            return dpsi, d2, 1.0 / (h * psi * psi), -p1 / p2 * w
-        return dpsi, d2, -p1 / p2 * w
+            return dpsi, d2, 1.0 / (h * psi * psi), -p1 / p2 * w, -dv
+        return dpsi, d2, -p1 / p2 * w, -dv
 
     events = []
     if with_theta:
@@ -370,7 +378,7 @@ def _solve_runs(ode: LinearODE, theta0, y0, theta1, forced, floor, reach=None) -
         )
     if traj.termination != "event:psi_floor" or reach is not None:
         return [traj]
-    y_end = [traj.ys[-1][i] for i in (0, 1, 3)]  # Theta stops here
+    y_end = [traj.ys[-1][i] for i in (0, 1, 3, 4)]  # Theta stops here
     return [traj, *_solve_runs(ode, traj.t_end, y_end, theta1, forced, None)]
 
 
@@ -379,12 +387,13 @@ class LinearSolution:
     """Solution psi of the linear ODE with given data (psi0, psi'0) at theta0.
 
     One run per direction carries psi, psi', Abel's Wronskian factor W of
-    the identity basis (W' = -(p1/p2) W, W(theta0) = 1) and, when psi0 > 0,
-    the angle map Theta(theta) = integral of 1/(h psi^2) from theta0 up to
-    where psi falls to 1e-4 psi0; a second run carries psi on to the end of
-    the domain, unless the solve is cut to a time window's reach.  ``path``
-    rows are (psi, psi', ..., W) and ``Theta`` rows hold Theta in column 2.
-    The homogeneous basis psi1, psi2 is integrated only on request.
+    the identity basis (W' = -(p1/p2) W, W(theta0) = 1), the gap
+    g = I - V(theta) and, when psi0 > 0, the angle map
+    Theta(theta) = integral of 1/(h psi^2) from theta0 up to where psi falls
+    to 1e-4 psi0; a second run carries psi on to the end of the domain,
+    unless the solve is cut to a time window's reach.  ``path`` rows are
+    (psi, psi', ..., W, g) and ``Theta`` rows hold Theta in column 2.  The
+    homogeneous basis psi1, psi2 is integrated only on request.
     """
 
     ode: LinearODE
@@ -404,15 +413,21 @@ class LinearSolution:
         b = self.psi2.row(theta)
         return a[0] * b[1] - b[0] * a[1]
 
+    def coefficients(self, theta: float) -> tuple[float, float, float, float, float]:
+        """(p2, p1, p0, rhs, psi) at theta, from the gap carried along the solve."""
+        row = self.path.row(theta)
+        return (*self.ode.terms(theta, row[-1])[1:5], row[0])
+
     @cached_property
     def psi1(self) -> _SidedRuns:
-        return self._homogeneous([1.0, 0.0, 1.0])
+        return self._homogeneous(1.0, 0.0)
 
     @cached_property
     def psi2(self) -> _SidedRuns:
-        return self._homogeneous([0.0, 1.0, 1.0])
+        return self._homogeneous(0.0, 1.0)
 
-    def _homogeneous(self, y0) -> _SidedRuns:
+    def _homogeneous(self, psi0: float, dpsi0: float) -> _SidedRuns:
+        y0 = [psi0, dpsi0, 1.0, self.path.y0[-1]]  # W = 1, and the gap at theta0
         runs = [
             _solve_runs(self.ode, self.theta0, y0, end, False, None)
             for end in (self.ode.domain[1], self.ode.domain[0])
@@ -439,12 +454,13 @@ def solve_linear(
     if not (lo <= theta0 <= hi):
         raise ValueError(f"theta0={theta0!r} outside the ODE domain [{lo}, {hi}]")
     floor = _PSI_FLOOR_REL * psi0 if psi0 > 0.0 else None
-    y0 = [psi0, dpsi0, 0.0, 1.0] if floor is not None else [psi0, dpsi0, 1.0]
+    gap0 = ode.gap(theta0)
+    y0 = [psi0, dpsi0, 0.0, 1.0, gap0] if floor is not None else [psi0, dpsi0, 1.0, gap0]
     # reach below and above theta0; without an angle map there is nothing to cut
     down, up = (None, None) if tau_reach is None or floor is None else tau_reach[:: ode.branch_sign]
     fwd = _solve_runs(ode, theta0, y0, hi, True, floor, up)
     bwd = _solve_runs(ode, theta0, y0, lo, True, floor, down)
-    if not all(0.0 < y[-1] < math.inf for traj in fwd + bwd for y in traj.ys):  # Abel factor W
+    if not all(0.0 < y[-2] < math.inf for traj in fwd + bwd for y in traj.ys):  # Abel factor W
         raise LinearizationError("homogeneous solutions became linearly dependent")
     Theta = None
     if floor is not None:

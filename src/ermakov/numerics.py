@@ -14,7 +14,7 @@ import math
 import sys
 from typing import Callable
 
-__all__ = ["QuadratureError", "linspace", "quad_adaptive"]
+__all__ = ["QuadratureError", "exact_sum", "linspace", "quad_adaptive"]
 
 # 21-point Kronrod abscissae on [-1, 1], outermost first; every second one
 # (0.9739..., 0.8650..., ...) is a 10-point Gauss abscissa.  The centre is a
@@ -160,7 +160,7 @@ def quad_adaptive(
             trouble = f"maximum number of subintervals ({_LIMIT}) reached"
         elif max(abs(lo), abs(hi)) <= (1.0 + 100.0 * _EPS) * (abs(mid) + 1000.0 * _TINY):
             trouble = "subinterval too small: the integrand is singular or discontinuous"
-    return _checked(sum(areas), errsum, a, b, abs_tol, rel_tol, trouble)
+    return _checked(exact_sum(areas), errsum, a, b, abs_tol, rel_tol, trouble)
 
 
 def _checked(value, abserr, a, b, abs_tol, rel_tol, trouble) -> float:
@@ -170,6 +170,22 @@ def _checked(value, abserr, a, b, abs_tol, rel_tol, trouble) -> float:
     elif trouble is None or abserr <= 100.0 * max(abs_tol, rel_tol * abs(value)):
         return value
     raise QuadratureError(f"quadrature on [{a!r}, {b!r}] unreliable: {trouble} (abserr={abserr:.3e})")
+
+
+def exact_sum(values) -> float:
+    """The correctly rounded sum of ``values`` (``math.fsum``).
+
+    Unlike ``sum``, whose float rounding Python 3.12 changed, it is the same
+    on every Python version.  Where fsum raises, the result is non-finite:
+    inf where a partial sum passes the float range (unsigned: the callers
+    add squares, or reject any non-finite total), NaN for inf + -inf.
+    """
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+    except ValueError:
+        return math.nan
 
 
 def linspace(start: float, stop: float, n: int) -> list[float]:

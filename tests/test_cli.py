@@ -331,6 +331,28 @@ class TestLinearize:
         sol = solve_from_state(build_spec(cfg), cfg.polar_state, (data[0, 0], data[-1, 0]))
         assert [sol.psi(th) for th in data[:, 0]] == data[:, 5].tolist()
 
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_p2_column_is_twice_the_gap(self, tmp_path, preset):
+        # the rows read the gap I - V carried along the solve; LinearODE.p2 evaluates V
+        out = tmp_path / "out"
+        assert main(["linearize", "--preset", preset, "--out", str(out)]) == 0
+        _, data = _read_csv(out / "linear_ode.csv")
+        cfg = preset_config(preset)
+        ode = solve_from_state(build_spec(cfg), cfg.polar_state).ode
+        direct = np.array([ode.p2(th) for th in data[:, 0]])
+        assert np.all(np.abs(data[:, 1] - direct) <= 1e-9 * (1.0 + np.abs(direct)))
+
+    def test_theta_span_where_the_potential_is_undefined(self, tmp_path, capsys):
+        # U(tan theta) is defined for theta in (0, pi/2) only
+        cfg = copy.deepcopy(PRESETS["free-motion-demo"])
+        cfg["theta_span"] = [-0.2, 0.8]
+        out = tmp_path / "out"
+        code = main(["linearize", "--config", str(_write(tmp_path, "c.json", cfg)), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: potential undefined at theta=-0.2: U domain error at -0.2027")
+        assert "forbidden" not in err and "inf" not in err
+
     def test_theta_beyond_turning_names_angle(self, tmp_path, capsys):
         cfg = _winternitz_config(theta_span=[0.1, 3.0])
         out = tmp_path / "out"

@@ -502,7 +502,7 @@ def _case(name, monkeypatch):
         y0 = [1.0, math.pi / 2, 0.0, 2.0]
         cfg = IntegratorConfig(t_span=(0.0, 10.0))
         return polar_rhs_function(_WINTERNITZ), y0, cfg, _polar_events(_WINTERNITZ), None
-    # the 4-component [psi, psi', Theta, W] solve of the linearized route
+    # the 5-component [psi, psi', Theta, W, g] solve of the linearized route
     if name == "linear-psi-floor":
         runs = _linear_solve_runs(
             monkeypatch, lambda: linearize.solve_from_state(_WINTERNITZ, _WINTERNITZ_STATE)

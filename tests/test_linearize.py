@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 import ermakov as ek
+from ermakov import systems
 from ermakov.expressions import evaluate
 from ermakov.invariant import ForbiddenRegionError, TurningPointError
 from ermakov.linearize import (
+    LinearODE,
     LinearizationError,
     OutsideWindowError,
     QuadratureSolution,
@@ -433,6 +435,20 @@ class TestPipelineGuards:
         with pytest.raises(LinearizationError, match=r"empty angle domain at theta=1e-09"):
             auto_theta_domain(fm.linearizable.V, level, 1e-9)
 
+    def test_scan_stops_one_step_short_of_an_undefined_potential(self, winternitz_spec):
+        # free motion f = u: U(tan theta) is undefined below theta = 0, where it
+        # has a log singularity; the last angle that clears the level is 2.6e-15
+        fm = ek.free_motion_system("u", "1")
+        lo, hi = auto_theta_domain(fm.linearizable.V, 0.4999999999999998, math.pi / 4)
+        assert lo >= math.pi / 720
+        # scans that end at a turning point or at the 2 pi span keep their bits
+        assert auto_theta_domain(winternitz_spec.V, 3.0, math.pi / 2) == (
+            float.fromhex("0x1.7e0485cda5e5ep-1"), float.fromhex("0x1.5928041edb7f9p+1")
+        )
+        assert auto_theta_domain("0", 0.5, 0.0) == (
+            float.fromhex("-0x1.9267325ecc166p+2"), float.fromhex("0x1.9267325ecc166p+2")
+        )
+
     def test_only_a_handed_in_domain_is_checked_on_the_grid(
         self, winternitz_spec, winternitz_state, monkeypatch
     ):
@@ -612,6 +628,65 @@ class TestWindowedSolve:
             pipe.r_of_t(2.5)
         # without a window a constant rho needs none
         assert build_pipeline(winternitz_spec, winternitz_state).theta_at(2.5) > math.pi / 2
+
+
+class TestCarriedGap:
+    """The angle runs carry the gap I - V(theta), so no step evaluates V.
+
+    For free motion V = U(tan theta) is a quadrature, memoized per angle;
+    after the domain scan, a solve may evaluate V at most once, at theta0.
+    """
+
+    _STATE = ek.PolarState(1.0, math.pi / 4, -0.2, 1.0)  # free-motion-demo's
+
+    @staticmethod
+    def _quadratures_after_scan(monkeypatch):
+        """Start the potential's memo cold; count U quadratures once a domain scan has returned."""
+        import ermakov.linearize as lz
+
+        systems._coupling_potential.cache_clear()
+        count = {"scanned": False, "after": 0}
+        real_quad, real_scan = systems.quad_adaptive, lz.auto_theta_domain
+
+        def quad(*args, **kwargs):
+            count["after"] += count["scanned"]
+            return real_quad(*args, **kwargs)
+
+        def scan(*args):
+            domain = real_scan(*args)
+            count["scanned"] = True
+            return domain
+
+        monkeypatch.setattr(systems, "quad_adaptive", quad)
+        monkeypatch.setattr(lz, "auto_theta_domain", scan)
+        return count
+
+    def test_solve_linear(self, monkeypatch):
+        import ermakov.linearize as lz
+
+        count = self._quadratures_after_scan(monkeypatch)
+        spec = ek.free_motion_system("u", "1").linearizable
+        level = ek.lewis_ray_reid_polar(self._STATE, spec.V)
+        ode = LinearODE(spec, level, lz.auto_theta_domain(spec.V, level, math.pi / 4), 1)
+        sol = solve_linear(ode, math.pi / 4, 1.0, 0.2)
+        sol.psi1.row(0.5)
+        sol.psi2.row(0.5)
+        assert count["scanned"] and count["after"] <= 1
+
+    def test_build_pipeline(self, monkeypatch):
+        count = self._quadratures_after_scan(monkeypatch)
+        spec = ek.free_motion_system("u", "1").linearizable
+        pipe = build_pipeline(spec, self._STATE, t_window=(0.0, 0.15))
+        for t in np.linspace(0.0, 0.15, 7):
+            pipe.r_of_t(float(t))
+        assert count["scanned"] and count["after"] <= 1
+
+    def test_linearize_rows(self, monkeypatch, tmp_path):
+        from ermakov.cli import main
+
+        count = self._quadratures_after_scan(monkeypatch)
+        assert main(["linearize", "--preset", "free-motion-demo", "--out", str(tmp_path)]) == 0
+        assert count["scanned"] and count["after"] <= 1
 
 
 class TestWinternitzQuadraturesAgainstMpmath:

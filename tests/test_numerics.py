@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ermakov.expressions import EvaluationError
-from ermakov.numerics import QuadratureError, linspace, quad_adaptive
+from ermakov.numerics import QuadratureError, exact_sum, linspace, quad_adaptive
+from ermakov.systems import free_motion_system, potential_value_from_fg
 
 ABS_TOL = 1e-13
 REL_TOL = 1e-11
@@ -139,6 +140,30 @@ class TestContract:
     def test_reversed_limits_change_sign(self):
         fn = lambda x: math.exp(-x * x)
         assert quad_adaptive(fn, 2.0, -1.0) == -quad_adaptive(fn, -1.0, 2.0)
+
+    def test_inf_minus_inf_between_subintervals_is_unreliable(self):
+        # the first 21 points miss both poles; the halves' centres hit one each,
+        # and their values, inf and -inf, add to no number
+        def poles(x):
+            return {-0.5: math.inf, 0.5: -math.inf}.get(x, abs(x - 0.123))
+
+        with pytest.raises(QuadratureError, match="the value is not finite"):
+            quad_adaptive(poles, -1.0, 1.0)
+
+    def test_sum_is_the_same_on_every_python(self):
+        # free motion f = u near the sector edge: a plain sum() of the
+        # subinterval values reads ...078p+5 before Python 3.12 and ...079p+5
+        # from 3.12 on, where sum() became compensated
+        fm = free_motion_system("u", "1")
+        w = math.tan(2.6003504904892338e-15)
+        value = potential_value_from_fg(fm.cartesian.f, fm.cartesian.g, w)
+        assert value.hex() == "-0x1.10aa402486079p+5"
+
+    def test_exact_sum_where_fsum_raises(self):
+        assert exact_sum([0.1] * 10) == 1.0  # correctly rounded; left to right gives 0.9999999999999999
+        assert exact_sum([1e308, 1e308, -1e308]) == math.inf  # a partial sum overflows
+        assert exact_sum(q * q for q in [1e300, 1e300]) == math.inf
+        assert math.isnan(exact_sum([math.inf, 1.0, -math.inf]))
 
     def test_endpoint_singularity_within_target(self):
         # int_0^1 x^-1/2 = 2 needs many bisections toward 0 but converges
