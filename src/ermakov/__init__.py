@@ -23,7 +23,6 @@ from .integration import (
     EventSpec,
     IntegratorConfig,
     Trajectory,
-    detect_events,
     integrate,
     integrate_cartesian,
     integrate_polar,

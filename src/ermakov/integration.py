@@ -37,7 +37,6 @@ __all__ = [
     "EventSpec",
     "IntegratorConfig",
     "Trajectory",
-    "detect_events",
     "integrate",
     "integrate_cartesian",
     "integrate_polar",
@@ -536,22 +535,3 @@ def monitor_invariant(traj: Trajectory, V, attach: bool = True) -> DriftStats:
         traj.drift = stats
     return stats
 
-
-def detect_events(traj: Trajectory, events: Sequence[EventSpec], time_tol: float = 1e-10) -> list[Event]:
-    """Scan a finished trajectory for sign changes of the event functions.
-
-    Crossings are located by bisection on the dense output to ``time_tol``
-    and listed in the order the run reaches them.
-    """
-    direction = 1.0 if traj.t_end >= traj.t0 else -1.0
-    found: list[Event] = []
-    for ev in events:
-        g_prev = ev.fn(traj.ts[0], traj.ys[0])
-        for i in range(1, len(traj.ts)):
-            g_new = ev.fn(traj.ts[i], traj.ys[i])
-            if _crossed(ev, g_prev, g_new):
-                t_star = _locate_crossing(traj.at, ev, traj.ts[i - 1], traj.ts[i], g_prev, time_tol)
-                found.append(Event(ev.name, t_star, traj.at(t_star)))
-            g_prev = g_new
-    found.sort(key=lambda e: direction * e.t)
-    return found

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .expressions import (
     EvaluationError,
@@ -27,7 +27,7 @@ from .expressions import (
     free_variables,
     is_literal_zero,
 )
-from .integration import EventSpec, IntegratorConfig, integrate
+from .integration import EventSpec, IntegratorConfig, Trajectory, integrate
 from .invariant import (
     ForbiddenRegionError,
     TurningPointError,
@@ -267,44 +267,40 @@ _PSI_FLOOR_REL = 1e-4  # the angle map stops where psi falls to this share of ps
 class _SidedRuns:
     """Dense output of the runs that leave x0 on each side.
 
-    ``up`` and ``down`` hold consecutive runs in one direction, each
-    continuing the one before; a row is the runs' state vector at x, ``y0``
-    at x0 itself.  ``inverse`` reads the first run of a side, in a column
-    that is 0 at x0 and increases with x: it finds the step by its node
-    values and solves that step's interpolant by Newton's method with its
-    exact slope, falling back to bisection.  Results depend only on the
-    stored runs, never on the order of queries.
+    ``up`` and ``down`` hold the run in each direction, or None where
+    nothing was solved; a row is the run's state vector at x, ``y0`` at x0
+    itself.  ``inverse`` reads a column that is 0 at x0 and increases with
+    x: it finds the step by its node values and solves that step's
+    interpolant by Newton's method with its exact slope, falling back to
+    bisection.  Results depend only on the stored runs, never on the order
+    of queries.
     """
 
     var: str
     x0: float
     y0: list[float]
-    up: list
-    down: list
+    up: Trajectory | None
+    down: Trajectory | None
 
     @property
     def window(self) -> tuple[float, float]:
-        lo = self.down[-1].t_end if self.down else self.x0
-        hi = self.up[-1].t_end if self.up else self.x0
+        lo = self.down.t_end if self.down else self.x0
+        hi = self.up.t_end if self.up else self.x0
         return lo, hi
 
     def row(self, x: float) -> list[float]:
         x = float(x)
         if x == self.x0:
             return self.y0
-        runs = self.up if x > self.x0 else self.down
+        run = self.up if x > self.x0 else self.down
         lo, hi = self.window
-        if not (runs and lo - 1e-12 <= x <= hi + 1e-12):
+        if not (run and lo - 1e-12 <= x <= hi + 1e-12):
             raise OutsideWindowError(f"{self.var}={x!r} outside the window [{lo}, {hi}]")
-        reach = abs(x - self.x0)
-        for traj in runs[:-1]:
-            if reach <= abs(traj.t_end - self.x0):
-                return traj.at(x)
-        return runs[-1].at(x)
+        return run.at(x)
 
     def ends(self, column: int) -> tuple[float, float]:
-        """``column`` at the last node of the first run on each side: what ``inverse`` covers."""
-        return tuple(r[0].ys[-1][column] if r else 0.0 for r in (self.down, self.up))
+        """``column`` at the last node on each side: what ``inverse`` covers."""
+        return tuple(r.ys[-1][column] if r else 0.0 for r in (self.down, self.up))
 
     def inverse(self, v: float, column: int) -> float:
         """The x whose row holds v in ``column``."""
@@ -318,7 +314,7 @@ class _SidedRuns:
                 f"requested time maps beyond {self.var}={edge!r}"
                 " (window edge or turning point)"
             )
-        run = (self.up if v > 0.0 else self.down)[0]
+        run = self.up if v > 0.0 else self.down
         # node values in the run's own direction, increasing from 0
         sign = 1.0 if v > 0.0 else -1.0
         i = bisect_left(run.ys, sign * v, key=lambda y: sign * y[column])
@@ -345,30 +341,30 @@ class _SidedRuns:
         return x
 
 
-def _solve_runs(ode: LinearODE, theta0, y0, theta1, forced, floor, reach=None) -> list:
-    """Integrate from theta0 towards theta1: [psi, psi', W, g], and Theta before W given a floor.
+def _solve_run(ode: LinearODE, theta0, y0, theta1, reach=None) -> Trajectory | None:
+    """Integrate from theta0 towards theta1: [psi, psi', W, g], or [psi, psi', Theta, W, g].
 
     The gap g = I - V(theta) rides along with g' = -dV/dtheta, so no step
-    evaluates the potential itself.  Theta' = 1/(h psi^2) rides along until
-    psi falls to the floor; a second run then carries [psi, psi', W, g] on
-    to theta1, unless a ``reach`` ends the run whole after the step where
-    |Theta| first reaches it (0: no run).
+    evaluates the potential itself.  Given a ``reach``, Theta' = 1/(h psi^2)
+    rides along too, and the run ends where psi falls to 1e-4 psi0 or after
+    the step where |Theta| first reaches ``reach`` (0: no run).
     """
     if theta1 == theta0 or reach == 0.0:
-        return []
-    with_theta = floor is not None
+        return None
+    with_theta = reach is not None
 
     def rhs(th, y):
         psi, dpsi, *_, w, gap = y
         h, p2, p1, p0, c, dv = ode.terms(th, gap)
-        d2 = ((c if forced else 0.0) - p1 * dpsi - p0 * psi) / p2
+        d2 = (c - p1 * dpsi - p0 * psi) / p2
         if with_theta:
             return dpsi, d2, 1.0 / (h * psi * psi), -p1 / p2 * w, -dv
         return dpsi, d2, -p1 / p2 * w, -dv
 
-    events = []
+    events = ()
     if with_theta:
-        events.append(EventSpec("psi_floor", lambda th, y: y[0] - floor, terminal=True))
+        floor = _PSI_FLOOR_REL * y0[0]
+        events = [EventSpec("psi_floor", lambda th, y: y[0] - floor, terminal=True)]
     until = None if reach is None else (lambda th, y: abs(y[2]) >= reach)
     cfg = IntegratorConfig(t_span=(theta0, theta1), rel_tol=_SOLVE_REL_TOL, abs_tol=_SOLVE_ABS_TOL)
     traj = integrate(rhs, y0, cfg, events, until)
@@ -376,10 +372,7 @@ def _solve_runs(ode: LinearODE, theta0, y0, theta1, forced, floor, reach=None) -
         raise LinearizationError(
             f"linear solve stopped at theta={traj.t_end!r} ({traj.termination})"
         )
-    if traj.termination != "event:psi_floor" or reach is not None:
-        return [traj]
-    y_end = [traj.ys[-1][i] for i in (0, 1, 3, 4)]  # Theta stops here
-    return [traj, *_solve_runs(ode, traj.t_end, y_end, theta1, forced, None)]
+    return traj
 
 
 @dataclass
@@ -387,19 +380,17 @@ class LinearSolution:
     """Solution psi of the linear ODE with given data (psi0, psi'0) at theta0.
 
     One run per direction carries psi, psi', Abel's Wronskian factor W of
-    the identity basis (W' = -(p1/p2) W, W(theta0) = 1), the gap
-    g = I - V(theta) and, when psi0 > 0, the angle map
-    Theta(theta) = integral of 1/(h psi^2) from theta0 up to where psi falls
-    to 1e-4 psi0; a second run carries psi on to the end of the domain,
-    unless the solve is cut to a time window's reach.  ``path`` rows are
-    (psi, psi', ..., W, g) and ``Theta`` rows hold Theta in column 2.  The
-    homogeneous basis psi1, psi2 is integrated only on request.
+    the identity basis (W' = -(p1/p2) W, W(theta0) = 1) and the gap
+    g = I - V(theta), over the whole domain: ``path`` rows are
+    (psi, psi', W, g).  A solve for the time reconstruction also carries
+    the angle map Theta(theta) = integral of 1/(h psi^2) from theta0, and
+    ends where psi falls to 1e-4 psi0 or where Theta reaches a time
+    window's share; its rows are (psi, psi', Theta, W, g).
     """
 
     ode: LinearODE
     theta0: float
     path: _SidedRuns
-    Theta: _SidedRuns | None
 
     def psi(self, theta: float) -> float:
         return self.path.row(theta)[0]
@@ -407,32 +398,10 @@ class LinearSolution:
     def dpsi(self, theta: float) -> float:
         return self.path.row(theta)[1]
 
-    def wronskian(self, theta: float) -> float:
-        """psi1 psi2' - psi2 psi1' from the homogeneous basis."""
-        a = self.psi1.row(theta)
-        b = self.psi2.row(theta)
-        return a[0] * b[1] - b[0] * a[1]
-
     def coefficients(self, theta: float) -> tuple[float, float, float, float, float]:
         """(p2, p1, p0, rhs, psi) at theta, from the gap carried along the solve."""
         row = self.path.row(theta)
         return (*self.ode.terms(theta, row[-1])[1:5], row[0])
-
-    @cached_property
-    def psi1(self) -> _SidedRuns:
-        return self._homogeneous(1.0, 0.0)
-
-    @cached_property
-    def psi2(self) -> _SidedRuns:
-        return self._homogeneous(0.0, 1.0)
-
-    def _homogeneous(self, psi0: float, dpsi0: float) -> _SidedRuns:
-        y0 = [psi0, dpsi0, 1.0, self.path.y0[-1]]  # W = 1, and the gap at theta0
-        runs = [
-            _solve_runs(self.ode, self.theta0, y0, end, False, None)
-            for end in (self.ode.domain[1], self.ode.domain[0])
-        ]
-        return _SidedRuns("theta", self.theta0, y0, *runs)
 
 
 def solve_linear(
@@ -444,33 +413,29 @@ def solve_linear(
 ) -> LinearSolution:
     """Solve the linear ODE matching (psi0, dpsi0) at theta0 on the ODE domain.
 
-    ``tau_reach`` = (before, after), how far |Tau| must reach before and
-    after t0, cuts each side of theta0 to where |Theta| reaches its share
-    (Theta = branch_sign * Tau).  Raises LinearizationError if Abel's
-    factor W stops being positive, i.e. the homogeneous solutions become
-    linearly dependent.
+    Given ``tau_reach`` = (before, after), how far |Tau| must reach before
+    and after t0 (inf: no cut), the solve carries the angle map and cuts
+    each side of theta0 to where |Theta| reaches its share
+    (Theta = branch_sign * Tau); the map needs psi0 > 0.  Raises
+    LinearizationError if Abel's factor W stops being positive, i.e. the
+    homogeneous solutions become linearly dependent.
     """
     lo, hi = ode.domain
     if not (lo <= theta0 <= hi):
         raise ValueError(f"theta0={theta0!r} outside the ODE domain [{lo}, {hi}]")
-    floor = _PSI_FLOOR_REL * psi0 if psi0 > 0.0 else None
     gap0 = ode.gap(theta0)
-    y0 = [psi0, dpsi0, 0.0, 1.0, gap0] if floor is not None else [psi0, dpsi0, 1.0, gap0]
-    # reach below and above theta0; without an angle map there is nothing to cut
-    down, up = (None, None) if tau_reach is None or floor is None else tau_reach[:: ode.branch_sign]
-    fwd = _solve_runs(ode, theta0, y0, hi, True, floor, up)
-    bwd = _solve_runs(ode, theta0, y0, lo, True, floor, down)
-    if not all(0.0 < y[-2] < math.inf for traj in fwd + bwd for y in traj.ys):  # Abel factor W
+    if tau_reach is None:
+        y0 = [psi0, dpsi0, 1.0, gap0]
+        down = up = None
+    elif psi0 > 0.0:
+        y0 = [psi0, dpsi0, 0.0, 1.0, gap0]
+        down, up = tau_reach[:: ode.branch_sign]  # reach below and above theta0
+    else:
+        raise LinearizationError(f"psi({theta0!r}) = {psi0!r} is not positive")
+    runs = (_solve_run(ode, theta0, y0, hi, up), _solve_run(ode, theta0, y0, lo, down))
+    if not all(0.0 < y[-2] < math.inf for traj in runs if traj for y in traj.ys):  # Abel factor W
         raise LinearizationError("homogeneous solutions became linearly dependent")
-    Theta = None
-    if floor is not None:
-        Theta = _SidedRuns("theta", theta0, y0, fwd[:1], bwd[:1])
-    return LinearSolution(
-        ode=ode,
-        theta0=theta0,
-        path=_SidedRuns("theta", theta0, y0, fwd, bwd),
-        Theta=Theta,
-    )
+    return LinearSolution(ode=ode, theta0=theta0, path=_SidedRuns("theta", theta0, y0, *runs))
 
 
 # ---------------------------------------------------------------------------
@@ -597,16 +562,16 @@ def _time_map(rho: Expression, t0: float, t_window: tuple[float, float]) -> _Sid
             raise EvaluationError(f"rho vanished at t={t!r}")
         return (1.0 / (rv * rv),)
 
-    def side(t1: float) -> list:
+    def side(t1: float) -> Trajectory | None:
         if t1 == t0:
-            return []
+            return None
         cfg = IntegratorConfig(t_span=(t0, t1), rel_tol=_SOLVE_REL_TOL, abs_tol=_SOLVE_ABS_TOL)
         traj = integrate(rhs, [0.0], cfg)
         if traj.termination != "completed":
             raise LinearizationError(
                 f"time quadrature stopped at t={traj.t_end!r} ({traj.termination})"
             )
-        return [traj]
+        return traj
 
     down = side(min(t0, *t_window))
     return _SidedRuns("t", t0, [0.0], side(max(t0, *t_window)), down)
@@ -625,12 +590,12 @@ def _tau(Tau: _SidedRuns | None, rho_const: float | None, t0: float, window, t: 
 class QuadratureSolution:
     """The linearized route for one trajectory: angle and time maps, and the radius.
 
-    The maps satisfy Theta(theta(t)) = branch_sign * Tau(t), where Theta
-    integrates 1/(h psi^2) from theta0 inside the solve and Tau integrates
-    1/rho^2 from t0.  Both are strictly increasing on their windows.  Tau
-    is (t - t0)/rho^2 for a constant rho, and otherwise read off ``Tau``,
-    over the time span ``t_window`` (t0 included) if one is given.  The
-    radius is r = rho/psi.
+    The maps satisfy Theta(theta(t)) = branch_sign * Tau(t), where Theta,
+    column 2 of the solve, integrates 1/(h psi^2) from theta0 and Tau
+    integrates 1/rho^2 from t0.  Both are strictly increasing on their
+    windows.  Tau is (t - t0)/rho^2 for a constant rho, and otherwise read
+    off ``Tau``, over the time span ``t_window`` (t0 included) if one is
+    given.  The radius is r = rho/psi.
     """
 
     solution: LinearSolution
@@ -639,9 +604,13 @@ class QuadratureSolution:
     rho_const: float | None
     t_window: tuple[float, float] | None
 
+    def __post_init__(self):
+        if len(self.solution.path.y0) != 5:  # rows (psi, psi', W, g)
+            raise LinearizationError("the linear solve carries no angle map: give it a tau_reach")
+
     @property
     def theta_window(self) -> tuple[float, float]:
-        return self.solution.Theta.window
+        return self.solution.path.window
 
     def tau(self, t: float) -> float:
         """Tau(t) = integral of 1/rho^2 from t0."""
@@ -650,7 +619,7 @@ class QuadratureSolution:
     def theta_at(self, t: float) -> float:
         """The unique angle with Theta(theta) = branch_sign*Tau(t)."""
         tau = self.tau(float(t))
-        return self.solution.Theta.inverse(self.solution.ode.branch_sign * tau, 2)
+        return self.solution.path.inverse(self.solution.ode.branch_sign * tau, 2)
 
     def t_at(self, theta: float) -> float:
         """The time with Tau(t) = Theta(theta)/branch_sign.
@@ -658,7 +627,7 @@ class QuadratureSolution:
         With a time window, a time within rounding of one of its ends is
         that end, and one beyond it raises OutsideWindowError.
         """
-        tau = self.solution.Theta.row(theta)[2] / self.solution.ode.branch_sign
+        tau = self.solution.path.row(theta)[2] / self.solution.ode.branch_sign
         if self.t_window is None:
             return self.t0 + self.rho_const * self.rho_const * tau
         lo, hi = self.t_window
@@ -734,31 +703,35 @@ def verify_compatibility(spec: LinearizableSpec, state: PolarState) -> float:
 
     Evaluates rho^3 (rhoddot + w2 rho)/psi^3 with the induced frequency on
     one side and a psi' + b psi + c on the other; the two agree identically
-    for any member of the family, up to rounding.
+    for any member of the family, up to rounding.  Raises LinearizationError
+    where a radius near the float limits leaves r^2 or psi^3 without a value.
     """
     spec = _check_linearizable(spec)
     if state.thetadot == 0.0:
         raise ValueError("compatibility residual needs a state with nonzero thetadot")
-    rho_v, psi, dpsi = _initial_data(spec, state)
-    rho_ddv = evaluate(_rho_derivatives(spec.rho)[1], {"t": state.t})
-    if rho_v == 0.0:
-        raise EvaluationError(f"rho vanished at t={state.t!r}")
-    ell = state.angular_momentum
-    env = {"theta": state.theta, "L": ell}
-    a = -ell * evaluate(spec.A, env)
-    b = evaluate(spec.B, env)
-    c = evaluate(spec.C, env)
-    w2 = evaluate(
-        frequency_from_linearizable(spec),
-        {
-            "t": state.t,
-            "r": state.r,
-            "theta": state.theta,
-            "rdot": state.rdot,
-            "thetadot": state.thetadot,
-        },
-    )
-    lhs = rho_v**3 * (rho_ddv + w2 * rho_v) / psi**3
+    try:
+        rho_v, psi, dpsi = _initial_data(spec, state)
+        rho_ddv = evaluate(_rho_derivatives(spec.rho)[1], {"t": state.t})
+        if rho_v == 0.0:
+            raise EvaluationError(f"rho vanished at t={state.t!r}")
+        ell = state.angular_momentum
+        env = {"theta": state.theta, "L": ell}
+        a = -ell * evaluate(spec.A, env)
+        b = evaluate(spec.B, env)
+        c = evaluate(spec.C, env)
+        w2 = evaluate(
+            frequency_from_linearizable(spec),
+            {
+                "t": state.t,
+                "r": state.r,
+                "theta": state.theta,
+                "rdot": state.rdot,
+                "thetadot": state.thetadot,
+            },
+        )
+        lhs = rho_v**3 * (rho_ddv + w2 * rho_v) / psi**3
+    except ArithmeticError as exc:  # r**2 or psi**3 overflows, or underflows to a zero divisor
+        raise LinearizationError(f"no compatibility residual at r={state.r!r}: {exc}") from exc
     rhs = a * dpsi + b * psi + c
     return abs(lhs - rhs)
 
@@ -804,14 +777,13 @@ def build_pipeline(
     Tau integrates 1/rho^2 from state0.t, in closed form for a constant rho
     and otherwise over ``t_window``, which a time-dependent rho requires.
     With a window, the angle map is solved only as far as Tau reaches over
-    it and times outside it raise OutsideWindowError.  Queries outside the
-    covered window raise instead of crossing turning points.
+    it and times outside it raise OutsideWindowError; without one, it ends
+    where psi falls to 1e-4 psi0 or at the end of the domain.  Queries
+    outside the covered window raise instead of crossing turning points.
     """
     ode, psi0, dpsi0 = _linear_problem(spec, state0, None)
-    if not psi0 > 0.0:
-        raise LinearizationError(f"psi({state0.theta!r}) = {psi0!r} is not positive")
     Tau, rho_const, span = _time_side(ode.spec.rho, state0.t, t_window)
-    tau_reach = None
+    tau_reach = (math.inf, math.inf)
     if span is not None:
         lo, hi = (_tau(Tau, rho_const, state0.t, span, t) for t in span)
         tau_reach = (-lo, hi)

@@ -745,6 +745,8 @@ _CHANGES = st.sampled_from(_FIELDS).flatmap(lambda f: st.tuples(st.just(f), _new
     command="simulate",
 )
 @example(change=(("winternitz-default", ("initial_state", "r")), 1e-60), command="simulate")
+@example(change=(("winternitz-default", ("initial_state", "r")), 1e-300), command="validate")
+@example(change=(("winternitz-default", ("initial_state", "r")), 1e300), command="validate")
 def test_one_changed_field_keeps_the_exit_code_contract(change, command):
     (name, path), value = change
     cfg = copy.deepcopy(_CHEAP_PRESETS[name])

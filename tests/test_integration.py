@@ -15,7 +15,6 @@ from ermakov.integration import (
     _crossed,
     _locate_crossing,
     _polar_events,
-    detect_events,
     integrate,
     monitor_invariant,
 )
@@ -170,18 +169,20 @@ class TestEvents:
         assert traj.termination == "event:axis_crossing_y"
         assert traj.t_end == pytest.approx(1.0, abs=1e-6)
 
-    def test_detect_events_post_hoc(self):
+    def test_events_located_in_the_run(self):
         cfg = IntegratorConfig(t_span=(0.0, 2.0 * math.pi))
-        traj = ek.integrate_cartesian(OSCILLATOR, OSC_STATE, cfg)
-        hits = detect_events(traj, [EventSpec("x_zero", lambda t, y: y[0])])
+        rhs = cartesian_rhs_function(OSCILLATOR)
+        traj = integrate(rhs, [1.0, 0.0, 0.0, 1.0], cfg, [EventSpec("x_zero", lambda t, y: y[0])])
+        hits = traj.events
         assert len(hits) == 2
         assert hits[0].t == pytest.approx(math.pi / 2, abs=1e-9)
         assert hits[1].t == pytest.approx(3.0 * math.pi / 2, abs=1e-9)
 
-    def test_detect_events_backward_run_in_run_order(self):
-        traj = integrate(lambda t, y: np.array([1.0]), [0.0], IntegratorConfig(t_span=(0.0, -3.0)))
-        hits = detect_events(traj, [EventSpec("y_band", lambda t, y: (y[0] + 0.5) * (y[0] + 2.5))])
-        assert [h.t for h in hits] == pytest.approx([-0.5, -2.5], abs=1e-9)
+    def test_events_of_a_backward_run_in_run_order(self):
+        band = EventSpec("y_band", lambda t, y: (y[0] + 0.5) * (y[0] + 2.5))
+        cfg = IntegratorConfig(t_span=(0.0, -3.0))
+        traj = integrate(lambda t, y: np.array([1.0]), [0.0], cfg, [band])
+        assert [h.t for h in traj.events] == pytest.approx([-0.5, -2.5], abs=1e-9)
 
     def test_event_time_tolerance(self):
         cfg = IntegratorConfig(t_span=(0.0, 2.0), event_time_tol=1e-10)
@@ -502,10 +503,10 @@ def _case(name, monkeypatch):
         y0 = [1.0, math.pi / 2, 0.0, 2.0]
         cfg = IntegratorConfig(t_span=(0.0, 10.0))
         return polar_rhs_function(_WINTERNITZ), y0, cfg, _polar_events(_WINTERNITZ), None
-    # the 5-component [psi, psi', Theta, W, g] solve of the linearized route
+    # the linearized route: [psi, psi', Theta, W, g] for the pipeline, [psi, psi', W, g] without
     if name == "linear-psi-floor":
         runs = _linear_solve_runs(
-            monkeypatch, lambda: linearize.solve_from_state(_WINTERNITZ, _WINTERNITZ_STATE)
+            monkeypatch, lambda: linearize.build_pipeline(_WINTERNITZ, _WINTERNITZ_STATE)
         )
         return runs[0]
     if name == "linear-backward":

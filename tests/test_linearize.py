@@ -36,7 +36,7 @@ def _uniform_rotation_pieces():
     """
     spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="1", F="0", V="0")
     ode = build_linear_ode(spec, 0.5, (-6.0, 6.0))
-    sol = solve_linear(ode, 0.0, 1.0, 0.0)
+    sol = solve_linear(ode, 0.0, 1.0, 0.0, (math.inf, math.inf))
     quad = QuadratureSolution(sol, 0.0, None, 1.0, None)
     return spec, ode, sol, quad
 
@@ -102,27 +102,41 @@ class TestSolveLinear:
         errs = [abs(sol.psi(th) - math.cos(th)) for th in np.linspace(0.0, math.pi - 0.1, 40)]
         assert max(errs) <= 1e-9
 
+    @staticmethod
+    def _basis(ode, theta0):
+        """Homogeneous solutions u1, u2 with data (1, 0), (0, 1): differences of driven solves."""
+        particular = solve_linear(ode, theta0, 0.0, 0.0)
+        e1, e2 = solve_linear(ode, theta0, 1.0, 0.0), solve_linear(ode, theta0, 0.0, 1.0)
+
+        def rows(theta):
+            p = particular.path.row(theta)
+            return [[a - b for a, b in zip(e.path.row(theta)[:2], p[:2])] for e in (e1, e2)]
+
+        return particular, rows
+
     def test_superposition(self, winternitz_spec):
         ode = build_linear_ode(winternitz_spec, 3.0, (1.0, 2.2))
         alpha, beta = 0.7, -0.4
         sol = solve_linear(ode, 1.5, alpha, beta)
-        combo = solve_linear(ode, 1.5, 0.0, 0.0)
+        combo, basis = self._basis(ode, 1.5)
         for th in np.linspace(1.05, 2.15, 9):
             direct = sol.psi(float(th))
-            assembled = (
-                alpha * sol.psi1.row(float(th))[0]
-                + beta * sol.psi2.row(float(th))[0]
-                + combo.psi(float(th))
-            )
+            u1, u2 = basis(float(th))
+            assembled = alpha * u1[0] + beta * u2[0] + combo.psi(float(th))
             assert abs(direct - assembled) <= 1e-9 * (1.0 + abs(direct))
 
     def test_wronskian_consistent_with_abel(self, winternitz_spec):
         ode = build_linear_ode(winternitz_spec, 3.0, (1.0, 2.2))
-        sol = solve_linear(ode, 1.5, 1.0, 0.0)
-        w0 = sol.wronskian(1.5)
+        _, basis = self._basis(ode, 1.5)
+
+        def wronskian(theta):
+            u1, u2 = basis(theta)
+            return u1[0] * u2[1] - u2[0] * u1[1]
+
+        w0 = wronskian(1.5)
         for th in np.linspace(1.1, 2.1, 7):
             factor = quad_adaptive(lambda lam: ode.p1(lam) / ode.p2(lam), 1.5, float(th))
-            assert sol.wronskian(float(th)) * math.exp(factor) == pytest.approx(
+            assert wronskian(float(th)) * math.exp(factor) == pytest.approx(
                 w0, abs=1e-7, rel=1e-7
             )
 
@@ -248,7 +262,7 @@ class TestTimeQuadrature:
         thetas = [pipe.theta_at(t) for t in np.linspace(0.0, 2.0, 15)]
         assert all(b > a for a, b in zip(thetas, thetas[1:]))
         inner = np.linspace(*pipe.theta_window, 9)[1:-1]
-        values = [pipe.solution.Theta.row(th)[2] for th in inner]
+        values = [pipe.solution.path.row(th)[2] for th in inner]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_negative_branch(self):
@@ -482,37 +496,43 @@ class TestAugmentedSolve:
         # psi'' + psi = 0 from (1, 0): psi = cos(theta) falls to 1e-4 psi0 at
         # +-acos(1e-4), and Theta = integral of 1/cos^2 = tan
         spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="0", F="0", V="0")
-        ode = build_linear_ode(spec, 0.5, (-2.0, 2.0))
-        sol = solve_linear(ode, 0.0, 1.0, 0.0)
-        lo, hi = sol.Theta.window
+        sol = build_pipeline(spec, ek.PolarState(1.0, 0.0, 0.0, 1.0)).solution
+        lo, hi = sol.path.window
         edge = math.acos(1e-4)
         assert abs(hi - edge) <= 1e-9
         assert abs(lo + edge) <= 1e-9
-        assert sol.Theta.row(1.0)[2] == pytest.approx(math.tan(1.0), rel=1e-10)
-        # psi is still solved beyond the window, up to the end of the grid
+        assert sol.path.row(1.0)[2] == pytest.approx(math.tan(1.0), rel=1e-10)
+
+    def test_plain_solve_runs_past_the_psi_floor(self):
+        # without the angle map psi is solved up to the ends of the domain
+        spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="0", F="0", V="0")
+        ode = build_linear_ode(spec, 0.5, (-2.0, 2.0))
+        sol = solve_linear(ode, 0.0, 1.0, 0.0)
+        assert sol.path.window == (-2.0, 2.0)
         assert sol.psi(1.9) == pytest.approx(math.cos(1.9), abs=1e-9)
         assert sol.psi(-1.9) == pytest.approx(math.cos(1.9), abs=1e-9)
 
-    def test_basis_integrated_only_on_request(self, monkeypatch):
+    def test_linearize_solves_one_plain_run_per_side(self, monkeypatch, tmp_path):
         import ermakov.linearize as lz
+        from ermakov.cli import main
 
-        spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="1", F="0", V="0")
-        state = ek.PolarState(1.0, 0.0, 0.0, 1.0)
         calls = []
         real = lz.integrate
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def recording(rhs, y0, cfg, events=(), until=None):
+            calls.append((len(y0), list(events), until))
+            return real(rhs, y0, cfg, events, until)
 
-        monkeypatch.setattr(lz, "integrate", counting)
-        pipe = build_pipeline(spec, state, t_window=(0.0, 2.0))
-        # one augmented run, forward only: the window starts at t0 and the
-        # branch is +1; psi = 1 never nears the floor
-        assert len(calls) == 1
-        pipe.solution.psi1.row(1.7)
-        pipe.solution.psi2.row(1.7)
-        assert len(calls) == 5
+        monkeypatch.setattr(lz, "integrate", recording)
+        assert main(["linearize", "--preset", "winternitz-default", "--out", str(tmp_path)]) == 0
+        # [psi, psi', W, g] to each end of the domain: no angle map, no psi floor
+        assert calls == [(4, [], None), (4, [], None)]
+
+    def test_quadrature_over_a_solve_without_the_angle_map_is_named(self):
+        spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="1", F="0", V="0")
+        sol = solve_linear(build_linear_ode(spec, 0.5, (-6.0, 6.0)), 0.0, 1.0, 0.0)
+        with pytest.raises(LinearizationError, match="no angle map"):
+            QuadratureSolution(sol, 0.0, None, 1.0, None)
 
     def test_time_dependent_rho_needs_time_window(self):
         spec = ek.LinearizableSpec(rho="1 + 0.1*t", A="0", B="0", C="0", F="0", V="0")
@@ -559,8 +579,10 @@ class TestWindowedSolve:
     def test_matches_the_whole_domain_solve_bit_for_bit(self, case):
         spec, state, window = case
         windowed = build_pipeline(spec, state, t_window=window)
+        plain = solve_from_state(spec, state)
+        uncut = (math.inf, math.inf)
         whole = QuadratureSolution(
-            solve_from_state(spec, state),
+            solve_linear(plain.ode, state.theta, *plain.path.y0[:2], uncut),
             state.t,
             windowed.Tau,
             windowed.rho_const,
@@ -573,7 +595,7 @@ class TestWindowedSolve:
         radii = [whole.r_of_theta(th) for th in thetas]
         assert [windowed.r_of_theta(th) for th in thetas] == radii
         # the cut run is the first part of the whole one: same nodes, same steps
-        cut, full = windowed.solution.path.up[0], whole.solution.path.up[0]
+        cut, full = windowed.solution.path.up, whole.solution.path.up
         assert len(cut.ts) < len(full.ts)
         assert cut.ts == full.ts[: len(cut.ts)]
         assert cut.slopes == full.slopes[: len(cut.slopes)]
@@ -591,7 +613,7 @@ class TestWindowedSolve:
 
         monkeypatch.setattr(lz, "integrate", recording)
         pipe = build_pipeline(spec, state, t_window=window)
-        assert pipe.solution.path.down == [] and pipe.solution.Theta.down == []
+        assert pipe.solution.path.down is None
         # one angle run, forward (a time-dependent rho adds its Tau run)
         angle_runs = [span for span in spans if span[0] == state.theta]
         assert len(angle_runs) == 1 and angle_runs[0][1] > state.theta
@@ -615,8 +637,8 @@ class TestWindowedSolve:
             assert pipe.theta_at(t) == whole.theta_at(t)
             assert pipe.r_of_t(t) == whole.r_of_t(t)
         path = pipe.solution.path
-        assert (len(path.up), len(path.down)) == {
-            "up": (1, 0), "down": (0, 1), "both": (1, 1)
+        assert (path.up is not None, path.down is not None) == {
+            "up": (True, False), "down": (False, True), "both": (True, True)
         }[solved]
 
     def test_constant_rho_query_past_the_window_names_it(self, winternitz_spec, winternitz_state):
@@ -669,8 +691,7 @@ class TestCarriedGap:
         level = ek.lewis_ray_reid_polar(self._STATE, spec.V)
         ode = LinearODE(spec, level, lz.auto_theta_domain(spec.V, level, math.pi / 4), 1)
         sol = solve_linear(ode, math.pi / 4, 1.0, 0.2)
-        sol.psi1.row(0.5)
-        sol.psi2.row(0.5)
+        sol.coefficients(0.5)
         assert count["scanned"] and count["after"] <= 1
 
     def test_build_pipeline(self, monkeypatch):
