@@ -199,14 +199,6 @@ class Trajectory:
             for t, row in zip(self.ts, self.ys)
         ]
 
-    def cartesian_states(self) -> list[CartesianState]:
-        if self.coords != "cartesian":
-            raise ValueError("trajectory does not hold cartesian states")
-        return [
-            CartesianState(x=row[0], y=row[1], xdot=row[2], ydot=row[3], t=t)
-            for t, row in zip(self.ts, self.ys)
-        ]
-
 
 def _scaled_rms(v: Sequence[float], scale: Sequence[float]) -> float:
     """sqrt(mean((v/scale)**2)); an overflow gives inf or NaN, never an error."""
@@ -258,11 +250,14 @@ def _crossed(ev: EventSpec, g_old: float, g_new: float) -> bool:
 
 
 def _locate_crossing(traj_dense, ev, t_lo, t_hi, g_lo, tol):
-    """Bisect a sign change of an event function on dense output."""
+    """Bisect a sign change of an event function on dense output.
+
+    Stops at the time tolerance, or earlier where no float lies between
+    the ends (far from t = 0 one ulp can exceed the tolerance).
+    """
     a, b = t_lo, t_hi
     sign_lo = g_lo > 0.0
-    while abs(b - a) > tol:
-        mid = 0.5 * (a + b)
+    while abs(b - a) > tol and a != (mid := 0.5 * (a + b)) != b:
         g_mid = ev.fn(mid, traj_dense(mid))
         if g_mid == 0.0:
             return mid

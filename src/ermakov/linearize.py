@@ -87,6 +87,12 @@ def _check_linearizable(spec) -> LinearizableSpec:
     raise TypeError(f"cannot linearize a {type(spec).__name__}")
 
 
+def _structure_terms(spec: LinearizableSpec, theta: float, ell: float) -> tuple[float, float, float]:
+    """(a, b, c) = (-L A, B, C) at (theta, L): the right side a psi' + b psi + c on shell."""
+    env = {"theta": theta, "L": ell}
+    return -ell * evaluate(spec.A, env), evaluate(spec.B, env), evaluate(spec.C, env)
+
+
 @dataclass
 class LinearODE:
     """Coefficients of the linear equation in psi(theta) at a fixed invariant level.
@@ -109,29 +115,10 @@ class LinearODE:
     def gap(self, theta: float) -> float:
         return self.invariant - evaluate(self.spec.V, {"theta": theta})
 
-    def h(self, theta: float) -> float:
-        return momentum_from_gap(theta, self.invariant, self.gap(theta))
-
-    def p2(self, theta: float) -> float:
-        return 2.0 * self.gap(theta)
-
-    def p1(self, theta: float) -> float:
-        return self.coefficients(theta)[1]
-
-    def p0(self, theta: float) -> float:
-        return self.coefficients(theta)[2]
-
-    def rhs(self, theta: float) -> float:
-        return self.coefficients(theta)[3]
-
     def terms(self, theta: float, gap: float) -> tuple[float, float, float, float, float, float]:
         """(h, p2, p1, p0, rhs, dV/dtheta) at theta, given the gap I - V(theta) there."""
         h = momentum_from_gap(theta, self.invariant, gap)
-        ell = self.branch_sign * h
-        env = {"theta": theta, "L": ell}
-        a = -ell * evaluate(self.spec.A, env)
-        b = evaluate(self.spec.B, env)
-        c = evaluate(self.spec.C, env)
+        a, b, c = _structure_terms(self.spec, theta, self.branch_sign * h)
         p2 = 2.0 * gap
         f = evaluate(self.spec.F, {"theta": theta})
         # h dh/dtheta = -dV/dtheta exactly
@@ -714,11 +701,7 @@ def verify_compatibility(spec: LinearizableSpec, state: PolarState) -> float:
         rho_ddv = evaluate(_rho_derivatives(spec.rho)[1], {"t": state.t})
         if rho_v == 0.0:
             raise EvaluationError(f"rho vanished at t={state.t!r}")
-        ell = state.angular_momentum
-        env = {"theta": state.theta, "L": ell}
-        a = -ell * evaluate(spec.A, env)
-        b = evaluate(spec.B, env)
-        c = evaluate(spec.C, env)
+        a, b, c = _structure_terms(spec, state.theta, state.angular_momentum)
         w2 = evaluate(
             frequency_from_linearizable(spec),
             {

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from typing import Callable, Sequence
 
 from .expressions import (
@@ -190,7 +190,8 @@ class LinearizableSpec:
 
     rho depends on t only; A, B, C on theta and L = r^2*thetadot; F and V
     on theta.  rho must stay nonzero on the integration window (checked at
-    run time).
+    run time); a rho that vanishes identically is rejected here, as the
+    induced frequency may not divide by it.
     """
 
     rho: Expression
@@ -205,6 +206,8 @@ class LinearizableSpec:
         for name in ("A", "B", "C", "F", "V"):
             object.__setattr__(self, name, as_expression(getattr(self, name)))
         _check_vars(self.rho, _TIME_VARS, "rho")
+        if is_literal_zero(self.rho):
+            raise ValueError("rho vanishes identically")
         _check_vars(self.A, _STRUCTURE_VARS, "A")
         _check_vars(self.B, _STRUCTURE_VARS, "B")
         _check_vars(self.C, _STRUCTURE_VARS, "C")
@@ -399,31 +402,28 @@ def frequency_from_linearizable(spec: LinearizableSpec) -> Expression:
 
     w2 = -rhoddot/rho + (rho*rdot - rhodot*r)/(rho r^3) * A
          + B/r^4 + C/(rho r^3), with A, B, C evaluated at L = r^2*thetadot.
-    One entry serves a run, which has one system; more would keep every
-    earlier system alive, with its compiled trees and quadrature memo.
+    The tree is assembled from already simplified pieces, and a term that
+    vanishes identically is left out rather than simplified away: a zero
+    term times an overflow would be NaN, and simplify keeps 0/x.  One entry
+    serves a run, which has one system; more would keep every earlier
+    system alive, with its compiled trees and quadrature memo.
     """
     rho = spec.rho
     rho_d, rho_dd = _rho_derivatives(rho)
-    r, thd = Var("r"), Var("thetadot")
-    ell = BinOp("*", BinOp("^", r, Num(2.0)), thd)
-    sub = {"L": ell}
-    a_term = BinOp(
-        "*",
-        BinOp(
-            "/",
-            BinOp("-", BinOp("*", rho, Var("rdot")), BinOp("*", rho_d, r)),
-            BinOp("*", rho, BinOp("^", r, Num(3.0))),
-        ),
-        substitute(spec.A, sub),
-    )
-    b_term = BinOp("/", substitute(spec.B, sub), BinOp("^", r, Num(4.0)))
-    c_term = BinOp("/", substitute(spec.C, sub), BinOp("*", rho, BinOp("^", r, Num(3.0))))
-    out = BinOp(
-        "+",
-        BinOp("+", BinOp("+", Neg(BinOp("/", rho_dd, rho)), a_term), b_term),
-        c_term,
-    )
-    return simplify(out)
+    r = Var("r")
+    sub = {"L": BinOp("*", BinOp("^", r, Num(2.0)), Var("thetadot"))}
+    rho_r3 = BinOp("*", rho, BinOp("^", r, Num(3.0)))
+    terms = []
+    if rho_dd != Num(0.0):  # cached trees come simplified: no second pass
+        terms.append(Neg(BinOp("/", rho_dd, rho)))
+    if not is_literal_zero(spec.A):
+        drift = BinOp("-", BinOp("*", rho, Var("rdot")), BinOp("*", rho_d, r))
+        terms.append(BinOp("*", BinOp("/", drift, rho_r3), substitute(spec.A, sub)))
+    if not is_literal_zero(spec.B):
+        terms.append(BinOp("/", substitute(spec.B, sub), BinOp("^", r, Num(4.0))))
+    if not is_literal_zero(spec.C):
+        terms.append(BinOp("/", substitute(spec.C, sub), rho_r3))
+    return reduce(partial(BinOp, "+"), terms) if terms else Num(0.0)
 
 
 def polar_as_spec(spec: LinearizableSpec) -> PolarSpec:
@@ -459,72 +459,27 @@ def _potential_derivative(V: Expression) -> Expression:
 def polar_rhs_function(spec) -> Callable[[float, Sequence[float]], tuple]:
     """Vector field (t, [r, theta, rdot, thetadot]) -> time derivative, as a tuple.
 
-    Accepts PolarSpec or LinearizableSpec.
+    Accepts PolarSpec or LinearizableSpec; a linearizable system runs as
+    ``polar_as_spec(spec)``, with the frequency its six functions induce.
     """
-    if not isinstance(spec, (PolarSpec, LinearizableSpec)):
+    if isinstance(spec, LinearizableSpec):
+        spec = polar_as_spec(spec)
+    if not isinstance(spec, PolarSpec):
         raise TypeError(f"no polar equations of motion for {type(spec).__name__}")
     dV = _potential_derivative(spec.V)
     dV_zero = dV == Num(0.0)  # cached trees come simplified: no second pass
     F_zero = is_literal_zero(spec.F)
 
-    def angular(r, theta, rd, thd):
-        dv = 0.0 if dV_zero else evaluate(dV, {"theta": theta})
-        return (-dv / (r * r * r) - 2.0 * rd * thd) / r
-
-    if isinstance(spec, PolarSpec):
-
-        def rhs(t, y):
-            r, theta, rd, thd = y
-            if r <= 0.0:
-                raise EvaluationError("radius reached zero")
-            env = {"t": t, "r": r, "theta": theta, "rdot": rd, "thetadot": thd}
-            w2 = evaluate(spec.omega_sq, env)
-            fv = 0.0 if F_zero else evaluate(spec.F, {"theta": theta})
-            rdd = r * thd * thd - w2 * r + fv / (r * r * r)
-            return rd, thd, rdd, angular(r, theta, rd, thd)
-
-        return rhs
-
-    rho_d, rho_dd = _rho_derivatives(spec.rho)
-    A_zero, B_zero, C_zero = map(is_literal_zero, (spec.A, spec.B, spec.C))
-    rho_dd_zero = rho_dd == Num(0.0)
-
-    def rho_at(t):
-        tenv = {"t": t}
-        rho_v = evaluate(spec.rho, tenv)
-        if rho_v == 0.0:
-            raise EvaluationError(f"rho vanished at t={t!r}")
-        return rho_v, evaluate(rho_d, tenv), evaluate(rho_dd, tenv)
-
-    fixed = None
-    if not free_variables(spec.rho):
-        try:
-            fixed = rho_at(0.0)
-        except EvaluationError:
-            pass  # the first call raises it again, with its time
-
     def rhs(t, y):
         r, theta, rd, thd = y
         if r <= 0.0:
             raise EvaluationError("radius reached zero")
-        rho_v, rho_dv, rho_ddv = fixed or rho_at(t)
-        senv = {"theta": theta, "L": r * r * thd}
-        av = 0.0 if A_zero else evaluate(spec.A, senv)
-        bv = 0.0 if B_zero else evaluate(spec.B, senv)
-        cv = 0.0 if C_zero else evaluate(spec.C, senv)
+        env = {"t": t, "r": r, "theta": theta, "rdot": rd, "thetadot": thd}
+        w2 = evaluate(spec.omega_sq, env)
         fv = 0.0 if F_zero else evaluate(spec.F, {"theta": theta})
-        r2, r3 = r * r, r * r * r
-        # the rho'', A and B terms are left out where they vanish identically, as
-        # the Kepler-Ermakov equation has none: 0*inf would turn an overflow into NaN
-        rdd = r * thd * thd + fv / r3
-        if not rho_dd_zero:
-            rdd += (rho_ddv / rho_v) * r
-        if not A_zero:
-            rdd -= ((rho_v * rd - rho_dv * r) / (rho_v * r2)) * av
-        if not B_zero:
-            rdd -= bv / r3
-        rdd -= cv / (rho_v * r2)
-        return rd, thd, rdd, angular(r, theta, rd, thd)
+        dv = 0.0 if dV_zero else evaluate(dV, {"theta": theta})
+        rdd = r * thd * thd - w2 * r + fv / (r * r * r)
+        return rd, thd, rdd, (-dv / (r * r * r) - 2.0 * rd * thd) / r
 
     return rhs
 

@@ -268,6 +268,24 @@ class TestSimulate:
             assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == code
         assert capsys.readouterr().err == ""
 
+    def test_event_location_ends_at_large_times(self, tmp_path):
+        # one ulp of t = 1e6 exceeds the event time tolerance; a fresh process
+        # with a timeout, so a bisection that never ends fails instead of hanging
+        cfg = copy.deepcopy(PRESETS["winternitz-default"])
+        cfg["initial_state"]["t"] = 1e6
+        cfg["t_span"] = [1e6, 1e6 + 10.0]
+        path = _write(tmp_path, "c.json", cfg)
+        done = subprocess.run(
+            [sys.executable, "-m", "ermakov", "simulate", "--config", str(path), "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(ermakov.__file__).resolve().parents[1])},
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["termination"] == "completed"
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = _write(tmp_path, "run.json", _winternitz_config())
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -333,13 +351,13 @@ class TestLinearize:
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_p2_column_is_twice_the_gap(self, tmp_path, preset):
-        # the rows read the gap I - V carried along the solve; LinearODE.p2 evaluates V
+        # the rows read the gap I - V carried along the solve; LinearODE.coefficients evaluates V
         out = tmp_path / "out"
         assert main(["linearize", "--preset", preset, "--out", str(out)]) == 0
         _, data = _read_csv(out / "linear_ode.csv")
         cfg = preset_config(preset)
         ode = solve_from_state(build_spec(cfg), cfg.polar_state).ode
-        direct = np.array([ode.p2(th) for th in data[:, 0]])
+        direct = np.array([ode.coefficients(th)[0] for th in data[:, 0]])
         assert np.all(np.abs(data[:, 1] - direct) <= 1e-9 * (1.0 + np.abs(direct)))
 
     def test_theta_span_where_the_potential_is_undefined(self, tmp_path, capsys):
@@ -609,13 +627,13 @@ class TestValidate:
         assert report["checks"]["round_trip"]["pass"] is False
 
     def test_compatibility_error_prints_plain_floats(self, tmp_path):
-        # r^4 overflows in the frequency: the message shows the radius as a float
+        # r^3 overflows in the frequency's C term: the message shows the radius as a float
         cfg = copy.deepcopy(PRESETS["winternitz-default"])
         cfg["initial_state"]["r"] = 1e150
         out = tmp_path / "out"
         assert main(["validate", "--config", str(_write(tmp_path, "c.json", cfg)), "--out", str(out)]) == 1
         check = json.loads((out / "report.json").read_text())["checks"]["compatibility"]
-        assert check == {"error": "power domain error: 1e+150^4.0", "pass": False}
+        assert check == {"error": "power domain error: 1e+150^3.0", "pass": False}
 
 
 def test_every_error_class_is_a_value_error():

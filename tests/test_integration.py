@@ -194,6 +194,16 @@ class TestEvents:
         )
         assert traj.events[0].t == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_crossing_located_where_one_ulp_exceeds_the_tolerance(self, forward):
+        # near t = 1e6 adjacent floats are 1.2e-10 apart, wider than the 1e-10 tolerance:
+        # the bisection ends where no float lies between the bracket's ends
+        # the root 1e6 + 1/3 is no float, so no midpoint makes the event exactly zero
+        ev = EventSpec("late", lambda t, y: 3.0 * (y[0] - 1e6) - 1.0)
+        lo, hi = (1e6, 1e6 + 1.0) if forward else (1e6 + 1.0, 1e6)
+        t_star = _locate_crossing(lambda t: [t], ev, lo, hi, ev.fn(lo, [lo]), 1e-10)
+        assert abs(t_star - (1e6 + 1.0 / 3.0)) <= 2.0 * math.ulp(1e6)
+
     def test_until_ends_the_run_after_a_whole_step(self):
         # y' = y from 1: the run stops after the first node with y >= 2,
         # and every node and interpolant up to there is the full run's

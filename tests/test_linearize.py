@@ -7,7 +7,7 @@ import pytest
 import ermakov as ek
 from ermakov import systems
 from ermakov.expressions import evaluate
-from ermakov.invariant import ForbiddenRegionError, TurningPointError
+from ermakov.invariant import ForbiddenRegionError, TurningPointError, momentum_from_gap
 from ermakov.linearize import (
     LinearODE,
     LinearizationError,
@@ -46,15 +46,15 @@ class TestBuildLinearODE:
         spec = ek.LinearizableSpec(rho="cos(t)", A="0", B="0", C="0", F="0", V="0.3*sin(theta)^2")
         ode = build_linear_ode(spec, 1.0, (0.2, 2.9))
         assert ode.rhs_is_zero
-        assert all(ode.rhs(th) == 0.0 for th in np.linspace(0.3, 2.8, 9))
+        assert all(ode.coefficients(th)[3] == 0.0 for th in np.linspace(0.3, 2.8, 9))
         # p1 = h dh/dtheta with a = 0
         th = 1.1
-        assert ode.p1(th) == pytest.approx(-0.6 * math.sin(th) * math.cos(th), rel=1e-12)
+        assert ode.coefficients(th)[1] == pytest.approx(-0.6 * math.sin(th) * math.cos(th), rel=1e-12)
 
     def test_kepler_is_driven(self, winternitz_spec):
         ode = build_linear_ode(winternitz_spec, 3.0, (1.0, 2.2))
         for th in np.linspace(1.0, 2.2, 7):
-            assert ode.rhs(float(th)) == pytest.approx(
+            assert ode.coefficients(float(th))[3] == pytest.approx(
                 evaluate(winternitz_spec.C, {}), rel=1e-14
             )
 
@@ -62,9 +62,10 @@ class TestBuildLinearODE:
         # V = F = 0 at level 1/2: the equation collapses to psi'' + psi = 0
         spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="0", F="0", V="0")
         ode = build_linear_ode(spec, 0.5, (-1.0, 1.0))
-        assert ode.p2(0.3) == pytest.approx(1.0, rel=1e-15)
-        assert ode.p1(0.3) == 0.0
-        assert ode.p0(0.3) == pytest.approx(1.0, rel=1e-15)
+        p2, p1, p0, _ = ode.coefficients(0.3)
+        assert p2 == pytest.approx(1.0, rel=1e-15)
+        assert p1 == 0.0
+        assert p0 == pytest.approx(1.0, rel=1e-15)
 
     def test_forbidden_interval_rejected(self, winternitz_spec):
         with pytest.raises(ForbiddenRegionError) as err:
@@ -86,12 +87,13 @@ class TestBuildLinearODE:
         # h dh/dtheta = -dV/dtheta, checked by Richardson-extrapolated differences
         ode = build_linear_ode(winternitz_spec, 3.0, (1.0, 2.2))
         dv = lambda th: evaluate(ode._dV, {"theta": th})
+        h = lambda th: momentum_from_gap(th, ode.invariant, ode.gap(th))
         for th in np.linspace(1.1, 2.1, 7):
             eps = 1e-3
-            d1 = (ode.h(th + eps) - ode.h(th - eps)) / (2.0 * eps)
-            d2 = (ode.h(th + eps / 2) - ode.h(th - eps / 2)) / eps
+            d1 = (h(th + eps) - h(th - eps)) / (2.0 * eps)
+            d2 = (h(th + eps / 2) - h(th - eps / 2)) / eps
             dh = (4.0 * d2 - d1) / 3.0
-            assert abs(ode.h(th) * dh + dv(th)) <= 1e-9 * (1.0 + abs(dv(th)))
+            assert abs(h(th) * dh + dv(th)) <= 1e-9 * (1.0 + abs(dv(th)))
 
 
 class TestSolveLinear:
@@ -135,7 +137,9 @@ class TestSolveLinear:
 
         w0 = wronskian(1.5)
         for th in np.linspace(1.1, 2.1, 7):
-            factor = quad_adaptive(lambda lam: ode.p1(lam) / ode.p2(lam), 1.5, float(th))
+            factor = quad_adaptive(
+                lambda lam: ode.coefficients(lam)[1] / ode.coefficients(lam)[0], 1.5, float(th)
+            )
             assert wronskian(float(th)) * math.exp(factor) == pytest.approx(
                 w0, abs=1e-7, rel=1e-7
             )
@@ -183,7 +187,8 @@ class TestWinternitzClosedForm:
         assert psi_c == pytest.approx(1.0 / 6.0, rel=1e-12)
         ode = build_linear_ode(spec, level, (1.0, 2.0))
         for th in (1.1, 1.5, 1.9):
-            assert ode.p0(th) * psi_c == pytest.approx(ode.rhs(th), rel=1e-12)
+            _, _, p0, rhs = ode.coefficients(th)
+            assert p0 * psi_c == pytest.approx(rhs, rel=1e-12)
 
     def test_pure_trigonometric_when_undriven(self):
         params = ek.WinternitzParams(0.0, 1.0, 0.0, 1.0)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ermakov as ek
 from ermakov.expressions import Num, evaluate, parse, unparse
@@ -260,6 +261,56 @@ class TestKeplerErmakov:
             ek.build_linear_ode(ek.polar_from_cartesian(spec), 1.0, (0.3, 0.6))
 
 
+def _fm_slope(th):
+    # free motion with f = 0.5 u: U'(w) = f(w) - g(1/w)/w^2 = 0.5 (w + 1/w), V = U(tan theta)
+    w = math.tan(th)
+    return 0.5 * (w + 1.0 / w) / math.cos(th) ** 2
+
+
+# Each case: the spec, and float transcriptions of (rho, rho', rho''), A, B, C (at theta
+# and L), F and dV/dtheta written out by hand, sharing no code with the package.
+_SIX_FUNCTION_CASES = {
+    "winternitz": (
+        ek.winternitz_system(ek.WinternitzParams(1.0, 1.0, 0.5, 1.0)),
+        lambda t: (1.0, 0.0, 0.0),
+        lambda th, L: 0.0,
+        lambda th, L: 0.0,
+        lambda th, L: 1.0,
+        lambda th: 2.0 * ((1.0 + 0.5 * math.cos(th)) / math.sin(th) ** 2 + 1.0),
+        lambda th: -0.5 / math.sin(th) - 2.0 * (1.0 + 0.5 * math.cos(th)) * math.cos(th) / math.sin(th) ** 3,
+    ),
+    "kepler": (
+        ek.kepler_ermakov_system(F="0.3 + 0.1*cos(theta)", G="1 + 0.2*sin(theta)", V="0.2*sin(theta)^2"),
+        lambda t: (1.0, 0.0, 0.0),
+        lambda th, L: 0.0,
+        lambda th, L: 0.0,
+        lambda th, L: 1.0 + 0.2 * math.sin(th),
+        lambda th: 0.3 + 0.1 * math.cos(th),
+        lambda th: 0.4 * math.sin(th) * math.cos(th),
+    ),
+    "rho-quadratic": (
+        ek.LinearizableSpec(
+            rho="1 + 0.1*t^2", A="sin(theta)", B="L", C="0.8", F="0", V="0.3*sin(theta)^2"
+        ),
+        lambda t: (1.0 + 0.1 * t * t, 0.2 * t, 0.2),
+        lambda th, L: math.sin(th),
+        lambda th, L: L,
+        lambda th, L: 0.8,
+        lambda th: 0.0,
+        lambda th: 0.6 * math.sin(th) * math.cos(th),
+    ),
+    "free-motion-rho-linear": (
+        ek.free_motion_system("0.5*u", "1 + 0.1*t").linearizable,
+        lambda t: (1.0 + 0.1 * t, 0.1, 0.0),
+        lambda th, L: _fm_slope(th) / L,
+        lambda th, L: L * L,
+        lambda th, L: 0.0,
+        lambda th: 0.0,
+        _fm_slope,
+    ),
+}
+
+
 class TestPolarRhs:
     def test_circular_orbit_balance(self):
         spec = ek.PolarSpec(F="0", V="0", omega_sq="1")
@@ -294,6 +345,35 @@ class TestPolarRhs:
             thdd_c = (sc.x * ydd - sc.y * xdd) / r**2 - 2.0 * sp.rdot * sp.thetadot / r
             assert rdd == pytest.approx(rdd_c, rel=1e-9, abs=1e-11)
             assert thdd == pytest.approx(thdd_c, rel=1e-9, abs=1e-11)
+
+    @pytest.mark.parametrize("case", sorted(_SIX_FUNCTION_CASES))
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        r=st.floats(0.5, 2.0),
+        th=st.floats(0.3, 1.3),
+        rd=st.floats(-1.0, 1.0),
+        thd=st.floats(0.2, 2.0),
+        t=st.floats(0.0, 2.0),
+    )
+    def test_six_function_equations_of_motion(self, case, r, th, rd, thd, t):
+        # rddot = r thd^2 + F/r^3 + (rhoddot/rho) r - (rho rdot - rhodot r)/(rho r^2) A
+        #         - B/r^3 - C/(rho r^2), thddot = -V'/r^4 - 2 rdot thd/r, with L = r^2 thd
+        spec, rho, A, B, C, F, dV = _SIX_FUNCTION_CASES[case]
+        rho_v, rho_d, rho_dd = rho(t)
+        L = r * r * thd
+        terms = [
+            r * thd * thd,
+            F(th) / r**3,
+            rho_dd / rho_v * r,
+            -(rho_v * rd - rho_d * r) / (rho_v * r * r) * A(th, L),
+            -B(th, L) / r**3,
+            -C(th, L) / (rho_v * r * r),
+        ]
+        out = ek.polar_rhs(spec, ek.PolarState(r, th, rd, thd, t))
+        assert out[:2] == (rd, thd)
+        assert abs(out[2] - math.fsum(terms)) <= 1e-14 * math.fsum(map(abs, terms))
+        angular = [-dV(th) / r**4, -2.0 * rd * thd / r]
+        assert abs(out[3] - math.fsum(angular)) <= 1e-14 * math.fsum(map(abs, angular))
 
     def test_cached_derivatives_are_not_simplified_again(self, monkeypatch):
         import ermakov.expressions as expressions
@@ -450,6 +530,12 @@ class TestSpecValidation:
     def test_rho_must_use_t_only(self):
         with pytest.raises(ValueError, match="rho"):
             ek.LinearizableSpec(rho="theta", A="0", B="0", C="0", F="0", V="0")
+
+    @pytest.mark.parametrize("rho", ["0", "0*t", "1 - 1"])
+    def test_rho_must_not_vanish_identically(self, rho):
+        # with A = C = 0 no term of the induced frequency divides by rho
+        with pytest.raises(ValueError, match="rho vanishes identically"):
+            ek.LinearizableSpec(rho=rho, A="0", B="L^2", C="0", F="0", V="0")
 
     def test_structure_functions_variables(self):
         with pytest.raises(ValueError, match="may only use"):
