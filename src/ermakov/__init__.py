@@ -31,10 +31,7 @@ from .integration import (
 from .invariant import (
     ForbiddenRegionError,
     TurningPointError,
-    lewis_ray_reid_cartesian,
     lewis_ray_reid_polar,
-    on_shell_momentum,
-    theta_dot_from_invariant,
 )
 from .linearize import (
     LinearODE,
@@ -42,15 +39,11 @@ from .linearize import (
     LinearizationError,
     OutsideWindowError,
     QuadratureSolution,
-    angular_time,
     build_linear_ode,
     build_pipeline,
-    free_motion_solution,
     solve_from_state,
     solve_linear,
     verify_compatibility,
-    winternitz_angular_time_closed,
-    winternitz_psi_closed,
 )
 from .systems import (
     CartesianSpec,
@@ -60,19 +53,15 @@ from .systems import (
     PolarSpec,
     PolarState,
     WinternitzParams,
-    absorb_coupling,
-    cartesian_rhs,
     cartesian_state_from_polar,
     frequency_from_linearizable,
     free_motion_system,
     kepler_ermakov_system,
     polar_from_cartesian,
-    polar_rhs,
     polar_state_from_cartesian,
     potential_value_from_fg,
     quasi_invariance_map,
     radial_coupling_from_fg,
-    winternitz_hamiltonian,
     winternitz_system,
 )
 

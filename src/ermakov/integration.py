@@ -144,7 +144,6 @@ class Trajectory:
     n_rhs: int
     termination: str  # completed | stopped | event:<name> | step_size_underflow | max_steps
     events: list[Event] = field(default_factory=list)
-    coords: str = "generic"
     drift: DriftStats | None = None
 
     @property
@@ -190,14 +189,6 @@ class Trajectory:
 
     def sample(self, times: Sequence[float]) -> list[list[float]]:
         return [self.at(t) for t in times]
-
-    def polar_states(self) -> list[PolarState]:
-        if self.coords != "polar":
-            raise ValueError("trajectory does not hold polar states")
-        return [
-            PolarState(r=row[0], theta=row[1], rdot=row[2], thetadot=row[3], t=t)
-            for t, row in zip(self.ts, self.ys)
-        ]
 
 
 def _scaled_rms(v: Sequence[float], scale: Sequence[float]) -> float:
@@ -500,7 +491,6 @@ def integrate_polar(
     rhs = polar_rhs_function(spec)
     y0 = [state0.r, state0.theta, state0.rdot, state0.thetadot]
     traj = integrate(rhs, y0, cfg, events=_polar_events(spec))
-    traj.coords = "polar"
     if monitor:
         monitor_invariant(traj, spec.V)
     return traj
@@ -513,20 +503,16 @@ def integrate_cartesian(
         raise ValueError("initial state time must match the start of t_span")
     rhs = cartesian_rhs_function(spec)
     y0 = [state0.x, state0.y, state0.xdot, state0.ydot]
-    traj = integrate(rhs, y0, cfg, events=_cartesian_events(spec))
-    traj.coords = "cartesian"
-    return traj
+    return integrate(rhs, y0, cfg, events=_cartesian_events(spec))
 
 
-def monitor_invariant(traj: Trajectory, V, attach: bool = True) -> DriftStats:
-    """Relative drift of the conserved level along a polar trajectory."""
+def monitor_invariant(traj: Trajectory, V) -> DriftStats:
+    """Relative drift of the conserved level along a polar trajectory, stored as ``traj.drift``."""
     series = [invariant_level(r, th, thd, V) for r, th, _, thd in traj.ys]
     ref = series[0]
     rel = [abs(v - ref) / (1.0 + abs(ref)) for v in series]
     rms = math.sqrt(exact_sum(q * q for q in rel) / len(rel))  # NaN if any is: max() would skip it
     max_rel = math.nan if math.isnan(rms) else max(rel)
-    stats = DriftStats(max_rel=max_rel, rms_rel=rms, reference=ref, series=series)
-    if attach:
-        traj.drift = stats
-    return stats
+    traj.drift = DriftStats(max_rel=max_rel, rms_rel=rms, reference=ref, series=series)
+    return traj.drift
 

@@ -11,17 +11,14 @@ from __future__ import annotations
 import math
 
 from .expressions import Expression, as_expression, evaluate
-from .systems import CartesianState, PolarState, potential_value_from_fg
+from .systems import PolarState
 
 __all__ = [
     "ForbiddenRegionError",
     "TurningPointError",
     "invariant_level",
-    "lewis_ray_reid_cartesian",
     "lewis_ray_reid_polar",
     "momentum_from_gap",
-    "on_shell_momentum",
-    "theta_dot_from_invariant",
     "turning_tolerance",
 ]
 
@@ -67,14 +64,6 @@ def lewis_ray_reid_polar(state: PolarState, V) -> float:
     return invariant_level(state.r, state.theta, state.thetadot, as_expression(V))
 
 
-def lewis_ray_reid_cartesian(state: CartesianState, f, g) -> float:
-    """I = 0.5*(x ydot - y xdot)^2 + U(y/x), with U anchored at argument 1."""
-    if state.x == 0.0 or state.y == 0.0:
-        raise ValueError("invariant evaluation requires a state off both axes")
-    cross = state.x * state.ydot - state.y * state.xdot
-    return 0.5 * cross * cross + potential_value_from_fg(f, g, state.y / state.x)
-
-
 def turning_tolerance(invariant) -> float:
     """Gap below which h is numerically indistinguishable from zero."""
     return 1e-12 * (1.0 + abs(float(invariant)))
@@ -93,21 +82,3 @@ def momentum_from_gap(theta: float, level: float, gap: float) -> float:
         raise TurningPointError(theta, level)
     return math.sqrt(2.0 * gap)
 
-
-def on_shell_momentum(theta: float, invariant, V) -> float:
-    """h(theta) = sqrt(2*(I - V(theta))): the angular momentum on the invariant shell.
-
-    Raises TurningPointError when I meets V within tolerance and
-    ForbiddenRegionError when I lies below V.
-    """
-    level = float(invariant)
-    return momentum_from_gap(theta, level, level - evaluate(as_expression(V), {"theta": theta}))
-
-
-def theta_dot_from_invariant(r: float, theta: float, invariant, V, branch_sign: int) -> float:
-    """Angular velocity thetadot = branch_sign * h(theta) / r^2."""
-    if not r > 0.0:
-        raise ValueError(f"radius must be positive, got {r!r}")
-    if branch_sign not in (-1, 1):
-        raise ValueError(f"branch_sign must be +1 or -1, got {branch_sign!r}")
-    return branch_sign * on_shell_momentum(theta, invariant, V) / (r * r)

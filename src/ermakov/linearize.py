@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .expressions import (
     EvaluationError,
@@ -35,11 +34,10 @@ from .invariant import (
     momentum_from_gap,
     turning_tolerance,
 )
-from .numerics import QuadratureError, linspace, quad_adaptive
+from .numerics import QuadratureError, linspace
 from .systems import (
     LinearizableSpec,
     PolarState,
-    WinternitzParams,
     _potential_derivative,
     _rho_derivatives,
     check_rho_nonzero,
@@ -52,17 +50,12 @@ __all__ = [
     "LinearizationError",
     "OutsideWindowError",
     "QuadratureSolution",
-    "angular_time",
     "auto_theta_domain",
     "build_linear_ode",
     "build_pipeline",
-    "free_motion_solution",
     "solve_from_state",
     "solve_linear",
     "verify_compatibility",
-    "winternitz_angular_time_closed",
-    "winternitz_dpsi_closed",
-    "winternitz_psi_closed",
 ]
 
 _SOLVE_REL_TOL = 1e-12
@@ -382,9 +375,6 @@ class LinearSolution:
     def psi(self, theta: float) -> float:
         return self.path.row(theta)[0]
 
-    def dpsi(self, theta: float) -> float:
-        return self.path.row(theta)[1]
-
     def coefficients(self, theta: float) -> tuple[float, float, float, float, float]:
         """(p2, p1, p0, rhs, psi) at theta, from the gap carried along the solve."""
         row = self.path.row(theta)
@@ -428,117 +418,6 @@ def solve_linear(
 # ---------------------------------------------------------------------------
 # Quadratures and inversion
 # ---------------------------------------------------------------------------
-
-def angular_time(theta: float, invariant, V, J: float = 0.0, base: float = math.pi / 2.0) -> float:
-    """Reparametrized time T(theta) = integral of 1/h from the base angle, plus J."""
-    V = as_expression(V)
-    level = float(invariant)
-    lo, hi = (base, theta) if base <= theta else (theta, base)
-    tol = turning_tolerance(level)
-    if lo < hi:
-        for th in linspace(lo, hi, 201):
-            gap = level - evaluate(V, {"theta": th})
-            if gap <= tol:
-                raise ForbiddenRegionError(th, level, level - gap)
-
-    def integrand(lam: float) -> float:
-        gap = level - evaluate(V, {"theta": lam})
-        if gap <= 0.0:
-            raise ForbiddenRegionError(lam, level, level - gap)
-        return 1.0 / math.sqrt(2.0 * gap)
-
-    return quad_adaptive(integrand, base, theta) + J
-
-
-def winternitz_angular_time_closed(
-    params: WinternitzParams,
-    invariant,
-    theta: float,
-    J: float = 0.0,
-    base: float = math.pi / 2.0,
-) -> float:
-    """Arcsine antiderivative of 1/h for the Winternitz potential, anchored at the base.
-
-    Valid when the discriminant g2^2 + 4 I (I - g1) is positive and the
-    arcsine argument stays inside [-1, 1] between the base and theta;
-    raises ValueError otherwise so callers can fall back to quadrature.
-    """
-    level = float(invariant)
-    if level <= 0.0:
-        raise ValueError(f"closed form requires a positive invariant, got {level!r}")
-    disc = params.g2**2 + 4.0 * level * (level - params.g1)
-    if disc <= 0.0:
-        raise ValueError(f"closed form requires a positive discriminant, got {disc!r}")
-    d = math.sqrt(disc)
-
-    def antiderivative(th: float) -> float:
-        arg = (2.0 * level * math.cos(th) + params.g2) / d
-        if abs(arg) > 1.0:
-            raise ValueError(f"arcsine argument {arg!r} outside [-1, 1] at theta={th!r}")
-        return -math.asin(arg) / math.sqrt(2.0 * level)
-
-    return antiderivative(theta) - antiderivative(base) + J
-
-
-def _winternitz_time(params, invariant, theta, J):
-    try:
-        return winternitz_angular_time_closed(params, invariant, theta, J)
-    except ValueError:
-        v = _winternitz_potential(params)
-        return angular_time(theta, invariant, v, J)
-
-
-@lru_cache(maxsize=1)
-def _winternitz_potential(params: WinternitzParams):
-    from .systems import winternitz_system
-
-    return winternitz_system(params).V
-
-
-def winternitz_psi_closed(
-    params: WinternitzParams,
-    invariant,
-    c1: float,
-    c2: float,
-    J: float,
-    theta: float,
-) -> float:
-    """Closed-form psi(theta) for the Winternitz system at invariant level I.
-
-    In the reparametrized time T the linear equation is a driven oscillator
-    psi_TT + 2 (I + g3) psi = mu0, so
-    psi = c1 cos(k T) + c2 sin(k T) + mu0 / k^2 with k = sqrt(2 (I + g3)).
-    """
-    level = float(invariant)
-    ksq = 2.0 * (level + params.g3)
-    if ksq <= 0.0:
-        raise ValueError(f"requires I + g3 > 0, got {level + params.g3!r}")
-    k = math.sqrt(ksq)
-    t_par = _winternitz_time(params, level, theta, J)
-    return c1 * math.cos(k * t_par) + c2 * math.sin(k * t_par) + params.mu0 / ksq
-
-
-def winternitz_dpsi_closed(
-    params: WinternitzParams,
-    invariant,
-    c1: float,
-    c2: float,
-    J: float,
-    theta: float,
-) -> float:
-    """d psi / d theta of the closed form (chain rule through dT/dtheta = 1/h)."""
-    level = float(invariant)
-    k = math.sqrt(2.0 * (level + params.g3))
-    t_par = _winternitz_time(params, level, theta, J)
-    v = evaluate(_winternitz_potential(params), {"theta": theta})
-    h = math.sqrt(2.0 * (level - v))
-    return (-c1 * k * math.sin(k * t_par) + c2 * k * math.cos(k * t_par)) / h
-
-
-def free_motion_solution(c1: float, c2: float, theta: float) -> float:
-    """psi affine in the angle: the free-motion-class general solution."""
-    return c1 + c2 * theta
-
 
 def _time_map(rho: Expression, t0: float, t_window: tuple[float, float]) -> _SidedRuns:
     """Tau(t) = integral of 1/rho^2 from t0, integrated once over the time window."""
@@ -595,10 +474,6 @@ class QuadratureSolution:
         if len(self.solution.path.y0) != 5:  # rows (psi, psi', W, g)
             raise LinearizationError("the linear solve carries no angle map: give it a tau_reach")
 
-    @property
-    def theta_window(self) -> tuple[float, float]:
-        return self.solution.path.window
-
     def tau(self, t: float) -> float:
         """Tau(t) = integral of 1/rho^2 from t0."""
         return _tau(self.Tau, self.rho_const, self.t0, self.t_window, t)
@@ -649,12 +524,16 @@ class QuadratureSolution:
             return self.rho_const / psi
         return evaluate(self.solution.ode.spec.rho, {"t": self.t_at(theta)}) / psi
 
-    def r_of_t(self, t: float) -> float:
-        """Radius as a function of time: rho(t) / psi(theta(t))."""
-        psi = self._psi(self.theta_at(t))
+    def r_at(self, t: float, theta: float) -> float:
+        """Radius rho(t) / psi(theta) at a time t whose angle theta = theta_at(t) is known."""
+        psi = self._psi(theta)
         if self.rho_const is not None:
             return self.rho_const / psi
         return evaluate(self.solution.ode.spec.rho, {"t": t}) / psi
+
+    def r_of_t(self, t: float) -> float:
+        """Radius as a function of time: rho(t) / psi(theta(t))."""
+        return self.r_at(t, self.theta_at(t))
 
 
 def _time_side(rho: Expression, t0: float, t_window) -> tuple:

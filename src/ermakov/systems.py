@@ -48,8 +48,6 @@ __all__ = [
     "PolarSpec",
     "PolarState",
     "WinternitzParams",
-    "absorb_coupling",
-    "cartesian_rhs",
     "cartesian_rhs_function",
     "cartesian_state_from_polar",
     "check_rho_nonzero",
@@ -58,14 +56,12 @@ __all__ = [
     "kepler_ermakov_system",
     "polar_as_spec",
     "polar_from_cartesian",
-    "polar_rhs",
     "polar_rhs_function",
     "polar_state_from_cartesian",
     "potential_expression",
     "potential_value_from_fg",
     "quasi_invariance_map",
     "radial_coupling_from_fg",
-    "winternitz_hamiltonian",
     "winternitz_system",
 ]
 
@@ -363,20 +359,6 @@ def polar_from_cartesian(spec: CartesianSpec) -> PolarSpec:
     )
 
 
-def absorb_coupling(spec: PolarSpec) -> PolarSpec:
-    """Fold the radial coupling into the frequency: w2 -> w2 - F/r^4, F -> 0.
-
-    Trajectories are unchanged; applying the map twice equals applying it
-    once.
-    """
-    if is_literal_zero(spec.F):
-        return spec
-    shifted = BinOp(
-        "-", spec.omega_sq, BinOp("/", spec.F, BinOp("^", Var("r"), Num(4.0)))
-    )
-    return PolarSpec(F=Num(0.0), V=spec.V, omega_sq=simplify(shifted))
-
-
 # ---------------------------------------------------------------------------
 # Frequencies of the linearizable family
 # ---------------------------------------------------------------------------
@@ -484,12 +466,6 @@ def polar_rhs_function(spec) -> Callable[[float, Sequence[float]], tuple]:
     return rhs
 
 
-def polar_rhs(spec, state: PolarState) -> tuple[float, float, float, float]:
-    """State derivative (rdot, thetadot, rddot, thetaddot) at one instant."""
-    y = (float(state.r), float(state.theta), float(state.rdot), float(state.thetadot))
-    return polar_rhs_function(spec)(float(state.t), y)
-
-
 def cartesian_rhs_function(spec: CartesianSpec) -> Callable[[float, Sequence[float]], tuple]:
     """Vector field (t, [x, y, xdot, ydot]) -> time derivative, as a tuple."""
     f_zero, g_zero = is_literal_zero(spec.f), is_literal_zero(spec.g)
@@ -516,11 +492,6 @@ def cartesian_rhs_function(spec: CartesianSpec) -> Callable[[float, Sequence[flo
     return rhs
 
 
-def cartesian_rhs(spec: CartesianSpec, state: CartesianState) -> tuple[float, float, float, float]:
-    y = (float(state.x), float(state.y), float(state.xdot), float(state.ydot))
-    return cartesian_rhs_function(spec)(float(state.t), y)
-
-
 # ---------------------------------------------------------------------------
 # Named constructions
 # ---------------------------------------------------------------------------
@@ -538,13 +509,6 @@ def winternitz_system(params: WinternitzParams) -> LinearizableSpec:
     )
     f = BinOp("*", Num(2.0), BinOp("+", v, Num(params.g3)))
     return kepler_ermakov_system(F=simplify(f), G=Num(params.mu0), V=simplify(v))
-
-
-def winternitz_hamiltonian(params: WinternitzParams, state: PolarState) -> float:
-    """Conserved energy 0.5*(rdot^2 + r^2 thetadot^2) - mu0/r + (V + g3)/r^2."""
-    v = (params.g1 + params.g2 * math.cos(state.theta)) / math.sin(state.theta) ** 2
-    kinetic = 0.5 * (state.rdot**2 + (state.r * state.thetadot) ** 2)
-    return kinetic - params.mu0 / state.r + (v + params.g3) / state.r**2
 
 
 def free_motion_system(f, rho) -> FreeMotionSystem:

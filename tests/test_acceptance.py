@@ -11,15 +11,11 @@ import numpy as np
 
 import ermakov as ek
 from ermakov.cli import main
-from ermakov.linearize import (
-    angular_time,
-    build_linear_ode,
-    build_pipeline,
-    solve_linear,
-    winternitz_angular_time_closed,
-    winternitz_dpsi_closed,
-    winternitz_psi_closed,
-)
+from ermakov.expressions import evaluate
+from ermakov.invariant import ForbiddenRegionError, turning_tolerance
+from ermakov.linearize import build_linear_ode, build_pipeline, solve_linear
+from ermakov.numerics import linspace, quad_adaptive
+from oracles import winternitz_angular_time_closed, winternitz_dpsi_closed, winternitz_psi_closed
 
 DRIFT_TOL = 1e-6
 HOMOGENEOUS_RESIDUAL_TOL = 1e-12
@@ -35,6 +31,30 @@ MIN_CONVERGENCE_SLOPE = 3.5
 
 def _report(criterion: int, text: str) -> None:
     print(f"ACCEPTANCE PASS criterion {criterion}: {text}")
+
+
+def angular_time(theta: float, invariant, V, J: float = 0.0, base: float = math.pi / 2.0) -> float:
+    """Reparametrized time T(theta) = integral of 1/h from the base angle, plus J.
+
+    The package's side of criterion 3's time check: its evaluator and its
+    quadrature, held against the arcsine form in ``oracles``.
+    """
+    level = float(invariant)
+    lo, hi = (base, theta) if base <= theta else (theta, base)
+    tol = turning_tolerance(level)
+    if lo < hi:
+        for th in linspace(lo, hi, 201):
+            gap = level - evaluate(V, {"theta": th})
+            if gap <= tol:
+                raise ForbiddenRegionError(th, level, level - gap)
+
+    def integrand(lam: float) -> float:
+        gap = level - evaluate(V, {"theta": lam})
+        if gap <= 0.0:
+            raise ForbiddenRegionError(lam, level, level - gap)
+        return 1.0 / math.sqrt(2.0 * gap)
+
+    return quad_adaptive(integrand, base, theta) + J
 
 
 def test_criterion_1_invariant_conservation(winternitz_trajectory):

@@ -520,7 +520,6 @@ class TestValidate:
             systems._rho_derivatives,
             systems._potential_derivative,
             systems._coupling_potential,
-            linearize._winternitz_potential,
         ]
         assert [c.cache_info().currsize <= 1 for c in caches] == [True] * len(caches)
 
@@ -626,6 +625,32 @@ class TestValidate:
         assert report["pass"] is False
         assert report["checks"]["round_trip"]["pass"] is False
 
+    def test_inverts_each_sample_time_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = linearize.QuadratureSolution.theta_at
+
+        def counted(self, t):
+            calls.append(t)
+            return real(self, t)
+
+        monkeypatch.setattr(linearize.QuadratureSolution, "theta_at", counted)
+        cfg = _cheap_preset("winternitz-default")
+        path = _write(tmp_path, "c.json", cfg)
+        assert main(["validate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == cfg["samples"]
+
+    @pytest.mark.parametrize("kind", ["polar", "cartesian"])
+    def test_kind_without_linearizable_form_fails_before_integrating(
+        self, tmp_path, monkeypatch, capsys, kind
+    ):
+        def integrate_polar(*args, **kwargs):
+            raise AssertionError("validate integrated a system it cannot linearize")
+
+        monkeypatch.setattr(ermakov.cli, "integrate_polar", integrate_polar)
+        path = _write(tmp_path, "c.json", _BASE_CONFIGS[kind])
+        assert main(["validate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("config error: system.kind: ")
+
     def test_compatibility_error_prints_plain_floats(self, tmp_path):
         # r^3 overflows in the frequency's C term: the message shows the radius as a float
         cfg = copy.deepcopy(PRESETS["winternitz-default"])
@@ -703,6 +728,14 @@ def test_cli_import_loads_no_numpy():
     assert loaded == "False"
 
 
+def test_oracles_load_no_package_module():
+    # the package is importable here, so only the oracles' own imports keep it out
+    tests = str(Path(__file__).resolve().parent)
+    code = f"import json, sys; sys.path.insert(0, {tests!r}); import oracles; print(json.dumps(list(sys.modules)))"
+    loaded = json.loads(_fresh_interpreter("-c", code))
+    assert "oracles" in loaded and [m for m in loaded if m.split(".")[0] == "ermakov"] == []
+
+
 def _fields(node, path=()):
     """Every field path of a config, containers included."""
     if path:
@@ -717,8 +750,39 @@ def _fields(node, path=()):
         yield from _fields(child, path + (key,))
 
 
-_CHEAP_PRESETS = {name: _cheap_preset(name) for name in sorted(PRESETS)}
-_FIELDS = [(name, path) for name, cfg in _CHEAP_PRESETS.items() for path in _fields(cfg)]
+def _cheap_config(system, state=None):
+    """A one-time-unit, 12-sample config of a kind that no preset runs."""
+    state = state or {"coords": "polar", "r": 1.0, "theta": 1.0, "rdot": 0.1, "thetadot": 1.3}
+    return {"system": system, "initial_state": state, "t_span": [0.0, 1.0], "samples": 12}
+
+
+# every kind, each through all four commands: the presets, and one config per other kind
+_BASE_CONFIGS = {
+    **{name: _cheap_preset(name) for name in sorted(PRESETS)},
+    "cartesian": _cheap_config(
+        {"kind": "cartesian", "functions": {"f": "0.3*u", "g": "-0.2*v^2", "omega2": "1"}},
+        {"coords": "cartesian", "x": 1.0, "y": 1.0, "xdot": 0.1, "ydot": 0.3},
+    ),
+    "polar": _cheap_config(
+        {"kind": "polar", "functions": {"F": "0.5", "V": "0.2*sin(theta)^2", "omega2": "1"}}
+    ),
+    "kepler": _cheap_config(
+        {
+            "kind": "kepler",
+            "functions": {"F": "0.3 + 0.1*cos(theta)", "G": "1 + 0.2*sin(theta)", "V": "0.2*sin(theta)^2"},
+        }
+    ),
+    "linearizable": _cheap_config(
+        {
+            "kind": "linearizable",
+            "functions": {
+                "rho": "1 + 0.1*t^2", "A": "sin(theta)", "B": "L", "C": "0.8",
+                "F": "0", "V": "0.3*sin(theta)^2",
+            },
+        }
+    ),
+}
+_FIELDS = [(name, path) for name, cfg in _BASE_CONFIGS.items() for path in _fields(cfg)]
 _FINITE = st.floats(-1.0, 1.0, allow_subnormal=False)
 _JUNK = st.one_of(
     st.integers(10**309, 10**400),  # too large for a float
@@ -738,9 +802,9 @@ def _at(cfg, path):
 
 
 def _new_value(field):
-    """Half numbers where the preset holds a number, within the cheap ranges."""
+    """Half numbers where the base config holds a number, within the cheap ranges."""
     name, path = field
-    if type(_at(_CHEAP_PRESETS[name], path)) not in (int, float):
+    if type(_at(_BASE_CONFIGS[name], path)) not in (int, float):
         return _JUNK
     numbers = st.integers(2, 20) if path == ("samples",) else _FINITE | st.integers(-1, 1)
     # one_of would flatten both into one list of branches and weight each branch alike
@@ -748,13 +812,19 @@ def _new_value(field):
 
 
 _CHANGES = st.sampled_from(_FIELDS).flatmap(lambda f: st.tuples(st.just(f), _new_value(f)))
+_COMMANDS = ["simulate", "linearize", "reconstruct", "validate"]
+
+
+def _each_base_config_unchanged(test):
+    """One example per base config and command, which writes samples back unchanged."""
+    for name, cfg in _BASE_CONFIGS.items():
+        for command in _COMMANDS:
+            test = example(change=((name, ("samples",)), cfg["samples"]), command=command)(test)
+    return test
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
-@given(
-    change=_CHANGES,
-    command=st.sampled_from(["simulate", "linearize", "reconstruct", "validate"]),
-)
+@given(change=_CHANGES, command=st.sampled_from(_COMMANDS))
 @example(change=(("winternitz-default", ("t_span", 1)), 10**400), command="simulate")
 @example(change=(("uniform-rotation", ("samples",)), 10**17), command="linearize")
 @example(change=(("free-motion-demo", ("system", "functions", "f")), "À"), command="simulate")
@@ -765,9 +835,10 @@ _CHANGES = st.sampled_from(_FIELDS).flatmap(lambda f: st.tuples(st.just(f), _new
 @example(change=(("winternitz-default", ("initial_state", "r")), 1e-60), command="simulate")
 @example(change=(("winternitz-default", ("initial_state", "r")), 1e-300), command="validate")
 @example(change=(("winternitz-default", ("initial_state", "r")), 1e300), command="validate")
+@_each_base_config_unchanged
 def test_one_changed_field_keeps_the_exit_code_contract(change, command):
     (name, path), value = change
-    cfg = copy.deepcopy(_CHEAP_PRESETS[name])
+    cfg = copy.deepcopy(_BASE_CONFIGS[name])
     _at(cfg, path[:-1])[path[-1]] = value
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = Path(tmp) / "c.json"

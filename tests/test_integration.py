@@ -117,7 +117,7 @@ class TestDriftMonitor:
         ys = [list(y) for y in winternitz_trajectory.ys]
         ys[len(ys) // 2][0] += 1e-3
         corrupted = dataclasses.replace(winternitz_trajectory, ys=ys)
-        stats = monitor_invariant(corrupted, winternitz_spec.V, attach=False)
+        stats = monitor_invariant(corrupted, winternitz_spec.V)
         assert stats.max_rel >= 1e-4
 
     def test_nan_level_mid_series_makes_the_drift_nan(self, winternitz_spec, winternitz_trajectory):
@@ -125,7 +125,7 @@ class TestDriftMonitor:
         ys = [list(y) for y in winternitz_trajectory.ys]
         ys[len(ys) // 2][0] = math.nan
         corrupted = dataclasses.replace(winternitz_trajectory, ys=ys)
-        stats = monitor_invariant(corrupted, winternitz_spec.V, attach=False)
+        stats = monitor_invariant(corrupted, winternitz_spec.V)
         assert math.isnan(stats.series[len(ys) // 2])
         assert math.isnan(stats.max_rel) and math.isnan(stats.rms_rel)
 

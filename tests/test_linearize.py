@@ -13,19 +13,16 @@ from ermakov.linearize import (
     LinearizationError,
     OutsideWindowError,
     QuadratureSolution,
-    angular_time,
     auto_theta_domain,
     build_linear_ode,
     build_pipeline,
-    free_motion_solution,
     solve_from_state,
     solve_linear,
     verify_compatibility,
-    winternitz_angular_time_closed,
-    winternitz_dpsi_closed,
-    winternitz_psi_closed,
 )
 from ermakov.numerics import quad_adaptive
+from oracles import winternitz_angular_time_closed, winternitz_dpsi_closed, winternitz_psi_closed
+from test_acceptance import angular_time
 
 
 def _uniform_rotation_pieces():
@@ -168,7 +165,7 @@ class TestAngularTime:
                 angular_time(th + eps, level, winternitz_spec.V)
                 - angular_time(th - eps, level, winternitz_spec.V)
             ) / (2.0 * eps)
-            h = ek.on_shell_momentum(th, level, winternitz_spec.V)
+            h = momentum_from_gap(th, level, level - evaluate(winternitz_spec.V, {"theta": th}))
             assert abs(fd - 1.0 / h) <= 1e-7 * (1.0 + 1.0 / h)
 
     def test_forbidden_path_rejected(self, winternitz_spec):
@@ -266,7 +263,7 @@ class TestTimeQuadrature:
         pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 2.0))
         thetas = [pipe.theta_at(t) for t in np.linspace(0.0, 2.0, 15)]
         assert all(b > a for a, b in zip(thetas, thetas[1:]))
-        inner = np.linspace(*pipe.theta_window, 9)[1:-1]
+        inner = np.linspace(*pipe.solution.path.window, 9)[1:-1]
         values = [pipe.solution.path.row(th)[2] for th in inner]
         assert all(b > a for a, b in zip(values, values[1:]))
 
@@ -294,7 +291,7 @@ class TestTimeQuadrature:
 
     def test_t_at_stays_inside_the_time_window(self, winternitz_spec, winternitz_state):
         pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 1.0))
-        lo, hi = pipe.theta_window
+        lo, hi = pipe.solution.path.window
         with pytest.raises(OutsideWindowError, match=r"outside the time window \[0.0, 1.0\]"):
             pipe.t_at(hi)  # the cut solve reaches a little past Tau(1)
         t = pipe.t_at(pipe.theta_at(1.0))
@@ -330,10 +327,6 @@ class TestReconstruction:
 
 
 class TestFreeMotionSolution:
-    def test_affine_form(self):
-        assert free_motion_solution(1.0, 0.5, 2.0) == 2.0
-        assert free_motion_solution(2.0, 0.0, 9.9) == 2.0
-
     def test_constant_solution_gives_circle(self):
         fm = ek.free_motion_system("u", "1")
         s0 = ek.PolarState(1.0, math.pi / 4, 0.0, 1.0)  # rdot = 0 so psi' = 0
@@ -622,7 +615,7 @@ class TestWindowedSolve:
         # one angle run, forward (a time-dependent rho adds its Tau run)
         angle_runs = [span for span in spans if span[0] == state.theta]
         assert len(angle_runs) == 1 and angle_runs[0][1] > state.theta
-        assert pipe.theta_window[0] == state.theta
+        assert pipe.solution.path.window[0] == state.theta
 
     @pytest.mark.parametrize(
         "thetadot, window, solved",
