@@ -31,7 +31,6 @@ from .integration import (
 from .invariant import (
     ForbiddenRegionError,
     TurningPointError,
-    lewis_ray_reid_polar,
 )
 from .linearize import (
     LinearODE,

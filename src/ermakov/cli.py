@@ -131,7 +131,7 @@ def cmd_reconstruct(cfg: RunConfig, out_dir: Path) -> int:
     rows = []
     for t in times:
         theta = pipe.theta_at(t)
-        rows.append((t, theta, pipe.r_of_theta(theta)))
+        rows.append((t, theta, pipe.r_at(t, theta)))
     _write_csv(out_dir / "reconstructed.csv", ["t", "theta", "r"], rows)
     print(f"reconstruct: ok, {len(rows)} samples over t in {list(cfg.t_span)}")
     return EXIT_OK

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import math
 
-from .expressions import Expression, as_expression, evaluate
-from .systems import PolarState
+from .expressions import Expression, evaluate
 
 __all__ = [
     "ForbiddenRegionError",
     "TurningPointError",
     "invariant_level",
-    "lewis_ray_reid_polar",
     "momentum_from_gap",
     "turning_tolerance",
 ]
@@ -57,11 +55,6 @@ def invariant_level(r: float, theta: float, thetadot: float, V: Expression) -> f
     except OverflowError:
         square = math.inf
     return 0.5 * square + evaluate(V, {"theta": float(theta)})
-
-
-def lewis_ray_reid_polar(state: PolarState, V) -> float:
-    """I = 0.5*(r^2 thetadot)^2 + V(theta)."""
-    return invariant_level(state.r, state.theta, state.thetadot, as_expression(V))
 
 
 def turning_tolerance(invariant) -> float:

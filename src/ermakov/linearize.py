@@ -30,7 +30,7 @@ from .integration import EventSpec, IntegratorConfig, Trajectory, integrate
 from .invariant import (
     ForbiddenRegionError,
     TurningPointError,
-    lewis_ray_reid_polar,
+    invariant_level,
     momentum_from_gap,
     turning_tolerance,
 )
@@ -240,23 +240,22 @@ def auto_theta_domain(V, invariant, theta0: float) -> tuple[float, float]:
 # Numeric solution of the linear ODE
 # ---------------------------------------------------------------------------
 
-_PSI_FLOOR_REL = 1e-4  # the angle map stops where psi falls to this share of psi0
+_PSI_FLOOR_REL = 1e-4  # a timed run stops where psi falls to this share of psi0
 
 
 @dataclass
 class _SidedRuns:
-    """Dense output of the runs that leave x0 on each side.
+    """Dense output of the angle runs that leave theta0 on each side.
 
     ``up`` and ``down`` hold the run in each direction, or None where
-    nothing was solved; a row is the run's state vector at x, ``y0`` at x0
-    itself.  ``inverse`` reads a column that is 0 at x0 and increases with
-    x: it finds the step by its node values and solves that step's
-    interpolant by Newton's method with its exact slope, falling back to
-    bisection.  Results depend only on the stored runs, never on the order
-    of queries.
+    nothing was solved; a row is the run's state vector at theta, ``y0`` at
+    theta0 itself.  ``inverse`` reads a column that is 0 at theta0 and
+    increases with theta: it finds the step by its node values and solves
+    that step's interpolant by Newton's method with its exact slope, falling
+    back to bisection.  Results depend only on the stored runs, never on the
+    order of queries.
     """
 
-    var: str
     x0: float
     y0: list[float]
     up: Trajectory | None
@@ -275,24 +274,19 @@ class _SidedRuns:
         run = self.up if x > self.x0 else self.down
         lo, hi = self.window
         if not (run and lo - 1e-12 <= x <= hi + 1e-12):
-            raise OutsideWindowError(f"{self.var}={x!r} outside the window [{lo}, {hi}]")
+            raise OutsideWindowError(f"theta={x!r} outside the window [{lo}, {hi}]")
         return run.at(x)
 
-    def ends(self, column: int) -> tuple[float, float]:
-        """``column`` at the last node on each side: what ``inverse`` covers."""
-        return tuple(r.ys[-1][column] if r else 0.0 for r in (self.down, self.up))
-
     def inverse(self, v: float, column: int) -> float:
-        """The x whose row holds v in ``column``."""
+        """The theta whose row holds v in ``column``."""
         v = float(v)
         if v == 0.0:
             return self.x0
-        lo, hi = self.ends(column)
+        lo, hi = (r.ys[-1][column] if r else 0.0 for r in (self.down, self.up))
         if not lo <= v <= hi:
             edge = self.window[1 if v > 0.0 else 0]
             raise OutsideWindowError(
-                f"requested time maps beyond {self.var}={edge!r}"
-                " (window edge or turning point)"
+                f"requested time maps beyond theta={edge!r} (window edge or turning point)"
             )
         run = self.up if v > 0.0 else self.down
         # node values in the run's own direction, increasing from 0
@@ -321,31 +315,37 @@ class _SidedRuns:
         return x
 
 
-def _solve_run(ode: LinearODE, theta0, y0, theta1, reach=None) -> Trajectory | None:
-    """Integrate from theta0 towards theta1: [psi, psi', W, g], or [psi, psi', Theta, W, g].
+def _solve_run(ode: LinearODE, theta0, y0, theta1, clock=None) -> Trajectory | None:
+    """Integrate from theta0 towards theta1: [psi, psi', W, g], or [psi, psi', T, W, g].
 
     The gap g = I - V(theta) rides along with g' = -dV/dtheta, so no step
-    evaluates the potential itself.  Given a ``reach``, Theta' = 1/(h psi^2)
-    rides along too, and the run ends where psi falls to 1e-4 psi0 or after
-    the step where |Theta| first reaches ``reach`` (0: no run).
+    evaluates the potential itself.  Given a ``clock`` = (rho, t0, reach),
+    the time T = branch_sign*(t - t0) rides along too, with
+    T' = rho(t)^2/(h psi^2), and the run ends where psi falls to 1e-4 psi0
+    or after the step where |T| first reaches ``reach`` (0: no run).
     """
-    if theta1 == theta0 or reach == 0.0:
+    if theta1 == theta0 or (clock and clock[2] == 0.0):
         return None
-    with_theta = reach is not None
+    events, until = (), None
+    if clock is not None:
+        rho, t0, reach = clock
+        branch = ode.branch_sign
+        floor = _PSI_FLOOR_REL * y0[0]
+        events = [EventSpec("psi_floor", lambda th, y: y[0] - floor, terminal=True)]
+
+        def until(th, y):
+            return abs(y[2]) >= reach
 
     def rhs(th, y):
         psi, dpsi, *_, w, gap = y
         h, p2, p1, p0, c, dv = ode.terms(th, gap)
         d2 = (c - p1 * dpsi - p0 * psi) / p2
-        if with_theta:
-            return dpsi, d2, 1.0 / (h * psi * psi), -p1 / p2 * w, -dv
-        return dpsi, d2, -p1 / p2 * w, -dv
+        if clock is None:
+            return dpsi, d2, -p1 / p2 * w, -dv
+        rv = evaluate(rho, {"t": t0 + branch * y[2]})
+        r2 = rv * rv
+        return dpsi, d2, r2 / (h * psi * psi), -p1 / p2 * w, -dv
 
-    events = ()
-    if with_theta:
-        floor = _PSI_FLOOR_REL * y0[0]
-        events = [EventSpec("psi_floor", lambda th, y: y[0] - floor, terminal=True)]
-    until = None if reach is None else (lambda th, y: abs(y[2]) >= reach)
     cfg = IntegratorConfig(t_span=(theta0, theta1), rel_tol=_SOLVE_REL_TOL, abs_tol=_SOLVE_ABS_TOL)
     traj = integrate(rhs, y0, cfg, events, until)
     if traj.termination not in ("completed", "stopped", "event:psi_floor"):
@@ -363,9 +363,9 @@ class LinearSolution:
     the identity basis (W' = -(p1/p2) W, W(theta0) = 1) and the gap
     g = I - V(theta), over the whole domain: ``path`` rows are
     (psi, psi', W, g).  A solve for the time reconstruction also carries
-    the angle map Theta(theta) = integral of 1/(h psi^2) from theta0, and
-    ends where psi falls to 1e-4 psi0 or where Theta reaches a time
-    window's share; its rows are (psi, psi', Theta, W, g).
+    the time T = branch_sign*(t - t0) at which the trajectory reaches each
+    angle, and ends where psi falls to 1e-4 psi0 or where T reaches a time
+    window's end; its rows are (psi, psi', T, W, g).
     """
 
     ode: LinearODE
@@ -386,168 +386,105 @@ def solve_linear(
     theta0: float,
     psi0: float,
     dpsi0: float,
-    tau_reach: tuple[float, float] | None = None,
+    clock: tuple[Expression, float, tuple[float, float]] | None = None,
 ) -> LinearSolution:
     """Solve the linear ODE matching (psi0, dpsi0) at theta0 on the ODE domain.
 
-    Given ``tau_reach`` = (before, after), how far |Tau| must reach before
-    and after t0 (inf: no cut), the solve carries the angle map and cuts
-    each side of theta0 to where |Theta| reaches its share
-    (Theta = branch_sign * Tau); the map needs psi0 > 0.  Raises
-    LinearizationError if Abel's factor W stops being positive, i.e. the
-    homogeneous solutions become linearly dependent.
+    Given ``clock`` = (rho, t0, reach), the solve also carries the time
+    T = branch_sign*(t - t0), from T' = rho(t)^2/(h psi^2): the angle
+    quadrature integral of 1/(h psi^2) equals branch_sign times the time
+    quadrature integral of 1/rho^2.  ``reach`` = (before, after) is how far
+    the time must reach before and after t0 (inf: no cut), and each side of
+    theta0 is cut where |T| reaches its share; the time needs psi0 > 0.
+    Raises LinearizationError if Abel's factor W stops being positive, i.e.
+    the homogeneous solutions become linearly dependent.
     """
     lo, hi = ode.domain
     if not (lo <= theta0 <= hi):
         raise ValueError(f"theta0={theta0!r} outside the ODE domain [{lo}, {hi}]")
     gap0 = ode.gap(theta0)
-    if tau_reach is None:
+    if clock is None:
         y0 = [psi0, dpsi0, 1.0, gap0]
         down = up = None
     elif psi0 > 0.0:
         y0 = [psi0, dpsi0, 0.0, 1.0, gap0]
-        down, up = tau_reach[:: ode.branch_sign]  # reach below and above theta0
+        rho, t0, reach = clock
+        down, up = ((rho, t0, r) for r in reach[:: ode.branch_sign])  # below and above theta0
     else:
         raise LinearizationError(f"psi({theta0!r}) = {psi0!r} is not positive")
     runs = (_solve_run(ode, theta0, y0, hi, up), _solve_run(ode, theta0, y0, lo, down))
     if not all(0.0 < y[-2] < math.inf for traj in runs if traj for y in traj.ys):  # Abel factor W
         raise LinearizationError("homogeneous solutions became linearly dependent")
-    return LinearSolution(ode=ode, theta0=theta0, path=_SidedRuns("theta", theta0, y0, *runs))
+    return LinearSolution(ode=ode, theta0=theta0, path=_SidedRuns(theta0, y0, *runs))
 
 
 # ---------------------------------------------------------------------------
-# Quadratures and inversion
+# Angle and time maps
 # ---------------------------------------------------------------------------
-
-def _time_map(rho: Expression, t0: float, t_window: tuple[float, float]) -> _SidedRuns:
-    """Tau(t) = integral of 1/rho^2 from t0, integrated once over the time window."""
-
-    def rhs(t, y):
-        rv = evaluate(rho, {"t": t})
-        if rv == 0.0:
-            raise EvaluationError(f"rho vanished at t={t!r}")
-        return (1.0 / (rv * rv),)
-
-    def side(t1: float) -> Trajectory | None:
-        if t1 == t0:
-            return None
-        cfg = IntegratorConfig(t_span=(t0, t1), rel_tol=_SOLVE_REL_TOL, abs_tol=_SOLVE_ABS_TOL)
-        traj = integrate(rhs, [0.0], cfg)
-        if traj.termination != "completed":
-            raise LinearizationError(
-                f"time quadrature stopped at t={traj.t_end!r} ({traj.termination})"
-            )
-        return traj
-
-    down = side(min(t0, *t_window))
-    return _SidedRuns("t", t0, [0.0], side(max(t0, *t_window)), down)
-
-
-def _tau(Tau: _SidedRuns | None, rho_const: float | None, t0: float, window, t: float) -> float:
-    """Tau(t) off the Tau run, or (t - t0)/rho^2 for a constant rho, at a t inside ``window``."""
-    if Tau is not None:
-        return Tau.row(t)[0]
-    if window is not None and not window[0] <= t <= window[1]:
-        raise OutsideWindowError(f"t={t!r} outside the time window [{window[0]}, {window[1]}]")
-    return (t - t0) / (rho_const * rho_const)
-
 
 @dataclass
 class QuadratureSolution:
     """The linearized route for one trajectory: angle and time maps, and the radius.
 
-    The maps satisfy Theta(theta(t)) = branch_sign * Tau(t), where Theta,
-    column 2 of the solve, integrates 1/(h psi^2) from theta0 and Tau
-    integrates 1/rho^2 from t0.  Both are strictly increasing on their
-    windows.  Tau is (t - t0)/rho^2 for a constant rho, and otherwise read
-    off ``Tau``, over the time span ``t_window`` (t0 included) if one is
-    given.  The radius is r = rho/psi.
+    Column 2 of the solve holds T = branch_sign*(t - t0), the time at which
+    the trajectory reaches each angle; it is strictly increasing in theta,
+    so theta(t) inverts it and t(theta) reads it off.  Times outside the
+    span ``t_window`` (t0 included), if one is given, raise
+    OutsideWindowError.  The radius is r = rho/psi.
     """
 
     solution: LinearSolution
     t0: float
-    Tau: _SidedRuns | None
-    rho_const: float | None
     t_window: tuple[float, float] | None
 
     def __post_init__(self):
         if len(self.solution.path.y0) != 5:  # rows (psi, psi', W, g)
-            raise LinearizationError("the linear solve carries no angle map: give it a tau_reach")
-
-    def tau(self, t: float) -> float:
-        """Tau(t) = integral of 1/rho^2 from t0."""
-        return _tau(self.Tau, self.rho_const, self.t0, self.t_window, t)
+            raise LinearizationError("the linear solve carries no time column: give it a clock")
 
     def theta_at(self, t: float) -> float:
-        """The unique angle with Theta(theta) = branch_sign*Tau(t)."""
-        tau = self.tau(float(t))
-        return self.solution.path.inverse(self.solution.ode.branch_sign * tau, 2)
+        """The unique angle whose time column holds branch_sign*(t - t0)."""
+        t = float(t)
+        if self.t_window is not None and not self.t_window[0] <= t <= self.t_window[1]:
+            lo, hi = self.t_window
+            raise OutsideWindowError(f"t={t!r} outside the time window [{lo}, {hi}]")
+        return self.solution.path.inverse(self.solution.ode.branch_sign * (t - self.t0), 2)
 
     def t_at(self, theta: float) -> float:
-        """The time with Tau(t) = Theta(theta)/branch_sign.
+        """The time t0 + branch_sign*T(theta) at which the trajectory reaches theta.
 
         With a time window, a time within rounding of one of its ends is
         that end, and one beyond it raises OutsideWindowError.
         """
-        tau = self.solution.path.row(theta)[2] / self.solution.ode.branch_sign
+        dt = self.solution.path.row(theta)[2] * self.solution.ode.branch_sign
         if self.t_window is None:
-            return self.t0 + self.rho_const * self.rho_const * tau
+            return self.t0 + dt
         lo, hi = self.t_window
-        # Tau at the window ends; for a Tau run, the range its inverse covers
-        ends = (self.tau(lo), self.tau(hi)) if self.Tau is None else self.Tau.ends(0)
+        ends = (lo - self.t0, hi - self.t0)
         slack = 1e-12 * max(abs(ends[0]), abs(ends[1]))  # relative rounding
-        if not ends[0] - slack <= tau <= ends[1] + slack:
+        if not ends[0] - slack <= dt <= ends[1] + slack:
             raise OutsideWindowError(
                 f"theta={float(theta)!r} maps to a time outside the time window [{lo}, {hi}]"
             )
-        if tau <= ends[0]:
+        if dt <= ends[0]:
             return lo
-        if tau >= ends[1]:
+        if dt >= ends[1]:
             return hi
-        if self.Tau is None:
-            return min(max(self.t0 + self.rho_const * self.rho_const * tau, lo), hi)
-        return self.Tau.inverse(tau, 0)
-
-    def _psi(self, theta: float) -> float:
-        psi = self.solution.psi(theta)
-        if not psi > 0.0:
-            raise LinearizationError(f"psi({theta!r}) = {psi!r} is not positive")
-        return psi
+        return min(max(self.t0 + dt, lo), hi)
 
     def r_of_theta(self, theta: float) -> float:
-        """Orbit radius r(theta) = rho(t(theta)) / psi(theta).
-
-        With a constant rho no time inversion is needed.
-        """
-        psi = self._psi(theta)
-        if self.rho_const is not None:
-            return self.rho_const / psi
-        return evaluate(self.solution.ode.spec.rho, {"t": self.t_at(theta)}) / psi
+        """Orbit radius r(theta) = rho(t(theta)) / psi(theta)."""
+        return self.r_at(self.t_at(theta), theta)
 
     def r_at(self, t: float, theta: float) -> float:
         """Radius rho(t) / psi(theta) at a time t whose angle theta = theta_at(t) is known."""
-        psi = self._psi(theta)
-        if self.rho_const is not None:
-            return self.rho_const / psi
+        psi = self.solution.psi(theta)
+        if not psi > 0.0:
+            raise LinearizationError(f"psi({theta!r}) = {psi!r} is not positive")
         return evaluate(self.solution.ode.spec.rho, {"t": t}) / psi
 
     def r_of_t(self, t: float) -> float:
         """Radius as a function of time: rho(t) / psi(theta(t))."""
         return self.r_at(t, self.theta_at(t))
-
-
-def _time_side(rho: Expression, t0: float, t_window) -> tuple:
-    """(Tau, rho_const, t_window) for a QuadratureSolution anchored at t0."""
-    span = None if t_window is None else (min(t0, *t_window), max(t0, *t_window))
-    if not free_variables(rho):
-        rho_const = evaluate(rho, {})
-        if rho_const == 0.0:
-            raise EvaluationError("rho is identically zero")
-        return None, rho_const, span
-    if t_window is None:
-        raise LinearizationError("a time-dependent rho needs a time window")
-    check_rho_nonzero(rho, t_window[0], t_window[1], 257, f"the time window {t_window!r}")
-    return _time_map(rho, t0, t_window), None, span
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +544,7 @@ def _linear_problem(spec, state0: PolarState, theta_domain) -> tuple[LinearODE, 
     if state0.thetadot == 0.0:
         raise LinearizationError("initial state sits at a turning point (thetadot = 0)")
     branch = 1 if state0.thetadot > 0.0 else -1
-    inv = lewis_ray_reid_polar(state0, lin.V)
+    inv = invariant_level(state0.r, state0.theta, state0.thetadot, lin.V)
     if not math.isfinite(inv):
         raise LinearizationError(f"invariant level {inv!r} at the initial state is not finite")
     if theta_domain is None:
@@ -636,18 +573,22 @@ def build_pipeline(
 ) -> QuadratureSolution:
     """The linearized route for the trajectory through ``state0``.
 
-    Tau integrates 1/rho^2 from state0.t, in closed form for a constant rho
-    and otherwise over ``t_window``, which a time-dependent rho requires.
-    With a window, the angle map is solved only as far as Tau reaches over
-    it and times outside it raise OutsideWindowError; without one, it ends
-    where psi falls to 1e-4 psi0 or at the end of the domain.  Queries
-    outside the covered window raise instead of crossing turning points.
+    The angle run carries the time from state0.t.  A time-dependent rho
+    needs ``t_window`` and must keep clear of zero over it.  With a window,
+    the run is solved only as far as the time reaches over it and times
+    outside it raise OutsideWindowError; without one, it ends where psi
+    falls to 1e-4 psi0 or at the end of the domain.  Queries outside the
+    covered window raise instead of crossing turning points.
     """
     ode, psi0, dpsi0 = _linear_problem(spec, state0, None)
-    Tau, rho_const, span = _time_side(ode.spec.rho, state0.t, t_window)
-    tau_reach = (math.inf, math.inf)
-    if span is not None:
-        lo, hi = (_tau(Tau, rho_const, state0.t, span, t) for t in span)
-        tau_reach = (-lo, hi)
-    sol = solve_linear(ode, state0.theta, psi0, dpsi0, tau_reach)
-    return QuadratureSolution(sol, state0.t, Tau, rho_const, span)
+    t0, rho = state0.t, ode.spec.rho
+    span, reach = None, (math.inf, math.inf)
+    if t_window is not None:
+        span = (min(t0, *t_window), max(t0, *t_window))
+        reach = (t0 - span[0], span[1] - t0)
+    if free_variables(rho):
+        if t_window is None:
+            raise LinearizationError("a time-dependent rho needs a time window")
+        check_rho_nonzero(rho, t_window[0], t_window[1], 257, f"the time window {t_window!r}")
+    sol = solve_linear(ode, state0.theta, psi0, dpsi0, (rho, t0, reach))
+    return QuadratureSolution(sol, t0, span)

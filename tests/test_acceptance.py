@@ -12,7 +12,7 @@ import numpy as np
 import ermakov as ek
 from ermakov.cli import main
 from ermakov.expressions import evaluate
-from ermakov.invariant import ForbiddenRegionError, turning_tolerance
+from ermakov.invariant import ForbiddenRegionError, invariant_level, turning_tolerance
 from ermakov.linearize import build_linear_ode, build_pipeline, solve_linear
 from ermakov.numerics import linspace, quad_adaptive
 from oracles import winternitz_angular_time_closed, winternitz_dpsi_closed, winternitz_psi_closed
@@ -192,7 +192,7 @@ def test_criterion_5_free_motion_class():
     resid = float(np.max(np.abs(np.polyval(coeffs, ys[:, 1]) - psi)))
     assert resid <= AFFINE_RESIDUAL_TOL
 
-    level = ek.lewis_ray_reid_polar(s0, fm.linearizable.V)
+    level = invariant_level(s0.r, s0.theta, s0.thetadot, fm.linearizable.V)
     ode = build_linear_ode(fm.linearizable, level, (0.3, 0.85))
     assert ode.rhs_is_zero
     sol = solve_linear(ode, 0.5, 1.5, 1.0)

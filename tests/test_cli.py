@@ -251,6 +251,19 @@ class TestSimulate:
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert json.loads((out / "summary.json").read_text())["termination"] == "step_size_underflow"
 
+    def test_vanishing_constant_rho_is_a_named_error(self, tmp_path, capsys):
+        # rho^2 underflows to 0, and so does h psi^2 at psi = rho/r
+        cfg = copy.deepcopy(PRESETS["uniform-rotation"])
+        cfg["system"]["functions"]["rho"] = "1e-200"
+        path = _write(tmp_path, "c.json", cfg)
+        assert main(["reconstruct", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: linear solve stopped at theta=0.0") and "Traceback" not in err
+        assert main(["validate", "--config", str(path), "--out", str(tmp_path / "v")]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((tmp_path / "v" / "report.json").read_text())
+        assert report["checks"]["round_trip"]["error"].startswith("linear solve stopped")
+
     # (r^2 thetadot)^2 overflows: the level is inf and its drift NaN, with no warning
     @pytest.mark.parametrize(
         "preset, r",
@@ -627,17 +640,22 @@ class TestValidate:
 
     def test_inverts_each_sample_time_once(self, tmp_path, monkeypatch):
         calls = []
-        real = linearize.QuadratureSolution.theta_at
+        real = linearize._SidedRuns.inverse
 
-        def counted(self, t):
-            calls.append(t)
-            return real(self, t)
+        def counted(self, v, column):
+            calls.append(v)
+            return real(self, v, column)
 
-        monkeypatch.setattr(linearize.QuadratureSolution, "theta_at", counted)
-        cfg = _cheap_preset("winternitz-default")
-        path = _write(tmp_path, "c.json", cfg)
-        assert main(["validate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-        assert len(calls) == cfg["samples"]
+        monkeypatch.setattr(linearize._SidedRuns, "inverse", counted)
+        # a constant rho, and rho = 1 + 0.1 t^2, whose radius needs the time
+        for command, cfg in [
+            ("validate", _cheap_preset("winternitz-default")),
+            ("reconstruct", _BASE_CONFIGS["linearizable"]),
+        ]:
+            calls.clear()
+            path = _write(tmp_path, "c.json", cfg)
+            assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+            assert len(calls) == cfg["samples"]
 
     @pytest.mark.parametrize("kind", ["polar", "cartesian"])
     def test_kind_without_linearizable_form_fails_before_integrating(

@@ -7,7 +7,7 @@ import ermakov as ek
 from ermakov.invariant import (
     ForbiddenRegionError,
     TurningPointError,
-    lewis_ray_reid_polar,
+    invariant_level,
     momentum_from_gap,
 )
 
@@ -26,12 +26,12 @@ def _momentum(theta, level, V):
 class TestPolarInvariant:
     def test_free_potential(self):
         s = ek.PolarState(1.0, math.pi / 2, 0.0, 2.0)
-        assert lewis_ray_reid_polar(s, "0") == 2.0
+        assert invariant_level(s.r, s.theta, s.thetadot, ek.parse("0")) == 2.0
 
     def test_winternitz_potential(self):
         spec = ek.winternitz_system(ek.WinternitzParams(1.0, 1.0, 0.0, 1.0))
         s = ek.PolarState(1.0, math.pi / 2, 0.0, 2.0)
-        assert lewis_ray_reid_polar(s, spec.V) == pytest.approx(3.0, abs=1e-12)
+        assert invariant_level(s.r, s.theta, s.thetadot, spec.V) == pytest.approx(3.0, abs=1e-12)
 
     def test_constant_along_trajectory(self, winternitz_trajectory):
         assert winternitz_trajectory.drift.max_rel <= 1e-6
@@ -61,7 +61,7 @@ class TestCartesianInvariant:
             )
             sp = ek.polar_state_from_cartesian(sc)
             a = _cartesian_level(sc, f, g)
-            b = lewis_ray_reid_polar(sp, V)
+            b = invariant_level(sp.r, sp.theta, sp.thetadot, V)
             assert abs(a - b) <= 1e-9 * (1.0 + abs(a))
 
     def test_axis_state_rejected(self):
@@ -96,7 +96,7 @@ class TestOnShellMomentum:
             assert h * h + 2.0 * v == pytest.approx(2.0 * level, rel=1e-12)
 
     def test_accepts_invariant_value(self):
-        inv = lewis_ray_reid_polar(ek.PolarState(1.0, math.pi / 2, 0.0, 2.0), "0")
+        inv = invariant_level(1.0, math.pi / 2, 2.0, ek.parse("0"))
         assert _momentum(0.1, inv, ek.parse("0")) == 2.0
 
 

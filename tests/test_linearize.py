@@ -7,7 +7,12 @@ import pytest
 import ermakov as ek
 from ermakov import systems
 from ermakov.expressions import evaluate
-from ermakov.invariant import ForbiddenRegionError, TurningPointError, momentum_from_gap
+from ermakov.invariant import (
+    ForbiddenRegionError,
+    TurningPointError,
+    invariant_level,
+    momentum_from_gap,
+)
 from ermakov.linearize import (
     LinearODE,
     LinearizationError,
@@ -33,8 +38,8 @@ def _uniform_rotation_pieces():
     """
     spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="1", F="0", V="0")
     ode = build_linear_ode(spec, 0.5, (-6.0, 6.0))
-    sol = solve_linear(ode, 0.0, 1.0, 0.0, (math.inf, math.inf))
-    quad = QuadratureSolution(sol, 0.0, None, 1.0, None)
+    sol = solve_linear(ode, 0.0, 1.0, 0.0, (spec.rho, 0.0, (math.inf, math.inf)))
+    quad = QuadratureSolution(sol, 0.0, None)
     return spec, ode, sol, quad
 
 
@@ -443,7 +448,7 @@ class TestPipelineGuards:
         # U(tan theta), one step above it the potential exceeds the level
         fm = ek.free_motion_system("u", "1")
         state = ek.PolarState(1.0, 1e-9, -0.2, 1.0)
-        level = ek.lewis_ray_reid_polar(state, fm.linearizable.V)
+        level = invariant_level(state.r, state.theta, state.thetadot, fm.linearizable.V)
         with pytest.raises(LinearizationError, match=r"empty angle domain at theta=1e-09"):
             auto_theta_domain(fm.linearizable.V, level, 1e-9)
 
@@ -492,7 +497,7 @@ class TestAugmentedSolve:
 
     def test_theta_window_is_psi_floor_event(self):
         # psi'' + psi = 0 from (1, 0): psi = cos(theta) falls to 1e-4 psi0 at
-        # +-acos(1e-4), and Theta = integral of 1/cos^2 = tan
+        # +-acos(1e-4), and the time T = integral of 1/cos^2 = tan
         spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="0", F="0", V="0")
         sol = build_pipeline(spec, ek.PolarState(1.0, 0.0, 0.0, 1.0)).solution
         lo, hi = sol.path.window
@@ -529,8 +534,8 @@ class TestAugmentedSolve:
     def test_quadrature_over_a_solve_without_the_angle_map_is_named(self):
         spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="1", F="0", V="0")
         sol = solve_linear(build_linear_ode(spec, 0.5, (-6.0, 6.0)), 0.0, 1.0, 0.0)
-        with pytest.raises(LinearizationError, match="no angle map"):
-            QuadratureSolution(sol, 0.0, None, 1.0, None)
+        with pytest.raises(LinearizationError, match="no time column"):
+            QuadratureSolution(sol, 0.0, None)
 
     def test_time_dependent_rho_needs_time_window(self):
         spec = ek.LinearizableSpec(rho="1 + 0.1*t", A="0", B="0", C="0", F="0", V="0")
@@ -540,7 +545,7 @@ class TestAugmentedSolve:
         pipe = build_pipeline(spec, state, t_window=(0.0, 1.0))
         pipe.theta_at(0.5)
         with pytest.raises(OutsideWindowError):
-            pipe.theta_at(1.5)  # Tau is integrated over the time window only
+            pipe.theta_at(1.5)  # the time is solved over the time window only
 
 
 def _kepler_case():
@@ -575,17 +580,13 @@ class TestWindowedSolve:
         }[request.param]()
 
     def test_matches_the_whole_domain_solve_bit_for_bit(self, case):
+        # the run of a window ten times as long, queried on the same window:
+        # under rho = 1 + a t^2 an uncut run drives t without bound before
+        # the domain ends
         spec, state, window = case
         windowed = build_pipeline(spec, state, t_window=window)
-        plain = solve_from_state(spec, state)
-        uncut = (math.inf, math.inf)
-        whole = QuadratureSolution(
-            solve_linear(plain.ode, state.theta, *plain.path.y0[:2], uncut),
-            state.t,
-            windowed.Tau,
-            windowed.rho_const,
-            windowed.t_window,
-        )
+        longer = build_pipeline(spec, state, t_window=(window[0], 10.0 * window[1]))
+        whole = QuadratureSolution(longer.solution, state.t, windowed.t_window)
         times = [float(t) for t in np.linspace(*window, 17)]
         thetas = [windowed.theta_at(t) for t in times]
         assert thetas == [whole.theta_at(t) for t in times]
@@ -612,10 +613,29 @@ class TestWindowedSolve:
         monkeypatch.setattr(lz, "integrate", recording)
         pipe = build_pipeline(spec, state, t_window=window)
         assert pipe.solution.path.down is None
-        # one angle run, forward (a time-dependent rho adds its Tau run)
-        angle_runs = [span for span in spans if span[0] == state.theta]
-        assert len(angle_runs) == 1 and angle_runs[0][1] > state.theta
+        # one angle run, forward, which carries the time for every rho
+        assert len(spans) == 1 and spans[0][0] == state.theta and spans[0][1] > state.theta
         assert pipe.solution.path.window[0] == state.theta
+
+    def test_one_run_per_side_answers_both_maps(self, case, monkeypatch):
+        import ermakov.linearize as lz
+
+        spec, state, window = case
+        spans = []
+        real = lz.integrate
+
+        def recording(rhs, y0, cfg, *args, **kwargs):
+            spans.append(cfg.t_span)
+            return real(rhs, y0, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(lz, "integrate", recording)
+        straddling = (-0.25 * window[1], window[1])
+        pipe = build_pipeline(spec, state, t_window=straddling)
+        assert len(spans) == 2 and {span[0] for span in spans} == {state.theta}
+        thetas = [pipe.theta_at(t) for t in straddling]
+        # t(theta) reads the time column: no inversion
+        monkeypatch.setattr(lz._SidedRuns, "inverse", None)
+        assert [pipe.t_at(th) for th in thetas] == pytest.approx(straddling, abs=1e-12)
 
     @pytest.mark.parametrize(
         "thetadot, window, solved",
@@ -686,7 +706,8 @@ class TestCarriedGap:
 
         count = self._quadratures_after_scan(monkeypatch)
         spec = ek.free_motion_system("u", "1").linearizable
-        level = ek.lewis_ray_reid_polar(self._STATE, spec.V)
+        s = self._STATE
+        level = invariant_level(s.r, s.theta, s.thetadot, spec.V)
         ode = LinearODE(spec, level, lz.auto_theta_domain(spec.V, level, math.pi / 4), 1)
         sol = solve_linear(ode, math.pi / 4, 1.0, 0.2)
         sol.coefficients(0.5)
