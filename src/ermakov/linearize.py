@@ -319,17 +319,19 @@ def _solve_run(ode: LinearODE, theta0, y0, theta1, clock=None) -> Trajectory | N
     """Integrate from theta0 towards theta1: [psi, psi', W, g], or [psi, psi', T, W, g].
 
     The gap g = I - V(theta) rides along with g' = -dV/dtheta, so no step
-    evaluates the potential itself.  Given a ``clock`` = (rho, t0, reach),
-    the time T = branch_sign*(t - t0) rides along too, with
+    evaluates the potential itself.  Given a ``clock`` = (t0, reach), the
+    time T = branch_sign*(t - t0) rides along too, with
     T' = rho(t)^2/(h psi^2), and the run ends where psi falls to 1e-4 psi0
-    or after the step where |T| first reaches ``reach`` (0: no run).
+    or after the step where |T| first reaches ``reach`` (0: no run).  That
+    step reads rho past the reach; where rho has no value there, its value
+    at the reach stands in.
     """
-    if theta1 == theta0 or (clock and clock[2] == 0.0):
+    if theta1 == theta0 or (clock and clock[1] == 0.0):
         return None
     events, until = (), None
     if clock is not None:
-        rho, t0, reach = clock
-        branch = ode.branch_sign
+        t0, reach = clock
+        rho, branch = ode.spec.rho, ode.branch_sign
         floor = _PSI_FLOOR_REL * y0[0]
         events = [EventSpec("psi_floor", lambda th, y: y[0] - floor, terminal=True)]
 
@@ -342,7 +344,12 @@ def _solve_run(ode: LinearODE, theta0, y0, theta1, clock=None) -> Trajectory | N
         d2 = (c - p1 * dpsi - p0 * psi) / p2
         if clock is None:
             return dpsi, d2, -p1 / p2 * w, -dv
-        rv = evaluate(rho, {"t": t0 + branch * y[2]})
+        try:
+            rv = evaluate(rho, {"t": t0 + branch * y[2]})
+        except EvaluationError:
+            if not abs(y[2]) > reach:
+                raise
+            rv = evaluate(rho, {"t": t0 + branch * math.copysign(reach, y[2])})
         r2 = rv * rv
         return dpsi, d2, r2 / (h * psi * psi), -p1 / p2 * w, -dv
 
@@ -386,11 +393,11 @@ def solve_linear(
     theta0: float,
     psi0: float,
     dpsi0: float,
-    clock: tuple[Expression, float, tuple[float, float]] | None = None,
+    clock: tuple[float, tuple[float, float]] | None = None,
 ) -> LinearSolution:
     """Solve the linear ODE matching (psi0, dpsi0) at theta0 on the ODE domain.
 
-    Given ``clock`` = (rho, t0, reach), the solve also carries the time
+    Given ``clock`` = (t0, reach), the solve also carries the time
     T = branch_sign*(t - t0), from T' = rho(t)^2/(h psi^2): the angle
     quadrature integral of 1/(h psi^2) equals branch_sign times the time
     quadrature integral of 1/rho^2.  ``reach`` = (before, after) is how far
@@ -408,8 +415,8 @@ def solve_linear(
         down = up = None
     elif psi0 > 0.0:
         y0 = [psi0, dpsi0, 0.0, 1.0, gap0]
-        rho, t0, reach = clock
-        down, up = ((rho, t0, r) for r in reach[:: ode.branch_sign])  # below and above theta0
+        t0, reach = clock
+        down, up = ((t0, r) for r in reach[:: ode.branch_sign])  # below and above theta0
     else:
         raise LinearizationError(f"psi({theta0!r}) = {psi0!r} is not positive")
     runs = (_solve_run(ode, theta0, y0, hi, up), _solve_run(ode, theta0, y0, lo, down))
@@ -470,10 +477,6 @@ class QuadratureSolution:
         if dt >= ends[1]:
             return hi
         return min(max(self.t0 + dt, lo), hi)
-
-    def r_of_theta(self, theta: float) -> float:
-        """Orbit radius r(theta) = rho(t(theta)) / psi(theta)."""
-        return self.r_at(self.t_at(theta), theta)
 
     def r_at(self, t: float, theta: float) -> float:
         """Radius rho(t) / psi(theta) at a time t whose angle theta = theta_at(t) is known."""
@@ -590,5 +593,5 @@ def build_pipeline(
         if t_window is None:
             raise LinearizationError("a time-dependent rho needs a time window")
         check_rho_nonzero(rho, t_window[0], t_window[1], 257, f"the time window {t_window!r}")
-    sol = solve_linear(ode, state0.theta, psi0, dpsi0, (rho, t0, reach))
+    sol = solve_linear(ode, state0.theta, psi0, dpsi0, (t0, reach))
     return QuadratureSolution(sol, t0, span)

@@ -6,7 +6,7 @@ import pytest
 
 import ermakov as ek
 from ermakov import systems
-from ermakov.expressions import evaluate
+from ermakov.expressions import evaluate, free_variables
 from ermakov.invariant import (
     ForbiddenRegionError,
     TurningPointError,
@@ -38,7 +38,7 @@ def _uniform_rotation_pieces():
     """
     spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="1", F="0", V="0")
     ode = build_linear_ode(spec, 0.5, (-6.0, 6.0))
-    sol = solve_linear(ode, 0.0, 1.0, 0.0, (spec.rho, 0.0, (math.inf, math.inf)))
+    sol = solve_linear(ode, 0.0, 1.0, 0.0, (0.0, (math.inf, math.inf)))
     quad = QuadratureSolution(sol, 0.0, None)
     return spec, ode, sol, quad
 
@@ -309,14 +309,14 @@ class TestTimeQuadrature:
 class TestReconstruction:
     def test_uniform_rotation_radius(self):
         _, _, sol, quad = _uniform_rotation_pieces()
-        assert quad.r_of_theta(1.2) == pytest.approx(1.0, abs=1e-12)
+        assert quad.r_at(quad.t_at(1.2), 1.2) == pytest.approx(1.0, abs=1e-12)
         assert quad.r_of_t(2.5) == pytest.approx(1.0, abs=1e-12)
 
     def test_radial_equals_orbit_composition(self, winternitz_spec, winternitz_state):
         pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 2.0))
         for t in (0.2, 0.9, 1.7):
             theta = pipe.theta_at(t)
-            assert pipe.r_of_t(t) == pytest.approx(pipe.r_of_theta(theta), rel=1e-12)
+            assert pipe.r_of_t(t) == pytest.approx(pipe.r_at(pipe.t_at(theta), theta), rel=1e-12)
 
     def test_winternitz_round_trip(self, winternitz_spec, winternitz_state, winternitz_trajectory):
         pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 2.0))
@@ -328,7 +328,7 @@ class TestReconstruction:
     def test_kepler_orbit_is_inverse_psi(self, winternitz_spec, winternitz_state):
         pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 2.0))
         th = 1.9
-        assert pipe.r_of_theta(th) == pytest.approx(1.0 / pipe.solution.psi(th), rel=1e-13)
+        assert pipe.r_at(pipe.t_at(th), th) == pytest.approx(1.0 / pipe.solution.psi(th), rel=1e-13)
 
 
 class TestFreeMotionSolution:
@@ -580,29 +580,32 @@ class TestWindowedSolve:
         }[request.param]()
 
     def test_matches_the_whole_domain_solve_bit_for_bit(self, case):
-        # the run of a window ten times as long, queried on the same window:
-        # under rho = 1 + a t^2 an uncut run drives t without bound before
-        # the domain ends
         spec, state, window = case
         windowed = build_pipeline(spec, state, t_window=window)
-        longer = build_pipeline(spec, state, t_window=(window[0], 10.0 * window[1]))
-        whole = QuadratureSolution(longer.solution, state.t, windowed.t_window)
+        if free_variables(spec.rho):
+            # a time-dependent rho needs a window, and under rho = 1 + a t^2 an
+            # uncut run drives t without bound before the domain ends
+            reference = build_pipeline(spec, state, t_window=(window[0], 10.0 * window[1]))
+        else:
+            reference = build_pipeline(spec, state)
+        whole = QuadratureSolution(reference.solution, state.t, windowed.t_window)
         times = [float(t) for t in np.linspace(*window, 17)]
         thetas = [windowed.theta_at(t) for t in times]
         assert thetas == [whole.theta_at(t) for t in times]
         assert [windowed.r_of_t(t) for t in times] == [whole.r_of_t(t) for t in times]
-        radii = [whole.r_of_theta(th) for th in thetas]
-        assert [windowed.r_of_theta(th) for th in thetas] == radii
+        radii = [whole.r_at(whole.t_at(th), th) for th in thetas]
+        assert [windowed.r_at(windowed.t_at(th), th) for th in thetas] == radii
         # the cut run is the first part of the whole one: same nodes, same steps
         cut, full = windowed.solution.path.up, whole.solution.path.up
         assert len(cut.ts) < len(full.ts)
         assert cut.ts == full.ts[: len(cut.ts)]
         assert cut.slopes == full.slopes[: len(cut.slopes)]
 
-    def test_backward_side_not_integrated_when_window_starts_at_t0(self, case, monkeypatch):
+    @pytest.fixture
+    def spans(self, monkeypatch):
+        """The angle span of every integrate call the pipeline makes."""
         import ermakov.linearize as lz
 
-        spec, state, window = case
         spans = []
         real = lz.integrate
 
@@ -611,24 +614,20 @@ class TestWindowedSolve:
             return real(rhs, y0, cfg, *args, **kwargs)
 
         monkeypatch.setattr(lz, "integrate", recording)
+        return spans
+
+    def test_backward_side_not_integrated_when_window_starts_at_t0(self, case, spans):
+        spec, state, window = case
         pipe = build_pipeline(spec, state, t_window=window)
         assert pipe.solution.path.down is None
         # one angle run, forward, which carries the time for every rho
         assert len(spans) == 1 and spans[0][0] == state.theta and spans[0][1] > state.theta
         assert pipe.solution.path.window[0] == state.theta
 
-    def test_one_run_per_side_answers_both_maps(self, case, monkeypatch):
+    def test_one_run_per_side_answers_both_maps(self, case, spans, monkeypatch):
         import ermakov.linearize as lz
 
         spec, state, window = case
-        spans = []
-        real = lz.integrate
-
-        def recording(rhs, y0, cfg, *args, **kwargs):
-            spans.append(cfg.t_span)
-            return real(rhs, y0, cfg, *args, **kwargs)
-
-        monkeypatch.setattr(lz, "integrate", recording)
         straddling = (-0.25 * window[1], window[1])
         pipe = build_pipeline(spec, state, t_window=straddling)
         assert len(spans) == 2 and {span[0] for span in spans} == {state.theta}
@@ -636,6 +635,32 @@ class TestWindowedSolve:
         # t(theta) reads the time column: no inversion
         monkeypatch.setattr(lz._SidedRuns, "inverse", None)
         assert [pipe.t_at(th) for th in thetas] == pytest.approx(straddling, abs=1e-12)
+
+    def test_rho_without_a_value_past_the_window_end(self):
+        # rho = 1 + sqrt(1.2 - t) ends at the window end, where the last step
+        # of the cut run reads it past the end.  Tau(t) = G(u(0)) - G(u(t)) with
+        # u = sqrt(1.2 - t), G(u) = 2 (ln(1 + u) + 1/(1 + u)), and the angle
+        # integral of 1/(h psi^2) up to theta(t) equals it
+        spec = ek.LinearizableSpec(
+            rho="1 + sqrt(1.2 - t)", A="sin(theta)", B="L", C="0.8", F="0", V="0.3*sin(theta)^2"
+        )
+        state = ek.PolarState(1.05, 1.0, 0.1, 1.3)
+        pipe = build_pipeline(spec, state, t_window=(0.0, 1.2))
+        plain = solve_from_state(spec, state)
+        ode = plain.ode
+
+        def slope(th):
+            return 1.0 / (momentum_from_gap(th, ode.invariant, ode.gap(th)) * plain.psi(th) ** 2)
+
+        def big_g(t):
+            u = math.sqrt(1.2 - t)
+            return 2.0 * (math.log1p(u) + 1.0 / (1.0 + u))
+
+        for t in np.linspace(0.0, 1.2, 13):
+            theta = pipe.theta_at(float(t))
+            tau = big_g(0.0) - big_g(float(t))
+            assert quad_adaptive(slope, state.theta, theta) == pytest.approx(tau, abs=1e-9)
+        assert pipe.t_at(pipe.theta_at(1.2)) == 1.2
 
     @pytest.mark.parametrize(
         "thetadot, window, solved",
