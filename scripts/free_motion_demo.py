@@ -16,9 +16,9 @@ def main():
     ap.add_argument("--rdot0", type=float, default=-0.2)
     args = ap.parse_args()
 
-    fm = ek.free_motion_system(args.coupling, "1")
+    spec = ek.free_motion_system(args.coupling, "1")
     s0 = ek.PolarState(1.0, math.pi / 4, args.rdot0, 1.0)
-    traj = ek.integrate_polar(fm.linearizable, s0, ek.IntegratorConfig(t_span=(0.0, 1.0)))
+    traj = ek.integrate_polar(spec, s0, ek.IntegratorConfig(t_span=(0.0, 1.0)))
     turnings = [e.t for e in traj.events if e.name == "turning_point"]
     t_hi = 0.95 * turnings[0] if turnings else traj.t_end
     print(f"integrated to t={traj.t_end:.3f}; fitting over [0, {t_hi:.3f}]"

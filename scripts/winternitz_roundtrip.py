@@ -35,7 +35,7 @@ def main():
     for t in times:
         y = traj.at(t)
         th = pipe.theta_at(float(t))
-        r = pipe.r_of_t(float(t))
+        r = pipe.r_at(float(t), th)
         sup_th = max(sup_th, abs(th - y[1]))
         sup_r = max(sup_r, abs(r - y[0]))
         rows.append((t, y[0], y[1], r, th))

@@ -15,7 +15,6 @@ from .expressions import (
     parse,
     simplify,
     substitute,
-    unparse,
 )
 from .integration import (
     DriftStats,
@@ -47,7 +46,6 @@ from .linearize import (
 from .systems import (
     CartesianSpec,
     CartesianState,
-    FreeMotionSystem,
     LinearizableSpec,
     PolarSpec,
     PolarState,

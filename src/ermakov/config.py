@@ -315,7 +315,7 @@ def build_spec(cfg: RunConfig) -> PolarSpec | LinearizableSpec:
             WinternitzParams(mu0=p["mu0"], g1=p["g1"], g2=p["g2"], g3=p["g3"])
         )
     if kind == "free_motion":
-        return free_motion_system(fns["f"], fns["rho"]).linearizable
+        return free_motion_system(fns["f"], fns["rho"])
     raise ConfigError("system.kind", f"unhandled kind {kind!r}")
 
 

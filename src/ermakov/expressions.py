@@ -4,8 +4,7 @@ Every coupling, potential, frequency, and scale function in a system
 definition is an immutable expression tree over real literals, named
 variables, unary negation, the binary operators ``+ - * / ^``, and a fixed
 set of elementary functions.  Trees support evaluation against variable
-bindings, exact symbolic differentiation, light simplification, and
-structural round-tripping through text.
+bindings, exact symbolic differentiation, and light simplification.
 
 Precedence follows the usual convention: ``^`` binds tighter than ``*``
 and ``/``, which bind tighter than ``+`` and ``-``; ``^`` is
@@ -38,7 +37,6 @@ __all__ = [
     "parse",
     "simplify",
     "substitute",
-    "unparse",
 ]
 
 
@@ -661,64 +659,3 @@ def free_variables(expr: Expression) -> frozenset[str]:
 def is_literal_zero(expr: Expression) -> bool:
     """True when the expression simplifies to the literal 0."""
     return _is_num(simplify(expr), 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Unparsing
-# ---------------------------------------------------------------------------
-
-_ADD_LEVEL = 10
-_MUL_LEVEL = 20
-_NEG_LEVEL = 25
-_POW_LEVEL = 30
-_ATOM_LEVEL = 100
-
-_OP_LEVEL = {"+": _ADD_LEVEL, "-": _ADD_LEVEL, "*": _MUL_LEVEL, "/": _MUL_LEVEL, "^": _POW_LEVEL}
-
-
-def _level(expr: Expression) -> int:
-    tp = type(expr)
-    if tp is BinOp:
-        return _OP_LEVEL[expr.op]
-    if tp is Neg:
-        return _NEG_LEVEL
-    return _ATOM_LEVEL
-
-
-def unparse(expr: Expression) -> str:
-    """Render a tree as text that parses back to the identical structure.
-
-    Ufunc nodes render as ``name(arg)`` for display only; they are built in
-    code, not parsed.
-    """
-    tp = type(expr)
-    if tp is Num:
-        return repr(expr.value)
-    if tp is Var:
-        return expr.name
-    if tp is Call:
-        return f"{expr.func}({unparse(expr.arg)})"
-    if tp is Ufunc:
-        return f"{expr.name}({unparse(expr.arg)})"
-    if tp is Neg:
-        c = expr.operand
-        inner = unparse(c)
-        if type(c) in (Var, Call, Ufunc):
-            return f"-{inner}"
-        return f"-({inner})"
-    lvl = _OP_LEVEL[expr.op]
-    lt = unparse(expr.lhs)
-    rt = unparse(expr.rhs)
-    if expr.op == "^":
-        # right-associative
-        if _level(expr.lhs) <= lvl:
-            lt = f"({lt})"
-        if _level(expr.rhs) < lvl:
-            rt = f"({rt})"
-    else:
-        # left-associative
-        if _level(expr.lhs) < lvl:
-            lt = f"({lt})"
-        if _level(expr.rhs) <= lvl:
-            rt = f"({rt})"
-    return f"{lt}{expr.op}{rt}"

@@ -298,7 +298,6 @@ def integrate(
     else:
         h_abs = _initial_step(rhs, t0, y, f, direction, rel_tol, abs_tol)
         n_rhs += 1
-    h_abs = min(h_abs, max_step, abs(tf - t0))
 
     ts = [t0]
     ys = [y]

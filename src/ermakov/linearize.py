@@ -9,7 +9,7 @@ dynamics into a second-order linear ODE
 with p2 = h^2, p1 = h dh/dtheta - a, p0 = h^2 + F - b, rhs = c, where
 (a, b, c) come from the structure functions evaluated on shell
 (L = h(theta)).  Solving it and inverting the separable angle quadrature
-recovers theta(t), t(theta), and the orbit r(theta) = rho/psi.
+recovers theta(t), and the radius r = rho/psi.
 """
 
 from __future__ import annotations
@@ -401,8 +401,8 @@ def solve_linear(
     T = branch_sign*(t - t0), from T' = rho(t)^2/(h psi^2): the angle
     quadrature integral of 1/(h psi^2) equals branch_sign times the time
     quadrature integral of 1/rho^2.  ``reach`` = (before, after) is how far
-    the time must reach before and after t0 (inf: no cut), and each side of
-    theta0 is cut where |T| reaches its share; the time needs psi0 > 0.
+    the time must reach before and after t0, and each side of theta0 is cut
+    where |T| reaches its share; the time needs psi0 > 0.
     Raises LinearizationError if Abel's factor W stops being positive, i.e.
     the homogeneous solutions become linearly dependent.
     """
@@ -431,18 +431,17 @@ def solve_linear(
 
 @dataclass
 class QuadratureSolution:
-    """The linearized route for one trajectory: angle and time maps, and the radius.
+    """The linearized route for one trajectory: the angle map and the radius.
 
     Column 2 of the solve holds T = branch_sign*(t - t0), the time at which
     the trajectory reaches each angle; it is strictly increasing in theta,
-    so theta(t) inverts it and t(theta) reads it off.  Times outside the
-    span ``t_window`` (t0 included), if one is given, raise
-    OutsideWindowError.  The radius is r = rho/psi.
+    so theta(t) inverts it.  Times outside the span ``t_window`` (t0
+    included) raise OutsideWindowError.  The radius is r = rho/psi.
     """
 
     solution: LinearSolution
     t0: float
-    t_window: tuple[float, float] | None
+    t_window: tuple[float, float]
 
     def __post_init__(self):
         if len(self.solution.path.y0) != 5:  # rows (psi, psi', W, g)
@@ -451,32 +450,10 @@ class QuadratureSolution:
     def theta_at(self, t: float) -> float:
         """The unique angle whose time column holds branch_sign*(t - t0)."""
         t = float(t)
-        if self.t_window is not None and not self.t_window[0] <= t <= self.t_window[1]:
-            lo, hi = self.t_window
+        lo, hi = self.t_window
+        if not lo <= t <= hi:
             raise OutsideWindowError(f"t={t!r} outside the time window [{lo}, {hi}]")
         return self.solution.path.inverse(self.solution.ode.branch_sign * (t - self.t0), 2)
-
-    def t_at(self, theta: float) -> float:
-        """The time t0 + branch_sign*T(theta) at which the trajectory reaches theta.
-
-        With a time window, a time within rounding of one of its ends is
-        that end, and one beyond it raises OutsideWindowError.
-        """
-        dt = self.solution.path.row(theta)[2] * self.solution.ode.branch_sign
-        if self.t_window is None:
-            return self.t0 + dt
-        lo, hi = self.t_window
-        ends = (lo - self.t0, hi - self.t0)
-        slack = 1e-12 * max(abs(ends[0]), abs(ends[1]))  # relative rounding
-        if not ends[0] - slack <= dt <= ends[1] + slack:
-            raise OutsideWindowError(
-                f"theta={float(theta)!r} maps to a time outside the time window [{lo}, {hi}]"
-            )
-        if dt <= ends[0]:
-            return lo
-        if dt >= ends[1]:
-            return hi
-        return min(max(self.t0 + dt, lo), hi)
 
     def r_at(self, t: float, theta: float) -> float:
         """Radius rho(t) / psi(theta) at a time t whose angle theta = theta_at(t) is known."""
@@ -484,10 +461,6 @@ class QuadratureSolution:
         if not psi > 0.0:
             raise LinearizationError(f"psi({theta!r}) = {psi!r} is not positive")
         return evaluate(self.solution.ode.spec.rho, {"t": t}) / psi
-
-    def r_of_t(self, t: float) -> float:
-        """Radius as a function of time: rho(t) / psi(theta(t))."""
-        return self.r_at(t, self.theta_at(t))
 
 
 # ---------------------------------------------------------------------------
@@ -572,26 +545,20 @@ def solve_from_state(
 
 
 def build_pipeline(
-    spec, state0: PolarState, *, t_window: tuple[float, float] | None = None
+    spec, state0: PolarState, *, t_window: tuple[float, float]
 ) -> QuadratureSolution:
-    """The linearized route for the trajectory through ``state0``.
+    """The linearized route for the trajectory through ``state0`` over ``t_window``.
 
-    The angle run carries the time from state0.t.  A time-dependent rho
-    needs ``t_window`` and must keep clear of zero over it.  With a window,
-    the run is solved only as far as the time reaches over it and times
-    outside it raise OutsideWindowError; without one, it ends where psi
-    falls to 1e-4 psi0 or at the end of the domain.  Queries outside the
-    covered window raise instead of crossing turning points.
+    The angle run carries the time from state0.t and is solved only as far
+    as the time reaches over the window, or until psi falls to 1e-4 psi0
+    or the domain ends; times outside the window raise OutsideWindowError.
+    A time-dependent rho must keep clear of zero over the window.  Queries
+    outside the covered window raise instead of crossing turning points.
     """
     ode, psi0, dpsi0 = _linear_problem(spec, state0, None)
     t0, rho = state0.t, ode.spec.rho
-    span, reach = None, (math.inf, math.inf)
-    if t_window is not None:
-        span = (min(t0, *t_window), max(t0, *t_window))
-        reach = (t0 - span[0], span[1] - t0)
+    span = (min(t0, *t_window), max(t0, *t_window))
     if free_variables(rho):
-        if t_window is None:
-            raise LinearizationError("a time-dependent rho needs a time window")
         check_rho_nonzero(rho, t_window[0], t_window[1], 257, f"the time window {t_window!r}")
-    sol = solve_linear(ode, state0.theta, psi0, dpsi0, (t0, reach))
+    sol = solve_linear(ode, state0.theta, psi0, dpsi0, (t0, (t0 - span[0], span[1] - t0)))
     return QuadratureSolution(sol, t0, span)

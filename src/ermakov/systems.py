@@ -43,7 +43,6 @@ from .numerics import linspace, quad_adaptive
 __all__ = [
     "CartesianSpec",
     "CartesianState",
-    "FreeMotionSystem",
     "LinearizableSpec",
     "PolarSpec",
     "PolarState",
@@ -230,14 +229,6 @@ class WinternitzParams:
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be a finite nonnegative number, got {v}")
             object.__setattr__(self, name, v)
-
-
-@dataclass(frozen=True)
-class FreeMotionSystem:
-    """A free-motion-class system in both its polar and cartesian forms."""
-
-    linearizable: LinearizableSpec
-    cartesian: CartesianSpec
 
 
 # ---------------------------------------------------------------------------
@@ -511,14 +502,14 @@ def winternitz_system(params: WinternitzParams) -> LinearizableSpec:
     return kepler_ermakov_system(F=simplify(f), G=Num(params.mu0), V=simplify(v))
 
 
-def free_motion_system(f, rho) -> FreeMotionSystem:
+def free_motion_system(f, rho) -> LinearizableSpec:
     """Systems whose linearized form is straight-line motion in (psi, theta).
 
     Built from a single coupling f and scale rho: the partner coupling is
-    g(v) = -f(1/v), which cancels the radial coupling exactly, and the
-    structure functions A = (dV/dtheta)/L, B = L^2, C = 0 collapse the
-    linear equation to psi'' = 0.  The matching cartesian pair is exposed
-    alongside the polar form.
+    g(v) = -f(1/v), which cancels the radial coupling exactly, so F = 0 and
+    V = U(tan theta) comes from the pair (f, g); the structure functions
+    A = (dV/dtheta)/L, B = L^2, C = 0 collapse the linear equation to
+    psi'' = 0.
     """
     f = as_expression(f)
     rho = as_expression(rho)
@@ -527,7 +518,6 @@ def free_motion_system(f, rho) -> FreeMotionSystem:
     ell = Var("L")
 
     if is_literal_zero(f):
-        g = Num(0.0)
         v_expr: Expression = Num(0.0)
         a_expr: Expression = Num(0.0)
     else:
@@ -535,7 +525,7 @@ def free_motion_system(f, rho) -> FreeMotionSystem:
         v_expr = potential_expression(f, g)
         a_expr = BinOp("/", _potential_derivative(v_expr), ell)
 
-    lin = LinearizableSpec(
+    return LinearizableSpec(
         rho=rho,
         A=a_expr,
         B=BinOp("^", ell, Num(2.0)),
@@ -543,39 +533,6 @@ def free_motion_system(f, rho) -> FreeMotionSystem:
         F=Num(0.0),
         V=v_expr,
     )
-
-    # cartesian frequency of the same class
-    rho_d, rho_dd = _rho_derivatives(rho)
-    x, y, xd, yd = Var("x"), Var("y"), Var("xdot"), Var("ydot")
-    cross = BinOp("-", BinOp("*", x, yd), BinOp("*", y, xd))
-    r2 = BinOp("+", BinOp("^", x, Num(2.0)), BinOp("^", y, Num(2.0)))
-    w2: Expression = BinOp(
-        "+",
-        Neg(BinOp("/", rho_dd, rho)),
-        BinOp("^", BinOp("/", cross, r2), Num(2.0)),
-    )
-    if not is_literal_zero(f):
-        radial_dot = BinOp(
-            "+",
-            BinOp("*", BinOp("-", BinOp("*", rho, xd), BinOp("*", rho_d, x)), x),
-            BinOp("*", BinOp("-", BinOp("*", rho, yd), BinOp("*", rho_d, y)), y),
-        )
-        denom = BinOp(
-            "*",
-            BinOp("*", rho, BinOp("*", BinOp("^", x, Num(2.0)), BinOp("^", y, Num(2.0)))),
-            cross,
-        )
-        w2 = BinOp(
-            "+",
-            w2,
-            BinOp(
-                "*",
-                BinOp("/", radial_dot, denom),
-                substitute(f, {fvar: BinOp("/", y, x)}),
-            ),
-        )
-    cart = CartesianSpec(f=f, g=g, omega_sq=simplify(w2))
-    return FreeMotionSystem(linearizable=lin, cartesian=cart)
 
 
 def quasi_invariance_map(rho, state: PolarState, t0: float) -> PolarState:

@@ -153,8 +153,9 @@ def _round_trip_error(spec, state0, t_hi):
     err_r = err_th = 0.0
     for t in np.linspace(0.0, t_hi, 41):
         y = direct.at(t)
-        err_th = max(err_th, abs(pipe.theta_at(float(t)) - y[1]))
-        err_r = max(err_r, abs(pipe.r_of_t(float(t)) - y[0]))
+        theta = pipe.theta_at(float(t))
+        err_th = max(err_th, abs(theta - y[1]))
+        err_r = max(err_r, abs(pipe.r_at(float(t), theta) - y[0]))
     return err_r, err_th
 
 
@@ -182,7 +183,7 @@ def test_criterion_5_free_motion_class():
     trajectory, and the constructed linear ODE has straight-line solutions."""
     fm = ek.free_motion_system("u", "1")
     s0 = ek.PolarState(1.0, math.pi / 4, -0.2, 1.0)
-    traj = ek.integrate_polar(fm.linearizable, s0, ek.IntegratorConfig(t_span=(0.0, 1.0)))
+    traj = ek.integrate_polar(fm, s0, ek.IntegratorConfig(t_span=(0.0, 1.0)))
     turnings = [e.t for e in traj.events if e.name == "turning_point"]
     t_hi = 0.95 * turnings[0] if turnings else traj.t_end
     ts = np.linspace(0.0, t_hi, 80)
@@ -192,8 +193,8 @@ def test_criterion_5_free_motion_class():
     resid = float(np.max(np.abs(np.polyval(coeffs, ys[:, 1]) - psi)))
     assert resid <= AFFINE_RESIDUAL_TOL
 
-    level = invariant_level(s0.r, s0.theta, s0.thetadot, fm.linearizable.V)
-    ode = build_linear_ode(fm.linearizable, level, (0.3, 0.85))
+    level = invariant_level(s0.r, s0.theta, s0.thetadot, fm.V)
+    ode = build_linear_ode(fm, level, (0.3, 0.85))
     assert ode.rhs_is_zero
     sol = solve_linear(ode, 0.5, 1.5, 1.0)
     line_err = max(

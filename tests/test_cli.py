@@ -281,6 +281,19 @@ class TestSimulate:
             assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == code
         assert capsys.readouterr().err == ""
 
+    # a span shorter than the smallest step the integrator may start with
+    @pytest.mark.parametrize("t_span", [[0.0, 1e-300], [1e6, 1e6 + 1e-10]])
+    def test_span_below_the_smallest_step_is_one_step(self, tmp_path, t_span):
+        cfg = copy.deepcopy(PRESETS["winternitz-default"])
+        cfg["initial_state"]["t"] = t_span[0]
+        cfg["t_span"] = t_span
+        path = _write(tmp_path, "c.json", cfg)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+        summary = json.loads((tmp_path / "s" / "summary.json").read_text())
+        assert summary["termination"] == "completed"
+        assert summary["steps"]["accepted"] == 1
+        assert main(["validate", "--config", str(path), "--out", str(tmp_path / "v")]) == 0
+
     def test_event_location_ends_at_large_times(self, tmp_path):
         # one ulp of t = 1e6 exceeds the event time tolerance; a fresh process
         # with a timeout, so a bisection that never ends fails instead of hanging

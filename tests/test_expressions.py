@@ -21,7 +21,6 @@ from ermakov.expressions import (
     parse,
     simplify,
     substitute,
-    unparse,
 )
 
 
@@ -446,13 +445,6 @@ def _evaluator_trees():
 def test_property_compiled_evaluator_matches_tree_walk(e, env_vals):
     env = dict(zip(["x", "y", "theta"], env_vals))
     assert _outcome(evaluate, e, env) == _outcome(_reference, e, env)
-
-
-@settings(max_examples=150, deadline=None)
-@given(e=_expr_strategy())
-def test_property_unparse_round_trip(e):
-    s = simplify(e)
-    assert parse(unparse(s)) == s
 
 
 # --- differential tests against sympy ---------------------------------------

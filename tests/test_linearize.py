@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -39,8 +40,13 @@ def _uniform_rotation_pieces():
     spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="1", F="0", V="0")
     ode = build_linear_ode(spec, 0.5, (-6.0, 6.0))
     sol = solve_linear(ode, 0.0, 1.0, 0.0, (0.0, (math.inf, math.inf)))
-    quad = QuadratureSolution(sol, 0.0, None)
+    quad = QuadratureSolution(sol, 0.0, (-6.0, 6.0))
     return spec, ode, sol, quad
+
+
+# a time window no run reaches the end of: each side ends at the psi floor or
+# the domain end (Kepler's reaches |T| = 2.8e4, the uniform psi = cos its 1e4)
+_UNCUT = (-1e6, 1e6)
 
 
 class TestBuildLinearODE:
@@ -261,7 +267,7 @@ class TestTimeQuadrature:
     def test_round_trip_inverse(self):
         _, _, sol, quad = _uniform_rotation_pieces()
         for th in (0.3, 1.7, 3.9):
-            t = quad.t_at(th)
+            t = sol.path.row(th)[2]  # the time column, T = t - 0 on branch +1
             assert quad.theta_at(t) == pytest.approx(th, abs=1e-10)
 
     def test_monotone_maps(self, winternitz_spec, winternitz_state):
@@ -280,9 +286,9 @@ class TestTimeQuadrature:
             assert pipe.theta_at(t) == pytest.approx(-t, abs=1e-10)
 
     def test_outside_window_raises(self, winternitz_spec, winternitz_state):
-        pipe = build_pipeline(winternitz_spec, winternitz_state)
+        pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=_UNCUT)
         with pytest.raises(OutsideWindowError):
-            pipe.t_at(10.0)  # outside the psi-positive angle window
+            pipe.r_at(1.0, 10.0)  # outside the psi-positive angle window
 
     def test_nonpositive_psi_rejected(self, monkeypatch):
         import ermakov.linearize as lz
@@ -290,45 +296,28 @@ class TestTimeQuadrature:
         # rho = -1 at r = 1 gives psi0 = -1: no angle map
         spec = ek.LinearizableSpec(rho="-1", A="0", B="0", C="0", F="0", V="0")
         monkeypatch.setattr(lz, "integrate", None)  # a solve would fail with TypeError
-        for window in (None, (0.0, 1.0)):
-            with pytest.raises(LinearizationError, match="not positive"):
-                build_pipeline(spec, ek.PolarState(1.0, 0.0, 0.0, 1.0), t_window=window)
-
-    def test_t_at_stays_inside_the_time_window(self, winternitz_spec, winternitz_state):
-        pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 1.0))
-        lo, hi = pipe.solution.path.window
-        with pytest.raises(OutsideWindowError, match=r"outside the time window \[0.0, 1.0\]"):
-            pipe.t_at(hi)  # the cut solve reaches a little past Tau(1)
-        t = pipe.t_at(pipe.theta_at(1.0))
-        assert 0.0 <= t <= 1.0 and t == pytest.approx(1.0, abs=1e-12)
-        assert pipe.t_at(lo) == 0.0
-        # without a window a constant rho maps every solved angle
-        assert build_pipeline(winternitz_spec, winternitz_state).t_at(hi) > 1.0
+        with pytest.raises(LinearizationError, match="not positive"):
+            build_pipeline(spec, ek.PolarState(1.0, 0.0, 0.0, 1.0), t_window=(0.0, 1.0))
 
 
 class TestReconstruction:
     def test_uniform_rotation_radius(self):
         _, _, sol, quad = _uniform_rotation_pieces()
-        assert quad.r_at(quad.t_at(1.2), 1.2) == pytest.approx(1.0, abs=1e-12)
-        assert quad.r_of_t(2.5) == pytest.approx(1.0, abs=1e-12)
-
-    def test_radial_equals_orbit_composition(self, winternitz_spec, winternitz_state):
-        pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 2.0))
-        for t in (0.2, 0.9, 1.7):
-            theta = pipe.theta_at(t)
-            assert pipe.r_of_t(t) == pytest.approx(pipe.r_at(pipe.t_at(theta), theta), rel=1e-12)
+        for t in (1.2, 2.5):
+            assert quad.r_at(t, quad.theta_at(t)) == pytest.approx(1.0, abs=1e-12)
 
     def test_winternitz_round_trip(self, winternitz_spec, winternitz_state, winternitz_trajectory):
         pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 2.0))
         for t in np.linspace(0.0, 2.0, 21):
             y = winternitz_trajectory.at(t)
-            assert abs(pipe.theta_at(float(t)) - y[1]) <= 1e-5
-            assert abs(pipe.r_of_t(float(t)) - y[0]) <= 1e-5
+            theta = pipe.theta_at(float(t))
+            assert abs(theta - y[1]) <= 1e-5
+            assert abs(pipe.r_at(float(t), theta) - y[0]) <= 1e-5
 
     def test_kepler_orbit_is_inverse_psi(self, winternitz_spec, winternitz_state):
         pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 2.0))
-        th = 1.9
-        assert pipe.r_at(pipe.t_at(th), th) == pytest.approx(1.0 / pipe.solution.psi(th), rel=1e-13)
+        th = pipe.theta_at(1.0)
+        assert pipe.r_at(1.0, th) == pytest.approx(1.0 / pipe.solution.psi(th), rel=1e-13)
 
 
 class TestFreeMotionSolution:
@@ -336,7 +325,7 @@ class TestFreeMotionSolution:
         fm = ek.free_motion_system("u", "1")
         s0 = ek.PolarState(1.0, math.pi / 4, 0.0, 1.0)  # rdot = 0 so psi' = 0
         traj = ek.integrate_polar(
-            fm.linearizable, s0, ek.IntegratorConfig(t_span=(0.0, 0.12)), monitor=False
+            fm, s0, ek.IntegratorConfig(t_span=(0.0, 0.12)), monitor=False
         )
         assert max(abs(y[0] - 1.0) for y in traj.ys) <= 1e-9
 
@@ -344,7 +333,7 @@ class TestFreeMotionSolution:
         fm = ek.free_motion_system("u", "1")
         s0 = ek.PolarState(1.0, math.pi / 4, -0.2, 1.0)
         traj = ek.integrate_polar(
-            fm.linearizable, s0, ek.IntegratorConfig(t_span=(0.0, 1.0)), monitor=False
+            fm, s0, ek.IntegratorConfig(t_span=(0.0, 1.0)), monitor=False
         )
         turnings = [e.t for e in traj.events if e.name == "turning_point"]
         t_hi = 0.95 * turnings[0] if turnings else traj.t_end
@@ -359,7 +348,7 @@ class TestFreeMotionSolution:
 
     def test_solver_returns_straight_lines(self):
         fm = ek.free_motion_system("u", "1")
-        ode = build_linear_ode(fm.linearizable, 0.5, (0.3, 0.85))
+        ode = build_linear_ode(fm, 0.5, (0.3, 0.85))
         assert ode.rhs_is_zero
         sol = solve_linear(ode, 0.5, 1.5, 1.0)
         for th in np.linspace(0.3, 0.85, 23):
@@ -421,7 +410,7 @@ class TestPipelineGuards:
     def test_turning_point_start_rejected(self, winternitz_spec):
         s0 = ek.PolarState(1.0, math.pi / 2, 0.3, 0.0)
         with pytest.raises(LinearizationError):
-            build_pipeline(winternitz_spec, s0)
+            build_pipeline(winternitz_spec, s0, t_window=(0.0, 1.0))
 
     def test_auto_domain_brackets_turnings(self, winternitz_spec):
         lo, hi = auto_theta_domain(winternitz_spec.V, 3.0, math.pi / 2)
@@ -439,7 +428,7 @@ class TestPipelineGuards:
     def test_overflowing_level_is_not_a_turning_point(self, winternitz_spec):
         # (r^2 thetadot)^2 overflows to inf: no margin can tell it from V
         state = ek.PolarState(1e150, math.pi / 2, 0.0, 2.0)
-        for build in (build_pipeline, solve_from_state):
+        for build in (partial(build_pipeline, t_window=(0.0, 1.0)), solve_from_state):
             with pytest.raises(LinearizationError, match="invariant level inf .* is not finite"):
                 build(winternitz_spec, state)
 
@@ -448,15 +437,15 @@ class TestPipelineGuards:
         # U(tan theta), one step above it the potential exceeds the level
         fm = ek.free_motion_system("u", "1")
         state = ek.PolarState(1.0, 1e-9, -0.2, 1.0)
-        level = invariant_level(state.r, state.theta, state.thetadot, fm.linearizable.V)
+        level = invariant_level(state.r, state.theta, state.thetadot, fm.V)
         with pytest.raises(LinearizationError, match=r"empty angle domain at theta=1e-09"):
-            auto_theta_domain(fm.linearizable.V, level, 1e-9)
+            auto_theta_domain(fm.V, level, 1e-9)
 
     def test_scan_stops_one_step_short_of_an_undefined_potential(self, winternitz_spec):
         # free motion f = u: U(tan theta) is undefined below theta = 0, where it
         # has a log singularity; the last angle that clears the level is 2.6e-15
         fm = ek.free_motion_system("u", "1")
-        lo, hi = auto_theta_domain(fm.linearizable.V, 0.4999999999999998, math.pi / 4)
+        lo, hi = auto_theta_domain(fm.V, 0.4999999999999998, math.pi / 4)
         assert lo >= math.pi / 720
         # scans that end at a turning point or at the 2 pi span keep their bits
         assert auto_theta_domain(winternitz_spec.V, 3.0, math.pi / 2) == (
@@ -474,7 +463,6 @@ class TestPipelineGuards:
         checked = []
         real = lz.build_linear_ode
         monkeypatch.setattr(lz, "build_linear_ode", lambda *a: checked.append(a) or real(*a))
-        build_pipeline(winternitz_spec, winternitz_state)
         build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 2.0))
         solve_from_state(winternitz_spec, winternitz_state)
         assert checked == []
@@ -499,7 +487,7 @@ class TestAugmentedSolve:
         # psi'' + psi = 0 from (1, 0): psi = cos(theta) falls to 1e-4 psi0 at
         # +-acos(1e-4), and the time T = integral of 1/cos^2 = tan
         spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="0", F="0", V="0")
-        sol = build_pipeline(spec, ek.PolarState(1.0, 0.0, 0.0, 1.0)).solution
+        sol = build_pipeline(spec, ek.PolarState(1.0, 0.0, 0.0, 1.0), t_window=_UNCUT).solution
         lo, hi = sol.path.window
         edge = math.acos(1e-4)
         assert abs(hi - edge) <= 1e-9
@@ -535,13 +523,13 @@ class TestAugmentedSolve:
         spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="1", F="0", V="0")
         sol = solve_linear(build_linear_ode(spec, 0.5, (-6.0, 6.0)), 0.0, 1.0, 0.0)
         with pytest.raises(LinearizationError, match="no time column"):
-            QuadratureSolution(sol, 0.0, None)
+            QuadratureSolution(sol, 0.0, (0.0, 1.0))
 
     def test_time_dependent_rho_needs_time_window(self):
         spec = ek.LinearizableSpec(rho="1 + 0.1*t", A="0", B="0", C="0", F="0", V="0")
         state = ek.PolarState(1.0, 0.0, 0.0, 1.0)
-        with pytest.raises(LinearizationError, match="time window"):
-            build_pipeline(spec, state)
+        with pytest.raises(TypeError, match="t_window"):
+            build_pipeline(spec, state)  # every pipeline needs one
         pipe = build_pipeline(spec, state, t_window=(0.0, 1.0))
         pipe.theta_at(0.5)
         with pytest.raises(OutsideWindowError):
@@ -561,7 +549,7 @@ def _rho_quadratic_case():
 
 
 def _free_motion_case():
-    spec = ek.free_motion_system("0.5*u", "1 + 0.1*t").linearizable
+    spec = ek.free_motion_system("0.5*u", "1 + 0.1*t")
     return spec, ek.PolarState(1.0, 0.77, -0.2, 1.0), (0.0, 0.12)
 
 
@@ -583,18 +571,20 @@ class TestWindowedSolve:
         spec, state, window = case
         windowed = build_pipeline(spec, state, t_window=window)
         if free_variables(spec.rho):
-            # a time-dependent rho needs a window, and under rho = 1 + a t^2 an
-            # uncut run drives t without bound before the domain ends
+            # under rho = 1 + a t^2 the time blows up before the domain ends,
+            # so the reference is cut too, at ten times the window
             reference = build_pipeline(spec, state, t_window=(window[0], 10.0 * window[1]))
         else:
-            reference = build_pipeline(spec, state)
+            reference = build_pipeline(spec, state, t_window=_UNCUT)
+            assert reference.solution.path.up.termination in ("event:psi_floor", "completed")
         whole = QuadratureSolution(reference.solution, state.t, windowed.t_window)
         times = [float(t) for t in np.linspace(*window, 17)]
         thetas = [windowed.theta_at(t) for t in times]
         assert thetas == [whole.theta_at(t) for t in times]
-        assert [windowed.r_of_t(t) for t in times] == [whole.r_of_t(t) for t in times]
-        radii = [whole.r_at(whole.t_at(th), th) for th in thetas]
-        assert [windowed.r_at(windowed.t_at(th), th) for th in thetas] == radii
+        radii = [whole.r_at(t, th) for t, th in zip(times, thetas)]
+        assert [windowed.r_at(t, th) for t, th in zip(times, thetas)] == radii
+        rows = [whole.solution.path.row(th) for th in thetas]
+        assert [windowed.solution.path.row(th) for th in thetas] == rows
         # the cut run is the first part of the whole one: same nodes, same steps
         cut, full = windowed.solution.path.up, whole.solution.path.up
         assert len(cut.ts) < len(full.ts)
@@ -632,9 +622,10 @@ class TestWindowedSolve:
         pipe = build_pipeline(spec, state, t_window=straddling)
         assert len(spans) == 2 and {span[0] for span in spans} == {state.theta}
         thetas = [pipe.theta_at(t) for t in straddling]
-        # t(theta) reads the time column: no inversion
+        # the time at an angle reads off the time column: no inversion
         monkeypatch.setattr(lz._SidedRuns, "inverse", None)
-        assert [pipe.t_at(th) for th in thetas] == pytest.approx(straddling, abs=1e-12)
+        times = [pipe.solution.path.row(th)[2] * pipe.solution.ode.branch_sign for th in thetas]
+        assert times == pytest.approx(straddling, abs=1e-12)
 
     def test_rho_without_a_value_past_the_window_end(self):
         # rho = 1 + sqrt(1.2 - t) ends at the window end, where the last step
@@ -660,7 +651,8 @@ class TestWindowedSolve:
             theta = pipe.theta_at(float(t))
             tau = big_g(0.0) - big_g(float(t))
             assert quad_adaptive(slope, state.theta, theta) == pytest.approx(tau, abs=1e-9)
-        assert pipe.t_at(pipe.theta_at(1.2)) == 1.2
+        theta = pipe.theta_at(1.2)
+        assert pipe.r_at(1.2, theta) == 1.0 / pipe.solution.psi(theta)  # rho(1.2) = 1
 
     @pytest.mark.parametrize(
         "thetadot, window, solved",
@@ -675,10 +667,11 @@ class TestWindowedSolve:
     def test_window_edges(self, winternitz_spec, thetadot, window, solved):
         state = ek.PolarState(r=1.0, theta=math.pi / 2, rdot=0.0, thetadot=thetadot)
         pipe = build_pipeline(winternitz_spec, state, t_window=window)
-        whole = build_pipeline(winternitz_spec, state)
+        whole = build_pipeline(winternitz_spec, state, t_window=_UNCUT)
         for t in window:
-            assert pipe.theta_at(t) == whole.theta_at(t)
-            assert pipe.r_of_t(t) == whole.r_of_t(t)
+            theta = pipe.theta_at(t)
+            assert theta == whole.theta_at(t)
+            assert pipe.r_at(t, theta) == whole.r_at(t, theta)
         path = pipe.solution.path
         assert (path.up is not None, path.down is not None) == {
             "up": (True, False), "down": (False, True), "both": (True, True)
@@ -689,10 +682,6 @@ class TestWindowedSolve:
         for t in (2.0 + 1e-9, -1e-9, 5.0):
             with pytest.raises(OutsideWindowError, match=r"outside the time window \[0.0, 2.0\]"):
                 pipe.theta_at(t)
-        with pytest.raises(OutsideWindowError, match="time window"):
-            pipe.r_of_t(2.5)
-        # without a window a constant rho needs none
-        assert build_pipeline(winternitz_spec, winternitz_state).theta_at(2.5) > math.pi / 2
 
 
 class TestCarriedGap:
@@ -730,7 +719,7 @@ class TestCarriedGap:
         import ermakov.linearize as lz
 
         count = self._quadratures_after_scan(monkeypatch)
-        spec = ek.free_motion_system("u", "1").linearizable
+        spec = ek.free_motion_system("u", "1")
         s = self._STATE
         level = invariant_level(s.r, s.theta, s.thetadot, spec.V)
         ode = LinearODE(spec, level, lz.auto_theta_domain(spec.V, level, math.pi / 4), 1)
@@ -740,10 +729,10 @@ class TestCarriedGap:
 
     def test_build_pipeline(self, monkeypatch):
         count = self._quadratures_after_scan(monkeypatch)
-        spec = ek.free_motion_system("u", "1").linearizable
+        spec = ek.free_motion_system("u", "1")
         pipe = build_pipeline(spec, self._STATE, t_window=(0.0, 0.15))
         for t in np.linspace(0.0, 0.15, 7):
-            pipe.r_of_t(float(t))
+            pipe.r_at(float(t), pipe.theta_at(float(t)))
         assert count["scanned"] and count["after"] <= 1
 
     def test_linearize_rows(self, monkeypatch, tmp_path):

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ermakov.expressions import EvaluationError
 from ermakov.numerics import QuadratureError, exact_sum, linspace, quad_adaptive
-from ermakov.systems import free_motion_system, potential_value_from_fg
+from ermakov.systems import potential_value_from_fg
 
 ABS_TOL = 1e-13
 REL_TOL = 1e-11
@@ -154,9 +154,9 @@ class TestContract:
         # free motion f = u near the sector edge: a plain sum() of the
         # subinterval values reads ...078p+5 before Python 3.12 and ...079p+5
         # from 3.12 on, where sum() became compensated
-        fm = free_motion_system("u", "1")
+        # the pair (f, g) of free_motion_system("u", "1"): g(v) = -f(1/v)
         w = math.tan(2.6003504904892338e-15)
-        value = potential_value_from_fg(fm.cartesian.f, fm.cartesian.g, w)
+        value = potential_value_from_fg("u", "-(1/u)", w)
         assert value.hex() == "-0x1.10aa402486079p+5"
 
     def test_exact_sum_where_fsum_raises(self):

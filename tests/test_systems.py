@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ermakov as ek
-from ermakov.expressions import Num, evaluate, parse, unparse
+from ermakov.expressions import Num, evaluate, parse
 from ermakov.systems import cartesian_rhs_function, polar_as_spec, polar_rhs_function
 from oracles import winternitz_hamiltonian
 
@@ -72,13 +72,12 @@ class TestPotential:
 
         fm = ek.free_motion_system("u", "1")
         angles = (0.3141, 0.4271, 0.5393)  # angles the node has not seen: each integrates
-        expected = [
-            ek.potential_value_from_fg(fm.cartesian.f, fm.cartesian.g, math.tan(th)) for th in angles
-        ]
+        # the pair (f, g) that free_motion_system builds: g(v) = -f(1/v)
+        expected = [ek.potential_value_from_fg("u", "-(1/u)", math.tan(th)) for th in angles]
         calls = []
         real = systems.is_literal_zero
         monkeypatch.setattr(systems, "is_literal_zero", lambda e: calls.append(e) or real(e))
-        assert [evaluate(fm.linearizable.V, {"theta": th}) for th in angles] == expected
+        assert [evaluate(fm.V, {"theta": th}) for th in angles] == expected
         assert calls == []
 
     def test_potential_expression_derivative(self):
@@ -113,7 +112,7 @@ class TestPotential:
         import ermakov.systems as systems
         from ermakov.expressions import DERIV_VAR
 
-        V = ek.free_motion_system("0.45*u", "1").linearizable.V
+        V = ek.free_motion_system("0.45*u", "1").V
         calls = []
         real = systems.quad_adaptive
 
@@ -289,7 +288,7 @@ _SIX_FUNCTION_CASES = {
         lambda th: 0.6 * math.sin(th) * math.cos(th),
     ),
     "free-motion-rho-linear": (
-        ek.free_motion_system("0.5*u", "1 + 0.1*t").linearizable,
+        ek.free_motion_system("0.5*u", "1 + 0.1*t"),
         lambda t: (1.0 + 0.1 * t, 0.1, 0.0),
         lambda th, L: _fm_slope(th) / L,
         lambda th, L: L * L,
@@ -417,16 +416,14 @@ class TestWinternitz:
 
 class TestFreeMotion:
     def test_zero_coupling_structure(self):
-        fm = ek.free_motion_system("0", "1")
-        lin = fm.linearizable
+        lin = ek.free_motion_system("0", "1")
         assert lin.A == Num(0.0)
         assert lin.C == Num(0.0)
         assert lin.V == Num(0.0)
-        assert unparse(lin.B) == "L^2.0"
+        assert lin.B == parse("L^2")
 
     def test_linear_coupling_structure(self):
-        fm = ek.free_motion_system("u", "1")
-        lin = fm.linearizable
+        lin = ek.free_motion_system("u", "1")
         # the partner coupling cancels the radial coupling exactly
         assert lin.F == Num(0.0)
         # A = (dV/dtheta)/L with dV/dtheta = (w + 1/w)/cos(theta)^2 at w = tan(theta)
@@ -435,30 +432,6 @@ class TestFreeMotion:
         w = math.tan(th)
         dv = (w + 1.0 / w) / math.cos(th) ** 2
         assert evaluate(lin.A, {"theta": th, "L": ell}) == pytest.approx(dv / ell, rel=1e-10)
-
-    def test_cartesian_view_matches_polar(self):
-        # compare well before the turning point, where the cartesian view's
-        # frequency (with x ydot - y xdot in a denominator) becomes singular
-        fm = ek.free_motion_system("u", "1 + t^2/10")
-        s0c = ek.CartesianState(1.0, 1.0, -0.05, 0.45)
-        s0p = ek.polar_state_from_cartesian(s0c)
-        probe = ek.integrate_polar(
-            fm.linearizable, s0p, ek.IntegratorConfig(t_span=(0.0, 3.0)), monitor=False
-        )
-        turnings = [e.t for e in probe.events if e.name == "turning_point"]
-        t_hi = 0.6 * turnings[0] if turnings else min(probe.t_end, 3.0)
-        cfg = ek.IntegratorConfig(t_span=(0.0, t_hi))
-        tc = ek.integrate_cartesian(fm.cartesian, s0c, cfg)
-        tp = ek.integrate_polar(fm.linearizable, s0p, cfg, monitor=False)
-        assert tc.termination == "completed" and tp.termination == "completed"
-        for t in np.linspace(0.0, t_hi, 13):
-            yp = tp.at(t)
-            cs = ek.cartesian_state_from_polar(
-                ek.PolarState(yp[0], yp[1], yp[2], yp[3], t=float(t))
-            )
-            yc = tc.at(t)
-            assert abs(cs.x - yc[0]) <= 1e-6
-            assert abs(cs.y - yc[1]) <= 1e-6
 
 
 class TestQuasiInvariance:
