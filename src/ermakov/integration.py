@@ -25,7 +25,6 @@ from .systems import (
     CartesianSpec,
     CartesianState,
     LinearizableSpec,
-    PolarSpec,
     PolarState,
     cartesian_rhs_function,
     polar_rhs_function,
@@ -483,11 +482,9 @@ def integrate_polar(
     monitor: bool = True,
 ) -> Trajectory:
     """Integrate a polar-family spec from ``state0`` over ``cfg.t_span``."""
-    if not isinstance(spec, (PolarSpec, LinearizableSpec)):
-        raise TypeError(f"not a polar-family spec: {type(spec).__name__}")
+    rhs = polar_rhs_function(spec)
     if abs(state0.t - cfg.t_span[0]) > 1e-12 * (1.0 + abs(state0.t)):
         raise ValueError("initial state time must match the start of t_span")
-    rhs = polar_rhs_function(spec)
     y0 = [state0.r, state0.theta, state0.rdot, state0.thetadot]
     traj = integrate(rhs, y0, cfg, events=_polar_events(spec))
     if monitor:

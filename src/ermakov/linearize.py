@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 from .expressions import (
     EvaluationError,
-    Expression,
     as_expression,
     evaluate,
     free_variables,
@@ -35,14 +34,7 @@ from .invariant import (
     turning_tolerance,
 )
 from .numerics import QuadratureError, linspace
-from .systems import (
-    LinearizableSpec,
-    PolarState,
-    _potential_derivative,
-    _rho_derivatives,
-    check_rho_nonzero,
-    frequency_from_linearizable,
-)
+from .systems import LinearizableSpec, PolarState, check_rho_nonzero
 
 __all__ = [
     "LinearODE",
@@ -98,11 +90,9 @@ class LinearODE:
     invariant: float
     domain: tuple[float, float]
     branch_sign: int
-    _dV: Expression = field(init=False, repr=False)
     rhs_is_zero: bool = field(init=False)
 
     def __post_init__(self):
-        self._dV = _potential_derivative(self.spec.V)
         self.rhs_is_zero = is_literal_zero(self.spec.C)
 
     def gap(self, theta: float) -> float:
@@ -115,7 +105,7 @@ class LinearODE:
         p2 = 2.0 * gap
         f = evaluate(self.spec.F, {"theta": theta})
         # h dh/dtheta = -dV/dtheta exactly
-        dv = evaluate(self._dV, {"theta": theta})
+        dv = evaluate(self.spec.dV, {"theta": theta})
         return h, p2, -dv - a, p2 + f - b, c, dv
 
     def coefficients(self, theta: float) -> tuple[float, float, float, float]:
@@ -471,7 +461,7 @@ def _initial_data(spec: LinearizableSpec, state: PolarState) -> tuple[float, flo
     """(rho, psi, psi') at a state: psi = rho/r, psi' = -(rho rdot - rho' r)/(r^2 thetadot)."""
     tenv = {"t": state.t}
     rho_v = evaluate(spec.rho, tenv)
-    rho_dv = evaluate(_rho_derivatives(spec.rho)[0], tenv)
+    rho_dv = evaluate(spec.rho_derivatives[0], tenv)
     psi = rho_v / state.r
     dpsi = -(rho_v * state.rdot - rho_dv * state.r) / (state.r**2 * state.thetadot)
     return rho_v, psi, dpsi
@@ -490,12 +480,12 @@ def verify_compatibility(spec: LinearizableSpec, state: PolarState) -> float:
         raise ValueError("compatibility residual needs a state with nonzero thetadot")
     try:
         rho_v, psi, dpsi = _initial_data(spec, state)
-        rho_ddv = evaluate(_rho_derivatives(spec.rho)[1], {"t": state.t})
+        rho_ddv = evaluate(spec.rho_derivatives[1], {"t": state.t})
         if rho_v == 0.0:
             raise EvaluationError(f"rho vanished at t={state.t!r}")
         a, b, c = _structure_terms(spec, state.theta, state.angular_momentum)
         w2 = evaluate(
-            frequency_from_linearizable(spec),
+            spec.omega_sq,
             {
                 "t": state.t,
                 "r": state.r,

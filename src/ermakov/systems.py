@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import cached_property, partial, reduce
 from typing import Callable, Sequence
 
 from .expressions import (
@@ -53,7 +53,6 @@ __all__ = [
     "frequency_from_linearizable",
     "free_motion_system",
     "kepler_ermakov_system",
-    "polar_as_spec",
     "polar_from_cartesian",
     "polar_rhs_function",
     "polar_state_from_cartesian",
@@ -84,6 +83,10 @@ def _single_var(expr: Expression, what: str) -> str:
     if len(names) > 1:
         raise ValueError(f"{what} must be a function of one argument; found {sorted(names)}")
     return next(iter(names)) if names else "u"
+
+
+def _derivative(expr: Expression, var: str) -> Expression:
+    return simplify(differentiate(expr, var))
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +165,21 @@ class CartesianSpec:
         _check_vars(self.omega_sq, _CARTESIAN_VARS, "omega_sq")
 
 
+class _PolarFamily:
+    """A spec with polar equations of motion: it carries F, V and omega_sq.
+
+    Trees derived from the defining functions are spec attributes, each
+    built on first use and kept with the spec (and so compiled once).
+    """
+
+    @cached_property
+    def dV(self) -> Expression:
+        """dV/dtheta, simplified."""
+        return _derivative(self.V, "theta")
+
+
 @dataclass(frozen=True)
-class PolarSpec:
+class PolarSpec(_PolarFamily):
     """Polar form: rddot - r*thetadot^2 + w2*r = F/r^3 and the angular equation."""
 
     F: Expression
@@ -180,13 +196,14 @@ class PolarSpec:
 
 
 @dataclass(frozen=True)
-class LinearizableSpec:
+class LinearizableSpec(_PolarFamily):
     """Six-function family whose frequency admits linearization in (psi, theta).
 
     rho depends on t only; A, B, C on theta and L = r^2*thetadot; F and V
     on theta.  rho must stay nonzero on the integration window (checked at
     run time); a rho that vanishes identically is rejected here, as the
-    induced frequency may not divide by it.
+    induced frequency may not divide by it.  ``omega_sq`` is that induced
+    frequency, so the spec runs through the same polar equations.
     """
 
     rho: Expression
@@ -208,6 +225,16 @@ class LinearizableSpec:
         _check_vars(self.C, _STRUCTURE_VARS, "C")
         _check_vars(self.F, _ANGLE_VARS, "coupling F")
         _check_vars(self.V, _ANGLE_VARS, "potential V")
+
+    @cached_property
+    def rho_derivatives(self) -> tuple[Expression, Expression]:
+        """rho' and rho'', simplified."""
+        d1 = _derivative(self.rho, "t")
+        return d1, _derivative(d1, "t")
+
+    @cached_property
+    def omega_sq(self) -> Expression:
+        return frequency_from_linearizable(self)
 
 
 @dataclass(frozen=True)
@@ -260,7 +287,6 @@ def radial_coupling_from_fg(f, g) -> Expression:
     return BinOp("/", numerator, BinOp("*", sin_t, cos_t))
 
 
-@lru_cache(maxsize=1)
 def _coupling_potential(
     f: Expression, g: Expression
 ) -> tuple[Expression, Callable[[float], float]]:
@@ -271,8 +297,7 @@ def _coupling_potential(
     in s = ln lam as int_0^{ln w} U'(e^s) e^s ds: the factor e^s tames the
     w^-2 of the g term, and w on either side of 1 spans a like range of s.
     The slope tree is built once per pair and values are memoized per w
-    (DP5's last two stages share an angle).  One entry serves a run, which
-    has one pair; equal pairs share the memo.
+    (DP5's last two stages share an angle).
     """
     fvar = _single_var(f, "coupling f")
     gvar = _single_var(g, "coupling g")
@@ -354,14 +379,6 @@ def polar_from_cartesian(spec: CartesianSpec) -> PolarSpec:
 # Frequencies of the linearizable family
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def _rho_derivatives(rho: Expression) -> tuple[Expression, Expression]:
-    """rho' and rho'', derived once per run (a run has one scale factor)."""
-    d1 = simplify(differentiate(rho, "t"))
-    d2 = simplify(differentiate(d1, "t"))
-    return d1, d2
-
-
 def check_rho_nonzero(rho: Expression, a: float, b: float, samples: int, where: str) -> None:
     """Raise EvaluationError if rho comes near zero or changes sign on a grid over [a, b]."""
     vals = [evaluate(rho, {"t": s}) for s in linspace(a, b, samples)]
@@ -369,7 +386,6 @@ def check_rho_nonzero(rho: Expression, a: float, b: float, samples: int, where: 
         raise EvaluationError(f"rho vanishes inside {where}")
 
 
-@lru_cache(maxsize=1)
 def frequency_from_linearizable(spec: LinearizableSpec) -> Expression:
     """Frequency w2(t, r, theta, rdot, thetadot) induced by the six functions.
 
@@ -377,17 +393,16 @@ def frequency_from_linearizable(spec: LinearizableSpec) -> Expression:
          + B/r^4 + C/(rho r^3), with A, B, C evaluated at L = r^2*thetadot.
     The tree is assembled from already simplified pieces, and a term that
     vanishes identically is left out rather than simplified away: a zero
-    term times an overflow would be NaN, and simplify keeps 0/x.  One entry
-    serves a run, which has one system; more would keep every earlier
-    system alive, with its compiled trees and quadrature memo.
+    term times an overflow would be NaN, and simplify keeps 0/x.  The spec
+    keeps the tree as ``spec.omega_sq``.
     """
     rho = spec.rho
-    rho_d, rho_dd = _rho_derivatives(rho)
+    rho_d, rho_dd = spec.rho_derivatives
     r = Var("r")
     sub = {"L": BinOp("*", BinOp("^", r, Num(2.0)), Var("thetadot"))}
     rho_r3 = BinOp("*", rho, BinOp("^", r, Num(3.0)))
     terms = []
-    if rho_dd != Num(0.0):  # cached trees come simplified: no second pass
+    if rho_dd != Num(0.0):  # derived trees come simplified: no second pass
         terms.append(Neg(BinOp("/", rho_dd, rho)))
     if not is_literal_zero(spec.A):
         drift = BinOp("-", BinOp("*", rho, Var("rdot")), BinOp("*", rho_d, r))
@@ -397,11 +412,6 @@ def frequency_from_linearizable(spec: LinearizableSpec) -> Expression:
     if not is_literal_zero(spec.C):
         terms.append(BinOp("/", substitute(spec.C, sub), rho_r3))
     return reduce(partial(BinOp, "+"), terms) if terms else Num(0.0)
-
-
-def polar_as_spec(spec: LinearizableSpec) -> PolarSpec:
-    """View a linearizable system as a plain polar spec with its induced frequency."""
-    return PolarSpec(F=spec.F, V=spec.V, omega_sq=frequency_from_linearizable(spec))
 
 
 def kepler_ermakov_system(F, G, V) -> LinearizableSpec:
@@ -419,37 +429,24 @@ def kepler_ermakov_system(F, G, V) -> LinearizableSpec:
 # Equations of motion
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def _potential_derivative(V: Expression) -> Expression:
-    """dV/dtheta, derived once per run.
-
-    One entry serves a run, which has one potential; more would keep the
-    quadrature memo of every earlier free-motion potential alive.
-    """
-    return simplify(differentiate(V, "theta"))
-
-
 def polar_rhs_function(spec) -> Callable[[float, Sequence[float]], tuple]:
     """Vector field (t, [r, theta, rdot, thetadot]) -> time derivative, as a tuple.
 
-    Accepts PolarSpec or LinearizableSpec; a linearizable system runs as
-    ``polar_as_spec(spec)``, with the frequency its six functions induce.
+    Accepts PolarSpec or LinearizableSpec: either carries omega_sq, F and dV.
     """
-    if isinstance(spec, LinearizableSpec):
-        spec = polar_as_spec(spec)
-    if not isinstance(spec, PolarSpec):
+    if not isinstance(spec, _PolarFamily):
         raise TypeError(f"no polar equations of motion for {type(spec).__name__}")
-    dV = _potential_derivative(spec.V)
-    dV_zero = dV == Num(0.0)  # cached trees come simplified: no second pass
-    F_zero = is_literal_zero(spec.F)
+    omega_sq, F, dV = spec.omega_sq, spec.F, spec.dV
+    dV_zero = dV == Num(0.0)  # derived trees come simplified: no second pass
+    F_zero = is_literal_zero(F)
 
     def rhs(t, y):
         r, theta, rd, thd = y
         if r <= 0.0:
             raise EvaluationError("radius reached zero")
         env = {"t": t, "r": r, "theta": theta, "rdot": rd, "thetadot": thd}
-        w2 = evaluate(spec.omega_sq, env)
-        fv = 0.0 if F_zero else evaluate(spec.F, {"theta": theta})
+        w2 = evaluate(omega_sq, env)
+        fv = 0.0 if F_zero else evaluate(F, {"theta": theta})
         dv = 0.0 if dV_zero else evaluate(dV, {"theta": theta})
         rdd = r * thd * thd - w2 * r + fv / (r * r * r)
         return rd, thd, rdd, (-dv / (r * r * r) - 2.0 * rd * thd) / r
@@ -523,7 +520,7 @@ def free_motion_system(f, rho) -> LinearizableSpec:
     else:
         g = Neg(substitute(f, {fvar: BinOp("/", Num(1.0), Var(fvar))}))
         v_expr = potential_expression(f, g)
-        a_expr = BinOp("/", _potential_derivative(v_expr), ell)
+        a_expr = BinOp("/", _derivative(v_expr, "theta"), ell)
 
     return LinearizableSpec(
         rho=rho,
@@ -544,7 +541,7 @@ def quasi_invariance_map(rho, state: PolarState, t0: float) -> PolarState:
     """
     rho = as_expression(rho)
     _check_vars(rho, _TIME_VARS, "rho")
-    rho_d = _rho_derivatives(rho)[0]
+    rho_d = _derivative(rho, "t")
     t = state.t
     lo, hi = (t0, t) if t0 <= t else (t, t0)
     check_rho_nonzero(rho, lo, hi, 129, f"[{lo}, {hi}]")

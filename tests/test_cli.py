@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import gc
 import importlib
 import inspect
 import io
@@ -11,16 +12,19 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ermakov
-from ermakov import linearize, systems
+from ermakov import integration, linearize, systems
 from ermakov.cli import main
-from ermakov.config import PRESETS, ConfigError, build_spec, load_config, preset_config
+from ermakov.config import KINDS, PRESETS, ConfigError, build_spec, load_config, preset_config
+from ermakov.expressions import FUNCTIONS
 from ermakov.linearize import solve_from_state
 
 
@@ -536,18 +540,41 @@ class TestReconstruct:
 
 
 class TestValidate:
-    def test_caches_hold_one_system(self, tmp_path):
-        # the spec-keyed caches keep compiled trees and quadrature memos alive
-        for name in ("uniform-rotation", "free-motion-demo"):
-            cfg_path = _write(tmp_path, f"{name}.json", _cheap_preset(name))
-            assert main(["validate", "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 0
-        caches = [
-            systems.frequency_from_linearizable,
-            systems._rho_derivatives,
-            systems._potential_derivative,
-            systems._coupling_potential,
+    def test_alternating_specs_build_each_frequency_once(self, monkeypatch):
+        # each spec keeps its own induced frequency, whichever spec came last
+        built = []
+        real = systems.frequency_from_linearizable
+
+        def counted(spec):
+            built.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(systems, "frequency_from_linearizable", counted)
+        specs = [
+            build_spec(preset_config("winternitz-default")),
+            ermakov.LinearizableSpec(rho="1 + 0.1*t^2", A="sin(theta)", B="L", C="0.8", F="0", V="0"),
         ]
-        assert [c.cache_info().currsize <= 1 for c in caches] == [True] * len(caches)
+        state = ermakov.PolarState(1.05, 1.0, 0.1, 1.3, t=0.4)
+        for _ in range(10):
+            for spec in specs:
+                systems.polar_rhs_function(spec)(0.4, (1.05, 1.0, 0.1, 1.3))
+                assert linearize.verify_compatibility(spec, state) <= 1e-12
+        assert built == specs
+
+    def test_validate_keeps_no_spec_alive(self, tmp_path, monkeypatch):
+        # derived trees, compiled functions and the U memo go with the run's spec
+        refs = []
+
+        def recording(cfg):
+            spec = build_spec(cfg)
+            refs.append(weakref.ref(spec))
+            return spec
+
+        monkeypatch.setattr(ermakov.cli, "build_spec", recording)
+        path = _write(tmp_path, "c.json", _cheap_preset("free-motion-demo"))
+        assert main(["validate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        gc.collect()
+        assert len(refs) == 1 and refs[0]() is None
 
     def test_builds_the_pipeline_reconstruct_builds(self, tmp_path, monkeypatch):
         calls = []
@@ -879,5 +906,93 @@ def test_one_changed_field_keeps_the_exit_code_contract(change, command):
         with contextlib.redirect_stdout(stdout):
             code = main([command, "--config", str(cfg_path), "--out", str(out)])
         assert code in (0, 1, 2)
+        if code == 2 and "stopped early" in stdout.getvalue():  # partial output is written
+            assert (out / "trajectory.csv").is_file() and (out / "summary.json").is_file()
+
+
+# the functions of each kind and the variables each may use
+_KIND_FUNCTIONS = {
+    "cartesian": {"f": ["u"], "g": ["v"], "omega2": ["t", "x", "y", "xdot", "ydot"]},
+    "polar": {"F": ["theta"], "V": ["theta"], "omega2": ["t", "r", "theta", "rdot", "thetadot"]},
+    "linearizable": {
+        "rho": ["t"], "A": ["theta", "L"], "B": ["theta", "L"], "C": ["theta", "L"],
+        "F": ["theta"], "V": ["theta"],
+    },
+    "kepler": {"F": ["theta"], "G": ["theta"], "V": ["theta"]},
+    "free_motion": {"f": ["u"], "rho": ["t"]},
+}
+
+
+def _expression(variables):
+    """Expression text of up to four leaves over ``variables``, any operator or function."""
+    leaves = st.sampled_from([*variables, "0.5", "2", "0.1"])
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/^"), inner).map(lambda p: "({} {} {})".format(*p)),
+            st.tuples(st.sampled_from(sorted(FUNCTIONS)), inner).map(lambda p: "{}({})".format(*p)),
+        ),
+        max_leaves=4,
+    )
+
+
+def _system(kind):
+    if kind == "winternitz":
+        params = st.fixed_dictionaries({p: st.floats(0.0, 2.0) for p in ("mu0", "g1", "g2", "g3")})
+        return params.map(lambda p: {"kind": kind, "params": p})
+    functions = st.fixed_dictionaries({k: _expression(v) for k, v in _KIND_FUNCTIONS[kind].items()})
+    return functions.map(lambda f: {"kind": kind, "functions": f})
+
+
+def _off_axis(lo, hi):
+    return st.tuples(st.floats(lo, hi), st.sampled_from([1.0, -1.0])).map(lambda p: p[0] * p[1])
+
+
+# states off the axes, where couplings such as f(y/x) are singular
+_STATES = st.one_of(
+    st.builds(
+        lambda r, quadrant, angle, rdot, thetadot: {
+            "coords": "polar", "r": r, "theta": quadrant * math.pi / 2 + angle,
+            "rdot": rdot, "thetadot": thetadot,
+        },
+        st.floats(0.5, 2.0), st.integers(-2, 1), st.floats(0.2, 1.35),
+        st.floats(-0.5, 0.5), _off_axis(0.3, 2.0),
+    ),
+    st.builds(
+        lambda x, y, xdot, ydot: {"coords": "cartesian", "x": x, "y": y, "xdot": xdot, "ydot": ydot},
+        _off_axis(0.3, 1.5), _off_axis(0.3, 1.5), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5),
+    ),
+)
+
+def _whole_config(kind):
+    """A config of ``kind`` with every field drawn; short spans and few samples bound its cost."""
+    return st.builds(
+        lambda system, state, t_end, samples: {
+            "system": system, "initial_state": state, "t_span": [0.0, t_end], "samples": samples,
+        },
+        _system(kind),
+        _STATES,
+        st.floats(0.05, 0.5),
+        st.integers(2, 6),
+    )
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+@pytest.mark.parametrize("kind", KINDS)
+@settings(derandomize=True, deadline=None, max_examples=4)
+@given(data=st.data())
+def test_whole_configs_keep_the_exit_code_contract(kind, command, data):
+    cfg = data.draw(_whole_config(kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "c.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = Path(tmp) / "out"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        # a run that creeps near a singularity ends at max_steps after 5,000 steps, not 500,000
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                mock.patch.object(integration, "_MAX_STEPS", 5_000):
+            code = main([command, "--config", str(cfg_path), "--out", str(out)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in stderr.getvalue()
         if code == 2 and "stopped early" in stdout.getvalue():  # partial output is written
             assert (out / "trajectory.csv").is_file() and (out / "summary.json").is_file()

@@ -94,7 +94,7 @@ class TestBuildLinearODE:
     def test_h_dh_identity(self, winternitz_spec):
         # h dh/dtheta = -dV/dtheta, checked by Richardson-extrapolated differences
         ode = build_linear_ode(winternitz_spec, 3.0, (1.0, 2.2))
-        dv = lambda th: evaluate(ode._dV, {"theta": th})
+        dv = lambda th: evaluate(ode.spec.dV, {"theta": th})
         h = lambda th: momentum_from_gap(th, ode.invariant, ode.gap(th))
         for th in np.linspace(1.1, 2.1, 7):
             eps = 1e-3
@@ -695,10 +695,9 @@ class TestCarriedGap:
 
     @staticmethod
     def _quadratures_after_scan(monkeypatch):
-        """Start the potential's memo cold; count U quadratures once a domain scan has returned."""
+        """Count U quadratures once a domain scan has returned (each spec's memo starts cold)."""
         import ermakov.linearize as lz
 
-        systems._coupling_potential.cache_clear()
         count = {"scanned": False, "after": 0}
         real_quad, real_scan = systems.quad_adaptive, lz.auto_theta_domain
 

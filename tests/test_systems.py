@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import ermakov as ek
 from ermakov.expressions import Num, evaluate, parse
-from ermakov.systems import cartesian_rhs_function, polar_as_spec, polar_rhs_function
+from ermakov.systems import cartesian_rhs_function, polar_rhs_function
 from oracles import winternitz_hamiltonian
 
 
@@ -204,9 +204,10 @@ class TestFrequency:
             ) == pytest.approx(1.0, rel=1e-14)
 
     def test_kepler_rhs_reproduced(self, winternitz_spec):
-        # the induced-frequency polar view and the linearizable form agree pointwise
+        # a polar spec with the induced frequency and the linearizable form agree pointwise
         direct = polar_rhs_function(winternitz_spec)
-        view = polar_rhs_function(polar_as_spec(winternitz_spec))
+        spec = winternitz_spec
+        view = polar_rhs_function(ek.PolarSpec(F=spec.F, V=spec.V, omega_sq=spec.omega_sq))
         rng = np.random.default_rng(7)
         for _ in range(100):
             s = ek.PolarState(
@@ -368,8 +369,8 @@ class TestPolarRhs:
         import ermakov.systems as systems
 
         spec = ek.LinearizableSpec(rho="1 + t^2", A="0", B="0", C="1", F="0", V="sin(theta)^2")
-        dV = systems._potential_derivative(spec.V)
-        _, rho_dd = systems._rho_derivatives(spec.rho)
+        polar = ek.PolarSpec(F="0", V=spec.V, omega_sq="1")
+        derived = (spec.dV, spec.rho_derivatives[1], polar.dV)
         seen = []
         real = expressions.simplify
 
@@ -380,9 +381,9 @@ class TestPolarRhs:
         monkeypatch.setattr(expressions, "simplify", recording)
         monkeypatch.setattr(systems, "simplify", recording)
         systems.polar_rhs_function(spec)
-        systems.polar_rhs_function(ek.PolarSpec(F="0", V=spec.V, omega_sq="1"))
+        systems.polar_rhs_function(polar)
         assert seen  # F, A, B and C are still checked
-        assert not any(e is dV or e is rho_dd for e in seen)
+        assert not any(e is d for e in seen for d in derived)
 
     def test_axis_crossing_domain_error(self):
         spec = ek.CartesianSpec(f="u", g="0", omega_sq="0")
