@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, Sequence, Union
 
 __all__ = [
     "BinOp",
@@ -34,6 +34,7 @@ __all__ = [
     "evaluate",
     "free_variables",
     "is_literal_zero",
+    "lower",
     "parse",
     "simplify",
     "substitute",
@@ -354,103 +355,125 @@ _NAMESPACE = {
 }
 
 
-def _lower(expr: Expression) -> Callable[[Bindings], float]:
-    """Compile a tree to one straight-line Python function and keep it on the root.
+def _lower(trees: tuple[Expression, ...], params: tuple[str, ...] | None = None) -> Callable:
+    """Compile trees to one straight-line Python function.
 
-    The function computes one temporary per operator node in the order of
-    a depth-first, left-to-right walk, reads each variable at its first
-    use, and raises the EvaluationError a walk would raise at the same
-    node.  The traversal keeps its own stack, so tree depth is not bounded
-    by the interpreter's recursion limit.
+    With ``params`` the function takes their values positionally and
+    returns the tuple of the trees' values; without, it takes a bindings
+    mapping, reads each variable at its first use, and returns the value of
+    the one tree.  Operator nodes run in the order of a depth-first,
+    left-to-right walk of each tree in turn, and one that applies the same
+    operation to the same operand text as an earlier node reuses its
+    temporary (operand text, not node equality: Num(-0.0) == Num(0.0), and
+    Ufunc equality ignores the callable, which is named by its identity
+    here).  Each value is checked for NaN as soon as it is complete, so the
+    function raises the EvaluationError that evaluating the trees one after
+    another would raise first.  The traversal keeps its own stack, so tree
+    depth is not bounded by the interpreter's recursion limit.
     """
     namespace = dict(_NAMESPACE)
+    slots: dict[tuple, str] = {}  # a non-finite constant or a Ufunc callable -> its name
+
+    def slot(key: tuple, value) -> str:
+        if key not in slots:
+            slots[key] = f"_s{len(slots)}"
+            namespace[slots[key]] = value
+        return slots[key]
+
     body: list[str] = []
-    local_of: dict[str, str] = {}
-    operands: list[str] = []  # the value of each finished subtree, as source text
-    temps = 0
-    pending = [(expr, False)]
-    while pending:
-        node, children_done = pending.pop()
-        tp = type(node)
-        if tp is Num:
-            value = node.value
-            if math.isfinite(value):
-                operands.append(repr(value))
-            else:
-                const = f"_k{len(namespace)}"
-                namespace[const] = value
-                operands.append(const)
-            continue
-        if tp is Var:
-            local = local_of.get(node.name)
-            if local is None:
-                local = local_of[node.name] = f"v{len(local_of)}"
-                body += [
-                    "try:",
-                    f"    {local} = env[{node.name!r}]",
-                    "except KeyError:",
-                    f"    raise _unbound({node.name!r}) from None",
-                ]
-            operands.append(local)
-            continue
-        if tp not in (BinOp, Neg, Call, Ufunc):
-            raise TypeError(f"not an expression node: {node!r}")
-        if not children_done:
-            pending.append((node, True))
-            if tp is BinOp:
-                pending += [(node.rhs, False), (node.lhs, False)]
-            else:
-                pending.append((node.operand if tp is Neg else node.arg, False))
-            continue
-        out = f"t{temps}"
-        temps += 1
-        if tp is Neg:
-            body.append(f"{out} = -{operands.pop()}")
-        elif tp is BinOp:
-            b = operands.pop()
-            a = operands.pop()
-            if node.op in "+-*":
-                body.append(f"{out} = {a} {node.op} {b}")
-            elif node.op == "/":
-                body += [
-                    f"if {b} == 0.0:",
-                    "    raise _EvaluationError('division by zero')",
-                    f"{out} = {a} / {b}",
-                ]
-            else:
-                body += [
-                    "try:",
-                    f"    {out} = _pow({a}, {b})",
-                    "except (ValueError, OverflowError) as exc:",
-                    f"    raise _power_error({a}, {b}) from exc",
-                ]
-        else:
+    local_of = {name: f"v{i}" for i, name in enumerate(params or ())}
+    temp_of: dict[tuple, str] = {}  # (operation, error) as source text -> temporary
+    results: list[str] = []
+    for expr in trees:
+        operands: list[str] = []  # the value of each finished subtree, as source text
+        pending = [(expr, False)]
+        while pending:
+            node, children_done = pending.pop()
+            tp = type(node)
+            if tp is Num:
+                value = node.value
+                text = repr(value)
+                operands.append(text if math.isfinite(value) else slot(("k", text), value))
+                continue
+            if tp is Var:
+                local = local_of.get(node.name)
+                if local is None:
+                    local = local_of[node.name] = f"v{len(local_of)}"
+                    if params is None:
+                        body += [
+                            "try:",
+                            f"    {local} = env[{node.name!r}]",
+                            "except KeyError:",
+                            f"    raise _unbound({node.name!r}) from None",
+                        ]
+                    else:  # not a parameter: unbound, as evaluate would find it
+                        body.append(f"raise _unbound({node.name!r})")
+                operands.append(local)
+                continue
+            if tp not in (BinOp, Neg, Call, Ufunc):
+                raise TypeError(f"not an expression node: {node!r}")
+            if not children_done:
+                pending.append((node, True))
+                if tp is BinOp:
+                    pending += [(node.rhs, False), (node.lhs, False)]
+                else:
+                    pending.append((node.operand if tp is Neg else node.arg, False))
+                continue
             u = operands.pop()
-            if tp is Call:
-                call, caught, name = f"_{node.func}({u})", "ValueError, OverflowError", node.func
+            fail = None  # the error a failing operation raises
+            if tp is BinOp:
+                a = operands.pop()
+                op = f"{a} {node.op} {u}"
+                if node.op == "^":
+                    op, fail = f"_pow({a}, {u})", f"_power_error({a}, {u})"
+            elif tp is Neg:
+                op = f"-{u}"
+            elif tp is Call:
+                op, fail = f"_{node.func}({u})", f"_domain_error({node.func!r}, {u})"
             else:
-                fn = f"_u{len(namespace)}"
-                namespace[fn] = node.fn
-                call, caught = f"float({fn}({u}))", "ValueError, ZeroDivisionError, OverflowError"
-                name = node.name
+                fn = slot(("u", id(node.fn)), node.fn)
+                op, fail = f"float({fn}({u}))", f"_domain_error({node.name!r}, {u})"
+            out = temp_of.get((op, fail))
+            if out is None:
+                out = temp_of[op, fail] = f"t{len(temp_of)}"
+                if tp is BinOp and node.op == "/":
+                    body += [f"if {u} == 0.0:", "    raise _EvaluationError('division by zero')"]
+                if fail is None:
+                    body.append(f"{out} = {op}")
+                else:  # math raises no ZeroDivisionError; a Ufunc's callable may
+                    body += [
+                        "try:",
+                        f"    {out} = {op}",
+                        "except (ValueError, OverflowError, ZeroDivisionError) as exc:",
+                        f"    raise {fail} from exc",
+                    ]
+            operands.append(out)
+        result = operands.pop()
+        if result not in results:
             body += [
-                "try:",
-                f"    {out} = {call}",
-                f"except ({caught}) as exc:",
-                f"    raise _domain_error({name!r}, {u}) from exc",
+                f"if {result} != {result}:",
+                "    raise _EvaluationError('expression evaluated to NaN')",
             ]
-        operands.append(out)
-    result = operands.pop()
-    body += [
-        f"if {result} != {result}:",
-        "    raise _EvaluationError('expression evaluated to NaN')",
-        f"return {result}",
-    ]
-    source = "def evaluate(env):\n" + "".join(f"    {line}\n" for line in body)
+        results.append(result)
+    if params is None:
+        head, body = "env", body + [f"return {results[0]}"]
+    else:
+        head = ", ".join(local_of[p] for p in params)
+        body.append(f"return ({', '.join(results)},)")
+    source = f"def lowered({head}):\n" + "".join(f"    {line}\n" for line in body)
     exec(compile(source, "<expression>", "exec"), namespace)
-    fn = namespace["evaluate"]
-    object.__setattr__(expr, "_lowered", fn)
-    return fn
+    return namespace["lowered"]
+
+
+def lower(trees: Sequence[Expression], params: Sequence[str]) -> Callable[..., tuple[float, ...]]:
+    """One compiled function from the values of ``params`` to the values of ``trees``.
+
+    ``lower(trees, params)(*values)`` returns what evaluating each tree in
+    turn at ``dict(zip(params, values))`` returns, bit for bit, or raises
+    the EvaluationError the first failing evaluation raises; a subtree the
+    trees share is computed once.
+    """
+    return _lower(tuple(trees), tuple(params))
 
 
 def evaluate(expr: Expression, env: Bindings | None = None) -> float:
@@ -458,13 +481,14 @@ def evaluate(expr: Expression, env: Bindings | None = None) -> float:
 
     Domain failures (square root of a negative, log of a non-positive,
     division by zero, unbound variables) raise EvaluationError rather than
-    returning NaN.  The tree is compiled on its first evaluation; later
-    calls run the compiled function.
+    returning NaN.  The tree is compiled on its first evaluation and the
+    function kept on the root; later calls run it.
     """
     try:
         fn = expr._lowered
     except AttributeError:
-        fn = _lower(expr)
+        fn = _lower((expr,))
+        object.__setattr__(expr, "_lowered", fn)
     return fn(env if env is not None else {})
 
 

@@ -101,11 +101,11 @@ class LinearODE:
     def terms(self, theta: float, gap: float) -> tuple[float, float, float, float, float, float]:
         """(h, p2, p1, p0, rhs, dV/dtheta) at theta, given the gap I - V(theta) there."""
         h = momentum_from_gap(theta, self.invariant, gap)
-        a, b, c = _structure_terms(self.spec, theta, self.branch_sign * h)
+        ell = self.branch_sign * h
+        A, b, c, f, dv = self.spec.linear_terms(theta, ell)
+        a = -ell * A  # as in _structure_terms
         p2 = 2.0 * gap
-        f = evaluate(self.spec.F, {"theta": theta})
         # h dh/dtheta = -dV/dtheta exactly
-        dv = evaluate(self.spec.dV, {"theta": theta})
         return h, p2, -dv - a, p2 + f - b, c, dv
 
     def coefficients(self, theta: float) -> tuple[float, float, float, float]:

@@ -35,6 +35,7 @@ from .expressions import (
     evaluate,
     free_variables,
     is_literal_zero,
+    lower,
     simplify,
     substitute,
 )
@@ -168,7 +169,8 @@ class CartesianSpec:
 class _PolarFamily:
     """A spec with polar equations of motion: it carries F, V and omega_sq.
 
-    Trees derived from the defining functions are spec attributes, each
+    Trees derived from the defining functions, and the compiled functions
+    of the tuples of trees the equations read, are spec attributes, each
     built on first use and kept with the spec (and so compiled once).
     """
 
@@ -176,6 +178,17 @@ class _PolarFamily:
     def dV(self) -> Expression:
         """dV/dtheta, simplified."""
         return _derivative(self.V, "theta")
+
+    @cached_property
+    def polar_terms(self) -> Callable[..., tuple[float, float, float]]:
+        """(omega_sq, F, dV/dtheta) as one compiled function of (t, r, theta, rdot, thetadot).
+
+        A literally zero F or dV/dtheta lowers as the literal 0.0, so a
+        factor the simplifier dropped is never evaluated.
+        """
+        F = Num(0.0) if is_literal_zero(self.F) else self.F
+        dV = Num(0.0) if self.dV == Num(0.0) else self.dV  # derived trees come simplified
+        return lower((self.omega_sq, F, dV), ("t", "r", "theta", "rdot", "thetadot"))
 
 
 @dataclass(frozen=True)
@@ -235,6 +248,11 @@ class LinearizableSpec(_PolarFamily):
     @cached_property
     def omega_sq(self) -> Expression:
         return frequency_from_linearizable(self)
+
+    @cached_property
+    def linear_terms(self) -> Callable[..., tuple[float, float, float, float, float]]:
+        """(A, B, C, F, dV/dtheta) as one compiled function of (theta, L)."""
+        return lower((self.A, self.B, self.C, self.F, self.dV), ("theta", "L"))
 
 
 @dataclass(frozen=True)
@@ -432,22 +450,18 @@ def kepler_ermakov_system(F, G, V) -> LinearizableSpec:
 def polar_rhs_function(spec) -> Callable[[float, Sequence[float]], tuple]:
     """Vector field (t, [r, theta, rdot, thetadot]) -> time derivative, as a tuple.
 
-    Accepts PolarSpec or LinearizableSpec: either carries omega_sq, F and dV.
+    Accepts PolarSpec or LinearizableSpec: either carries polar_terms, the
+    one compiled function of omega_sq, F and dV/dtheta it calls.
     """
     if not isinstance(spec, _PolarFamily):
         raise TypeError(f"no polar equations of motion for {type(spec).__name__}")
-    omega_sq, F, dV = spec.omega_sq, spec.F, spec.dV
-    dV_zero = dV == Num(0.0)  # derived trees come simplified: no second pass
-    F_zero = is_literal_zero(F)
+    terms = spec.polar_terms
 
     def rhs(t, y):
         r, theta, rd, thd = y
         if r <= 0.0:
             raise EvaluationError("radius reached zero")
-        env = {"t": t, "r": r, "theta": theta, "rdot": rd, "thetadot": thd}
-        w2 = evaluate(omega_sq, env)
-        fv = 0.0 if F_zero else evaluate(F, {"theta": theta})
-        dv = 0.0 if dV_zero else evaluate(dV, {"theta": theta})
+        w2, fv, dv = terms(t, r, theta, rd, thd)
         rdd = r * thd * thd - w2 * r + fv / (r * r * r)
         return rd, thd, rdd, (-dv / (r * r * r) - 2.0 * rd * thd) / r
 

@@ -18,6 +18,7 @@ from ermakov.expressions import (
     differentiate,
     evaluate,
     free_variables,
+    lower,
     parse,
     simplify,
     substitute,
@@ -128,11 +129,13 @@ class TestEvaluate:
 
     def test_tree_is_lowered_once(self, monkeypatch):
         lowered = []
-        lower = expressions._lower
-        monkeypatch.setattr(expressions, "_lower", lambda e: lowered.append(e) or lower(e))
+        real = expressions._lower
+        monkeypatch.setattr(
+            expressions, "_lower", lambda *args: lowered.append(args) or real(*args)
+        )
         e = parse("sin(x)*exp(x/3) + x^3")
         values = [evaluate(e, {"x": x / 7.0}) for x in range(5)]
-        assert lowered == [e]
+        assert lowered == [((e,),)]
         assert values == [_reference(e, {"x": x / 7.0}) for x in range(5)]
 
     def test_evaluated_tree_pickles(self):
@@ -244,17 +247,21 @@ def _expr_strategy(depth=3, funcs=("sin", "cos", "tan", "asin", "acos", "atan", 
 _smooth_exprs = _expr_strategy(funcs=("sin", "cos", "atan", "exp"))
 
 
-def _mp_eval(e, env):
-    """Value of a tree of the smooth strategy in mpmath arithmetic."""
+def _mp_eval(e, env, ctx=mpmath):
+    """Value of a tree of the smooth strategy, or of its derivative, in mpmath arithmetic.
+
+    ``ctx=mpmath.iv`` gives an interval enclosure instead (iv has no atan).
+    """
     if isinstance(e, Num):
-        return mpmath.mpf(e.value)
+        return ctx.mpf(e.value)
     if isinstance(e, Var):
         return env[e.name]
     if isinstance(e, Neg):
-        return -_mp_eval(e.operand, env)
+        return -_mp_eval(e.operand, env, ctx)
     if isinstance(e, Call):
-        return getattr(mpmath, e.func)(_mp_eval(e.arg, env))
-    a, b = _mp_eval(e.lhs, env), _mp_eval(e.rhs, env)
+        u = _mp_eval(e.arg, env, ctx)
+        return ctx.atan2(u, ctx.mpf(1)) if e.func == "atan" else getattr(ctx, e.func)(u)
+    a, b = _mp_eval(e.lhs, env, ctx), _mp_eval(e.rhs, env, ctx)
     if e.op == "+":
         return a + b
     if e.op == "-":
@@ -264,6 +271,32 @@ def _mp_eval(e, env):
     if e.op == "/":
         return a / b
     return a**b
+
+
+def _resolved(e, env):
+    """Value of ``e`` at ``env`` to 30 digits, or None where 1,600 digits do not give them.
+
+    The working precision starts at 50 digits and doubles until an interval
+    enclosure is that narrow: a fixed precision can lose a whole term to
+    cancellation (log(cos t) is 0 to 235 digits at t = 3e-118).
+    """
+    saved = mpmath.iv.dps
+    try:
+        for dps in (50, 100, 200, 400, 800, 1600):
+            mpmath.iv.dps = dps
+            try:
+                v = _mp_eval(e, {k: mpmath.iv.mpf(x) for k, x in env.items()}, mpmath.iv)
+            except (ValueError, ZeroDivisionError):  # complex, or no value at all
+                return None
+            if not isinstance(v, type(mpmath.iv.mpf(0))):
+                return None
+            with mpmath.workdps(dps):
+                lo, hi = mpmath.mpf(v.a), mpmath.mpf(v.b)
+                if mpmath.isfinite(lo) and mpmath.isfinite(hi) and hi - lo <= 1e-30 * (1 + abs(lo)):
+                    return (lo + hi) / 2
+        return None
+    finally:
+        mpmath.iv.dps = saved
 
 
 @settings(max_examples=100, deadline=None)
@@ -286,6 +319,8 @@ def _mp_eval(e, env):
     e=Neg(Call("atan", BinOp("/", Num(1.0), Var("x")))),
     env_vals=[1.1686389137272825e-60, 0.0, 0.0, 0.0, 0.0],
 )
+# cos(t) rounds to 1 in floats and at 50 digits, so ln(cos t)/t^2 reads 0, not -1/2
+@example(e=parse("--(cos(t)^(1/t))"), env_vals=[0.0, 0.0, 0.0, 3.0354617016064005e-118, 0.0])
 def test_property_derivative_matches_central_difference(e, env_vals):
     env = dict(zip(["x", "y", "theta", "t", "u"], env_vals))
     names = free_variables(e)
@@ -296,7 +331,8 @@ def test_property_derivative_matches_central_difference(e, env_vals):
         probes = [
             evaluate(e, {**env, var: env[var] + s}) for s in (-4 * h, -h, 0.0, h, 4 * h)
         ]
-        d = evaluate(differentiate(e, var), env)
+        de = differentiate(e, var)
+        d = evaluate(de, env)
     except EvaluationError:
         assume(False)
     assume(all(abs(p) < 1e3 for p in probes))
@@ -323,7 +359,14 @@ def test_property_derivative_matches_central_difference(e, env_vals):
     # the two steps disagree where the stencil straddles a jump or kink, as
     # atan(1/x) jumps at x = 0: no derivative to compare with there
     assume(abs(fd - fd_fine) <= 1e-9 * (1 + abs(fd)))
-    assert abs(d - float(fd)) <= 1e-6 * (1.0 + max(abs(d), abs(probes[2])))
+    exact = _resolved(de, env)
+    assume(exact is not None)
+    tol = 1e-6 * (1.0 + max(abs(float(exact)), abs(probes[2])))
+    # the derivative tree is right
+    assert abs(exact - fd) <= tol
+    # and so is its float value, where floats keep the terms the tree needs
+    if abs(d - exact) <= 1e-12 * (1 + abs(exact)):
+        assert abs(d - float(fd)) <= tol
 
 
 @settings(max_examples=100, deadline=None)
@@ -445,6 +488,110 @@ def _evaluator_trees():
 def test_property_compiled_evaluator_matches_tree_walk(e, env_vals):
     env = dict(zip(["x", "y", "theta"], env_vals))
     assert _outcome(evaluate, e, env) == _outcome(_reference, e, env)
+
+
+# --- one function for a tuple of trees --------------------------------------
+
+
+def _hexes(values):
+    return tuple(map(float.hex, values))
+
+
+class TestLower:
+    def test_signed_zeros_keep_their_own_values(self):
+        # Num(0.0) == Num(-0.0): merging equal nodes would give x*0.0 the value of x*-0.0
+        x = Var("x")
+        neg, pos = BinOp("*", x, Num(-0.0)), BinOp("*", x, Num(0.0))
+        assert _hexes(lower((neg, pos), ("x",))(1.0)) == _hexes((-0.0, 0.0))
+        assert math.copysign(1.0, evaluate(BinOp("-", neg, pos), {"x": 1.0})) == -1.0
+
+    def test_ufuncs_with_different_callables_keep_their_own_values(self):
+        # Ufunc equality ignores the callable: these two nodes compare equal
+        double = Ufunc("U", Var("x"), lambda w: 2 * w)
+        triple = Ufunc("U", Var("x"), lambda w: 3 * w)
+        assert double == triple
+        assert lower((double, triple), ("x",))(1.5) == (3.0, 4.5)
+        assert evaluate(BinOp("-", double, triple), {"x": 1.5}) == -1.5
+
+    def test_ufunc_shared_by_two_outputs_is_called_once(self):
+        calls = []
+        u = Ufunc("U", Call("tan", Var("theta")), lambda w: calls.append(w) or w * w)
+        fn = lower((BinOp("+", u, Num(1.0)), BinOp("*", Num(2.0), u)), ("theta",))
+        for theta in (0.3, 0.4):
+            calls.clear()
+            assert fn(theta) == (math.tan(theta) ** 2 + 1.0, 2.0 * math.tan(theta) ** 2)
+            assert calls == [math.tan(theta)]
+
+    def test_first_failing_tree_wins(self):
+        fn = lower((parse("sqrt(x)"), parse("log(x)"), parse("q")), ("x",))
+        with pytest.raises(EvaluationError, match="sqrt domain error at -1.0"):
+            fn(-1.0)
+        with pytest.raises(EvaluationError, match="log domain error at 0.0"):
+            fn(0.0)
+        with pytest.raises(EvaluationError, match="unbound variable 'q'"):
+            fn(1.0)
+        # a NaN value is an error of its own tree, before the later trees run
+        with pytest.raises(EvaluationError, match="evaluated to NaN"):
+            lower((parse("x - x"), parse("log(-x)")), ("x",))(math.inf)
+
+
+def _subtrees(e):
+    yield e
+    for child in (getattr(e, name, None) for name in ("operand", "lhs", "rhs", "arg")):
+        if child is not None:
+            yield from _subtrees(child)
+
+
+@st.composite
+def _tree_tuples(draw):
+    """Trees built from generated parts, each later one over an earlier tree or a subtree of one."""
+    trees = [draw(_expr_strategy())]
+    for _ in range(draw(st.integers(0, 3))):
+        shared = draw(st.sampled_from([s for t in trees for s in _subtrees(t)]))
+        fresh = draw(_expr_strategy())
+        name, fn = draw(st.sampled_from(_UFUNCS))
+        trees.append(
+            draw(
+                st.sampled_from(
+                    [
+                        shared,
+                        Neg(shared),
+                        Ufunc(name, shared, fn),
+                        *(BinOp(op, shared, fresh) for op in "+-*/^"),
+                        *(BinOp(op, fresh, shared) for op in "+-*/^"),
+                    ]
+                )
+            )
+        )
+    return trees
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(
+    trees=_tree_tuples(),
+    params=st.permutations(["x", "y", "theta", "t", "u"]).flatmap(
+        lambda p: st.integers(4, 5).map(lambda n: p[:n])
+    ),
+    values=st.lists(st.one_of(_numbers, _edge_numbers), min_size=5, max_size=5),
+)
+@example(trees=[parse("x*-0.0"), parse("x*0.0")], params=["x"], values=[1.0] * 5)
+@example(trees=[parse("sqrt(x)"), parse("sqrt(x) + q")], params=["x"], values=[4.0] * 5)
+def test_property_lowered_tuple_matches_evaluating_each_tree(trees, params, values):
+    env = dict(zip(params, values))
+
+    def one_by_one():
+        return tuple(evaluate(t, env) for t in trees)
+
+    def walked():
+        return tuple(_reference(t, env) for t in trees)
+
+    outcomes = []
+    for run in (lambda: lower(trees, params)(*values[: len(params)]), one_by_one, walked):
+        try:
+            outcomes.append(_hexes(run()))
+        except EvaluationError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 # --- differential tests against sympy ---------------------------------------

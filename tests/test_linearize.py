@@ -383,6 +383,14 @@ class TestCompatibility:
                 )
                 assert verify_compatibility(spec, state) <= 1e-9
 
+    def test_reads_neither_F_nor_the_potential(self):
+        # the residual needs rho, A, B, C and the frequency only: an F and a V
+        # with no value at the state must not make it fail
+        spec = ek.LinearizableSpec(
+            rho="1", A="sin(theta)", B="L", C="1", F="log(theta - 2)", V="sqrt(theta - 2)"
+        )
+        assert verify_compatibility(spec, ek.PolarState(1.2, 0.9, 0.3, 1.1)) <= 1e-12
+
     def test_tampered_structure_function_detected(self):
         # shift A on the frequency side only: the residual must move away
         # from zero by roughly the size of the injected term

@@ -364,6 +364,25 @@ class TestPolarRhs:
         angular = [-dV(th) / r**4, -2.0 * rd * thd / r]
         assert abs(out[3] - math.fsum(angular)) <= 1e-14 * math.fsum(map(abs, angular))
 
+    def test_literally_zero_coupling_is_not_evaluated(self):
+        # 0*log(theta) simplifies to 0: the log is never taken, even where it has no value
+        spec = ek.PolarSpec(F="0*log(theta)", V="0", omega_sq="1")
+        assert polar_rhs_function(spec)(0.0, (1.0, -1.0, 0.0, 1.0)) == (0.0, 1.0, 0.0, 0.0)
+
+    def test_each_spec_lowers_its_tuples_once(self, monkeypatch):
+        import ermakov.expressions as expressions
+
+        real = expressions._lower
+        tuples = []
+        monkeypatch.setattr(
+            expressions, "_lower", lambda trees, *rest: tuples.append(trees) or real(trees, *rest)
+        )
+        spec = ek.winternitz_system(ek.WinternitzParams(mu0=1.0, g1=1.0, g2=0.5, g3=1.0))
+        for _ in range(2):
+            polar_rhs_function(spec)(0.0, (1.0, 1.5, 0.0, 2.0))
+            ek.LinearODE(spec, 5.0, (0.5, 2.5), 1).terms(1.5, 3.0)
+        assert [len(t) for t in tuples if len(t) > 1] == [3, 5]
+
     def test_cached_derivatives_are_not_simplified_again(self, monkeypatch):
         import ermakov.expressions as expressions
         import ermakov.systems as systems
