@@ -15,7 +15,7 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Sequence
 
 from .expressions import EvaluationError, evaluate, free_variables, is_literal_zero
@@ -48,20 +48,19 @@ log = logging.getLogger(__name__)
 # defined"; the controller backs off rather than giving up.
 _RECOVERABLE = (EvaluationError, ForbiddenRegionError, TurningPointError, ZeroDivisionError)
 
-# Dormand-Prince 5(4) tableau: nodes C, stage weights A, the fifth-order
-# weights B, the error weights E = B - B* and the quartic dense-output map P
-# (stage 2's weights are all zero and left out).  Row k of P holds stage k's
-# interpolant weight b_k(x) = x (p1 + p2 x + p3 x^2 + p4 x^3); _DP, b_k'(x).
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
+# Dormand-Prince 5(4) tableau.  Row k of _A holds stage k + 2's node and its weights
+# of stages 1, 2, ...; _B the fifth-order weights and _E the error weights E = B - B*
+# of the stages each names (stage 2's are zero).  Row k of _P holds the interpolant
+# weight b(x) = x (p1 + p2 x + p3 x^2 + p4 x^3) of stage _E[0][k]; _DP, b'(x).
+_A = (
+    (1 / 5, (1 / 5,)),
+    (3 / 10, (3 / 40, 9 / 40)),
+    (4 / 5, (44 / 45, -56 / 15, 32 / 9)),
+    (8 / 9, (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)),
+    (1.0, (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)),
 )
+_B = ((1, 3, 4, 5, 6), (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+_E = ((1, 3, 4, 5, 6, 7), (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40))
 _P = (
     (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
     (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
@@ -199,6 +198,13 @@ def _scaled_rms(v: Sequence[float], scale: Sequence[float]) -> float:
     return math.sqrt(total / len(scale))
 
 
+def _check_slopes(dim: int, scope: dict) -> None:
+    """Raise ValueError, naming both lengths, where a stage k1 ... k7 in scope is not dim long."""
+    for k in (scope[f"k{s}"] for s in range(1, 8) if f"k{s}" in scope):
+        if len(k) != dim:
+            raise ValueError(f"rhs returned {len(k)} slopes for a state of {dim} components") from None
+
+
 def _initial_step(rhs, t0, y0, f0, direction, rel_tol, abs_tol):
     """Curvature-based first-step heuristic."""
     scale = [abs_tol + rel_tol * abs(v) for v in y0]
@@ -207,6 +213,7 @@ def _initial_step(rhs, t0, y0, f0, direction, rel_tol, abs_tol):
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     try:
         f1 = rhs(t0 + h0 * direction, [v + h0 * direction * fv for v, fv in zip(y0, f0)])
+        _check_slopes(len(y0), {"k2": f1})
         d2 = _scaled_rms([b - a for a, b in zip(f0, f1)], scale) / h0
     except _RECOVERABLE:
         return h0 * 1e-3
@@ -215,6 +222,38 @@ def _initial_step(rhs, t0, y0, f0, direction, rel_tol, abs_tol):
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     return min(100.0 * h0, h1)
+
+
+@cache
+def _kernel(dim: int) -> Callable:
+    """``step(rhs, t, h, y, k1, abs_tol, rel_tol)``: one trial step of ``dim`` floats from y, the
+    slope there k1, as straight-line code.  Component i of stage k is the local ``k{k}_{i}``; each
+    sum adds the tableau's products left to right, as a loop over components would."""
+
+    def unpack(name: str) -> str:
+        return "".join(f"{name}_{i}, " for i in range(dim)) + f"= {name}"
+
+    def terms(stages, weights, i: int) -> str:  # w_1 * k_1 + w_2 * k_2 + ... at component i
+        return " + ".join(f"{w!r} * k{k}_{i}" for k, w in zip(stages, weights))
+
+    def sums(stages, weights) -> str:
+        return "[" + ", ".join(f"y_{i} + h * ({terms(stages, weights, i)})" for i in range(dim)) + "]"
+
+    body = [unpack("y"), unpack("k1")]
+    for k, (c, weights) in enumerate(_A, 2):
+        body += [f"k{k} = rhs(t + {c!r} * h, {sums(range(1, k), weights)})", unpack(f"k{k}")]
+    body += [f"y_new = {sums(*_B)}", unpack("y_new"), "k7 = rhs(t + h, y_new)", unpack("k7"), "total = 0.0"]
+    for i in range(dim):  # an inf or NaN norm rejects the step; the scale keeps a NaN of y_new
+        body += [f"v, w = abs(y_{i}), abs(y_new_{i})",
+                 f"q = h * ({terms(*_E, i)}) / (abs_tol + rel_tol * (v if v > w else w))",
+                 "total += q * q"]
+    body.append(f"return y_new, (k1, k2, k3, k4, k5, k6, k7), _sqrt(total / {dim})")
+    lines = ["try:", *(f"    {line}" for line in body), "except ValueError:  # a stage's length, or rhs's own",
+             f"    _check_slopes({dim}, locals())", "    raise"]
+    source = "def step(rhs, t, h, y, k1, abs_tol, rel_tol):\n" + "".join(f"    {line}\n" for line in lines)
+    namespace = {"_check_slopes": _check_slopes, "_sqrt": math.sqrt}
+    exec(compile(source, f"<DP5 step, dim {dim}>", "exec"), namespace)
+    return namespace["step"]
 
 
 def _stage_sum(slopes, x: float, table) -> list[float]:
@@ -267,12 +306,12 @@ def integrate(
 ) -> Trajectory:
     """Integrate y' = rhs(t, y) over cfg.t_span.
 
-    The stepper works on Python floats: ``rhs(t, y)`` receives the state as
-    a list of floats, which it must not modify, and returns a sequence of
-    floats of the same length; event functions and ``until`` receive the
-    same list.  Local error per step is held to abs_tol + rel_tol*|y|
-    componentwise by the embedded pair; dense output between accepted nodes
-    comes from the pair's interpolant over the step's stage slopes.
+    The stepper works on Python floats: ``rhs(t, y)`` receives the state as a
+    list of floats, which it must not modify, and returns a sequence of floats
+    of the same length (another length raises ValueError); event functions and
+    ``until`` receive the same list.  Local error per step is held to abs_tol +
+    rel_tol*|y| componentwise by the embedded pair; dense output between accepted
+    nodes comes from the pair's interpolant over the step's stage slopes.
     Terminal events truncate the run; a step size collapsing near a
     singularity, or an initial state where the slope is undefined, ends it
     with termination ``step_size_underflow``.  The first accepted node
@@ -290,7 +329,9 @@ def integrate(
         f = rhs(t0, y)
     except _RECOVERABLE:  # no slope at the initial state: the run ends before its first step
         f = [math.nan] * dim
+    _check_slopes(dim, {"k1": f})
     n_rhs = 1
+    step = _kernel(dim)
 
     if cfg.first_step is not None:
         h_abs = abs(float(cfg.first_step))
@@ -326,44 +367,14 @@ def integrate(
             h_abs = abs(tf - t)
         h = h_abs * direction
 
+        n_rhs += 6
         try:
-            k1 = f
-            k2 = rhs(t + _C2 * h, [v + h * (_A21 * a) for v, a in zip(y, k1)])
-            k3 = rhs(t + _C3 * h, [v + h * (_A31 * a + _A32 * b) for v, a, b in zip(y, k1, k2)])
-            y4 = [v + h * (_A41 * a + _A42 * b + _A43 * c) for v, a, b, c in zip(y, k1, k2, k3)]
-            k4 = rhs(t + _C4 * h, y4)
-            y5 = [
-                v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                for v, a, b, c, d in zip(y, k1, k2, k3, k4)
-            ]
-            k5 = rhs(t + _C5 * h, y5)
-            y6 = [
-                v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-                for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
-            ]
-            k6 = rhs(t + h, y6)
-            y_new = [
-                v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
-                for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)
-            ]
-            k7 = rhs(t + h, y_new)
-            n_rhs += 6
+            y_new, stages, err = step(rhs, t, h, y, f, abs_tol, rel_tol)
         except _RECOVERABLE:
             n_rejected += 1
-            n_rhs += 6
             h_abs *= 0.25
             just_rejected = True
             continue
-
-        # a step into overflow gives an inf or NaN norm, which rejects the step;
-        # the scale keeps a NaN of y_new, as max() would not
-        total = 0.0
-        for v, w, a, c, d, e, g, k in zip(y, y_new, k1, k3, k4, k5, k6, k7):
-            v, w = abs(v), abs(w)
-            q = h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k)
-            q /= abs_tol + rel_tol * (v if v > w else w)
-            total += q * q
-        err = math.sqrt(total / dim)
 
         if err > 1.0 or not math.isfinite(err):
             n_rejected += 1
@@ -380,7 +391,7 @@ def integrate(
         ts.append(t_new)
         ys.append(y_new)
         hs.append(h)
-        slopes.append((k1, k2, k3, k4, k5, k6, k7))
+        slopes.append(stages)
         n_accepted += 1
 
         # events on this step
@@ -395,7 +406,7 @@ def integrate(
                 if not _crossed(ev, g_old, g_new):
                     continue
                 if dense is None:
-                    dense = partial(_dense, t, y, h, slopes[-1])
+                    dense = partial(_dense, t, y, h, stages)
                 t_star = _locate_crossing(dense, ev, t, t_new, g_old, cfg.event_time_tol)
                 step_hits.append((direction * t_star, ev, t_star))
             for _, ev, t_star in sorted(step_hits, key=lambda item: item[0]):
@@ -425,7 +436,7 @@ def integrate(
             just_rejected = False
         h_abs = h_abs * factor
         err_old = max(err, 1e-4)
-        t, y, f = t_new, y_new, k7
+        t, y, f = t_new, y_new, stages[6]
 
     return Trajectory(
         ts=ts, ys=ys, hs=hs, slopes=slopes,

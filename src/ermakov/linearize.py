@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 from .expressions import (
@@ -91,16 +92,19 @@ class LinearODE:
     domain: tuple[float, float]
     branch_sign: int
     rhs_is_zero: bool = field(init=False)
+    turning_tol: float = field(init=False)
 
     def __post_init__(self):
         self.rhs_is_zero = is_literal_zero(self.spec.C)
+        self.turning_tol = turning_tolerance(self.invariant)
 
     def gap(self, theta: float) -> float:
         return self.invariant - evaluate(self.spec.V, {"theta": theta})
 
     def terms(self, theta: float, gap: float) -> tuple[float, float, float, float, float, float]:
         """(h, p2, p1, p0, rhs, dV/dtheta) at theta, given the gap I - V(theta) there."""
-        h = momentum_from_gap(theta, self.invariant, gap)
+        tol = self.turning_tol  # at or below it, momentum_from_gap raises
+        h = math.sqrt(2.0 * gap) if gap > tol else momentum_from_gap(theta, self.invariant, gap)
         ell = self.branch_sign * h
         A, b, c, f, dv = self.spec.linear_terms(theta, ell)
         a = -ell * A  # as in _structure_terms
@@ -318,30 +322,38 @@ def _solve_run(ode: LinearODE, theta0, y0, theta1, clock=None) -> Trajectory | N
     """
     if theta1 == theta0 or (clock and clock[1] == 0.0):
         return None
+    terms = ode.terms
     events, until = (), None
-    if clock is not None:
+    if clock is None:
+        def rhs(th, y):
+            psi, dpsi, w, gap = y
+            h, p2, p1, p0, c, dv = terms(th, gap)
+            return dpsi, (c - p1 * dpsi - p0 * psi) / p2, -p1 / p2 * w, -dv
+    else:
         t0, reach = clock
         rho, branch = ode.spec.rho, ode.branch_sign
+        rho_c = None  # a constant rho is read once; where it has no value, each stage fails
+        with suppress(EvaluationError):
+            rho_c = None if free_variables(rho) else evaluate(rho)
         floor = _PSI_FLOOR_REL * y0[0]
         events = [EventSpec("psi_floor", lambda th, y: y[0] - floor, terminal=True)]
 
         def until(th, y):
             return abs(y[2]) >= reach
 
-    def rhs(th, y):
-        psi, dpsi, *_, w, gap = y
-        h, p2, p1, p0, c, dv = ode.terms(th, gap)
-        d2 = (c - p1 * dpsi - p0 * psi) / p2
-        if clock is None:
-            return dpsi, d2, -p1 / p2 * w, -dv
-        try:
-            rv = evaluate(rho, {"t": t0 + branch * y[2]})
-        except EvaluationError:
-            if not abs(y[2]) > reach:
-                raise
-            rv = evaluate(rho, {"t": t0 + branch * math.copysign(reach, y[2])})
-        r2 = rv * rv
-        return dpsi, d2, r2 / (h * psi * psi), -p1 / p2 * w, -dv
+        def rhs(th, y):
+            psi, dpsi, T, w, gap = y
+            h, p2, p1, p0, c, dv = terms(th, gap)
+            d2 = (c - p1 * dpsi - p0 * psi) / p2
+            rv = rho_c
+            if rv is None:
+                try:
+                    rv = evaluate(rho, {"t": t0 + branch * T})
+                except EvaluationError:
+                    if not abs(T) > reach:
+                        raise
+                    rv = evaluate(rho, {"t": t0 + branch * math.copysign(reach, T)})
+            return dpsi, d2, rv * rv / (h * psi * psi), -p1 / p2 * w, -dv
 
     cfg = IntegratorConfig(t_span=(theta0, theta1), rel_tol=_SOLVE_REL_TOL, abs_tol=_SOLVE_ABS_TOL)
     traj = integrate(rhs, y0, cfg, events, until)

@@ -165,6 +165,13 @@ class CartesianSpec:
         _single_var(self.g, "coupling g")
         _check_vars(self.omega_sq, _CARTESIAN_VARS, "omega_sq")
 
+    @cached_property
+    def cartesian_terms(self) -> tuple[Callable, Callable | None, Callable | None]:
+        """omega_sq(t, x, y, xdot, ydot), f and g of their one argument (None if literally 0)."""
+        f, g = (None if is_literal_zero(e) else lower((e,), (_single_var(e, ""),))
+                for e in (self.f, self.g))
+        return lower((self.omega_sq,), ("t", "x", "y", "xdot", "ydot")), f, g
+
 
 class _PolarFamily:
     """A spec with polar equations of motion: it carries F, V and omega_sq.
@@ -470,25 +477,20 @@ def polar_rhs_function(spec) -> Callable[[float, Sequence[float]], tuple]:
 
 def cartesian_rhs_function(spec: CartesianSpec) -> Callable[[float, Sequence[float]], tuple]:
     """Vector field (t, [x, y, xdot, ydot]) -> time derivative, as a tuple."""
-    f_zero, g_zero = is_literal_zero(spec.f), is_literal_zero(spec.g)
-    f_var, g_var = _single_var(spec.f, "coupling f"), _single_var(spec.g, "coupling g")
+    omega_sq, f, g = spec.cartesian_terms
 
     def rhs(t, y):
         xv, yv, xd, yd = y
-        env = {"t": t, "x": xv, "y": yv, "xdot": xd, "ydot": yd}
-        w2 = evaluate(spec.omega_sq, env)
-        if f_zero:
-            f_term = 0.0
-        else:
+        (w2,) = omega_sq(t, xv, yv, xd, yd)
+        f_term = g_term = 0.0
+        if f is not None:
             if xv == 0.0 or yv == 0.0:
                 raise EvaluationError("coupling f is singular on the axes")
-            f_term = evaluate(spec.f, {f_var: yv / xv}) / (yv * xv * xv)
-        if g_zero:
-            g_term = 0.0
-        else:
+            f_term = f(yv / xv)[0] / (yv * xv * xv)
+        if g is not None:
             if xv == 0.0 or yv == 0.0:
                 raise EvaluationError("coupling g is singular on the axes")
-            g_term = evaluate(spec.g, {g_var: xv / yv}) / (xv * yv * yv)
+            g_term = g(xv / yv)[0] / (xv * yv * yv)
         return xd, yd, -w2 * xv + f_term, -w2 * yv + g_term
 
     return rhs

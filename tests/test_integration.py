@@ -1,11 +1,16 @@
 import dataclasses
 import math
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ermakov as ek
-from ermakov import linearize
+from ermakov import integration, linearize
 from ermakov.integration import (
     _RECOVERABLE,
     Event,
@@ -19,6 +24,7 @@ from ermakov.integration import (
     monitor_invariant,
 )
 from ermakov.systems import cartesian_rhs_function, polar_rhs_function
+import list_stepper
 
 
 OSCILLATOR = ek.CartesianSpec(f="0", g="0", omega_sq="1")
@@ -611,3 +617,201 @@ class TestAgainstReferenceStepper:
             ref_value, ref_slope = _reference_dense(ref, t_i + 0.37 * h)
             assert np.all(np.abs(value - ref_value) <= 1e-10 * scale)
             assert np.all(np.abs(slope - ref_slope) <= 1e-10 * k_scale)
+
+
+# ---------------------------------------------------------------------------
+# The generated per-dimension kernel against the list stepper it replaced
+# ---------------------------------------------------------------------------
+
+
+def _bits(value):
+    """A value with every float replaced by its eight bytes; containers keep their type."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, (list, tuple)):
+        return type(value)(_bits(v) for v in value)
+    return value
+
+
+def _decay(t, y):
+    return (-y[0] * (1.0 + 0.5 * math.sin(t)),)
+
+
+def _van_der_pol(t, y):
+    return y[1], 2.0 * (1.0 - y[0] * y[0]) * y[1] - y[0]
+
+
+def _fenced_oscillator(t, y):
+    # undefined beyond |x| = 1.5: large trial steps leave the fence and are rejected
+    if abs(y[0]) > 1.5:
+        raise ek.EvaluationError("outside the fence")
+    return y[1], -y[0]
+
+
+# eleven components: a damped chain, two-digit component indices in the kernel
+_CHAIN = [[0.3 * math.sin(1.0 + 7 * i + 3 * j) - (i == j) for j in range(11)] for i in range(11)]
+
+
+def _chain(t, y):
+    return tuple(
+        sum(a * v for a, v in zip(row, y)) + 0.1 * math.cos(t + i) for i, row in enumerate(_CHAIN)
+    )
+
+
+def _kernel_case(name, monkeypatch):
+    """(rhs, y0, cfg, events, until) of one run the kernel must reproduce bit for bit."""
+    if name == "decay":
+        return _decay, [1.0], IntegratorConfig(t_span=(0.0, 3.0)), (), None
+    if name == "decay-backward":
+        return _decay, [1.0], IntegratorConfig(t_span=(0.0, -3.0)), (), None
+    if name == "van-der-pol-rejected":  # a first step far too large: err > 1
+        cfg = IntegratorConfig(t_span=(0.0, 5.0), first_step=4.0)
+        return _van_der_pol, [2.0, 0.0], cfg, (), None
+    if name == "fenced-recoverable":
+        cfg = IntegratorConfig(t_span=(0.0, 6.0), first_step=5.0)
+        return _fenced_oscillator, [1.0, 0.0], cfg, (), None
+    if name == "oscillator-terminal-event":
+        events = [EventSpec("x_zero", lambda t, y: y[0], terminal=True)]
+        osc = cartesian_rhs_function(OSCILLATOR)
+        return osc, [1.0, 0.0, 0.0, 1.0], IntegratorConfig(t_span=(0.0, 5.0)), events, None
+    if name == "chain-first-step":
+        cfg = IntegratorConfig(t_span=(0.0, 4.0), first_step=0.01)
+        return _chain, [math.cos(i) for i in range(11)], cfg, (), None
+    if name == "chain-until":
+        cfg = IntegratorConfig(t_span=(0.0, 4.0), rel_tol=1e-6, abs_tol=1e-9)
+        return _chain, [1.0] * 11, cfg, (), lambda t, y: y[0] < 0.0
+    return _case(name, monkeypatch)
+
+
+# case -> (dimension, how the run ends)
+_KERNEL_CASES = {
+    "decay": (1, "completed"),
+    "decay-backward": (1, "completed"),
+    "van-der-pol-rejected": (2, "completed"),
+    "fenced-recoverable": (2, "completed"),
+    "oscillator-backward": (4, "completed"),
+    "oscillator-terminal-event": (4, "event:x_zero"),
+    "winternitz-polar": (4, "completed"),
+    "linear-backward": (4, "completed"),
+    "linear-psi-floor": (5, "event:psi_floor"),
+    "linear-until": (5, "stopped"),
+    "chain-first-step": (11, "completed"),
+    "chain-until": (11, "stopped"),
+}
+
+
+class TestKernelAgainstListStepper:
+    """The generated straight-line kernel against a copy of the list-comprehension stepper.
+
+    The kernel adds the same products in the same order, so every node,
+    stage slope, counter, event and dense-output value is equal bit for bit
+    (a generated local that shadows another stage's would break this).
+    """
+
+    @pytest.mark.parametrize("name", _KERNEL_CASES)
+    def test_same_bits(self, monkeypatch, name):
+        rhs, y0, cfg, events, until = _kernel_case(name, monkeypatch)
+        dim, termination = _KERNEL_CASES[name]
+        failures = []
+
+        def counted(t, y):  # the same function, with its recoverable failures counted
+            try:
+                return rhs(t, y)
+            except _RECOVERABLE:
+                failures.append(t)
+                raise
+
+        new = integrate(counted, y0, cfg, events, until)
+        n_failures = len(failures)
+        ref = list_stepper.reference_integrate(counted, y0, cfg, events, until)
+        assert (new.dim, new.termination) == (dim, termination)
+        for field in ("ts", "ys", "hs", "slopes", "n_rhs", "n_accepted", "n_rejected", "termination"):
+            assert _bits(getattr(new, field)) == _bits(getattr(ref, field)), field
+        assert [(e.name, _bits(e.t), _bits(e.y)) for e in new.events] == [
+            (e.name, _bits(e.t), _bits(e.y)) for e in ref.events
+        ]
+        assert len(failures) == 2 * n_failures
+        if name == "fenced-recoverable":
+            assert n_failures > 0 and new.n_rejected > 0
+        if name == "van-der-pol-rejected":
+            assert n_failures == 0 and new.n_rejected > 0
+        if name.endswith("backward"):
+            assert new.t_end < new.t0
+        if name.endswith("until"):
+            assert new.t_end != cfg.t_span[1]
+        for j in range(50):
+            t = new.t0 + (new.t_end - new.t0) * (j + 0.5) / 50
+            assert _bits(new.at(t)) == _bits(list_stepper.reference_at(new, t)), t
+            ref_value_slope = list_stepper.reference_at_with_slope(new, t)
+            assert _bits(new.at_with_slope(t)) == _bits(ref_value_slope), t
+
+
+class TestKernelBuild:
+    def test_import_builds_no_kernel(self):
+        src = str(Path(ek.__file__).resolve().parents[1])
+        code = "import ermakov.cli, ermakov.integration as i; print(i._kernel.cache_info().currsize)"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0"]
+
+    def test_one_compile_per_dimension(self, monkeypatch):
+        compiled = []
+
+        def counting(source, filename, mode):
+            compiled.append(filename)
+            return compile(source, filename, mode)
+
+        monkeypatch.setattr(integration, "compile", counting, raising=False)
+        integration._kernel.cache_clear()
+        osc = cartesian_rhs_function(OSCILLATOR)
+        for _ in range(2):
+            integrate(osc, [1.0, 0.0, 0.0, 1.0], IntegratorConfig(t_span=(0.0, 1.0)))
+        assert len(compiled) == 1
+        linearize.solve_from_state(_WINTERNITZ, _WINTERNITZ_STATE)  # four-state runs
+        linearize.build_pipeline(_WINTERNITZ, _WINTERNITZ_STATE, t_window=(0.0, 2.0))  # five
+        assert len(compiled) == 2 and integration._kernel.cache_info().currsize == 2
+
+
+class TestSlopeCount:
+    """A right-hand side returning another number of slopes than the state has raises."""
+
+    @staticmethod
+    def _raises(rhs, cfg, found):
+        message = f"rhs returned {found} slopes for a state of 2 components"
+        with pytest.raises(ValueError, match=message) as info:
+            integrate(rhs, [1.0, 0.0], cfg)
+        assert not isinstance(info.value, _RECOVERABLE)
+
+    @pytest.mark.parametrize("found", [1, 3])
+    def test_initial_slope(self, found):
+        rhs = lambda t, y: (-y[1], y[0], 0.0)[:found]  # noqa: E731
+        self._raises(rhs, IntegratorConfig(t_span=(0.0, 1.0), first_step=0.1), found)
+
+    @pytest.mark.parametrize("found", [1, 3])
+    def test_initial_step_heuristic(self, found):
+        rhs = lambda t, y: (-y[1], y[0], 0.0)[: 2 if t == 0.0 else found]  # noqa: E731
+        self._raises(rhs, IntegratorConfig(t_span=(0.0, 1.0)), found)
+
+    @pytest.mark.parametrize("stage", range(2, 8))
+    @pytest.mark.parametrize("found", [1, 3])
+    def test_trial_step(self, stage, found):
+        calls = []
+
+        def rhs(t, y):  # call 1 is the initial slope, calls 2-7 the first step's stages
+            calls.append(t)
+            return (-y[1], y[0], 0.0)[: found if len(calls) == stage else 2]
+
+        self._raises(rhs, IntegratorConfig(t_span=(0.0, 1.0), first_step=0.1), found)
+        assert len(calls) == stage
+
+    def test_own_value_error_passes_through(self):
+        def rhs(t, y):  # the stages' own error, not a count
+            if t > 0.0:
+                raise ValueError("math domain error")
+            return -y[1], y[0]
+
+        with pytest.raises(ValueError, match="^math domain error$"):
+            integrate(rhs, [1.0, 0.0], IntegratorConfig(t_span=(0.0, 1.0), first_step=0.1))

@@ -750,6 +750,51 @@ class TestCarriedGap:
         assert count["scanned"] and count["after"] <= 1
 
 
+class TestAngleRunSetUp:
+    """The angle run's right-hand side does no per-run work at each stage."""
+
+    def test_terms_match_momentum_from_gap_at_every_gap(self, winternitz_spec):
+        level, theta = 3.0, 1.2
+        ode = LinearODE(winternitz_spec, level, (0.5, 2.5), 1)
+        checked = LinearODE(winternitz_spec, level, (0.5, 2.5), 1)
+        checked.turning_tol = math.inf  # every gap through momentum_from_gap's checks
+        tol = ode.turning_tol
+        for gap in (
+            2.0 * tol, math.nextafter(tol, math.inf), tol, math.nextafter(tol, 0.0), 0.0,
+            -tol, math.nextafter(-tol, -math.inf), -1.0, math.nan, math.inf, 1.5,
+        ):
+            try:
+                expected = [v.hex() for v in checked.terms(theta, gap)]
+            except (TurningPointError, ForbiddenRegionError, ek.EvaluationError) as exc:
+                with pytest.raises(type(exc)) as info:
+                    ode.terms(theta, gap)
+                assert str(info.value) == str(exc), gap
+            else:
+                assert [v.hex() for v in ode.terms(theta, gap)] == expected, gap
+
+    def test_constant_rho_is_read_once_per_run(self, monkeypatch, winternitz_spec, winternitz_state):
+        import ermakov.linearize as lz
+
+        reads = []
+        real = lz.evaluate
+
+        def counting(expr, env=None):
+            reads.append(expr is winternitz_spec.rho)
+            return real(expr, env)
+
+        monkeypatch.setattr(lz, "evaluate", counting)
+        pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=(-1.0, 2.0))
+        assert pipe.solution.path.up and pipe.solution.path.down
+        assert sum(reads) == 3  # the initial data, then once for each side's run
+
+    def test_failing_constant_rho_fails_each_stage(self):
+        # read once or not, a constant rho with no value rejects every step, as it always has
+        spec = ek.LinearizableSpec(rho="sqrt(0 - 1)", A="0", B="0", C="1", F="0", V="0.1*sin(theta)^2")
+        ode = LinearODE(spec, 2.0, (0.5, 2.5), 1)
+        with pytest.raises(LinearizationError, match=r"theta=1\.5 \(step_size_underflow\)"):
+            solve_linear(ode, 1.5, 1.0, 0.0, (0.0, (1.0, 1.0)))
+
+
 class TestWinternitzQuadraturesAgainstMpmath:
     """T(theta) = integral of 1/sqrt(2 (I - V)) from pi/2, by mpmath.quad at 40 digits.
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ermakov as ek
-from ermakov.expressions import Num, evaluate, parse
+from ermakov.expressions import Num, evaluate, free_variables, is_literal_zero, parse
 from ermakov.systems import cartesian_rhs_function, polar_rhs_function
 from oracles import winternitz_hamiltonian
 
@@ -408,6 +408,79 @@ class TestPolarRhs:
         spec = ek.CartesianSpec(f="u", g="0", omega_sq="0")
         with pytest.raises(ek.EvaluationError):
             cartesian_rhs_function(spec)(0.0, (0.0, 1.0, 0.0, 0.0))
+
+
+def _evaluated_cartesian_rhs(spec):
+    """The cartesian vector field from evaluating each tree on a bindings dict, as it was."""
+    f_zero, g_zero = is_literal_zero(spec.f), is_literal_zero(spec.g)
+    (f_var,), (g_var,) = (free_variables(e) or {"u"} for e in (spec.f, spec.g))
+
+    def rhs(t, y):
+        xv, yv, xd, yd = y
+        w2 = evaluate(spec.omega_sq, {"t": t, "x": xv, "y": yv, "xdot": xd, "ydot": yd})
+        if f_zero:
+            f_term = 0.0
+        else:
+            if xv == 0.0 or yv == 0.0:
+                raise ek.EvaluationError("coupling f is singular on the axes")
+            f_term = evaluate(spec.f, {f_var: yv / xv}) / (yv * xv * xv)
+        if g_zero:
+            g_term = 0.0
+        else:
+            if xv == 0.0 or yv == 0.0:
+                raise ek.EvaluationError("coupling g is singular on the axes")
+            g_term = evaluate(spec.g, {g_var: xv / yv}) / (xv * yv * yv)
+        return xd, yd, -w2 * xv + f_term, -w2 * yv + g_term
+
+    return rhs
+
+
+_CARTESIAN_SPECS = {
+    "both": ("0.3*u", "-0.2*v^2", "1 + 0.1*t*x - ydot"),
+    "f-only": ("sqrt(u)", "0", "sqrt(x - 0.25)"),
+    "g-only": ("0", "log(w - 0.5)", "1"),
+    "constant-couplings": ("0.5", "2", "xdot^2"),
+    "free": ("0", "0", "0.7"),
+}
+
+
+class TestCartesianRhs:
+    """The lowered vector field against evaluating each tree in turn, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(_CARTESIAN_SPECS))
+    def test_same_values_and_errors(self, case):
+        f, g, w2 = _CARTESIAN_SPECS[case]
+        spec = ek.CartesianSpec(f=f, g=g, omega_sq=w2)
+        rhs, ref = cartesian_rhs_function(spec), _evaluated_cartesian_rhs(spec)
+        rng = np.random.default_rng(7)
+        # random states, with axes and the failing branches of sqrt and ln among them
+        states = [tuple(float(v) for v in rng.uniform(-1.5, 1.5, 4)) for _ in range(200)]
+        states += [(0.0, 1.0, 0.2, 0.1), (1.0, 0.0, 0.2, 0.1), (0.0, 0.0, 0.0, 0.0)]
+        for t, state in zip(rng.uniform(-1.0, 2.0, len(states)), states):
+            try:
+                expected = [v.hex() for v in ref(float(t), state)]
+            except ek.EvaluationError as exc:
+                with pytest.raises(ek.EvaluationError) as info:
+                    rhs(float(t), state)
+                assert str(info.value) == str(exc)
+            else:
+                assert [v.hex() for v in rhs(float(t), state)] == expected
+
+    @pytest.mark.parametrize("case, compiles", [("both", 3), ("f-only", 2), ("free", 1)])
+    def test_each_spec_compiles_each_tree_once(self, monkeypatch, case, compiles):
+        # as many as evaluating omega_sq and each nonzero coupling compiled before
+        import ermakov.expressions as expressions
+
+        real = expressions._lower
+        calls = []
+        monkeypatch.setattr(
+            expressions, "_lower", lambda trees, *rest: calls.append(trees) or real(trees, *rest)
+        )
+        f, g, w2 = _CARTESIAN_SPECS[case]
+        spec = ek.CartesianSpec(f=f, g=g, omega_sq=w2)
+        for _ in range(3):
+            cartesian_rhs_function(spec)(0.5, (1.0, 0.8, 0.1, 0.2))
+        assert len(calls) == compiles
 
 
 class TestWinternitz:
