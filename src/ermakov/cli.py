@@ -237,13 +237,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_FAIL
     out_dir: Path = args.out
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     try:
         return _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, OSError) as exc:  # OSError: a result file cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

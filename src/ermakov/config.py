@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -19,6 +18,7 @@ from .expressions import (
     Expression,
     Num,
     ParseError,
+    _Frozen,
     free_variables,
     parse,
     substitute,
@@ -117,23 +117,31 @@ def _span(value, path: str) -> tuple[float, float]:
     return (a, b)
 
 
-@dataclass(frozen=True)
-class SystemConfig:
-    kind: str
-    functions: dict[str, Expression] = field(default_factory=dict)
-    params: dict[str, float] = field(default_factory=dict)
+class SystemConfig(_Frozen):
+    _fields = ("kind", "functions", "params")
+
+    def __init__(self, kind: str, functions: dict[str, Expression] | None = None, params: dict | None = None):
+        # a dict left out is a new one for each config
+        self.__dict__.update(kind=kind, functions={} if functions is None else functions,
+                             params={} if params is None else params)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    system: SystemConfig
-    initial_state: PolarState | CartesianState
-    t_span: tuple[float, float]
-    theta_span: tuple[float, float] | None = None
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_step: float = math.inf
-    samples: int = 400
+class RunConfig(_Frozen):
+    _fields = ("system", "initial_state", "t_span", "theta_span", "rel_tol", "abs_tol", "max_step", "samples")
+
+    def __init__(
+        self,
+        system: SystemConfig,
+        initial_state: PolarState | CartesianState,
+        t_span: tuple[float, float],
+        theta_span: tuple[float, float] | None = None,
+        rel_tol: float = 1e-9,
+        abs_tol: float = 1e-12,
+        max_step: float = math.inf,
+        samples: int = 400,
+    ):
+        self.__dict__.update(system=system, initial_state=initial_state, t_span=t_span, theta_span=theta_span,
+                             rel_tol=rel_tol, abs_tol=abs_tol, max_step=max_step, samples=samples)
 
     @property
     def polar_state(self) -> PolarState:

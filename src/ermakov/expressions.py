@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, Union
 
 __all__ = [
@@ -53,7 +52,32 @@ class EvaluationError(ValueError):
     """An expression could not be reduced to a finite real number."""
 
 
-class _Node:
+class _Frozen:
+    """An immutable record.  Each subclass's ``__init__`` fills the instance
+    ``__dict__``; two instances of one class compare and hash by their ``_fields``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+
+class _Node(_Frozen):
     """Base of the tree nodes; evaluate keeps a compiled function on a root."""
 
     def __getstate__(self):
@@ -61,35 +85,39 @@ class _Node:
         return {k: v for k, v in self.__dict__.items() if k != "_lowered"}
 
 
-@dataclass(frozen=True)
 class Num(_Node):
-    value: float
+    _fields = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
+    def __init__(self, value: float):
+        self.__dict__["value"] = float(value)
 
 
-@dataclass(frozen=True)
 class Var(_Node):
-    name: str
+    _fields = ("name",)
+
+    def __init__(self, name: str):
+        self.__dict__["name"] = name
 
 
-@dataclass(frozen=True)
 class Neg(_Node):
-    operand: "Expression"
+    _fields = ("operand",)
+
+    def __init__(self, operand: Expression):
+        self.__dict__["operand"] = operand
 
 
-@dataclass(frozen=True)
 class BinOp(_Node):
-    op: str  # one of + - * / ^
-    lhs: "Expression"
-    rhs: "Expression"
+    _fields = ("op", "lhs", "rhs")
+
+    def __init__(self, op: str, lhs: Expression, rhs: Expression):  # op: one of + - * / ^
+        self.__dict__.update(op=op, lhs=lhs, rhs=rhs)
 
 
-@dataclass(frozen=True)
 class Call(_Node):
-    func: str
-    arg: "Expression"
+    _fields = ("func", "arg")
+
+    def __init__(self, func: str, arg: Expression):
+        self.__dict__.update(func=func, arg=arg)
 
 
 # Placeholder variable used inside Ufunc.deriv; the lexer cannot produce a
@@ -97,20 +125,19 @@ class Call(_Node):
 DERIV_VAR = "_w"
 
 
-@dataclass(frozen=True)
 class Ufunc(_Node):
     """Opaque numeric function of one argument with a known derivative.
 
     ``fn`` computes the value (typically by quadrature); ``deriv`` is an
     ordinary expression in the placeholder variable ``DERIV_VAR`` giving the
     exact derivative with respect to the argument, so differentiation stays
-    symbolic even when the value itself is not elementary.
+    symbolic even when the value itself is not elementary.  Equality ignores ``fn``.
     """
 
-    name: str
-    arg: "Expression"
-    fn: Callable[[float], float] = field(compare=False)
-    deriv: "Expression" = Num(0.0)
+    _fields = ("name", "arg", "deriv")
+
+    def __init__(self, name: str, arg: Expression, fn: Callable[[float], float], deriv=Num(0.0)):
+        self.__dict__.update(name=name, arg=arg, fn=fn, deriv=deriv)
 
 
 Expression = Union[Num, Var, Neg, BinOp, Call, Ufunc]
@@ -142,11 +169,7 @@ _NUM_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num" | "name" | "op" | "end"
-    text: str
-    pos: int
+_Token = tuple[str, str, int]  # kind ("num" | "name" | "op" | "end"), text, position
 
 
 def _tokenize(src: str) -> list[_Token]:
@@ -161,20 +184,20 @@ def _tokenize(src: str) -> list[_Token]:
             m = _NUM_RE.match(src, i)
             if m is None:
                 raise ParseError("malformed number", i)
-            tokens.append(_Token("num", m.group(), i))
+            tokens.append(("num", m.group(), i))
             i = m.end()
             continue
         if ch.isascii() and ch.isalpha():
             m = _NAME_RE.match(src, i)
-            tokens.append(_Token("name", m.group(), i))
+            tokens.append(("name", m.group(), i))
             i = m.end()
             continue
         if ch in "+-*/^()":
-            tokens.append(_Token("op", ch, i))
+            tokens.append(("op", ch, i))
             i += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
+    tokens.append(("end", "", n))
     return tokens
 
 
@@ -192,97 +215,97 @@ class _Parser:
         self._i += 1
         return tok
 
-    def _descend(self, tok: _Token) -> None:
+    def _descend(self, pos: int) -> None:
         """Enter one more level of parser recursion, which tree depth may not show."""
         self._nesting += 1
         if self._nesting > _MAX_DEPTH:
-            raise ParseError("nested too deeply", tok.pos)
+            raise ParseError("nested too deeply", pos)
 
-    def _expect_op(self, text: str) -> None:
-        tok = self._next()
-        if tok.kind != "op" or tok.text != text:
-            raise ParseError(f"expected {text!r}", tok.pos)
+    def _expect_op(self, op: str) -> None:
+        kind, text, pos = self._next()
+        if kind != "op" or text != op:
+            raise ParseError(f"expected {op!r}", pos)
 
     def parse(self) -> Expression:
         node = self._expr()
-        tok = self._peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
+        kind, text, pos = self._peek()
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {text!r}", pos)
         return node
 
     def _expr(self) -> Expression:
         node = self._term()
         while True:
-            tok = self._peek()
-            if tok.kind == "op" and tok.text in "+-":
+            kind, text, _ = self._peek()
+            if kind == "op" and text in "+-":
                 self._next()
-                node = BinOp(tok.text, node, self._term())
+                node = BinOp(text, node, self._term())
             else:
                 return node
 
     def _term(self) -> Expression:
         node = self._power()
         while True:
-            tok = self._peek()
-            if tok.kind == "op" and tok.text in "*/":
+            kind, text, _ = self._peek()
+            if kind == "op" and text in "*/":
                 self._next()
-                node = BinOp(tok.text, node, self._power())
+                node = BinOp(text, node, self._power())
             else:
                 return node
 
     def _power(self) -> Expression:
         base = self._signed()
-        tok = self._peek()
-        if tok.kind == "op" and tok.text == "^":
+        kind, text, pos = self._peek()
+        if kind == "op" and text == "^":
             self._next()
-            self._descend(tok)
+            self._descend(pos)
             exponent = self._power()
             self._nesting -= 1
             return BinOp("^", base, exponent)
         return base
 
     def _signed(self) -> Expression:
-        tok = self._peek()
-        if tok.kind == "op" and tok.text == "-":
+        kind, text, pos = self._peek()
+        if kind == "op" and text == "-":
             self._next()
             # sign attaches directly to a numeric literal
-            nxt = self._peek()
-            if nxt.kind == "num":
+            nxt_kind, nxt_text, _ = self._peek()
+            if nxt_kind == "num":
                 self._next()
-                return Num(-float(nxt.text))
-            self._descend(tok)
+                return Num(-float(nxt_text))
+            self._descend(pos)
             operand = self._signed()
             self._nesting -= 1
             return Neg(operand)
         return self._atom()
 
     def _atom(self) -> Expression:
-        tok = self._next()
-        if tok.kind == "num":
-            return Num(float(tok.text))
-        if tok.kind == "name":
-            nxt = self._peek()
-            if nxt.kind == "op" and nxt.text == "(":
-                if tok.text not in FUNCTIONS:
-                    raise ParseError(f"unknown function {tok.text!r}", tok.pos)
+        kind, text, pos = self._next()
+        if kind == "num":
+            return Num(float(text))
+        if kind == "name":
+            nxt_kind, nxt_text, nxt_pos = self._peek()
+            if nxt_kind == "op" and nxt_text == "(":
+                if text not in FUNCTIONS:
+                    raise ParseError(f"unknown function {text!r}", pos)
                 self._next()
-                self._descend(nxt)
+                self._descend(nxt_pos)
                 arg = self._expr()
                 self._expect_op(")")
                 self._nesting -= 1
-                return Call(tok.text, arg)
-            if tok.text == "pi":
+                return Call(text, arg)
+            if text == "pi":
                 return Num(math.pi)
-            return Var(tok.text)
-        if tok.kind == "op" and tok.text == "(":
-            self._descend(tok)
+            return Var(text)
+        if kind == "op" and text == "(":
+            self._descend(pos)
             node = self._expr()
             self._expect_op(")")
             self._nesting -= 1
             return node
         raise ParseError(
-            f"expected a value, found {tok.text!r}" if tok.text else "unexpected end of input",
-            tok.pos,
+            f"expected a value, found {text!r}" if text else "unexpected end of input",
+            pos,
         )
 
 

@@ -14,11 +14,10 @@ import logging
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cache, partial
 from typing import Callable, Sequence
 
-from .expressions import EvaluationError, evaluate, free_variables, is_literal_zero
+from .expressions import EvaluationError, _Frozen, evaluate, free_variables, is_literal_zero
 from .invariant import ForbiddenRegionError, TurningPointError, invariant_level
 from .numerics import exact_sum
 from .systems import (
@@ -81,68 +80,66 @@ _BETA = 0.04
 _EXPO = 0.2 - 0.75 * _BETA
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
+class IntegratorConfig(_Frozen):
     """Tolerances and limits for one integration run."""
 
-    t_span: tuple[float, float]
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_step: float = math.inf
-    first_step: float | None = None
-    event_time_tol: float = 1e-10
+    _fields = ("t_span", "rel_tol", "abs_tol", "max_step", "first_step", "event_time_tol")
 
-    def __post_init__(self):
-        t0, tf = self.t_span
+    def __init__(
+        self,
+        t_span: tuple[float, float],
+        rel_tol: float = 1e-9,
+        abs_tol: float = 1e-12,
+        max_step: float = math.inf,
+        first_step: float | None = None,
+        event_time_tol: float = 1e-10,
+    ):
+        t0, tf = t_span
         if not (math.isfinite(t0) and math.isfinite(tf)) or t0 == tf:
-            raise ValueError(f"t_span must be a nondegenerate finite interval, got {self.t_span}")
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
+            raise ValueError(f"t_span must be a nondegenerate finite interval, got {t_span}")
+        if not (rel_tol > 0.0 and abs_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if not self.max_step > 0.0:
+        if not max_step > 0.0:
             raise ValueError("max_step must be positive")
+        self.__dict__.update(t_span=t_span, rel_tol=rel_tol, abs_tol=abs_tol, max_step=max_step,
+                             first_step=first_step, event_time_tol=event_time_tol)
 
 
-@dataclass(frozen=True)
 class EventSpec:
-    """Scalar function of (t, y) whose sign changes are located and reported."""
+    """Scalar function of (t, y) whose sign changes are located and reported.
 
-    name: str
-    fn: Callable[[float, Sequence[float]], float]
-    terminal: bool = False
-    direction: int = 0  # +1 upward crossings, -1 downward, 0 both
+    ``direction`` +1 takes upward crossings only, -1 downward ones, 0 both.
+    """
+
+    def __init__(self, name: str, fn: Callable[[float, Sequence[float]], float], terminal=False, direction=0):
+        self.name, self.fn, self.terminal, self.direction = name, fn, terminal, direction
 
 
-@dataclass(frozen=True)
 class Event:
-    name: str
-    t: float
-    y: list[float]
+    def __init__(self, name: str, t: float, y: list[float]):
+        self.name, self.t, self.y = name, t, y
 
 
-@dataclass(frozen=True)
 class DriftStats:
     """Relative drift of a conserved quantity along a trajectory."""
 
-    max_rel: float
-    rms_rel: float
-    reference: float
-    series: list[float]
+    def __init__(self, max_rel: float, rms_rel: float, reference: float, series: list[float]):
+        self.max_rel, self.rms_rel, self.reference, self.series = max_rel, rms_rel, reference, series
 
 
-@dataclass
 class Trajectory:
     """Accepted samples plus the per-step interpolant between them."""
 
-    ts: list[float]  # m node times, strictly monotone
-    ys: list[list[float]]  # m states of dim floats
-    hs: list[float]  # m-1 signed step widths
-    slopes: list[tuple]  # m-1 steps' seven stage slopes, each dim floats
-    n_accepted: int
-    n_rejected: int
-    n_rhs: int
-    termination: str  # completed | stopped | event:<name> | step_size_underflow | max_steps
-    events: list[Event] = field(default_factory=list)
-    drift: DriftStats | None = None
+    def __init__(self, ts, ys, hs, slopes, n_accepted: int, n_rejected: int, n_rhs: int, termination: str,
+                 events: list[Event] | None = None, drift: DriftStats | None = None):
+        self.ts: list[float] = ts  # m node times, strictly monotone
+        self.ys: list[list[float]] = ys  # m states of dim floats
+        self.hs: list[float] = hs  # m-1 signed step widths
+        self.slopes: list[tuple] = slopes  # m-1 steps' seven stage slopes, each dim floats
+        self.n_accepted, self.n_rejected, self.n_rhs = n_accepted, n_rejected, n_rhs
+        self.termination = termination  # completed | stopped | event:<name> | step_size_underflow | max_steps
+        self.events = [] if events is None else events
+        self.drift = drift
 
     @property
     def t0(self) -> float:

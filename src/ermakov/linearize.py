@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from contextlib import suppress
-from dataclasses import dataclass, field
 
 from .expressions import (
     EvaluationError,
@@ -79,7 +78,6 @@ def _structure_terms(spec: LinearizableSpec, theta: float, ell: float) -> tuple[
     return -ell * evaluate(spec.A, env), evaluate(spec.B, env), evaluate(spec.C, env)
 
 
-@dataclass
 class LinearODE:
     """Coefficients of the linear equation in psi(theta) at a fixed invariant level.
 
@@ -87,16 +85,10 @@ class LinearODE:
     potential; p2 is positive on the interior.
     """
 
-    spec: LinearizableSpec
-    invariant: float
-    domain: tuple[float, float]
-    branch_sign: int
-    rhs_is_zero: bool = field(init=False)
-    turning_tol: float = field(init=False)
-
-    def __post_init__(self):
-        self.rhs_is_zero = is_literal_zero(self.spec.C)
-        self.turning_tol = turning_tolerance(self.invariant)
+    def __init__(self, spec: LinearizableSpec, invariant: float, domain: tuple, branch_sign: int):
+        self.spec, self.invariant, self.domain, self.branch_sign = spec, invariant, domain, branch_sign
+        self.rhs_is_zero = is_literal_zero(spec.C)
+        self.turning_tol = turning_tolerance(invariant)
 
     def gap(self, theta: float) -> float:
         return self.invariant - evaluate(self.spec.V, {"theta": theta})
@@ -237,7 +229,6 @@ def auto_theta_domain(V, invariant, theta0: float) -> tuple[float, float]:
 _PSI_FLOOR_REL = 1e-4  # a timed run stops where psi falls to this share of psi0
 
 
-@dataclass
 class _SidedRuns:
     """Dense output of the angle runs that leave theta0 on each side.
 
@@ -250,10 +241,8 @@ class _SidedRuns:
     order of queries.
     """
 
-    x0: float
-    y0: list[float]
-    up: Trajectory | None
-    down: Trajectory | None
+    def __init__(self, x0: float, y0: list[float], up: Trajectory | None, down: Trajectory | None):
+        self.x0, self.y0, self.up, self.down = x0, y0, up, down
 
     @property
     def window(self) -> tuple[float, float]:
@@ -364,7 +353,6 @@ def _solve_run(ode: LinearODE, theta0, y0, theta1, clock=None) -> Trajectory | N
     return traj
 
 
-@dataclass
 class LinearSolution:
     """Solution psi of the linear ODE with given data (psi0, psi'0) at theta0.
 
@@ -377,9 +365,8 @@ class LinearSolution:
     window's end; its rows are (psi, psi', T, W, g).
     """
 
-    ode: LinearODE
-    theta0: float
-    path: _SidedRuns
+    def __init__(self, ode: LinearODE, theta0: float, path: _SidedRuns):
+        self.ode, self.theta0, self.path = ode, theta0, path
 
     def psi(self, theta: float) -> float:
         return self.path.row(theta)[0]
@@ -431,7 +418,6 @@ def solve_linear(
 # Angle and time maps
 # ---------------------------------------------------------------------------
 
-@dataclass
 class QuadratureSolution:
     """The linearized route for one trajectory: the angle map and the radius.
 
@@ -441,13 +427,10 @@ class QuadratureSolution:
     included) raise OutsideWindowError.  The radius is r = rho/psi.
     """
 
-    solution: LinearSolution
-    t0: float
-    t_window: tuple[float, float]
-
-    def __post_init__(self):
-        if len(self.solution.path.y0) != 5:  # rows (psi, psi', W, g)
+    def __init__(self, solution: LinearSolution, t0: float, t_window: tuple[float, float]):
+        if len(solution.path.y0) != 5:  # rows (psi, psi', W, g)
             raise LinearizationError("the linear solve carries no time column: give it a clock")
+        self.solution, self.t0, self.t_window = solution, t0, t_window
 
     def theta_at(self, t: float) -> float:
         """The unique angle whose time column holds branch_sign*(t - t0)."""

@@ -16,7 +16,6 @@ rho; the full state vocabulary in frequency expressions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from typing import Callable, Sequence
 
@@ -30,6 +29,7 @@ from .expressions import (
     Num,
     Ufunc,
     Var,
+    _Frozen,
     as_expression,
     differentiate,
     evaluate,
@@ -94,26 +94,20 @@ def _derivative(expr: Expression, var: str) -> Expression:
 # States
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CartesianState:
-    x: float
-    y: float
-    xdot: float
-    ydot: float
-    t: float = 0.0
+class CartesianState(_Frozen):
+    _fields = ("x", "y", "xdot", "ydot", "t")
+
+    def __init__(self, x: float, y: float, xdot: float, ydot: float, t: float = 0.0):
+        self.__dict__.update(x=x, y=y, xdot=xdot, ydot=ydot, t=t)
 
 
-@dataclass(frozen=True)
-class PolarState:
-    r: float
-    theta: float
-    rdot: float
-    thetadot: float
-    t: float = 0.0
+class PolarState(_Frozen):
+    _fields = ("r", "theta", "rdot", "thetadot", "t")
 
-    def __post_init__(self):
-        if not self.r > 0.0:
-            raise ValueError(f"polar radius must be positive, got {self.r}")
+    def __init__(self, r: float, theta: float, rdot: float, thetadot: float, t: float = 0.0):
+        if not r > 0.0:
+            raise ValueError(f"polar radius must be positive, got {r}")
+        self.__dict__.update(r=r, theta=theta, rdot=rdot, thetadot=thetadot, t=t)
 
     @property
     def angular_momentum(self) -> float:
@@ -149,21 +143,17 @@ def cartesian_state_from_polar(s: PolarState) -> CartesianState:
 # Specs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CartesianSpec:
+class CartesianSpec(_Frozen):
     """Coupled pair xddot + w2*x = f(y/x)/(y x^2), yddot + w2*y = g(x/y)/(x y^2)."""
 
-    f: Expression
-    g: Expression
-    omega_sq: Expression
+    _fields = ("f", "g", "omega_sq")
 
-    def __post_init__(self):
-        object.__setattr__(self, "f", as_expression(self.f))
-        object.__setattr__(self, "g", as_expression(self.g))
-        object.__setattr__(self, "omega_sq", as_expression(self.omega_sq))
-        _single_var(self.f, "coupling f")
-        _single_var(self.g, "coupling g")
-        _check_vars(self.omega_sq, _CARTESIAN_VARS, "omega_sq")
+    def __init__(self, f: Expression, g: Expression, omega_sq: Expression):
+        f, g, omega_sq = map(as_expression, (f, g, omega_sq))
+        _single_var(f, "coupling f")
+        _single_var(g, "coupling g")
+        _check_vars(omega_sq, _CARTESIAN_VARS, "omega_sq")
+        self.__dict__.update(f=f, g=g, omega_sq=omega_sq)
 
     @cached_property
     def cartesian_terms(self) -> tuple[Callable, Callable | None, Callable | None]:
@@ -173,12 +163,13 @@ class CartesianSpec:
         return lower((self.omega_sq,), ("t", "x", "y", "xdot", "ydot")), f, g
 
 
-class _PolarFamily:
+class _PolarFamily(_Frozen):
     """A spec with polar equations of motion: it carries F, V and omega_sq.
 
     Trees derived from the defining functions, and the compiled functions
     of the tuples of trees the equations read, are spec attributes, each
-    built on first use and kept with the spec (and so compiled once).
+    built on first use and kept with the spec (and so compiled once) in the
+    instance ``__dict__``.
     """
 
     @cached_property
@@ -198,24 +189,19 @@ class _PolarFamily:
         return lower((self.omega_sq, F, dV), ("t", "r", "theta", "rdot", "thetadot"))
 
 
-@dataclass(frozen=True)
 class PolarSpec(_PolarFamily):
     """Polar form: rddot - r*thetadot^2 + w2*r = F/r^3 and the angular equation."""
 
-    F: Expression
-    V: Expression
-    omega_sq: Expression
+    _fields = ("F", "V", "omega_sq")
 
-    def __post_init__(self):
-        object.__setattr__(self, "F", as_expression(self.F))
-        object.__setattr__(self, "V", as_expression(self.V))
-        object.__setattr__(self, "omega_sq", as_expression(self.omega_sq))
-        _check_vars(self.F, _ANGLE_VARS, "coupling F")
-        _check_vars(self.V, _ANGLE_VARS, "potential V")
-        _check_vars(self.omega_sq, _POLAR_VARS, "omega_sq")
+    def __init__(self, F: Expression, V: Expression, omega_sq: Expression):
+        F, V, omega_sq = map(as_expression, (F, V, omega_sq))
+        _check_vars(F, _ANGLE_VARS, "coupling F")
+        _check_vars(V, _ANGLE_VARS, "potential V")
+        _check_vars(omega_sq, _POLAR_VARS, "omega_sq")
+        self.__dict__.update(F=F, V=V, omega_sq=omega_sq)
 
 
-@dataclass(frozen=True)
 class LinearizableSpec(_PolarFamily):
     """Six-function family whose frequency admits linearization in (psi, theta).
 
@@ -226,25 +212,19 @@ class LinearizableSpec(_PolarFamily):
     frequency, so the spec runs through the same polar equations.
     """
 
-    rho: Expression
-    A: Expression
-    B: Expression
-    C: Expression
-    F: Expression
-    V: Expression
+    _fields = ("rho", "A", "B", "C", "F", "V")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rho", as_expression(self.rho))
-        for name in ("A", "B", "C", "F", "V"):
-            object.__setattr__(self, name, as_expression(getattr(self, name)))
-        _check_vars(self.rho, _TIME_VARS, "rho")
-        if is_literal_zero(self.rho):
+    def __init__(self, rho, A, B, C, F, V):  # expressions, or what as_expression takes
+        rho, A, B, C, F, V = map(as_expression, (rho, A, B, C, F, V))
+        _check_vars(rho, _TIME_VARS, "rho")
+        if is_literal_zero(rho):
             raise ValueError("rho vanishes identically")
-        _check_vars(self.A, _STRUCTURE_VARS, "A")
-        _check_vars(self.B, _STRUCTURE_VARS, "B")
-        _check_vars(self.C, _STRUCTURE_VARS, "C")
-        _check_vars(self.F, _ANGLE_VARS, "coupling F")
-        _check_vars(self.V, _ANGLE_VARS, "potential V")
+        _check_vars(A, _STRUCTURE_VARS, "A")
+        _check_vars(B, _STRUCTURE_VARS, "B")
+        _check_vars(C, _STRUCTURE_VARS, "C")
+        _check_vars(F, _ANGLE_VARS, "coupling F")
+        _check_vars(V, _ANGLE_VARS, "potential V")
+        self.__dict__.update(rho=rho, A=A, B=B, C=C, F=F, V=V)
 
     @cached_property
     def rho_derivatives(self) -> tuple[Expression, Expression]:
@@ -262,25 +242,21 @@ class LinearizableSpec(_PolarFamily):
         return lower((self.A, self.B, self.C, self.F, self.dV), ("theta", "L"))
 
 
-@dataclass(frozen=True)
-class WinternitzParams:
+class WinternitzParams(_Frozen):
     """Constants of the superintegrable non-central force example.
 
     All four are nonnegative; zero values of mu0, g2, or g3 are accepted
     as degenerate checks.
     """
 
-    mu0: float
-    g1: float
-    g2: float
-    g3: float
+    _fields = ("mu0", "g1", "g2", "g3")
 
-    def __post_init__(self):
-        for name in ("mu0", "g1", "g2", "g3"):
-            v = float(getattr(self, name))
+    def __init__(self, mu0: float, g1: float, g2: float, g3: float):
+        for name, v in zip(self._fields, (mu0, g1, g2, g3)):
+            v = float(v)
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be a finite nonnegative number, got {v}")
-            object.__setattr__(self, name, v)
+            self.__dict__[name] = v
 
 
 # ---------------------------------------------------------------------------

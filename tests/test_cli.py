@@ -719,6 +719,29 @@ class TestValidate:
         assert check == {"error": "power domain error: 1e+150^3.0", "pass": False}
 
 
+class TestOutputPath:
+    @pytest.mark.parametrize("under", ["file itself", "below a file"])
+    def test_out_that_cannot_be_created_is_one_line_and_exit_1(self, tmp_path, capsys, under):
+        blocker = tmp_path / "FILE"
+        blocker.write_text("")
+        out = blocker if under == "file itself" else blocker / "sub"
+        assert main(["simulate", "--preset", "uniform-rotation", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot create output directory: ") and err.count("\n") == 1
+        assert str(out) in err and blocker.read_text() == ""
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [("simulate", "summary.json"), ("linearize", "linear_ode.csv"),
+         ("reconstruct", "reconstructed.csv"), ("validate", "report.json")],
+    )
+    def test_result_file_that_cannot_be_written_exits_2(self, tmp_path, capsys, command, name):
+        (tmp_path / "D" / name).mkdir(parents=True)  # a directory where the file goes
+        assert main([command, "--preset", "uniform-rotation", "--out", str(tmp_path / "D")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and err.count("\n") == 1
+
+
 def test_every_error_class_is_a_value_error():
     # the CLI maps runtime failures to exit 2 with a single `except ValueError`
     found = []
@@ -781,9 +804,11 @@ def test_every_command_runs_on_the_standard_library(tmp_path):
     assert len(files) >= 12 and files == _files(site)
 
 
-def test_cli_import_loads_no_numpy():
-    loaded = _fresh_interpreter("-c", "import sys, ermakov.cli; print('numpy' in sys.modules)")
-    assert loaded == "False"
+def test_cli_import_loads_no_costly_module():
+    # every command pays for what the import loads: dataclasses brings inspect, ast and dis
+    costly = ("dataclasses", "inspect", "numpy", "scipy")
+    code = f"import sys, ermakov.cli; print([m for m in {costly!r} if m in sys.modules])"
+    assert _fresh_interpreter("-c", code) == "[]"
 
 
 def test_oracles_load_no_package_module():

@@ -142,6 +142,7 @@ class TestEvaluate:
         e = parse("sin(x)*exp(x/3) + x^3")
         value = evaluate(e, {"x": 0.8375})
         copy = pickle.loads(pickle.dumps(e))
+        assert "_lowered" in vars(e) and "_lowered" not in vars(copy)  # the function stays behind
         assert copy == e and evaluate(copy, {"x": 0.8375}) == value
 
     def test_earlier_error_wins_over_later_unbound_variable(self):
