@@ -8,6 +8,9 @@ its own ``src`` on the path:
 
 - the preset runs: the four commands on each of the three presets;
 - the four commands on the workflow's ``RHO_T_CONFIG`` and ``POLAR_CONFIG``;
+- ``reconstruct`` and ``validate`` on each preset with its initial
+  ``thetadot`` negated, so the angle runs leave theta0 downward (the
+  working tree's presets, which are only imported);
 - the three experiment scripts (each tree's own copy);
 - the first 60 ops of each benchmark workload on seeds 1 and 2, drawn from
   the working tree's ``perfbench/workloads.py``, which is only imported.
@@ -33,6 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PRESETS = ("winternitz-default", "uniform-rotation", "free-motion-demo")
 COMMANDS = ("simulate", "linearize", "reconstruct", "validate")
+MIRRORED = ("reconstruct", "validate")  # on the presets with thetadot negated
 WORKFLOW_CONFIGS = {"rho-t": "RHO_T_CONFIG", "polar": "POLAR_CONFIG"}
 SCRIPTS = {
     "winternitz_roundtrip": ["--out", "roundtrip"],
@@ -79,16 +83,35 @@ def workflow_config(name: str) -> dict:
     return json.loads(" ".join(value))
 
 
+def mirrored_presets() -> dict[str, dict]:
+    """The working tree's presets, each with its initial thetadot negated."""
+    sys.path.insert(0, str(ROOT / "src"))
+    try:
+        from ermakov.config import PRESETS as configs
+    finally:
+        sys.path.pop(0)
+    mirrored = {}
+    for name in PRESETS:
+        cfg = json.loads(json.dumps(configs[name]))
+        cfg["initial_state"]["thetadot"] = -cfg["initial_state"]["thetadot"]
+        mirrored[name] = cfg
+    return mirrored
+
+
 def jobs(configs: Path) -> list[tuple[str, list[str]]]:
     """(name, CLI arguments) of every command run, with its config files written."""
+    sys.dont_write_bytecode = True  # the working tree's modules are read only: no cache beside them
     out = [(f"{cmd}-{p}", [cmd, "--preset", p]) for p in PRESETS for cmd in COMMANDS]
     for label, name in WORKFLOW_CONFIGS.items():
         path = configs / f"{label}.json"
         path.write_text(json.dumps(workflow_config(name)))
         out += [(f"{cmd}-{label}", [cmd, "--config", str(path)]) for cmd in COMMANDS]
+    for preset, cfg in mirrored_presets().items():
+        path = configs / f"mirrored-{preset}.json"
+        path.write_text(json.dumps(cfg))
+        out += [(f"{cmd}-mirrored-{preset}", [cmd, "--config", str(path)]) for cmd in MIRRORED]
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
     workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
-    sys.dont_write_bytecode = True  # read only: no cache written beside it
     spec.loader.exec_module(workloads)
     for workload in sorted(workloads.WORKLOADS):
         for seed in SEEDS:

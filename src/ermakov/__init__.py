@@ -56,7 +56,6 @@ from .systems import (
     kepler_ermakov_system,
     polar_from_cartesian,
     polar_state_from_cartesian,
-    potential_value_from_fg,
     quasi_invariance_map,
     radial_coupling_from_fg,
     winternitz_system,

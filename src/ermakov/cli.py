@@ -50,15 +50,11 @@ ROUND_TRIP_THRESHOLD = 1e-5
 COMPATIBILITY_THRESHOLD = 1e-9
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(line % row for row in rows)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -212,15 +208,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ermakov",
         description="Define, integrate, linearize, and reconstruct generalized Ermakov systems.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--config", type=Path, help="path to a JSON run config")
-        group.add_argument(
-            "--preset", choices=sorted(PRESETS), help="use a built-in named configuration"
-        )
-        p.add_argument("--out", type=Path, required=True, help="output directory")
+    parser.add_argument("command", choices=list(_COMMANDS), help="what to run")
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--config", type=Path, help="path to a JSON run config")
+    group.add_argument("--preset", choices=sorted(PRESETS), help="use a built-in named configuration")
+    parser.add_argument("--out", type=Path, required=True, help="output directory")
     return parser
 
 

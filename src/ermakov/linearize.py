@@ -180,40 +180,46 @@ _DOMAIN_STEP = math.pi / 720.0
 _DOMAIN_SPAN = 2.0 * math.pi
 
 
-def auto_theta_domain(V, invariant, theta0: float) -> tuple[float, float]:
+def auto_theta_domain(V, invariant, theta0: float, sides=(True, True)) -> tuple[float, float]:
     """Maximal scanned interval around theta0 where the level clears the potential.
 
     The scan steps pi/720 at a time, up to 2 pi each way.  It stops a safety
     margin of 1e-3 (1 + |I|) short of any turning point, and one step short
     of an angle where the potential is undefined: the solve carries I - V
     along the run, and must not meet the singularity that often bounds the
-    potential's domain (the log of U(tan theta) at a sector edge).  Raises
+    potential's domain (the log of U(tan theta) at a sector edge).  A side
+    that ``sides`` = (below, above) marks False is not scanned and ends at
+    theta0, unless every scanned side ends there too.  Raises
     LinearizationError if it cannot take a step to either side.
     """
     V = as_expression(V)
     level = float(invariant)
     margin = _DOMAIN_MARGIN_REL * (1.0 + abs(level))
+    env = {"theta": theta0}
+    v0 = evaluate(V, env)
+    potential = V._lowered  # the function evaluate compiled and kept on the tree
 
     def edge(step: float) -> float:
         back, end = theta0, theta0
         while abs(end - theta0) < _DOMAIN_SPAN:
-            th = end + step
+            th = env["theta"] = end + step
             try:
-                if not level - evaluate(V, {"theta": th}) > margin:
+                if not level - potential(env) > margin:
                     return end
             except (EvaluationError, QuadratureError):
                 return back
             back, end = end, th
         return end
 
-    v0 = evaluate(V, {"theta": theta0})
     if not level - v0 > margin:
         detail = "initial angle too close to a turning point"
         if level < v0:
             raise ForbiddenRegionError(theta0, level, v0, detail=detail)
         raise TurningPointError(theta0, level, detail=f"potential {v0!r}; {detail}")
-    hi = edge(_DOMAIN_STEP)
-    lo = edge(-_DOMAIN_STEP)
+    hi = edge(_DOMAIN_STEP) if sides[1] else theta0
+    lo = edge(-_DOMAIN_STEP) if sides[0] else theta0
+    if lo == hi:  # each scanned side ended at theta0, within two steps: scan both
+        hi, lo = edge(_DOMAIN_STEP), edge(-_DOMAIN_STEP)
     if lo == hi:
         raise LinearizationError(
             f"empty angle domain at theta={theta0!r}: one step of pi/720 either way, the potential"
@@ -496,10 +502,14 @@ def verify_compatibility(spec: LinearizableSpec, state: PolarState) -> float:
     return abs(lhs - rhs)
 
 
-def _linear_problem(spec, state0: PolarState, theta_domain) -> tuple[LinearODE, float, float]:
+def _linear_problem(
+    spec, state0: PolarState, theta_domain, reach=(math.inf, math.inf)
+) -> tuple[LinearODE, float, float]:
     """The linear ODE through ``state0`` and its initial data (psi0, psi'0).
 
     A scanned domain is used as found; ``build_linear_ode`` checks one handed in.
+    The scan skips an angle side that the time ``reach`` = (before, after) of
+    the solve leaves at 0.
     """
     lin = _check_linearizable(spec)
     if state0.thetadot == 0.0:
@@ -509,7 +519,8 @@ def _linear_problem(spec, state0: PolarState, theta_domain) -> tuple[LinearODE, 
     if not math.isfinite(inv):
         raise LinearizationError(f"invariant level {inv!r} at the initial state is not finite")
     if theta_domain is None:
-        ode = LinearODE(lin, inv, auto_theta_domain(lin.V, inv, state0.theta), branch)
+        sides = [r != 0.0 for r in reach[::branch]]  # below and above theta0, as solve_linear maps them
+        ode = LinearODE(lin, inv, auto_theta_domain(lin.V, inv, state0.theta, sides), branch)
     else:
         ode = build_linear_ode(lin, inv, theta_domain, branch)
     _, psi0, dpsi0 = _initial_data(lin, state0)
@@ -537,13 +548,16 @@ def build_pipeline(
     The angle run carries the time from state0.t and is solved only as far
     as the time reaches over the window, or until psi falls to 1e-4 psi0
     or the domain ends; times outside the window raise OutsideWindowError.
-    A time-dependent rho must keep clear of zero over the window.  Queries
-    outside the covered window raise instead of crossing turning points.
+    A side of theta0 that the window never reaches is neither solved nor
+    scanned: ``ode.domain`` ends at theta0 there.  A time-dependent rho must
+    keep clear of zero over the window.  Queries outside the covered window
+    raise instead of crossing turning points.
     """
-    ode, psi0, dpsi0 = _linear_problem(spec, state0, None)
-    t0, rho = state0.t, ode.spec.rho
+    t0 = state0.t
     span = (min(t0, *t_window), max(t0, *t_window))
-    if free_variables(rho):
-        check_rho_nonzero(rho, t_window[0], t_window[1], 257, f"the time window {t_window!r}")
-    sol = solve_linear(ode, state0.theta, psi0, dpsi0, (t0, (t0 - span[0], span[1] - t0)))
+    reach = (t0 - span[0], span[1] - t0)
+    ode, psi0, dpsi0 = _linear_problem(spec, state0, None, reach)
+    if free_variables(ode.spec.rho):
+        check_rho_nonzero(ode.spec.rho, t_window[0], t_window[1], 257, f"the time window {t_window!r}")
+    sol = solve_linear(ode, state0.theta, psi0, dpsi0, (t0, reach))
     return QuadratureSolution(sol, t0, span)

@@ -58,7 +58,6 @@ __all__ = [
     "polar_rhs_function",
     "polar_state_from_cartesian",
     "potential_expression",
-    "potential_value_from_fg",
     "quasi_invariance_map",
     "radial_coupling_from_fg",
     "winternitz_system",
@@ -297,8 +296,9 @@ def _coupling_potential(
     integral turns this into int_1^w U', one quadrature of the slope, taken
     in s = ln lam as int_0^{ln w} U'(e^s) e^s ds: the factor e^s tames the
     w^-2 of the g term, and w on either side of 1 spans a like range of s.
-    The slope tree is built once per pair and values are memoized per w
-    (DP5's last two stages share an angle).
+    The slope tree is built once per pair, and lowered to a function of w
+    when the first quadrature runs; values are memoized per w (DP5's last
+    two stages share an angle).
     """
     fvar = _single_var(f, "coupling f")
     gvar = _single_var(g, "coupling g")
@@ -311,30 +311,25 @@ def _coupling_potential(
         )
     )
     cache: dict[float, float] = {}
+    slope_at = None
 
     def integrand(s: float) -> float:
         lam = math.exp(s)
-        return evaluate(slope, {DERIV_VAR: lam}) * lam
+        return slope_at(lam)[0] * lam
 
     def u(wv: float) -> float:
+        nonlocal slope_at
         v = cache.get(wv)
         if v is None:
             if not wv > 0.0:
                 raise EvaluationError(f"potential argument must be positive, got {wv!r}")
+            if slope_at is None:
+                slope_at = lower((slope,), (DERIV_VAR,))
             v = quad_adaptive(integrand, 0.0, math.log(wv))
             cache[wv] = v
         return v
 
     return slope, u
-
-
-def potential_value_from_fg(f, g, w: float) -> float:
-    """U(w): the two coupling integrals accumulated from the base point 1.
-
-    U(w) = int_1^w f + int_1^{1/w} g, so U(1) = 0 by convention.  Requires
-    w > 0 (single-sector evaluation).
-    """
-    return _coupling_potential(as_expression(f), as_expression(g))[1](w)
 
 
 def potential_expression(f, g) -> Expression:

@@ -742,6 +742,52 @@ class TestOutputPath:
         assert err.startswith("error: ") and name in err and err.count("\n") == 1
 
 
+class TestArguments:
+    @pytest.mark.parametrize("command", ["simulate", "linearize", "reconstruct", "validate"])
+    def test_each_command_takes_a_config_or_a_preset(self, command):
+        from ermakov.cli import _build_parser
+
+        parse = _build_parser().parse_args
+        args = parse([command, "--config", "run.json", "--out", "results"])
+        assert (args.command, args.config, args.preset, args.out) == (
+            command, Path("run.json"), None, Path("results")
+        )
+        args = parse([command, "--preset", "uniform-rotation", "--out", "results"])
+        assert (args.command, args.config, args.preset) == (command, None, "uniform-rotation")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--preset", "uniform-rotation"], "the following arguments are required: --out"),
+            (["simulate", "--out", "o"], "one of the arguments --config --preset is required"),
+            (["simulate", "--config", "c.json", "--preset", "uniform-rotation", "--out", "o"],
+             "argument --preset: not allowed with argument --config"),
+            (["simulat", "--preset", "uniform-rotation", "--out", "o"], "invalid choice: 'simulat'"),
+            (["simulate", "--preset", "nope", "--out", "o"], "invalid choice: 'nope'"),
+        ],
+    )
+    def test_usage_errors_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ermakov ") and message in err
+
+
+def test_csv_values_are_written_as_format_17g_writes_them(tmp_path):
+    from ermakov.cli import _write_csv
+
+    values = (
+        math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.225073858507201e-308,
+        sys.float_info.max, -sys.float_info.max, 0.1, 1.0 / 3.0, 1e22, 1e16, 123456789.0, 2.0**-1074 * 3,
+    )
+    rows = [values, values[::-1]]
+    header = [f"c{i}" for i in range(len(values))]
+    _write_csv(tmp_path / "x.csv", header, rows)
+    expected = [",".join(header)] + [",".join(f"{x:.17g}" for x in row) for row in rows]
+    assert (tmp_path / "x.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
 def test_every_error_class_is_a_value_error():
     # the CLI maps runtime failures to exit 2 with a single `except ValueError`
     found = []

@@ -10,12 +10,13 @@ from ermakov.invariant import (
     invariant_level,
     momentum_from_gap,
 )
+from ermakov.systems import _coupling_potential
 
 
 def _cartesian_level(s, f, g):
     """I = 0.5*(x ydot - y xdot)^2 + U(y/x), with U anchored at argument 1."""
     cross = s.x * s.ydot - s.y * s.xdot
-    return 0.5 * cross * cross + ek.potential_value_from_fg(f, g, s.y / s.x)
+    return 0.5 * cross * cross + _coupling_potential(ek.parse(f), ek.parse(g))[1](s.y / s.x)
 
 
 def _momentum(theta, level, V):

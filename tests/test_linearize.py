@@ -482,6 +482,74 @@ class TestPipelineGuards:
         assert err.value.theta == pytest.approx(0.7416, abs=2e-3)
 
 
+class TestPipelineScansReachedSides:
+    """build_pipeline scans only the sides of theta0 that its window reaches.
+
+    A config's initial time is the start of its t_span, so a command's
+    pipeline solves, and scans, one side only; the other ends at theta0.
+    """
+
+    @staticmethod
+    def _angles_of_v(spec):
+        """Angles at which the spec's compiled V runs from now on."""
+        seen = []
+        evaluate(spec.V, {"theta": 1.0})
+        real = spec.V._lowered
+        object.__setattr__(spec.V, "_lowered", lambda env: seen.append(env["theta"]) or real(env))
+        return seen
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_window_from_t0_scans_one_side(self, winternitz_params, sign):
+        spec = ek.winternitz_system(winternitz_params)  # its own V, compiled here
+        state = ek.PolarState(1.0, math.pi / 2, 0.0, 2.0 * sign)
+        seen = self._angles_of_v(spec)
+        pipe = build_pipeline(spec, state, t_window=(0.0, 2.0))
+        steps = [th for th in seen if th != state.theta]
+        lo, hi = auto_theta_domain(spec.V, 3.0, state.theta)
+        end = hi if sign > 0.0 else lo
+        assert all((th - state.theta) * sign > 0.0 for th in steps)
+        # each step up to the end, and the one past it where the level meets V
+        assert len(steps) == round(abs(end - state.theta) / (math.pi / 720)) + 1 > 150
+        assert pipe.solution.ode.domain == ((state.theta, hi) if sign > 0.0 else (lo, state.theta))
+        assert (pipe.solution.path.up is None) == (sign < 0.0)
+        assert (pipe.solution.path.down is None) == (sign > 0.0)
+
+    def test_window_around_t0_scans_both_sides(self, winternitz_params, winternitz_state):
+        spec = ek.winternitz_system(winternitz_params)
+        seen = self._angles_of_v(spec)
+        pipe = build_pipeline(spec, winternitz_state, t_window=(-1.0, 2.0))
+        assert min(seen) < winternitz_state.theta < max(seen)
+        assert pipe.solution.ode.domain == auto_theta_domain(spec.V, 3.0, winternitz_state.theta)
+
+    @pytest.mark.parametrize("thetadot", [1.0, -1.0])
+    def test_both_sides_blocked_within_one_step(self, thetadot):
+        # free motion f = u: one step below 1e-9 leaves the domain of U(tan theta),
+        # one step above it the potential exceeds the level
+        fm = ek.free_motion_system("u", "1")
+        with pytest.raises(LinearizationError) as err:
+            build_pipeline(fm, ek.PolarState(1.0, 1e-9, -0.2, thetadot), t_window=(0.0, 1.0))
+        assert str(err.value) == (
+            "empty angle domain at theta=1e-09: one step of pi/720 either way, the potential is"
+            " within 0.02172326583694641 of the level -20.72326583694641, or undefined within two steps"
+        )
+
+    @pytest.mark.parametrize(
+        "theta0, thetadot, domain",
+        [
+            (2.6, 0.24039413188285202, (0.8939406561755319, 2.6)),
+            (0.8, -0.23359902542046712, (0.8, 2.6631389765039595)),
+        ],
+    )
+    def test_only_the_reached_side_blocked(self, winternitz_spec, theta0, thetadot, domain):
+        # the level meets V within one step on the side the run would take: the other
+        # side is scanned, as a domain needs one, and the run has nowhere to go
+        pipe = build_pipeline(winternitz_spec, ek.PolarState(1.0, theta0, 0.0, thetadot), t_window=(0.0, 1.0))
+        assert pipe.solution.ode.domain == domain
+        with pytest.raises(OutsideWindowError) as err:
+            pipe.theta_at(0.5)
+        assert str(err.value) == f"requested time maps beyond theta={theta0!r} (window edge or turning point)"
+
+
 class TestAugmentedSolve:
     def test_theta_of_t_independent_of_query_order(self, winternitz_spec, winternitz_state):
         times = [float(t) for t in np.linspace(0.0, 2.0, 25)]

@@ -17,7 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from ermakov.expressions import EvaluationError
 from ermakov.numerics import QuadratureError, exact_sum, linspace, quad_adaptive
-from ermakov.systems import potential_value_from_fg
+from ermakov.expressions import parse
+from ermakov.systems import _coupling_potential
 
 ABS_TOL = 1e-13
 REL_TOL = 1e-11
@@ -156,7 +157,7 @@ class TestContract:
         # from 3.12 on, where sum() became compensated
         # the pair (f, g) of free_motion_system("u", "1"): g(v) = -f(1/v)
         w = math.tan(2.6003504904892338e-15)
-        value = potential_value_from_fg("u", "-(1/u)", w)
+        value = _coupling_potential(parse("u"), parse("-(1/u)"))[1](w)
         assert value.hex() == "-0x1.10aa402486079p+5"
 
     def test_exact_sum_where_fsum_raises(self):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import ermakov as ek
 from ermakov.expressions import Num, evaluate, free_variables, is_literal_zero, parse
-from ermakov.systems import cartesian_rhs_function, polar_rhs_function
+from ermakov.systems import _coupling_potential, cartesian_rhs_function, polar_rhs_function
 from oracles import winternitz_hamiltonian
 
 
@@ -50,22 +50,27 @@ class TestRadialCoupling:
         assert evaluate(F, {"theta": 1.0}) == pytest.approx(1.0 / math.sin(1.0) ** 2, rel=1e-12)
 
 
+def _potential(f: str, g: str, w: float) -> float:
+    """U(w) of the coupling pair (f, g): the callable behind the node V = U(tan theta)."""
+    return _coupling_potential(parse(f), parse(g))[1](w)
+
+
 class TestPotential:
     def test_zero_couplings(self):
-        assert ek.potential_value_from_fg("0", "0", 3.7) == 0.0
+        assert _potential("0", "0", 3.7) == 0.0
 
     def test_linear_f(self):
-        assert ek.potential_value_from_fg("u", "0", 2.0) == pytest.approx(1.5, rel=1e-12)
+        assert _potential("u", "0", 2.0) == pytest.approx(1.5, rel=1e-12)
 
     def test_linear_f_and_g(self):
-        assert ek.potential_value_from_fg("u", "v", 2.0) == pytest.approx(1.125, rel=1e-12)
+        assert _potential("u", "v", 2.0) == pytest.approx(1.125, rel=1e-12)
 
     def test_base_point_convention(self):
-        assert ek.potential_value_from_fg("u", "v", 1.0) == 0.0
+        assert _potential("u", "v", 1.0) == 0.0
 
     def test_negative_argument_rejected(self):
         with pytest.raises(ek.EvaluationError):
-            ek.potential_value_from_fg("u", "0", -1.0)
+            _potential("u", "0", -1.0)
 
     def test_potential_node_decides_setup_once(self, monkeypatch):
         import ermakov.systems as systems
@@ -73,7 +78,7 @@ class TestPotential:
         fm = ek.free_motion_system("u", "1")
         angles = (0.3141, 0.4271, 0.5393)  # angles the node has not seen: each integrates
         # the pair (f, g) that free_motion_system builds: g(v) = -f(1/v)
-        expected = [ek.potential_value_from_fg("u", "-(1/u)", math.tan(th)) for th in angles]
+        expected = [_potential("u", "-(1/u)", math.tan(th)) for th in angles]
         calls = []
         real = systems.is_literal_zero
         monkeypatch.setattr(systems, "is_literal_zero", lambda e: calls.append(e) or real(e))
@@ -100,13 +105,13 @@ class TestPotential:
         # f = c u, g = -c/v: U' = c (w + 1/w)
         c = 0.6
         expected = c * (0.5 * (w * w - 1.0) + math.log(w))
-        assert ek.potential_value_from_fg(f"{c}*u", f"-{c}/v", w) == pytest.approx(expected, rel=1e-12)
+        assert _potential(f"{c}*u", f"-{c}/v", w) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("w", W_BOTH_SIDES)
     def test_polynomial_g_closed_form(self, w):
         # f = u, g = v^2/2: U' = w - w^-4/2
         expected = (w * w - 1.0) / 2.0 + (w**-3 - 1.0) / 6.0
-        assert ek.potential_value_from_fg("u", "0.5*v^2", w) == pytest.approx(expected, rel=1e-12)
+        assert _potential("u", "0.5*v^2", w) == pytest.approx(expected, rel=1e-12)
 
     def test_one_quadrature_of_the_slope_per_new_argument(self, monkeypatch):
         import ermakov.systems as systems
@@ -132,6 +137,50 @@ class TestPotential:
                 assert fn(s) == evaluate(V.deriv, {DERIV_VAR: math.exp(s)}) * math.exp(s)
         assert [evaluate(V, {"theta": th}) for th in angles] == values
         assert len(calls) == len(angles)
+
+
+class TestLoweredSlope:
+    """The U integrand runs the slope tree lowered once, positionally, on the first quadrature."""
+
+    def test_integrand_is_the_evaluated_slope_bit_for_bit(self, monkeypatch):
+        import struct
+
+        import ermakov.systems as systems
+        from ermakov.expressions import DERIV_VAR, EvaluationError
+
+        integrands = []
+        real = systems.quad_adaptive
+        monkeypatch.setattr(systems, "quad_adaptive", lambda fn, a, b: integrands.append(fn) or real(fn, a, b))
+        # sqrt(u - 0.5) has no value below lam = 0.5: the same error either way
+        slope, u = _coupling_potential(parse("0.45*u + sqrt(u - 0.5)"), parse("-(1/v)^2 + exp(v)"))
+        u(1.7)
+        (integrand,) = integrands
+        for s in np.linspace(-3.0, 3.0, 241):
+            lam = math.exp(float(s))
+            try:
+                expected = struct.pack("<d", evaluate(slope, {DERIV_VAR: lam}) * lam)
+            except EvaluationError as exc:
+                with pytest.raises(EvaluationError) as info:
+                    integrand(float(s))
+                assert str(info.value) == str(exc)
+            else:
+                assert struct.pack("<d", integrand(float(s))) == expected, s
+        for w in (0.0, -1.0):
+            with pytest.raises(EvaluationError, match=f"potential argument must be positive, got {w!r}"):
+                u(w)
+
+    def test_slope_is_lowered_on_the_first_quadrature_only(self, monkeypatch):
+        import ermakov.systems as systems
+
+        lowered = []
+        real = systems.lower
+        monkeypatch.setattr(systems, "lower", lambda *a: lowered.append(a) or real(*a))
+        slope, u = _coupling_potential(parse("u"), parse("0.5*v^2"))
+        with pytest.raises(ek.EvaluationError):
+            u(-1.0)
+        assert lowered == []
+        u(2.0), u(3.0), u(2.0)
+        assert len(lowered) == 1 and lowered[0][0] == (slope,)
 
 
 class TestPolarFromCartesian:
