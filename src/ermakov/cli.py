@@ -39,8 +39,6 @@ from .systems import PolarState
 
 __all__ = ["main"]
 
-log = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2

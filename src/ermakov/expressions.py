@@ -15,6 +15,7 @@ power (``-x^2`` is ``(-x)^2``).
 from __future__ import annotations
 
 import math
+import operator
 import re
 from typing import Callable, Mapping, Sequence, Union
 
@@ -355,27 +356,74 @@ def as_expression(obj) -> Expression:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _domain_error(name: str, u: float) -> EvaluationError:
-    return EvaluationError(f"{name} domain error at {u!r}")
+def _postorder(expr: Expression):
+    """The nodes of a tree, operands before operators, left to right, walked without recursion."""
+    pending = [(expr, False)]
+    while pending:
+        node, operands_done = pending.pop()
+        tp = type(node)
+        if operands_done or tp is Num or tp is Var:
+            yield node
+        elif tp is BinOp:
+            pending += [(node, True), (node.rhs, False), (node.lhs, False)]
+        elif tp is Neg or tp is Call or tp is Ufunc:
+            pending += [(node, True), (node.operand if tp is Neg else node.arg, False)]
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
 
 
-def _power_error(a: float, b: float) -> EvaluationError:
-    return EvaluationError(f"power domain error: {a!r}^{b!r}")
+_FAILURES = (ValueError, OverflowError, ZeroDivisionError)  # of a math call, a power or a Ufunc
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def _unbound(name: str) -> EvaluationError:
-    return EvaluationError(f"unbound variable {name!r}")
+def _checked(trees: tuple[Expression, ...], env: Bindings) -> list[float]:
+    """Evaluate the trees one after another, checking each operation.
+
+    Raises the EvaluationError of the first operation that fails, or of the
+    first tree whose value is NaN.
+    """
+    values = []
+    for expr in trees:
+        stack: list[float] = []
+        for node in _postorder(expr):
+            tp = type(node)
+            if tp is Num:
+                value = node.value
+            elif tp is Var:
+                try:
+                    value = env[node.name]
+                except KeyError:
+                    raise EvaluationError(f"unbound variable {node.name!r}") from None
+            elif tp is Neg:
+                value = -stack.pop()
+            elif tp is BinOp:
+                u, a = stack.pop(), stack.pop()
+                if node.op == "/" and u == 0.0:
+                    raise EvaluationError("division by zero")
+                if node.op != "^":
+                    value = _ARITHMETIC[node.op](a, u)
+                else:
+                    try:
+                        value = math.pow(a, u)
+                    except _FAILURES as exc:
+                        raise EvaluationError(f"power domain error: {a!r}^{u!r}") from exc
+            else:
+                u = stack.pop()
+                name, fn = (node.func, FUNCTIONS[node.func]) if tp is Call else (node.name, node.fn)
+                try:
+                    value = float(fn(u))
+                except _FAILURES as exc:
+                    raise EvaluationError(f"{name} domain error at {u!r}") from exc
+            stack.append(value)
+        value = stack.pop()
+        if value != value:
+            raise EvaluationError("expression evaluated to NaN")
+        values.append(value)
+    return values
 
 
-# What lowered code refers to besides its own constants and Ufunc callables.
-_NAMESPACE = {
-    "_EvaluationError": EvaluationError,
-    "_domain_error": _domain_error,
-    "_power_error": _power_error,
-    "_unbound": _unbound,
-    "_pow": math.pow,
-    **{f"_{name}": fn for name, fn in FUNCTIONS.items()},
-}
+# What lowered code refers to besides its Ufunc callables and its checked walk.
+_NAMESPACE = {"_pow": math.pow, **{f"_{name}": fn for name, fn in FUNCTIONS.items()}}
 
 
 def _lower(trees: tuple[Expression, ...], params: tuple[str, ...] | None = None) -> Callable:
@@ -389,101 +437,64 @@ def _lower(trees: tuple[Expression, ...], params: tuple[str, ...] | None = None)
     operation to the same operand text as an earlier node reuses its
     temporary (operand text, not node equality: Num(-0.0) == Num(0.0), and
     Ufunc equality ignores the callable, which is named by its identity
-    here).  Each value is checked for NaN as soon as it is complete, so the
-    function raises the EvaluationError that evaluating the trees one after
-    another would raise first.  The traversal keeps its own stack, so tree
-    depth is not bounded by the interpreter's recursion limit.
+    here; a non-finite constant is spelled ``float('inf')``).  The body
+    checks nothing.  Where it raises ValueError, OverflowError,
+    ZeroDivisionError (float division by a zero of either sign) or KeyError
+    (an unbound variable), or a value comes out NaN, the function returns
+    what the checked walk of the same trees returns: so it raises the
+    EvaluationError that evaluating the trees one after another raises first.
     """
-    namespace = dict(_NAMESPACE)
-    slots: dict[tuple, str] = {}  # a non-finite constant or a Ufunc callable -> its name
-
-    def slot(key: tuple, value) -> str:
-        if key not in slots:
-            slots[key] = f"_s{len(slots)}"
-            namespace[slots[key]] = value
-        return slots[key]
-
+    if params is None:
+        walk = lambda env: _checked(trees, env)[0]
+    else:
+        walk = lambda *values: tuple(_checked(trees, dict(zip(params, values))))
+    namespace = {**_NAMESPACE, "_walk": walk}
     body: list[str] = []
     local_of = {name: f"v{i}" for i, name in enumerate(params or ())}
-    temp_of: dict[tuple, str] = {}  # (operation, error) as source text -> temporary
+    temp_of: dict[str, str] = {}  # operation as source text -> temporary
     results: list[str] = []
     for expr in trees:
         operands: list[str] = []  # the value of each finished subtree, as source text
-        pending = [(expr, False)]
-        while pending:
-            node, children_done = pending.pop()
+        for node in _postorder(expr):
             tp = type(node)
             if tp is Num:
-                value = node.value
-                text = repr(value)
-                operands.append(text if math.isfinite(value) else slot(("k", text), value))
+                text = repr(node.value)
+                operands.append(text if math.isfinite(node.value) else f"float({text!r})")
                 continue
             if tp is Var:
                 local = local_of.get(node.name)
-                if local is None:
+                if local is None:  # not a parameter: read at first use; positionally it is unbound
                     local = local_of[node.name] = f"v{len(local_of)}"
-                    if params is None:
-                        body += [
-                            "try:",
-                            f"    {local} = env[{node.name!r}]",
-                            "except KeyError:",
-                            f"    raise _unbound({node.name!r}) from None",
-                        ]
-                    else:  # not a parameter: unbound, as evaluate would find it
-                        body.append(f"raise _unbound({node.name!r})")
+                    body.append(f"{local} = {'env' if params is None else '{}'}[{node.name!r}]")
                 operands.append(local)
                 continue
-            if tp not in (BinOp, Neg, Call, Ufunc):
-                raise TypeError(f"not an expression node: {node!r}")
-            if not children_done:
-                pending.append((node, True))
-                if tp is BinOp:
-                    pending += [(node.rhs, False), (node.lhs, False)]
-                else:
-                    pending.append((node.operand if tp is Neg else node.arg, False))
-                continue
             u = operands.pop()
-            fail = None  # the error a failing operation raises
             if tp is BinOp:
                 a = operands.pop()
-                op = f"{a} {node.op} {u}"
-                if node.op == "^":
-                    op, fail = f"_pow({a}, {u})", f"_power_error({a}, {u})"
+                op = f"_pow({a}, {u})" if node.op == "^" else f"{a} {node.op} {u}"
             elif tp is Neg:
                 op = f"-{u}"
             elif tp is Call:
-                op, fail = f"_{node.func}({u})", f"_domain_error({node.func!r}, {u})"
+                op = f"_{node.func}({u})"
             else:
-                fn = slot(("u", id(node.fn)), node.fn)
-                op, fail = f"float({fn}({u}))", f"_domain_error({node.name!r}, {u})"
-            out = temp_of.get((op, fail))
+                namespace[f"_u{id(node.fn)}"] = node.fn
+                op = f"float(_u{id(node.fn)}({u}))"
+            out = temp_of.get(op)
             if out is None:
-                out = temp_of[op, fail] = f"t{len(temp_of)}"
-                if tp is BinOp and node.op == "/":
-                    body += [f"if {u} == 0.0:", "    raise _EvaluationError('division by zero')"]
-                if fail is None:
-                    body.append(f"{out} = {op}")
-                else:  # math raises no ZeroDivisionError; a Ufunc's callable may
-                    body += [
-                        "try:",
-                        f"    {out} = {op}",
-                        "except (ValueError, OverflowError, ZeroDivisionError) as exc:",
-                        f"    raise {fail} from exc",
-                    ]
+                out = temp_of[op] = f"t{len(temp_of)}"
+                body.append(f"{out} = {op}")
             operands.append(out)
-        result = operands.pop()
-        if result not in results:
-            body += [
-                f"if {result} != {result}:",
-                "    raise _EvaluationError('expression evaluated to NaN')",
-            ]
-        results.append(result)
-    if params is None:
-        head, body = "env", body + [f"return {results[0]}"]
-    else:
-        head = ", ".join(local_of[p] for p in params)
-        body.append(f"return ({', '.join(results)},)")
-    source = f"def lowered({head}):\n" + "".join(f"    {line}\n" for line in body)
+        results.append(operands.pop())
+    head = "env" if params is None else ", ".join(local_of[p] for p in params)
+    nan = " or ".join(f"{r} != {r}" for r in dict.fromkeys(results))
+    value = results[0] if params is None else f"({', '.join(results)},)"
+    source = "".join([
+        f"def lowered({head}):\n    try:\n",
+        *(f"        {line}\n" for line in body or ["pass"]),
+        "    except (ValueError, OverflowError, ZeroDivisionError, KeyError):\n",
+        f"        return _walk({head})\n",
+        f"    return _walk({head}) if {nan} else {value}\n",
+    ])
     exec(compile(source, "<expression>", "exec"), namespace)
     return namespace["lowered"]
 
@@ -505,12 +516,18 @@ def evaluate(expr: Expression, env: Bindings | None = None) -> float:
     Domain failures (square root of a negative, log of a non-positive,
     division by zero, unbound variables) raise EvaluationError rather than
     returning NaN.  The tree is compiled on its first evaluation and the
-    function kept on the root; later calls run it.
+    function kept on the root; later calls run it.  A literal is not
+    compiled: its function returns the value, or the walk's error for NaN.
     """
     try:
         fn = expr._lowered
     except AttributeError:
-        fn = _lower((expr,))
+        if type(expr) is not Num:
+            fn = _lower((expr,))
+        elif expr.value == expr.value:
+            fn = lambda env, value=expr.value: value
+        else:
+            fn = lambda env: _checked((expr,), env)[0]
         object.__setattr__(expr, "_lowered", fn)
     return fn(env if env is not None else {})
 

@@ -72,12 +72,6 @@ def _check_linearizable(spec) -> LinearizableSpec:
     raise TypeError(f"cannot linearize a {type(spec).__name__}")
 
 
-def _structure_terms(spec: LinearizableSpec, theta: float, ell: float) -> tuple[float, float, float]:
-    """(a, b, c) = (-L A, B, C) at (theta, L): the right side a psi' + b psi + c on shell."""
-    env = {"theta": theta, "L": ell}
-    return -ell * evaluate(spec.A, env), evaluate(spec.B, env), evaluate(spec.C, env)
-
-
 class LinearODE:
     """Coefficients of the linear equation in psi(theta) at a fixed invariant level.
 
@@ -99,7 +93,7 @@ class LinearODE:
         h = math.sqrt(2.0 * gap) if gap > tol else momentum_from_gap(theta, self.invariant, gap)
         ell = self.branch_sign * h
         A, b, c, f, dv = self.spec.linear_terms(theta, ell)
-        a = -ell * A  # as in _structure_terms
+        a = -ell * A  # the right side is a psi' + b psi + c, a = -L A
         p2 = 2.0 * gap
         # h dh/dtheta = -dV/dtheta exactly
         return h, p2, -dv - a, p2 + f - b, c, dv
@@ -484,21 +478,18 @@ def verify_compatibility(spec: LinearizableSpec, state: PolarState) -> float:
         rho_ddv = evaluate(spec.rho_derivatives[1], {"t": state.t})
         if rho_v == 0.0:
             raise EvaluationError(f"rho vanished at t={state.t!r}")
-        a, b, c = _structure_terms(spec, state.theta, state.angular_momentum)
-        w2 = evaluate(
-            spec.omega_sq,
-            {
-                "t": state.t,
-                "r": state.r,
-                "theta": state.theta,
-                "rdot": state.rdot,
-                "thetadot": state.thetadot,
-            },
-        )
+        ell = state.angular_momentum
+        try:  # the spec's compiled tuples, which also evaluate F and dV/dtheta
+            A, b, c = spec.linear_terms(state.theta, ell)[:3]
+            w2 = spec.polar_terms(state.t, state.r, state.theta, state.rdot, state.thetadot)[0]
+        except EvaluationError:  # F or dV/dtheta may fail alone: evaluate what the check reads
+            env = {"t": state.t, "r": state.r, "theta": state.theta, "rdot": state.rdot,
+                   "thetadot": state.thetadot, "L": ell}
+            A, b, c, w2 = (evaluate(e, env) for e in (spec.A, spec.B, spec.C, spec.omega_sq))
         lhs = rho_v**3 * (rho_ddv + w2 * rho_v) / psi**3
     except ArithmeticError as exc:  # r**2 or psi**3 overflows, or underflows to a zero divisor
         raise LinearizationError(f"no compatibility residual at r={state.r!r}: {exc}") from exc
-    rhs = a * dpsi + b * psi + c
+    rhs = -ell * A * dpsi + b * psi + c
     return abs(lhs - rhs)
 
 

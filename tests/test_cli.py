@@ -539,6 +539,59 @@ class TestReconstruct:
         assert resid <= 1e-8
 
 
+class TestCompiles:
+    """A command compiles each tuple of trees its spec holds once, and no literal."""
+
+    RHO_T = {
+        "system": {"kind": "linearizable", "functions": {
+            "rho": "1 + 0.1*t^2", "A": "sin(theta)", "B": "L", "C": "0.8", "F": "0",
+            "V": "0.3*sin(theta)^2"}},
+        "initial_state": {"coords": "polar", "r": 1.05, "theta": 1.0, "rdot": 0.1, "thetadot": 1.3},
+        "t_span": [0.0, 1.2],
+    }
+    FREE_MOTION = {
+        "system": {"kind": "free_motion", "functions": {"f": "0.5*u", "rho": "1 + 0.1*t"}},
+        "initial_state": {"coords": "polar", "r": 1.0, "theta": 0.77, "rdot": -0.2, "thetadot": 1.0},
+        "t_span": [0.0, 0.12],
+        "samples": 8,
+    }
+    KEPLER = {
+        "system": {"kind": "kepler", "functions": {
+            "F": "0.4 + 0.1*cos(theta)^2", "G": "1", "V": "0.2*cos(theta)^2"}},
+        "initial_state": {"coords": "polar", "r": 1.0, "theta": 1.0, "rdot": 0.05, "thetadot": 1.3},
+        "t_span": [0.0, 1.5],
+        "samples": 12,
+    }
+
+    @staticmethod
+    def _lowered(monkeypatch, tmp_path, command, cfg):
+        """The spec the config builds, and the tuples of trees the command lowers."""
+        import ermakov.expressions as expressions
+
+        real, calls = expressions._lower, []
+        monkeypatch.setattr(
+            expressions, "_lower", lambda trees, *rest: calls.append(trees) or real(trees, *rest)
+        )
+        path = _write(tmp_path, "run.json", cfg)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        return build_spec(load_config(path)), calls
+
+    @pytest.mark.parametrize("cfg", [RHO_T, FREE_MOTION], ids=["rho-t", "free-motion"])
+    def test_validate_reads_the_compatibility_terms_from_the_spec_tuples(
+        self, monkeypatch, tmp_path, cfg
+    ):
+        spec, calls = self._lowered(monkeypatch, tmp_path, "validate", cfg)
+        alone = [(spec.A,), (spec.B,), (spec.C,), (spec.omega_sq,)]
+        assert [trees for trees in calls if trees in alone] == []
+        assert len(calls) <= 5
+
+    def test_reconstruct_on_kepler_lowers_two_functions(self, monkeypatch, tmp_path):
+        # V for the domain scan and (A, B, C, F, dV/dtheta); rho = 1 and rho' = 0 are literals
+        spec, calls = self._lowered(monkeypatch, tmp_path, "reconstruct", self.KEPLER)
+        assert calls == [(spec.V,), (spec.A, spec.B, spec.C, spec.F, spec.dV)]
+
+
 class TestValidate:
     def test_alternating_specs_build_each_frequency_once(self, monkeypatch):
         # each spec keeps its own induced frequency, whichever spec came last

@@ -151,6 +151,16 @@ class TestEvaluate:
         with pytest.raises(EvaluationError, match="unbound variable 'q'"):
             evaluate(parse("q + sqrt(-1)"))
 
+    def test_literal_is_not_compiled(self, monkeypatch):
+        monkeypatch.setattr(expressions, "_lower", lambda *args: pytest.fail(f"lowered {args}"))
+        zero = Num(-0.0)
+        assert math.copysign(1.0, evaluate(zero, {"x": 1.0})) == -1.0
+        assert callable(vars(zero)["_lowered"])  # the domain scan calls it directly
+        nan = Num(math.nan)
+        for _ in range(2):  # the first evaluation, then the function kept on the node
+            with pytest.raises(EvaluationError, match="expression evaluated to NaN"):
+                evaluate(nan)
+
     def test_tree_deeper_than_the_recursion_limit_evaluates(self):
         e = Var("x")
         for _ in range(20_000):
@@ -567,6 +577,10 @@ def _tree_tuples(draw):
     return trees
 
 
+def _missing_key(w):
+    return {}[w]
+
+
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
 @given(
     trees=_tree_tuples(),
@@ -577,6 +591,14 @@ def _tree_tuples(draw):
 )
 @example(trees=[parse("x*-0.0"), parse("x*0.0")], params=["x"], values=[1.0] * 5)
 @example(trees=[parse("sqrt(x)"), parse("sqrt(x) + q")], params=["x"], values=[4.0] * 5)
+# the unchecked body of a lowered function leaves each of these to its checked walk
+@example(trees=[parse("x + 1"), parse("y / x")], params=["x", "theta", "t", "u"], values=[2.0] * 5)
+@example(trees=[parse("x - x"), parse("sqrt(-x)")], params=["x"], values=[math.inf] * 5)
+@example(trees=[parse("x / -0.0")], params=["x"], values=[1.0] * 5)
+@example(trees=[parse("x / y"), parse("x")], params=["x", "y"], values=[1.0, -0.0, 0.0, 0.0, 0.0])
+@example(trees=[parse("x + 1"), parse("exp(x)")], params=["x"], values=[1e200] * 5)
+@example(trees=[Ufunc("R", Var("x"), _UFUNCS[0][1])], params=["x"], values=[0.0] * 5)
+@example(trees=[parse("x"), Ufunc("K", Var("x"), _missing_key)], params=["x"], values=[0.5] * 5)
 def test_property_lowered_tuple_matches_evaluating_each_tree(trees, params, values):
     env = dict(zip(params, values))
 
@@ -590,8 +612,8 @@ def test_property_lowered_tuple_matches_evaluating_each_tree(trees, params, valu
     for run in (lambda: lower(trees, params)(*values[: len(params)]), one_by_one, walked):
         try:
             outcomes.append(_hexes(run()))
-        except EvaluationError as exc:
-            outcomes.append(str(exc))
+        except Exception as exc:  # a Ufunc's KeyError propagates as it is
+            outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1] == outcomes[2]
 
 

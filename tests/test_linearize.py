@@ -391,6 +391,42 @@ class TestCompatibility:
         )
         assert verify_compatibility(spec, ek.PolarState(1.2, 0.9, 0.3, 1.1)) <= 1e-12
 
+    @staticmethod
+    def _residual_tree_by_tree(spec, state):
+        """The residual from evaluating rho, its derivatives, A, B, C and the frequency one at a time."""
+        rho_v, rho_dv, rho_ddv = (evaluate(e, {"t": state.t}) for e in (spec.rho, *spec.rho_derivatives))
+        psi = rho_v / state.r
+        dpsi = -(rho_v * state.rdot - rho_dv * state.r) / (state.r**2 * state.thetadot)
+        ell = state.angular_momentum
+        env = {"t": state.t, "r": state.r, "theta": state.theta, "rdot": state.rdot,
+               "thetadot": state.thetadot, "L": ell}
+        A, B, C, w2 = (evaluate(e, env) for e in (spec.A, spec.B, spec.C, spec.omega_sq))
+        lhs = rho_v**3 * (rho_ddv + w2 * rho_v) / psi**3
+        return abs(lhs - (-ell * A * dpsi + B * psi + C))
+
+    @pytest.mark.parametrize("F, V", [("1/(theta - 1)", "0.3*sin(theta)^2"), ("0", "sqrt(theta - 1)")])
+    def test_failing_F_or_slope_leaves_the_residual_bit_for_bit(self, F, V):
+        # the spec's compiled tuples also hold F and dV/dtheta, which fail at theta = 1
+        spec = ek.LinearizableSpec(rho="1 + 0.1*t^2", A="sin(theta)", B="L", C="0.8", F=F, V=V)
+        state = ek.PolarState(1.05, 1.0, 0.1, 1.3, t=0.4)
+        for terms in (partial(spec.linear_terms, 1.0, state.angular_momentum),
+                      partial(spec.polar_terms, 0.4, 1.05, 1.0, 0.1, 1.3)):
+            with pytest.raises(ek.EvaluationError, match="division by zero"):
+                terms()
+        expected = self._residual_tree_by_tree(spec, state).hex()
+        assert verify_compatibility(spec, state).hex() == expected
+
+    @pytest.mark.parametrize(
+        "A, r, message",
+        [("1/(theta - 1)", 1.05, "division by zero"), ("0", 1e100, "power domain error: 1e+100^4.0")],
+        ids=["A", "frequency"],
+    )
+    def test_failing_structure_function_or_frequency_raises_its_error(self, A, r, message):
+        spec = ek.LinearizableSpec(rho="1", A=A, B="L", C="1", F="0", V="0")
+        with pytest.raises(ek.EvaluationError) as info:
+            verify_compatibility(spec, ek.PolarState(r, 1.0, 0.1, 1.3))
+        assert str(info.value) == message
+
     def test_tampered_structure_function_detected(self):
         # shift A on the frequency side only: the residual must move away
         # from zero by roughly the size of the injected term
