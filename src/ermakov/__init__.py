@@ -36,7 +36,6 @@ from .linearize import (
     LinearSolution,
     LinearizationError,
     OutsideWindowError,
-    QuadratureSolution,
     build_linear_ode,
     build_pipeline,
     solve_from_state,

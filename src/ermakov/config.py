@@ -304,26 +304,32 @@ def load_config(source) -> RunConfig:
 
 
 def build_spec(cfg: RunConfig) -> PolarSpec | LinearizableSpec:
-    """The polar-family spec a config describes, built once per run."""
+    """The polar-family spec a config describes, built once per run.
+
+    Building a spec evaluates nothing: a constructor's ValueError is the config's fault.
+    """
     fns = cfg.system.functions
     kind = cfg.system.kind
-    if kind == "cartesian":
-        return polar_from_cartesian(CartesianSpec(f=fns["f"], g=fns["g"], omega_sq=fns["omega2"]))
-    if kind == "polar":
-        return PolarSpec(F=fns["F"], V=fns["V"], omega_sq=fns["omega2"])
-    if kind == "linearizable":
-        return LinearizableSpec(
-            rho=fns["rho"], A=fns["A"], B=fns["B"], C=fns["C"], F=fns["F"], V=fns["V"]
-        )
-    if kind == "kepler":
-        return kepler_ermakov_system(F=fns["F"], G=fns["G"], V=fns["V"])
-    if kind == "winternitz":
-        p = cfg.system.params
-        return winternitz_system(
-            WinternitzParams(mu0=p["mu0"], g1=p["g1"], g2=p["g2"], g3=p["g3"])
-        )
-    if kind == "free_motion":
-        return free_motion_system(fns["f"], fns["rho"])
+    try:
+        if kind == "cartesian":
+            return polar_from_cartesian(CartesianSpec(f=fns["f"], g=fns["g"], omega_sq=fns["omega2"]))
+        if kind == "polar":
+            return PolarSpec(F=fns["F"], V=fns["V"], omega_sq=fns["omega2"])
+        if kind == "linearizable":
+            return LinearizableSpec(
+                rho=fns["rho"], A=fns["A"], B=fns["B"], C=fns["C"], F=fns["F"], V=fns["V"]
+            )
+        if kind == "kepler":
+            return kepler_ermakov_system(F=fns["F"], G=fns["G"], V=fns["V"])
+        if kind == "winternitz":
+            p = cfg.system.params
+            return winternitz_system(
+                WinternitzParams(mu0=p["mu0"], g1=p["g1"], g2=p["g2"], g3=p["g3"])
+            )
+        if kind == "free_motion":
+            return free_motion_system(fns["f"], fns["rho"])
+    except ValueError as exc:
+        raise ConfigError("system", str(exc)) from exc
     raise ConfigError("system.kind", f"unhandled kind {kind!r}")
 
 

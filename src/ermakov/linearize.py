@@ -41,7 +41,6 @@ __all__ = [
     "LinearSolution",
     "LinearizationError",
     "OutsideWindowError",
-    "QuadratureSolution",
     "auto_theta_domain",
     "build_linear_ode",
     "build_pipeline",
@@ -97,10 +96,6 @@ class LinearODE:
         p2 = 2.0 * gap
         # h dh/dtheta = -dV/dtheta exactly
         return h, p2, -dv - a, p2 + f - b, c, dv
-
-    def coefficients(self, theta: float) -> tuple[float, float, float, float]:
-        """(p2, p1, p0, rhs) at theta, from the potential evaluated there."""
-        return self.terms(theta, self.gap(theta))[1:5]
 
 
 def build_linear_ode(
@@ -229,97 +224,34 @@ def auto_theta_domain(V, invariant, theta0: float, sides=(True, True)) -> tuple[
 _PSI_FLOOR_REL = 1e-4  # a timed run stops where psi falls to this share of psi0
 
 
-class _SidedRuns:
-    """Dense output of the angle runs that leave theta0 on each side.
-
-    ``up`` and ``down`` hold the run in each direction, or None where
-    nothing was solved; a row is the run's state vector at theta, ``y0`` at
-    theta0 itself.  ``inverse`` reads a column that is 0 at theta0 and
-    increases with theta: it finds the step by its node values and solves
-    that step's interpolant by Newton's method with its exact slope, falling
-    back to bisection.  Results depend only on the stored runs, never on the
-    order of queries.
-    """
-
-    def __init__(self, x0: float, y0: list[float], up: Trajectory | None, down: Trajectory | None):
-        self.x0, self.y0, self.up, self.down = x0, y0, up, down
-
-    @property
-    def window(self) -> tuple[float, float]:
-        lo = self.down.t_end if self.down else self.x0
-        hi = self.up.t_end if self.up else self.x0
-        return lo, hi
-
-    def row(self, x: float) -> list[float]:
-        x = float(x)
-        if x == self.x0:
-            return self.y0
-        run = self.up if x > self.x0 else self.down
-        lo, hi = self.window
-        if not (run and lo - 1e-12 <= x <= hi + 1e-12):
-            raise OutsideWindowError(f"theta={x!r} outside the window [{lo}, {hi}]")
-        return run.at(x)
-
-    def inverse(self, v: float, column: int) -> float:
-        """The theta whose row holds v in ``column``."""
-        v = float(v)
-        if v == 0.0:
-            return self.x0
-        lo, hi = (r.ys[-1][column] if r else 0.0 for r in (self.down, self.up))
-        if not lo <= v <= hi:
-            edge = self.window[1 if v > 0.0 else 0]
-            raise OutsideWindowError(
-                f"requested time maps beyond theta={edge!r} (window edge or turning point)"
-            )
-        run = self.up if v > 0.0 else self.down
-        # node values in the run's own direction, increasing from 0
-        sign = 1.0 if v > 0.0 else -1.0
-        i = bisect_left(run.ys, sign * v, key=lambda y: sign * y[column])
-        v_prev, v_next = sign * run.ys[i - 1][column], sign * run.ys[i][column]
-        x_prev, x_next = run.ts[i - 1], run.ts[i]
-        x = x_prev + (x_next - x_prev) * (sign * v - v_prev) / (v_next - v_prev)
-        a, b = min(x_prev, x_next), max(x_prev, x_next)
-        for _ in range(100):
-            value, slope = run.at_with_slope(x)
-            f, slope = value[column] - v, slope[column]
-            if f == 0.0:
-                return x
-            if f < 0.0:
-                a = x
-            else:
-                b = x
-            # Newton step, or bisection where it fails or leaves the bracket
-            x_new = x - f / slope if slope > 0.0 else math.nan
-            if not a <= x_new <= b:
-                x_new = 0.5 * (a + b)
-            if abs(x_new - x) <= 1e-15 * max(1.0, abs(x)):
-                return x_new
-            x = x_new
-        return x
+def _reach(clock, branch_sign: int) -> tuple[float, float]:
+    """How far the time of ``clock`` = (t0, t_window) reaches below and above theta0."""
+    t0, (lo, hi) = clock
+    return (t0 - lo, hi - t0)[::branch_sign]
 
 
-def _solve_run(ode: LinearODE, theta0, y0, theta1, clock=None) -> Trajectory | None:
+def _solve_run(ode: LinearODE, theta0, y0, theta1, timing=None) -> Trajectory | None:
     """Integrate from theta0 towards theta1: [psi, psi', W, g], or [psi, psi', T, W, g].
 
     The gap g = I - V(theta) rides along with g' = -dV/dtheta, so no step
-    evaluates the potential itself.  Given a ``clock`` = (t0, reach), the
+    evaluates the potential itself.  Given a ``timing`` = (t0, reach), the
     time T = branch_sign*(t - t0) rides along too, with
     T' = rho(t)^2/(h psi^2), and the run ends where psi falls to 1e-4 psi0
     or after the step where |T| first reaches ``reach`` (0: no run).  That
     step reads rho past the reach; where rho has no value there, its value
     at the reach stands in.
     """
-    if theta1 == theta0 or (clock and clock[1] == 0.0):
+    if theta1 == theta0 or (timing and timing[1] == 0.0):
         return None
     terms = ode.terms
     events, until = (), None
-    if clock is None:
+    if timing is None:
         def rhs(th, y):
             psi, dpsi, w, gap = y
             h, p2, p1, p0, c, dv = terms(th, gap)
             return dpsi, (c - p1 * dpsi - p0 * psi) / p2, -p1 / p2 * w, -dv
     else:
-        t0, reach = clock
+        t0, reach = timing
         rho, branch = ode.spec.rho, ode.branch_sign
         rho_c = None  # a constant rho is read once; where it has no value, each stage fails
         with suppress(EvaluationError):
@@ -356,25 +288,97 @@ def _solve_run(ode: LinearODE, theta0, y0, theta1, clock=None) -> Trajectory | N
 class LinearSolution:
     """Solution psi of the linear ODE with given data (psi0, psi'0) at theta0.
 
-    One run per direction carries psi, psi', Abel's Wronskian factor W of
-    the identity basis (W' = -(p1/p2) W, W(theta0) = 1) and the gap
-    g = I - V(theta), over the whole domain: ``path`` rows are
-    (psi, psi', W, g).  A solve for the time reconstruction also carries
-    the time T = branch_sign*(t - t0) at which the trajectory reaches each
-    angle, and ends where psi falls to 1e-4 psi0 or where T reaches a time
-    window's end; its rows are (psi, psi', T, W, g).
+    ``up`` and ``down`` are the dense runs leaving theta0 each way, or None
+    where nothing was solved.  A run carries psi, psi', Abel's Wronskian
+    factor W of the identity basis (W' = -(p1/p2) W, W(theta0) = 1) and the
+    gap g = I - V(theta): a row is (psi, psi', W, g), ``y0`` at theta0.  A
+    solve with a ``clock`` = (t0, t_window) also carries the time
+    T = branch_sign*(t - t0) at which the trajectory reaches each angle, and
+    ends where psi falls to 1e-4 psi0 or T reaches the window's end; its
+    rows are (psi, psi', T, W, g), and ``theta_at`` inverts column 2.
     """
 
-    def __init__(self, ode: LinearODE, theta0: float, path: _SidedRuns):
-        self.ode, self.theta0, self.path = ode, theta0, path
+    def __init__(self, ode: LinearODE, theta0: float, y0: list[float], up, down, clock=None):
+        self.ode, self.theta0, self.y0, self.up, self.down, self.clock = ode, theta0, y0, up, down, clock
+
+    @property
+    def window(self) -> tuple[float, float]:
+        lo = self.down.t_end if self.down else self.theta0
+        hi = self.up.t_end if self.up else self.theta0
+        return lo, hi
+
+    def row(self, theta: float) -> list[float]:
+        x = float(theta)
+        if x == self.theta0:
+            return self.y0
+        run = self.up if x > self.theta0 else self.down
+        lo, hi = self.window
+        if not (run and lo - 1e-12 <= x <= hi + 1e-12):
+            raise OutsideWindowError(f"theta={x!r} outside the window [{lo}, {hi}]")
+        return run.at(x)
 
     def psi(self, theta: float) -> float:
-        return self.path.row(theta)[0]
+        return self.row(theta)[0]
 
     def coefficients(self, theta: float) -> tuple[float, float, float, float, float]:
         """(p2, p1, p0, rhs, psi) at theta, from the gap carried along the solve."""
-        row = self.path.row(theta)
+        row = self.row(theta)
         return (*self.ode.terms(theta, row[-1])[1:5], row[0])
+
+    def theta_at(self, t: float) -> float:
+        """The unique angle whose time column holds branch_sign*(t - t0), for t in ``t_window``.
+
+        The step is found by its node values and its interpolant solved by
+        Newton's method with its exact slope, falling back to bisection.
+        Results depend only on the stored runs, never on the order of queries.
+        """
+        if self.clock is None:
+            raise LinearizationError("the linear solve carries no time column: give it a clock")
+        t = float(t)
+        t0, (t_lo, t_hi) = self.clock
+        if not t_lo <= t <= t_hi:
+            raise OutsideWindowError(f"t={t!r} outside the time window [{t_lo}, {t_hi}]")
+        v = self.ode.branch_sign * (t - t0)
+        if v == 0.0:
+            return self.theta0
+        lo, hi = (r.ys[-1][2] if r else 0.0 for r in (self.down, self.up))
+        if not lo <= v <= hi:
+            edge = self.window[1 if v > 0.0 else 0]
+            raise OutsideWindowError(
+                f"requested time maps beyond theta={edge!r} (window edge or turning point)"
+            )
+        run = self.up if v > 0.0 else self.down
+        # node values in the run's own direction, increasing from 0
+        sign = 1.0 if v > 0.0 else -1.0
+        i = bisect_left(run.ys, sign * v, key=lambda y: sign * y[2])
+        v_prev, v_next = sign * run.ys[i - 1][2], sign * run.ys[i][2]
+        x_prev, x_next = run.ts[i - 1], run.ts[i]
+        x = x_prev + (x_next - x_prev) * (sign * v - v_prev) / (v_next - v_prev)
+        a, b = min(x_prev, x_next), max(x_prev, x_next)
+        for _ in range(100):
+            value, slope = run.at_with_slope(x)
+            f, slope = value[2] - v, slope[2]
+            if f == 0.0:
+                return x
+            if f < 0.0:
+                a = x
+            else:
+                b = x
+            # Newton step, or bisection where it fails or leaves the bracket
+            x_new = x - f / slope if slope > 0.0 else math.nan
+            if not a <= x_new <= b:
+                x_new = 0.5 * (a + b)
+            if abs(x_new - x) <= 1e-15 * max(1.0, abs(x)):
+                return x_new
+            x = x_new
+        return x
+
+    def r_at(self, t: float, theta: float) -> float:
+        """Radius rho(t) / psi(theta) at a time t whose angle theta = theta_at(t) is known."""
+        psi = self.psi(theta)
+        if not psi > 0.0:
+            raise LinearizationError(f"psi({theta!r}) = {psi!r} is not positive")
+        return evaluate(self.ode.spec.rho, {"t": t}) / psi
 
 
 def solve_linear(
@@ -386,12 +390,12 @@ def solve_linear(
 ) -> LinearSolution:
     """Solve the linear ODE matching (psi0, dpsi0) at theta0 on the ODE domain.
 
-    Given ``clock`` = (t0, reach), the solve also carries the time
+    Given ``clock`` = (t0, t_window), the solve also carries the time
     T = branch_sign*(t - t0), from T' = rho(t)^2/(h psi^2): the angle
     quadrature integral of 1/(h psi^2) equals branch_sign times the time
-    quadrature integral of 1/rho^2.  ``reach`` = (before, after) is how far
-    the time must reach before and after t0, and each side of theta0 is cut
-    where |T| reaches its share; the time needs psi0 > 0.
+    quadrature integral of 1/rho^2.  The window holds t0, and each side of
+    theta0 is cut where |T| reaches the window's end on that side; the time
+    needs psi0 > 0.
     Raises LinearizationError if Abel's factor W stops being positive, i.e.
     the homogeneous solutions become linearly dependent.
     """
@@ -404,48 +408,13 @@ def solve_linear(
         down = up = None
     elif psi0 > 0.0:
         y0 = [psi0, dpsi0, 0.0, 1.0, gap0]
-        t0, reach = clock
-        down, up = ((t0, r) for r in reach[:: ode.branch_sign])  # below and above theta0
+        down, up = ((clock[0], r) for r in _reach(clock, ode.branch_sign))
     else:
         raise LinearizationError(f"psi({theta0!r}) = {psi0!r} is not positive")
     runs = (_solve_run(ode, theta0, y0, hi, up), _solve_run(ode, theta0, y0, lo, down))
     if not all(0.0 < y[-2] < math.inf for traj in runs if traj for y in traj.ys):  # Abel factor W
         raise LinearizationError("homogeneous solutions became linearly dependent")
-    return LinearSolution(ode=ode, theta0=theta0, path=_SidedRuns(theta0, y0, *runs))
-
-
-# ---------------------------------------------------------------------------
-# Angle and time maps
-# ---------------------------------------------------------------------------
-
-class QuadratureSolution:
-    """The linearized route for one trajectory: the angle map and the radius.
-
-    Column 2 of the solve holds T = branch_sign*(t - t0), the time at which
-    the trajectory reaches each angle; it is strictly increasing in theta,
-    so theta(t) inverts it.  Times outside the span ``t_window`` (t0
-    included) raise OutsideWindowError.  The radius is r = rho/psi.
-    """
-
-    def __init__(self, solution: LinearSolution, t0: float, t_window: tuple[float, float]):
-        if len(solution.path.y0) != 5:  # rows (psi, psi', W, g)
-            raise LinearizationError("the linear solve carries no time column: give it a clock")
-        self.solution, self.t0, self.t_window = solution, t0, t_window
-
-    def theta_at(self, t: float) -> float:
-        """The unique angle whose time column holds branch_sign*(t - t0)."""
-        t = float(t)
-        lo, hi = self.t_window
-        if not lo <= t <= hi:
-            raise OutsideWindowError(f"t={t!r} outside the time window [{lo}, {hi}]")
-        return self.solution.path.inverse(self.solution.ode.branch_sign * (t - self.t0), 2)
-
-    def r_at(self, t: float, theta: float) -> float:
-        """Radius rho(t) / psi(theta) at a time t whose angle theta = theta_at(t) is known."""
-        psi = self.solution.psi(theta)
-        if not psi > 0.0:
-            raise LinearizationError(f"psi({theta!r}) = {psi!r} is not positive")
-        return evaluate(self.solution.ode.spec.rho, {"t": t}) / psi
+    return LinearSolution(ode, theta0, y0, *runs, clock)
 
 
 # ---------------------------------------------------------------------------
@@ -493,14 +462,12 @@ def verify_compatibility(spec: LinearizableSpec, state: PolarState) -> float:
     return abs(lhs - rhs)
 
 
-def _linear_problem(
-    spec, state0: PolarState, theta_domain, reach=(math.inf, math.inf)
-) -> tuple[LinearODE, float, float]:
+def _linear_problem(spec, state0: PolarState, theta_domain, clock=None) -> tuple[LinearODE, float, float]:
     """The linear ODE through ``state0`` and its initial data (psi0, psi'0).
 
     A scanned domain is used as found; ``build_linear_ode`` checks one handed in.
-    The scan skips an angle side that the time ``reach`` = (before, after) of
-    the solve leaves at 0.
+    The scan skips an angle side that the time of ``clock`` = (t0, t_window)
+    never reaches.
     """
     lin = _check_linearizable(spec)
     if state0.thetadot == 0.0:
@@ -510,7 +477,7 @@ def _linear_problem(
     if not math.isfinite(inv):
         raise LinearizationError(f"invariant level {inv!r} at the initial state is not finite")
     if theta_domain is None:
-        sides = [r != 0.0 for r in reach[::branch]]  # below and above theta0, as solve_linear maps them
+        sides = [r != 0.0 for r in _reach(clock, branch)] if clock else (True, True)
         ode = LinearODE(lin, inv, auto_theta_domain(lin.V, inv, state0.theta, sides), branch)
     else:
         ode = build_linear_ode(lin, inv, theta_domain, branch)
@@ -531,9 +498,7 @@ def solve_from_state(
     return solve_linear(ode, state0.theta, psi0, dpsi0)
 
 
-def build_pipeline(
-    spec, state0: PolarState, *, t_window: tuple[float, float]
-) -> QuadratureSolution:
+def build_pipeline(spec, state0: PolarState, *, t_window: tuple[float, float]) -> LinearSolution:
     """The linearized route for the trajectory through ``state0`` over ``t_window``.
 
     The angle run carries the time from state0.t and is solved only as far
@@ -545,10 +510,8 @@ def build_pipeline(
     raise instead of crossing turning points.
     """
     t0 = state0.t
-    span = (min(t0, *t_window), max(t0, *t_window))
-    reach = (t0 - span[0], span[1] - t0)
-    ode, psi0, dpsi0 = _linear_problem(spec, state0, None, reach)
+    clock = (t0, (min(t0, *t_window), max(t0, *t_window)))
+    ode, psi0, dpsi0 = _linear_problem(spec, state0, None, clock)
     if free_variables(ode.spec.rho):
         check_rho_nonzero(ode.spec.rho, t_window[0], t_window[1], 257, f"the time window {t_window!r}")
-    sol = solve_linear(ode, state0.theta, psi0, dpsi0, (t0, reach))
-    return QuadratureSolution(sol, t0, span)
+    return solve_linear(ode, state0.theta, psi0, dpsi0, clock)

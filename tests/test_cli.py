@@ -181,6 +181,22 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize(
+        "preset, path, value, message",
+        [
+            ("winternitz-default", ("params", "mu0"), -1, "mu0 must be a finite nonnegative number, got -1.0"),
+            ("free-motion-demo", ("functions", "rho"), "0", "rho vanishes identically"),
+        ],
+    )
+    def test_spec_a_constructor_rejects(self, tmp_path, capsys, command, preset, path, value, message):
+        # the config parses, but the spec it describes cannot be built
+        cfg = copy.deepcopy(PRESETS[preset])
+        cfg["system"][path[0]][path[1]] = value
+        cfg_path = _write(tmp_path, "c.json", cfg)
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: system: {message}\n"
+
 
 class TestSimulate:
     def test_winternitz_drift_and_exit_code(self, tmp_path, capsys):
@@ -381,13 +397,13 @@ class TestLinearize:
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_p2_column_is_twice_the_gap(self, tmp_path, preset):
-        # the rows read the gap I - V carried along the solve; LinearODE.coefficients evaluates V
+        # the rows read the gap I - V carried along the solve; ode.gap evaluates V
         out = tmp_path / "out"
         assert main(["linearize", "--preset", preset, "--out", str(out)]) == 0
         _, data = _read_csv(out / "linear_ode.csv")
         cfg = preset_config(preset)
         ode = solve_from_state(build_spec(cfg), cfg.polar_state).ode
-        direct = np.array([ode.coefficients(th)[0] for th in data[:, 0]])
+        direct = np.array([ode.terms(th, ode.gap(th))[1] for th in data[:, 0]])  # p2
         assert np.all(np.abs(data[:, 1] - direct) <= 1e-9 * (1.0 + np.abs(direct)))
 
     def test_theta_span_where_the_potential_is_undefined(self, tmp_path, capsys):
@@ -733,13 +749,13 @@ class TestValidate:
 
     def test_inverts_each_sample_time_once(self, tmp_path, monkeypatch):
         calls = []
-        real = linearize._SidedRuns.inverse
+        real = linearize.LinearSolution.theta_at
 
-        def counted(self, v, column):
-            calls.append(v)
-            return real(self, v, column)
+        def counted(self, t):
+            calls.append(t)
+            return real(self, t)
 
-        monkeypatch.setattr(linearize._SidedRuns, "inverse", counted)
+        monkeypatch.setattr(linearize.LinearSolution, "theta_at", counted)
         # a constant rho, and rho = 1 + 0.1 t^2, whose radius needs the time
         for command, cfg in [
             ("validate", _cheap_preset("winternitz-default")),

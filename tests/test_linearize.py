@@ -18,7 +18,6 @@ from ermakov.linearize import (
     LinearODE,
     LinearizationError,
     OutsideWindowError,
-    QuadratureSolution,
     auto_theta_domain,
     build_linear_ode,
     build_pipeline,
@@ -39,9 +38,12 @@ def _uniform_rotation_pieces():
     """
     spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="1", F="0", V="0")
     ode = build_linear_ode(spec, 0.5, (-6.0, 6.0))
-    sol = solve_linear(ode, 0.0, 1.0, 0.0, (0.0, (math.inf, math.inf)))
-    quad = QuadratureSolution(sol, 0.0, (-6.0, 6.0))
-    return spec, ode, sol, quad
+    return spec, ode, solve_linear(ode, 0.0, 1.0, 0.0, (0.0, (-6.0, 6.0)))
+
+
+def _coefficients(ode, theta):
+    """(p2, p1, p0, rhs) at theta, from the potential evaluated there."""
+    return ode.terms(theta, ode.gap(theta))[1:5]
 
 
 # a time window no run reaches the end of: each side ends at the psi floor or
@@ -54,15 +56,15 @@ class TestBuildLinearODE:
         spec = ek.LinearizableSpec(rho="cos(t)", A="0", B="0", C="0", F="0", V="0.3*sin(theta)^2")
         ode = build_linear_ode(spec, 1.0, (0.2, 2.9))
         assert ode.rhs_is_zero
-        assert all(ode.coefficients(th)[3] == 0.0 for th in np.linspace(0.3, 2.8, 9))
+        assert all(_coefficients(ode, th)[3] == 0.0 for th in np.linspace(0.3, 2.8, 9))
         # p1 = h dh/dtheta with a = 0
         th = 1.1
-        assert ode.coefficients(th)[1] == pytest.approx(-0.6 * math.sin(th) * math.cos(th), rel=1e-12)
+        assert _coefficients(ode, th)[1] == pytest.approx(-0.6 * math.sin(th) * math.cos(th), rel=1e-12)
 
     def test_kepler_is_driven(self, winternitz_spec):
         ode = build_linear_ode(winternitz_spec, 3.0, (1.0, 2.2))
         for th in np.linspace(1.0, 2.2, 7):
-            assert ode.coefficients(float(th))[3] == pytest.approx(
+            assert _coefficients(ode, float(th))[3] == pytest.approx(
                 evaluate(winternitz_spec.C, {}), rel=1e-14
             )
 
@@ -70,7 +72,7 @@ class TestBuildLinearODE:
         # V = F = 0 at level 1/2: the equation collapses to psi'' + psi = 0
         spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="0", F="0", V="0")
         ode = build_linear_ode(spec, 0.5, (-1.0, 1.0))
-        p2, p1, p0, _ = ode.coefficients(0.3)
+        p2, p1, p0, _ = _coefficients(ode, 0.3)
         assert p2 == pytest.approx(1.0, rel=1e-15)
         assert p1 == 0.0
         assert p0 == pytest.approx(1.0, rel=1e-15)
@@ -119,8 +121,8 @@ class TestSolveLinear:
         e1, e2 = solve_linear(ode, theta0, 1.0, 0.0), solve_linear(ode, theta0, 0.0, 1.0)
 
         def rows(theta):
-            p = particular.path.row(theta)
-            return [[a - b for a, b in zip(e.path.row(theta)[:2], p[:2])] for e in (e1, e2)]
+            p = particular.row(theta)
+            return [[a - b for a, b in zip(e.row(theta)[:2], p[:2])] for e in (e1, e2)]
 
         return particular, rows
 
@@ -146,7 +148,7 @@ class TestSolveLinear:
         w0 = wronskian(1.5)
         for th in np.linspace(1.1, 2.1, 7):
             factor = quad_adaptive(
-                lambda lam: ode.coefficients(lam)[1] / ode.coefficients(lam)[0], 1.5, float(th)
+                lambda lam: _coefficients(ode, lam)[1] / _coefficients(ode, lam)[0], 1.5, float(th)
             )
             assert wronskian(float(th)) * math.exp(factor) == pytest.approx(
                 w0, abs=1e-7, rel=1e-7
@@ -195,7 +197,7 @@ class TestWinternitzClosedForm:
         assert psi_c == pytest.approx(1.0 / 6.0, rel=1e-12)
         ode = build_linear_ode(spec, level, (1.0, 2.0))
         for th in (1.1, 1.5, 1.9):
-            _, _, p0, rhs = ode.coefficients(th)
+            _, _, p0, rhs = _coefficients(ode, th)
             assert p0 * psi_c == pytest.approx(rhs, rel=1e-12)
 
     def test_pure_trigonometric_when_undriven(self):
@@ -260,22 +262,22 @@ class TestWinternitzClosedForm:
 
 class TestTimeQuadrature:
     def test_uniform_rotation_is_linear_in_time(self):
-        _, _, sol, quad = _uniform_rotation_pieces()
+        _, _, sol = _uniform_rotation_pieces()
         for t in np.linspace(0.0, 4.0, 9):
-            assert quad.theta_at(float(t)) == pytest.approx(t, abs=1e-12)
+            assert sol.theta_at(float(t)) == pytest.approx(t, abs=1e-12)
 
     def test_round_trip_inverse(self):
-        _, _, sol, quad = _uniform_rotation_pieces()
+        _, _, sol = _uniform_rotation_pieces()
         for th in (0.3, 1.7, 3.9):
-            t = sol.path.row(th)[2]  # the time column, T = t - 0 on branch +1
-            assert quad.theta_at(t) == pytest.approx(th, abs=1e-10)
+            t = sol.row(th)[2]  # the time column, T = t - 0 on branch +1
+            assert sol.theta_at(t) == pytest.approx(th, abs=1e-10)
 
     def test_monotone_maps(self, winternitz_spec, winternitz_state):
         pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 2.0))
         thetas = [pipe.theta_at(t) for t in np.linspace(0.0, 2.0, 15)]
         assert all(b > a for a, b in zip(thetas, thetas[1:]))
-        inner = np.linspace(*pipe.solution.path.window, 9)[1:-1]
-        values = [pipe.solution.path.row(th)[2] for th in inner]
+        inner = np.linspace(*pipe.window, 9)[1:-1]
+        values = [pipe.row(th)[2] for th in inner]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_negative_branch(self):
@@ -302,9 +304,9 @@ class TestTimeQuadrature:
 
 class TestReconstruction:
     def test_uniform_rotation_radius(self):
-        _, _, sol, quad = _uniform_rotation_pieces()
+        _, _, sol = _uniform_rotation_pieces()
         for t in (1.2, 2.5):
-            assert quad.r_at(t, quad.theta_at(t)) == pytest.approx(1.0, abs=1e-12)
+            assert sol.r_at(t, sol.theta_at(t)) == pytest.approx(1.0, abs=1e-12)
 
     def test_winternitz_round_trip(self, winternitz_spec, winternitz_state, winternitz_trajectory):
         pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 2.0))
@@ -317,7 +319,7 @@ class TestReconstruction:
     def test_kepler_orbit_is_inverse_psi(self, winternitz_spec, winternitz_state):
         pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 2.0))
         th = pipe.theta_at(1.0)
-        assert pipe.r_at(1.0, th) == pytest.approx(1.0 / pipe.solution.psi(th), rel=1e-13)
+        assert pipe.r_at(1.0, th) == pytest.approx(1.0 / pipe.psi(th), rel=1e-13)
 
 
 class TestFreeMotionSolution:
@@ -546,16 +548,16 @@ class TestPipelineScansReachedSides:
         assert all((th - state.theta) * sign > 0.0 for th in steps)
         # each step up to the end, and the one past it where the level meets V
         assert len(steps) == round(abs(end - state.theta) / (math.pi / 720)) + 1 > 150
-        assert pipe.solution.ode.domain == ((state.theta, hi) if sign > 0.0 else (lo, state.theta))
-        assert (pipe.solution.path.up is None) == (sign < 0.0)
-        assert (pipe.solution.path.down is None) == (sign > 0.0)
+        assert pipe.ode.domain == ((state.theta, hi) if sign > 0.0 else (lo, state.theta))
+        assert (pipe.up is None) == (sign < 0.0)
+        assert (pipe.down is None) == (sign > 0.0)
 
     def test_window_around_t0_scans_both_sides(self, winternitz_params, winternitz_state):
         spec = ek.winternitz_system(winternitz_params)
         seen = self._angles_of_v(spec)
         pipe = build_pipeline(spec, winternitz_state, t_window=(-1.0, 2.0))
         assert min(seen) < winternitz_state.theta < max(seen)
-        assert pipe.solution.ode.domain == auto_theta_domain(spec.V, 3.0, winternitz_state.theta)
+        assert pipe.ode.domain == auto_theta_domain(spec.V, 3.0, winternitz_state.theta)
 
     @pytest.mark.parametrize("thetadot", [1.0, -1.0])
     def test_both_sides_blocked_within_one_step(self, thetadot):
@@ -580,7 +582,7 @@ class TestPipelineScansReachedSides:
         # the level meets V within one step on the side the run would take: the other
         # side is scanned, as a domain needs one, and the run has nowhere to go
         pipe = build_pipeline(winternitz_spec, ek.PolarState(1.0, theta0, 0.0, thetadot), t_window=(0.0, 1.0))
-        assert pipe.solution.ode.domain == domain
+        assert pipe.ode.domain == domain
         with pytest.raises(OutsideWindowError) as err:
             pipe.theta_at(0.5)
         assert str(err.value) == f"requested time maps beyond theta={theta0!r} (window edge or turning point)"
@@ -599,19 +601,19 @@ class TestAugmentedSolve:
         # psi'' + psi = 0 from (1, 0): psi = cos(theta) falls to 1e-4 psi0 at
         # +-acos(1e-4), and the time T = integral of 1/cos^2 = tan
         spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="0", F="0", V="0")
-        sol = build_pipeline(spec, ek.PolarState(1.0, 0.0, 0.0, 1.0), t_window=_UNCUT).solution
-        lo, hi = sol.path.window
+        sol = build_pipeline(spec, ek.PolarState(1.0, 0.0, 0.0, 1.0), t_window=_UNCUT)
+        lo, hi = sol.window
         edge = math.acos(1e-4)
         assert abs(hi - edge) <= 1e-9
         assert abs(lo + edge) <= 1e-9
-        assert sol.path.row(1.0)[2] == pytest.approx(math.tan(1.0), rel=1e-10)
+        assert sol.row(1.0)[2] == pytest.approx(math.tan(1.0), rel=1e-10)
 
     def test_plain_solve_runs_past_the_psi_floor(self):
         # without the angle map psi is solved up to the ends of the domain
         spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="0", F="0", V="0")
         ode = build_linear_ode(spec, 0.5, (-2.0, 2.0))
         sol = solve_linear(ode, 0.0, 1.0, 0.0)
-        assert sol.path.window == (-2.0, 2.0)
+        assert sol.window == (-2.0, 2.0)
         assert sol.psi(1.9) == pytest.approx(math.cos(1.9), abs=1e-9)
         assert sol.psi(-1.9) == pytest.approx(math.cos(1.9), abs=1e-9)
 
@@ -633,9 +635,9 @@ class TestAugmentedSolve:
 
     def test_quadrature_over_a_solve_without_the_angle_map_is_named(self):
         spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="1", F="0", V="0")
-        sol = solve_linear(build_linear_ode(spec, 0.5, (-6.0, 6.0)), 0.0, 1.0, 0.0)
+        sol = solve_from_state(spec, ek.PolarState(1.0, 0.0, 0.0, 1.0))
         with pytest.raises(LinearizationError, match="no time column"):
-            QuadratureSolution(sol, 0.0, (0.0, 1.0))
+            sol.theta_at(0.5)
 
     def test_time_dependent_rho_needs_time_window(self):
         spec = ek.LinearizableSpec(rho="1 + 0.1*t", A="0", B="0", C="0", F="0", V="0")
@@ -688,17 +690,16 @@ class TestWindowedSolve:
             reference = build_pipeline(spec, state, t_window=(window[0], 10.0 * window[1]))
         else:
             reference = build_pipeline(spec, state, t_window=_UNCUT)
-            assert reference.solution.path.up.termination in ("event:psi_floor", "completed")
-        whole = QuadratureSolution(reference.solution, state.t, windowed.t_window)
+            assert reference.up.termination in ("event:psi_floor", "completed")
         times = [float(t) for t in np.linspace(*window, 17)]
         thetas = [windowed.theta_at(t) for t in times]
-        assert thetas == [whole.theta_at(t) for t in times]
-        radii = [whole.r_at(t, th) for t, th in zip(times, thetas)]
+        assert thetas == [reference.theta_at(t) for t in times]
+        radii = [reference.r_at(t, th) for t, th in zip(times, thetas)]
         assert [windowed.r_at(t, th) for t, th in zip(times, thetas)] == radii
-        rows = [whole.solution.path.row(th) for th in thetas]
-        assert [windowed.solution.path.row(th) for th in thetas] == rows
+        rows = [reference.row(th) for th in thetas]
+        assert [windowed.row(th) for th in thetas] == rows
         # the cut run is the first part of the whole one: same nodes, same steps
-        cut, full = windowed.solution.path.up, whole.solution.path.up
+        cut, full = windowed.up, reference.up
         assert len(cut.ts) < len(full.ts)
         assert cut.ts == full.ts[: len(cut.ts)]
         assert cut.slopes == full.slopes[: len(cut.slopes)]
@@ -721,10 +722,10 @@ class TestWindowedSolve:
     def test_backward_side_not_integrated_when_window_starts_at_t0(self, case, spans):
         spec, state, window = case
         pipe = build_pipeline(spec, state, t_window=window)
-        assert pipe.solution.path.down is None
+        assert pipe.down is None
         # one angle run, forward, which carries the time for every rho
         assert len(spans) == 1 and spans[0][0] == state.theta and spans[0][1] > state.theta
-        assert pipe.solution.path.window[0] == state.theta
+        assert pipe.window[0] == state.theta
 
     def test_one_run_per_side_answers_both_maps(self, case, spans, monkeypatch):
         import ermakov.linearize as lz
@@ -735,8 +736,8 @@ class TestWindowedSolve:
         assert len(spans) == 2 and {span[0] for span in spans} == {state.theta}
         thetas = [pipe.theta_at(t) for t in straddling]
         # the time at an angle reads off the time column: no inversion
-        monkeypatch.setattr(lz._SidedRuns, "inverse", None)
-        times = [pipe.solution.path.row(th)[2] * pipe.solution.ode.branch_sign for th in thetas]
+        monkeypatch.setattr(lz.LinearSolution, "theta_at", None)
+        times = [pipe.row(th)[2] * pipe.ode.branch_sign for th in thetas]
         assert times == pytest.approx(straddling, abs=1e-12)
 
     def test_rho_without_a_value_past_the_window_end(self):
@@ -764,7 +765,7 @@ class TestWindowedSolve:
             tau = big_g(0.0) - big_g(float(t))
             assert quad_adaptive(slope, state.theta, theta) == pytest.approx(tau, abs=1e-9)
         theta = pipe.theta_at(1.2)
-        assert pipe.r_at(1.2, theta) == 1.0 / pipe.solution.psi(theta)  # rho(1.2) = 1
+        assert pipe.r_at(1.2, theta) == 1.0 / pipe.psi(theta)  # rho(1.2) = 1
 
     @pytest.mark.parametrize(
         "thetadot, window, solved",
@@ -784,8 +785,7 @@ class TestWindowedSolve:
             theta = pipe.theta_at(t)
             assert theta == whole.theta_at(t)
             assert pipe.r_at(t, theta) == whole.r_at(t, theta)
-        path = pipe.solution.path
-        assert (path.up is not None, path.down is not None) == {
+        assert (pipe.up is not None, pipe.down is not None) == {
             "up": (True, False), "down": (False, True), "both": (True, True)
         }[solved]
 
@@ -888,7 +888,7 @@ class TestAngleRunSetUp:
 
         monkeypatch.setattr(lz, "evaluate", counting)
         pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=(-1.0, 2.0))
-        assert pipe.solution.path.up and pipe.solution.path.down
+        assert pipe.up and pipe.down
         assert sum(reads) == 3  # the initial data, then once for each side's run
 
     def test_failing_constant_rho_fails_each_stage(self):
@@ -896,7 +896,7 @@ class TestAngleRunSetUp:
         spec = ek.LinearizableSpec(rho="sqrt(0 - 1)", A="0", B="0", C="1", F="0", V="0.1*sin(theta)^2")
         ode = LinearODE(spec, 2.0, (0.5, 2.5), 1)
         with pytest.raises(LinearizationError, match=r"theta=1\.5 \(step_size_underflow\)"):
-            solve_linear(ode, 1.5, 1.0, 0.0, (0.0, (1.0, 1.0)))
+            solve_linear(ode, 1.5, 1.0, 0.0, (0.0, (-1.0, 1.0)))
 
 
 class TestWinternitzQuadraturesAgainstMpmath:

@@ -10,14 +10,12 @@ from ermakov import systems
 from ermakov.config import RunConfig, SystemConfig, preset_config
 from ermakov.expressions import BinOp, Call, Neg, Num, ParseError, Ufunc, Var, parse
 from ermakov.integration import DriftStats, Event, EventSpec, IntegratorConfig, Trajectory
-from ermakov.linearize import LinearODE, LinearSolution, QuadratureSolution, _SidedRuns
+from ermakov.linearize import LinearODE, LinearSolution
 
 _X = Var("x")
 _SPEC = ek.LinearizableSpec(rho="1", A="0", B="0", C="1", F="0", V="0")
 _STATE = ek.PolarState(1.0, 0.0, 0.0, 1.0)
 _ODE = LinearODE(_SPEC, 0.5, (-1.0, 1.0), 1)
-_RUNS = _SidedRuns(0.0, [1.0, 0.0, 0.0, 1.0, 0.5], None, None)
-_SOLUTION = LinearSolution(_ODE, 0.0, _RUNS)
 
 # every record class with its parameters, in order, and a value for each
 _CONSTRUCTORS = [
@@ -46,9 +44,8 @@ _CONSTRUCTORS = [
                  "theta_span": (-1.0, 1.0), "rel_tol": 1e-8, "abs_tol": 1e-11, "max_step": 0.5,
                  "samples": 12}),
     (LinearODE, {"spec": _SPEC, "invariant": 0.5, "domain": (-1.0, 1.0), "branch_sign": -1}),
-    (_SidedRuns, {"x0": 0.0, "y0": [1.0], "up": None, "down": None}),
-    (LinearSolution, {"ode": _ODE, "theta0": 0.0, "path": _RUNS}),
-    (QuadratureSolution, {"solution": _SOLUTION, "t0": 0.0, "t_window": (0.0, 1.0)}),
+    (LinearSolution, {"ode": _ODE, "theta0": 0.0, "y0": [1.0, 0.0, 0.0, 1.0, 0.5], "up": None, "down": None,
+                      "clock": (0.0, (0.0, 1.0))}),
 ]
 
 
