@@ -32,6 +32,7 @@ from .invariant import (
     TurningPointError,
 )
 from .linearize import (
+    AngularTimeRun,
     LinearODE,
     LinearSolution,
     LinearizationError,

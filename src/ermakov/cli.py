@@ -122,10 +122,7 @@ def cmd_reconstruct(cfg: RunConfig, out_dir: Path) -> int:
     lin = linearizable_view(cfg, build_spec(cfg))
     pipe = build_pipeline(lin, cfg.polar_state, t_window=cfg.t_span)
     times = _sample_times(cfg, cfg.t_span[1])
-    rows = []
-    for t in times:
-        theta = pipe.theta_at(t)
-        rows.append((t, theta, pipe.r_at(t, theta)))
+    rows = [(t, *pipe.at(t)) for t in times]
     _write_csv(out_dir / "reconstructed.csv", ["t", "theta", "r"], rows)
     print(f"reconstruct: ok, {len(rows)} samples over t in {list(cfg.t_span)}")
     return EXIT_OK
@@ -152,8 +149,7 @@ def cmd_validate(cfg: RunConfig, out_dir: Path) -> int:
         r_err = 0.0
         th_err = 0.0
         for t, row in zip(times, sampled):
-            theta = pipe.theta_at(t)
-            r = pipe.r_at(t, theta)
+            theta, r = pipe.at(t)
             th_err = max(th_err, abs(theta - row[1]))
             r_err = max(r_err, abs(r - row[0]))
         checks["round_trip"] = {

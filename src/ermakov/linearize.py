@@ -8,8 +8,15 @@ dynamics into a second-order linear ODE
 
 with p2 = h^2, p1 = h dh/dtheta - a, p0 = h^2 + F - b, rhs = c, where
 (a, b, c) come from the structure functions evaluated on shell
-(L = h(theta)).  Solving it and inverting the separable angle quadrature
-recovers theta(t), and the radius r = rho/psi.
+(L = h(theta)).  ``linearize`` solves it on an angle domain.  The
+reconstruction writes the same equation in angular time tau
+(dtau = dtheta/L = dt/r^2),
+
+    psi_tau_tau + A psi_tau + (L^2 + F - B) psi = C,
+
+and integrates it with theta_tau = L, L_tau = -dV/dtheta and
+t_tau = rho(t)^2/psi^2, which pass through turning points of the angle;
+inverting the time column recovers theta(t), and the radius r = rho/psi.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from .numerics import QuadratureError, linspace
 from .systems import LinearizableSpec, PolarState, check_rho_nonzero
 
 __all__ = [
+    "AngularTimeRun",
     "LinearODE",
     "LinearSolution",
     "LinearizationError",
@@ -169,16 +177,14 @@ _DOMAIN_STEP = math.pi / 720.0
 _DOMAIN_SPAN = 2.0 * math.pi
 
 
-def auto_theta_domain(V, invariant, theta0: float, sides=(True, True)) -> tuple[float, float]:
+def auto_theta_domain(V, invariant, theta0: float) -> tuple[float, float]:
     """Maximal scanned interval around theta0 where the level clears the potential.
 
     The scan steps pi/720 at a time, up to 2 pi each way.  It stops a safety
     margin of 1e-3 (1 + |I|) short of any turning point, and one step short
     of an angle where the potential is undefined: the solve carries I - V
     along the run, and must not meet the singularity that often bounds the
-    potential's domain (the log of U(tan theta) at a sector edge).  A side
-    that ``sides`` = (below, above) marks False is not scanned and ends at
-    theta0, unless every scanned side ends there too.  Raises
+    potential's domain (the log of U(tan theta) at a sector edge).  Raises
     LinearizationError if it cannot take a step to either side.
     """
     V = as_expression(V)
@@ -205,10 +211,8 @@ def auto_theta_domain(V, invariant, theta0: float, sides=(True, True)) -> tuple[
         if level < v0:
             raise ForbiddenRegionError(theta0, level, v0, detail=detail)
         raise TurningPointError(theta0, level, detail=f"potential {v0!r}; {detail}")
-    hi = edge(_DOMAIN_STEP) if sides[1] else theta0
-    lo = edge(-_DOMAIN_STEP) if sides[0] else theta0
-    if lo == hi:  # each scanned side ended at theta0, within two steps: scan both
-        hi, lo = edge(_DOMAIN_STEP), edge(-_DOMAIN_STEP)
+    hi = edge(_DOMAIN_STEP)
+    lo = edge(-_DOMAIN_STEP)
     if lo == hi:
         raise LinearizationError(
             f"empty angle domain at theta={theta0!r}: one step of pi/720 either way, the potential"
@@ -221,64 +225,24 @@ def auto_theta_domain(V, invariant, theta0: float, sides=(True, True)) -> tuple[
 # Numeric solution of the linear ODE
 # ---------------------------------------------------------------------------
 
-_PSI_FLOOR_REL = 1e-4  # a timed run stops where psi falls to this share of psi0
-
-
-def _reach(clock, branch_sign: int) -> tuple[float, float]:
-    """How far the time of ``clock`` = (t0, t_window) reaches below and above theta0."""
-    t0, (lo, hi) = clock
-    return (t0 - lo, hi - t0)[::branch_sign]
-
-
-def _solve_run(ode: LinearODE, theta0, y0, theta1, timing=None) -> Trajectory | None:
-    """Integrate from theta0 towards theta1: [psi, psi', W, g], or [psi, psi', T, W, g].
+def _solve_run(ode: LinearODE, theta0, y0, theta1) -> Trajectory | None:
+    """Integrate [psi, psi', W, g] from theta0 towards theta1 (None where they coincide).
 
     The gap g = I - V(theta) rides along with g' = -dV/dtheta, so no step
-    evaluates the potential itself.  Given a ``timing`` = (t0, reach), the
-    time T = branch_sign*(t - t0) rides along too, with
-    T' = rho(t)^2/(h psi^2), and the run ends where psi falls to 1e-4 psi0
-    or after the step where |T| first reaches ``reach`` (0: no run).  That
-    step reads rho past the reach; where rho has no value there, its value
-    at the reach stands in.
+    evaluates the potential itself.
     """
-    if theta1 == theta0 or (timing and timing[1] == 0.0):
+    if theta1 == theta0:
         return None
     terms = ode.terms
-    events, until = (), None
-    if timing is None:
-        def rhs(th, y):
-            psi, dpsi, w, gap = y
-            h, p2, p1, p0, c, dv = terms(th, gap)
-            return dpsi, (c - p1 * dpsi - p0 * psi) / p2, -p1 / p2 * w, -dv
-    else:
-        t0, reach = timing
-        rho, branch = ode.spec.rho, ode.branch_sign
-        rho_c = None  # a constant rho is read once; where it has no value, each stage fails
-        with suppress(EvaluationError):
-            rho_c = None if free_variables(rho) else evaluate(rho)
-        floor = _PSI_FLOOR_REL * y0[0]
-        events = [EventSpec("psi_floor", lambda th, y: y[0] - floor, terminal=True)]
 
-        def until(th, y):
-            return abs(y[2]) >= reach
-
-        def rhs(th, y):
-            psi, dpsi, T, w, gap = y
-            h, p2, p1, p0, c, dv = terms(th, gap)
-            d2 = (c - p1 * dpsi - p0 * psi) / p2
-            rv = rho_c
-            if rv is None:
-                try:
-                    rv = evaluate(rho, {"t": t0 + branch * T})
-                except EvaluationError:
-                    if not abs(T) > reach:
-                        raise
-                    rv = evaluate(rho, {"t": t0 + branch * math.copysign(reach, T)})
-            return dpsi, d2, rv * rv / (h * psi * psi), -p1 / p2 * w, -dv
+    def rhs(th, y):
+        psi, dpsi, w, gap = y
+        h, p2, p1, p0, c, dv = terms(th, gap)
+        return dpsi, (c - p1 * dpsi - p0 * psi) / p2, -p1 / p2 * w, -dv
 
     cfg = IntegratorConfig(t_span=(theta0, theta1), rel_tol=_SOLVE_REL_TOL, abs_tol=_SOLVE_ABS_TOL)
-    traj = integrate(rhs, y0, cfg, events, until)
-    if traj.termination not in ("completed", "stopped", "event:psi_floor"):
+    traj = integrate(rhs, y0, cfg)
+    if traj.termination != "completed":
         raise LinearizationError(
             f"linear solve stopped at theta={traj.t_end!r} ({traj.termination})"
         )
@@ -291,15 +255,11 @@ class LinearSolution:
     ``up`` and ``down`` are the dense runs leaving theta0 each way, or None
     where nothing was solved.  A run carries psi, psi', Abel's Wronskian
     factor W of the identity basis (W' = -(p1/p2) W, W(theta0) = 1) and the
-    gap g = I - V(theta): a row is (psi, psi', W, g), ``y0`` at theta0.  A
-    solve with a ``clock`` = (t0, t_window) also carries the time
-    T = branch_sign*(t - t0) at which the trajectory reaches each angle, and
-    ends where psi falls to 1e-4 psi0 or T reaches the window's end; its
-    rows are (psi, psi', T, W, g), and ``theta_at`` inverts column 2.
+    gap g = I - V(theta): a row is (psi, psi', W, g), ``y0`` at theta0.
     """
 
-    def __init__(self, ode: LinearODE, theta0: float, y0: list[float], up, down, clock=None):
-        self.ode, self.theta0, self.y0, self.up, self.down, self.clock = ode, theta0, y0, up, down, clock
+    def __init__(self, ode: LinearODE, theta0: float, y0: list[float], up, down):
+        self.ode, self.theta0, self.y0, self.up, self.down = ode, theta0, y0, up, down
 
     @property
     def window(self) -> tuple[float, float]:
@@ -325,41 +285,114 @@ class LinearSolution:
         row = self.row(theta)
         return (*self.ode.terms(theta, row[-1])[1:5], row[0])
 
-    def theta_at(self, t: float) -> float:
-        """The unique angle whose time column holds branch_sign*(t - t0), for t in ``t_window``.
 
-        The step is found by its node values and its interpolant solved by
-        Newton's method with its exact slope, falling back to bisection.
-        Results depend only on the stored runs, never on the order of queries.
+def solve_linear(ode: LinearODE, theta0: float, psi0: float, dpsi0: float) -> LinearSolution:
+    """Solve the linear ODE matching (psi0, dpsi0) at theta0 on the ODE domain.
+
+    Raises LinearizationError if Abel's factor W stops being positive, i.e.
+    the homogeneous solutions become linearly dependent.
+    """
+    lo, hi = ode.domain
+    if not (lo <= theta0 <= hi):
+        raise ValueError(f"theta0={theta0!r} outside the ODE domain [{lo}, {hi}]")
+    y0 = [psi0, dpsi0, 1.0, ode.gap(theta0)]
+    runs = (_solve_run(ode, theta0, y0, hi), _solve_run(ode, theta0, y0, lo))
+    if not all(0.0 < y[2] < math.inf for traj in runs if traj for y in traj.ys):  # Abel factor W
+        raise LinearizationError("homogeneous solutions became linearly dependent")
+    return LinearSolution(ode, theta0, y0, *runs)
+
+
+# ---------------------------------------------------------------------------
+# The trajectory in angular time
+# ---------------------------------------------------------------------------
+
+_PSI_FLOOR_REL = 1e-4  # a run stops where psi falls to this share of psi0 (an escape)
+_TAU_SPAN = 1e300  # no end in tau: a run ends where its time passes the window
+
+
+def _time_run(spec: LinearizableSpec, y0: list[float], t_end: float) -> Trajectory | None:
+    """Integrate (theta, L, psi, psi_tau, t) in tau from y0 until t passes t_end (None: no run).
+
+    In tau the linear equation reads psi_tau_tau + A psi_tau + (L^2 + F - B) psi = C,
+    with theta_tau = L, L_tau = -dV/dtheta and t_tau = rho(t)^2/psi^2.  The run ends
+    after the step where t first passes t_end, or where psi falls to 1e-4 psi0.  That
+    step reads rho past t_end; where rho has no value there, its value at t_end
+    stands in.
+    """
+    t0 = y0[4]
+    if t_end == t0:
+        return None
+    sign = 1.0 if t_end > t0 else -1.0
+    terms, rho = spec.linear_terms, spec.rho
+    rho_c = None  # a constant rho is read once; where it has no value, each stage fails
+    with suppress(EvaluationError):
+        rho_c = None if free_variables(rho) else evaluate(rho)
+    floor = _PSI_FLOOR_REL * y0[2]
+
+    def rhs(tau, y):
+        theta, ell, psi, dpsi, t = y
+        A, B, C, F, dv = terms(theta, ell)
+        rv = rho_c
+        if rv is None:
+            try:
+                rv = evaluate(rho, {"t": t})
+            except EvaluationError:
+                if not sign * (t - t_end) > 0.0:
+                    raise
+                rv = evaluate(rho, {"t": t_end})
+        return ell, -dv, dpsi, C - A * dpsi - (ell * ell + F - B) * psi, rv * rv / (psi * psi)
+
+    cfg = IntegratorConfig(t_span=(0.0, sign * _TAU_SPAN), rel_tol=_SOLVE_REL_TOL, abs_tol=_SOLVE_ABS_TOL)
+    events = [EventSpec("psi_floor", lambda tau, y: y[2] - floor, terminal=True)]
+    traj = integrate(rhs, y0, cfg, events, lambda tau, y: sign * (y[4] - t_end) >= 0.0)
+    if traj.termination not in ("stopped", "event:psi_floor"):
+        theta, _, _, _, t = traj.ys[-1]
+        raise LinearizationError(f"linear solve stopped at theta={theta!r}, t={t!r} ({traj.termination})")
+    return traj
+
+
+class AngularTimeRun:
+    """The trajectory through a state, rebuilt in angular time tau (dtau = dt/r^2).
+
+    ``up`` and ``down`` are the dense runs leaving the initial time forward
+    and backward, or None where the time window ``window`` does not reach;
+    a row is (theta, L, psi, psi_tau, t), ``y0`` at the initial state.  ``at``
+    answers (theta, r) at a time of the window.
+    """
+
+    def __init__(self, spec: LinearizableSpec, y0: list[float], window: tuple[float, float], up, down):
+        self.spec, self.y0, self.window, self.up, self.down = spec, y0, window, up, down
+
+    def row(self, t: float) -> list[float]:
+        """The run's row at time t: its t column inverted, then one dense lookup.
+
+        The step holding t is found by its node times, and its interpolant
+        solved by Newton's method with its exact slope, falling back to
+        bisection.  Results depend only on the stored runs, never on the
+        order of queries.
         """
-        if self.clock is None:
-            raise LinearizationError("the linear solve carries no time column: give it a clock")
         t = float(t)
-        t0, (t_lo, t_hi) = self.clock
-        if not t_lo <= t <= t_hi:
-            raise OutsideWindowError(f"t={t!r} outside the time window [{t_lo}, {t_hi}]")
-        v = self.ode.branch_sign * (t - t0)
-        if v == 0.0:
-            return self.theta0
-        lo, hi = (r.ys[-1][2] if r else 0.0 for r in (self.down, self.up))
-        if not lo <= v <= hi:
-            edge = self.window[1 if v > 0.0 else 0]
-            raise OutsideWindowError(
-                f"requested time maps beyond theta={edge!r} (window edge or turning point)"
-            )
-        run = self.up if v > 0.0 else self.down
-        # node values in the run's own direction, increasing from 0
-        sign = 1.0 if v > 0.0 else -1.0
-        i = bisect_left(run.ys, sign * v, key=lambda y: sign * y[2])
-        v_prev, v_next = sign * run.ys[i - 1][2], sign * run.ys[i][2]
+        lo, hi = self.window
+        if not lo <= t <= hi:
+            raise OutsideWindowError(f"t={t!r} outside the time window [{lo}, {hi}]")
+        if t == self.y0[4]:
+            return self.y0
+        sign = 1.0 if t > self.y0[4] else -1.0
+        run = self.up if sign > 0.0 else self.down
+        end = run.ys[-1][4]
+        if sign * (t - end) > 0.0:
+            raise OutsideWindowError(f"t={t!r} lies past t={end!r}, where psi fell to 1e-4 psi0 (an escape)")
+        # node times, increasing along the run's own direction
+        i = bisect_left(run.ys, sign * t, key=lambda y: sign * y[4])
+        t_prev, t_next = run.ys[i - 1][4], run.ys[i][4]
         x_prev, x_next = run.ts[i - 1], run.ts[i]
-        x = x_prev + (x_next - x_prev) * (sign * v - v_prev) / (v_next - v_prev)
+        x = x_prev + (x_next - x_prev) * (t - t_prev) / (t_next - t_prev)
         a, b = min(x_prev, x_next), max(x_prev, x_next)
         for _ in range(100):
             value, slope = run.at_with_slope(x)
-            f, slope = value[2] - v, slope[2]
+            f, slope = value[4] - t, slope[4]
             if f == 0.0:
-                return x
+                return value
             if f < 0.0:
                 a = x
             else:
@@ -369,52 +402,14 @@ class LinearSolution:
             if not a <= x_new <= b:
                 x_new = 0.5 * (a + b)
             if abs(x_new - x) <= 1e-15 * max(1.0, abs(x)):
-                return x_new
+                return value
             x = x_new
-        return x
+        return value
 
-    def r_at(self, t: float, theta: float) -> float:
-        """Radius rho(t) / psi(theta) at a time t whose angle theta = theta_at(t) is known."""
-        psi = self.psi(theta)
-        if not psi > 0.0:
-            raise LinearizationError(f"psi({theta!r}) = {psi!r} is not positive")
-        return evaluate(self.ode.spec.rho, {"t": t}) / psi
-
-
-def solve_linear(
-    ode: LinearODE,
-    theta0: float,
-    psi0: float,
-    dpsi0: float,
-    clock: tuple[float, tuple[float, float]] | None = None,
-) -> LinearSolution:
-    """Solve the linear ODE matching (psi0, dpsi0) at theta0 on the ODE domain.
-
-    Given ``clock`` = (t0, t_window), the solve also carries the time
-    T = branch_sign*(t - t0), from T' = rho(t)^2/(h psi^2): the angle
-    quadrature integral of 1/(h psi^2) equals branch_sign times the time
-    quadrature integral of 1/rho^2.  The window holds t0, and each side of
-    theta0 is cut where |T| reaches the window's end on that side; the time
-    needs psi0 > 0.
-    Raises LinearizationError if Abel's factor W stops being positive, i.e.
-    the homogeneous solutions become linearly dependent.
-    """
-    lo, hi = ode.domain
-    if not (lo <= theta0 <= hi):
-        raise ValueError(f"theta0={theta0!r} outside the ODE domain [{lo}, {hi}]")
-    gap0 = ode.gap(theta0)
-    if clock is None:
-        y0 = [psi0, dpsi0, 1.0, gap0]
-        down = up = None
-    elif psi0 > 0.0:
-        y0 = [psi0, dpsi0, 0.0, 1.0, gap0]
-        down, up = ((clock[0], r) for r in _reach(clock, ode.branch_sign))
-    else:
-        raise LinearizationError(f"psi({theta0!r}) = {psi0!r} is not positive")
-    runs = (_solve_run(ode, theta0, y0, hi, up), _solve_run(ode, theta0, y0, lo, down))
-    if not all(0.0 < y[-2] < math.inf for traj in runs if traj for y in traj.ys):  # Abel factor W
-        raise LinearizationError("homogeneous solutions became linearly dependent")
-    return LinearSolution(ode, theta0, y0, *runs, clock)
+    def at(self, t: float) -> tuple[float, float]:
+        """(theta, r) at a time t of the window, with r = rho(t)/psi from the same row."""
+        row = self.row(t)
+        return row[0], evaluate(self.spec.rho, {"t": t}) / row[2]
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +417,11 @@ def solve_linear(
 # ---------------------------------------------------------------------------
 
 def _initial_data(spec: LinearizableSpec, state: PolarState) -> tuple[float, float, float]:
-    """(rho, psi, psi') at a state: psi = rho/r, psi' = -(rho rdot - rho' r)/(r^2 thetadot)."""
+    """(rho, psi, psi_tau) at a state: psi = rho/r, psi_tau = r^2 dpsi/dt = -(rho rdot - rho' r)."""
     tenv = {"t": state.t}
     rho_v = evaluate(spec.rho, tenv)
     rho_dv = evaluate(spec.rho_derivatives[0], tenv)
-    psi = rho_v / state.r
-    dpsi = -(rho_v * state.rdot - rho_dv * state.r) / (state.r**2 * state.thetadot)
-    return rho_v, psi, dpsi
+    return rho_v, rho_v / state.r, -(rho_v * state.rdot - rho_dv * state.r)
 
 
 def verify_compatibility(spec: LinearizableSpec, state: PolarState) -> float:
@@ -444,6 +437,7 @@ def verify_compatibility(spec: LinearizableSpec, state: PolarState) -> float:
         raise ValueError("compatibility residual needs a state with nonzero thetadot")
     try:
         rho_v, psi, dpsi = _initial_data(spec, state)
+        dpsi /= state.r**2 * state.thetadot  # psi' = psi_tau / L
         rho_ddv = evaluate(spec.rho_derivatives[1], {"t": state.t})
         if rho_v == 0.0:
             raise EvaluationError(f"rho vanished at t={state.t!r}")
@@ -462,12 +456,10 @@ def verify_compatibility(spec: LinearizableSpec, state: PolarState) -> float:
     return abs(lhs - rhs)
 
 
-def _linear_problem(spec, state0: PolarState, theta_domain, clock=None) -> tuple[LinearODE, float, float]:
+def _linear_problem(spec, state0: PolarState, theta_domain) -> tuple[LinearODE, float, float]:
     """The linear ODE through ``state0`` and its initial data (psi0, psi'0).
 
     A scanned domain is used as found; ``build_linear_ode`` checks one handed in.
-    The scan skips an angle side that the time of ``clock`` = (t0, t_window)
-    never reaches.
     """
     lin = _check_linearizable(spec)
     if state0.thetadot == 0.0:
@@ -477,12 +469,11 @@ def _linear_problem(spec, state0: PolarState, theta_domain, clock=None) -> tuple
     if not math.isfinite(inv):
         raise LinearizationError(f"invariant level {inv!r} at the initial state is not finite")
     if theta_domain is None:
-        sides = [r != 0.0 for r in _reach(clock, branch)] if clock else (True, True)
-        ode = LinearODE(lin, inv, auto_theta_domain(lin.V, inv, state0.theta, sides), branch)
+        ode = LinearODE(lin, inv, auto_theta_domain(lin.V, inv, state0.theta), branch)
     else:
         ode = build_linear_ode(lin, inv, theta_domain, branch)
-    _, psi0, dpsi0 = _initial_data(lin, state0)
-    return ode, psi0, dpsi0
+    _, psi0, psi_tau0 = _initial_data(lin, state0)
+    return ode, psi0, psi_tau0 / (state0.r**2 * state0.thetadot)
 
 
 def solve_from_state(
@@ -498,20 +489,25 @@ def solve_from_state(
     return solve_linear(ode, state0.theta, psi0, dpsi0)
 
 
-def build_pipeline(spec, state0: PolarState, *, t_window: tuple[float, float]) -> LinearSolution:
+def build_pipeline(spec, state0: PolarState, *, t_window: tuple[float, float]) -> AngularTimeRun:
     """The linearized route for the trajectory through ``state0`` over ``t_window``.
 
-    The angle run carries the time from state0.t and is solved only as far
-    as the time reaches over the window, or until psi falls to 1e-4 psi0
-    or the domain ends; times outside the window raise OutsideWindowError.
-    A side of theta0 that the window never reaches is neither solved nor
-    scanned: ``ode.domain`` ends at theta0 there.  A time-dependent rho must
-    keep clear of zero over the window.  Queries outside the covered window
-    raise instead of crossing turning points.
+    One run in angular time leaves state0.t each way the window reaches,
+    through turning points of the angle, and ends after the step where its
+    time passes the window's end, or where psi falls to 1e-4 psi0; times
+    past either raise OutsideWindowError.  A time-dependent rho must keep
+    clear of zero over the window, and psi0 = rho/r must be positive.
     """
+    lin = _check_linearizable(spec)
     t0 = state0.t
-    clock = (t0, (min(t0, *t_window), max(t0, *t_window)))
-    ode, psi0, dpsi0 = _linear_problem(spec, state0, None, clock)
-    if free_variables(ode.spec.rho):
-        check_rho_nonzero(ode.spec.rho, t_window[0], t_window[1], 257, f"the time window {t_window!r}")
-    return solve_linear(ode, state0.theta, psi0, dpsi0, clock)
+    if free_variables(lin.rho):
+        check_rho_nonzero(lin.rho, t_window[0], t_window[1], 257, f"the time window {t_window!r}")
+    _, psi0, psi_tau0 = _initial_data(lin, state0)
+    if not psi0 > 0.0:
+        raise LinearizationError(f"psi = rho/r = {psi0!r} at the initial state is not positive")
+    ell = state0.angular_momentum
+    if not math.isfinite(ell * ell):  # I = L^2/2 + V(theta0)
+        raise LinearizationError(f"invariant level inf at the initial state is not finite (L = {ell!r})")
+    y0 = [state0.theta, ell, psi0, psi_tau0, t0]
+    lo, hi = min(t0, *t_window), max(t0, *t_window)
+    return AngularTimeRun(lin, y0, (lo, hi), _time_run(lin, y0, hi), _time_run(lin, y0, lo))

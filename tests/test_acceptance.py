@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 import ermakov as ek
-from ermakov.cli import main
+from ermakov.cli import ROUND_TRIP_THRESHOLD, main
 from ermakov.expressions import evaluate
 from ermakov.invariant import ForbiddenRegionError, invariant_level, turning_tolerance
 from ermakov.linearize import build_linear_ode, build_pipeline, solve_linear
@@ -153,9 +153,9 @@ def _round_trip_error(spec, state0, t_hi):
     err_r = err_th = 0.0
     for t in np.linspace(0.0, t_hi, 41):
         y = direct.at(t)
-        theta = pipe.theta_at(float(t))
+        theta, r = pipe.at(float(t))
         err_th = max(err_th, abs(theta - y[1]))
-        err_r = max(err_r, abs(pipe.r_at(float(t), theta) - y[0]))
+        err_r = max(err_r, abs(r - y[0]))
     return err_r, err_th
 
 
@@ -176,6 +176,33 @@ def test_criterion_4_round_trip_reconstruction(winternitz_spec, winternitz_state
         f"winternitz sup {max(err_r, err_th):.3e}, generic sup {max(err_r2, err_th2):.3e} "
         f"<= {ROUND_TRIP_TOL}",
     )
+
+
+# A Kepler-Ermakov orbit whose angle librates in [pi/3, 2pi/3]: thetadot changes
+# sign 16 times over the window, so only a route through turning points rebuilds it
+LIBRATING_CONFIG = {
+    "system": {"kind": "kepler", "functions": {"F": "0", "G": "1", "V": "2*cos(theta)^2"}},
+    "initial_state": {"coords": "polar", "r": 1.0, "theta": math.pi / 2, "rdot": 0.0, "thetadot": 1.0},
+    "t_span": [0.0, 10.0],
+}
+
+
+def test_librating_orbit_round_trip(tmp_path):
+    """reconstruct follows the librating orbit through at least ten turns of
+    thetadot, within the round-trip threshold of simulate at the same times."""
+    path = tmp_path / "librating.json"
+    path.write_text(json.dumps(LIBRATING_CONFIG))
+    for command in ("simulate", "reconstruct"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+    direct = np.loadtxt(tmp_path / "simulate" / "trajectory.csv", delimiter=",", skiprows=1)
+    rebuilt = np.loadtxt(tmp_path / "reconstruct" / "reconstructed.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(direct[:, 0], rebuilt[:, 0])
+    turns = np.count_nonzero(np.diff(np.sign(direct[:, 4])))
+    assert turns >= 10
+    err_th = float(np.max(np.abs(rebuilt[:, 1] - direct[:, 2])))
+    err_r = float(np.max(np.abs(rebuilt[:, 2] - direct[:, 1])))
+    assert max(err_th, err_r) <= ROUND_TRIP_THRESHOLD
+    _report(4, f"librating orbit, {turns} turns: theta sup {err_th:.3e}, r sup {err_r:.3e} <= {ROUND_TRIP_THRESHOLD}")
 
 
 def test_criterion_5_free_motion_class():

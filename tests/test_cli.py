@@ -11,6 +11,7 @@ import pkgutil
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 import weakref
 from pathlib import Path
@@ -26,6 +27,7 @@ from ermakov.cli import main
 from ermakov.config import KINDS, PRESETS, ConfigError, build_spec, load_config, preset_config
 from ermakov.expressions import FUNCTIONS
 from ermakov.linearize import solve_from_state
+from test_acceptance import LIBRATING_CONFIG
 
 
 def _write(tmp_path, name, payload):
@@ -52,6 +54,12 @@ def _winternitz_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+# winternitz with g2 > g1: V = (g1 + g2 cos theta)/sin^2 theta falls to minus
+# infinity at theta = pi, between the scan's grid points, and the orbit reaches it
+_POLE_PARAMS = {"mu0": 0.3, "g1": 0.6075, "g2": 1.5456, "g3": 1.1976}
+_POLE_STATE = {"r": 1.2845, "theta": 2.2937, "rdot": 0.3068, "thetadot": 0.3}
 
 
 def _cheap_preset(name):
@@ -455,11 +463,27 @@ class TestLinearize:
         else:
             assert code == 2
             message = capsys.readouterr().err
-        assert "empty angle domain at theta=1e-09" in message
+        if command == "linearize":
+            assert "empty angle domain at theta=1e-09" in message
+        else:  # the run in angular time falls into the singularity at theta = 0, as simulate does
+            assert "linear solve stopped at theta=4.3" in message and "(step_size_underflow)" in message
 
-    @pytest.mark.parametrize("command", ["linearize", "reconstruct", "validate"])
+    @pytest.mark.parametrize("command", ["linearize"])
     def test_initial_angle_at_turning_point_names_potential(self, tmp_path, capsys, command):
         # r = 1e-60 leaves no angular momentum: the level equals V(theta0) = 1
+        cfg = copy.deepcopy(PRESETS["winternitz-default"])
+        cfg["initial_state"]["r"] = 1e-60
+        out = tmp_path / "out"
+        assert main([command, "--config", str(_write(tmp_path, "c.json", cfg)), "--out", str(out)]) == 2
+        message = capsys.readouterr().err
+        assert "turning point at theta=1.5707963267948966" in message
+        assert "potential 1.0" in message
+        assert "nan" not in message and "forbidden" not in message
+
+    @pytest.mark.parametrize("command", ["reconstruct", "validate"])
+    def test_tiny_radius_stops_the_time_run_at_its_start(self, tmp_path, capsys, command):
+        # r = 1e-60: psi = 1e60 swings at a rate no step of tau can resolve, as r does for
+        # simulate; the run needs no angle domain, so no turning point is named
         cfg = copy.deepcopy(PRESETS["winternitz-default"])
         cfg["initial_state"]["r"] = 1e-60
         out = tmp_path / "out"
@@ -469,10 +493,9 @@ class TestLinearize:
             message = json.loads((out / "report.json").read_text())["checks"]["round_trip"]["error"]
         else:
             assert code == 2
-            message = capsys.readouterr().err
-        assert "turning point at theta=1.5707963267948966" in message
-        assert "potential 1.0" in message
-        assert "nan" not in message and "forbidden" not in message
+            message = capsys.readouterr().err.removeprefix("error: ").strip()
+        assert message == "linear solve stopped at theta=1.5707963267948966, t=0.0 (step_size_underflow)"
+        assert main(["simulate", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "s")]) == 2
 
     # (r^2 thetadot)^2 overflows: an infinite level is not a turning point
     @pytest.mark.parametrize(
@@ -526,6 +549,25 @@ class TestReconstruct:
         assert main(["reconstruct", "--config", str(path), "--out", str(out)]) == 0
         _, data = _read_csv(out / "reconstructed.csv")
         assert data[-1, 0] == 1.0008013447464166
+
+    def test_pole_of_the_potential_is_a_named_error_in_well_under_a_second(self, tmp_path, capsys):
+        # the run meets the pole at theta = pi where simulate stops, and stops there too;
+        # the angle scan's whole-domain solve crept into it for over a second
+        cfg = _winternitz_config(t_span=[0.0, 10.0])
+        cfg["system"]["params"] = _POLE_PARAMS
+        cfg["initial_state"].update(_POLE_STATE)
+        path = _write(tmp_path, "c.json", cfg)
+        start = time.perf_counter()
+        assert main(["reconstruct", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        elapsed = time.perf_counter() - start
+        assert capsys.readouterr().err.splitlines() == [
+            "error: linear solve stopped at theta=3.141591786741305, t=0.8101104870295297 (step_size_underflow)"
+        ]
+        assert elapsed < 0.5
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "s")]) == 2
+        summary = json.loads((tmp_path / "s" / "summary.json").read_text())
+        assert summary["termination"] == "step_size_underflow"
+        assert summary["t_final"] == pytest.approx(0.8101104870295297, abs=1e-9)
 
     def test_uniform_rotation_linear_theta(self, tmp_path):
         out = tmp_path / "out"
@@ -602,13 +644,26 @@ class TestCompiles:
         assert [trees for trees in calls if trees in alone] == []
         assert len(calls) <= 5
 
-    def test_reconstruct_on_kepler_lowers_two_functions(self, monkeypatch, tmp_path):
-        # V for the domain scan and (A, B, C, F, dV/dtheta); rho = 1 and rho' = 0 are literals
+    def test_reconstruct_on_kepler_lowers_one_function(self, monkeypatch, tmp_path):
+        # (A, B, C, F, dV/dtheta): no domain scan evaluates V; rho = 1 and rho' = 0 are literals
         spec, calls = self._lowered(monkeypatch, tmp_path, "reconstruct", self.KEPLER)
-        assert calls == [(spec.V,), (spec.A, spec.B, spec.C, spec.F, spec.dV)]
+        assert calls == [(spec.A, spec.B, spec.C, spec.F, spec.dV)]
 
 
 class TestValidate:
+    @pytest.mark.parametrize("name", ["librating", "mirrored-winternitz-default"])
+    def test_passes_through_turning_points(self, tmp_path, name):
+        # the librating Kepler orbit turns 16 times; the mirrored preset nears its
+        # turning angle as r grows, past where the angle scan ended its domain
+        if name == "librating":
+            cfg = LIBRATING_CONFIG
+        else:
+            cfg = copy.deepcopy(PRESETS["winternitz-default"])
+            cfg["initial_state"]["thetadot"] = -cfg["initial_state"]["thetadot"]
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(_write(tmp_path, "c.json", cfg)), "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["checks"]["round_trip"]["pass"] is True
+
     def test_alternating_specs_build_each_frequency_once(self, monkeypatch):
         # each spec keeps its own induced frequency, whichever spec came last
         built = []
@@ -736,26 +791,30 @@ class TestValidate:
         assert check["pass"] is False
 
     def test_report_shape_on_pipeline_failure(self, tmp_path):
-        # start exactly at a turning point: the pipeline cannot be built
+        # V = (g1 + g2 cos theta)/sin^2 theta falls to minus infinity at theta = pi
+        # (g2 > g1): the run in angular time cannot pass the pole
         cfg = _winternitz_config()
-        cfg["initial_state"]["thetadot"] = 0.0
-        cfg["initial_state"]["rdot"] = 0.5
+        cfg["system"]["params"] = _POLE_PARAMS
+        cfg["initial_state"].update(_POLE_STATE)
         out = tmp_path / "out"
         code = main(["validate", "--config", str(_write(tmp_path, "c.json", cfg)), "--out", str(out)])
         assert code == 1
         report = json.loads((out / "report.json").read_text())
         assert report["pass"] is False
-        assert report["checks"]["round_trip"]["pass"] is False
+        assert report["checks"]["round_trip"] == {
+            "error": "linear solve stopped at theta=3.141591786741305, t=0.8101104870295297 (step_size_underflow)",
+            "pass": False,
+        }
 
     def test_inverts_each_sample_time_once(self, tmp_path, monkeypatch):
         calls = []
-        real = linearize.LinearSolution.theta_at
+        real = linearize.AngularTimeRun.row
 
         def counted(self, t):
             calls.append(t)
             return real(self, t)
 
-        monkeypatch.setattr(linearize.LinearSolution, "theta_at", counted)
+        monkeypatch.setattr(linearize.AngularTimeRun, "row", counted)
         # a constant rho, and rho = 1 + 0.1 t^2, whose radius needs the time
         for command, cfg in [
             ("validate", _cheap_preset("winternitz-default")),

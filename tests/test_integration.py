@@ -524,26 +524,31 @@ def _case(name, monkeypatch):
         y0 = [1.0, math.pi / 2, 0.0, 2.0]
         cfg = IntegratorConfig(t_span=(0.0, 10.0))
         return polar_rhs_function(_WINTERNITZ), y0, cfg, _polar_events(_WINTERNITZ), None
-    # the linearized route: [psi, psi', Theta, W, g] for the pipeline, [psi, psi', W, g] without
+    # the linearized route: [theta, L, psi, psi_tau, t] for the pipeline, [psi, psi', W, g] without
     if name == "linear-psi-floor":
-        # a window the time never reaches: the run ends at the psi floor, |T| about 4e3
-        runs = _linear_solve_runs(
-            monkeypatch,
-            lambda: linearize.build_pipeline(_WINTERNITZ, _WINTERNITZ_STATE, t_window=(0.0, 1e6)),
-        )
-        return runs[0]
+        # a window the time never reaches: the run ends at the psi floor, t about 4e3
+        return _time_run_case(monkeypatch, (0.0, 1e6))
     if name == "linear-backward":
         runs = _linear_solve_runs(
             monkeypatch, lambda: linearize.solve_from_state(_WINTERNITZ, _WINTERNITZ_STATE)
         )
         return runs[-1]
     if name == "linear-until":
-        runs = _linear_solve_runs(
-            monkeypatch,
-            lambda: linearize.build_pipeline(_WINTERNITZ, _WINTERNITZ_STATE, t_window=(0.0, 2.0)),
-        )
-        return runs[0]
+        return _time_run_case(monkeypatch, (0.0, 2.0))
     raise KeyError(name)
+
+
+def _time_run_case(monkeypatch, window):
+    """The pipeline's run over ``window``, its endless tau span cut to twice the tau it took.
+
+    The run ends as before, by its event or its ``until``; the finite span
+    sizes the fixed-step check's steps.
+    """
+    rhs, y0, cfg, events, until = _linear_solve_runs(
+        monkeypatch, lambda: linearize.build_pipeline(_WINTERNITZ, _WINTERNITZ_STATE, t_window=window)
+    )[0]
+    tau_end = integrate(rhs, y0, cfg, events, until).t_end
+    return rhs, y0, IntegratorConfig((0.0, 2.0 * tau_end), cfg.rel_tol, cfg.abs_tol), events, until
 
 
 # case -> how its adaptive run ends
@@ -564,7 +569,7 @@ class TestAgainstReferenceStepper:
     The two sum the same products in different orders (numpy's dot may fuse
     multiply-adds), so a stage differs by a few ulp.  Differences are
     measured against each component's largest magnitude over the run: near
-    the psi floor, where Theta' = 1/(h psi^2), the rounding of psi is
+    the psi floor, where t_tau = rho^2/psi^2, the rounding of psi is
     magnified many times over.  With the step sizes fixed, the nodes are
     equal, and states, stage slopes and the dense output inside each step
     (the float interpolant against the reference's numpy one) agree to

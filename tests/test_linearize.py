@@ -1,4 +1,5 @@
 import math
+import re
 from functools import partial
 
 import mpmath
@@ -7,7 +8,7 @@ import pytest
 
 import ermakov as ek
 from ermakov import systems
-from ermakov.expressions import evaluate, free_variables
+from ermakov.expressions import evaluate
 from ermakov.invariant import (
     ForbiddenRegionError,
     TurningPointError,
@@ -30,15 +31,25 @@ from oracles import winternitz_angular_time_closed, winternitz_dpsi_closed, wint
 from test_acceptance import angular_time
 
 
-def _uniform_rotation_pieces():
-    """V = F = 0, A = B = 0, C = 1, rho = 1 at level 1/2: h = 1 and psi = 1.
+def _uniform_rotation_pipeline():
+    """V = F = 0, A = B = 0, C = 1, rho = 1 from (r, theta, rdot, thetadot) = (1, 0, 0, 1).
 
-    The driven equation psi'' + psi = 1 with initial data (1, 0) keeps psi
-    pinned at 1, so the angle advances uniformly and the radius stays 1.
+    L = 1, and the driven equation psi_tau_tau + psi = 1 with initial data
+    (1, 0) keeps psi pinned at 1, so the angle and the time both advance as
+    tau, and the radius stays 1.
     """
     spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="1", F="0", V="0")
-    ode = build_linear_ode(spec, 0.5, (-6.0, 6.0))
-    return spec, ode, solve_linear(ode, 0.0, 1.0, 0.0, (0.0, (-6.0, 6.0)))
+    return build_pipeline(spec, ek.PolarState(1.0, 0.0, 0.0, 1.0), t_window=(-6.0, 6.0))
+
+
+def _free_particle():
+    """V = A = B = C = F = 0, rho = 1 from (1, 0, 0, 1): the straight line r = 1/cos(theta).
+
+    psi = cos(tau) and theta = tau, so t = tan(tau): psi falls to 1e-4 psi0 at
+    tau = +-acos(1e-4), near t = +-1e4.
+    """
+    spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="0", F="0", V="0")
+    return spec, ek.PolarState(1.0, 0.0, 0.0, 1.0)
 
 
 def _coefficients(ode, theta):
@@ -46,8 +57,8 @@ def _coefficients(ode, theta):
     return ode.terms(theta, ode.gap(theta))[1:5]
 
 
-# a time window no run reaches the end of: each side ends at the psi floor or
-# the domain end (Kepler's reaches |T| = 2.8e4, the uniform psi = cos its 1e4)
+# a time window no escaping run reaches the end of: each side ends at the psi
+# floor (Winternitz's near |t| = 4e3, the free particle's near 1e4)
 _UNCUT = (-1e6, 1e6)
 
 
@@ -262,35 +273,39 @@ class TestWinternitzClosedForm:
 
 class TestTimeQuadrature:
     def test_uniform_rotation_is_linear_in_time(self):
-        _, _, sol = _uniform_rotation_pieces()
-        for t in np.linspace(0.0, 4.0, 9):
-            assert sol.theta_at(float(t)) == pytest.approx(t, abs=1e-12)
+        pipe = _uniform_rotation_pipeline()
+        for t in np.linspace(-4.0, 4.0, 17):
+            assert pipe.at(float(t))[0] == pytest.approx(t, abs=1e-12)
 
     def test_round_trip_inverse(self):
-        _, _, sol = _uniform_rotation_pieces()
-        for th in (0.3, 1.7, 3.9):
-            t = sol.row(th)[2]  # the time column, T = t - 0 on branch +1
-            assert sol.theta_at(t) == pytest.approx(th, abs=1e-10)
+        # the row found for the time a run holds at tau is the run's row at tau
+        pipe = _uniform_rotation_pipeline()
+        for tau in (0.3, 1.7, 3.9, -2.2):
+            row = (pipe.up if tau > 0.0 else pipe.down).at(tau)
+            assert pipe.row(row[4]) == pytest.approx(row, abs=1e-10)
 
     def test_monotone_maps(self, winternitz_spec, winternitz_state):
         pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 2.0))
-        thetas = [pipe.theta_at(t) for t in np.linspace(0.0, 2.0, 15)]
+        thetas = [pipe.at(t)[0] for t in np.linspace(0.0, 2.0, 15)]
         assert all(b > a for a, b in zip(thetas, thetas[1:]))
-        inner = np.linspace(*pipe.window, 9)[1:-1]
-        values = [pipe.row(th)[2] for th in inner]
-        assert all(b > a for a, b in zip(values, values[1:]))
+        times = [y[4] for y in pipe.up.ys]  # t_tau = rho^2/psi^2 > 0
+        assert all(b > a for a, b in zip(times, times[1:]))
 
     def test_negative_branch(self):
         spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="1", F="0", V="0")
         s0 = ek.PolarState(1.0, 0.0, 0.0, -1.0)
         pipe = build_pipeline(spec, s0, t_window=(0.0, 3.0))
         for t in (0.5, 2.0):
-            assert pipe.theta_at(t) == pytest.approx(-t, abs=1e-10)
+            assert pipe.at(t)[0] == pytest.approx(-t, abs=1e-10)
 
-    def test_outside_window_raises(self, winternitz_spec, winternitz_state):
-        pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=_UNCUT)
-        with pytest.raises(OutsideWindowError):
-            pipe.r_at(1.0, 10.0)  # outside the psi-positive angle window
+    def test_outside_window_raises(self):
+        # the free particle escapes: its run ends at the psi floor, near t = 1e4
+        spec, state = _free_particle()
+        pipe = build_pipeline(spec, state, t_window=_UNCUT)
+        end = pipe.up.ys[-1][4]
+        assert 9e3 < end < 1.1e4
+        with pytest.raises(OutsideWindowError, match=r"psi fell to 1e-4 psi0 \(an escape\)"):
+            pipe.at(2e4)
 
     def test_nonpositive_psi_rejected(self, monkeypatch):
         import ermakov.linearize as lz
@@ -304,22 +319,24 @@ class TestTimeQuadrature:
 
 class TestReconstruction:
     def test_uniform_rotation_radius(self):
-        _, _, sol = _uniform_rotation_pieces()
-        for t in (1.2, 2.5):
-            assert sol.r_at(t, sol.theta_at(t)) == pytest.approx(1.0, abs=1e-12)
+        pipe = _uniform_rotation_pipeline()
+        for t in (1.2, 2.5, -3.0):
+            assert pipe.at(t)[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_winternitz_round_trip(self, winternitz_spec, winternitz_state, winternitz_trajectory):
         pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 2.0))
         for t in np.linspace(0.0, 2.0, 21):
             y = winternitz_trajectory.at(t)
-            theta = pipe.theta_at(float(t))
+            theta, r = pipe.at(float(t))
             assert abs(theta - y[1]) <= 1e-5
-            assert abs(pipe.r_at(float(t), theta) - y[0]) <= 1e-5
+            assert abs(r - y[0]) <= 1e-5
 
     def test_kepler_orbit_is_inverse_psi(self, winternitz_spec, winternitz_state):
         pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 2.0))
-        th = pipe.theta_at(1.0)
-        assert pipe.r_at(1.0, th) == pytest.approx(1.0 / pipe.psi(th), rel=1e-13)
+        th, r = pipe.at(1.0)
+        assert r == 1.0 / pipe.row(1.0)[2]
+        # the psi of the angle solve at the same angle
+        assert r == pytest.approx(1.0 / solve_from_state(winternitz_spec, winternitz_state).psi(th), rel=1e-9)
 
 
 class TestFreeMotionSolution:
@@ -453,10 +470,12 @@ class TestCompatibility:
 
 
 class TestPipelineGuards:
-    def test_turning_point_start_rejected(self, winternitz_spec):
+    def test_turning_point_start_is_followed(self, winternitz_spec):
+        # thetadot = 0 gives L = 0, an ordinary start in angular time; the angle solve has none
         s0 = ek.PolarState(1.0, math.pi / 2, 0.3, 0.0)
-        with pytest.raises(LinearizationError):
-            build_pipeline(winternitz_spec, s0, t_window=(0.0, 1.0))
+        with pytest.raises(LinearizationError, match="turning point"):
+            solve_from_state(winternitz_spec, s0)
+        _assert_follows_the_direct_run(winternitz_spec, s0, 1.0)
 
     def test_auto_domain_brackets_turnings(self, winternitz_spec):
         lo, hi = auto_theta_domain(winternitz_spec.V, 3.0, math.pi / 2)
@@ -520,11 +539,24 @@ class TestPipelineGuards:
         assert err.value.theta == pytest.approx(0.7416, abs=2e-3)
 
 
-class TestPipelineScansReachedSides:
-    """build_pipeline scans only the sides of theta0 that its window reaches.
+def _assert_follows_the_direct_run(spec, state, t_end):
+    """The pipeline over [t0, t_end] matches a direct run to the round-trip tolerance, 1e-5."""
+    cfg = ek.IntegratorConfig(t_span=(state.t, t_end), rel_tol=1e-12, abs_tol=1e-14)
+    direct = ek.integrate_polar(spec, state, cfg, monitor=False)
+    assert direct.termination == "completed"
+    pipe = build_pipeline(spec, state, t_window=(state.t, t_end))
+    for t in np.linspace(state.t, t_end, 41):
+        r, theta = direct.at(float(t))[:2]
+        assert np.allclose(pipe.at(float(t)), (theta, r), rtol=0.0, atol=1e-5), t
+    return direct
 
-    A config's initial time is the start of its t_span, so a command's
-    pipeline solves, and scans, one side only; the other ends at theta0.
+
+class TestPipelineScansReachedSides:
+    """build_pipeline runs only the time sides of t0 that its window reaches, and scans no angle.
+
+    The run in angular time needs no angle domain: no step evaluates V, only
+    dV/dtheta among the spec's linear terms.  A config's initial time is the
+    start of its t_span, so a command's pipeline makes one run, forward.
     """
 
     @staticmethod
@@ -542,34 +574,35 @@ class TestPipelineScansReachedSides:
         state = ek.PolarState(1.0, math.pi / 2, 0.0, 2.0 * sign)
         seen = self._angles_of_v(spec)
         pipe = build_pipeline(spec, state, t_window=(0.0, 2.0))
-        steps = [th for th in seen if th != state.theta]
-        lo, hi = auto_theta_domain(spec.V, 3.0, state.theta)
-        end = hi if sign > 0.0 else lo
-        assert all((th - state.theta) * sign > 0.0 for th in steps)
-        # each step up to the end, and the one past it where the level meets V
-        assert len(steps) == round(abs(end - state.theta) / (math.pi / 720)) + 1 > 150
-        assert pipe.ode.domain == ((state.theta, hi) if sign > 0.0 else (lo, state.theta))
-        assert (pipe.up is None) == (sign < 0.0)
-        assert (pipe.down is None) == (sign > 0.0)
+        assert seen == []
+        assert pipe.down is None and pipe.up.termination == "stopped"
+        # the angle leaves theta0 the way thetadot points; t passes 2 on the last step only
+        assert all((y[0] - state.theta) * sign > 0.0 for y in pipe.up.ys[1:])
+        times = [y[4] for y in pipe.up.ys]
+        assert times[0] == 0.0 and times[-2] < 2.0 <= times[-1]
 
     def test_window_around_t0_scans_both_sides(self, winternitz_params, winternitz_state):
         spec = ek.winternitz_system(winternitz_params)
         seen = self._angles_of_v(spec)
         pipe = build_pipeline(spec, winternitz_state, t_window=(-1.0, 2.0))
-        assert min(seen) < winternitz_state.theta < max(seen)
-        assert pipe.ode.domain == auto_theta_domain(spec.V, 3.0, winternitz_state.theta)
+        assert seen == []
+        assert pipe.up.ys[-2][4] < 2.0 <= pipe.up.ys[-1][4]
+        assert pipe.down.ys[-2][4] > -1.0 >= pipe.down.ys[-1][4]
+        assert pipe.down.t_end < 0.0 < pipe.up.t_end  # tau runs each way with the time
 
     @pytest.mark.parametrize("thetadot", [1.0, -1.0])
     def test_both_sides_blocked_within_one_step(self, thetadot):
         # free motion f = u: one step below 1e-9 leaves the domain of U(tan theta),
-        # one step above it the potential exceeds the level
+        # one step above it the potential exceeds the level; the angle falls into the
+        # log singularity at theta = 0 at once, and the run stops where the direct run stops
         fm = ek.free_motion_system("u", "1")
-        with pytest.raises(LinearizationError) as err:
-            build_pipeline(fm, ek.PolarState(1.0, 1e-9, -0.2, thetadot), t_window=(0.0, 1.0))
-        assert str(err.value) == (
-            "empty angle domain at theta=1e-09: one step of pi/720 either way, the potential is"
-            " within 0.02172326583694641 of the level -20.72326583694641, or undefined within two steps"
-        )
+        state = ek.PolarState(1.0, 1e-9, -0.2, thetadot)
+        with pytest.raises(LinearizationError, match=r"t=(\S+) \(step_size_underflow\)$") as err:
+            build_pipeline(fm, state, t_window=(0.0, 1.0))
+        direct = ek.integrate_polar(fm, state, ek.IntegratorConfig(t_span=(0.0, 1.0)), monitor=False)
+        assert direct.termination == "step_size_underflow"
+        t_stop = float(re.search(r"t=(\S+) \(", str(err.value)).group(1))
+        assert t_stop == pytest.approx(direct.t_end, rel=1e-3)
 
     @pytest.mark.parametrize(
         "theta0, thetadot, domain",
@@ -579,13 +612,16 @@ class TestPipelineScansReachedSides:
         ],
     )
     def test_only_the_reached_side_blocked(self, winternitz_spec, theta0, thetadot, domain):
-        # the level meets V within one step on the side the run would take: the other
-        # side is scanned, as a domain needs one, and the run has nowhere to go
-        pipe = build_pipeline(winternitz_spec, ek.PolarState(1.0, theta0, 0.0, thetadot), t_window=(0.0, 1.0))
-        assert pipe.ode.domain == domain
-        with pytest.raises(OutsideWindowError) as err:
-            pipe.theta_at(0.5)
-        assert str(err.value) == f"requested time maps beyond theta={theta0!r} (window edge or turning point)"
+        # the level meets V within one step on the side the angle would take: the
+        # angle turns back at once, into the scanned domain, and the run follows it
+        state = ek.PolarState(1.0, theta0, 0.0, thetadot)
+        level = invariant_level(1.0, theta0, thetadot, winternitz_spec.V)
+        assert solve_from_state(winternitz_spec, state).ode.domain == domain
+        direct = _assert_follows_the_direct_run(winternitz_spec, state, 1.0)
+        assert [e.name for e in direct.events][:1] == ["turning_point"]
+        # the level clears V wherever the run goes
+        pipe = build_pipeline(winternitz_spec, state, t_window=(0.0, 1.0))
+        assert all(evaluate(winternitz_spec.V, {"theta": y[0]}) < level for y in pipe.up.ys)
 
 
 class TestAugmentedSolve:
@@ -593,20 +629,22 @@ class TestAugmentedSolve:
         times = [float(t) for t in np.linspace(0.0, 2.0, 25)]
         first = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 2.0))
         second = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 2.0))
-        ascending = [first.theta_at(t) for t in times]
-        descending = [second.theta_at(t) for t in reversed(times)]
+        ascending = [first.row(t) for t in times]
+        descending = [second.row(t) for t in reversed(times)]
         assert ascending == descending[::-1]
 
     def test_theta_window_is_psi_floor_event(self):
-        # psi'' + psi = 0 from (1, 0): psi = cos(theta) falls to 1e-4 psi0 at
-        # +-acos(1e-4), and the time T = integral of 1/cos^2 = tan
-        spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="0", F="0", V="0")
-        sol = build_pipeline(spec, ek.PolarState(1.0, 0.0, 0.0, 1.0), t_window=_UNCUT)
-        lo, hi = sol.window
+        # psi_tau_tau + psi = 0 from (1, 0): psi = cos(tau) falls to 1e-4 psi0 at
+        # tau = +-acos(1e-4); theta = tau, and the time t = integral of 1/cos^2 = tan
+        spec, state = _free_particle()
+        pipe = build_pipeline(spec, state, t_window=_UNCUT)
+        assert pipe.up.termination == pipe.down.termination == "event:psi_floor"
         edge = math.acos(1e-4)
-        assert abs(hi - edge) <= 1e-9
-        assert abs(lo + edge) <= 1e-9
-        assert sol.row(1.0)[2] == pytest.approx(math.tan(1.0), rel=1e-10)
+        assert abs(pipe.up.t_end - edge) <= 1e-9
+        assert abs(pipe.down.t_end + edge) <= 1e-9
+        theta, _, psi, _, t = pipe.up.at(1.0)
+        assert t == pytest.approx(math.tan(1.0), rel=1e-10)
+        assert (theta, psi) == pytest.approx((1.0, math.cos(1.0)), abs=1e-12)
 
     def test_plain_solve_runs_past_the_psi_floor(self):
         # without the angle map psi is solved up to the ends of the domain
@@ -633,11 +671,16 @@ class TestAugmentedSolve:
         # [psi, psi', W, g] to each end of the domain: no angle map, no psi floor
         assert calls == [(4, [], None), (4, [], None)]
 
-    def test_quadrature_over_a_solve_without_the_angle_map_is_named(self):
-        spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="1", F="0", V="0")
-        sol = solve_from_state(spec, ek.PolarState(1.0, 0.0, 0.0, 1.0))
-        with pytest.raises(LinearizationError, match="no time column"):
-            sol.theta_at(0.5)
+    @pytest.mark.parametrize("thetadot", [2.0, -2.0])
+    def test_angle_solve_and_time_run_agree_on_psi(self, winternitz_spec, thetadot):
+        # the paper's equation in theta and its form in tau give one psi(theta)
+        state = ek.PolarState(1.0, math.pi / 2, 0.1, thetadot)
+        pipe = build_pipeline(winternitz_spec, state, t_window=(0.0, 2.0))
+        sol = solve_from_state(winternitz_spec, state)
+        for t in np.linspace(0.0, 2.0, 9):
+            theta, ell, psi, psi_tau, _ = pipe.row(float(t))
+            assert psi == pytest.approx(sol.psi(theta), rel=1e-9)
+            assert psi_tau == pytest.approx(ell * sol.row(theta)[1], rel=1e-8)  # d/dtau = L d/dtheta
 
     def test_time_dependent_rho_needs_time_window(self):
         spec = ek.LinearizableSpec(rho="1 + 0.1*t", A="0", B="0", C="0", F="0", V="0")
@@ -645,9 +688,9 @@ class TestAugmentedSolve:
         with pytest.raises(TypeError, match="t_window"):
             build_pipeline(spec, state)  # every pipeline needs one
         pipe = build_pipeline(spec, state, t_window=(0.0, 1.0))
-        pipe.theta_at(0.5)
+        pipe.at(0.5)
         with pytest.raises(OutsideWindowError):
-            pipe.theta_at(1.5)  # the time is solved over the time window only
+            pipe.at(1.5)  # the time is solved over the time window only
 
 
 def _kepler_case():
@@ -668,7 +711,7 @@ def _free_motion_case():
 
 
 class TestWindowedSolve:
-    """build_pipeline with a t_window solves the angle map only as far as the window reaches."""
+    """build_pipeline runs in angular time only as far as its time window reaches."""
 
     @pytest.fixture(
         params=["winternitz", "kepler", "rho = 1 + a t^2", "free motion, rho = 1 + b t"]
@@ -682,22 +725,13 @@ class TestWindowedSolve:
         }[request.param]()
 
     def test_matches_the_whole_domain_solve_bit_for_bit(self, case):
+        # the reference runs over ten times the window
         spec, state, window = case
         windowed = build_pipeline(spec, state, t_window=window)
-        if free_variables(spec.rho):
-            # under rho = 1 + a t^2 the time blows up before the domain ends,
-            # so the reference is cut too, at ten times the window
-            reference = build_pipeline(spec, state, t_window=(window[0], 10.0 * window[1]))
-        else:
-            reference = build_pipeline(spec, state, t_window=_UNCUT)
-            assert reference.up.termination in ("event:psi_floor", "completed")
+        reference = build_pipeline(spec, state, t_window=(window[0], 10.0 * window[1]))
         times = [float(t) for t in np.linspace(*window, 17)]
-        thetas = [windowed.theta_at(t) for t in times]
-        assert thetas == [reference.theta_at(t) for t in times]
-        radii = [reference.r_at(t, th) for t, th in zip(times, thetas)]
-        assert [windowed.r_at(t, th) for t, th in zip(times, thetas)] == radii
-        rows = [reference.row(th) for th in thetas]
-        assert [windowed.row(th) for th in thetas] == rows
+        assert [windowed.at(t) for t in times] == [reference.at(t) for t in times]
+        assert [windowed.row(t) for t in times] == [reference.row(t) for t in times]
         # the cut run is the first part of the whole one: same nodes, same steps
         cut, full = windowed.up, reference.up
         assert len(cut.ts) < len(full.ts)
@@ -706,7 +740,7 @@ class TestWindowedSolve:
 
     @pytest.fixture
     def spans(self, monkeypatch):
-        """The angle span of every integrate call the pipeline makes."""
+        """The tau span of every integrate call the pipeline makes."""
         import ermakov.linearize as lz
 
         spans = []
@@ -723,26 +757,24 @@ class TestWindowedSolve:
         spec, state, window = case
         pipe = build_pipeline(spec, state, t_window=window)
         assert pipe.down is None
-        # one angle run, forward, which carries the time for every rho
-        assert len(spans) == 1 and spans[0][0] == state.theta and spans[0][1] > state.theta
-        assert pipe.window[0] == state.theta
+        # one run, forward in tau and in time, which carries the time for every rho
+        assert len(spans) == 1 and spans[0][0] == 0.0 < spans[0][1]
+        assert pipe.window[0] == state.t
 
-    def test_one_run_per_side_answers_both_maps(self, case, spans, monkeypatch):
-        import ermakov.linearize as lz
-
+    def test_one_run_per_side_answers_both_maps(self, case, spans):
         spec, state, window = case
         straddling = (-0.25 * window[1], window[1])
         pipe = build_pipeline(spec, state, t_window=straddling)
-        assert len(spans) == 2 and {span[0] for span in spans} == {state.theta}
-        thetas = [pipe.theta_at(t) for t in straddling]
-        # the time at an angle reads off the time column: no inversion
-        monkeypatch.setattr(lz.LinearSolution, "theta_at", None)
-        times = [pipe.row(th)[2] * pipe.ode.branch_sign for th in thetas]
-        assert times == pytest.approx(straddling, abs=1e-12)
+        assert sorted(span[1] > span[0] == 0.0 for span in spans) == [False, True]
+        for t in straddling:
+            row = pipe.row(t)
+            assert row[4] == pytest.approx(t, abs=1e-12)  # the time column, inverted
+            # one row answers the angle and the radius
+            assert pipe.at(t) == (row[0], evaluate(spec.rho, {"t": t}) / row[2])
 
     def test_rho_without_a_value_past_the_window_end(self):
         # rho = 1 + sqrt(1.2 - t) ends at the window end, where the last step
-        # of the cut run reads it past the end.  Tau(t) = G(u(0)) - G(u(t)) with
+        # of the run reads it past the end.  Tau(t) = G(u(0)) - G(u(t)) with
         # u = sqrt(1.2 - t), G(u) = 2 (ln(1 + u) + 1/(1 + u)), and the angle
         # integral of 1/(h psi^2) up to theta(t) equals it
         spec = ek.LinearizableSpec(
@@ -761,11 +793,10 @@ class TestWindowedSolve:
             return 2.0 * (math.log1p(u) + 1.0 / (1.0 + u))
 
         for t in np.linspace(0.0, 1.2, 13):
-            theta = pipe.theta_at(float(t))
+            theta = pipe.at(float(t))[0]
             tau = big_g(0.0) - big_g(float(t))
             assert quad_adaptive(slope, state.theta, theta) == pytest.approx(tau, abs=1e-9)
-        theta = pipe.theta_at(1.2)
-        assert pipe.r_at(1.2, theta) == 1.0 / pipe.psi(theta)  # rho(1.2) = 1
+        assert pipe.at(1.2)[1] == 1.0 / pipe.row(1.2)[2]  # rho(1.2) = 1
 
     @pytest.mark.parametrize(
         "thetadot, window, solved",
@@ -778,14 +809,15 @@ class TestWindowedSolve:
         ],
     )
     def test_window_edges(self, winternitz_spec, thetadot, window, solved):
+        # ``solved``: the way the angle leaves theta0 over the window
         state = ek.PolarState(r=1.0, theta=math.pi / 2, rdot=0.0, thetadot=thetadot)
         pipe = build_pipeline(winternitz_spec, state, t_window=window)
         whole = build_pipeline(winternitz_spec, state, t_window=_UNCUT)
         for t in window:
-            theta = pipe.theta_at(t)
-            assert theta == whole.theta_at(t)
-            assert pipe.r_at(t, theta) == whole.r_at(t, theta)
-        assert (pipe.up is not None, pipe.down is not None) == {
+            assert pipe.at(t) == whole.at(t)
+        assert (pipe.up is not None, pipe.down is not None) == (max(window) > 0.0, min(window) < 0.0)
+        angles = [y[0] for run in (pipe.up, pipe.down) if run for y in run.ys]
+        assert (max(angles) > state.theta, min(angles) < state.theta) == {
             "up": (True, False), "down": (False, True), "both": (True, True)
         }[solved]
 
@@ -793,7 +825,7 @@ class TestWindowedSolve:
         pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 2.0))
         for t in (2.0 + 1e-9, -1e-9, 5.0):
             with pytest.raises(OutsideWindowError, match=r"outside the time window \[0.0, 2.0\]"):
-                pipe.theta_at(t)
+                pipe.at(t)
 
 
 class TestCarriedGap:
@@ -801,6 +833,7 @@ class TestCarriedGap:
 
     For free motion V = U(tan theta) is a quadrature, memoized per angle;
     after the domain scan, a solve may evaluate V at most once, at theta0.
+    The run in angular time needs neither the scan nor V.
     """
 
     _STATE = ek.PolarState(1.0, math.pi / 4, -0.2, 1.0)  # free-motion-demo's
@@ -839,12 +872,14 @@ class TestCarriedGap:
         assert count["scanned"] and count["after"] <= 1
 
     def test_build_pipeline(self, monkeypatch):
-        count = self._quadratures_after_scan(monkeypatch)
+        quadratures = []
+        real = systems.quad_adaptive
+        monkeypatch.setattr(systems, "quad_adaptive", lambda *a, **k: quadratures.append(a) or real(*a, **k))
         spec = ek.free_motion_system("u", "1")
         pipe = build_pipeline(spec, self._STATE, t_window=(0.0, 0.15))
         for t in np.linspace(0.0, 0.15, 7):
-            pipe.r_at(float(t), pipe.theta_at(float(t)))
-        assert count["scanned"] and count["after"] <= 1
+            pipe.at(float(t))
+        assert quadratures == []
 
     def test_linearize_rows(self, monkeypatch, tmp_path):
         from ermakov.cli import main
@@ -855,7 +890,7 @@ class TestCarriedGap:
 
 
 class TestAngleRunSetUp:
-    """The angle run's right-hand side does no per-run work at each stage."""
+    """The runs' right-hand sides do no per-run work at each stage."""
 
     def test_terms_match_momentum_from_gap_at_every_gap(self, winternitz_spec):
         level, theta = 3.0, 1.2
@@ -893,10 +928,12 @@ class TestAngleRunSetUp:
 
     def test_failing_constant_rho_fails_each_stage(self):
         # read once or not, a constant rho with no value rejects every step, as it always has
+        # (build_pipeline fails earlier, at the initial data: the run is called by hand)
+        import ermakov.linearize as lz
+
         spec = ek.LinearizableSpec(rho="sqrt(0 - 1)", A="0", B="0", C="1", F="0", V="0.1*sin(theta)^2")
-        ode = LinearODE(spec, 2.0, (0.5, 2.5), 1)
-        with pytest.raises(LinearizationError, match=r"theta=1\.5 \(step_size_underflow\)"):
-            solve_linear(ode, 1.5, 1.0, 0.0, (0.0, (-1.0, 1.0)))
+        with pytest.raises(LinearizationError, match=r"theta=1\.5, t=0\.0 \(step_size_underflow\)"):
+            lz._time_run(spec, [1.5, 2.0, 1.0, 0.0, 0.0], 1.0)
 
 
 class TestWinternitzQuadraturesAgainstMpmath:

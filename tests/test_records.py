@@ -10,7 +10,7 @@ from ermakov import systems
 from ermakov.config import RunConfig, SystemConfig, preset_config
 from ermakov.expressions import BinOp, Call, Neg, Num, ParseError, Ufunc, Var, parse
 from ermakov.integration import DriftStats, Event, EventSpec, IntegratorConfig, Trajectory
-from ermakov.linearize import LinearODE, LinearSolution
+from ermakov.linearize import AngularTimeRun, LinearODE, LinearSolution
 
 _X = Var("x")
 _SPEC = ek.LinearizableSpec(rho="1", A="0", B="0", C="1", F="0", V="0")
@@ -44,8 +44,9 @@ _CONSTRUCTORS = [
                  "theta_span": (-1.0, 1.0), "rel_tol": 1e-8, "abs_tol": 1e-11, "max_step": 0.5,
                  "samples": 12}),
     (LinearODE, {"spec": _SPEC, "invariant": 0.5, "domain": (-1.0, 1.0), "branch_sign": -1}),
-    (LinearSolution, {"ode": _ODE, "theta0": 0.0, "y0": [1.0, 0.0, 0.0, 1.0, 0.5], "up": None, "down": None,
-                      "clock": (0.0, (0.0, 1.0))}),
+    (LinearSolution, {"ode": _ODE, "theta0": 0.0, "y0": [1.0, 0.0, 1.0, 0.5], "up": None, "down": None}),
+    (AngularTimeRun, {"spec": _SPEC, "y0": [0.0, 1.0, 1.0, 0.0, 0.0], "window": (0.0, 1.0), "up": None,
+                      "down": None}),
 ]
 
 
