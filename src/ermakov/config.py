@@ -24,6 +24,11 @@ from .expressions import (
     substitute,
 )
 from .systems import (
+    _ANGLE_VARS,
+    _CARTESIAN_VARS,
+    _POLAR_VARS,
+    _STRUCTURE_VARS,
+    _TIME_VARS,
     CartesianSpec,
     CartesianState,
     LinearizableSpec,
@@ -46,28 +51,20 @@ _FUNCTION_SCHEMAS: dict[str, dict[str, frozenset[str] | None]] = {
     "cartesian": {
         "f": None,  # single free argument
         "g": None,
-        "omega2": frozenset({"t", "x", "y", "xdot", "ydot"}),
+        "omega2": _CARTESIAN_VARS,
     },
-    "polar": {
-        "F": frozenset({"theta"}),
-        "V": frozenset({"theta"}),
-        "omega2": frozenset({"t", "r", "theta", "rdot", "thetadot"}),
-    },
+    "polar": {"F": _ANGLE_VARS, "V": _ANGLE_VARS, "omega2": _POLAR_VARS},
     "linearizable": {
-        "rho": frozenset({"t"}),
-        "A": frozenset({"theta", "L"}),
-        "B": frozenset({"theta", "L"}),
-        "C": frozenset({"theta", "L"}),
-        "F": frozenset({"theta"}),
-        "V": frozenset({"theta"}),
+        "rho": _TIME_VARS,
+        "A": _STRUCTURE_VARS,
+        "B": _STRUCTURE_VARS,
+        "C": _STRUCTURE_VARS,
+        "F": _ANGLE_VARS,
+        "V": _ANGLE_VARS,
     },
-    "kepler": {
-        "F": frozenset({"theta"}),
-        "G": frozenset({"theta"}),
-        "V": frozenset({"theta"}),
-    },
+    "kepler": {"F": _ANGLE_VARS, "G": _ANGLE_VARS, "V": _ANGLE_VARS},
     "winternitz": {},
-    "free_motion": {"f": None, "rho": frozenset({"t"})},
+    "free_motion": {"f": None, "rho": _TIME_VARS},
 }
 
 _RESERVED_NAMES = frozenset(

@@ -18,7 +18,7 @@ from functools import cache, partial
 from typing import Callable, Sequence
 
 from .expressions import EvaluationError, _Frozen, evaluate, free_variables, is_literal_zero
-from .invariant import ForbiddenRegionError, TurningPointError, invariant_level
+from .invariant import TurningPointError, invariant_level
 from .numerics import exact_sum
 from .systems import (
     CartesianSpec,
@@ -45,7 +45,7 @@ log = logging.getLogger(__name__)
 
 # Errors that mean "this trial step wandered somewhere the model is not
 # defined"; the controller backs off rather than giving up.
-_RECOVERABLE = (EvaluationError, ForbiddenRegionError, TurningPointError, ZeroDivisionError)
+_RECOVERABLE = (EvaluationError, TurningPointError, ZeroDivisionError)
 
 # Dormand-Prince 5(4) tableau.  Row k of _A holds stage k + 2's node and its weights
 # of stages 1, 2, ...; _B the fifth-order weights and _E the error weights E = B - B*

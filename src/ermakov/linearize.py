@@ -1,22 +1,19 @@
 """Linearization of the six-function family and solution reconstruction.
 
 With the invariant level fixed by the initial data, the substitution
-psi = rho(t)/r with the angle as independent variable turns the radial
-dynamics into a second-order linear ODE
+psi = rho(t)/r turns the radial dynamics into a linear equation, written
+in angular time tau (dtau = dtheta/L = dt/r^2) as
 
-    p2(theta) psi'' + p1(theta) psi' + p0(theta) psi = rhs(theta),
+    psi_tau_tau + A psi_tau + (L^2 + F - B) psi = C,    L_tau = -dV/dtheta,
 
-with p2 = h^2, p1 = h dh/dtheta - a, p0 = h^2 + F - b, rhs = c, where
-(a, b, c) come from the structure functions evaluated on shell
-(L = h(theta)).  ``linearize`` solves it on an angle domain.  The
-reconstruction writes the same equation in angular time tau
-(dtau = dtheta/L = dt/r^2),
-
-    psi_tau_tau + A psi_tau + (L^2 + F - B) psi = C,
-
-and integrates it with theta_tau = L, L_tau = -dV/dtheta and
-t_tau = rho(t)^2/psi^2, which pass through turning points of the angle;
-inverting the time column recovers theta(t), and the radius r = rho/psi.
+with the structure functions A, B, C at (theta, L).  Against the angle it
+reads p2 psi'' + p1 psi' + p0 psi = rhs with p2 = L^2, p1 = -dV/dtheta + L A,
+p0 = L^2 + F - B and rhs = C.  ``linearize`` solves it on an angle domain,
+carrying (L, psi, psi_tau) with the tau field divided by L.  The
+reconstruction integrates (theta, L, psi, psi_tau, t) in tau, with
+theta_tau = L and t_tau = rho(t)^2/psi^2, which pass through turning points
+of the angle; inverting the time column recovers theta(t), and the radius
+r = rho/psi.
 """
 
 from __future__ import annotations
@@ -80,10 +77,10 @@ def _check_linearizable(spec) -> LinearizableSpec:
 
 
 class LinearODE:
-    """Coefficients of the linear equation in psi(theta) at a fixed invariant level.
+    """The linear equation in psi(theta) at a fixed invariant level, on an angle domain.
 
     Valid on an open angle interval where the invariant level exceeds the
-    potential; p2 is positive on the interior.
+    potential; ``LinearSolution.coefficients`` gives its coefficients.
     """
 
     def __init__(self, spec: LinearizableSpec, invariant: float, domain: tuple, branch_sign: int):
@@ -93,17 +90,6 @@ class LinearODE:
 
     def gap(self, theta: float) -> float:
         return self.invariant - evaluate(self.spec.V, {"theta": theta})
-
-    def terms(self, theta: float, gap: float) -> tuple[float, float, float, float, float, float]:
-        """(h, p2, p1, p0, rhs, dV/dtheta) at theta, given the gap I - V(theta) there."""
-        tol = self.turning_tol  # at or below it, momentum_from_gap raises
-        h = math.sqrt(2.0 * gap) if gap > tol else momentum_from_gap(theta, self.invariant, gap)
-        ell = self.branch_sign * h
-        A, b, c, f, dv = self.spec.linear_terms(theta, ell)
-        a = -ell * A  # the right side is a psi' + b psi + c, a = -L A
-        p2 = 2.0 * gap
-        # h dh/dtheta = -dV/dtheta exactly
-        return h, p2, -dv - a, p2 + f - b, c, dv
 
 
 def build_linear_ode(
@@ -182,8 +168,8 @@ def auto_theta_domain(V, invariant, theta0: float) -> tuple[float, float]:
 
     The scan steps pi/720 at a time, up to 2 pi each way.  It stops a safety
     margin of 1e-3 (1 + |I|) short of any turning point, and one step short
-    of an angle where the potential is undefined: the solve carries I - V
-    along the run, and must not meet the singularity that often bounds the
+    of an angle where the potential is undefined: the solve steps through
+    dV/dtheta, and must not meet the singularity that often bounds the
     potential's domain (the log of U(tan theta) at a sector edge).  Raises
     LinearizationError if it cannot take a step to either side.
     """
@@ -225,20 +211,29 @@ def auto_theta_domain(V, invariant, theta0: float) -> tuple[float, float]:
 # Numeric solution of the linear ODE
 # ---------------------------------------------------------------------------
 
-def _solve_run(ode: LinearODE, theta0, y0, theta1) -> Trajectory | None:
-    """Integrate [psi, psi', W, g] from theta0 towards theta1 (None where they coincide).
+def _tau_slopes(terms, theta: float, ell: float, psi: float, dpsi: float) -> tuple[float, float]:
+    """(L_tau, psi_tau_tau) = (-dV/dtheta, C - A psi_tau - (L^2 + F - B) psi) at one state."""
+    A, B, C, F, dv = terms(theta, ell)
+    return -dv, C - A * dpsi - (ell * ell + F - B) * psi
 
-    The gap g = I - V(theta) rides along with g' = -dV/dtheta, so no step
-    evaluates the potential itself.
+
+def _solve_run(ode: LinearODE, theta0, y0, theta1) -> Trajectory | None:
+    """Integrate (L, psi, psi_tau) from theta0 towards theta1 (None where they coincide).
+
+    The field is the angular-time one divided by L = theta_tau, so no step
+    evaluates the potential itself.  A stage where L^2/2 falls to the
+    turning tolerance raises TurningPointError, which rejects the step.
     """
     if theta1 == theta0:
         return None
-    terms = ode.terms
+    terms, tol, level = ode.spec.linear_terms, ode.turning_tol, ode.invariant
 
     def rhs(th, y):
-        psi, dpsi, w, gap = y
-        h, p2, p1, p0, c, dv = terms(th, gap)
-        return dpsi, (c - p1 * dpsi - p0 * psi) / p2, -p1 / p2 * w, -dv
+        ell, psi, dpsi = y
+        if 0.5 * ell * ell <= tol:
+            raise TurningPointError(th, level)
+        dl, ddpsi = _tau_slopes(terms, th, ell, psi, dpsi)
+        return dl / ell, dpsi / ell, ddpsi / ell
 
     cfg = IntegratorConfig(t_span=(theta0, theta1), rel_tol=_SOLVE_REL_TOL, abs_tol=_SOLVE_ABS_TOL)
     traj = integrate(rhs, y0, cfg)
@@ -253,9 +248,8 @@ class LinearSolution:
     """Solution psi of the linear ODE with given data (psi0, psi'0) at theta0.
 
     ``up`` and ``down`` are the dense runs leaving theta0 each way, or None
-    where nothing was solved.  A run carries psi, psi', Abel's Wronskian
-    factor W of the identity basis (W' = -(p1/p2) W, W(theta0) = 1) and the
-    gap g = I - V(theta): a row is (psi, psi', W, g), ``y0`` at theta0.
+    where nothing was solved.  A row is (L, psi, psi_tau), the columns the
+    run in angular time carries too, with psi' = psi_tau/L; ``y0`` at theta0.
     """
 
     def __init__(self, ode: LinearODE, theta0: float, y0: list[float], up, down):
@@ -278,28 +272,28 @@ class LinearSolution:
         return run.at(x)
 
     def psi(self, theta: float) -> float:
-        return self.row(theta)[0]
+        return self.row(theta)[1]
 
     def coefficients(self, theta: float) -> tuple[float, float, float, float, float]:
-        """(p2, p1, p0, rhs, psi) at theta, from the gap carried along the solve."""
-        row = self.row(theta)
-        return (*self.ode.terms(theta, row[-1])[1:5], row[0])
+        """(p2, p1, p0, rhs, psi) at theta, with L read from the solve."""
+        ell, psi, _ = self.row(theta)
+        A, B, C, F, dv = self.ode.spec.linear_terms(theta, ell)
+        p2 = ell * ell
+        return p2, -dv + ell * A, p2 + F - B, C, psi
 
 
 def solve_linear(ode: LinearODE, theta0: float, psi0: float, dpsi0: float) -> LinearSolution:
     """Solve the linear ODE matching (psi0, dpsi0) at theta0 on the ODE domain.
 
-    Raises LinearizationError if Abel's factor W stops being positive, i.e.
-    the homogeneous solutions become linearly dependent.
+    L0 = branch sqrt(2 (I - V(theta0))); raises TurningPointError or
+    ForbiddenRegionError where the level meets or falls below V(theta0).
     """
     lo, hi = ode.domain
     if not (lo <= theta0 <= hi):
         raise ValueError(f"theta0={theta0!r} outside the ODE domain [{lo}, {hi}]")
-    y0 = [psi0, dpsi0, 1.0, ode.gap(theta0)]
-    runs = (_solve_run(ode, theta0, y0, hi), _solve_run(ode, theta0, y0, lo))
-    if not all(0.0 < y[2] < math.inf for traj in runs if traj for y in traj.ys):  # Abel factor W
-        raise LinearizationError("homogeneous solutions became linearly dependent")
-    return LinearSolution(ode, theta0, y0, *runs)
+    ell = ode.branch_sign * momentum_from_gap(theta0, ode.invariant, ode.gap(theta0))
+    y0 = [ell, psi0, ell * dpsi0]
+    return LinearSolution(ode, theta0, y0, _solve_run(ode, theta0, y0, hi), _solve_run(ode, theta0, y0, lo))
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +325,7 @@ def _time_run(spec: LinearizableSpec, y0: list[float], t_end: float) -> Trajecto
 
     def rhs(tau, y):
         theta, ell, psi, dpsi, t = y
-        A, B, C, F, dv = terms(theta, ell)
+        dl, ddpsi = _tau_slopes(terms, theta, ell, psi, dpsi)
         rv = rho_c
         if rv is None:
             try:
@@ -340,7 +334,7 @@ def _time_run(spec: LinearizableSpec, y0: list[float], t_end: float) -> Trajecto
                 if not sign * (t - t_end) > 0.0:
                     raise
                 rv = evaluate(rho, {"t": t_end})
-        return ell, -dv, dpsi, C - A * dpsi - (ell * ell + F - B) * psi, rv * rv / (psi * psi)
+        return ell, dl, dpsi, ddpsi, rv * rv / (psi * psi)
 
     cfg = IntegratorConfig(t_span=(0.0, sign * _TAU_SPAN), rel_tol=_SOLVE_REL_TOL, abs_tol=_SOLVE_ABS_TOL)
     events = [EventSpec("psi_floor", lambda tau, y: y[2] - floor, terminal=True)]

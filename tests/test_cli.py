@@ -403,16 +403,46 @@ class TestLinearize:
         sol = solve_from_state(build_spec(cfg), cfg.polar_state, (data[0, 0], data[-1, 0]))
         assert [sol.psi(th) for th in data[:, 0]] == data[:, 5].tolist()
 
-    @pytest.mark.parametrize("preset", sorted(PRESETS))
-    def test_p2_column_is_twice_the_gap(self, tmp_path, preset):
-        # the rows read the gap I - V carried along the solve; ode.gap evaluates V
+    @pytest.mark.parametrize("case", [*sorted(PRESETS), "librating", "winternitz-near-turning"])
+    def test_p2_column_is_twice_the_gap(self, tmp_path, case):
+        # p2 = L^2 from the L carried along the solve; ode.gap evaluates V.  The librating
+        # domain ends at turning margins on both sides, where L is smallest; the
+        # winternitz span starts 1e-6 past the turning angle 0.741576, where p2 is about 1e-5
+        configs = {
+            "librating": LIBRATING_CONFIG,
+            "winternitz-near-turning": {**PRESETS["winternitz-default"], "theta_span": [0.741577, 1.6]},
+        }
         out = tmp_path / "out"
-        assert main(["linearize", "--preset", preset, "--out", str(out)]) == 0
+        if case in PRESETS:
+            source, cfg = ["--preset", case], preset_config(case)
+        else:
+            source, cfg = ["--config", str(_write(tmp_path, "c.json", configs[case]))], load_config(configs[case])
+        assert main(["linearize", *source, "--out", str(out)]) == 0
         _, data = _read_csv(out / "linear_ode.csv")
-        cfg = preset_config(preset)
         ode = solve_from_state(build_spec(cfg), cfg.polar_state).ode
-        direct = np.array([ode.terms(th, ode.gap(th))[1] for th in data[:, 0]])  # p2
+        direct = np.array([2.0 * ode.gap(th) for th in data[:, 0]])
         assert np.all(np.abs(data[:, 1] - direct) <= 1e-9 * (1.0 + np.abs(direct)))
+        if case == "winternitz-near-turning":
+            assert direct[0] < 2e-5
+
+    def test_turning_point_start_is_named(self, tmp_path, capsys):
+        # V = 0.3 sin^2 theta peaks at theta0 = pi/2, where the level clears it by
+        # (r^2 thetadot)^2/2 = 5e-15, inside the turning tolerance; the span's check
+        # grid misses the peak, and the initial L names it
+        cfg = {
+            "system": {
+                "kind": "linearizable",
+                "functions": {"rho": "1", "A": "0", "B": "0", "C": "0", "F": "0", "V": "0.3*sin(theta)^2"},
+            },
+            "initial_state": {"coords": "polar", "r": 1.0, "theta": math.pi / 2, "rdot": 0.0, "thetadot": 1e-7},
+            "t_span": [0.0, 1.0],
+            "theta_span": [1.0, 2.2],
+        }
+        out = tmp_path / "out"
+        assert main(["linearize", "--config", str(_write(tmp_path, "c.json", cfg)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: turning point at theta=1.5707963267948966 (invariant 0.3")
+        assert not (out / "linear_ode.csv").exists()
 
     def test_theta_span_where_the_potential_is_undefined(self, tmp_path, capsys):
         # U(tan theta) is defined for theta in (0, pi/2) only

@@ -524,7 +524,7 @@ def _case(name, monkeypatch):
         y0 = [1.0, math.pi / 2, 0.0, 2.0]
         cfg = IntegratorConfig(t_span=(0.0, 10.0))
         return polar_rhs_function(_WINTERNITZ), y0, cfg, _polar_events(_WINTERNITZ), None
-    # the linearized route: [theta, L, psi, psi_tau, t] for the pipeline, [psi, psi', W, g] without
+    # the linearized route: [theta, L, psi, psi_tau, t] for the pipeline, [L, psi, psi_tau] without
     if name == "linear-psi-floor":
         # a window the time never reaches: the run ends at the psi floor, t about 4e3
         return _time_run_case(monkeypatch, (0.0, 1e6))
@@ -704,7 +704,7 @@ _KERNEL_CASES = {
     "oscillator-backward": (4, "completed"),
     "oscillator-terminal-event": (4, "event:x_zero"),
     "winternitz-polar": (4, "completed"),
-    "linear-backward": (4, "completed"),
+    "linear-backward": (3, "completed"),
     "linear-psi-floor": (5, "event:psi_floor"),
     "linear-until": (5, "stopped"),
     "chain-first-step": (11, "completed"),
@@ -782,9 +782,9 @@ class TestKernelBuild:
         for _ in range(2):
             integrate(osc, [1.0, 0.0, 0.0, 1.0], IntegratorConfig(t_span=(0.0, 1.0)))
         assert len(compiled) == 1
-        linearize.solve_from_state(_WINTERNITZ, _WINTERNITZ_STATE)  # four-state runs
+        linearize.solve_from_state(_WINTERNITZ, _WINTERNITZ_STATE)  # three-state runs
         linearize.build_pipeline(_WINTERNITZ, _WINTERNITZ_STATE, t_window=(0.0, 2.0))  # five
-        assert len(compiled) == 2 and integration._kernel.cache_info().currsize == 2
+        assert len(compiled) == 3 and integration._kernel.cache_info().currsize == 3
 
 
 class TestSlopeCount:

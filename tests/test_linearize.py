@@ -53,8 +53,11 @@ def _free_particle():
 
 
 def _coefficients(ode, theta):
-    """(p2, p1, p0, rhs) at theta, from the potential evaluated there."""
-    return ode.terms(theta, ode.gap(theta))[1:5]
+    """(p2, p1, p0, rhs) at theta, with L = branch sqrt(2 (I - V)) from the potential evaluated there."""
+    p2 = 2.0 * ode.gap(theta)
+    ell = ode.branch_sign * math.sqrt(p2)
+    A, B, C, F, dv = ode.spec.linear_terms(theta, ell)
+    return p2, -dv + ell * A, p2 + F - B, C
 
 
 # a time window no escaping run reaches the end of: each side ends at the psi
@@ -127,13 +130,16 @@ class TestSolveLinear:
 
     @staticmethod
     def _basis(ode, theta0):
-        """Homogeneous solutions u1, u2 with data (1, 0), (0, 1): differences of driven solves."""
+        """Homogeneous solutions u1, u2 with data (1, 0), (0, 1): differences of driven solves.
+
+        A row (L, psi, psi_tau) gives (psi, psi') with psi' = psi_tau/L.
+        """
         particular = solve_linear(ode, theta0, 0.0, 0.0)
         e1, e2 = solve_linear(ode, theta0, 1.0, 0.0), solve_linear(ode, theta0, 0.0, 1.0)
 
         def rows(theta):
-            p = particular.row(theta)
-            return [[a - b for a, b in zip(e.row(theta)[:2], p[:2])] for e in (e1, e2)]
+            ell, psi, psi_tau = particular.row(theta)
+            return [[e.row(theta)[1] - psi, (e.row(theta)[2] - psi_tau) / ell] for e in (e1, e2)]
 
         return particular, rows
 
@@ -668,19 +674,18 @@ class TestAugmentedSolve:
 
         monkeypatch.setattr(lz, "integrate", recording)
         assert main(["linearize", "--preset", "winternitz-default", "--out", str(tmp_path)]) == 0
-        # [psi, psi', W, g] to each end of the domain: no angle map, no psi floor
-        assert calls == [(4, [], None), (4, [], None)]
+        # (L, psi, psi_tau) to each end of the domain: no angle map, no psi floor
+        assert calls == [(3, [], None), (3, [], None)]
 
     @pytest.mark.parametrize("thetadot", [2.0, -2.0])
     def test_angle_solve_and_time_run_agree_on_psi(self, winternitz_spec, thetadot):
-        # the paper's equation in theta and its form in tau give one psi(theta)
+        # the equation in theta and in tau give one (L, psi, psi_tau) at each angle
         state = ek.PolarState(1.0, math.pi / 2, 0.1, thetadot)
         pipe = build_pipeline(winternitz_spec, state, t_window=(0.0, 2.0))
         sol = solve_from_state(winternitz_spec, state)
         for t in np.linspace(0.0, 2.0, 9):
-            theta, ell, psi, psi_tau, _ = pipe.row(float(t))
-            assert psi == pytest.approx(sol.psi(theta), rel=1e-9)
-            assert psi_tau == pytest.approx(ell * sol.row(theta)[1], rel=1e-8)  # d/dtau = L d/dtheta
+            theta, *shared, _ = pipe.row(float(t))
+            assert sol.row(theta) == pytest.approx(shared, rel=1e-10)
 
     def test_time_dependent_rho_needs_time_window(self):
         spec = ek.LinearizableSpec(rho="1 + 0.1*t", A="0", B="0", C="0", F="0", V="0")
@@ -829,7 +834,7 @@ class TestWindowedSolve:
 
 
 class TestCarriedGap:
-    """The angle runs carry the gap I - V(theta), so no step evaluates V.
+    """The angle runs carry L, with L^2/2 the gap I - V(theta), so no step evaluates V.
 
     For free motion V = U(tan theta) is a quadrature, memoized per angle;
     after the domain scan, a solve may evaluate V at most once, at theta0.
@@ -891,25 +896,6 @@ class TestCarriedGap:
 
 class TestAngleRunSetUp:
     """The runs' right-hand sides do no per-run work at each stage."""
-
-    def test_terms_match_momentum_from_gap_at_every_gap(self, winternitz_spec):
-        level, theta = 3.0, 1.2
-        ode = LinearODE(winternitz_spec, level, (0.5, 2.5), 1)
-        checked = LinearODE(winternitz_spec, level, (0.5, 2.5), 1)
-        checked.turning_tol = math.inf  # every gap through momentum_from_gap's checks
-        tol = ode.turning_tol
-        for gap in (
-            2.0 * tol, math.nextafter(tol, math.inf), tol, math.nextafter(tol, 0.0), 0.0,
-            -tol, math.nextafter(-tol, -math.inf), -1.0, math.nan, math.inf, 1.5,
-        ):
-            try:
-                expected = [v.hex() for v in checked.terms(theta, gap)]
-            except (TurningPointError, ForbiddenRegionError, ek.EvaluationError) as exc:
-                with pytest.raises(type(exc)) as info:
-                    ode.terms(theta, gap)
-                assert str(info.value) == str(exc), gap
-            else:
-                assert [v.hex() for v in ode.terms(theta, gap)] == expected, gap
 
     def test_constant_rho_is_read_once_per_run(self, monkeypatch, winternitz_spec, winternitz_state):
         import ermakov.linearize as lz

@@ -429,7 +429,7 @@ class TestPolarRhs:
         spec = ek.winternitz_system(ek.WinternitzParams(mu0=1.0, g1=1.0, g2=0.5, g3=1.0))
         for _ in range(2):
             polar_rhs_function(spec)(0.0, (1.0, 1.5, 0.0, 2.0))
-            ek.LinearODE(spec, 5.0, (0.5, 2.5), 1).terms(1.5, 3.0)
+            spec.linear_terms(1.5, math.sqrt(6.0))
         assert [len(t) for t in tuples if len(t) > 1] == [3, 5]
 
     def test_cached_derivatives_are_not_simplified_again(self, monkeypatch):
