@@ -7,8 +7,8 @@ Both trees run the same invocations, each tree in fresh interpreters with
 its own ``src`` on the path:
 
 - the preset runs: the four commands on each of the three presets;
-- the four commands on the workflow's ``RHO_T_CONFIG``, ``POLAR_CONFIG`` and
-  ``LIBRATING_CONFIG``;
+- the four commands on the workflow's ``RHO_T_CONFIG``, ``POLAR_CONFIG``,
+  ``LIBRATING_CONFIG`` and ``THETA_SPAN_CONFIG``;
 - ``reconstruct`` and ``validate`` on each preset with its initial
   ``thetadot`` negated, so the angle leaves theta0 the other way (the
   working tree's presets, which are only imported);
@@ -38,7 +38,12 @@ ROOT = Path(__file__).resolve().parent.parent
 PRESETS = ("winternitz-default", "uniform-rotation", "free-motion-demo")
 COMMANDS = ("simulate", "linearize", "reconstruct", "validate")
 MIRRORED = ("reconstruct", "validate")  # on the presets with thetadot negated
-WORKFLOW_CONFIGS = {"rho-t": "RHO_T_CONFIG", "polar": "POLAR_CONFIG", "librating": "LIBRATING_CONFIG"}
+WORKFLOW_CONFIGS = {
+    "rho-t": "RHO_T_CONFIG",
+    "polar": "POLAR_CONFIG",
+    "librating": "LIBRATING_CONFIG",
+    "theta-span": "THETA_SPAN_CONFIG",
+}
 SCRIPTS = {
     "winternitz_roundtrip": ["--out", "roundtrip"],
     "integrator_order": [],

@@ -78,10 +78,10 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     spec = build_spec(cfg)
     traj = integrate_polar(spec, cfg.polar_state, _integrator_config(cfg))
     times = _sample_times(cfg, traj.t_end)
-    rows = []
-    for t in times:
-        r, theta, rdot, thetadot = traj.at(t)
-        rows.append((t, r, theta, rdot, thetadot, invariant_level(r, theta, thetadot, spec.V)))
+    rows = [
+        (t, r, theta, rdot, thetadot, invariant_level(r, theta, thetadot, spec.V))
+        for t, (r, theta, rdot, thetadot) in zip(times, traj.sample(times))
+    ]
     _write_csv(out_dir / "trajectory.csv", ["t", "r", "theta", "rdot", "thetadot", "I"], rows)
     summary = {
         "termination": traj.termination,
@@ -112,7 +112,7 @@ def cmd_linearize(cfg: RunConfig, out_dir: Path) -> int:
         raise ConfigError("theta_span", f"{list(span)} excludes the initial angle {theta0!r}")
     sol = solve_from_state(linearizable_view(cfg, build_spec(cfg)), cfg.polar_state, span)
     grid = linspace(*sol.ode.domain, cfg.samples)
-    rows = [(th, *sol.coefficients(th)) for th in grid]
+    rows = [(th, *coefficients) for th, coefficients in zip(grid, sol.coefficients(grid))]
     _write_csv(out_dir / "linear_ode.csv", ["theta", "p2", "p1", "p0", "rhs", "psi"], rows)
     print(f"linearize: ok, {len(grid)} samples on [{grid[0]:.6g}, {grid[-1]:.6g}]")
     return EXIT_OK
@@ -122,7 +122,7 @@ def cmd_reconstruct(cfg: RunConfig, out_dir: Path) -> int:
     lin = linearizable_view(cfg, build_spec(cfg))
     pipe = build_pipeline(lin, cfg.polar_state, t_window=cfg.t_span)
     times = _sample_times(cfg, cfg.t_span[1])
-    rows = [(t, *pipe.at(t)) for t in times]
+    rows = [(t, *point) for t, point in zip(times, pipe.sample(times))]
     _write_csv(out_dir / "reconstructed.csv", ["t", "theta", "r"], rows)
     print(f"reconstruct: ok, {len(rows)} samples over t in {list(cfg.t_span)}")
     return EXIT_OK
@@ -148,8 +148,7 @@ def cmd_validate(cfg: RunConfig, out_dir: Path) -> int:
         pipe = build_pipeline(lin, cfg.polar_state, t_window=cfg.t_span)
         r_err = 0.0
         th_err = 0.0
-        for t, row in zip(times, sampled):
-            theta, r = pipe.at(t)
+        for (theta, r), row in zip(pipe.sample(times), sampled):
             th_err = max(th_err, abs(theta - row[1]))
             r_err = max(r_err, abs(r - row[0]))
         checks["round_trip"] = {

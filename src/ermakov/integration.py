@@ -5,7 +5,10 @@ proportional-integral step-size controller and the pair's free quartic
 interpolant.  It is the ground truth against which the linearization
 pipeline is validated, so it favors robustness: domain failures inside a
 trial step reject the step instead of aborting the run, and terminal
-events truncate the trajectory with a labelled termination reason.
+events truncate the trajectory with a labelled termination reason.  A
+``Trajectory`` answers a grid of times in one ordered pass over its steps
+(``sample``; ``at`` is a grid of one), each time from the step and the float
+operations that answer it alone, whatever the other times and their order.
 """
 
 from __future__ import annotations
@@ -153,28 +156,27 @@ class Trajectory:
     def dim(self) -> int:
         return len(self.ys[0])
 
-    def _segment(self, t: float) -> int:
+    def _check_window(self, times: Sequence[float]) -> None:
+        """Raise ValueError naming the first of the times outside the covered window."""
         ts = self.ts
-        increasing = ts[-1] >= ts[0]
-        span = abs(ts[-1] - ts[0])
-        lo, hi = (ts[0], ts[-1]) if increasing else (ts[-1], ts[0])
-        if t < lo - 1e-9 * (1.0 + span) or t > hi + 1e-9 * (1.0 + span):
-            raise ValueError(f"time {t!r} outside the covered window [{lo!r}, {hi!r}]")
-        idx = bisect_right(ts, t) if increasing else bisect_right(ts, -t, key=lambda s: -s)
-        return min(max(idx - 1, 0), len(self.hs) - 1)  # -1: no accepted step
+        lo, hi, slack = min(ts[0], ts[-1]), max(ts[0], ts[-1]), 1e-9 * (1.0 + abs(ts[-1] - ts[0]))
+        for t in times:
+            if not lo - slack <= t <= hi + slack:  # NaN too
+                raise ValueError(f"time {t!r} outside the covered window [{lo!r}, {hi!r}]")
+
+    def _segment(self, t: float) -> int:
+        """The step answering time t, found by bisection (-1: no step); see ``sample``."""
+        ts = self.ts
+        idx = bisect_right(ts, t) if ts[-1] >= ts[0] else bisect_right(ts, -t, key=lambda s: -s)
+        return min(max(idx - 1, 0), len(self.hs) - 1)
 
     def at(self, t: float) -> list[float]:
         """Dense-output state at an arbitrary time inside the covered window."""
-        i = self._segment(t)
-        if i < 0:
-            return list(self.ys[0])
-        return _dense(self.ts[i], self.ys[i], self.hs[i], self.slopes[i], float(t))
+        return self.sample((t,))[0]
 
     def at_with_slope(self, t: float) -> tuple[list[float], list[float]]:
-        """Dense-output state and its derivative in t, from the same step's interpolant.
-
-        A run with no accepted step has no interpolant: its slope is NaN.
-        """
+        """Dense-output state and its derivative in t from one step's interpolant (NaN: no step)."""
+        self._check_window((t,))
         t = float(t)
         i = self._segment(t)
         if i < 0:
@@ -183,7 +185,25 @@ class Trajectory:
         return _dense(t_i, self.ys[i], h, slopes, t), _stage_sum(slopes, (t - t_i) / h, _DP)
 
     def sample(self, times: Sequence[float]) -> list[list[float]]:
-        return [self.at(t) for t in times]
+        """Dense-output states at times of the window, in the caller's order, from one pass
+        over the times sorted in the run's direction: the first one's step is found by
+        bisection, each later one's by moving forward.  A time on a node takes the step that
+        starts there, one past the last node the last step: no state depends on the others."""
+        times = list(times)  # any iterable, read twice
+        self._check_window(times)
+        xs = [float(t) for t in times]
+        ts, ys, hs, slopes = self.ts, self.ys, self.hs, self.slopes
+        if not (hs and xs):
+            return [list(ys[0]) for _ in xs]
+        sign, last = 1.0 if ts[-1] >= ts[0] else -1.0, len(hs) - 1
+        keys = [sign * x for x in xs]
+        order = sorted(range(len(xs)), key=keys.__getitem__)
+        i, out = self._segment(xs[order[0]]), [None] * len(xs)
+        for j in order:
+            while i < last and not keys[j] < sign * ts[i + 1]:
+                i += 1
+            out[j] = _dense(ts[i], ys[i], hs[i], slopes[i], xs[j])
+        return out
 
 
 def _scaled_rms(v: Sequence[float], scale: Sequence[float]) -> float:
@@ -253,20 +273,26 @@ def _kernel(dim: int) -> Callable:
     return namespace["step"]
 
 
-def _stage_sum(slopes, x: float, table) -> list[float]:
-    """sum_k c_k(x) k_k per component; table row k: c_k's coefficients, lowest power first."""
+def _stage_sum(slopes, x: float, table, y: Sequence[float] | None = None, dt: float = 0.0) -> list[float]:
+    """sum_k c_k(x) k_k per component, or y + dt sum_k c_k(x) k_k given y; table row k: c_k's
+    coefficients, lowest power first.  All dense output and its slope are computed here."""
     c1, c3, c4, c5, c6, c7 = [p1 + x * (p2 + x * (p3 + x * p4)) for p1, p2, p3, p4 in table]
     k1, _, k3, k4, k5, k6, k7 = slopes
+    if y is None:
+        return [
+            c1 * a + c3 * c + c4 * d + c5 * e + c6 * f + c7 * g
+            for a, c, d, e, f, g in zip(k1, k3, k4, k5, k6, k7)
+        ]
     return [
-        c1 * a + c3 * c + c4 * d + c5 * e + c6 * f + c7 * g
-        for a, c, d, e, f, g in zip(k1, k3, k4, k5, k6, k7)
+        v + dt * (c1 * a + c3 * c + c4 * d + c5 * e + c6 * f + c7 * g)
+        for v, a, c, d, e, f, g in zip(y, k1, k3, k4, k5, k6, k7)
     ]
 
 
 def _dense(t_step: float, y: Sequence[float], h: float, slopes, t: float) -> list[float]:
     """One step's interpolant at t: y + (t - t_step) sum_k c_k(x) k_k, x = (t - t_step)/h."""
     dt = t - t_step
-    return [v + dt * s for v, s in zip(y, _stage_sum(slopes, dt / h, _P))]
+    return _stage_sum(slopes, dt / h, _P, y, dt)
 
 
 def _crossed(ev: EventSpec, g_old: float, g_new: float) -> bool:
@@ -435,14 +461,7 @@ def integrate(
         err_old = max(err, 1e-4)
         t, y, f = t_new, y_new, stages[6]
 
-    return Trajectory(
-        ts=ts, ys=ys, hs=hs, slopes=slopes,
-        n_accepted=n_accepted,
-        n_rejected=n_rejected,
-        n_rhs=n_rhs,
-        termination=termination,
-        events=found_events,
-    )
+    return Trajectory(ts, ys, hs, slopes, n_accepted, n_rejected, n_rhs, termination, found_events)
 
 
 # ---------------------------------------------------------------------------
@@ -458,18 +477,10 @@ def _polar_events(spec) -> list[EventSpec]:
         EventSpec("radial_collapse", lambda t, y: y[0] - _R_FLOOR, terminal=True, direction=-1),
     ]
     if not is_literal_zero(spec.F):
-        out.append(
-            EventSpec("sector_boundary", lambda t, y: math.sin(y[1]) * math.cos(y[1]))
-        )
+        out.append(EventSpec("sector_boundary", lambda t, y: math.sin(y[1]) * math.cos(y[1])))
     if isinstance(spec, LinearizableSpec) and free_variables(spec.rho):
         # a constant scale factor cannot cross zero; only track genuine rho(t)
-        out.append(
-            EventSpec(
-                "rho_zero",
-                lambda t, y, _rho=spec.rho: evaluate(_rho, {"t": t}),
-                terminal=True,
-            )
-        )
+        out.append(EventSpec("rho_zero", lambda t, y, _rho=spec.rho: evaluate(_rho, {"t": t}), terminal=True))
     return out
 
 
@@ -483,12 +494,7 @@ def _cartesian_events(spec: CartesianSpec) -> list[EventSpec]:
     ]
 
 
-def integrate_polar(
-    spec,
-    state0: PolarState,
-    cfg: IntegratorConfig,
-    monitor: bool = True,
-) -> Trajectory:
+def integrate_polar(spec, state0: PolarState, cfg: IntegratorConfig, monitor: bool = True) -> Trajectory:
     """Integrate a polar-family spec from ``state0`` over ``cfg.t_span``."""
     rhs = polar_rhs_function(spec)
     if abs(state0.t - cfg.t_span[0]) > 1e-12 * (1.0 + abs(state0.t)):
@@ -500,9 +506,7 @@ def integrate_polar(
     return traj
 
 
-def integrate_cartesian(
-    spec: CartesianSpec, state0: CartesianState, cfg: IntegratorConfig
-) -> Trajectory:
+def integrate_cartesian(spec: CartesianSpec, state0: CartesianState, cfg: IntegratorConfig) -> Trajectory:
     if abs(state0.t - cfg.t_span[0]) > 1e-12 * (1.0 + abs(state0.t)):
         raise ValueError("initial state time must match the start of t_span")
     rhs = cartesian_rhs_function(spec)

@@ -13,7 +13,8 @@ carrying (L, psi, psi_tau) with the tau field divided by L.  The
 reconstruction integrates (theta, L, psi, psi_tau, t) in tau, with
 theta_tau = L and t_tau = rho(t)^2/psi^2, which pass through turning points
 of the angle; inverting the time column recovers theta(t), and the radius
-r = rho/psi.
+r = rho/psi.  Both answer a grid, of angles or of times, in one sweep per run,
+and each point as it would be answered alone.
 """
 
 from __future__ import annotations
@@ -92,12 +93,7 @@ class LinearODE:
         return self.invariant - evaluate(self.spec.V, {"theta": theta})
 
 
-def build_linear_ode(
-    spec,
-    invariant,
-    theta_domain: tuple[float, float],
-    branch_sign: int = 1,
-) -> LinearODE:
+def build_linear_ode(spec, invariant, theta_domain: tuple[float, float], branch_sign: int = 1) -> LinearODE:
     """Validate a handed-in angle interval and assemble the linear ODE coefficients.
 
     The level is checked on a 401-point grid.  Raises ForbiddenRegionError
@@ -238,9 +234,7 @@ def _solve_run(ode: LinearODE, theta0, y0, theta1) -> Trajectory | None:
     cfg = IntegratorConfig(t_span=(theta0, theta1), rel_tol=_SOLVE_REL_TOL, abs_tol=_SOLVE_ABS_TOL)
     traj = integrate(rhs, y0, cfg)
     if traj.termination != "completed":
-        raise LinearizationError(
-            f"linear solve stopped at theta={traj.t_end!r} ({traj.termination})"
-        )
+        raise LinearizationError(f"linear solve stopped at theta={traj.t_end!r} ({traj.termination})")
     return traj
 
 
@@ -261,25 +255,33 @@ class LinearSolution:
         hi = self.up.t_end if self.up else self.theta0
         return lo, hi
 
+    def rows(self, thetas) -> list[list[float]]:
+        """Rows at the angles of a grid, in its order: one sweep of ``down`` over those below
+        theta0, a copy of ``y0`` at it, one sweep of ``up`` above.  Raises OutsideWindowError
+        naming the first angle the runs do not cover."""
+        xs = [float(th) for th in thetas]
+        theta0, (lo, hi) = self.theta0, self.window
+        for x in xs:
+            run = self.up if x > theta0 else self.down
+            if x != theta0 and not (run and lo - 1e-12 <= x <= hi + 1e-12):
+                raise OutsideWindowError(f"theta={x!r} outside the window [{lo}, {hi}]")
+        down = iter(self.down.sample([x for x in xs if x < theta0]) if self.down else ())
+        up = iter(self.up.sample([x for x in xs if x > theta0]) if self.up else ())
+        return [next(up) if x > theta0 else next(down) if x < theta0 else list(self.y0) for x in xs]
+
     def row(self, theta: float) -> list[float]:
-        x = float(theta)
-        if x == self.theta0:
-            return self.y0
-        run = self.up if x > self.theta0 else self.down
-        lo, hi = self.window
-        if not (run and lo - 1e-12 <= x <= hi + 1e-12):
-            raise OutsideWindowError(f"theta={x!r} outside the window [{lo}, {hi}]")
-        return run.at(x)
+        return self.rows((theta,))[0]
 
     def psi(self, theta: float) -> float:
         return self.row(theta)[1]
 
-    def coefficients(self, theta: float) -> tuple[float, float, float, float, float]:
-        """(p2, p1, p0, rhs, psi) at theta, with L read from the solve."""
-        ell, psi, _ = self.row(theta)
-        A, B, C, F, dv = self.ode.spec.linear_terms(theta, ell)
-        p2 = ell * ell
-        return p2, -dv + ell * A, p2 + F - B, C, psi
+    def coefficients(self, thetas) -> list[tuple[float, float, float, float, float]]:
+        """(p2, p1, p0, rhs, psi) at each angle of a grid, with L read from the solve."""
+        xs = [float(th) for th in thetas]
+        rows = self.rows(xs)
+        terms = [self.ode.spec.linear_terms(th, row[0]) for th, row in zip(xs, rows)]
+        return [(ell * ell, -dv + ell * A, ell * ell + F - B, C, psi)
+                for (ell, psi, _), (A, B, C, F, dv) in zip(rows, terms)]
 
 
 def solve_linear(ode: LinearODE, theta0: float, psi0: float, dpsi0: float) -> LinearSolution:
@@ -357,53 +359,69 @@ class AngularTimeRun:
     def __init__(self, spec: LinearizableSpec, y0: list[float], window: tuple[float, float], up, down):
         self.spec, self.y0, self.window, self.up, self.down = spec, y0, window, up, down
 
-    def row(self, t: float) -> list[float]:
-        """The run's row at time t: its t column inverted, then one dense lookup.
+    def rows(self, times) -> list[list[float]]:
+        """Rows at times of the window, in the caller's order (a copy of ``y0`` at t0).  Each
+        run takes its times in its own direction: the first one's step by bisecting its t
+        column, each later one's by walking forward; ``_invert`` solves the step.  Raises
+        OutsideWindowError naming the first time outside the window or past a psi floor."""
+        xs = [float(t) for t in times]
+        (lo, hi), t0 = self.window, self.y0[4]
+        for t in xs:
+            if not lo <= t <= hi:
+                raise OutsideWindowError(f"t={t!r} outside the time window [{lo}, {hi}]")
+            end = (self.up if t > t0 else self.down).ys[-1][4] if t != t0 else t0
+            if (t - end > 0.0) if t > t0 else (end - t > 0.0):
+                raise OutsideWindowError(f"t={t!r} lies past t={end!r}, where psi fell to 1e-4 psi0"
+                                         " (an escape)")
+        out = [list(self.y0) if t == t0 else None for t in xs]
+        for sign, run in ((1.0, self.up), (-1.0, self.down)):
+            order = sorted((j for j, t in enumerate(xs) if sign * (t - t0) > 0.0), key=lambda j: sign * xs[j])
+            if not order:
+                continue
+            ys = run.ys
+            i = bisect_left(ys, sign * xs[order[0]], key=lambda y: sign * y[4])
+            for j in order:
+                while sign * ys[i][4] < sign * xs[j]:
+                    i += 1
+                out[j] = _invert(run, i, xs[j])
+        return out
 
-        The step holding t is found by its node times, and its interpolant
-        solved by Newton's method with its exact slope, falling back to
-        bisection.  Results depend only on the stored runs, never on the
-        order of queries.
-        """
-        t = float(t)
-        lo, hi = self.window
-        if not lo <= t <= hi:
-            raise OutsideWindowError(f"t={t!r} outside the time window [{lo}, {hi}]")
-        if t == self.y0[4]:
-            return self.y0
-        sign = 1.0 if t > self.y0[4] else -1.0
-        run = self.up if sign > 0.0 else self.down
-        end = run.ys[-1][4]
-        if sign * (t - end) > 0.0:
-            raise OutsideWindowError(f"t={t!r} lies past t={end!r}, where psi fell to 1e-4 psi0 (an escape)")
-        # node times, increasing along the run's own direction
-        i = bisect_left(run.ys, sign * t, key=lambda y: sign * y[4])
-        t_prev, t_next = run.ys[i - 1][4], run.ys[i][4]
-        x_prev, x_next = run.ts[i - 1], run.ts[i]
-        x = x_prev + (x_next - x_prev) * (t - t_prev) / (t_next - t_prev)
-        a, b = min(x_prev, x_next), max(x_prev, x_next)
-        for _ in range(100):
-            value, slope = run.at_with_slope(x)
-            f, slope = value[4] - t, slope[4]
-            if f == 0.0:
-                return value
-            if f < 0.0:
-                a = x
-            else:
-                b = x
-            # Newton step, or bisection where it fails or leaves the bracket
-            x_new = x - f / slope if slope > 0.0 else math.nan
-            if not a <= x_new <= b:
-                x_new = 0.5 * (a + b)
-            if abs(x_new - x) <= 1e-15 * max(1.0, abs(x)):
-                return value
-            x = x_new
-        return value
+    def row(self, t: float) -> list[float]:
+        return self.rows((t,))[0]
+
+    def sample(self, times) -> list[tuple[float, float]]:
+        """(theta, r) at times of the window, in the caller's order, r = rho(t)/psi from one row."""
+        xs = [float(t) for t in times]
+        return [(row[0], evaluate(self.spec.rho, {"t": t}) / row[2]) for t, row in zip(xs, self.rows(xs))]
 
     def at(self, t: float) -> tuple[float, float]:
-        """(theta, r) at a time t of the window, with r = rho(t)/psi from the same row."""
-        row = self.row(t)
-        return row[0], evaluate(self.spec.rho, {"t": t}) / row[2]
+        return self.sample((t,))[0]
+
+
+def _invert(run: Trajectory, i: int, t: float) -> list[float]:
+    """The row of a run in angular time where its t column reaches t, between nodes i - 1 and i:
+    Newton's method on the step's interpolant, with its exact slope, or bisection."""
+    t_prev, t_next = run.ys[i - 1][4], run.ys[i][4]
+    x_prev, x_next = run.ts[i - 1], run.ts[i]
+    x = x_prev + (x_next - x_prev) * (t - t_prev) / (t_next - t_prev)
+    a, b = min(x_prev, x_next), max(x_prev, x_next)
+    for _ in range(100):
+        value, slope = run.at_with_slope(x)
+        f, slope = value[4] - t, slope[4]
+        if f == 0.0:
+            return value
+        if f < 0.0:
+            a = x
+        else:
+            b = x
+        # Newton step, or bisection where it fails or leaves the bracket
+        x_new = x - f / slope if slope > 0.0 else math.nan
+        if not a <= x_new <= b:
+            x_new = 0.5 * (a + b)
+        if abs(x_new - x) <= 1e-15 * max(1.0, abs(x)):
+            return value
+        x = x_new
+    return value
 
 
 # ---------------------------------------------------------------------------

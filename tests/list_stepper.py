@@ -6,13 +6,15 @@ dimension: every stage state, the fifth-order update, the error norm and the
 interpolant are list comprehensions over ``zip``.  The generated step
 performs the same float operations in the same order, so the two agree bit
 for bit; ``test_integration.TestKernelAgainstListStepper`` holds them to it,
-and holds the package's dense output to this copy.
+and holds the package's dense output, sampled on a grid or read at one time,
+to this copy's bisection per time.
 The controller constants, the event helpers and the interpolant tables are the package's.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import partial
 from typing import Callable, Sequence
 
@@ -248,9 +250,21 @@ def reference_integrate(
     )
 
 
+def reference_segment(traj: Trajectory, t: float) -> int:
+    """The step Trajectory.at used to read: a window check, then one bisection per time."""
+    ts = traj.ts
+    increasing = ts[-1] >= ts[0]
+    span = abs(ts[-1] - ts[0])
+    lo, hi = (ts[0], ts[-1]) if increasing else (ts[-1], ts[0])
+    if t < lo - 1e-9 * (1.0 + span) or t > hi + 1e-9 * (1.0 + span):
+        raise ValueError(f"time {t!r} outside the covered window [{lo!r}, {hi!r}]")
+    idx = bisect_right(ts, t) if increasing else bisect_right(ts, -t, key=lambda s: -s)
+    return min(max(idx - 1, 0), len(traj.hs) - 1)  # -1: no accepted step
+
+
 def reference_at(traj: Trajectory, t: float) -> list[float]:
     """Trajectory.at as it was: the step's interpolant through _dense."""
-    i = traj._segment(t)
+    i = reference_segment(traj, t)
     if i < 0:
         return list(traj.ys[0])
     return _dense(traj.ts[i], traj.ys[i], traj.hs[i], traj.slopes[i], float(t))
@@ -259,7 +273,7 @@ def reference_at(traj: Trajectory, t: float) -> list[float]:
 def reference_at_with_slope(traj: Trajectory, t: float) -> tuple[list[float], list[float]]:
     """Trajectory.at_with_slope as it was: _dense and the _DP stage sum."""
     t = float(t)
-    i = traj._segment(t)
+    i = reference_segment(traj, t)
     if i < 0:
         return list(traj.ys[0]), [math.nan] * traj.dim
     t_i, h, slopes = traj.ts[i], traj.hs[i], traj.slopes[i]

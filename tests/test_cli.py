@@ -2,6 +2,7 @@ import contextlib
 import copy
 import gc
 import importlib
+import importlib.util
 import inspect
 import io
 import json
@@ -27,6 +28,7 @@ from ermakov.cli import main
 from ermakov.config import KINDS, PRESETS, ConfigError, build_spec, load_config, preset_config
 from ermakov.expressions import FUNCTIONS
 from ermakov.linearize import solve_from_state
+from ermakov.numerics import linspace
 from test_acceptance import LIBRATING_CONFIG
 
 
@@ -359,6 +361,24 @@ class TestSimulate:
 
 
 class TestLinearize:
+    def test_workflow_theta_span_grid_holds_the_initial_angle(self, tmp_path):
+        # the workflow's THETA_SPAN_CONFIG: grid point 100 of 201 is theta0 = 1.0 itself,
+        # answered from the initial data between the sweeps below and above it
+        path = Path(__file__).resolve().parents[1] / "scripts" / "same_outputs.py"
+        loader = importlib.util.spec_from_file_location("same_outputs", path)
+        same_outputs = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(same_outputs)
+        cfg = same_outputs.workflow_config("THETA_SPAN_CONFIG")
+        assert cfg == {**same_outputs.workflow_config("RHO_T_CONFIG"), "theta_span": [0.5, 1.5], "samples": 201}
+        assert "THETA_SPAN_CONFIG" in same_outputs.WORKFLOW_CONFIGS.values()
+        grid = linspace(0.5, 1.5, 201)
+        assert 1.0 in grid and cfg["initial_state"]["theta"] == 1.0
+        out = tmp_path / "out"
+        assert main(["linearize", "--config", str(_write(tmp_path, "c.json", cfg)), "--out", str(out)]) == 0
+        _, data = _read_csv(out / "linear_ode.csv")
+        assert data[:, 0].tolist() == grid
+        assert data[grid.index(1.0), 5] == 1.0 / 1.05  # psi0 = rho(0)/r
+
     def test_usual_ermakov_rhs_column_exactly_zero(self, tmp_path):
         cfg = {
             "system": {
@@ -838,13 +858,13 @@ class TestValidate:
 
     def test_inverts_each_sample_time_once(self, tmp_path, monkeypatch):
         calls = []
-        real = linearize.AngularTimeRun.row
+        real = linearize._invert
 
-        def counted(self, t):
+        def counted(run, i, t):
             calls.append(t)
-            return real(self, t)
+            return real(run, i, t)
 
-        monkeypatch.setattr(linearize.AngularTimeRun, "row", counted)
+        monkeypatch.setattr(linearize, "_invert", counted)
         # a constant rho, and rho = 1 + 0.1 t^2, whose radius needs the time
         for command, cfg in [
             ("validate", _cheap_preset("winternitz-default")),
@@ -853,7 +873,9 @@ class TestValidate:
             calls.clear()
             path = _write(tmp_path, "c.json", cfg)
             assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
-            assert len(calls) == cfg["samples"]
+            # every sample time but the first, t0, whose row is the initial data
+            times = linspace(*cfg["t_span"], cfg["samples"])
+            assert calls == times[1:]
 
     @pytest.mark.parametrize("kind", ["polar", "cartesian"])
     def test_kind_without_linearizable_form_fails_before_integrating(

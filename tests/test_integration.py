@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import struct
 import subprocess
 import sys
@@ -756,6 +757,72 @@ class TestKernelAgainstListStepper:
             assert _bits(new.at(t)) == _bits(list_stepper.reference_at(new, t)), t
             ref_value_slope = list_stepper.reference_at_with_slope(new, t)
             assert _bits(new.at_with_slope(t)) == _bits(ref_value_slope), t
+
+
+class TestSampleSweep:
+    """Trajectory.sample answers a grid in one ordered pass over the steps.
+
+    Each state equals a bisection per time (the list stepper's reference
+    lookup) bit for bit, whatever the order of the times, and the first time
+    outside the window raises the text that lookup raises.
+    """
+
+    _CASES = ["decay", "decay-backward", "chain-until", "oscillator-terminal-event", "linear-psi-floor"]
+
+    @staticmethod
+    def _grid(traj):
+        """Every node, a point inside each step, the last node three times and both
+        ends of the window's tolerance, in a shuffled order."""
+        ts = traj.ts
+        lo, hi = min(ts[0], ts[-1]), max(ts[0], ts[-1])
+        slack = 1e-10 * (1.0 + (hi - lo))
+        times = [*ts, *(a + 0.37 * (b - a) for a, b in zip(ts, ts[1:])), ts[-1], ts[-1], lo - slack, hi + slack]
+        random.Random(7).shuffle(times)
+        return times
+
+    @pytest.mark.parametrize("name", _CASES)
+    def test_grid_equals_one_lookup_per_time(self, monkeypatch, name):
+        rhs, y0, cfg, events, until = _kernel_case(name, monkeypatch)
+        traj = integrate(rhs, y0, cfg, events, until)
+        assert traj.termination == _KERNEL_CASES[name][1]
+        times = self._grid(traj)
+        for grid in (times, sorted(times), sorted(times, reverse=True)):
+            expected = _bits([list_stepper.reference_at(traj, t) for t in grid])
+            assert _bits(traj.sample(grid)) == expected
+            assert _bits(traj.sample(np.array(grid))) == expected
+            assert _bits(traj.sample(iter(grid))) == expected
+            assert _bits([traj.at(t) for t in grid]) == expected
+        for t in times:
+            assert _bits(traj.at_with_slope(t)) == _bits(list_stepper.reference_at_with_slope(traj, t))
+
+    @pytest.mark.parametrize("name", ["decay", "decay-backward"])
+    def test_first_time_outside_the_window_is_named(self, monkeypatch, name):
+        traj = integrate(*_kernel_case(name, monkeypatch))
+        inside = traj.ts[len(traj.ts) // 2]
+        lo, hi = min(traj.t0, traj.t_end), max(traj.t0, traj.t_end)
+        for times in ([inside, hi + 1.0, lo - 1.0], [inside, lo - 1.0, hi + 1.0], [np.float64(lo - 1.0)]):
+            with pytest.raises(ValueError) as reference:
+                [list_stepper.reference_at(traj, t) for t in times]
+            with pytest.raises(ValueError) as sweep:
+                traj.sample(times)
+            assert str(sweep.value) == str(reference.value)
+        with pytest.raises(ValueError, match=r"^time nan outside the covered window"):
+            traj.sample([inside, math.nan])
+
+    def test_run_without_a_step_answers_fresh_copies_of_its_node(self):
+        def undefined_after_start(t, y):
+            if t > 0.0:
+                raise ek.EvaluationError("undefined")
+            return [1.0]
+
+        traj = integrate(undefined_after_start, [2.0], IntegratorConfig(t_span=(0.0, 1.0)))
+        assert traj.n_accepted == 0
+        states = traj.sample([0.0, 1e-12, 0.0])
+        assert states == [[2.0]] * 3
+        states[0][0] = 5.0
+        assert states[2] == traj.ys[0] == [2.0]
+        with pytest.raises(ValueError, match=r"^time 0\.5 outside the covered window \[0\.0, 0\.0\]$"):
+            traj.sample([0.0, 0.5])
 
 
 class TestKernelBuild:

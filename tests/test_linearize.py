@@ -1,5 +1,7 @@
 import math
+import random
 import re
+from bisect import bisect_left
 from functools import partial
 
 import mpmath
@@ -7,6 +9,8 @@ import numpy as np
 import pytest
 
 import ermakov as ek
+import ermakov.linearize as lz
+import list_stepper
 from ermakov import systems
 from ermakov.expressions import evaluate
 from ermakov.invariant import (
@@ -26,7 +30,7 @@ from ermakov.linearize import (
     solve_linear,
     verify_compatibility,
 )
-from ermakov.numerics import quad_adaptive
+from ermakov.numerics import linspace, quad_adaptive
 from oracles import winternitz_angular_time_closed, winternitz_dpsi_closed, winternitz_psi_closed
 from test_acceptance import angular_time
 
@@ -698,6 +702,137 @@ class TestAugmentedSolve:
             pipe.at(1.5)  # the time is solved over the time window only
 
 
+def _reference_angle_row(sol, theta):
+    """LinearSolution.row as it was: the initial data itself at theta0, else a window
+    check and one bisection of the side's run per angle."""
+    x = float(theta)
+    if x == sol.theta0:
+        return sol.y0
+    run = sol.up if x > sol.theta0 else sol.down
+    lo, hi = sol.window
+    if not (run and lo - 1e-12 <= x <= hi + 1e-12):
+        raise OutsideWindowError(f"theta={x!r} outside the window [{lo}, {hi}]")
+    return list_stepper.reference_at(run, x)
+
+
+def _reference_time_row(pipe, t):
+    """AngularTimeRun.row as it was: the initial data itself at t0, else the step holding
+    t by one keyed bisection of its run's t column, then the same Newton solve."""
+    t = float(t)
+    lo, hi = pipe.window
+    if not lo <= t <= hi:
+        raise OutsideWindowError(f"t={t!r} outside the time window [{lo}, {hi}]")
+    if t == pipe.y0[4]:
+        return pipe.y0
+    sign = 1.0 if t > pipe.y0[4] else -1.0
+    run = pipe.up if sign > 0.0 else pipe.down
+    end = run.ys[-1][4]
+    if sign * (t - end) > 0.0:
+        raise OutsideWindowError(f"t={t!r} lies past t={end!r}, where psi fell to 1e-4 psi0 (an escape)")
+    return lz._invert(run, bisect_left(run.ys, sign * t, key=lambda y: sign * y[4]), t)
+
+
+def _same_error(reference, *calls):
+    """Each call raises the OutsideWindowError text that the reference raises."""
+    with pytest.raises(OutsideWindowError) as expected:
+        reference()
+    for call in calls:
+        with pytest.raises(OutsideWindowError) as found:
+            call()
+        assert str(found.value) == str(expected.value)
+
+
+class TestGridAnswers:
+    """The grid forms answer in one ordered sweep per run, bit for bit as one
+    lookup per point, in the caller's order, and name the same first bad point."""
+
+    def test_angle_grids(self, winternitz_spec, winternitz_state):
+        sol = solve_from_state(winternitz_spec, winternitz_state, (1.0, 2.0))
+        theta0 = winternitz_state.theta
+        lo, hi = sol.window
+        node_angles = sol.up.ts[::7] + sol.down.ts[::5]
+        grids = {
+            "holds theta0": linspace(lo, hi, 101) + [theta0],
+            "ends at theta0": linspace(lo, theta0, 40),
+            "starts at theta0": linspace(theta0, hi, 40),
+            "shuffled, with nodes and repeats": [*node_angles, theta0, hi, hi, lo, theta0],
+        }
+        random.Random(3).shuffle(grids["shuffled, with nodes and repeats"])
+        for name, grid in grids.items():
+            expected = [_reference_angle_row(sol, th) for th in grid]
+            assert sol.rows(grid) == expected, name
+            assert [sol.row(th) for th in grid] == expected, name
+            assert [sol.psi(th) for th in grid] == [row[1] for row in expected], name
+            terms = [winternitz_spec.linear_terms(th, row[0]) for th, row in zip(grid, expected)]
+            assert sol.coefficients(grid) == sol.coefficients(iter(grid)) == [
+                (ell * ell, -dv + ell * A, ell * ell + F - B, C, psi)
+                for (ell, psi, _), (A, B, C, F, dv) in zip(expected, terms)
+            ], name
+
+    def test_angle_grid_leaving_the_window(self, winternitz_spec, winternitz_state):
+        sol = solve_from_state(winternitz_spec, winternitz_state, (1.0, 2.0))
+        for grid in ([1.5, 2.5, 0.5], [1.5, 0.5, 2.5], [sol.theta0, math.nan]):
+            _same_error(
+                lambda: [_reference_angle_row(sol, th) for th in grid],
+                lambda: sol.rows(grid),
+                lambda: sol.coefficients(grid),
+            )
+
+    def test_time_grids_both_ways(self, winternitz_spec, winternitz_state):
+        pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=(-2.0, 2.0))
+        assert pipe.up and pipe.down
+        node_times = [y[4] for y in pipe.up.ys[:-1:3] + pipe.down.ys[:-1:4]]  # the last ones pass the window
+        times = [*linspace(-2.0, 2.0, 41), *node_times, 0.0, 2.0, -2.0, 2.0]
+        random.Random(5).shuffle(times)
+        for grid in (times, sorted(times), sorted(times, reverse=True)):
+            expected = [_reference_time_row(pipe, t) for t in grid]
+            assert pipe.rows(grid) == expected
+            assert [pipe.row(t) for t in grid] == expected
+            radii = [evaluate(winternitz_spec.rho, {"t": t}) / row[2] for t, row in zip(grid, expected)]
+            assert pipe.sample(grid) == pipe.sample(iter(grid)) == [(row[0], r) for row, r in zip(expected, radii)]
+        _same_error(
+            lambda: [_reference_time_row(pipe, t) for t in (1.0, -2.5, 2.5)],
+            lambda: pipe.rows([1.0, -2.5, 2.5]),
+            lambda: pipe.sample([1.0, -2.5, 2.5]),
+        )
+
+    def test_time_past_the_psi_floor(self):
+        spec, state = _free_particle()
+        pipe = build_pipeline(spec, state, t_window=_UNCUT)
+        floor = pipe.up.ys[-1][4]
+        times = [0.5 * floor, -0.5 * floor, floor]
+        assert pipe.rows(times) == [_reference_time_row(pipe, t) for t in times]
+        for grid in ([0.5 * floor, 2.0 * floor, -1e7], [-2.0 * floor, 0.0]):
+            _same_error(
+                lambda: [_reference_time_row(pipe, t) for t in grid],
+                lambda: pipe.rows(grid),
+                lambda: pipe.sample(grid),
+            )
+
+
+class TestRowsAreFresh:
+    """A row handed out is the caller's own list, even at the initial data."""
+
+    def test_angle_row_at_theta0(self, winternitz_spec, winternitz_state):
+        sol = solve_from_state(winternitz_spec, winternitz_state)
+        theta0 = winternitz_state.theta
+        psi0 = sol.psi(theta0)
+        sol.row(theta0)[1] = 99.0
+        assert sol.psi(theta0) == psi0
+        first, second = sol.rows([theta0, theta0])
+        first[1] = 99.0
+        assert second[1] == sol.y0[1] == psi0
+
+    def test_time_row_at_t0(self, winternitz_spec, winternitz_state):
+        pipe = build_pipeline(winternitz_spec, winternitz_state, t_window=(0.0, 2.0))
+        start = pipe.at(0.0)
+        pipe.row(0.0)[0] = -5.0
+        assert pipe.at(0.0) == start == (winternitz_state.theta, winternitz_state.r)
+        first, second = pipe.rows([0.0, 0.0])
+        first[0] = -5.0
+        assert second == pipe.y0 and second[0] == winternitz_state.theta
+
+
 def _kepler_case():
     spec = ek.kepler_ermakov_system("0.4 + 0.1*cos(theta)^2", "1", "0.2*cos(theta)^2")
     return spec, ek.PolarState(1.0, 1.0, 0.05, 1.3), (0.0, 1.5)
@@ -873,7 +1008,7 @@ class TestCarriedGap:
         level = invariant_level(s.r, s.theta, s.thetadot, spec.V)
         ode = LinearODE(spec, level, lz.auto_theta_domain(spec.V, level, math.pi / 4), 1)
         sol = solve_linear(ode, math.pi / 4, 1.0, 0.2)
-        sol.coefficients(0.5)
+        sol.coefficients([0.5])
         assert count["scanned"] and count["after"] <= 1
 
     def test_build_pipeline(self, monkeypatch):
