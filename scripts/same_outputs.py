@@ -10,7 +10,9 @@ its own ``src`` on the path:
 - the four commands on the workflow's ``RHO_T_CONFIG``, ``POLAR_CONFIG``,
   ``LIBRATING_CONFIG`` and ``THETA_SPAN_CONFIG``;
 - ``reconstruct`` and ``validate`` on each preset with its initial
-  ``thetadot`` negated, so the angle leaves theta0 the other way (the
+  ``thetadot`` negated, so the angle leaves theta0 the other way, and
+  ``simulate``, ``reconstruct`` and ``validate`` on each preset with its
+  time span reversed, ``[0, -T]``, so every run goes backward in time (the
   working tree's presets, which are only imported);
 - the three experiment scripts (each tree's own copy);
 - the first 60 ops of each benchmark workload on seeds 1 and 2, drawn from
@@ -38,6 +40,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PRESETS = ("winternitz-default", "uniform-rotation", "free-motion-demo")
 COMMANDS = ("simulate", "linearize", "reconstruct", "validate")
 MIRRORED = ("reconstruct", "validate")  # on the presets with thetadot negated
+REVERSED = ("simulate", "reconstruct", "validate")  # on the presets with t_span [0, -T]
 WORKFLOW_CONFIGS = {
     "rho-t": "RHO_T_CONFIG",
     "polar": "POLAR_CONFIG",
@@ -89,19 +92,23 @@ def workflow_config(name: str) -> dict:
     return json.loads(" ".join(value))
 
 
-def mirrored_presets() -> dict[str, dict]:
-    """The working tree's presets, each with its initial thetadot negated."""
+def preset_variants() -> dict[str, tuple[dict, tuple[str, ...]]]:
+    """The working tree's presets, each mirrored (initial thetadot negated) and reversed
+    (time span [t0, t0 - T]), by name, with the commands each variant runs."""
     sys.path.insert(0, str(ROOT / "src"))
     try:
         from ermakov.config import PRESETS as configs
     finally:
         sys.path.pop(0)
-    mirrored = {}
+    variants = {}
     for name in PRESETS:
-        cfg = json.loads(json.dumps(configs[name]))
-        cfg["initial_state"]["thetadot"] = -cfg["initial_state"]["thetadot"]
-        mirrored[name] = cfg
-    return mirrored
+        mirrored, reversed_ = json.loads(json.dumps(configs[name])), json.loads(json.dumps(configs[name]))
+        mirrored["initial_state"]["thetadot"] = -mirrored["initial_state"]["thetadot"]
+        t0, t1 = reversed_["t_span"]
+        reversed_["t_span"] = [t0, t0 - (t1 - t0)]
+        variants[f"mirrored-{name}"] = mirrored, MIRRORED
+        variants[f"reversed-{name}"] = reversed_, REVERSED
+    return variants
 
 
 def jobs(configs: Path) -> list[tuple[str, list[str]]]:
@@ -112,10 +119,10 @@ def jobs(configs: Path) -> list[tuple[str, list[str]]]:
         path = configs / f"{label}.json"
         path.write_text(json.dumps(workflow_config(name)))
         out += [(f"{cmd}-{label}", [cmd, "--config", str(path)]) for cmd in COMMANDS]
-    for preset, cfg in mirrored_presets().items():
-        path = configs / f"mirrored-{preset}.json"
+    for label, (cfg, commands) in preset_variants().items():
+        path = configs / f"{label}.json"
         path.write_text(json.dumps(cfg))
-        out += [(f"{cmd}-mirrored-{preset}", [cmd, "--config", str(path)]) for cmd in MIRRORED]
+        out += [(f"{cmd}-{label}", [cmd, "--config", str(path)]) for cmd in commands]
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
     workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)

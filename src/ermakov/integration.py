@@ -6,9 +6,10 @@ interpolant.  It is the ground truth against which the linearization
 pipeline is validated, so it favors robustness: domain failures inside a
 trial step reject the step instead of aborting the run, and terminal
 events truncate the trajectory with a labelled termination reason.  A
-``Trajectory`` answers a grid of times in one ordered pass over its steps
-(``sample``; ``at`` is a grid of one), each time from the step and the float
-operations that answer it alone, whatever the other times and their order.
+``Trajectory`` answers a grid of times (``sample``; ``at`` is a grid of one),
+or inverts a monotone column at a grid of values (``invert``), in one ordered
+pass over its steps, each point from the step and the float operations that
+answer it alone, whatever the other points and their order.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import cache, partial
 from typing import Callable, Sequence
 
@@ -156,54 +157,86 @@ class Trajectory:
     def dim(self) -> int:
         return len(self.ys[0])
 
-    def _check_window(self, times: Sequence[float]) -> None:
-        """Raise ValueError naming the first of the times outside the covered window."""
-        ts = self.ts
-        lo, hi, slack = min(ts[0], ts[-1]), max(ts[0], ts[-1]), 1e-9 * (1.0 + abs(ts[-1] - ts[0]))
-        for t in times:
-            if not lo - slack <= t <= hi + slack:  # NaN too
-                raise ValueError(f"time {t!r} outside the covered window [{lo!r}, {hi!r}]")
-
-    def _segment(self, t: float) -> int:
-        """The step answering time t, found by bisection (-1: no step); see ``sample``."""
-        ts = self.ts
-        idx = bisect_right(ts, t) if ts[-1] >= ts[0] else bisect_right(ts, -t, key=lambda s: -s)
-        return min(max(idx - 1, 0), len(self.hs) - 1)
-
     def at(self, t: float) -> list[float]:
         """Dense-output state at an arbitrary time inside the covered window."""
         return self.sample((t,))[0]
-
-    def at_with_slope(self, t: float) -> tuple[list[float], list[float]]:
-        """Dense-output state and its derivative in t from one step's interpolant (NaN: no step)."""
-        self._check_window((t,))
-        t = float(t)
-        i = self._segment(t)
-        if i < 0:
-            return list(self.ys[0]), [math.nan] * self.dim
-        t_i, h, slopes = self.ts[i], self.hs[i], self.slopes[i]
-        return _dense(t_i, self.ys[i], h, slopes, t), _stage_sum(slopes, (t - t_i) / h, _DP)
 
     def sample(self, times: Sequence[float]) -> list[list[float]]:
         """Dense-output states at times of the window, in the caller's order, from one pass
         over the times sorted in the run's direction: the first one's step is found by
         bisection, each later one's by moving forward.  A time on a node takes the step that
-        starts there, one past the last node the last step: no state depends on the others."""
+        starts there, one past the last node the last step: no state depends on the others.
+        Raises ValueError naming the first time outside the window."""
         times = list(times)  # any iterable, read twice
-        self._check_window(times)
-        xs = [float(t) for t in times]
         ts, ys, hs, slopes = self.ts, self.ys, self.hs, self.slopes
+        lo, hi, slack = min(ts[0], ts[-1]), max(ts[0], ts[-1]), 1e-9 * (1.0 + abs(ts[-1] - ts[0]))
+        for t in times:
+            if not lo - slack <= t <= hi + slack:  # NaN too
+                raise ValueError(f"time {t!r} outside the covered window [{lo!r}, {hi!r}]")
+        xs = [float(t) for t in times]
         if not (hs and xs):
             return [list(ys[0]) for _ in xs]
         sign, last = 1.0 if ts[-1] >= ts[0] else -1.0, len(hs) - 1
         keys = [sign * x for x in xs]
         order = sorted(range(len(xs)), key=keys.__getitem__)
-        i, out = self._segment(xs[order[0]]), [None] * len(xs)
+        i = min(max(bisect_right(ts, keys[order[0]], key=lambda s: sign * s) - 1, 0), last)
+        out = [None] * len(xs)
         for j in order:
             while i < last and not keys[j] < sign * ts[i + 1]:
                 i += 1
             out[j] = _dense(ts[i], ys[i], hs[i], slopes[i], xs[j])
         return out
+
+    def invert(self, column: int, values: Sequence[float]) -> list[list[float]]:
+        """States where a column strictly monotone along the run reaches values, in the caller's
+        order, from one pass over them sorted along the column, as ``sample``'s.  A value on a
+        node is solved on the step ending there; the first node's is a copy of that node.
+        Raises ValueError naming the first value outside the column's range."""
+        xs, ys = [float(v) for v in values], self.ys
+        first, end = ys[0][column], ys[-1][column]
+        sign = 1.0 if end >= first else -1.0  # the column's direction along the nodes
+        for v in xs:
+            if not sign * first <= sign * v <= sign * end:  # NaN too
+                raise ValueError(f"value {v!r} outside column {column}'s run from {first!r} to {end!r}")
+        keys = [sign * v for v in xs]
+        order = sorted(range(len(xs)), key=keys.__getitem__)
+        i = bisect_left(ys, keys[order[0]], key=lambda y: sign * y[column]) if xs else 0
+        out = [None] * len(xs)
+        for j in order:
+            while sign * ys[i][column] < keys[j]:
+                i += 1
+            out[j] = self._root(column, i, xs[j]) if i else list(ys[0])
+        return out
+
+    def _root(self, column: int, i: int, v: float) -> list[float]:
+        """The state where the column reaches v between nodes i - 1 and i: Newton's method on the
+        step's interpolant, or bisection.  An iterate on or past node i reads step i, if any."""
+        ts, ys, hs, slopes = self.ts, self.ys, self.hs, self.slopes
+        v_prev, v_next = ys[i - 1][column], ys[i][column]
+        x_prev, x_next = ts[i - 1], ts[i]
+        x = x_prev + (x_next - x_prev) * (v - v_prev) / (v_next - v_prev)
+        a, b = min(x_prev, x_next), max(x_prev, x_next)
+        forward, on_next = x_next > x_prev, i < len(hs)
+        rise = 1.0 if (v_next > v_prev) == forward else -1.0  # the column's direction in the variable
+        for _ in range(100):
+            k = i if on_next and (x >= x_next if forward else x <= x_next) else i - 1
+            t_k, h, stages = ts[k], hs[k], slopes[k]
+            value = _dense(t_k, ys[k], h, stages, x)
+            f, slope = rise * (value[column] - v), rise * _stage_sum(stages, (x - t_k) / h, _DP)[column]
+            if f == 0.0:
+                return value
+            if f < 0.0:
+                a = x
+            else:
+                b = x
+            # Newton step, or bisection where it fails or leaves the bracket
+            x_new = x - f / slope if slope > 0.0 else math.nan
+            if not a <= x_new <= b:
+                x_new = 0.5 * (a + b)
+            if abs(x_new - x) <= 1e-15 * max(1.0, abs(x)):
+                return value
+            x = x_new
+        return value
 
 
 def _scaled_rms(v: Sequence[float], scale: Sequence[float]) -> float:

@@ -12,15 +12,14 @@ p0 = L^2 + F - B and rhs = C.  ``linearize`` solves it on an angle domain,
 carrying (L, psi, psi_tau) with the tau field divided by L.  The
 reconstruction integrates (theta, L, psi, psi_tau, t) in tau, with
 theta_tau = L and t_tau = rho(t)^2/psi^2, which pass through turning points
-of the angle; inverting the time column recovers theta(t), and the radius
-r = rho/psi.  Both answer a grid, of angles or of times, in one sweep per run,
-and each point as it would be answered alone.
+of the angle; ``Trajectory.invert`` of the time column recovers theta(t),
+and the radius r = rho/psi.  Both answer a grid, of angles or of times, in
+one sweep per run, and each point as it would be answered alone.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from contextlib import suppress
 
 from .expressions import (
@@ -174,14 +173,13 @@ def auto_theta_domain(V, invariant, theta0: float) -> tuple[float, float]:
     margin = _DOMAIN_MARGIN_REL * (1.0 + abs(level))
     env = {"theta": theta0}
     v0 = evaluate(V, env)
-    potential = V._lowered  # the function evaluate compiled and kept on the tree
 
     def edge(step: float) -> float:
         back, end = theta0, theta0
         while abs(end - theta0) < _DOMAIN_SPAN:
             th = env["theta"] = end + step
             try:
-                if not level - potential(env) > margin:
+                if not level - evaluate(V, env) > margin:
                     return end
             except (EvaluationError, QuadratureError):
                 return back
@@ -360,9 +358,8 @@ class AngularTimeRun:
         self.spec, self.y0, self.window, self.up, self.down = spec, y0, window, up, down
 
     def rows(self, times) -> list[list[float]]:
-        """Rows at times of the window, in the caller's order (a copy of ``y0`` at t0).  Each
-        run takes its times in its own direction: the first one's step by bisecting its t
-        column, each later one's by walking forward; ``_invert`` solves the step.  Raises
+        """Rows at times of the window, in the caller's order: the ``down`` run's t column
+        inverted at those below t0, a copy of ``y0`` at it, the ``up`` run's above.  Raises
         OutsideWindowError naming the first time outside the window or past a psi floor."""
         xs = [float(t) for t in times]
         (lo, hi), t0 = self.window, self.y0[4]
@@ -373,18 +370,9 @@ class AngularTimeRun:
             if (t - end > 0.0) if t > t0 else (end - t > 0.0):
                 raise OutsideWindowError(f"t={t!r} lies past t={end!r}, where psi fell to 1e-4 psi0"
                                          " (an escape)")
-        out = [list(self.y0) if t == t0 else None for t in xs]
-        for sign, run in ((1.0, self.up), (-1.0, self.down)):
-            order = sorted((j for j, t in enumerate(xs) if sign * (t - t0) > 0.0), key=lambda j: sign * xs[j])
-            if not order:
-                continue
-            ys = run.ys
-            i = bisect_left(ys, sign * xs[order[0]], key=lambda y: sign * y[4])
-            for j in order:
-                while sign * ys[i][4] < sign * xs[j]:
-                    i += 1
-                out[j] = _invert(run, i, xs[j])
-        return out
+        down = iter(self.down.invert(4, [t for t in xs if t < t0]) if self.down else ())
+        up = iter(self.up.invert(4, [t for t in xs if t > t0]) if self.up else ())
+        return [next(up) if t > t0 else next(down) if t < t0 else list(self.y0) for t in xs]
 
     def row(self, t: float) -> list[float]:
         return self.rows((t,))[0]
@@ -396,32 +384,6 @@ class AngularTimeRun:
 
     def at(self, t: float) -> tuple[float, float]:
         return self.sample((t,))[0]
-
-
-def _invert(run: Trajectory, i: int, t: float) -> list[float]:
-    """The row of a run in angular time where its t column reaches t, between nodes i - 1 and i:
-    Newton's method on the step's interpolant, with its exact slope, or bisection."""
-    t_prev, t_next = run.ys[i - 1][4], run.ys[i][4]
-    x_prev, x_next = run.ts[i - 1], run.ts[i]
-    x = x_prev + (x_next - x_prev) * (t - t_prev) / (t_next - t_prev)
-    a, b = min(x_prev, x_next), max(x_prev, x_next)
-    for _ in range(100):
-        value, slope = run.at_with_slope(x)
-        f, slope = value[4] - t, slope[4]
-        if f == 0.0:
-            return value
-        if f < 0.0:
-            a = x
-        else:
-            b = x
-        # Newton step, or bisection where it fails or leaves the bracket
-        x_new = x - f / slope if slope > 0.0 else math.nan
-        if not a <= x_new <= b:
-            x_new = 0.5 * (a + b)
-        if abs(x_new - x) <= 1e-15 * max(1.0, abs(x)):
-            return value
-        x = x_new
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +430,15 @@ def verify_compatibility(spec: LinearizableSpec, state: PolarState) -> float:
     return abs(lhs - rhs)
 
 
-def _linear_problem(spec, state0: PolarState, theta_domain) -> tuple[LinearODE, float, float]:
-    """The linear ODE through ``state0`` and its initial data (psi0, psi'0).
+def solve_from_state(
+    spec, state0: PolarState, theta_domain: tuple[float, float] | None = None
+) -> LinearSolution:
+    """Linear ODE and its solution for the trajectory through ``state0``.
 
-    A scanned domain is used as found; ``build_linear_ode`` checks one handed in.
+    The invariant level and branch come from the state, and so do the
+    initial data (psi0, psi'0); the angle domain is scanned automatically
+    unless supplied (``build_linear_ode`` checks one handed in).  psi is
+    solved on the whole domain.
     """
     lin = _check_linearizable(spec)
     if state0.thetadot == 0.0:
@@ -485,20 +452,7 @@ def _linear_problem(spec, state0: PolarState, theta_domain) -> tuple[LinearODE, 
     else:
         ode = build_linear_ode(lin, inv, theta_domain, branch)
     _, psi0, psi_tau0 = _initial_data(lin, state0)
-    return ode, psi0, psi_tau0 / (state0.r**2 * state0.thetadot)
-
-
-def solve_from_state(
-    spec, state0: PolarState, theta_domain: tuple[float, float] | None = None
-) -> LinearSolution:
-    """Linear ODE and its solution for the trajectory through ``state0``.
-
-    The invariant level and branch come from the state, and so do the
-    initial data (psi0, psi'0); the angle domain is scanned automatically
-    unless supplied.  psi is solved on the whole domain.
-    """
-    ode, psi0, dpsi0 = _linear_problem(spec, state0, theta_domain)
-    return solve_linear(ode, state0.theta, psi0, dpsi0)
+    return solve_linear(ode, state0.theta, psi0, psi_tau0 / (state0.r**2 * state0.thetadot))
 
 
 def build_pipeline(spec, state0: PolarState, *, t_window: tuple[float, float]) -> AngularTimeRun:

@@ -7,14 +7,15 @@ interpolant are list comprehensions over ``zip``.  The generated step
 performs the same float operations in the same order, so the two agree bit
 for bit; ``test_integration.TestKernelAgainstListStepper`` holds them to it,
 and holds the package's dense output, sampled on a grid or read at one time,
-to this copy's bisection per time.
+to this copy's bisection per time, and its inversion of a monotone column to
+this copy's bisection and Newton solve per value.
 The controller constants, the event helpers and the interpolant tables are the package's.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import partial
 from typing import Callable, Sequence
 
@@ -271,10 +272,48 @@ def reference_at(traj: Trajectory, t: float) -> list[float]:
 
 
 def reference_at_with_slope(traj: Trajectory, t: float) -> tuple[list[float], list[float]]:
-    """Trajectory.at_with_slope as it was: _dense and the _DP stage sum."""
+    """The dense output and its slope in t at one time: _dense and the _DP stage sum."""
     t = float(t)
     i = reference_segment(traj, t)
     if i < 0:
         return list(traj.ys[0]), [math.nan] * traj.dim
     t_i, h, slopes = traj.ts[i], traj.hs[i], traj.slopes[i]
     return _dense(t_i, traj.ys[i], h, slopes, t), _stage_sum(slopes, (t - t_i) / h, _DP)
+
+
+def reference_invert(traj: Trajectory, column: int, v: float) -> list[float]:
+    """The state where a column strictly monotone along the run reaches v, one value at a time:
+    a range check, the step ending at or past v by one keyed bisection of the column (a copy of
+    the first node at its value), then Newton's method on reference_at_with_slope, with the
+    interpolant's exact slope, or bisection."""
+    v = float(v)
+    ts, ys = traj.ts, traj.ys
+    first, end = ys[0][column], ys[-1][column]
+    sign = 1.0 if end >= first else -1.0
+    if not sign * first <= sign * v <= sign * end:
+        raise ValueError(f"value {v!r} outside column {column}'s run from {first!r} to {end!r}")
+    i = bisect_left(ys, sign * v, key=lambda y: sign * y[column])
+    if i == 0:
+        return list(ys[0])
+    v_prev, v_next = ys[i - 1][column], ys[i][column]
+    x_prev, x_next = ts[i - 1], ts[i]
+    rise = 1.0 if (v_next > v_prev) == (x_next > x_prev) else -1.0  # the column's direction in t
+    x = x_prev + (x_next - x_prev) * (v - v_prev) / (v_next - v_prev)
+    a, b = min(x_prev, x_next), max(x_prev, x_next)
+    for _ in range(100):
+        value, slope = reference_at_with_slope(traj, x)
+        f, slope = rise * (value[column] - v), rise * slope[column]
+        if f == 0.0:
+            return value
+        if f < 0.0:
+            a = x
+        else:
+            b = x
+        # Newton step, or bisection where it fails or leaves the bracket
+        x_new = x - f / slope if slope > 0.0 else math.nan
+        if not a <= x_new <= b:
+            x_new = 0.5 * (a + b)
+        if abs(x_new - x) <= 1e-15 * max(1.0, abs(x)):
+            return value
+        x = x_new
+    return value

@@ -72,6 +72,15 @@ def _cheap_preset(name):
     return cfg
 
 
+def _same_outputs():
+    """The byte-identity script, imported: its workflow configs and preset variants."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "same_outputs.py"
+    loader = importlib.util.spec_from_file_location("same_outputs", path)
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module
+
+
 def _read_csv(path):
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
@@ -364,10 +373,7 @@ class TestLinearize:
     def test_workflow_theta_span_grid_holds_the_initial_angle(self, tmp_path):
         # the workflow's THETA_SPAN_CONFIG: grid point 100 of 201 is theta0 = 1.0 itself,
         # answered from the initial data between the sweeps below and above it
-        path = Path(__file__).resolve().parents[1] / "scripts" / "same_outputs.py"
-        loader = importlib.util.spec_from_file_location("same_outputs", path)
-        same_outputs = importlib.util.module_from_spec(loader)
-        loader.loader.exec_module(same_outputs)
+        same_outputs = _same_outputs()
         cfg = same_outputs.workflow_config("THETA_SPAN_CONFIG")
         assert cfg == {**same_outputs.workflow_config("RHO_T_CONFIG"), "theta_span": [0.5, 1.5], "samples": 201}
         assert "THETA_SPAN_CONFIG" in same_outputs.WORKFLOW_CONFIGS.values()
@@ -714,6 +720,17 @@ class TestValidate:
         assert main(["validate", "--config", str(_write(tmp_path, "c.json", cfg)), "--out", str(out)]) == 0
         assert json.loads((out / "report.json").read_text())["checks"]["round_trip"]["pass"] is True
 
+    def test_workflow_backward_config_is_the_reversed_preset(self, tmp_path):
+        # the workflow's BACKWARD_CONFIG is a reversed preset the byte check runs: its
+        # round trip inverts the falling t column of the pipeline's backward run
+        same_outputs = _same_outputs()
+        cfg = same_outputs.workflow_config("BACKWARD_CONFIG")
+        assert cfg == {**PRESETS["winternitz-default"], "t_span": [0.0, -10.0]}
+        assert same_outputs.preset_variants()["reversed-winternitz-default"] == (cfg, same_outputs.REVERSED)
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(_write(tmp_path, "c.json", cfg)), "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["checks"]["round_trip"]["pass"] is True
+
     def test_alternating_specs_build_each_frequency_once(self, monkeypatch):
         # each spec keeps its own induced frequency, whichever spec came last
         built = []
@@ -858,13 +875,14 @@ class TestValidate:
 
     def test_inverts_each_sample_time_once(self, tmp_path, monkeypatch):
         calls = []
-        real = linearize._invert
+        real = integration.Trajectory.invert
 
-        def counted(run, i, t):
-            calls.append(t)
-            return real(run, i, t)
+        def counted(run, column, values):
+            values = list(values)
+            calls.extend(values)
+            return real(run, column, values)
 
-        monkeypatch.setattr(linearize, "_invert", counted)
+        monkeypatch.setattr(integration.Trajectory, "invert", counted)
         # a constant rho, and rho = 1 + 0.1 t^2, whose radius needs the time
         for command, cfg in [
             ("validate", _cheap_preset("winternitz-default")),

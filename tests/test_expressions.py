@@ -155,7 +155,7 @@ class TestEvaluate:
         monkeypatch.setattr(expressions, "_lower", lambda *args: pytest.fail(f"lowered {args}"))
         zero = Num(-0.0)
         assert math.copysign(1.0, evaluate(zero, {"x": 1.0})) == -1.0
-        assert callable(vars(zero)["_lowered"])  # the domain scan calls it directly
+        assert callable(vars(zero)["_lowered"])  # kept on the node, as a compiled tree's is
         nan = Num(math.nan)
         for _ in range(2):  # the first evaluation, then the function kept on the node
             with pytest.raises(EvaluationError, match="expression evaluated to NaN"):

@@ -12,6 +12,7 @@ import pytest
 import ermakov as ek
 from ermakov import integration, linearize
 from ermakov.integration import (
+    _DP,
     _RECOVERABLE,
     Event,
     EventSpec,
@@ -20,6 +21,7 @@ from ermakov.integration import (
     _crossed,
     _locate_crossing,
     _polar_events,
+    _stage_sum,
     integrate,
     monitor_invariant,
 )
@@ -256,8 +258,7 @@ class TestConfigValidation:
         assert traj.termination == "step_size_underflow" and traj.n_accepted == 0
         assert traj.at(0.0) == [2.0]
         assert traj.sample([0.0, 0.0]) == [[2.0], [2.0]]
-        value, slope = traj.at_with_slope(0.0)
-        assert value == [2.0] and math.isnan(slope[0])
+        assert traj.invert(0, [2.0, 2.0]) == [[2.0], [2.0]]
         with pytest.raises(ValueError):
             traj.at(0.5)
 
@@ -625,9 +626,10 @@ class TestAgainstReferenceStepper:
         k_scale = 1.0 + np.max(np.abs(ref.slopes), axis=(0, 1))
         assert np.all(np.abs(np.subtract(new.slopes, ref.slopes)) <= 1e-10 * k_scale)
         # the float interpolant against the numpy one, inside every step
-        for t_i, h in zip(ref.ts, ref.hs):
-            value, slope = new.at_with_slope(t_i + 0.37 * h)
-            ref_value, ref_slope = _reference_dense(ref, t_i + 0.37 * h)
+        for t_i, h, stages in zip(new.ts, new.hs, new.slopes):
+            t = t_i + 0.37 * h
+            value, slope = new.at(t), _stage_sum(stages, (t - t_i) / h, _DP)
+            ref_value, ref_slope = _reference_dense(ref, t)
             assert np.all(np.abs(value - ref_value) <= 1e-10 * scale)
             assert np.all(np.abs(slope - ref_slope) <= 1e-10 * k_scale)
 
@@ -713,6 +715,12 @@ _KERNEL_CASES = {
 }
 
 
+def _slope(traj, t):
+    """The package's _DP stage sum at t, on the step the list stepper's lookup reads."""
+    i = list_stepper.reference_segment(traj, t)
+    return _stage_sum(traj.slopes[i], (t - traj.ts[i]) / traj.hs[i], _DP)
+
+
 class TestKernelAgainstListStepper:
     """The generated straight-line kernel against a copy of the list-comprehension stepper.
 
@@ -755,8 +763,7 @@ class TestKernelAgainstListStepper:
         for j in range(50):
             t = new.t0 + (new.t_end - new.t0) * (j + 0.5) / 50
             assert _bits(new.at(t)) == _bits(list_stepper.reference_at(new, t)), t
-            ref_value_slope = list_stepper.reference_at_with_slope(new, t)
-            assert _bits(new.at_with_slope(t)) == _bits(ref_value_slope), t
+            assert _bits(_slope(new, t)) == _bits(list_stepper.reference_at_with_slope(new, t)[1]), t
 
 
 class TestSampleSweep:
@@ -793,7 +800,7 @@ class TestSampleSweep:
             assert _bits(traj.sample(iter(grid))) == expected
             assert _bits([traj.at(t) for t in grid]) == expected
         for t in times:
-            assert _bits(traj.at_with_slope(t)) == _bits(list_stepper.reference_at_with_slope(traj, t))
+            assert _bits(_slope(traj, t)) == _bits(list_stepper.reference_at_with_slope(traj, t)[1])
 
     @pytest.mark.parametrize("name", ["decay", "decay-backward"])
     def test_first_time_outside_the_window_is_named(self, monkeypatch, name):
@@ -823,6 +830,63 @@ class TestSampleSweep:
         assert states[2] == traj.ys[0] == [2.0]
         with pytest.raises(ValueError, match=r"^time 0\.5 outside the covered window \[0\.0, 0\.0\]$"):
             traj.sample([0.0, 0.5])
+
+
+class TestInvert:
+    """Trajectory.invert solves a monotone column at a grid of values in one ordered pass.
+
+    Each state equals the list stepper's bisection and Newton solve per value
+    bit for bit, whatever the order of the values: a value on a node is solved
+    on the step ending there, and an iterate on that step's end node reads the
+    next step.  The first value outside the column's range raises the text
+    that solve raises.
+    """
+
+    # run -> the column strictly monotone along it: the time of the runs in angular
+    # time (forward; "linear-down" is the pipeline's backward run), and a decay's state
+    _CASES = {"linear-psi-floor": 4, "linear-until": 4, "linear-down": 4, "decay": 0, "decay-backward": 0}
+
+    @staticmethod
+    def _run(name, monkeypatch):
+        if name == "linear-down":
+            pipe = linearize.build_pipeline(_WINTERNITZ, _WINTERNITZ_STATE, t_window=(-2.0, 0.0))
+            assert pipe.up is None and pipe.down.t_end < pipe.down.t0
+            return pipe.down
+        traj = integrate(*_kernel_case(name, monkeypatch))
+        assert traj.termination == _KERNEL_CASES[name][1]
+        return traj
+
+    @pytest.mark.parametrize("name", _CASES)
+    def test_grid_equals_one_solve_per_value(self, monkeypatch, name):
+        column, traj = self._CASES[name], self._run(name, monkeypatch)
+        nodes = [y[column] for y in traj.ys]
+        # every node's value, a value inside each step, the last node's three times
+        values = [*nodes, *(a + 0.37 * (b - a) for a, b in zip(nodes, nodes[1:])), nodes[-1], nodes[-1]]
+        random.Random(11).shuffle(values)
+        for grid in (values, sorted(values), sorted(values, reverse=True)):
+            expected = _bits([list_stepper.reference_invert(traj, column, v) for v in grid])
+            assert _bits(traj.invert(column, grid)) == expected
+            assert _bits(traj.invert(column, iter(grid))) == expected
+            assert _bits([traj.invert(column, [v])[0] for v in grid]) == expected
+        first = traj.invert(column, [nodes[0]])[0]
+        first[0] += 1.0
+        assert first != traj.ys[0] and traj.invert(column, [nodes[0]]) == [traj.ys[0]]  # a copy
+
+    @pytest.mark.parametrize("name", ["decay", "decay-backward", "linear-down"])
+    def test_first_value_outside_the_range_is_named(self, monkeypatch, name):
+        column, traj = self._CASES[name], self._run(name, monkeypatch)
+        first, end = traj.ys[0][column], traj.ys[-1][column]
+        inside, lo, hi = traj.ys[len(traj.ys) // 2][column], min(first, end), max(first, end)
+        below, above = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        for grid in ([inside, above, below], [inside, below, above], [np.float64(below)], [inside, math.nan]):
+            with pytest.raises(ValueError) as reference:
+                [list_stepper.reference_invert(traj, column, v) for v in grid]
+            with pytest.raises(ValueError) as found:
+                traj.invert(column, grid)
+            assert str(found.value) == str(reference.value)
+        with pytest.raises(ValueError, match=rf"^value nan outside column {column}'s run from "):
+            traj.invert(column, [inside, math.nan])
+        assert traj.invert(column, []) == []
 
 
 class TestKernelBuild:

@@ -1,7 +1,6 @@
 import math
 import random
 import re
-from bisect import bisect_left
 from functools import partial
 
 import mpmath
@@ -717,7 +716,7 @@ def _reference_angle_row(sol, theta):
 
 def _reference_time_row(pipe, t):
     """AngularTimeRun.row as it was: the initial data itself at t0, else the step holding
-    t by one keyed bisection of its run's t column, then the same Newton solve."""
+    t by one keyed bisection of its run's t column, then a Newton solve, one time at a time."""
     t = float(t)
     lo, hi = pipe.window
     if not lo <= t <= hi:
@@ -729,7 +728,7 @@ def _reference_time_row(pipe, t):
     end = run.ys[-1][4]
     if sign * (t - end) > 0.0:
         raise OutsideWindowError(f"t={t!r} lies past t={end!r}, where psi fell to 1e-4 psi0 (an escape)")
-    return lz._invert(run, bisect_left(run.ys, sign * t, key=lambda y: sign * y[4]), t)
+    return list_stepper.reference_invert(run, 4, t)
 
 
 def _same_error(reference, *calls):
