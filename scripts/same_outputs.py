@@ -8,7 +8,7 @@ its own ``src`` on the path:
 
 - the preset runs: the four commands on each of the three presets;
 - the four commands on the workflow's ``RHO_T_CONFIG``, ``POLAR_CONFIG``,
-  ``LIBRATING_CONFIG`` and ``THETA_SPAN_CONFIG``;
+  ``LIBRATING_CONFIG``, ``THETA_SPAN_CONFIG`` and ``POLE_CONFIG``;
 - ``reconstruct`` and ``validate`` on each preset with its initial
   ``thetadot`` negated, so the angle leaves theta0 the other way, and
   ``simulate``, ``reconstruct`` and ``validate`` on each preset with its
@@ -46,6 +46,7 @@ WORKFLOW_CONFIGS = {
     "polar": "POLAR_CONFIG",
     "librating": "LIBRATING_CONFIG",
     "theta-span": "THETA_SPAN_CONFIG",
+    "pole": "POLE_CONFIG",
 }
 SCRIPTS = {
     "winternitz_roundtrip": ["--out", "roundtrip"],

@@ -111,7 +111,7 @@ def cmd_linearize(cfg: RunConfig, out_dir: Path) -> int:
     if span is not None and not span[0] <= theta0 <= span[1]:
         raise ConfigError("theta_span", f"{list(span)} excludes the initial angle {theta0!r}")
     sol = solve_from_state(linearizable_view(cfg, build_spec(cfg)), cfg.polar_state, span)
-    grid = linspace(*sol.ode.domain, cfg.samples)
+    grid = linspace(*sol.window, cfg.samples)
     rows = [(th, *coefficients) for th, coefficients in zip(grid, sol.coefficients(grid))]
     _write_csv(out_dir / "linear_ode.csv", ["theta", "p2", "p1", "p0", "rhs", "psi"], rows)
     print(f"linearize: ok, {len(grid)} samples on [{grid[0]:.6g}, {grid[-1]:.6g}]")

@@ -9,7 +9,9 @@ in angular time tau (dtau = dtheta/L = dt/r^2) as
 with the structure functions A, B, C at (theta, L).  Against the angle it
 reads p2 psi'' + p1 psi' + p0 psi = rhs with p2 = L^2, p1 = -dV/dtheta + L A,
 p0 = L^2 + F - B and rhs = C.  ``linearize`` solves it on an angle domain,
-carrying (L, psi, psi_tau) with the tau field divided by L.  The
+carrying (L, psi, psi_tau) with the tau field divided by L; without a
+handed-in domain, its runs end the domain themselves, at a turning margin
+or where they stall at a singularity of the potential.  The
 reconstruction integrates (theta, L, psi, psi_tau, t) in tau, with
 theta_tau = L and t_tau = rho(t)^2/psi^2, which pass through turning points
 of the angle; ``Trajectory.invert`` of the time column recovers theta(t),
@@ -24,7 +26,6 @@ from contextlib import suppress
 
 from .expressions import (
     EvaluationError,
-    as_expression,
     evaluate,
     free_variables,
     is_literal_zero,
@@ -46,7 +47,6 @@ __all__ = [
     "LinearSolution",
     "LinearizationError",
     "OutsideWindowError",
-    "auto_theta_domain",
     "build_linear_ode",
     "build_pipeline",
     "solve_from_state",
@@ -80,7 +80,8 @@ class LinearODE:
     """The linear equation in psi(theta) at a fixed invariant level, on an angle domain.
 
     Valid on an open angle interval where the invariant level exceeds the
-    potential; ``LinearSolution.coefficients`` gives its coefficients.
+    potential; ``LinearSolution.coefficients`` gives its coefficients.  A
+    solve with a gap margin may end short of the domain's ends.
     """
 
     def __init__(self, spec: LinearizableSpec, invariant: float, domain: tuple, branch_sign: int):
@@ -153,57 +154,14 @@ def _locate_turning(V, level, grid, gaps, tol) -> float:
     return grid[gaps.index(min(gaps))]
 
 
-_DOMAIN_MARGIN_REL = 1e-3
-_DOMAIN_STEP = math.pi / 720.0
-_DOMAIN_SPAN = 2.0 * math.pi
-
-
-def auto_theta_domain(V, invariant, theta0: float) -> tuple[float, float]:
-    """Maximal scanned interval around theta0 where the level clears the potential.
-
-    The scan steps pi/720 at a time, up to 2 pi each way.  It stops a safety
-    margin of 1e-3 (1 + |I|) short of any turning point, and one step short
-    of an angle where the potential is undefined: the solve steps through
-    dV/dtheta, and must not meet the singularity that often bounds the
-    potential's domain (the log of U(tan theta) at a sector edge).  Raises
-    LinearizationError if it cannot take a step to either side.
-    """
-    V = as_expression(V)
-    level = float(invariant)
-    margin = _DOMAIN_MARGIN_REL * (1.0 + abs(level))
-    env = {"theta": theta0}
-    v0 = evaluate(V, env)
-
-    def edge(step: float) -> float:
-        back, end = theta0, theta0
-        while abs(end - theta0) < _DOMAIN_SPAN:
-            th = env["theta"] = end + step
-            try:
-                if not level - evaluate(V, env) > margin:
-                    return end
-            except (EvaluationError, QuadratureError):
-                return back
-            back, end = end, th
-        return end
-
-    if not level - v0 > margin:
-        detail = "initial angle too close to a turning point"
-        if level < v0:
-            raise ForbiddenRegionError(theta0, level, v0, detail=detail)
-        raise TurningPointError(theta0, level, detail=f"potential {v0!r}; {detail}")
-    hi = edge(_DOMAIN_STEP)
-    lo = edge(-_DOMAIN_STEP)
-    if lo == hi:
-        raise LinearizationError(
-            f"empty angle domain at theta={theta0!r}: one step of pi/720 either way, the potential"
-            f" is within {margin!r} of the level {level!r}, or undefined within two steps"
-        )
-    return lo, hi
-
-
 # ---------------------------------------------------------------------------
 # Numeric solution of the linear ODE
 # ---------------------------------------------------------------------------
+
+_DOMAIN_MARGIN_REL = 1e-3  # a no-span run ends where the gap I - V falls to this share of 1 + |I|
+_DOMAIN_SPAN = 2.0 * math.pi  # and reaches at most this far from theta0
+_STALL_STEPS, _STALL_SHARE = 16, 1e-4  # or where these last steps cover this share of its travel
+
 
 def _tau_slopes(terms, theta: float, ell: float, psi: float, dpsi: float) -> tuple[float, float]:
     """(L_tau, psi_tau_tau) = (-dV/dtheta, C - A psi_tau - (L^2 + F - B) psi) at one state."""
@@ -211,12 +169,15 @@ def _tau_slopes(terms, theta: float, ell: float, psi: float, dpsi: float) -> tup
     return -dv, C - A * dpsi - (ell * ell + F - B) * psi
 
 
-def _solve_run(ode: LinearODE, theta0, y0, theta1) -> Trajectory | None:
+def _solve_run(ode: LinearODE, theta0, y0, theta1, margin=None) -> Trajectory | None:
     """Integrate (L, psi, psi_tau) from theta0 towards theta1 (None where they coincide).
 
     The field is the angular-time one divided by L = theta_tau, so no step
     evaluates the potential itself.  A stage where L^2/2 falls to the
     turning tolerance raises TurningPointError, which rejects the step.
+    Given a margin, the run may also end early: at the event where L^2/2,
+    the gap, falls to the margin (a turning end), or at the node where its
+    last 16 steps cover less than 1e-4 of its travel (a singular end).
     """
     if theta1 == theta0:
         return None
@@ -229,9 +190,19 @@ def _solve_run(ode: LinearODE, theta0, y0, theta1) -> Trajectory | None:
         dl, ddpsi = _tau_slopes(terms, th, ell, psi, dpsi)
         return dl / ell, dpsi / ell, ddpsi / ell
 
+    events, until = (), None
+    if margin is not None:
+        sign, floor, nodes = ode.branch_sign, math.sqrt(2.0 * margin), [theta0]
+        events = [EventSpec("turning_margin", lambda th, y: sign * y[0] - floor, terminal=True)]
+
+        def until(th, y):
+            nodes.append(th)
+            return len(nodes) > _STALL_STEPS and (
+                abs(th - nodes[-1 - _STALL_STEPS]) < _STALL_SHARE * abs(th - theta0))
+
     cfg = IntegratorConfig(t_span=(theta0, theta1), rel_tol=_SOLVE_REL_TOL, abs_tol=_SOLVE_ABS_TOL)
-    traj = integrate(rhs, y0, cfg)
-    if traj.termination != "completed":
+    traj = integrate(rhs, y0, cfg, events, until)
+    if traj.termination not in ("completed", "event:turning_margin", "stopped"):
         raise LinearizationError(f"linear solve stopped at theta={traj.t_end!r} ({traj.termination})")
     return traj
 
@@ -282,18 +253,22 @@ class LinearSolution:
                 for (ell, psi, _), (A, B, C, F, dv) in zip(rows, terms)]
 
 
-def solve_linear(ode: LinearODE, theta0: float, psi0: float, dpsi0: float) -> LinearSolution:
+def solve_linear(ode: LinearODE, theta0: float, psi0: float, dpsi0: float, margin=None) -> LinearSolution:
     """Solve the linear ODE matching (psi0, dpsi0) at theta0 on the ODE domain.
 
     L0 = branch sqrt(2 (I - V(theta0))); raises TurningPointError or
     ForbiddenRegionError where the level meets or falls below V(theta0).
+    Given a gap margin, a run may end short of the domain's end, at a
+    turning margin or a singular end (``_solve_run``); ``window`` is what
+    the runs reach.
     """
     lo, hi = ode.domain
     if not (lo <= theta0 <= hi):
         raise ValueError(f"theta0={theta0!r} outside the ODE domain [{lo}, {hi}]")
     ell = ode.branch_sign * momentum_from_gap(theta0, ode.invariant, ode.gap(theta0))
     y0 = [ell, psi0, ell * dpsi0]
-    return LinearSolution(ode, theta0, y0, _solve_run(ode, theta0, y0, hi), _solve_run(ode, theta0, y0, lo))
+    up, down = _solve_run(ode, theta0, y0, hi, margin), _solve_run(ode, theta0, y0, lo, margin)
+    return LinearSolution(ode, theta0, y0, up, down)
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +411,13 @@ def solve_from_state(
     """Linear ODE and its solution for the trajectory through ``state0``.
 
     The invariant level and branch come from the state, and so do the
-    initial data (psi0, psi'0); the angle domain is scanned automatically
-    unless supplied (``build_linear_ode`` checks one handed in).  psi is
-    solved on the whole domain.
+    initial data (psi0, psi'0).  psi is solved on a handed-in domain, which
+    ``build_linear_ode`` checks, or, without one, from theta0 towards
+    theta0 +- 2 pi: each run ends there, where the gap I - V falls to the
+    margin 1e-3 (1 + |I|) (a turning end), or where it stalls (a singular
+    end, such as a pole or a log of the potential); ``window`` is the
+    domain reached.  A gap at theta0 within the margin raises
+    TurningPointError, naming the potential there.
     """
     lin = _check_linearizable(spec)
     if state0.thetadot == 0.0:
@@ -447,12 +426,17 @@ def solve_from_state(
     inv = invariant_level(state0.r, state0.theta, state0.thetadot, lin.V)
     if not math.isfinite(inv):
         raise LinearizationError(f"invariant level {inv!r} at the initial state is not finite")
-    if theta_domain is None:
-        ode = LinearODE(lin, inv, auto_theta_domain(lin.V, inv, state0.theta), branch)
-    else:
+    theta0, margin = state0.theta, None
+    if theta_domain is not None:
         ode = build_linear_ode(lin, inv, theta_domain, branch)
+    else:
+        ode = LinearODE(lin, inv, (theta0 - _DOMAIN_SPAN, theta0 + _DOMAIN_SPAN), branch)
+        margin, v0 = _DOMAIN_MARGIN_REL * (1.0 + abs(inv)), evaluate(lin.V, {"theta": theta0})
+        if not inv - v0 > margin:  # I = L^2/2 + V(theta0): the gap is never negative
+            detail = f"potential {v0!r}; initial angle too close to a turning point"
+            raise TurningPointError(theta0, inv, detail=detail)
     _, psi0, psi_tau0 = _initial_data(lin, state0)
-    return solve_linear(ode, state0.theta, psi0, psi_tau0 / (state0.r**2 * state0.thetadot))
+    return solve_linear(ode, theta0, psi0, psi_tau0 / (state0.r**2 * state0.thetadot), margin)
 
 
 def build_pipeline(spec, state0: PolarState, *, t_window: tuple[float, float]) -> AngularTimeRun:

@@ -59,7 +59,7 @@ def _winternitz_config(**overrides):
 
 
 # winternitz with g2 > g1: V = (g1 + g2 cos theta)/sin^2 theta falls to minus
-# infinity at theta = pi, between the scan's grid points, and the orbit reaches it
+# infinity at theta = pi, and the orbit reaches it
 _POLE_PARAMS = {"mu0": 0.3, "g1": 0.6075, "g2": 1.5456, "g3": 1.1976}
 _POLE_STATE = {"r": 1.2845, "theta": 2.2937, "rdot": 0.3068, "thetadot": 0.3}
 
@@ -426,7 +426,8 @@ class TestLinearize:
         assert main(["linearize", "--preset", preset, "--out", str(out)]) == 0
         _, data = _read_csv(out / "linear_ode.csv")
         cfg = preset_config(preset)
-        sol = solve_from_state(build_spec(cfg), cfg.polar_state, (data[0, 0], data[-1, 0]))
+        sol = solve_from_state(build_spec(cfg), cfg.polar_state)
+        assert sol.window == (data[0, 0], data[-1, 0])
         assert [sol.psi(th) for th in data[:, 0]] == data[:, 5].tolist()
 
     @pytest.mark.parametrize("case", [*sorted(PRESETS), "librating", "winternitz-near-turning"])
@@ -499,30 +500,53 @@ class TestLinearize:
         for command in ("simulate", "reconstruct", "validate"):  # they ignore theta_span
             assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
 
-    @pytest.mark.parametrize("command", ["linearize", "reconstruct", "validate"])
+    # free motion f = u at theta = 1e-9, next to the log singularity of U(tan theta) at 0
+    _NEAR_SINGULARITY = {
+        "system": {"kind": "free_motion", "functions": {"f": "u", "rho": "1"}},
+        "initial_state": {"coords": "polar", "r": 1.0, "theta": 1e-9, "rdot": -0.2, "thetadot": 1.0},
+        "t_span": [0.0, 0.1],
+        "samples": 5,
+    }
+
+    @pytest.mark.parametrize("command", ["reconstruct", "validate"])
     def test_empty_scanned_domain_is_a_domain_error(self, tmp_path, capsys, command):
-        # free motion f = u at theta = 1e-9: one scan step down leaves the
-        # domain of U(tan theta), one step up the level is below the potential
-        cfg = {
-            "system": {"kind": "free_motion", "functions": {"f": "u", "rho": "1"}},
-            "initial_state": {
-                "coords": "polar", "r": 1.0, "theta": 1e-9, "rdot": -0.2, "thetadot": 1.0
-            },
-            "t_span": [0.0, 0.1],
-            "samples": 5,
-        }
-        out = tmp_path / "out"
-        code = main([command, "--config", str(_write(tmp_path, "c.json", cfg)), "--out", str(out)])
+        # the run in angular time falls into the singularity at theta = 0, as simulate does
+        out, path = tmp_path / "out", _write(tmp_path, "c.json", self._NEAR_SINGULARITY)
+        code = main([command, "--config", str(path), "--out", str(out)])
         if command == "validate":
             assert code == 1
             message = json.loads((out / "report.json").read_text())["checks"]["round_trip"]["error"]
         else:
             assert code == 2
             message = capsys.readouterr().err
-        if command == "linearize":
-            assert "empty angle domain at theta=1e-09" in message
-        else:  # the run in angular time falls into the singularity at theta = 0, as simulate does
-            assert "linear solve stopped at theta=4.3" in message and "(step_size_underflow)" in message
+        assert "linear solve stopped at theta=4.3" in message and "(step_size_underflow)" in message
+
+    def test_domain_next_to_a_singularity_stops_short_of_it(self, tmp_path):
+        # the angle solve's run down stalls short of theta = 0, its run up meets the
+        # turning margin a little above theta0
+        out = tmp_path / "out"
+        path = _write(tmp_path, "c.json", self._NEAR_SINGULARITY)
+        assert main(["linearize", "--config", str(path), "--out", str(out)]) == 0
+        _, data = _read_csv(out / "linear_ode.csv")
+        assert 0.0 < data[0, 0] < 1e-12 and 1e-9 < data[-1, 0] < 1e-8
+        assert np.all(np.isfinite(data))
+
+    def test_pole_of_the_potential_ends_the_domain_short_of_it(self, tmp_path):
+        # the workflow's POLE_CONFIG: V falls to minus infinity at theta = pi, where the run
+        # up stalls and stops; the run down meets the turning margin
+        cfg = _same_outputs().workflow_config("POLE_CONFIG")
+        assert cfg["system"]["params"] == _POLE_PARAMS
+        assert {k: cfg["initial_state"][k] for k in _POLE_STATE} == _POLE_STATE
+        out, path = tmp_path / "out", _write(tmp_path, "c.json", cfg)
+        start = time.perf_counter()
+        assert main(["linearize", "--config", str(path), "--out", str(out)]) == 0
+        assert time.perf_counter() - start < 0.5
+        _, data = _read_csv(out / "linear_ode.csv")
+        loaded = load_config(cfg)
+        sol = solve_from_state(build_spec(loaded), loaded.polar_state)
+        assert sol.window == (data[0, 0], data[-1, 0])
+        assert (sol.down.termination, sol.up.termination) == ("event:turning_margin", "stopped")
+        assert 3.14 < data[-1, 0] < math.pi
 
     @pytest.mark.parametrize("command", ["linearize"])
     def test_initial_angle_at_turning_point_names_potential(self, tmp_path, capsys, command):
@@ -607,8 +631,7 @@ class TestReconstruct:
         assert data[-1, 0] == 1.0008013447464166
 
     def test_pole_of_the_potential_is_a_named_error_in_well_under_a_second(self, tmp_path, capsys):
-        # the run meets the pole at theta = pi where simulate stops, and stops there too;
-        # the angle scan's whole-domain solve crept into it for over a second
+        # the run meets the pole at theta = pi where simulate stops, and stops there too
         cfg = _winternitz_config(t_span=[0.0, 10.0])
         cfg["system"]["params"] = _POLE_PARAMS
         cfg["initial_state"].update(_POLE_STATE)
@@ -701,7 +724,7 @@ class TestCompiles:
         assert len(calls) <= 5
 
     def test_reconstruct_on_kepler_lowers_one_function(self, monkeypatch, tmp_path):
-        # (A, B, C, F, dV/dtheta): no domain scan evaluates V; rho = 1 and rho' = 0 are literals
+        # (A, B, C, F, dV/dtheta): nothing evaluates V; rho = 1 and rho' = 0 are literals
         spec, calls = self._lowered(monkeypatch, tmp_path, "reconstruct", self.KEPLER)
         assert calls == [(spec.A, spec.B, spec.C, spec.F, spec.dV)]
 
@@ -710,7 +733,7 @@ class TestValidate:
     @pytest.mark.parametrize("name", ["librating", "mirrored-winternitz-default"])
     def test_passes_through_turning_points(self, tmp_path, name):
         # the librating Kepler orbit turns 16 times; the mirrored preset nears its
-        # turning angle as r grows, past where the angle scan ended its domain
+        # turning angle as r grows, past linearize's turning margin
         if name == "librating":
             cfg = LIBRATING_CONFIG
         else:

@@ -11,6 +11,7 @@ import ermakov as ek
 import ermakov.linearize as lz
 import list_stepper
 from ermakov import systems
+from ermakov.config import build_spec, load_config
 from ermakov.expressions import evaluate
 from ermakov.invariant import (
     ForbiddenRegionError,
@@ -19,10 +20,8 @@ from ermakov.invariant import (
     momentum_from_gap,
 )
 from ermakov.linearize import (
-    LinearODE,
     LinearizationError,
     OutsideWindowError,
-    auto_theta_domain,
     build_linear_ode,
     build_pipeline,
     solve_from_state,
@@ -31,7 +30,7 @@ from ermakov.linearize import (
 )
 from ermakov.numerics import linspace, quad_adaptive
 from oracles import winternitz_angular_time_closed, winternitz_dpsi_closed, winternitz_psi_closed
-from test_acceptance import angular_time
+from test_acceptance import LIBRATING_CONFIG, angular_time
 
 
 def _uniform_rotation_pipeline():
@@ -486,18 +485,36 @@ class TestPipelineGuards:
             solve_from_state(winternitz_spec, s0)
         _assert_follows_the_direct_run(winternitz_spec, s0, 1.0)
 
-    def test_auto_domain_brackets_turnings(self, winternitz_spec):
-        lo, hi = auto_theta_domain(winternitz_spec.V, 3.0, math.pi / 2)
-        assert 0.70 <= lo <= 0.80
-        assert 2.65 <= hi <= 2.75
+    def test_auto_domain_brackets_turnings(self, winternitz_params, winternitz_spec, winternitz_state):
+        # without a span each run ends at the event where the gap I - V falls to the
+        # margin m = 1e-3 (1 + |I|): the angles where V = I - m, in closed form
+        librating = load_config(LIBRATING_CONFIG)  # V = 2 cos^2 theta, I = 0.5
+        sol = solve_from_state(build_spec(librating), librating.polar_state)
+        level = sol.ode.invariant
+        assert level == 0.5
+        edge = math.sqrt((level - 1e-3 * (1.0 + level)) / 2.0)
+        assert abs(sol.window[0] - math.acos(edge)) <= 1e-10
+        assert abs(sol.window[1] - math.acos(-edge)) <= 1e-10
+        assert sol.up.termination == sol.down.termination == "event:turning_margin"
+        # V = (g1 + g2 cos)/sin^2 equals J = I - m where J c^2 + g2 c + g1 - J = 0, c = cos theta
+        sol = solve_from_state(winternitz_spec, winternitz_state)
+        level, g1, g2 = sol.ode.invariant, winternitz_params.g1, winternitz_params.g2
+        j = level - 1e-3 * (1.0 + level)
+        roots = [math.acos((-g2 + s * math.sqrt(g2 * g2 + 4.0 * j * (j - g1))) / (2.0 * j)) for s in (1, -1)]
+        assert np.allclose(sol.window, roots, rtol=0.0, atol=1e-10)
+        # a run that meets neither ends 2 pi from theta0, exactly
+        spec = ek.LinearizableSpec(rho="1", A="0", B="0", C="0", F="0", V="0")
+        sol = solve_from_state(spec, ek.PolarState(1.0, 0.5, 0.0, 1.0))
+        assert sol.window == (0.5 - 2.0 * math.pi, 0.5 + 2.0 * math.pi)
+        assert sol.up.termination == sol.down.termination == "completed"
 
     def test_auto_domain_names_the_potential_at_the_initial_angle(self, winternitz_spec):
-        # V(pi/2) = 1: a level below it is forbidden, a level at it a turning point
-        with pytest.raises(ForbiddenRegionError, match="invariant 0.5 < potential 1.0") as err:
-            auto_theta_domain(winternitz_spec.V, 0.5, math.pi / 2)
-        assert err.value.potential == 1.0
-        with pytest.raises(TurningPointError, match="invariant 1.0, potential 1.0"):
-            auto_theta_domain(winternitz_spec.V, 1.0, math.pi / 2)
+        # V(pi/2) = 1, and the level clears it by 5e-7, within the margin 2e-3: the
+        # first step would end the run, so the start is named a turning point
+        state = ek.PolarState(1.0, math.pi / 2, 0.0, 1e-3)
+        with pytest.raises(TurningPointError, match=r"^turning point at theta=1.5707963267948966 \(invariant "
+                           r"1.0000005, potential 1.0; initial angle too close to a turning point\)$"):
+            solve_from_state(winternitz_spec, state)
 
     def test_overflowing_level_is_not_a_turning_point(self, winternitz_spec):
         # (r^2 thetadot)^2 overflows to inf: no margin can tell it from V
@@ -506,28 +523,19 @@ class TestPipelineGuards:
             with pytest.raises(LinearizationError, match="invariant level inf .* is not finite"):
                 build(winternitz_spec, state)
 
-    def test_auto_domain_of_zero_width_is_named(self):
-        # free motion f = u: one scan step below 1e-9 leaves the domain of
-        # U(tan theta), one step above it the potential exceeds the level
+    @pytest.mark.parametrize("theta0, thetadot", [(math.pi / 4, 1.0), (1e-9, 1.0), (1e-9, -1.0)])
+    def test_auto_domain_stops_short_of_a_singular_end(self, theta0, thetadot):
+        # free motion f = u: V = U(tan theta) has a log singularity at theta = 0, which
+        # the run towards it creeps into; it stops once its last 16 steps cover under 1e-4
+        # of its travel, short of 0, and the run away from it ends at the turning margin
         fm = ek.free_motion_system("u", "1")
-        state = ek.PolarState(1.0, 1e-9, -0.2, 1.0)
-        level = invariant_level(state.r, state.theta, state.thetadot, fm.V)
-        with pytest.raises(LinearizationError, match=r"empty angle domain at theta=1e-09"):
-            auto_theta_domain(fm.V, level, 1e-9)
-
-    def test_scan_stops_one_step_short_of_an_undefined_potential(self, winternitz_spec):
-        # free motion f = u: U(tan theta) is undefined below theta = 0, where it
-        # has a log singularity; the last angle that clears the level is 2.6e-15
-        fm = ek.free_motion_system("u", "1")
-        lo, hi = auto_theta_domain(fm.V, 0.4999999999999998, math.pi / 4)
-        assert lo >= math.pi / 720
-        # scans that end at a turning point or at the 2 pi span keep their bits
-        assert auto_theta_domain(winternitz_spec.V, 3.0, math.pi / 2) == (
-            float.fromhex("0x1.7e0485cda5e5ep-1"), float.fromhex("0x1.5928041edb7f9p+1")
-        )
-        assert auto_theta_domain("0", 0.5, 0.0) == (
-            float.fromhex("-0x1.9267325ecc166p+2"), float.fromhex("0x1.9267325ecc166p+2")
-        )
+        sol = solve_from_state(fm, ek.PolarState(1.0, theta0, -0.2, thetadot))
+        lo, hi = sol.window
+        assert 0.0 < lo < min(1e-3, theta0) and theta0 < hi
+        assert (sol.down.termination, sol.up.termination) == ("stopped", "event:turning_margin")
+        ts = sol.down.ts
+        assert abs(ts[-1] - ts[-17]) < 1e-4 * abs(ts[-1] - theta0)
+        assert all(math.isfinite(psi) for *_, psi in sol.coefficients(linspace(lo, hi, 9)))
 
     def test_only_a_handed_in_domain_is_checked_on_the_grid(
         self, winternitz_spec, winternitz_state, monkeypatch
@@ -616,16 +624,18 @@ class TestPipelineScansReachedSides:
     @pytest.mark.parametrize(
         "theta0, thetadot, domain",
         [
-            (2.6, 0.24039413188285202, (0.8939406561755319, 2.6)),
-            (0.8, -0.23359902542046712, (0.8, 2.6631389765039595)),
+            (2.6, 0.24039413188285202, (0.890175423670, 2.604112223747)),
+            (0.8, -0.23359902542046712, (0.795946808573, 2.665358850177)),
         ],
     )
     def test_only_the_reached_side_blocked(self, winternitz_spec, theta0, thetadot, domain):
-        # the level meets V within one step on the side the angle would take: the
-        # angle turns back at once, into the scanned domain, and the run follows it
+        # the level meets V within pi/720 on the side the angle would take: the angle
+        # turns back at once, into the angle solve's domain, and the run follows it
         state = ek.PolarState(1.0, theta0, 0.0, thetadot)
         level = invariant_level(1.0, theta0, thetadot, winternitz_spec.V)
-        assert solve_from_state(winternitz_spec, state).ode.domain == domain
+        window = solve_from_state(winternitz_spec, state).window
+        assert np.allclose(window, domain, rtol=0.0, atol=1e-10)
+        assert min(abs(end - theta0) for end in window) < math.pi / 720
         direct = _assert_follows_the_direct_run(winternitz_spec, state, 1.0)
         assert [e.name for e in direct.events][:1] == ["turning_point"]
         # the level clears V wherever the run goes
@@ -677,8 +687,11 @@ class TestAugmentedSolve:
 
         monkeypatch.setattr(lz, "integrate", recording)
         assert main(["linearize", "--preset", "winternitz-default", "--out", str(tmp_path)]) == 0
-        # (L, psi, psi_tau) to each end of the domain: no angle map, no psi floor
-        assert calls == [(3, [], None), (3, [], None)]
+        # (L, psi, psi_tau) each way: no angle map, no psi floor; each run ends at its
+        # turning margin, or where it stalls
+        assert [(dim, [e.name for e in events], until is not None) for dim, events, until in calls] == [
+            (3, ["turning_margin"], True), (3, ["turning_margin"], True)
+        ]
 
     @pytest.mark.parametrize("thetadot", [2.0, -2.0])
     def test_angle_solve_and_time_run_agree_on_psi(self, winternitz_spec, thetadot):
@@ -970,50 +983,29 @@ class TestWindowedSolve:
 class TestCarriedGap:
     """The angle runs carry L, with L^2/2 the gap I - V(theta), so no step evaluates V.
 
-    For free motion V = U(tan theta) is a quadrature, memoized per angle;
-    after the domain scan, a solve may evaluate V at most once, at theta0.
-    The run in angular time needs neither the scan nor V.
+    For free motion V = U(tan theta) is a quadrature, memoized per angle; a
+    solve, and a whole ``linearize``, evaluate V at theta0 alone, one
+    quadrature.  The run in angular time needs no V at all.
     """
 
     _STATE = ek.PolarState(1.0, math.pi / 4, -0.2, 1.0)  # free-motion-demo's
 
     @staticmethod
-    def _quadratures_after_scan(monkeypatch):
-        """Count U quadratures once a domain scan has returned (each spec's memo starts cold)."""
-        import ermakov.linearize as lz
-
-        count = {"scanned": False, "after": 0}
-        real_quad, real_scan = systems.quad_adaptive, lz.auto_theta_domain
-
-        def quad(*args, **kwargs):
-            count["after"] += count["scanned"]
-            return real_quad(*args, **kwargs)
-
-        def scan(*args):
-            domain = real_scan(*args)
-            count["scanned"] = True
-            return domain
-
-        monkeypatch.setattr(systems, "quad_adaptive", quad)
-        monkeypatch.setattr(lz, "auto_theta_domain", scan)
-        return count
-
-    def test_solve_linear(self, monkeypatch):
-        import ermakov.linearize as lz
-
-        count = self._quadratures_after_scan(monkeypatch)
-        spec = ek.free_motion_system("u", "1")
-        s = self._STATE
-        level = invariant_level(s.r, s.theta, s.thetadot, spec.V)
-        ode = LinearODE(spec, level, lz.auto_theta_domain(spec.V, level, math.pi / 4), 1)
-        sol = solve_linear(ode, math.pi / 4, 1.0, 0.2)
-        sol.coefficients([0.5])
-        assert count["scanned"] and count["after"] <= 1
-
-    def test_build_pipeline(self, monkeypatch):
+    def _quadratures(monkeypatch):
+        """The arguments of every U quadrature from now on (each spec's memo starts cold)."""
         quadratures = []
         real = systems.quad_adaptive
         monkeypatch.setattr(systems, "quad_adaptive", lambda *a, **k: quadratures.append(a) or real(*a, **k))
+        return quadratures
+
+    def test_solve_linear(self, monkeypatch):
+        quadratures = self._quadratures(monkeypatch)
+        sol = solve_from_state(ek.free_motion_system("u", "1"), self._STATE)
+        sol.coefficients([0.5])
+        assert len(quadratures) <= 1
+
+    def test_build_pipeline(self, monkeypatch):
+        quadratures = self._quadratures(monkeypatch)
         spec = ek.free_motion_system("u", "1")
         pipe = build_pipeline(spec, self._STATE, t_window=(0.0, 0.15))
         for t in np.linspace(0.0, 0.15, 7):
@@ -1023,9 +1015,9 @@ class TestCarriedGap:
     def test_linearize_rows(self, monkeypatch, tmp_path):
         from ermakov.cli import main
 
-        count = self._quadratures_after_scan(monkeypatch)
+        quadratures = self._quadratures(monkeypatch)
         assert main(["linearize", "--preset", "free-motion-demo", "--out", str(tmp_path)]) == 0
-        assert count["scanned"] and count["after"] <= 1
+        assert len(quadratures) <= 1
 
 
 class TestAngleRunSetUp:
