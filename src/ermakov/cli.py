@@ -15,6 +15,7 @@ error.  Set ``ERMAKOV_LOG`` to adjust verbosity.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -49,16 +50,14 @@ COMPATIBILITY_THRESHOLD = 1e-9
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    line = ",".join(["%.17g"] * len(header)) + "\n"
+    line = ",".join(["%.17g"] * len(header))
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(line % row for row in rows)
+        fh.write("\n".join([",".join(header), *(line % row for row in rows)]) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _integrator_config(cfg: RunConfig) -> IntegratorConfig:
@@ -196,6 +195,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ermakov",

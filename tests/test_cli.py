@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import gc
@@ -976,23 +977,44 @@ class TestArguments:
         args = parse([command, "--preset", "uniform-rotation", "--out", "results"])
         assert (args.command, args.config, args.preset) == (command, None, "uniform-rotation")
 
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (["simulate", "--preset", "uniform-rotation"], "the following arguments are required: --out"),
-            (["simulate", "--out", "o"], "one of the arguments --config --preset is required"),
-            (["simulate", "--config", "c.json", "--preset", "uniform-rotation", "--out", "o"],
-             "argument --preset: not allowed with argument --config"),
-            (["simulat", "--preset", "uniform-rotation", "--out", "o"], "invalid choice: 'simulat'"),
-            (["simulate", "--preset", "nope", "--out", "o"], "invalid choice: 'nope'"),
-        ],
-    )
+    USAGE_ERRORS = [
+        (["simulate", "--preset", "uniform-rotation"], "the following arguments are required: --out"),
+        (["simulate", "--out", "o"], "one of the arguments --config --preset is required"),
+        (["simulate", "--config", "c.json", "--preset", "uniform-rotation", "--out", "o"],
+         "argument --preset: not allowed with argument --config"),
+        (["simulat", "--preset", "uniform-rotation", "--out", "o"], "invalid choice: 'simulat'"),
+        (["simulate", "--preset", "nope", "--out", "o"], "invalid choice: 'nope'"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", USAGE_ERRORS)
     def test_usage_errors_exit_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: ermakov ") and message in err
+
+    def test_one_parser_serves_every_call(self, tmp_path):
+        from ermakov import cli
+
+        assert cli._build_parser() is cli._build_parser()
+        cli._build_parser.cache_clear()
+        init = argparse.ArgumentParser.__init__
+        with mock.patch.object(argparse.ArgumentParser, "__init__", autospec=True, side_effect=init) as built:
+            for run in ("first", "second"):
+                assert main(["simulate", "--preset", "uniform-rotation", "--out", str(tmp_path / run)]) == 0
+        assert built.call_count == 1
+
+    def test_usage_errors_after_a_successful_call(self, capsys, tmp_path):
+        # the reused parser keeps nothing of the call before: each error reads as on a fresh one
+        for k, (argv, message) in enumerate(self.USAGE_ERRORS):
+            assert main(["linearize", "--preset", "uniform-rotation", "--out", str(tmp_path / f"ok{k}")]) == 0
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: ermakov ") and message in err, argv
 
 
 def test_csv_values_are_written_as_format_17g_writes_them(tmp_path):
