@@ -1,20 +1,19 @@
 #!/usr/bin/env python3
 """Measure the working tree against another revision and write one BENCH file per side.
 
-    python3 scripts/bench.py --against REV --label NAME --against-label NAME
-                             [--pairs 10] [--seconds 25] [--first-seed 101]
-                             [--preset-runs 7] [--out DIR]
+    python3 scripts/bench.py --against REV --label NAME [--first-seed 101] [--out DIR]
 
 Both trees are copied into a scratch directory first (the working tree's
 tracked and untracked, not ignored, files; the revision by ``git archive``),
 so each starts with the same bytecode state.  The script measures:
 
 - the benchmark: ``perfbench/run.py --workload W --seed S --seconds T`` on
-  each workload in BENCHMARK.json, as ``--pairs`` pairs of runs, pair ``k``
-  on seed ``first-seed + k`` with the side that runs first alternating; per
-  end-to-end metric the median, quartiles, IQR and the pairs this side won;
+  each workload in BENCHMARK.json, ``T`` its ``run_seconds``, as ``PAIRS``
+  pairs of runs, pair ``k`` on seed ``first-seed + k`` with the side that
+  runs first alternating; per end-to-end metric the median, quartiles, IQR
+  and the pairs this side won;
 - the preset table: each command on each preset in fresh interpreters,
-  ``--preset-runs`` per cell and side, interleaved, the clock started after
+  ``PRESET_RUNS`` per cell and side, interleaved, the clock started after
   ``import ermakov.cli``; median, IQR and n in milliseconds;
 - the tier-1 time: the test suite once per tree, under
   ``-W error::RuntimeWarning``, wall clock and pytest's summary line;
@@ -23,14 +22,13 @@ so each starts with the same bytecode state.  The script measures:
 
 Each tree runs its own ``perfbench/``, which this script never edits.  It
 writes ``BENCH_<label>.json`` for the working tree and
-``BENCH_<against-label>.json`` for the revision under ``--out`` (the
+``BENCH_<short revision>.json`` for the revision under ``--out`` (the
 repository root by default).
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import platform
@@ -38,14 +36,14 @@ import shutil
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-PRESETS = ("winternitz-default", "uniform-rotation", "free-motion-demo")
-COMMANDS = ("simulate", "linearize", "reconstruct", "validate")
+from same_outputs import COMMANDS, PRESETS, ROOT, extract_revision
+
+PAIRS = 10  # alternating pairs of benchmark runs per workload
+PRESET_RUNS = 7  # fresh interpreters per preset cell and side
 
 # One CLI command in a fresh interpreter: argv[1] is the tree's src, then the
 # command, preset and output directory; prints the command's exit code and its
@@ -66,6 +64,12 @@ def _summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": len(values)}
 
 
+def _rev_parse(*args: str) -> str:
+    return subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", *args], capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
 def _pyc_count(tree: Path) -> int:
     return sum(1 for _ in (tree / "src").rglob("*.pyc"))
 
@@ -81,13 +85,7 @@ def copy_trees(against: str, work: Path) -> dict[str, Path]:
         if (ROOT / rel).is_file():  # a tracked file deleted in the working tree is skipped
             (working / rel).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(ROOT / rel, working / rel)
-    archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=tar", against], capture_output=True, check=True
-    ).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        # the "data" filter where this Python has it (3.12 warns without one)
-        tar.extractall(work / "revision", **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
-    return {"working": working, "revision": work / "revision"}
+    return {"working": working, "revision": extract_revision(against, work / "revision")}
 
 
 def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -125,21 +123,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", required=True, help="git revision to compare with")
     parser.add_argument("--label", required=True, help="names BENCH_<label>.json, the working tree's file")
-    parser.add_argument("--against-label", required=True, help="names the revision's file")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25.0, help="length of each benchmark run")
     parser.add_argument("--first-seed", type=int, default=101)
-    parser.add_argument("--preset-runs", type=int, default=7, help="fresh interpreters per cell and side")
     parser.add_argument("--out", type=Path, default=ROOT, help="directory of the BENCH files")
     args = parser.parse_args(argv)
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in declared["workloads"]]
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
-    labels = {"working": args.label, "revision": args.against_label}
-    revision = subprocess.run(
-        ["git", "-C", str(ROOT), "rev-parse", args.against], capture_output=True, text=True, check=True
-    ).stdout.strip()
+    seconds = declared["run_seconds"]
+    revision = _rev_parse(args.against)
+    labels = {"working": args.label, "revision": _rev_parse("--short", args.against)}
 
     with tempfile.TemporaryDirectory() as tmp:
         trees = copy_trees(args.against, Path(tmp))
@@ -160,11 +153,11 @@ def main(argv: list[str] | None = None) -> int:
         }
 
         runs = {(side, w): [] for side in sides for w in workloads}
-        for k in range(args.pairs):
+        for k in range(PAIRS):
             order = sides if k % 2 == 0 else sides[::-1]
             for workload in workloads:
                 for side in order:
-                    run = bench_run(trees[side], workload, args.first_seed + k, args.seconds)
+                    run = bench_run(trees[side], workload, args.first_seed + k, seconds)
                     runs[side, workload].append({"seed": args.first_seed + k, "ran_first": side == order[0],
                                                  "attempted": run["attempted"], "failed": run["failed"],
                                                  "metrics": {m: v["value"] for m, v in run["metrics"].items()}})
@@ -181,11 +174,11 @@ def main(argv: list[str] | None = None) -> int:
                     sign = 1 if direction == "higher" else -1
                     wins = sum(sign * (a["metrics"][name] - b["metrics"][name]) > 0 for a, b in zip(mine, theirs))
                     metrics[name] = {**_summary(values), "better": direction, "wins": wins, "values": values}
-                result[side]["workloads"][workload] = {"seconds": args.seconds, "metrics": metrics, "runs": mine}
+                result[side]["workloads"][workload] = {"seconds": seconds, "metrics": metrics, "runs": mine}
 
         times = {(side, p, c): [] for side in sides for p in PRESETS for c in COMMANDS}
         codes = {key: set() for key in times}
-        for n in range(args.preset_runs):
+        for n in range(PRESET_RUNS):
             order = sides if n % 2 == 0 else sides[::-1]
             for preset in PRESETS:
                 for command in COMMANDS:

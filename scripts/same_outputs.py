@@ -139,6 +139,17 @@ def jobs(configs: Path) -> list[tuple[str, list[str]]]:
     return out
 
 
+def extract_revision(rev: str, dest: Path) -> Path:
+    """The tree of git revision ``rev``, extracted into ``dest``."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev], capture_output=True, check=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        # the "data" filter where this Python has it (3.12 warns without one)
+        tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+    return dest
+
+
 def run_tree(tree: Path, job_file: Path, out: Path) -> None:
     """Every job and script of one tree, written under ``out``."""
     out.mkdir()
@@ -174,16 +185,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--against", required=True, help="git revision to compare with")
     args = parser.parse_args(argv)
 
-    archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=tar", args.against],
-        capture_output=True, check=True,
-    ).stdout
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        revision = tmp / "revision"
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            # the "data" filter where this Python has it (3.12 warns without one)
-            tar.extractall(revision, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+        revision = extract_revision(args.against, tmp / "revision")
         (tmp / "configs").mkdir()
         job_list = jobs(tmp / "configs")
         job_file = tmp / "jobs.json"

@@ -50,9 +50,10 @@ COMPATIBILITY_THRESHOLD = 1e-9
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    line = ",".join(["%.17g"] * len(header))
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join([",".join(header), *(line % row for row in rows)]) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % row for row in rows)
 
 
 def _write_json(path: Path, payload: dict) -> None:
