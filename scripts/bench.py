@@ -11,7 +11,8 @@ so each starts with the same bytecode state.  The script measures:
   each workload in BENCHMARK.json, ``T`` its ``run_seconds``, as ``PAIRS``
   pairs of runs, pair ``k`` on seed ``first-seed + k`` with the side that
   runs first alternating; per end-to-end metric the median, quartiles, IQR
-  and the pairs this side won;
+  and the pairs this side won, and in the working tree's file a verdict
+  (see ``verdict``);
 - the preset table: each command on each preset in fresh interpreters,
   ``PRESET_RUNS`` per cell and side, interleaved, the clock started after
   ``import ermakov.cli``; median, IQR and n in milliseconds;
@@ -62,6 +63,26 @@ print(code, (time.perf_counter() - t0) * 1e3)
 def _summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": len(values)}
+
+
+def verdict(change: dict, parent: dict, better: str, bound: float) -> str:
+    """The working tree's reading on one metric and workload against the revision's runs:
+
+    - ``better``: it won at least 9 in 10 pairs, and the medians differ, its way, by more
+      than the revision's IQR;
+    - ``unresolved``: the revision's IQR exceeds ``bound`` times its median, and not every
+      run of the working tree beats every run of the revision;
+    - ``no worse``: its median is within ``bound`` (relative) of the revision's;
+    - ``worse``.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    gain = sign * (change["median"] - parent["median"])
+    if change["wins"] >= 0.9 * change["n"] and gain > parent["iqr"]:
+        return "better"
+    beats_all = min(sign * v for v in change["values"]) > max(sign * v for v in parent["values"])
+    if parent["iqr"] > bound * abs(parent["median"]) and not beats_all:
+        return "unresolved"
+    return "no worse" if gain >= -bound * abs(parent["median"]) else "worse"
 
 
 def _rev_parse(*args: str) -> str:
@@ -130,6 +151,7 @@ def main(argv: list[str] | None = None) -> int:
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in declared["workloads"]]
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
     seconds = declared["run_seconds"]
     revision = _rev_parse(args.against)
     labels = {"working": args.label, "revision": _rev_parse("--short", args.against)}
@@ -175,6 +197,10 @@ def main(argv: list[str] | None = None) -> int:
                     wins = sum(sign * (a["metrics"][name] - b["metrics"][name]) > 0 for a, b in zip(mine, theirs))
                     metrics[name] = {**_summary(values), "better": direction, "wins": wins, "values": values}
                 result[side]["workloads"][workload] = {"seconds": seconds, "metrics": metrics, "runs": mine}
+        for workload in workloads:
+            for name, metric in result["working"]["workloads"][workload]["metrics"].items():
+                parent = result["revision"]["workloads"][workload]["metrics"][name]
+                metric["verdict"] = verdict(metric, parent, better[name], bounds[name])
 
         times = {(side, p, c): [] for side in sides for p in PRESETS for c in COMMANDS}
         codes = {key: set() for key in times}
@@ -205,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     for workload in workloads:
         for name in better:
             a, b = (result[s]["workloads"][workload]["metrics"][name] for s in sides)
-            print(f"{workload} {name}: {labels['working']} {a['median']:.4g} (IQR {a['iqr']:.3g}, "
+            print(f"{workload} {name}: {a['verdict']}, {labels['working']} {a['median']:.4g} (IQR {a['iqr']:.3g}, "
                   f"{a['wins']} wins) vs {labels['revision']} {b['median']:.4g} (IQR {b['iqr']:.3g})")
     return 0
 

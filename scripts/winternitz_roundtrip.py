@@ -26,7 +26,8 @@ def main():
     state0 = ek.PolarState(r=1.0, theta=math.pi / 2, rdot=0.0, thetadot=2.0)
 
     traj = ek.integrate_polar(spec, state0, ek.IntegratorConfig(t_span=(0.0, args.t_end)))
-    print(f"direct integration: {traj.n_accepted} steps, drift {traj.drift.max_rel:.3e}")
+    drift = ek.monitor_invariant(traj, spec.V)
+    print(f"direct integration: {traj.n_accepted} steps, drift {drift.max_rel:.3e}")
 
     pipe = build_pipeline(spec, state0, t_window=(0.0, args.t_end))
     times = np.linspace(0.0, args.t_end, args.samples)

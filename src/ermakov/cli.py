@@ -32,7 +32,7 @@ from .config import (
     load_config,
     preset_config,
 )
-from .integration import IntegratorConfig, integrate_polar
+from .integration import IntegratorConfig, integrate_polar, monitor_invariant
 from .invariant import invariant_level
 from .linearize import build_pipeline, solve_from_state, verify_compatibility
 from .numerics import linspace
@@ -74,34 +74,53 @@ def _sample_times(cfg: RunConfig, t_end: float) -> list[float]:
     return linspace(cfg.t_span[0], t_end, cfg.samples)
 
 
+def _direct_run(spec, cfg: RunConfig):
+    """The config's direct run, its invariant drift (or the ValueError of a node where ``V``
+    has no value), its sample times and its states at them."""
+    traj = integrate_polar(spec, cfg.polar_state, _integrator_config(cfg))
+    try:
+        drift = monitor_invariant(traj, spec.V)
+    except ValueError as exc:
+        drift = exc
+    times = _sample_times(cfg, traj.t_end)
+    return traj, drift, times, traj.sample(times)
+
+
+def _level_or_nan(r: float, theta: float, thetadot: float, V) -> float:
+    try:
+        return invariant_level(r, theta, thetadot, V)
+    except ValueError:  # V has no value at theta
+        return math.nan
+
+
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     spec = build_spec(cfg)
-    traj = integrate_polar(spec, cfg.polar_state, _integrator_config(cfg))
-    times = _sample_times(cfg, traj.t_end)
+    traj, drift, times, states = _direct_run(spec, cfg)
     rows = [
-        (t, r, theta, rdot, thetadot, invariant_level(r, theta, thetadot, spec.V))
-        for t, (r, theta, rdot, thetadot) in zip(times, traj.sample(times))
+        (t, r, theta, rdot, thetadot, _level_or_nan(r, theta, thetadot, spec.V))
+        for t, (r, theta, rdot, thetadot) in zip(times, states)
     ]
     _write_csv(out_dir / "trajectory.csv", ["t", "r", "theta", "rdot", "thetadot", "I"], rows)
+    failed = isinstance(drift, ValueError)
     summary = {
         "termination": traj.termination,
         "t_final": traj.t_end,
         "steps": {"accepted": traj.n_accepted, "rejected": traj.n_rejected},
         "events": [{"name": e.name, "t": e.t} for e in traj.events],
-        "invariant": {
-            "initial": traj.drift.reference,
-            "drift_max_rel": traj.drift.max_rel,
-            "drift_rms_rel": traj.drift.rms_rel,
+        "invariant": {"error": str(drift)} if failed else {
+            "initial": drift.reference,
+            "drift_max_rel": drift.max_rel,
+            "drift_rms_rel": drift.rms_rel,
         },
     }
     _write_json(out_dir / "summary.json", summary)
     if traj.termination != "completed":
         print(f"simulate: stopped early ({traj.termination}); partial output written")
         return EXIT_ERROR
-    print(
-        f"simulate: ok, {traj.n_accepted} steps, "
-        f"invariant drift {traj.drift.max_rel:.3e}"
-    )
+    if failed:
+        print(f"simulate: no invariant drift ({drift}); output written")
+        return EXIT_ERROR
+    print(f"simulate: ok, {traj.n_accepted} steps, invariant drift {drift.max_rel:.3e}")
     return EXIT_OK
 
 
@@ -132,18 +151,18 @@ def cmd_validate(cfg: RunConfig, out_dir: Path) -> int:
     checks: dict[str, dict] = {}
 
     lin = linearizable_view(cfg, build_spec(cfg))  # a kind with no linearizable form fails first
-    traj = integrate_polar(lin, cfg.polar_state, _integrator_config(cfg))
-    drift_ok = traj.termination == "completed" and traj.drift.max_rel <= DRIFT_THRESHOLD
-    checks["invariant_drift"] = {
-        "max_rel": traj.drift.max_rel,
-        "rms_rel": traj.drift.rms_rel,
-        "termination": traj.termination,
-        "threshold": DRIFT_THRESHOLD,
-        "pass": bool(drift_ok),
-    }
+    traj, drift, times, sampled = _direct_run(lin, cfg)
+    if isinstance(drift, ValueError):
+        checks["invariant_drift"] = {"error": str(drift), "pass": False}
+    else:
+        checks["invariant_drift"] = {
+            "max_rel": drift.max_rel,
+            "rms_rel": drift.rms_rel,
+            "termination": traj.termination,
+            "threshold": DRIFT_THRESHOLD,
+            "pass": bool(traj.termination == "completed" and drift.max_rel <= DRIFT_THRESHOLD),
+        }
 
-    times = _sample_times(cfg, traj.t_end)
-    sampled = traj.sample(times)
     try:
         pipe = build_pipeline(lin, cfg.polar_state, t_window=cfg.t_span)
         r_err = 0.0

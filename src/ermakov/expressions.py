@@ -644,17 +644,8 @@ def simplify(expr: Expression) -> Expression:
     op = expr.op
     if type(a) is Num and type(b) is Num:
         try:
-            if op == "+":
-                v = a.value + b.value
-            elif op == "-":
-                v = a.value - b.value
-            elif op == "*":
-                v = a.value * b.value
-            elif op == "/":
-                v = a.value / b.value
-            else:
-                v = math.pow(a.value, b.value)
-        except (ValueError, OverflowError, ZeroDivisionError):
+            v = _ARITHMETIC.get(op, math.pow)(a.value, b.value)
+        except _FAILURES:
             return BinOp(op, a, b)
         if math.isfinite(v):
             return Num(v)

@@ -82,12 +82,13 @@ _MAX_FACTOR = 10.0
 # PI (Lund) stabilization exponents for an order-5 pair
 _BETA = 0.04
 _EXPO = 0.2 - 0.75 * _BETA
+_EVENT_TIME_TOL = 1e-10  # an event's time is bisected to within this
 
 
 class IntegratorConfig(_Frozen):
     """Tolerances and limits for one integration run."""
 
-    _fields = ("t_span", "rel_tol", "abs_tol", "max_step", "first_step", "event_time_tol")
+    _fields = ("t_span", "rel_tol", "abs_tol", "max_step", "first_step")
 
     def __init__(
         self,
@@ -96,7 +97,6 @@ class IntegratorConfig(_Frozen):
         abs_tol: float = 1e-12,
         max_step: float = math.inf,
         first_step: float | None = None,
-        event_time_tol: float = 1e-10,
     ):
         t0, tf = t_span
         if not (math.isfinite(t0) and math.isfinite(tf)) or t0 == tf:
@@ -106,7 +106,7 @@ class IntegratorConfig(_Frozen):
         if not max_step > 0.0:
             raise ValueError("max_step must be positive")
         self.__dict__.update(t_span=t_span, rel_tol=rel_tol, abs_tol=abs_tol, max_step=max_step,
-                             first_step=first_step, event_time_tol=event_time_tol)
+                             first_step=first_step)
 
 
 class EventSpec:
@@ -127,15 +127,15 @@ class Event:
 class DriftStats:
     """Relative drift of a conserved quantity along a trajectory."""
 
-    def __init__(self, max_rel: float, rms_rel: float, reference: float, series: list[float]):
-        self.max_rel, self.rms_rel, self.reference, self.series = max_rel, rms_rel, reference, series
+    def __init__(self, max_rel: float, rms_rel: float, reference: float):
+        self.max_rel, self.rms_rel, self.reference = max_rel, rms_rel, reference
 
 
 class Trajectory:
     """Accepted samples plus the per-step interpolant between them."""
 
     def __init__(self, ts, ys, hs, slopes, n_accepted: int, n_rejected: int, n_rhs: int, termination: str,
-                 events: list[Event] | None = None, drift: DriftStats | None = None):
+                 events: list[Event] | None = None):
         self.ts: list[float] = ts  # m node times, strictly monotone
         self.ys: list[list[float]] = ys  # m states of dim floats
         self.hs: list[float] = hs  # m-1 signed step widths
@@ -143,19 +143,10 @@ class Trajectory:
         self.n_accepted, self.n_rejected, self.n_rhs = n_accepted, n_rejected, n_rhs
         self.termination = termination  # completed | stopped | event:<name> | step_size_underflow | max_steps
         self.events = [] if events is None else events
-        self.drift = drift
-
-    @property
-    def t0(self) -> float:
-        return self.ts[0]
 
     @property
     def t_end(self) -> float:
         return self.ts[-1]
-
-    @property
-    def dim(self) -> int:
-        return len(self.ys[0])
 
     def at(self, t: float) -> list[float]:
         """Dense-output state at an arbitrary time inside the covered window."""
@@ -463,7 +454,7 @@ def integrate(
                     continue
                 if dense is None:
                     dense = partial(_dense, t, y, h, stages)
-                t_star = _locate_crossing(dense, ev, t, t_new, g_old, cfg.event_time_tol)
+                t_star = _locate_crossing(dense, ev, t, t_new, g_old, _EVENT_TIME_TOL)
                 step_hits.append((direction * t_star, ev, t_star))
             for _, ev, t_star in sorted(step_hits, key=lambda item: item[0]):
                 y_star = dense(t_star)
@@ -527,16 +518,13 @@ def _cartesian_events(spec: CartesianSpec) -> list[EventSpec]:
     ]
 
 
-def integrate_polar(spec, state0: PolarState, cfg: IntegratorConfig, monitor: bool = True) -> Trajectory:
+def integrate_polar(spec, state0: PolarState, cfg: IntegratorConfig) -> Trajectory:
     """Integrate a polar-family spec from ``state0`` over ``cfg.t_span``."""
     rhs = polar_rhs_function(spec)
     if abs(state0.t - cfg.t_span[0]) > 1e-12 * (1.0 + abs(state0.t)):
         raise ValueError("initial state time must match the start of t_span")
     y0 = [state0.r, state0.theta, state0.rdot, state0.thetadot]
-    traj = integrate(rhs, y0, cfg, events=_polar_events(spec))
-    if monitor:
-        monitor_invariant(traj, spec.V)
-    return traj
+    return integrate(rhs, y0, cfg, events=_polar_events(spec))
 
 
 def integrate_cartesian(spec: CartesianSpec, state0: CartesianState, cfg: IntegratorConfig) -> Trajectory:
@@ -548,12 +536,13 @@ def integrate_cartesian(spec: CartesianSpec, state0: CartesianState, cfg: Integr
 
 
 def monitor_invariant(traj: Trajectory, V) -> DriftStats:
-    """Relative drift of the conserved level along a polar trajectory, stored as ``traj.drift``."""
+    """Relative drift of the conserved level over a polar trajectory's nodes.
+
+    Raises the ValueError of the first node where ``V`` has no value.
+    """
     series = [invariant_level(r, th, thd, V) for r, th, _, thd in traj.ys]
     ref = series[0]
     rel = [abs(v - ref) / (1.0 + abs(ref)) for v in series]
     rms = math.sqrt(exact_sum(q * q for q in rel) / len(rel))  # NaN if any is: max() would skip it
-    max_rel = math.nan if math.isnan(rms) else max(rel)
-    traj.drift = DriftStats(max_rel=max_rel, rms_rel=rms, reference=ref, series=series)
-    return traj.drift
+    return DriftStats(max_rel=math.nan if math.isnan(rms) else max(rel), rms_rel=rms, reference=ref)
 

@@ -24,12 +24,7 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 
-from .expressions import (
-    EvaluationError,
-    evaluate,
-    free_variables,
-    is_literal_zero,
-)
+from .expressions import EvaluationError, evaluate, free_variables
 from .integration import EventSpec, IntegratorConfig, Trajectory, integrate
 from .invariant import (
     ForbiddenRegionError,
@@ -86,7 +81,6 @@ class LinearODE:
 
     def __init__(self, spec: LinearizableSpec, invariant: float, domain: tuple, branch_sign: int):
         self.spec, self.invariant, self.domain, self.branch_sign = spec, invariant, domain, branch_sign
-        self.rhs_is_zero = is_literal_zero(spec.C)
         self.turning_tol = turning_tolerance(invariant)
 
     def gap(self, theta: float) -> float:

@@ -58,6 +58,8 @@ _KRONROD = tuple(zip(_XGK[0::2], _WGK[0::2]))
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
 _LIMIT = 300  # subintervals
+_ABS_TOL = 1e-13  # the target is max(_ABS_TOL, _REL_TOL*|I|)
+_REL_TOL = 1e-11
 _ROUNDOFF = "roundoff error prevents the requested accuracy"
 
 
@@ -105,17 +107,10 @@ def _qk21(fn: Callable[[float], float], a: float, b: float) -> tuple[float, floa
     return resk * hlgth, err, resabs, resasc
 
 
-def quad_adaptive(
-    fn: Callable[[float], float],
-    a: float,
-    b: float,
-    *,
-    abs_tol: float = 1e-13,
-    rel_tol: float = 1e-11,
-) -> float:
+def quad_adaptive(fn: Callable[[float], float], a: float, b: float) -> float:
     """Adaptive Gauss-Kronrod integral of ``fn`` over [a, b].
 
-    The target is max(abs_tol, rel_tol*|I|) with at most 300 subintervals.
+    The target is max(1e-13, 1e-11*|I|) with at most 300 subintervals.
     Exceptions raised by the integrand propagate; an unreliable result
     (estimated error far beyond the target, or not finite) raises
     QuadratureError.
@@ -123,9 +118,9 @@ def quad_adaptive(
     if a == b:
         return 0.0
     area, errsum, defabs, resasc = _qk21(fn, a, b)
-    errbnd = max(abs_tol, rel_tol * abs(area))
+    errbnd = max(_ABS_TOL, _REL_TOL * abs(area))
     if (errsum <= errbnd and errsum != resasc) or errsum == 0.0:
-        return _checked(area, errsum, a, b, abs_tol, rel_tol, None)
+        return _checked(area, errsum, a, b, None)
     trouble = _ROUNDOFF if errsum <= 50.0 * _EPS * defabs else None
     # slot k holds one subinterval's value; the heap orders slots by error
     areas = [area]
@@ -149,7 +144,7 @@ def quad_adaptive(
         areas.append(area2)
         heapq.heappush(heap, (-error1, k, lo, mid))
         heapq.heappush(heap, (-error2, len(areas) - 1, mid, hi))
-        errbnd = max(abs_tol, rel_tol * abs(area))
+        errbnd = max(_ABS_TOL, _REL_TOL * abs(area))
         if errsum <= errbnd:
             break
         if not errsum < math.inf:
@@ -160,14 +155,14 @@ def quad_adaptive(
             trouble = f"maximum number of subintervals ({_LIMIT}) reached"
         elif max(abs(lo), abs(hi)) <= (1.0 + 100.0 * _EPS) * (abs(mid) + 1000.0 * _TINY):
             trouble = "subinterval too small: the integrand is singular or discontinuous"
-    return _checked(exact_sum(areas), errsum, a, b, abs_tol, rel_tol, trouble)
+    return _checked(exact_sum(areas), errsum, a, b, trouble)
 
 
-def _checked(value, abserr, a, b, abs_tol, rel_tol, trouble) -> float:
+def _checked(value, abserr, a, b, trouble) -> float:
     """Accept a flagged result only if its error is within 100x the target."""
     if not math.isfinite(value):
         trouble = "the value is not finite"
-    elif trouble is None or abserr <= 100.0 * max(abs_tol, rel_tol * abs(value)):
+    elif trouble is None or abserr <= 100.0 * max(_ABS_TOL, _REL_TOL * abs(value)):
         return value
     raise QuadratureError(f"quadrature on [{a!r}, {b!r}] unreliable: {trouble} (abserr={abserr:.3e})")
 

@@ -297,8 +297,9 @@ def _coupling_potential(
     in s = ln lam as int_0^{ln w} U'(e^s) e^s ds: the factor e^s tames the
     w^-2 of the g term, and w on either side of 1 spans a like range of s.
     The slope tree is built once per pair, and lowered to a function of w
-    when the first quadrature runs; values are memoized per w (DP5's last
-    two stages share an angle).
+    when the first quadrature runs; values are memoized per w, so that
+    reads of V at one angle, such as the three of V(theta0) in
+    ``linearize.solve_from_state``, cost one quadrature.
     """
     fvar = _single_var(f, "coupling f")
     gvar = _single_var(g, "coupling g")

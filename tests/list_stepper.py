@@ -20,7 +20,8 @@ from functools import partial
 from typing import Callable, Sequence
 
 from ermakov.integration import (
-    _BETA, _DP, _EPS16, _EXPO, _MAX_FACTOR, _MAX_STEPS, _MIN_FACTOR, _P, _RECOVERABLE, _SAFETY,
+    _BETA, _DP, _EPS16, _EVENT_TIME_TOL, _EXPO, _MAX_FACTOR, _MAX_STEPS, _MIN_FACTOR, _P, _RECOVERABLE,
+    _SAFETY,
     Event,
     EventSpec,
     IntegratorConfig,
@@ -210,7 +211,7 @@ def reference_integrate(
                     continue
                 if dense is None:
                     dense = partial(_dense, t, y, h, slopes[-1])
-                t_star = _locate_crossing(dense, ev, t, t_new, g_old, cfg.event_time_tol)
+                t_star = _locate_crossing(dense, ev, t, t_new, g_old, _EVENT_TIME_TOL)
                 step_hits.append((direction * t_star, ev, t_star))
             for _, ev, t_star in sorted(step_hits, key=lambda item: item[0]):
                 y_star = dense(t_star)
@@ -276,7 +277,7 @@ def reference_at_with_slope(traj: Trajectory, t: float) -> tuple[list[float], li
     t = float(t)
     i = reference_segment(traj, t)
     if i < 0:
-        return list(traj.ys[0]), [math.nan] * traj.dim
+        return list(traj.ys[0]), [math.nan] * len(traj.ys[0])
     t_i, h, slopes = traj.ts[i], traj.hs[i], traj.slopes[i]
     return _dense(t_i, traj.ys[i], h, slopes, t), _stage_sum(slopes, (t - t_i) / h, _DP)
 

@@ -730,6 +730,56 @@ class TestCompiles:
         assert calls == [(spec.A, spec.B, spec.C, spec.F, spec.dV)]
 
 
+# both runs cross theta = 0, where the slope U'(tan theta) has a value but the
+# potential, a quadrature of it in ln w, has none
+_NO_POTENTIAL = {
+    "cartesian": {
+        "system": {"kind": "cartesian", "functions": {"f": "0.01*u", "g": "0", "omega2": "1"}},
+        "initial_state": {"coords": "polar", "r": 1.0, "theta": 0.3, "rdot": 0.0, "thetadot": -1.0},
+        "t_span": [0.0, 2.0],
+    },
+    "free-motion": {
+        "system": {"kind": "free_motion", "functions": {"f": "u^2", "rho": "1"}},
+        "initial_state": {"coords": "polar", "r": 1.0, "theta": 0.2, "rdot": 0.0, "thetadot": -1.0},
+        "t_span": [0.0, 1.0],
+    },
+}
+
+
+class TestPotentialWithoutValue:
+    """A direct run whose nodes reach angles where V has no value is kept and reported."""
+
+    @pytest.mark.parametrize("name", sorted(_NO_POTENTIAL))
+    def test_simulate_writes_the_run_and_names_the_error(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        path = _write(tmp_path, "c.json", _NO_POTENTIAL[name])
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "" and len(captured.out.splitlines()) == 1
+        assert captured.out.startswith("simulate: ") and "Traceback" not in captured.out
+        assert sorted(p.name for p in out.iterdir()) == ["summary.json", "trajectory.csv"]
+        invariant = json.loads((out / "summary.json").read_text())["invariant"]
+        assert list(invariant) == ["error"] and invariant["error"].startswith("U domain error at -")
+        _, data = _read_csv(out / "trajectory.csv")
+        no_value = np.tan(data[:, 2]) <= 0.0
+        assert 0 < no_value.sum() < len(data)
+        assert np.array_equal(np.isnan(data[:, 5]), no_value)
+        assert np.all(np.isfinite(np.delete(data, 5, axis=1)))
+
+    def test_validate_records_the_error_and_runs_its_other_checks(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = _write(tmp_path, "c.json", _NO_POTENTIAL["free-motion"])
+        assert main(["validate", "--config", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "" and "Traceback" not in captured.out
+        assert [p.name for p in out.iterdir()] == ["report.json"]
+        report = json.loads((out / "report.json").read_text())
+        drift = report["checks"]["invariant_drift"]
+        assert list(drift) == ["error", "pass"] and drift["error"].startswith("U domain error at -")
+        assert drift["pass"] is False and report["pass"] is False
+        assert sorted(report["checks"]) == ["compatibility", "invariant_drift", "round_trip"]
+
+
 class TestValidate:
     @pytest.mark.parametrize("name", ["librating", "mirrored-winternitz-default"])
     def test_passes_through_turning_points(self, tmp_path, name):

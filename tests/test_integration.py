@@ -25,6 +25,7 @@ from ermakov.integration import (
     integrate,
     monitor_invariant,
 )
+from ermakov.invariant import invariant_level
 from ermakov.systems import cartesian_rhs_function, polar_rhs_function
 import list_stepper
 
@@ -113,19 +114,19 @@ class TestAccuracy:
 def _with_states(traj: Trajectory, ys) -> Trajectory:
     """The same run with other node states."""
     return Trajectory(traj.ts, ys, traj.hs, traj.slopes, traj.n_accepted, traj.n_rejected, traj.n_rhs,
-                      traj.termination, traj.events, traj.drift)
+                      traj.termination, traj.events)
 
 
 class TestDriftMonitor:
-    def test_winternitz_default_drift(self, winternitz_trajectory):
-        assert winternitz_trajectory.drift.max_rel <= 1e-6
+    def test_winternitz_default_drift(self, winternitz_spec, winternitz_trajectory):
+        assert monitor_invariant(winternitz_trajectory, winternitz_spec.V).max_rel <= 1e-6
 
     def test_near_zero_on_circular_orbit(self):
         spec = ek.PolarSpec(F="0", V="0", omega_sq="1")
         traj = ek.integrate_polar(
             spec, ek.PolarState(1.0, 0.0, 0.0, 1.0), IntegratorConfig(t_span=(0.0, 6.0))
         )
-        assert traj.drift.max_rel <= 1e-12
+        assert monitor_invariant(traj, spec.V).max_rel <= 1e-12
 
     def test_detects_corrupted_sample(self, winternitz_spec, winternitz_trajectory):
         ys = [list(y) for y in winternitz_trajectory.ys]
@@ -140,8 +141,22 @@ class TestDriftMonitor:
         ys[len(ys) // 2][0] = math.nan
         corrupted = _with_states(winternitz_trajectory, ys)
         stats = monitor_invariant(corrupted, winternitz_spec.V)
-        assert math.isnan(stats.series[len(ys) // 2])
+        r, theta, _, thetadot = ys[len(ys) // 2]
+        assert math.isnan(invariant_level(r, theta, thetadot, winternitz_spec.V))
         assert math.isnan(stats.max_rel) and math.isnan(stats.rms_rel)
+
+    def test_leaves_the_trajectory_as_it_found_it(self, winternitz_spec, winternitz_trajectory):
+        fields = dict(vars(winternitz_trajectory))
+        ys = [list(y) for y in winternitz_trajectory.ys]
+        stats = monitor_invariant(winternitz_trajectory, winternitz_spec.V)
+        assert vars(winternitz_trajectory) == fields and winternitz_trajectory.ys == ys
+        assert set(vars(stats)) == {"max_rel", "rms_rel", "reference"}
+
+    def test_raises_where_v_has_no_value_at_a_node(self, winternitz_trajectory):
+        # the angle rises from pi/2 past 2, where sqrt(2 - theta) has no value
+        assert max(y[1] for y in winternitz_trajectory.ys) > 2.0
+        with pytest.raises(ek.EvaluationError, match="sqrt domain error"):
+            monitor_invariant(winternitz_trajectory, ek.parse("sqrt(2 - theta)"))
 
 
 class TestEvents:
@@ -158,7 +173,7 @@ class TestEvents:
         spec = ek.winternitz_system(params)
         s0 = ek.PolarState(1.0, math.pi / 2, 0.0, 0.8)
         traj = ek.integrate_polar(spec, s0, IntegratorConfig(t_span=(0.0, 6.0)))
-        level = traj.drift.reference
+        level = monitor_invariant(traj, spec.V).reference
         turnings = [e for e in traj.events if e.name == "turning_point"]
         assert turnings
         for e in turnings:
@@ -199,7 +214,8 @@ class TestEvents:
         assert [h.t for h in traj.events] == pytest.approx([-0.5, -2.5], abs=1e-9)
 
     def test_event_time_tolerance(self):
-        cfg = IntegratorConfig(t_span=(0.0, 2.0), event_time_tol=1e-10)
+        assert integration._EVENT_TIME_TOL == 1e-10
+        cfg = IntegratorConfig(t_span=(0.0, 2.0))
         traj = integrate(
             lambda t, y: np.array([1.0]),
             [-1.0],
@@ -435,7 +451,7 @@ def _reference_integrate(rhs_of_list, y0, cfg, events=(), until=None):
                 g_vals[ei] = g_new
                 if not _crossed(ev, g_old, g_new):
                     continue
-                t_star = _locate_crossing(dense, ev, t, t_new, g_old, cfg.event_time_tol)
+                t_star = _locate_crossing(dense, ev, t, t_new, g_old, integration._EVENT_TIME_TOL)
                 step_hits.append((direction * t_star, ev, t_star))
             for _, ev, t_star in sorted(step_hits, key=lambda item: item[0]):
                 y_star = dense(t_star)
@@ -601,12 +617,12 @@ class TestAgainstReferenceStepper:
         self._same_run(new, ref)
         assert new.n_accepted > 50 and ref.termination == _CASES[name]
         if name.endswith("backward"):
-            assert ref.t_end < ref.t0
+            assert ref.t_end < ref.ts[0]
         if name == "oscillator-rejected-steps":
             assert new.n_rejected > 0
         scale = 1.0 + np.max(np.abs(ref.ys), axis=0)
-        end = min(new.t_end, ref.t_end, key=lambda v: abs(v - new.t0))
-        for t in np.linspace(new.t0, end, 201):
+        end = min(new.t_end, ref.t_end, key=lambda v: abs(v - new.ts[0]))
+        for t in np.linspace(new.ts[0], end, 201):
             assert np.all(np.abs(new.at(t) - _reference_dense(ref, t)[0]) <= 1e-9 * scale), t
 
     @pytest.mark.parametrize("name", ["oscillator", "winternitz-polar", "linear-psi-floor", "linear-until"])
@@ -614,9 +630,7 @@ class TestAgainstReferenceStepper:
         rhs, y0, cfg, events, until = _case(name, monkeypatch)
         # tolerances no step can miss, and the first and largest step equal: every step is h
         h = 1e-3 * abs(cfg.t_span[1] - cfg.t_span[0])
-        cfg = IntegratorConfig(
-            cfg.t_span, rel_tol=1e3, abs_tol=1e3, max_step=h, first_step=h, event_time_tol=cfg.event_time_tol
-        )
+        cfg = IntegratorConfig(cfg.t_span, rel_tol=1e3, abs_tol=1e3, max_step=h, first_step=h)
         new = integrate(rhs, y0, cfg, events, until)
         ref = _reference_integrate(rhs, y0, cfg, events, until)
         self._same_run(new, ref)
@@ -746,7 +760,7 @@ class TestKernelAgainstListStepper:
         new = integrate(counted, y0, cfg, events, until)
         n_failures = len(failures)
         ref = list_stepper.reference_integrate(counted, y0, cfg, events, until)
-        assert (new.dim, new.termination) == (dim, termination)
+        assert (len(new.ys[0]), new.termination) == (dim, termination)
         for field in ("ts", "ys", "hs", "slopes", "n_rhs", "n_accepted", "n_rejected", "termination"):
             assert _bits(getattr(new, field)) == _bits(getattr(ref, field)), field
         assert [(e.name, _bits(e.t), _bits(e.y)) for e in new.events] == [
@@ -758,11 +772,11 @@ class TestKernelAgainstListStepper:
         if name == "van-der-pol-rejected":
             assert n_failures == 0 and new.n_rejected > 0
         if name.endswith("backward"):
-            assert new.t_end < new.t0
+            assert new.t_end < new.ts[0]
         if name.endswith("until"):
             assert new.t_end != cfg.t_span[1]
         for j in range(50):
-            t = new.t0 + (new.t_end - new.t0) * (j + 0.5) / 50
+            t = new.ts[0] + (new.t_end - new.ts[0]) * (j + 0.5) / 50
             assert _bits(new.at(t)) == _bits(list_stepper.reference_at(new, t)), t
             assert _bits(_slope(new, t)) == _bits(list_stepper.reference_at_with_slope(new, t)[1]), t
 
@@ -807,7 +821,7 @@ class TestSampleSweep:
     def test_first_time_outside_the_window_is_named(self, monkeypatch, name):
         traj = integrate(*_kernel_case(name, monkeypatch))
         inside = traj.ts[len(traj.ts) // 2]
-        lo, hi = min(traj.t0, traj.t_end), max(traj.t0, traj.t_end)
+        lo, hi = min(traj.ts[0], traj.t_end), max(traj.ts[0], traj.t_end)
         for times in ([inside, hi + 1.0, lo - 1.0], [inside, lo - 1.0, hi + 1.0], [np.float64(lo - 1.0)]):
             with pytest.raises(ValueError) as reference:
                 [list_stepper.reference_at(traj, t) for t in times]
@@ -851,7 +865,7 @@ class TestInvert:
     def _run(name, monkeypatch):
         if name == "linear-down":
             pipe = linearize.build_pipeline(_WINTERNITZ, _WINTERNITZ_STATE, t_window=(-2.0, 0.0))
-            assert pipe.up is None and pipe.down.t_end < pipe.down.t0
+            assert pipe.up is None and pipe.down.t_end < pipe.down.ts[0]
             return pipe.down
         traj = integrate(*_kernel_case(name, monkeypatch))
         assert traj.termination == _KERNEL_CASES[name][1]

@@ -12,7 +12,7 @@ import ermakov.linearize as lz
 import list_stepper
 from ermakov import systems
 from ermakov.config import build_spec, load_config
-from ermakov.expressions import evaluate
+from ermakov.expressions import evaluate, is_literal_zero
 from ermakov.invariant import (
     ForbiddenRegionError,
     TurningPointError,
@@ -71,7 +71,7 @@ class TestBuildLinearODE:
     def test_usual_ermakov_is_homogeneous(self):
         spec = ek.LinearizableSpec(rho="cos(t)", A="0", B="0", C="0", F="0", V="0.3*sin(theta)^2")
         ode = build_linear_ode(spec, 1.0, (0.2, 2.9))
-        assert ode.rhs_is_zero
+        assert is_literal_zero(ode.spec.C)
         assert all(_coefficients(ode, th)[3] == 0.0 for th in np.linspace(0.3, 2.8, 9))
         # p1 = h dh/dtheta with a = 0
         th = 1.1
@@ -351,17 +351,13 @@ class TestFreeMotionSolution:
     def test_constant_solution_gives_circle(self):
         fm = ek.free_motion_system("u", "1")
         s0 = ek.PolarState(1.0, math.pi / 4, 0.0, 1.0)  # rdot = 0 so psi' = 0
-        traj = ek.integrate_polar(
-            fm, s0, ek.IntegratorConfig(t_span=(0.0, 0.12)), monitor=False
-        )
+        traj = ek.integrate_polar(fm, s0, ek.IntegratorConfig(t_span=(0.0, 0.12)))
         assert max(abs(y[0] - 1.0) for y in traj.ys) <= 1e-9
 
     def test_fit_recovers_affine_coefficients(self):
         fm = ek.free_motion_system("u", "1")
         s0 = ek.PolarState(1.0, math.pi / 4, -0.2, 1.0)
-        traj = ek.integrate_polar(
-            fm, s0, ek.IntegratorConfig(t_span=(0.0, 1.0)), monitor=False
-        )
+        traj = ek.integrate_polar(fm, s0, ek.IntegratorConfig(t_span=(0.0, 1.0)))
         turnings = [e.t for e in traj.events if e.name == "turning_point"]
         t_hi = 0.95 * turnings[0] if turnings else traj.t_end
         ts = np.linspace(0.0, t_hi, 60)
@@ -376,7 +372,7 @@ class TestFreeMotionSolution:
     def test_solver_returns_straight_lines(self):
         fm = ek.free_motion_system("u", "1")
         ode = build_linear_ode(fm, 0.5, (0.3, 0.85))
-        assert ode.rhs_is_zero
+        assert is_literal_zero(ode.spec.C)
         sol = solve_linear(ode, 0.5, 1.5, 1.0)
         for th in np.linspace(0.3, 0.85, 23):
             assert abs(sol.psi(float(th)) - (1.0 + float(th))) <= 1e-9
@@ -559,7 +555,7 @@ class TestPipelineGuards:
 def _assert_follows_the_direct_run(spec, state, t_end):
     """The pipeline over [t0, t_end] matches a direct run to the round-trip tolerance, 1e-5."""
     cfg = ek.IntegratorConfig(t_span=(state.t, t_end), rel_tol=1e-12, abs_tol=1e-14)
-    direct = ek.integrate_polar(spec, state, cfg, monitor=False)
+    direct = ek.integrate_polar(spec, state, cfg)
     assert direct.termination == "completed"
     pipe = build_pipeline(spec, state, t_window=(state.t, t_end))
     for t in np.linspace(state.t, t_end, 41):
@@ -616,7 +612,7 @@ class TestPipelineScansReachedSides:
         state = ek.PolarState(1.0, 1e-9, -0.2, thetadot)
         with pytest.raises(LinearizationError, match=r"t=(\S+) \(step_size_underflow\)$") as err:
             build_pipeline(fm, state, t_window=(0.0, 1.0))
-        direct = ek.integrate_polar(fm, state, ek.IntegratorConfig(t_span=(0.0, 1.0)), monitor=False)
+        direct = ek.integrate_polar(fm, state, ek.IntegratorConfig(t_span=(0.0, 1.0)))
         assert direct.termination == "step_size_underflow"
         t_stop = float(re.search(r"t=(\S+) \(", str(err.value)).group(1))
         assert t_stop == pytest.approx(direct.t_end, rel=1e-3)

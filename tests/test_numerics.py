@@ -2,7 +2,7 @@
 linspace: bit-for-bit parity with numpy.linspace.
 
 Each generated integral must agree with mpmath.quad within ten times the
-accuracy target max(abs_tol, rel_tol*|I|) that quad_adaptive is asked for.
+accuracy target max(_ABS_TOL, _REL_TOL*|I|) that quad_adaptive works to.
 The families are the integrands the program hands it: coupling slopes
 U'(w) = f(w) - g(1/w)/w^2, the quasi-invariance integrand 1/rho(t)^2 and
 the angular-time integrand 1/sqrt(2 (I - V(theta))).
@@ -16,12 +16,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ermakov.expressions import EvaluationError
-from ermakov.numerics import QuadratureError, exact_sum, linspace, quad_adaptive
+from ermakov.numerics import _ABS_TOL, _REL_TOL, QuadratureError, exact_sum, linspace, quad_adaptive
 from ermakov.expressions import parse
 from ermakov.systems import _coupling_potential
-
-ABS_TOL = 1e-13
-REL_TOL = 1e-11
 
 coefficients = st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4)
 positive = st.floats(0.1, 3.0)
@@ -42,11 +39,11 @@ def _reference(fn, a, b) -> float:
 
 
 def _assert_within_target(value, ref):
-    assert abs(value - ref) <= 10.0 * max(ABS_TOL, REL_TOL * abs(ref))
+    assert abs(value - ref) <= 10.0 * max(_ABS_TOL, _REL_TOL * abs(ref))
 
 
 def _assert_matches_reference(fn, a, b):
-    value = quad_adaptive(fn, a, b, abs_tol=ABS_TOL, rel_tol=REL_TOL)
+    value = quad_adaptive(fn, a, b)
     _assert_within_target(value, _reference(fn, a, b))
 
 

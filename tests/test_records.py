@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 import ermakov as ek
-from ermakov import systems
+from ermakov import integration, systems
 from ermakov.config import RunConfig, SystemConfig, preset_config
 from ermakov.expressions import BinOp, Call, Neg, Num, ParseError, Ufunc, Var, parse
 from ermakov.integration import DriftStats, Event, EventSpec, IntegratorConfig, Trajectory
@@ -33,12 +33,12 @@ _CONSTRUCTORS = [
                            "F": Num(0.0), "V": Num(0.0)}),
     (ek.WinternitzParams, {"mu0": 1.0, "g1": 2.0, "g2": 3.0, "g3": 4.0}),
     (IntegratorConfig, {"t_span": (0.0, 1.0), "rel_tol": 1e-8, "abs_tol": 1e-11, "max_step": 0.5,
-                        "first_step": 0.1, "event_time_tol": 1e-9}),
+                        "first_step": 0.1}),
     (EventSpec, {"name": "e", "fn": min, "terminal": True, "direction": -1}),
     (Event, {"name": "e", "t": 1.0, "y": [2.0]}),
-    (DriftStats, {"max_rel": 1.0, "rms_rel": 2.0, "reference": 3.0, "series": [4.0]}),
+    (DriftStats, {"max_rel": 1.0, "rms_rel": 2.0, "reference": 3.0}),
     (Trajectory, {"ts": [0.0], "ys": [[1.0]], "hs": [], "slopes": [], "n_accepted": 0, "n_rejected": 1,
-                  "n_rhs": 2, "termination": "max_steps", "events": [], "drift": None}),
+                  "n_rhs": 2, "termination": "max_steps", "events": []}),
     (SystemConfig, {"kind": "polar", "functions": {"F": Num(0.0)}, "params": {"a": 1.0}}),
     (RunConfig, {"system": SystemConfig("winternitz"), "initial_state": _STATE, "t_span": (0.0, 1.0),
                  "theta_span": (-1.0, 1.0), "rel_tol": 1e-8, "abs_tol": 1e-11, "max_step": 0.5,
@@ -200,7 +200,7 @@ def test_derived_trees_and_compiled_terms_are_built_once(monkeypatch):
 
 def test_defaults():
     cfg = IntegratorConfig((0.0, 1.0))
-    assert (cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.first_step, cfg.event_time_tol) == (
+    assert (cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.first_step, integration._EVENT_TIME_TOL) == (
         1e-9, 1e-12, math.inf, None, 1e-10
     )
     run = RunConfig(SystemConfig("winternitz"), _STATE, (0.0, 1.0))
@@ -211,7 +211,7 @@ def test_defaults():
     event = EventSpec("e", min)
     assert (event.terminal, event.direction) == (False, 0)
     traj = Trajectory([0.0], [[1.0]], [], [], 0, 0, 1, "completed")
-    assert (traj.events, traj.drift) == ([], None)
+    assert traj.events == []
     assert traj.events is not Trajectory([0.0], [[1.0]], [], [], 0, 0, 1, "completed").events
 
 

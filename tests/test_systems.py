@@ -199,9 +199,7 @@ class TestPolarFromCartesian:
         s0c = ek.CartesianState(1.0, 1.0, 0.1, 0.3)
         cfg = ek.IntegratorConfig(t_span=(0.0, 2.0))
         traj_c = ek.integrate_cartesian(spec_c, s0c, cfg)
-        traj_p = ek.integrate_polar(
-            spec_p, ek.polar_state_from_cartesian(s0c), cfg, monitor=False
-        )
+        traj_p = ek.integrate_polar(spec_p, ek.polar_state_from_cartesian(s0c), cfg)
         assert traj_c.termination == "completed" and traj_p.termination == "completed"
         sup = 0.0
         for t in np.linspace(0.0, 2.0, 21):
@@ -221,8 +219,8 @@ class TestAbsorbCoupling:
         absorbed = ek.PolarSpec(F="0", V="0.1*sin(theta)^2", omega_sq="-1/r^4")
         s0 = ek.PolarState(1.0, 0.7, 0.1, 1.0)
         cfg = ek.IntegratorConfig(t_span=(0.0, 1.0))
-        t1 = ek.integrate_polar(spec, s0, cfg, monitor=False)
-        t2 = ek.integrate_polar(absorbed, s0, cfg, monitor=False)
+        t1 = ek.integrate_polar(spec, s0, cfg)
+        t2 = ek.integrate_polar(absorbed, s0, cfg)
         diff = max(
             float(np.max(np.abs(np.subtract(t1.at(t), t2.at(t))))) for t in np.linspace(0.0, 1.0, 21)
         )
