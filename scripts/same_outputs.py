@@ -8,7 +8,8 @@ its own ``src`` on the path:
 
 - the preset runs: the four commands on each of the three presets;
 - the four commands on the workflow's ``RHO_T_CONFIG``, ``POLAR_CONFIG``,
-  ``LIBRATING_CONFIG``, ``THETA_SPAN_CONFIG`` and ``POLE_CONFIG``;
+  ``LIBRATING_CONFIG``, ``THETA_SPAN_CONFIG``, ``POLE_CONFIG`` and
+  ``CARTESIAN_STATE_CONFIG``;
 - ``reconstruct`` and ``validate`` on each preset with its initial
   ``thetadot`` negated, so the angle leaves theta0 the other way, and
   ``simulate``, ``reconstruct`` and ``validate`` on each preset with its
@@ -47,6 +48,7 @@ WORKFLOW_CONFIGS = {
     "librating": "LIBRATING_CONFIG",
     "theta-span": "THETA_SPAN_CONFIG",
     "pole": "POLE_CONFIG",
+    "cartesian-state": "CARTESIAN_STATE_CONFIG",
 }
 SCRIPTS = {
     "winternitz_roundtrip": ["--out", "roundtrip"],

@@ -9,7 +9,7 @@ Subcommands::
 
 Each takes ``--config <path>`` (or ``--preset <name>``) and ``--out <dir>``.
 Exit status: 0 success/pass, 1 validation failure, 2 runtime or domain
-error.  Set ``ERMAKOV_LOG`` to adjust verbosity.
+error.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import logging
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -61,15 +59,6 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _integrator_config(cfg: RunConfig) -> IntegratorConfig:
-    return IntegratorConfig(
-        t_span=cfg.t_span,
-        rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol,
-        max_step=cfg.max_step,
-    )
-
-
 def _sample_times(cfg: RunConfig, t_end: float) -> list[float]:
     return linspace(cfg.t_span[0], t_end, cfg.samples)
 
@@ -77,7 +66,8 @@ def _sample_times(cfg: RunConfig, t_end: float) -> list[float]:
 def _direct_run(spec, cfg: RunConfig):
     """The config's direct run, its invariant drift (or the ValueError of a node where ``V``
     has no value), its sample times and its states at them."""
-    traj = integrate_polar(spec, cfg.polar_state, _integrator_config(cfg))
+    tolerances = IntegratorConfig(cfg.t_span, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
+    traj = integrate_polar(spec, cfg.initial_state, tolerances)
     try:
         drift = monitor_invariant(traj, spec.V)
     except ValueError as exc:
@@ -126,10 +116,10 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_linearize(cfg: RunConfig, out_dir: Path) -> int:
     span = None if cfg.theta_span is None else (min(cfg.theta_span), max(cfg.theta_span))
-    theta0 = cfg.polar_state.theta
+    theta0 = cfg.initial_state.theta
     if span is not None and not span[0] <= theta0 <= span[1]:
         raise ConfigError("theta_span", f"{list(span)} excludes the initial angle {theta0!r}")
-    sol = solve_from_state(linearizable_view(cfg, build_spec(cfg)), cfg.polar_state, span)
+    sol = solve_from_state(linearizable_view(cfg, build_spec(cfg)), cfg.initial_state, span)
     grid = linspace(*sol.window, cfg.samples)
     rows = [(th, *coefficients) for th, coefficients in zip(grid, sol.coefficients(grid))]
     _write_csv(out_dir / "linear_ode.csv", ["theta", "p2", "p1", "p0", "rhs", "psi"], rows)
@@ -139,7 +129,7 @@ def cmd_linearize(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_reconstruct(cfg: RunConfig, out_dir: Path) -> int:
     lin = linearizable_view(cfg, build_spec(cfg))
-    pipe = build_pipeline(lin, cfg.polar_state, t_window=cfg.t_span)
+    pipe = build_pipeline(lin, cfg.initial_state, t_window=cfg.t_span)
     times = _sample_times(cfg, cfg.t_span[1])
     rows = [(t, *point) for t, point in zip(times, pipe.sample(times))]
     _write_csv(out_dir / "reconstructed.csv", ["t", "theta", "r"], rows)
@@ -164,7 +154,7 @@ def cmd_validate(cfg: RunConfig, out_dir: Path) -> int:
         }
 
     try:
-        pipe = build_pipeline(lin, cfg.polar_state, t_window=cfg.t_span)
+        pipe = build_pipeline(lin, cfg.initial_state, t_window=cfg.t_span)
         r_err = 0.0
         th_err = 0.0
         for (theta, r), row in zip(pipe.sample(times), sampled):
@@ -230,8 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("ERMAKOV_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = _build_parser().parse_args(argv)
     try:
         cfg = preset_config(args.preset) if args.preset else load_config(args.config)

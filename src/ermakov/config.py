@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .expressions import (
     Expression,
@@ -44,28 +44,33 @@ from .systems import (
 
 __all__ = ["ConfigError", "RunConfig", "SystemConfig", "PRESETS", "load_config", "preset_config"]
 
-KINDS = ("cartesian", "polar", "linearizable", "kepler", "winternitz", "free_motion")
-
-# function keys required per kind, with the variables each may use
-_FUNCTION_SCHEMAS: dict[str, dict[str, frozenset[str] | None]] = {
-    "cartesian": {
-        "f": None,  # single free argument
-        "g": None,
-        "omega2": _CARTESIAN_VARS,
-    },
-    "polar": {"F": _ANGLE_VARS, "V": _ANGLE_VARS, "omega2": _POLAR_VARS},
-    "linearizable": {
-        "rho": _TIME_VARS,
-        "A": _STRUCTURE_VARS,
-        "B": _STRUCTURE_VARS,
-        "C": _STRUCTURE_VARS,
-        "F": _ANGLE_VARS,
-        "V": _ANGLE_VARS,
-    },
-    "kepler": {"F": _ANGLE_VARS, "G": _ANGLE_VARS, "V": _ANGLE_VARS},
-    "winternitz": {},
-    "free_motion": {"f": None, "rho": _TIME_VARS},
+# each kind: the function keys it requires, with the variables each may use (None: any
+# single argument), and the builder of its spec from (functions, params)
+_KINDS: dict[str, tuple[dict[str, frozenset[str] | None], Callable[[dict, dict], Any]]] = {
+    "cartesian": (
+        {"f": None, "g": None, "omega2": _CARTESIAN_VARS},
+        lambda fn, p: polar_from_cartesian(CartesianSpec(fn["f"], fn["g"], fn["omega2"])),
+    ),
+    "polar": (
+        {"F": _ANGLE_VARS, "V": _ANGLE_VARS, "omega2": _POLAR_VARS},
+        lambda fn, p: PolarSpec(fn["F"], fn["V"], fn["omega2"]),
+    ),
+    "linearizable": (
+        {"rho": _TIME_VARS, "A": _STRUCTURE_VARS, "B": _STRUCTURE_VARS, "C": _STRUCTURE_VARS,
+         "F": _ANGLE_VARS, "V": _ANGLE_VARS},
+        lambda fn, p: LinearizableSpec(fn["rho"], fn["A"], fn["B"], fn["C"], fn["F"], fn["V"]),
+    ),
+    "kepler": (
+        {"F": _ANGLE_VARS, "G": _ANGLE_VARS, "V": _ANGLE_VARS},
+        lambda fn, p: kepler_ermakov_system(fn["F"], fn["G"], fn["V"]),
+    ),
+    "winternitz": (
+        {},
+        lambda fn, p: winternitz_system(WinternitzParams(p["mu0"], p["g1"], p["g2"], p["g3"])),
+    ),
+    "free_motion": ({"f": None, "rho": _TIME_VARS}, lambda fn, p: free_motion_system(fn["f"], fn["rho"])),
 }
+KINDS = tuple(_KINDS)
 
 _RESERVED_NAMES = frozenset(
     {"t", "r", "theta", "rdot", "thetadot", "L", "x", "y", "xdot", "ydot", "pi"}
@@ -129,7 +134,7 @@ class RunConfig(_Frozen):
     def __init__(
         self,
         system: SystemConfig,
-        initial_state: PolarState | CartesianState,
+        initial_state: PolarState,
         t_span: tuple[float, float],
         theta_span: tuple[float, float] | None = None,
         rel_tol: float = 1e-9,
@@ -140,15 +145,9 @@ class RunConfig(_Frozen):
         self.__dict__.update(system=system, initial_state=initial_state, t_span=t_span, theta_span=theta_span,
                              rel_tol=rel_tol, abs_tol=abs_tol, max_step=max_step, samples=samples)
 
-    @property
-    def polar_state(self) -> PolarState:
-        if isinstance(self.initial_state, PolarState):
-            return self.initial_state
-        return polar_state_from_cartesian(self.initial_state)
-
 
 def _parse_functions(raw, kind: str, params: dict[str, float], path: str) -> dict[str, Expression]:
-    schema = _FUNCTION_SCHEMAS[kind]
+    schema = _KINDS[kind][0]
     if not isinstance(raw, Mapping):
         raise ConfigError(path, "expected an object of expression strings")
     _reject_unknown(raw, set(schema), path)
@@ -196,36 +195,29 @@ def _parse_params(raw, path: str) -> dict[str, float]:
     return out
 
 
-def _parse_state(raw, path: str) -> PolarState | CartesianState:
+def _parse_state(raw, path: str) -> PolarState:
+    """The initial state in polar form: a cartesian one is converted here, once."""
     if not isinstance(raw, Mapping):
         raise ConfigError(path, "expected an object")
     coords = raw.get("coords", "polar")
     if coords == "polar":
-        allowed = {"coords", "r", "theta", "rdot", "thetadot", "t"}
-        _reject_unknown(raw, allowed, path)
-        try:
-            return PolarState(
-                r=_number(_require(raw, "r", path), f"{path}.r"),
-                theta=_number(_require(raw, "theta", path), f"{path}.theta"),
-                rdot=_number(_require(raw, "rdot", path), f"{path}.rdot"),
-                thetadot=_number(_require(raw, "thetadot", path), f"{path}.thetadot"),
-                t=_number(raw.get("t", 0.0), f"{path}.t"),
-            )
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(path, str(exc)) from exc
-    if coords == "cartesian":
-        allowed = {"coords", "x", "y", "xdot", "ydot", "t"}
-        _reject_unknown(raw, allowed, path)
-        return CartesianState(
-            x=_number(_require(raw, "x", path), f"{path}.x"),
-            y=_number(_require(raw, "y", path), f"{path}.y"),
-            xdot=_number(_require(raw, "xdot", path), f"{path}.xdot"),
-            ydot=_number(_require(raw, "ydot", path), f"{path}.ydot"),
-            t=_number(raw.get("t", 0.0), f"{path}.t"),
-        )
-    raise ConfigError(f"{path}.coords", f"must be 'polar' or 'cartesian', got {coords!r}")
+        names = ("r", "theta", "rdot", "thetadot")
+    elif coords == "cartesian":
+        names = ("x", "y", "xdot", "ydot")
+    else:
+        raise ConfigError(f"{path}.coords", f"must be 'polar' or 'cartesian', got {coords!r}")
+    _reject_unknown(raw, {"coords", "t", *names}, path)
+    values = [_number(_require(raw, name, path), f"{path}.{name}") for name in names]
+    t = _number(raw.get("t", 0.0), f"{path}.t")
+    try:
+        if coords == "polar":
+            return PolarState(*values, t)
+        state = polar_state_from_cartesian(CartesianState(*values, t))
+    except ValueError as exc:  # a radius that is not positive, or the origin
+        raise ConfigError(path, str(exc)) from exc
+    if not all(map(math.isfinite, (state.r, state.theta, state.rdot, state.thetadot))):
+        raise ConfigError(path, f"the cartesian state has no finite polar form: {state!r}")
+    return state
 
 
 def load_config(source) -> RunConfig:
@@ -305,29 +297,10 @@ def build_spec(cfg: RunConfig) -> PolarSpec | LinearizableSpec:
 
     Building a spec evaluates nothing: a constructor's ValueError is the config's fault.
     """
-    fns = cfg.system.functions
-    kind = cfg.system.kind
     try:
-        if kind == "cartesian":
-            return polar_from_cartesian(CartesianSpec(f=fns["f"], g=fns["g"], omega_sq=fns["omega2"]))
-        if kind == "polar":
-            return PolarSpec(F=fns["F"], V=fns["V"], omega_sq=fns["omega2"])
-        if kind == "linearizable":
-            return LinearizableSpec(
-                rho=fns["rho"], A=fns["A"], B=fns["B"], C=fns["C"], F=fns["F"], V=fns["V"]
-            )
-        if kind == "kepler":
-            return kepler_ermakov_system(F=fns["F"], G=fns["G"], V=fns["V"])
-        if kind == "winternitz":
-            p = cfg.system.params
-            return winternitz_system(
-                WinternitzParams(mu0=p["mu0"], g1=p["g1"], g2=p["g2"], g3=p["g3"])
-            )
-        if kind == "free_motion":
-            return free_motion_system(fns["f"], fns["rho"])
+        return _KINDS[cfg.system.kind][1](cfg.system.functions, cfg.system.params)
     except ValueError as exc:
         raise ConfigError("system", str(exc)) from exc
-    raise ConfigError("system.kind", f"unhandled kind {kind!r}")
 
 
 def linearizable_view(cfg: RunConfig, spec) -> LinearizableSpec:

@@ -14,7 +14,6 @@ answer it alone, whatever the other points and their order.
 
 from __future__ import annotations
 
-import logging
 import math
 import sys
 from bisect import bisect_left, bisect_right
@@ -45,7 +44,6 @@ __all__ = [
     "monitor_invariant",
 ]
 
-log = logging.getLogger(__name__)
 
 # Errors that mean "this trial step wandered somewhere the model is not
 # defined"; the controller backs off rather than giving up.
@@ -407,7 +405,6 @@ def integrate(
         h_abs = min(h_abs, max_step)
         if not h_abs >= _EPS16 * max(abs(t), 1.0):  # NaN too, from a non-finite initial slope
             termination = "step_size_underflow"
-            log.info("step size underflow at t=%g", t)
             break
         is_last = h_abs >= abs(tf - t)
         if is_last:

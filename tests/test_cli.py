@@ -217,6 +217,36 @@ class TestConfigValidation:
         assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"config error: system: {message}\n"
 
+    @pytest.mark.parametrize("command", ["simulate", "linearize", "reconstruct", "validate"])
+    @pytest.mark.parametrize(
+        "state, message",
+        [
+            ({"x": 0.0, "y": 0.0}, "cannot convert the origin to polar coordinates"),
+            ({"x": 1e-200, "y": 1e-200}, "cannot convert the origin to polar coordinates"),  # r^2 underflows
+            ({"x": 1e200, "y": 1e200}, "the cartesian state has no finite polar form"),  # r overflows
+            ({"x": 1e150, "xdot": 1e200}, "the cartesian state has no finite polar form"),  # rdot overflows
+        ],
+    )
+    def test_cartesian_state_with_no_finite_polar_form(self, tmp_path, capsys, command, state, message):
+        cfg = _same_outputs().workflow_config("CARTESIAN_STATE_CONFIG")
+        cfg["initial_state"].update(state)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(_write(tmp_path, "c.json", cfg)), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: initial_state: {message}")
+        assert not out.exists()
+
+    def test_cartesian_state_is_converted_at_load(self, tmp_path):
+        # winternitz-default's state, r = 1 and thetadot = 2 at theta = pi/2, in cartesian form
+        cfg = copy.deepcopy(PRESETS["winternitz-default"])
+        cfg["initial_state"] = {"coords": "cartesian", "x": 0.0, "y": 1.0, "xdot": -2.0, "ydot": 0.0}
+        assert load_config(cfg) == preset_config("winternitz-default")
+        path = _write(tmp_path, "c.json", cfg)
+        for command in ("simulate", "linearize", "reconstruct", "validate"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "cartesian" / command)]) == 0
+            assert main([command, "--preset", "winternitz-default", "--out", str(tmp_path / "polar" / command)]) == 0
+        files = _files(tmp_path / "polar")
+        assert len(files) == 5 and _files(tmp_path / "cartesian") == files
+
 
 class TestSimulate:
     def test_winternitz_drift_and_exit_code(self, tmp_path, capsys):
@@ -427,7 +457,7 @@ class TestLinearize:
         assert main(["linearize", "--preset", preset, "--out", str(out)]) == 0
         _, data = _read_csv(out / "linear_ode.csv")
         cfg = preset_config(preset)
-        sol = solve_from_state(build_spec(cfg), cfg.polar_state)
+        sol = solve_from_state(build_spec(cfg), cfg.initial_state)
         assert sol.window == (data[0, 0], data[-1, 0])
         assert [sol.psi(th) for th in data[:, 0]] == data[:, 5].tolist()
 
@@ -447,7 +477,7 @@ class TestLinearize:
             source, cfg = ["--config", str(_write(tmp_path, "c.json", configs[case]))], load_config(configs[case])
         assert main(["linearize", *source, "--out", str(out)]) == 0
         _, data = _read_csv(out / "linear_ode.csv")
-        ode = solve_from_state(build_spec(cfg), cfg.polar_state).ode
+        ode = solve_from_state(build_spec(cfg), cfg.initial_state).ode
         direct = np.array([2.0 * ode.gap(th) for th in data[:, 0]])
         assert np.all(np.abs(data[:, 1] - direct) <= 1e-9 * (1.0 + np.abs(direct)))
         if case == "winternitz-near-turning":
@@ -544,7 +574,7 @@ class TestLinearize:
         assert time.perf_counter() - start < 0.5
         _, data = _read_csv(out / "linear_ode.csv")
         loaded = load_config(cfg)
-        sol = solve_from_state(build_spec(loaded), loaded.polar_state)
+        sol = solve_from_state(build_spec(loaded), loaded.initial_state)
         assert sol.window == (data[0, 0], data[-1, 0])
         assert (sol.down.termination, sol.up.termination) == ("event:turning_margin", "stopped")
         assert 3.14 < data[-1, 0] < math.pi
@@ -1148,6 +1178,16 @@ def test_cli_import_loads_no_costly_module():
     costly = ("dataclasses", "inspect", "numpy", "scipy")
     code = f"import sys, ermakov.cli; print([m for m in {costly!r} if m in sys.modules])"
     assert _fresh_interpreter("-c", code) == "[]"
+
+
+def test_cli_leaves_logging_alone(tmp_path):
+    # in a fresh interpreter: pytest's own handlers would hide a configured root logger
+    argv = ["linearize", "--preset", "uniform-rotation", "--out", str(tmp_path)]
+    code = (
+        f"import sys, ermakov.cli; loaded = 'logging' in sys.modules; ermakov.cli.main({argv!r}); "
+        "import logging; print([loaded, logging.root.handlers])"
+    )
+    assert _fresh_interpreter("-c", code) == "[False, []]"
 
 
 def test_oracles_load_no_package_module():

@@ -485,7 +485,7 @@ class TestPipelineGuards:
         # without a span each run ends at the event where the gap I - V falls to the
         # margin m = 1e-3 (1 + |I|): the angles where V = I - m, in closed form
         librating = load_config(LIBRATING_CONFIG)  # V = 2 cos^2 theta, I = 0.5
-        sol = solve_from_state(build_spec(librating), librating.polar_state)
+        sol = solve_from_state(build_spec(librating), librating.initial_state)
         level = sol.ode.invariant
         assert level == 0.5
         edge = math.sqrt((level - 1e-3 * (1.0 + level)) / 2.0)
